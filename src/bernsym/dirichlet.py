@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .exactnum import CyclotomicNumber, euler_phi
+from .exactnum import CyclotomicNumber, divisors, euler_phi
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -175,7 +175,7 @@ class DirichletCharacter:
 
     def conductor(self) -> tuple[int, bool]:
         """Smallest f | d such that chi is induced from a character mod f."""
-        for f in sorted(_divisors(self.d)):
+        for f in divisors(self.d):
             if all(
                 self._value_exponent(a) == 0
                 for a in range(1, self.d + 1)
@@ -197,18 +197,6 @@ class DirichletCharacter:
     def __str__(self):
         label = ",".join(map(str, self.exponents)) or "-"
         return f"chi[{self.d}:{label}]"
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
 
 
 def trivial_character(d: int) -> DirichletCharacter:

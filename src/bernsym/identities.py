@@ -28,7 +28,6 @@ from .dirichlet import DirichletCharacter, enumerate_characters
 from .exactnum import CyclotomicNumber
 from .quotients import (
     FORMS,
-    BSlot,
     EvalContext,
     ExpansionForm,
     Mono,
@@ -82,14 +81,6 @@ class TheoremSpec:
         for i, mono in enumerate(self.side_weight_monos(), start=1):
             groups.setdefault(mono, []).append(i)
         return list(groups.values())
-
-    @property
-    def permutes_cleanly(self) -> bool:
-        """True when every slot is a plain B slot bound to its own y
-        variable, so permuted sides are index permutations of one tensor."""
-        slots = self.base.slots
-        return all(isinstance(s, BSlot) and not s.asums for s in slots) and \
-            [s.y_var for s in slots] == list(range(len(slots)))
 
 
 def _mk(id_, base_key, form_no, sigmas, conditions, text):
@@ -260,25 +251,28 @@ def _side_polys(inst: TheoremInstance, ctx: EvalContext,
                 mutation: Optional[Mutation] = None) -> list[list[YPoly]]:
     """Per side, the y-polynomials for n = 0..n_max.
 
-    Theorems whose base form is a plain product of B slots (1 and 4) are
-    evaluated once; permuted sides are index permutations of that tensor.
-    The equivalence with direct evaluation is covered by tests.
+    A side is the base form at a permuted w-tuple, and over a grid of
+    w-tuples each permuted side is another instance's first side.  Sides
+    are therefore memoised in ``ctx.side_memo`` under (form_id, permuted w,
+    n_max), so every instance sharing the context evaluates each distinct
+    key once; the memo lives as long as the context.  A mutated side
+    neither reads nor fills the memo.  Memoised lists are shared between
+    callers and must not be modified.
     """
     thm = inst.theorem_spec()
-    if thm.permutes_cleanly and mutation is None:
-        base_polys = expansion_polys(thm.base, inst.w, ctx, inst.n_max, check=False)
-        sides = []
-        for sig in thm.sigmas:
-            sides.append([
-                {tuple(exps[s - 1] for s in sig): v for exps, v in poly.items()}
-                for poly in base_polys
-            ])
-        return sides
     sides = []
     for idx, sig in enumerate(thm.sigmas):
-        mut = mutation if idx == 0 else None
-        sides.append(expansion_polys(thm.base, perm_apply(sig, inst.w), ctx,
-                                     inst.n_max, mutation=mut, check=False))
+        w = perm_apply(sig, inst.w)
+        if idx == 0 and mutation is not None:
+            sides.append(expansion_polys(thm.base, w, ctx, inst.n_max,
+                                         mutation=mutation, check=False))
+            continue
+        key = (thm.base.form_id, w, inst.n_max)
+        polys = ctx.side_memo.get(key)
+        if polys is None:
+            polys = ctx.side_memo[key] = expansion_polys(thm.base, w, ctx, inst.n_max,
+                                                         check=False)
+        sides.append(polys)
     return sides
 
 
@@ -589,7 +583,14 @@ def grid_instances(config: GridConfig) -> Iterable[TheoremInstance]:
 
 def grid_verify(config: GridConfig, method: str = "poly") -> GridReport:
     """Run the whole grid; precondition-violating points are skipped, never
-    counted as evidence.  Reports are assembled in instance-key order."""
+    counted as evidence.  Reports are assembled in instance-key order.
+
+    Instances share one EvalContext per (d, chi, r, j), so each context's
+    side memo (see _side_polys) evaluates every distinct permuted side
+    once, witness passes included.  Instances come theorem-first and no
+    two theorems share a base form, so the contexts are dropped whenever
+    the theorem changes: the memo then holds one theorem's sides at most.
+    """
     rows: list[GridRow] = []
     counts: dict[tuple[int, str], dict[str, int]] = {
         (t, mode): {"pass": 0, "fail": 0, "skipped": 0}
@@ -597,6 +598,7 @@ def grid_verify(config: GridConfig, method: str = "poly") -> GridReport:
     }
     first_witness: dict[tuple[int, str], Witness] = {}
     contexts: dict[tuple, EvalContext] = {}
+    contexts_theorem = None
 
     for inst in grid_instances(config):
         row = GridRow(instance_key=inst.key())
@@ -609,6 +611,8 @@ def grid_verify(config: GridConfig, method: str = "poly") -> GridReport:
                 counts[(inst.theorem, mode)]["skipped"] += 1
             rows.append(row)
             continue
+        if inst.theorem != contexts_theorem:
+            contexts, contexts_theorem = {}, inst.theorem
         ckey = (inst.d, inst.char, inst.r, inst.j)
         ctx = contexts.get(ckey)
         if ctx is None:

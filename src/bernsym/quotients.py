@@ -357,6 +357,9 @@ class EvalContext:
         self._dinv: dict[tuple[int, int], TruncatedSeries] = {}
         self._dser: dict[tuple[int, int], TruncatedSeries] = {}
         self._yexp: dict[tuple, TruncatedSeries] = {}
+        # theorem sides by (form_id, w, n_max); read and filled only by
+        # identities._side_polys
+        self.side_memo: dict[tuple, list[YPoly]] = {}
         self.zero = CyclotomicNumber.zero(self.m)
         self.one = CyclotomicNumber.one(self.m)
 

@@ -71,6 +71,7 @@ def full_grid():
     return rep, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_01_symmetric_theorems_as_stated(full_grid):
     rep, elapsed = full_grid
     failures = sum(rep.failures(t, "as-stated") for t in (1, 4, 10, 11))
@@ -79,6 +80,7 @@ def test_criterion_01_symmetric_theorems_as_stated(full_grid):
            f"{checked} instances, 0 failures, grid elapsed {elapsed:.0f}s < 600s")
 
 
+@pytest.mark.slow
 def test_criterion_02_normalized_all_theorems(full_grid):
     rep, _ = full_grid
     failures = sum(rep.failures(t, "normalized") for t in range(1, 12))
@@ -86,6 +88,7 @@ def test_criterion_02_normalized_all_theorems(full_grid):
     report(2, failures == 0 and checked > 0, f"{checked} instances, 0 failures")
 
 
+@pytest.mark.slow
 def test_criterion_03_orbit_structure_and_counterexample(full_grid):
     rep, _ = full_grid
     orbit_ok = all(
@@ -118,6 +121,7 @@ def test_criterion_04_power_sum_egf_identity():
     report(4, ok and checked > 0, f"{checked} (d,chi,r,w) checks to order 12")
 
 
+@pytest.mark.slow
 def test_criterion_05_closed_form_permutation_invariance():
     checked = 0
     ok = True
@@ -138,6 +142,7 @@ def test_criterion_05_closed_form_permutation_invariance():
     report(5, ok and checked > 0, f"{checked} closed-form evaluations to order 12")
 
 
+@pytest.mark.slow
 def test_criterion_06_weighted_master_consistency():
     instances = 0
     ok = True

@@ -1,6 +1,7 @@
 """Theorem catalog, verification modes, orbits, redundancy, grids."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -104,18 +105,37 @@ def test_equal_w_passes_as_stated_everywhere():
         assert verify_instance(inst).pass_as_stated, theorem
 
 
-def test_fast_path_matches_direct_evaluation():
-    for theorem, w in ((1, (2, 4)), (4, (1, 2, 4))):
-        inst = TheoremInstance(theorem, 5, (1,), 3, 1, w, 3)
-        inst.validate()
-        thm = THEOREMS[theorem]
-        ctx = EvalContext(inst.character(), inst.twist())
-        fast = _side_polys(inst, ctx)
-        direct = [
-            expansion_polys(thm.base, perm_apply(sig, w), ctx, inst.n_max, check=False)
-            for sig in thm.sigmas
-        ]
-        assert fast == direct
+@pytest.mark.parametrize("theorem", range(1, 12))
+def test_memoised_sides_match_cold_evaluation(theorem):
+    thm = THEOREMS[theorem]
+    w = (2, 4) if thm.arity == 2 else (1, 2, 4)
+    inst = TheoremInstance(theorem, 5, (1,), 3, 1, w, 3)
+    inst.validate()
+    warm = EvalContext(inst.character(), inst.twist())
+    for other in sorted(set(permutations(w)) - {w}):
+        verify_instance(TheoremInstance(theorem, 5, (1,), 3, 1, other, 3), ctx=warm)
+    memo_size = len(warm.side_memo)
+    memoised = _side_polys(inst, warm)
+    assert len(warm.side_memo) == memo_size  # every side was a memo hit
+    cold = EvalContext(inst.character(), inst.twist())
+    assert memoised == [
+        expansion_polys(thm.base, perm_apply(sig, w), cold, inst.n_max, check=False)
+        for sig in thm.sigmas
+    ]
+
+
+@pytest.mark.parametrize("theorem, w", ((1, (2, 4)), (4, (2, 3, 1)), (11, (2, 1, 1))))
+def test_mutated_side_bypasses_memo(theorem, w):
+    inst = TheoremInstance(theorem, 1, (), 5, 1, w, 3)
+    ctx = EvalContext(inst.character(), inst.twist())
+    assert verify_instance(inst, ctx=ctx).pass_as_stated
+    memo = dict(ctx.side_memo)
+    # a mutated side read from the memo would pass; one written to it
+    # would fail the clean re-verify below
+    assert not verify_instance(inst, ctx=ctx, mutation=Mutation("twist")).pass_as_stated
+    assert ctx.side_memo.keys() == memo.keys()
+    assert all(ctx.side_memo[k] is v for k, v in memo.items())
+    assert verify_instance(inst, ctx=ctx).pass_as_stated
 
 
 @pytest.mark.parametrize("theorem", (2, 3, 5, 7, 9, 10, 11))
