@@ -33,7 +33,7 @@ from .quotients import (
     expansion_coefficients,
     form_weight,
 )
-from .series import NonUnitConstantError, TruncatedSeries, egf_coefficient, exp_linear, ser_arith
+from .series import NonUnitConstantError, TruncatedSeries, egf_coefficient, exp_linear
 
 __version__ = "0.1.0"
 
@@ -77,7 +77,6 @@ __all__ = [
     "power_sum_egf_check",
     "redundancy_check",
     "riemann_sum",
-    "ser_arith",
     "theorem_sides",
     "trivial_character",
     "unit_group_structure",

@@ -92,6 +92,8 @@ def character_sum_series(chi: DirichletCharacter, twist: TwistSpec, w: int,
 def bernoulli_egf(chi: DirichletCharacter, twist: TwistSpec, w: int, order: int,
                   m: int | None = None) -> TruncatedSeries:
     """t * sum_{a<d} chi(a) xi^{wa} e^{at} / (xi^{wd} e^{dt} - 1), exact to `order`."""
+    if order < 0:
+        raise ParameterError("order must be nonnegative")
     m = m or field_conductor(chi, twist)
     d = chi.d
     numerator = character_sum_series(chi, twist, w, order, m).shift_up(1).truncate(order)

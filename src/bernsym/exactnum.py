@@ -112,6 +112,22 @@ def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _reduce_mod_phi(m: int, conv: list[int]) -> list[int]:
+    """Reduce an integer polynomial of degree <= 2*phi - 2 (a product of two
+    power-basis vectors) modulo Phi_m: the coefficients of x^phi ..
+    x^(2*phi-2) fold back below x^phi with `_reduction_rows(m)`."""
+    rows = _reduction_rows(m)
+    phi = len(rows[0])
+    out = conv[:phi]
+    for k in range(phi, len(conv)):
+        c = conv[k]
+        if c:
+            row = rows[k - phi]
+            for i in range(phi):
+                out[i] += c * row[i]
+    return out
+
+
 def _vec_mul_mod(m: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
     phi = len(a)
     if phi == 1:
@@ -122,15 +138,7 @@ def _vec_mul_mod(m: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
             for j, bj in enumerate(b):
                 if bj:
                     conv[i + j] += ai * bj
-    rows = _reduction_rows(m)
-    out = conv[:phi]
-    for k in range(phi, 2 * phi - 1):
-        c = conv[k]
-        if c:
-            row = rows[k - phi]
-            for i in range(phi):
-                out[i] += c * row[i]
-    return out
+    return _reduce_mod_phi(m, conv)
 
 
 @lru_cache(maxsize=None)

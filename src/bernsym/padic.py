@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .bernoulli import ParameterError, TwistSpec, gen_bernoulli_numbers
 from .dirichlet import DirichletCharacter
-from .exactnum import CyclotomicNumber, cyclotomic_polynomial, euler_phi
+from .exactnum import CyclotomicNumber, _reduction_rows, cyclotomic_polynomial, euler_phi
 
 DEFAULT_PRECISION = 40
 GUARD_BAND = 4
@@ -77,7 +76,7 @@ class PadicContext:
         if k < self.degree:
             vec[k] = 1
             return PadicCycNumber(self, tuple(vec))
-        rows = _padic_reduction_rows(self.r)
+        rows = _reduction_rows(self.r)
         vec = [0] * self.degree
         vec[self.degree - 1] = 1
         for _ in range(k - (self.degree - 1)):
@@ -87,22 +86,6 @@ class PadicContext:
                 row = rows[0]
                 vec = [c + top * rc for c, rc in zip(vec, row)]
         return PadicCycNumber(self, tuple(c % self.modulus for c in vec))
-
-
-@lru_cache(maxsize=None)
-def _padic_reduction_rows(r: int) -> tuple[tuple[int, ...], ...]:
-    phi = euler_phi(r)
-    cyc = cyclotomic_polynomial(r)
-    base = tuple(-c for c in cyc[:phi])
-    rows = [base]
-    for _ in range(phi - 2):
-        prev = rows[-1]
-        top = prev[phi - 1]
-        shifted = [0] + list(prev[:-1])
-        if top:
-            shifted = [c + top * b for c, b in zip(shifted, base)]
-        rows.append(tuple(shifted))
-    return tuple(rows)
 
 
 class PadicCycNumber:
@@ -146,7 +129,7 @@ class PadicCycNumber:
                 for j, bj in enumerate(other.coeffs):
                     if bj:
                         conv[i + j] += ai * bj
-        rows = _padic_reduction_rows(self.ctx.r)
+        rows = _reduction_rows(self.ctx.r)
         out = conv[:phi]
         for k in range(phi, 2 * phi - 1):
             c = conv[k]

@@ -627,6 +627,8 @@ def expansion_polys(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
                     check: bool = True) -> list[YPoly]:
     """The form's bracketed t^n/n! coefficients for n = 0..n_max, each as a
     polynomial in the y variables with cyclotomic coefficients."""
+    if n_max < 0:
+        raise ParameterError("n_max must be nonnegative")
     if check:
         _check_conditions(form.qt, ctx.twist, w)
     y_count = max(1, form.qt.y_count)
@@ -684,6 +686,8 @@ def closed_form_series(qt: QuotientType, w: Sequence[int], y: Sequence,
                        ctx: Optional[EvalContext] = None) -> TruncatedSeries:
     """The explicit right-hand-side series of the quotient type, exact to
     the requested order."""
+    if order < 0:
+        raise ParameterError("order must be nonnegative")
     ctx = ctx or EvalContext(chi, twist)
     _check_conditions(qt, twist, w)
     y = tuple(Fraction(v) for v in y)
@@ -803,6 +807,8 @@ def consistency_check(qt: QuotientType, w: Sequence[int], y: Sequence,
                       mutation: Optional[Mutation] = None) -> ConsistencyReport:
     """Assert expansion_n = weight * n![t^n] closed_form for every form of
     the type; report the first mismatch with both values."""
+    if n_max < 0:
+        raise ParameterError("n_max must be nonnegative")
     ctx = ctx or EvalContext(chi, twist)
     y = tuple(Fraction(v) for v in y)
     need = qt.y_count

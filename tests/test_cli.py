@@ -185,3 +185,15 @@ def test_verify_values_flag():
     # no y variables: one grid point per n; n=0 gives S_0(0)S_0(0)S_0(1) = 1 + zeta3
     assert doc["sides"][0]["values"] == [[{"m": 3, "coeffs": ["1", "1"]}],
                                          [{"m": 3, "coeffs": ["0", "1"]}]]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["consistency", "--type", "G0", "--w", "1,2", "--r", "3", "--n-max", "-2"], "n_max must be nonnegative"),
+    (["quotient", "--type", "G0", "--w", "1,2", "--r", "3", "--order", "-1"], "order must be nonnegative"),
+    (["bernoulli", "--r", "3", "--n-max", "-1"], "order must be nonnegative"),
+])
+def test_negative_order_is_usage_error(argv, message):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from bernsym.bernoulli import TwistSpec, gen_bernoulli_numbers
 from bernsym.dirichlet import trivial_character
-from bernsym.exactnum import cyclotomic_polynomial
+from bernsym.exactnum import CyclotomicNumber, cyclotomic_polynomial, euler_phi
 
 N_MAX = 10
 
@@ -37,3 +38,47 @@ def test_cyclotomic_polynomials_match_sympy():
     for m in range(1, 120):
         expected = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
         assert cyclotomic_polynomial(m) == tuple(int(c) for c in expected), m
+
+
+# CyclotomicNumber arithmetic against sympy polynomial arithmetic modulo Phi_m
+
+X = sympy.Symbol("x")
+
+
+def cyclotomic_elements(m, nonzero=False):
+    phi = euler_phi(m)
+    num = st.lists(st.integers(-50, 50), min_size=phi, max_size=phi)
+    if nonzero:
+        num = num.filter(any)
+    return st.builds(lambda n, d: CyclotomicNumber(m, n, d), num, st.integers(1, 30))
+
+
+def as_sympy(value):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in value.coefficients()]
+    return sympy.Poly(list(reversed(coeffs)), X, domain=sympy.QQ)
+
+
+def coordinates(poly, phi):
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    return tuple(coeffs + [Fraction(0)] * (phi - len(coeffs)))
+
+
+def phi_poly(m):
+    return sympy.Poly(sympy.cyclotomic_poly(m, X), X, domain=sympy.QQ)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 59), st.data())
+def test_cyclotomic_mul_matches_sympy_remainder(m, data):
+    a = data.draw(cyclotomic_elements(m))
+    b = data.draw(cyclotomic_elements(m))
+    expected = (as_sympy(a) * as_sympy(b)).rem(phi_poly(m))
+    assert (a * b).coefficients() == coordinates(expected, euler_phi(m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 59), st.data())
+def test_cyclotomic_inverse_matches_sympy_invert(m, data):
+    a = data.draw(cyclotomic_elements(m, nonzero=True))
+    expected = as_sympy(a).invert(phi_poly(m))
+    assert a.inverse().coefficients() == coordinates(expected, euler_phi(m))

@@ -17,6 +17,7 @@ from bernsym.quotients import (
     closed_form_series,
     consistency_check,
     expansion_coefficients,
+    expansion_polys,
     form_weight,
     mono_name,
     parse_quotient_type,
@@ -103,6 +104,13 @@ def test_closed_form_condition_violation_names_factor():
     qt23 = parse_quotient_type("L23:1")
     with pytest.raises(ParameterError):
         closed_form_series(qt23, (1, 1, 3), (0, 0), CHI1, Z3, 4)
+
+
+def test_negative_n_max_is_parameter_error():
+    # the CLI reaches the other entry points' checks (tests/test_cli.py)
+    ctx = EvalContext(CHI1, Z3)
+    with pytest.raises(ParameterError, match="^n_max must be nonnegative$"):
+        expansion_polys(FORMS["G0"][0], (1, 2), ctx, -1)
 
 
 def test_expansion_examples_g1():

@@ -1,12 +1,13 @@
 """Truncated series arithmetic and the EGF helpers."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bernsym.exactnum import CyclotomicNumber as Cyc
-from bernsym.series import NonUnitConstantError, TruncatedSeries as TS, egf_coefficient, exp_linear, ser_arith
+from bernsym.exactnum import CyclotomicNumber as Cyc, euler_phi
+from bernsym.series import NonUnitConstantError, TruncatedSeries as TS, egf_coefficient, exp_linear
 
 
 def test_basic_mul():
@@ -103,23 +104,95 @@ def test_exp_linear_is_homomorphism(x, y):
     assert exp_linear(x, n) * exp_linear(y, n) == exp_linear(x + y, n)
 
 
+# The packed kernel of __mul__ and __truediv__ on full phi(m)-coordinate
+# coefficients with nontrivial denominators, against the schoolbook Cauchy
+# product written with CyclotomicNumber * and +.
+
+KERNEL_CONDUCTORS = (1, 3, 12, 20, 28)
+
+
+def cyc_elements(m, low=-300, high=300):
+    phi = euler_phi(m)
+    element = st.builds(
+        lambda num, den: Cyc(m, num, den),
+        st.lists(st.integers(low, high), min_size=phi, max_size=phi),
+        st.integers(1, 720),
+    )
+    return st.one_of(st.just(Cyc.zero(m)), element)
+
+
+def cyc_series(m, order, **bounds):
+    return st.lists(cyc_elements(m, **bounds), min_size=order + 1, max_size=order + 1).map(lambda cs: TS(m, cs))
+
+
+def invertible(series):
+    if series.coeffs[0].is_zero():
+        return series + TS.one(series.order, series.m)
+    return series
+
+
+def schoolbook(a, b):
+    m = math.lcm(a.m, b.m)
+    a = [c.embed(m) for c in a.coeffs]
+    b = [c.embed(m) for c in b.coeffs]
+    out = []
+    for k in range(min(len(a), len(b))):
+        acc = Cyc.zero(m)
+        for j in range(k + 1):
+            acc = acc + a[k - j] * b[j]
+        out.append(acc)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_CONDUCTORS), st.integers(0, 6), st.integers(0, 6), st.data())
+def test_mul_matches_schoolbook(m, order_a, order_b, data):
+    a = data.draw(cyc_series(m, order_a))
+    b = data.draw(cyc_series(m, order_b))
+    prod = a * b
+    assert prod.m == m and prod.order == min(order_a, order_b)
+    assert list(prod.coeffs) == schoolbook(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KERNEL_CONDUCTORS), st.integers(0, 5), st.data())
+def test_div_undoes_mul_on_full_coordinates(m, order, data):
+    a = data.draw(cyc_series(m, order))
+    b = invertible(data.draw(cyc_series(m, order)))
+    assert (a * b) / b == a
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 5), st.data())
+def test_mixed_conductors_meet_at_lcm(order, data):
+    a = data.draw(cyc_series(4, order))
+    b = invertible(data.draw(cyc_series(6, order)))
+    prod = a * b
+    assert prod.m == 12
+    assert list(prod.coeffs) == schoolbook(a, b)
+    assert prod / b == TS(12, a.coeffs)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(KERNEL_CONDUCTORS), st.data())
+def test_coefficients_near_two_to_the_200(m, data):
+    big = st.integers(2 ** 200 - 2 ** 12, 2 ** 200)
+    signed_big = st.builds(lambda x, neg: -x if neg else x, big, st.booleans())
+    phi = euler_phi(m)
+    coeff = st.builds(lambda num, den: Cyc(m, num, den),
+                      st.lists(signed_big, min_size=phi, max_size=phi), st.integers(1, 7))
+    a = TS(m, data.draw(st.lists(coeff, min_size=5, max_size=5)))
+    b = TS(m, data.draw(st.lists(coeff, min_size=5, max_size=5)))
+    assert list((a * b).coeffs) == schoolbook(a, b)
+    assert (a * b) / b == a
+
+
 def test_scale_variable():
     s = exp_linear(1, 5)
     assert s.scale_variable(3) == exp_linear(3, 5)
     z = Cyc.zeta(4)
     sz = exp_linear(z, 4).scale_variable(2)
     assert sz == exp_linear(z.scale(2), 4)
-
-
-def test_ser_arith_dispatch():
-    a = TS(1, [1, 2, 3])
-    b = TS(1, [1, 1, 1])
-    assert ser_arith(a, b, "add") == a + b
-    assert ser_arith(a, b, "sub") == a - b
-    assert ser_arith(a, b, "mul") == a * b
-    assert ser_arith(a, b, "div") == a / b
-    with pytest.raises(ValueError):
-        ser_arith(a, b, "compose")
 
 
 def test_shift_and_truncate():
