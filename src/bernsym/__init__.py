@@ -10,7 +10,7 @@ from .bernoulli import (
     power_sum_egf_check,
 )
 from .dirichlet import DirichletCharacter, enumerate_characters, trivial_character, unit_group_structure
-from .exactnum import CyclotomicNumber, Rational, cyc_arith, cyc_embed, cyclotomic_polynomial
+from .exactnum import CyclotomicNumber, Rational, cyclotomic_polynomial
 from .identities import (
     THEOREMS,
     GridConfig,
@@ -33,7 +33,7 @@ from .quotients import (
     expansion_coefficients,
     form_weight,
 )
-from .series import NonUnitConstantError, TruncatedSeries, egf_coefficient, exp_linear
+from .series import NonUnitConstantError, TruncatedSeries
 
 __version__ = "0.1.0"
 
@@ -61,12 +61,8 @@ __all__ = [
     "closed_form_series",
     "consistency_check",
     "convergence_check",
-    "cyc_arith",
-    "cyc_embed",
     "cyclotomic_polynomial",
-    "egf_coefficient",
     "enumerate_characters",
-    "exp_linear",
     "expansion_coefficients",
     "form_weight",
     "gen_bernoulli_numbers",

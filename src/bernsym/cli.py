@@ -250,14 +250,15 @@ def _cmd_consistency(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     w = _parse_int_list(args.w)
-    inst = TheoremInstance(args.theorem, args.d, _parse_char_label(args.char or ""),
-                           args.r, args.j, w, args.n_max, args.mode)
-    report = verify_instance(inst, method=args.method, include_values=args.values)
+    chi = _resolve_character(args.d, args.char)
+    inst = TheoremInstance(args.theorem, args.d, chi.exponents, args.r, args.j, w,
+                           args.n_max, args.mode)
+    ctx = EvalContext(chi, inst.twist())
+    report = verify_instance(inst, method=args.method, include_values=args.values, ctx=ctx)
     doc = report.to_json()
     rows = [["theorem", "d", "char", "r", "j", "w", "side", "weight", "n", "value_at_origin"]]
     thm = THEOREMS[inst.theorem]
     origin = tuple(Fraction(0) for _ in range(max(1, thm.y_count)))
-    ctx = EvalContext(inst.character(), inst.twist())
     for n in range(inst.n_max + 1):
         for s, (label, _, value) in enumerate(theorem_sides(inst, n=n, y=origin, ctx=ctx)):
             rows.append([

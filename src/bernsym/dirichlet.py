@@ -208,12 +208,3 @@ def enumerate_characters(d: int) -> list[DirichletCharacter]:
     gens = unit_group_structure(d)
     ranges = [range(order) for _, order in gens]
     return [DirichletCharacter(d, exps) for exps in product(*ranges)]
-
-
-def char_eval(chi: DirichletCharacter, a: int) -> CyclotomicNumber:
-    """chi(a mod d); zero off units for d > 1, identically 1 for d = 1."""
-    return chi(a)
-
-
-def conductor(chi: DirichletCharacter) -> tuple[int, bool]:
-    return chi.conductor()

@@ -488,26 +488,6 @@ def _qpoly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return [x - y for x, y in zip(a, b)]
 
 
-def cyc_arith(a: CyclotomicNumber, b, op: str):
-    """Dispatch helper: op is one of add|sub|mul|div|pow."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        return a ** b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def cyc_embed(a: CyclotomicNumber, big: int) -> CyclotomicNumber:
-    """Embed a into Q(zeta_big); big must be a multiple of a's conductor."""
-    return a.embed(big)
-
-
 def linear_combination(terms: Iterable[tuple[Scalar, CyclotomicNumber]], m: int) -> CyclotomicNumber:
     """Sum of coeff * value over terms, all values at conductor m.
 

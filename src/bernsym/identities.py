@@ -27,6 +27,13 @@ from .bernoulli import ParameterError, TwistSpec
 from .dirichlet import DirichletCharacter, enumerate_characters
 from .exactnum import CyclotomicNumber
 from .quotients import (
+    _E1,
+    _E2,
+    _E3,
+    _P1,
+    _P2,
+    _P3,
+    _Q,
     FORMS,
     EvalContext,
     ExpansionForm,
@@ -52,7 +59,6 @@ class TheoremSpec:
     base_key: str
     form_no: int
     sigmas: tuple[tuple[int, ...], ...]
-    conditions: tuple[Mono, ...]
     condition_text: str
 
     @property
@@ -71,6 +77,10 @@ class TheoremSpec:
     def arity(self) -> int:
         return self.base.qt.arity
 
+    @property
+    def conditions(self) -> tuple[Mono, ...]:
+        return self.base.qt.conditions()
+
     def side_weight_monos(self) -> list[Mono]:
         base_mono = self.base.weight_mono()
         return [perm_monomial(sig, base_mono) for sig in self.sigmas]
@@ -83,36 +93,28 @@ class TheoremSpec:
         return list(groups.values())
 
 
-def _mk(id_, base_key, form_no, sigmas, conditions, text):
-    return TheoremSpec(id_, base_key, form_no, tuple(sigmas), tuple(conditions), text)
+def _mk(id_, base_key, form_no, sigmas, text):
+    return TheoremSpec(id_, base_key, form_no, tuple(sigmas), text)
 
-
-_E1, _E2, _E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-_P1, _P2, _P3 = (0, 1, 1), (1, 0, 1), (1, 1, 0)
-_Q3 = (1, 1, 1)
 
 THEOREMS: dict[int, TheoremSpec] = {
-    1: _mk(1, "G0", 1, ID2, ((1, 0), (0, 1)), "r divides neither w1 nor w2"),
-    2: _mk(2, "G1", 1, ID2, ((1, 1),), "r does not divide w1*w2"),
-    3: _mk(3, "G1", 2, ID2, ((1, 1),), "r does not divide w1*w2"),
-    4: _mk(4, "L23:0", 1, LEX3, (_P1, _P2, _P3), "r divides none of w2*w3, w1*w3, w1*w2"),
+    1: _mk(1, "G0", 1, ID2, "r divides neither w1 nor w2"),
+    2: _mk(2, "G1", 1, ID2, "r does not divide w1*w2"),
+    3: _mk(3, "G1", 2, ID2, "r does not divide w1*w2"),
+    4: _mk(4, "L23:0", 1, LEX3, "r divides none of w2*w3, w1*w3, w1*w2"),
     5: _mk(5, "L23:1", 1,
            ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 2, 1), (3, 1, 2)),
-           (_Q3,), "r does not divide w1*w2*w3"),
+           "r does not divide w1*w2*w3"),
     6: _mk(6, "L23:1", 2,
            ((3, 2, 1), (2, 3, 1), (3, 1, 2), (1, 3, 2), (2, 1, 3), (1, 2, 3)),
-           (_Q3,), "r does not divide w1*w2*w3"),
-    7: _mk(7, "L23:2", 1, ((1, 2, 3), (2, 3, 1), (3, 1, 2)), (_Q3,),
            "r does not divide w1*w2*w3"),
+    7: _mk(7, "L23:2", 1, ((1, 2, 3), (2, 3, 1), (3, 1, 2)), "r does not divide w1*w2*w3"),
     8: _mk(8, "L23:2", 2,
            ((2, 1, 3), (3, 1, 2), (1, 2, 3), (3, 2, 1), (1, 3, 2), (2, 3, 1)),
-           (_Q3,), "r does not divide w1*w2*w3"),
-    9: _mk(9, "L23:2", 3, ((3, 1, 2), (1, 2, 3), (2, 3, 1)), (_Q3,),
            "r does not divide w1*w2*w3"),
-    10: _mk(10, "L12:0", 1, ((3, 1, 2), (2, 1, 3)), (_E1, _E2, _E3),
-            "r divides none of w1, w2, w3"),
-    11: _mk(11, "L12:1", 1, ((3, 1, 2), (2, 1, 3)), (_P1, _P2, _P3),
-            "r divides none of w2*w3, w1*w3, w1*w2"),
+    9: _mk(9, "L23:2", 3, ((3, 1, 2), (1, 2, 3), (2, 3, 1)), "r does not divide w1*w2*w3"),
+    10: _mk(10, "L12:0", 1, ((3, 1, 2), (2, 1, 3)), "r divides none of w1, w2, w3"),
+    11: _mk(11, "L12:1", 1, ((3, 1, 2), (2, 1, 3)), "r divides none of w2*w3, w1*w3, w1*w2"),
 }
 
 
@@ -461,7 +463,7 @@ def redundancy_check(w: Sequence[int], chi: DirichletCharacter, twist: TwistSpec
     corresponding theorem side exactly (index relabelings of the same sum)."""
     w = tuple(w)
     twist.require_coprime(chi.d)
-    for mono in (_Q3, _P1, _P2, _P3):
+    for mono in (_Q, _P1, _P2, _P3):
         if mono_val(mono, w) % twist.r == 0:
             raise ParameterError(
                 f"redundancy check requires r not dividing {mono_name(mono)}"

@@ -242,17 +242,6 @@ def _invert_mod_p(coeffs: Sequence[int], r: int, p: int) -> Optional[tuple[int, 
     return tuple(u)
 
 
-def padic_arith(a: PadicCycNumber, b: Optional[PadicCycNumber], op: str) -> PadicCycNumber:
-    """Dispatch helper: op is one of add|mul|inv (inv ignores b)."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    raise ValueError(f"unknown operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # embedding of exact algebraic values
 

@@ -1,15 +1,29 @@
 """Quotient types, their closed-form series, and the structured expansions.
 
-Each quotient family (two-variable Gamma^i, three-variable Lambda families)
-has one closed-form series and one or more expansion forms.  An expansion
-form is pure data: a list of slots, each contributing one EGF factor,
+Each quotient type (two-variable G0..G2, three-variable L23, L13, L12) is
+one closed form
 
-  * a B slot:  B_k(chi, xi^T)(S*y_v [+ f*a under an a-sum])  in (T_scale*t)^k/k!
-  * an S slot: S_k(d*U - 1; chi, xi^T)                        in (T_scale*t)^k/k!
+    t^s * prod_W T_W * prod_V D_V * exp(c*(y_1+..+y_k)*t) / prod_U D_U,
+    T_W = sum_{a<d} chi(a) xi^(aW) e^(aWt),   D_W = xi^(dW) e^(dWt) - 1,
 
-where every T, S, U, T_scale is a monomial in the w parameters.  The
-displayed bracketed coefficient of t^n/n! is recovered by convolving the
-slot factors and multiplying by n!.
+read from one table row (`ClosedForm`): the monomials W of the character
+sums, V of the numerator D factors, the y-multiplier monomials summing to
+c, and U of the inverted D factors, with s = len(U) - len(V).  The row
+also gives the type's arity, y-count and conditions.
+
+Each type has one or more expansion forms.  An expansion form is pure
+data: a list of slots, each contributing one EGF factor in (T*t)^k/k!,
+
+  * a B slot:  B_i(chi, xi^tw)(A*y_v + f_1*a_1 + .. + f_j*a_j), under j
+    a-sums  sum_{a_l < d*U_l} chi(a_l) xi^(a_l*X_l);
+  * an S slot: S_k(d*U - 1; chi, xi^tw),
+
+where every tw, T, A, U, X is a monomial in the w parameters and every f
+a ratio of two.  Expanding the B slot by the multinomial theorem, the term
+B_i * (A*y_v)^e * prod_l S_{p_l} f_l^{p_l} with i + e + sum(p) = k has the
+coefficient T^k * k!/(i! e! prod p_l!) at t^k/k!.  The displayed bracketed
+coefficient of t^n/n! is recovered by convolving the slot factors and
+multiplying by n!.
 
 The normalization weight of a form is the product of its B-slot twist
 scales; dividing the form by its weight gives exactly the EGF coefficients
@@ -24,8 +38,9 @@ as a transformation on the monomial data.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -109,46 +124,74 @@ Slot = BSlot | SSlot
 @dataclass(frozen=True)
 class QuotientType:
     """One quotient family member: family G (i=0..2), L23/L13 (i=0..3),
-    L12 (i=0..1)."""
+    L12 (i=0..1).  Its shape is its row of CLOSED_FORMS."""
 
     family: str
     index: int
 
-    @property
-    def arity(self) -> int:
-        return 2 if self.family == "G" else 3
-
-    @property
-    def y_count(self) -> int:
-        if self.family == "G":
-            return 2 - self.index
-        if self.family == "L12":
-            return 1 - self.index
-        return 3 - self.index
+    # cached: grid and pool filters read arity and conditions() per w-tuple
+    @functools.cached_property
+    def _row(self) -> "ClosedForm":
+        return CLOSED_FORMS[self]
 
     @property
     def name(self) -> str:
         return f"{self.family}{self.index}" if self.family == "G" else f"{self.family}:{self.index}"
 
+    @property
+    def arity(self) -> int:
+        return self._row.arity
+
+    @property
+    def y_count(self) -> int:
+        return self._row.y_count
+
     def conditions(self) -> tuple[Mono, ...]:
         """Monomials that must not vanish mod r (not divisible by r)."""
-        if self.family == "G":
-            return ((1, 0), (0, 1)) if self.index == 0 else ((1, 1),)
-        if self.family == "L23":
-            if self.index == 0:
-                return (_P1, _P2, _P3)
-            return (_Q,)
-        if self.family == "L13":
-            if self.index == 0:
-                return (_E1, _E2, _E3)
-            return (_Q,)
-        # L12
-        return (_E1, _E2, _E3) if self.index == 0 else (_P1, _P2, _P3)
+        return self._row.conditions
+
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """t^shift * prod T_W * prod D_V * exp(sum(ymul)*(y_1+..+y_{y_count})*t)
+    / prod D_U over W in chars, V in numer, U in inverted."""
+
+    y_count: int
+    chars: tuple[Mono, ...]
+    numer: tuple[Mono, ...]
+    ymul: tuple[Mono, ...]
+    inverted: tuple[Mono, ...]
+
+    @property
+    def shift(self) -> int:
+        return len(self.inverted) - len(self.numer)
+
+    @functools.cached_property
+    def arity(self) -> int:
+        return len(self.chars[0])
+
+    @functools.cached_property
+    def conditions(self) -> tuple[Mono, ...]:
+        """Every D factor must be a unit, i.e. r divides no D monomial.  Each
+        inverted monomial divides a numerator one, so the numerator
+        monomials, where there are any, carry all the conditions."""
+        return tuple(dict.fromkeys(self.numer or self.inverted))
 
 
 _E1, _E2, _E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 _P1, _P2, _P3 = (0, 1, 1), (1, 0, 1), (1, 1, 0)
 _Q = (1, 1, 1)
+_E, _P = (_E1, _E2, _E3), (_P1, _P2, _P3)
+_W1, _W2, _W12 = (1, 0), (0, 1), (1, 1)
+
+CLOSED_FORMS: dict[QuotientType, ClosedForm] = {
+    **{QuotientType("G", i): ClosedForm(2 - i, (_W1, _W2), (_W12,) * i, (_W12,), (_W1, _W2))
+       for i in range(3)},
+    **{QuotientType("L23", i): ClosedForm(3 - i, _P, (_Q,) * i, (_Q,), _P) for i in range(4)},
+    **{QuotientType("L13", i): ClosedForm(3 - i, _E, (_Q,) * i, (_Q,), _E) for i in range(4)},
+    QuotientType("L12", 0): ClosedForm(1, _E, (), _P, _E),
+    QuotientType("L12", 1): ClosedForm(0, _E, _P, (), _E),
+}
 
 
 @dataclass(frozen=True)
@@ -214,106 +257,44 @@ def _l13_sub_q(mono: Mono) -> Mono:
 
 
 def _build_forms() -> dict[str, tuple[ExpansionForm, ...]]:
+    def b(twist: Mono, arg: Mono, y_var: int) -> BSlot:
+        return BSlot(twist=twist, t_scale=twist, arg_scale=arg, y_var=y_var)
+
+    def s(upper: Mono, twist: Mono) -> SSlot:
+        return SSlot(upper=upper, twist=twist, t_scale=twist)
+
+    def absorb(bslot: BSlot, *sslots: SSlot) -> BSlot:
+        """The B slot with each S slot S(d*U - 1; xi^X) moved into its
+        argument: an a-sum over a < d*U with xi^(aX), shifting it by A/U * a."""
+        return replace(bslot, asums=tuple(
+            ASumSpec(upper=x.upper, xi_exp=x.twist, frac_num=bslot.arg_scale, frac_den=x.upper)
+            for x in sslots))
+
+    gb = (b(_W1, _W2, 0), b(_W2, _W1, 1))
+    gs = (s(_W2, _W1), s(_W1, _W2))
+    lb = tuple(b(_P[v], _E[v], v) for v in range(3))
+    ls = tuple(s(_E[v], _P[v]) for v in range(3))
+    slot_lists = {
+        "G0": [gb],
+        "G1": [(gb[0], gs[1]), (absorb(gb[0], gs[1]),)],
+        "G2": [gs],
+        "L23:0": [lb],
+        "L23:1": [(lb[0], lb[1], ls[2]), (lb[0], absorb(lb[1], ls[2]))],
+        "L23:2": [(lb[0], ls[1], ls[2]), (absorb(lb[0], ls[1]), ls[2]),
+                  (absorb(lb[0], ls[1], ls[2]),)],
+        "L23:3": [ls],
+        "L12:0": [tuple(b(_E[v], _E[(v + 1) % 3], 0) for v in range(3))],
+        "L12:1": [tuple(s(_E[(v + 1) % 3], _E[v]) for v in range(3))],
+    }
     forms: dict[str, tuple[ExpansionForm, ...]] = {}
-    w1, w2 = (1, 0), (0, 1)
-
-    g0 = QuotientType("G", 0)
-    forms[g0.name] = (
-        ExpansionForm(g0, 1, (
-            BSlot(twist=w1, t_scale=w1, arg_scale=w2, y_var=0),
-            BSlot(twist=w2, t_scale=w2, arg_scale=w1, y_var=1),
-        )),
-    )
-    g1 = QuotientType("G", 1)
-    forms[g1.name] = (
-        ExpansionForm(g1, 1, (
-            BSlot(twist=w1, t_scale=w1, arg_scale=w2, y_var=0),
-            SSlot(upper=w1, twist=w2, t_scale=w2),
-        )),
-        ExpansionForm(g1, 2, (
-            BSlot(twist=w1, t_scale=w1, arg_scale=w2, y_var=0,
-                  asums=(ASumSpec(upper=w1, xi_exp=w2, frac_num=w2, frac_den=w1),)),
-        )),
-    )
-    g2 = QuotientType("G", 2)
-    forms[g2.name] = (
-        ExpansionForm(g2, 1, (
-            SSlot(upper=w2, twist=w1, t_scale=w1),
-            SSlot(upper=w1, twist=w2, t_scale=w2),
-        )),
-    )
-
-    l23 = [QuotientType("L23", i) for i in range(4)]
-    forms[l23[0].name] = (
-        ExpansionForm(l23[0], 1, (
-            BSlot(twist=_P1, t_scale=_P1, arg_scale=_E1, y_var=0),
-            BSlot(twist=_P2, t_scale=_P2, arg_scale=_E2, y_var=1),
-            BSlot(twist=_P3, t_scale=_P3, arg_scale=_E3, y_var=2),
-        )),
-    )
-    forms[l23[1].name] = (
-        ExpansionForm(l23[1], 1, (
-            BSlot(twist=_P1, t_scale=_P1, arg_scale=_E1, y_var=0),
-            BSlot(twist=_P2, t_scale=_P2, arg_scale=_E2, y_var=1),
-            SSlot(upper=_E3, twist=_P3, t_scale=_P3),
-        )),
-        ExpansionForm(l23[1], 2, (
-            BSlot(twist=_P1, t_scale=_P1, arg_scale=_E1, y_var=0),
-            BSlot(twist=_P2, t_scale=_P2, arg_scale=_E2, y_var=1,
-                  asums=(ASumSpec(upper=_E3, xi_exp=_P3, frac_num=_E2, frac_den=_E3),)),
-        )),
-    )
-    forms[l23[2].name] = (
-        ExpansionForm(l23[2], 1, (
-            BSlot(twist=_P1, t_scale=_P1, arg_scale=_E1, y_var=0),
-            SSlot(upper=_E2, twist=_P2, t_scale=_P2),
-            SSlot(upper=_E3, twist=_P3, t_scale=_P3),
-        )),
-        ExpansionForm(l23[2], 2, (
-            BSlot(twist=_P1, t_scale=_P1, arg_scale=_E1, y_var=0,
-                  asums=(ASumSpec(upper=_E2, xi_exp=_P2, frac_num=_E1, frac_den=_E2),)),
-            SSlot(upper=_E3, twist=_P3, t_scale=_P3),
-        )),
-        ExpansionForm(l23[2], 3, (
-            BSlot(twist=_P1, t_scale=_P1, arg_scale=_E1, y_var=0,
-                  asums=(
-                      ASumSpec(upper=_E2, xi_exp=_P2, frac_num=_E1, frac_den=_E2),
-                      ASumSpec(upper=_E3, xi_exp=_P3, frac_num=_E1, frac_den=_E3),
-                  )),
-        )),
-    )
-    forms[l23[3].name] = (
-        ExpansionForm(l23[3], 1, (
-            SSlot(upper=_E1, twist=_P1, t_scale=_P1),
-            SSlot(upper=_E2, twist=_P2, t_scale=_P2),
-            SSlot(upper=_E3, twist=_P3, t_scale=_P3),
-        )),
-    )
-
-    for i in range(4):
-        src = forms[l23[i].name]
-        qt = QuotientType("L13", i)
-        forms[qt.name] = tuple(
-            ExpansionForm(qt, f.form_no, tuple(_derive_l13_slot(s) for s in f.slots))
-            for f in src
-        )
-
-    l12_0 = QuotientType("L12", 0)
-    forms[l12_0.name] = (
-        ExpansionForm(l12_0, 1, (
-            BSlot(twist=_E1, t_scale=_E1, arg_scale=_E2, y_var=0),
-            BSlot(twist=_E2, t_scale=_E2, arg_scale=_E3, y_var=0),
-            BSlot(twist=_E3, t_scale=_E3, arg_scale=_E1, y_var=0),
-        )),
-    )
-    l12_1 = QuotientType("L12", 1)
-    forms[l12_1.name] = (
-        ExpansionForm(l12_1, 1, (
-            SSlot(upper=_E2, twist=_E1, t_scale=_E1),
-            SSlot(upper=_E3, twist=_E2, t_scale=_E2),
-            SSlot(upper=_E1, twist=_E3, t_scale=_E3),
-        )),
-    )
+    for qt in CLOSED_FORMS:
+        if qt.family == "L13":
+            forms[qt.name] = tuple(
+                ExpansionForm(qt, f.form_no, tuple(_derive_l13_slot(x) for x in f.slots))
+                for f in forms[f"L23:{qt.index}"])
+        else:
+            forms[qt.name] = tuple(ExpansionForm(qt, no, slots)
+                                   for no, slots in enumerate(slot_lists[qt.name], start=1))
     return forms
 
 
@@ -469,7 +450,8 @@ class Mutation:
     kind 'binomial' doubles one slot's EGF coefficient at t-degree `degree`
     (equivalently scales the binomial weights pairing that degree); 'twist'
     bumps one slot's twist exponent by 1; 'wpower' multiplies one slot's
-    t-scale by w1.
+    t-scale by w1.  `expansion_polys` refuses a slot outside the form and a
+    binomial degree outside 0..n_max, which would perturb nothing.
     """
 
     kind: str
@@ -501,98 +483,70 @@ def _check_conditions(qt: QuotientType, twist: TwistSpec, w: Sequence[int]) -> N
             )
 
 
+@functools.cache
+def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    """Every tuple of parts >= 1 nonnegative integers summing to total, in
+    lexicographic order."""
+    if parts == 1:
+        return ((total,),)
+    return tuple((first,) + rest for first in range(total + 1)
+                 for rest in _compositions(total - first, parts - 1))
+
+
 def _slot_symbolic(ctx: EvalContext, slot: Slot, w: Sequence[int], n: int,
                    y_count: int, mutation: Optional[Mutation], slot_index: int):
-    """Per t-degree k: dict {(y_exps, syms): Fraction} for one slot factor."""
+    """Per t-degree k: dict {(y_exps, syms): Fraction} for one slot factor.
+
+    An S slot contributes S_k * T^k/k!.  A B slot under j a-sums
+    contributes, at t^k, the sum over i + e + p_1 + .. + p_j = k (i >= 1
+    unless k = 0, as B_0 = 0) of
+        B_i * y_v^e * prod_l S_{p_l} * T^k * A^e * prod_l f_l^{p_l}
+            / (i! e! prod_l p_l!),
+    the multinomial coefficient k!/(i! e! prod p_l!) of (T*t)^k/k!.
+    """
     mut = mutation if mutation is not None and mutation.slot == slot_index else None
-    zero_y = (0,) * y_count
-    out = []
     r = ctx.r
     d = ctx.d
-    if isinstance(slot, SSlot):
-        tw = mono_val(slot.twist, w) + (1 if mut and mut.kind == "twist" else 0)
-        ts = mono_val(slot.t_scale, w) * (w[0] if mut and mut.kind == "wpower" else 1)
-        upper = d * mono_val(slot.upper, w) - 1
-        for k in range(n + 1):
-            coeff = Fraction(ts ** k, math.factorial(k))
-            if mut and mut.kind == "binomial" and k == mut.degree:
-                coeff *= 2
-            out.append({(zero_y, (("S", tw % r, upper, k),)): coeff})
-        return out
-
     tw = mono_val(slot.twist, w) + (1 if mut and mut.kind == "twist" else 0)
     ts = mono_val(slot.t_scale, w) * (w[0] if mut and mut.kind == "wpower" else 1)
-    arg = mono_val(slot.arg_scale, w)
-    twr = tw % r
+    fact = [math.factorial(k) for k in range(n + 1)]
+    doubled = mut.degree if mut and mut.kind == "binomial" else -1
+    ts_pow = [ts ** k * (2 if k == doubled else 1) for k in range(n + 1)]
+    if isinstance(slot, SSlot):
+        upper = d * mono_val(slot.upper, w) - 1
+        zero_y = (0,) * y_count
+        return [{(zero_y, (("S", tw % r, upper, k),)): Fraction(ts_pow[k], fact[k])} for k in range(n + 1)]
+
     if (d * tw) % r == 0:
         raise NonUnitConstantError(
             f"xi^(d*{mono_name(slot.twist)}) = 1 at w={tuple(w)}",
             factor=mono_name(slot.twist),
         )
-    if not slot.asums:
-        for k in range(n + 1):
-            base = Fraction(ts ** k, math.factorial(k))
-            if mut and mut.kind == "binomial" and k == mut.degree:
-                base *= 2
-            entries = {}
-            for e in range(k + 1):
-                i = k - e
-                if i == 0 and k > 0:
-                    continue  # B_0 = 0 for every valid twisted instance
-                y = list(zero_y)
-                y[slot.y_var] = e
-                entries[(tuple(y), (("B", twr, i),))] = base * math.comb(k, e) * arg ** e
-            out.append(entries)
-        return out
-
-    shifts = []
+    bsym = [("B", tw % r, i) for i in range(n + 1)]
+    ykeys = [tuple(e if v == slot.y_var else 0 for v in range(y_count)) for e in range(n + 1)]
+    arg_pow = [mono_val(slot.arg_scale, w) ** e for e in range(n + 1)]
+    # per a-sum and degree p: the S symbol, f^p's numerator, p! * f^p's denominator
+    asums = []
     for asum in slot.asums:
-        shifts.append((
-            d * mono_val(asum.upper, w) - 1,
-            mono_val(asum.xi_exp, w) % r,
-            Fraction(mono_val(asum.frac_num, w), mono_val(asum.frac_den, w)),
-        ))
-    if len(shifts) == 1:
-        up1, xi1, f1 = shifts[0]
-        for k in range(n + 1):
-            base = Fraction(ts ** k, math.factorial(k))
-            if mut and mut.kind == "binomial" and k == mut.degree:
-                base *= 2
-            entries = {}
-            # i = 0 contributes B_0 * S = 0 and is skipped for k >= 1
-            for i in range(1 if k else 0, k + 1):
-                bc = math.comb(k, i)
-                for e in range(k - i + 1):
-                    p = k - i - e
-                    y = list(zero_y)
-                    y[slot.y_var] = e
-                    syms = tuple(sorted((("B", twr, i), ("S", xi1, up1, p))))
-                    key = (tuple(y), syms)
-                    coeff = base * bc * math.comb(k - i, e) * arg ** e * f1 ** p
-                    entries[key] = entries.get(key, Fraction(0)) + coeff
-            out.append(entries)
-        return out
-
-    (up1, xi1, f1), (up2, xi2, f2) = shifts
+        upper = d * mono_val(asum.upper, w) - 1
+        xi = mono_val(asum.xi_exp, w) % r
+        num, den = mono_val(asum.frac_num, w), mono_val(asum.frac_den, w)
+        asums.append([(("S", xi, upper, p), num ** p, fact[p] * den ** p) for p in range(n + 1)])
+    out = []
     for k in range(n + 1):
-        base = Fraction(ts ** k, math.factorial(k))
-        if mut and mut.kind == "binomial" and k == mut.degree:
-            base *= 2
-        entries = {}
+        entries: dict = {}
         for i in range(1 if k else 0, k + 1):
-            bc = math.comb(k, i)
-            rem = k - i
-            for e in range(rem + 1):
-                for p in range(rem - e + 1):
-                    q = rem - e - p
-                    y = list(zero_y)
-                    y[slot.y_var] = e
-                    syms = tuple(sorted((("B", twr, i), ("S", xi1, up1, p), ("S", xi2, up2, q))))
-                    key = (tuple(y), syms)
-                    multinom = Fraction(math.factorial(rem),
-                                        math.factorial(e) * math.factorial(p) * math.factorial(q))
-                    coeff = base * bc * multinom * arg ** e * f1 ** p * f2 ** q
-                    entries[key] = entries.get(key, Fraction(0)) + coeff
+            for e, *ps in _compositions(k - i, 1 + len(asums)):
+                syms, num, den = [bsym[i]], ts_pow[k] * arg_pow[e], fact[i] * fact[e]
+                for table, p in zip(asums, ps):
+                    sym, p_num, p_den = table[p]
+                    syms.append(sym)
+                    num *= p_num
+                    den *= p_den
+                key = (ykeys[e], tuple(sorted(syms)))
+                coeff = Fraction(num, den)
+                prev = entries.get(key)
+                entries[key] = coeff if prev is None else prev + coeff
         out.append(entries)
     return out
 
@@ -629,6 +583,11 @@ def expansion_polys(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
     polynomial in the y variables with cyclotomic coefficients."""
     if n_max < 0:
         raise ParameterError("n_max must be nonnegative")
+    if mutation is not None:
+        if not 0 <= mutation.slot < len(form.slots):
+            raise ParameterError(f"mutation slot {mutation.slot} outside 0..{len(form.slots) - 1}")
+        if mutation.kind == "binomial" and not 0 <= mutation.degree <= n_max:
+            raise ParameterError(f"mutation degree {mutation.degree} outside 0..{n_max}")
     if check:
         _check_conditions(form.qt, ctx.twist, w)
     y_count = max(1, form.qt.y_count)
@@ -685,7 +644,10 @@ def closed_form_series(qt: QuotientType, w: Sequence[int], y: Sequence,
                        chi: DirichletCharacter, twist: TwistSpec, order: int,
                        ctx: Optional[EvalContext] = None) -> TruncatedSeries:
     """The explicit right-hand-side series of the quotient type, exact to
-    the requested order."""
+    the requested order: the product of the type's CLOSED_FORMS row,
+        t^shift * prod T_W * prod D_V * exp(c*(y_1+..+y_k)*t) / prod D_U,
+    with c the sum of the y-multiplier monomials: the factors are multiplied
+    left to right in that order, then shifted by t^shift."""
     if order < 0:
         raise ParameterError("order must be nonnegative")
     ctx = ctx or EvalContext(chi, twist)
@@ -693,68 +655,19 @@ def closed_form_series(qt: QuotientType, w: Sequence[int], y: Sequence,
     y = tuple(Fraction(v) for v in y)
     if len(y) < qt.y_count:
         raise ParameterError(f"{qt.name} needs {qt.y_count} y value(s)")
-
-    if qt.family == "G":
-        w1, w2 = w
-        prod_all = w1 * w2
-        num = ctx.char_sum_series(w1, order) * ctx.char_sum_series(w2, order)
-        if qt.index:
-            dq = ctx.denom_series(prod_all, order)
-            for _ in range(qt.index):
-                num = num * dq
-        ysum = sum(y[: 2 - qt.index], Fraction(0))
-        if ysum:
-            num = num * ctx.exp_scalar(prod_all * ysum, order)
-        num = num * ctx.denom_inverse(w1, order, "w1") * ctx.denom_inverse(w2, order, "w2")
-        return num.shift_up(2 - qt.index).truncate(order)
-
-    w1, w2, w3 = w
-    q = w1 * w2 * w3
-    pairs = (w2 * w3, w1 * w3, w1 * w2)
-    pair_names = ("w2*w3", "w1*w3", "w1*w2")
-    if qt.family == "L23":
-        num = ctx.char_sum_series(pairs[0], order) * ctx.char_sum_series(pairs[1], order) \
-            * ctx.char_sum_series(pairs[2], order)
-        if qt.index:
-            dq = ctx.denom_series(q, order)
-            for _ in range(qt.index):
-                num = num * dq
-        ysum = sum(y[: 3 - qt.index], Fraction(0))
-        if ysum:
-            num = num * ctx.exp_scalar(q * ysum, order)
-        for p, nm in zip(pairs, pair_names):
-            num = num * ctx.denom_inverse(p, order, nm)
-        return num.shift_up(3 - qt.index).truncate(order)
-
-    if qt.family == "L13":
-        num = ctx.char_sum_series(w1, order) * ctx.char_sum_series(w2, order) \
-            * ctx.char_sum_series(w3, order)
-        if qt.index:
-            dq = ctx.denom_series(q, order)
-            for _ in range(qt.index):
-                num = num * dq
-        ysum = sum(y[: 3 - qt.index], Fraction(0))
-        if ysum:
-            num = num * ctx.exp_scalar(q * ysum, order)
-        num = num * ctx.denom_inverse(w1, order, "w1") * ctx.denom_inverse(w2, order, "w2") \
-            * ctx.denom_inverse(w3, order, "w3")
-        return num.shift_up(3 - qt.index).truncate(order)
-
-    # L12
-    num = ctx.char_sum_series(w1, order) * ctx.char_sum_series(w2, order) \
-        * ctx.char_sum_series(w3, order)
-    if qt.index == 0:
-        ysum = y[0] * sum(pairs)
-        if ysum:
-            num = num * ctx.exp_scalar(ysum, order)
-        shift = 3
-    else:
-        for p in pairs:
-            num = num * ctx.denom_series(p, order)
-        shift = 0
-    num = num * ctx.denom_inverse(w1, order, "w1") * ctx.denom_inverse(w2, order, "w2") \
-        * ctx.denom_inverse(w3, order, "w3")
-    return num.shift_up(shift).truncate(order)
+    cf = CLOSED_FORMS[qt]
+    first, *rest = cf.chars
+    num = ctx.char_sum_series(mono_val(first, w), order)
+    for mono in rest:
+        num = num * ctx.char_sum_series(mono_val(mono, w), order)
+    for mono in cf.numer:
+        num = num * ctx.denom_series(mono_val(mono, w), order)
+    coeff = sum(mono_val(mono, w) for mono in cf.ymul) * sum(y[:cf.y_count], Fraction(0))
+    if coeff:
+        num = num * ctx.exp_scalar(coeff, order)
+    for mono in cf.inverted:
+        num = num * ctx.denom_inverse(mono_val(mono, w), order, mono_name(mono))
+    return num.shift_up(cf.shift).truncate(order)
 
 
 # ---------------------------------------------------------------------------

@@ -257,11 +257,3 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries(m={self.m}, order={self.order})"
-
-
-def exp_linear(c, order: int, m: int | None = None) -> TruncatedSeries:
-    return TruncatedSeries.exp_linear(c, order, m)
-
-
-def egf_coefficient(s: TruncatedSeries, n: int) -> CyclotomicNumber:
-    return s.egf_coefficient(n)

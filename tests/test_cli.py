@@ -42,6 +42,32 @@ def test_verify_normalized_mode_passes():
     assert json.loads(out)["pass"] is True
 
 
+def test_verify_defaults_to_trivial_character():
+    code, out, err = run_cli(["verify", "--theorem", "1", "--d", "5", "--r", "3", "--w", "1,2"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    assert doc["instance"]["char"] == {"d": 5, "exponents": [0]}
+
+
+def test_verify_csv_expands_each_side_once(monkeypatch):
+    import bernsym.identities as identities
+
+    calls = []
+    expand = identities.expansion_polys
+
+    def counting(form, w, *args, **kwargs):
+        calls.append(tuple(w))
+        return expand(form, w, *args, **kwargs)
+
+    monkeypatch.setattr(identities, "expansion_polys", counting)
+    code, out, _ = run_cli(["verify", "--theorem", "8", "--d", "1", "--r", "5", "--w", "1,2,3",
+                            "--n-max", "2", "--mode", "normalized", "--format", "csv"])
+    assert code == 0
+    assert out.count("side-") == 6 * 3
+    assert len(calls) == len(set(calls)) == 6
+
+
 def test_out_of_range_theorem_is_usage_error():
     code, _, err = run_cli(["verify", "--theorem", "12", "--d", "1", "--r", "3", "--w", "1,2"])
     assert code == 2

@@ -8,8 +8,6 @@ import pytest
 from bernsym.exactnum import CyclotomicNumber as Cyc, euler_phi
 from bernsym.dirichlet import (
     DirichletCharacter,
-    char_eval,
-    conductor,
     enumerate_characters,
     trivial_character,
     unit_group_structure,
@@ -93,9 +91,9 @@ def test_orthogonality_sum(d):
 def test_char_eval_examples():
     # the unique nontrivial character mod 4
     chi = DirichletCharacter(4, (1,))
-    assert char_eval(chi, 3) == -1
-    assert char_eval(chi, 2).is_zero()
-    assert char_eval(chi, 1) == 1
+    assert chi(3) == -1
+    assert chi(2).is_zero()
+    assert chi(1) == 1
     # chi mod 5 with chi(2) = zeta_4: chi(3) = chi(2^3) = zeta_4^3 = -zeta_4
     chi5 = DirichletCharacter(5, (1,))
     assert chi5(2) == Cyc.zeta(4)
@@ -110,16 +108,16 @@ def test_trivial_character_conventions():
 
 
 def test_conductor_examples():
-    assert conductor(trivial_character(1)) == (1, True)
-    assert conductor(DirichletCharacter(4, (1,))) == (4, True)
+    assert trivial_character(1).conductor() == (1, True)
+    assert DirichletCharacter(4, (1,)).conductor() == (4, True)
     # character mod 6 with chi(5) = -1 is induced by the one mod 3
     chars6 = enumerate_characters(6)
     nontriv = [c for c in chars6 if not c.is_trivial]
     assert len(nontriv) == 1
     chi6 = nontriv[0]
     assert chi6(5) == -1
-    assert conductor(chi6) == (3, False)
-    assert conductor(trivial_character(6)) == (1, False)
+    assert chi6.conductor() == (3, False)
+    assert trivial_character(6).conductor() == (1, False)
 
 
 @pytest.mark.parametrize("d", range(1, 31))

@@ -197,6 +197,15 @@ def test_mutations_break_verification():
         assert not rep.pass_as_stated, mut
 
 
+@pytest.mark.parametrize("mut", [Mutation("binomial", 0, 9), Mutation("binomial", 0, -1),
+                                 Mutation("twist", 7), Mutation("wpower", -1)])
+def test_out_of_range_mutation_is_parameter_error(mut):
+    # a mutation that matches no slot or no degree would verify as passing
+    inst = TheoremInstance(4, 1, (), 5, 1, (2, 3, 1), 3)
+    with pytest.raises(ParameterError, match="mutation"):
+        verify_instance(inst, mutation=mut)
+
+
 def test_redundancy_examples():
     rep = redundancy_check((1, 2, 3), trivial_character(1), TwistSpec(5, 1), 5)
     assert rep.passed and len(rep.checks) == 7

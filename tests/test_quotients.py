@@ -1,7 +1,8 @@
 """Closed forms, expansion forms, weights, and the master reconciliation."""
 
+import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -14,6 +15,7 @@ from bernsym.quotients import (
     EvalContext,
     Mutation,
     SSlot,
+    _slot_symbolic,
     closed_form_series,
     consistency_check,
     expansion_coefficients,
@@ -70,6 +72,57 @@ def test_weight_examples():
     assert form_weight(FORMS["L23:0"][0], (2, 3, 4)) == 576
     assert form_weight(FORMS["L12:1"][0], (9, 9, 9)) == 1
     assert mono_name(FORMS["L23:0"][0].weight_mono()) == "w1^2*w2^2*w3^2"
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _linear_power(c, slope, k):
+    """(c + slope*z)^k as a coefficient list in z."""
+    out = [Fraction(1)]
+    for _ in range(k):
+        out = _poly_mul(out, [Fraction(c), Fraction(slope)])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_slot_tensor_degrees_and_generating_function(name):
+    # every key has degree k, and with every B_i and S_p set to 1 a B slot
+    # sums to ts^k/k! ((A z + F + 1)^k - (A z + F)^k) at t^k (k >= 1; the
+    # subtracted part is the vanishing B_0 term), an S slot to ts^k/k!
+    n = 6
+    ctx = EvalContext(CHI1, TwistSpec(7, 1))
+    for form in FORMS[name]:
+        y_count = max(1, form.qt.y_count)
+        for w in product(range(1, 5), repeat=form.qt.arity):
+            def val(mono):
+                return math.prod(x ** e for x, e in zip(w, mono))
+
+            for idx, slot in enumerate(form.slots):
+                tensor = _slot_symbolic(ctx, slot, w, n, y_count, None, idx)
+                ts = val(slot.t_scale)
+                for k, entries in enumerate(tensor):
+                    got = [Fraction(0)] * (k + 1)
+                    for (y, syms), coeff in entries.items():
+                        e = sum(y)
+                        index = sum(sym[2] if sym[0] == "B" else sym[3] for sym in syms)
+                        assert index + e == k, (form.form_id, w, idx, k, y, syms)
+                        got[e] += coeff
+                    scale = Fraction(ts ** k, math.factorial(k))
+                    if isinstance(slot, SSlot) or k == 0:
+                        want = [scale] + [Fraction(0)] * k
+                    else:
+                        arg = val(slot.arg_scale)
+                        shift = sum(Fraction(val(a.frac_num), val(a.frac_den)) for a in slot.asums)
+                        with_b = _linear_power(shift + 1, arg, k)
+                        without_b = _linear_power(shift, arg, k)
+                        want = [scale * (x - y) for x, y in zip(with_b, without_b)]
+                    assert got == want, (form.form_id, w, idx, k)
 
 
 def test_closed_form_g1_collapses_at_d1():
@@ -185,3 +238,16 @@ def test_perm_helpers():
 def test_parse_quotient_type_errors():
     with pytest.raises(ParameterError):
         parse_quotient_type("L23:9")
+
+
+def test_type_shapes_and_conditions():
+    # (arity, y-count, monomials r must not divide) as the theorems state them
+    e, p, q = ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 1), (1, 0, 1), (1, 1, 0)), ((1, 1, 1),)
+    expected = {
+        "G0": (2, 2, ((1, 0), (0, 1))), "G1": (2, 1, ((1, 1),)), "G2": (2, 0, ((1, 1),)),
+        "L23:0": (3, 3, p), "L13:0": (3, 3, e), "L12:0": (3, 1, e), "L12:1": (3, 0, p),
+        **{f"{fam}:{i}": (3, 3 - i, q) for fam in ("L23", "L13") for i in (1, 2, 3)},
+    }
+    for name, (arity, y_count, conditions) in expected.items():
+        qt = parse_quotient_type(name)
+        assert (qt.arity, qt.y_count, qt.conditions()) == (arity, y_count, conditions), name

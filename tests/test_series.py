@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bernsym.exactnum import CyclotomicNumber as Cyc, euler_phi
-from bernsym.series import NonUnitConstantError, TruncatedSeries as TS, egf_coefficient, exp_linear
+from bernsym.series import NonUnitConstantError, TruncatedSeries as TS
 
 
 def test_basic_mul():
@@ -25,20 +25,20 @@ def test_order_is_min_of_operands():
 
 
 def test_exp_linear_values():
-    e0 = exp_linear(0, 4)
+    e0 = TS.exp_linear(0, 4)
     assert e0 == TS.one(4)
-    e2 = exp_linear(2, 4)
+    e2 = TS.exp_linear(2, 4)
     assert e2.coeffs[3] == Fraction(4, 3)
-    ez = exp_linear(Cyc.zeta(3), 3)
+    ez = TS.exp_linear(Cyc.zeta(3), 3)
     assert ez.coeffs[2] == (Cyc.zeta(3) ** 2).scale(Fraction(1, 2))
 
 
 def test_egf_coefficient():
-    e2 = exp_linear(2, 5)
-    assert egf_coefficient(e2, 3) == 8
-    assert egf_coefficient(TS.zero(5), 4) == 0
+    e2 = TS.exp_linear(2, 5)
+    assert e2.egf_coefficient(3) == 8
+    assert TS.zero(5).egf_coefficient(4) == 0
     with pytest.raises(IndexError):
-        egf_coefficient(e2, 6)
+        e2.egf_coefficient(6)
 
 
 def hand_expansion_t_over_z3_exp_minus_one():
@@ -56,7 +56,7 @@ def hand_expansion_t_over_z3_exp_minus_one():
 def test_quotient_example_to_order_one():
     z = Cyc.zeta(3)
     num = TS(3, [0, 1])  # t, order 1
-    den = exp_linear(z, 1).scale(z) - TS.one(1, 3)
+    den = TS.exp_linear(z, 1).scale(z) - TS.one(1, 3)
     q = num / den
     c0, c1 = hand_expansion_t_over_z3_exp_minus_one()
     assert q.coeffs[0] == c0
@@ -101,7 +101,7 @@ def test_mul_assoc_comm(data):
 @given(st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4))
 def test_exp_linear_is_homomorphism(x, y):
     n = 6
-    assert exp_linear(x, n) * exp_linear(y, n) == exp_linear(x + y, n)
+    assert TS.exp_linear(x, n) * TS.exp_linear(y, n) == TS.exp_linear(x + y, n)
 
 
 # The packed kernel of __mul__ and __truediv__ on full phi(m)-coordinate
@@ -188,11 +188,11 @@ def test_coefficients_near_two_to_the_200(m, data):
 
 
 def test_scale_variable():
-    s = exp_linear(1, 5)
-    assert s.scale_variable(3) == exp_linear(3, 5)
+    s = TS.exp_linear(1, 5)
+    assert s.scale_variable(3) == TS.exp_linear(3, 5)
     z = Cyc.zeta(4)
-    sz = exp_linear(z, 4).scale_variable(2)
-    assert sz == exp_linear(z.scale(2), 4)
+    sz = TS.exp_linear(z, 4).scale_variable(2)
+    assert sz == TS.exp_linear(z.scale(2), 4)
 
 
 def test_shift_and_truncate():
