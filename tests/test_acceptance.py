@@ -226,9 +226,10 @@ def test_criterion_09_padic_sandbox():
             ctx = PadicContext(p, 40, r)
             twist = TwistSpec(r, 1)
             target = (ctx.x_power(1) - ctx.one()).inverse()
-            for level in range(0, 5):
+            for level in range(0, 7):
                 ok = ok and riemann_sum([1], None, twist, 1, level, ctx) == target
-    # moments n in {1,2,3}: valuations nondecreasing, strictly larger at level 4
+    # moments n in {1,2,3}: valuations nondecreasing, strictly larger at
+    # level 4 than at level 1, levels 1..6
     moments = 0
     for p in (5, 7):
         for r in (3, 4):
@@ -241,7 +242,7 @@ def test_criterion_09_padic_sandbox():
                     if r % chi.order:
                         continue
                     for n in (1, 2, 3):
-                        rep = convergence_check(n, chi, twist, [1, 2, 3, 4], ctx)
+                        rep = convergence_check(n, chi, twist, [1, 2, 3, 4, 5, 6], ctx)
                         vals = rep.valuations
                         good = rep.passed and vals == sorted(vals) and \
                             (all(rep.exact) or vals[3] > vals[0])

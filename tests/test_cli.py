@@ -156,6 +156,21 @@ def test_padic_bad_prime_usage_error():
     assert code == 2
 
 
+def test_padic_level_over_ceiling_usage_error(monkeypatch):
+    from bernsym import padic
+
+    def walk(*args, **kwargs):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(padic, "gen_bernoulli_numbers", walk)
+    monkeypatch.setattr(padic, "riemann_sum", walk)
+    code, out, err = run_cli(["padic", "--p", "7", "--r", "3", "--n", "1", "--levels", "30"])
+    assert code == 2
+    assert err == (f"error: level 30 walks d*p^N = 1*7^30 residues, "
+                   f"more than the ceiling of {padic.MAX_RESIDUES}\n")
+    assert out == ""
+
+
 def test_audit_roundtrip(tmp_path):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(

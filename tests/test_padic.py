@@ -1,13 +1,16 @@
 """The unramified p-adic sandbox: ring arithmetic, measure, Riemann sums."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bernsym.bernoulli import ParameterError, TwistSpec
 from bernsym.dirichlet import enumerate_characters, trivial_character
 from bernsym.exactnum import CyclotomicNumber as Cyc
+from bernsym import padic
 from bernsym.padic import (
     ConvergenceReport,
     MeasureQuery,
@@ -154,6 +157,57 @@ def test_riemann_sum_rejects_unembeddable_character():
         riemann_sum([1], chi, Z3, 4, 1, CTX)
 
 
+def test_riemann_sum_rejects_mismatched_ring_order():
+    with pytest.raises(ParameterError, match="ring and twist orders differ"):
+        riemann_sum([1], None, Z3, 1, 1, PadicContext(5, 20, 6))
+
+
+def test_riemann_sum_refuses_level_over_ceiling(monkeypatch):
+    def walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(PadicContext, "x_power", walk)
+    with pytest.raises(ParameterError, match="ceiling"):
+        riemann_sum([1], None, Z3, 1, 40, CTX)
+    with pytest.raises(ParameterError, match="ceiling"):
+        riemann_sum([1], None, Z3, padic.MAX_RESIDUES + 1, 0, CTX)
+    with pytest.raises(ParameterError):
+        riemann_sum([1], None, Z3, 1, -1, CTX)
+
+
+FRACTIONS = st.builds(Fraction, st.integers(-20, 20), st.sampled_from([1, 2, 3, 4, 6, 9]))
+
+
+@st.composite
+def riemann_cases(draw):
+    p = draw(st.sampled_from([5, 7]))
+    r = draw(st.sampled_from([3, 4]))
+    d = draw(st.sampled_from([d for d in (1, 4) if math.gcd(r, p * d) == 1]))
+    chars = [chi for chi in enumerate_characters(d) if r % chi.order == 0]
+    chi = draw(st.sampled_from([None] + chars))
+    twist_exp = draw(st.integers(1, 2 * r).filter(lambda e: e % r))
+    f = draw(st.lists(FRACTIONS, min_size=1, max_size=4))
+    return p, r, d, chi, twist_exp, f, draw(st.integers(0, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(riemann_cases())
+def test_riemann_sum_matches_per_residue_sum(case):
+    # the grouped sum against the definition: one measure value per residue
+    p, r, d, chi, twist_exp, f, level = case
+    ctx = PadicContext(p, 12, r)
+    twist = TwistSpec(r, 1)
+    expected = ctx.zero()
+    for a in range(d * p ** level):
+        fa = sum(c * a ** i for i, c in enumerate(f))
+        term = embed_algebraic(Cyc.from_rational(Fraction(fa)), ctx) * measure_value(
+            MeasureQuery(d, level, twist_exp, a), twist, ctx)
+        if chi is not None:
+            term = term * embed_algebraic(chi(a), ctx)
+        expected = expected + term
+    assert riemann_sum(f, chi, twist, d, level, ctx, twist_exp=twist_exp) == expected
+
+
 def test_convergence_exact_at_moment_zero():
     ctx = PadicContext(5, 40, 3)
     rep = convergence_check(0, trivial_character(1), Z3, [1, 2, 3], ctx)
@@ -176,3 +230,19 @@ def test_convergence_precondition_small_prime():
     ctx = PadicContext(2, 40, 3)
     with pytest.raises(ParameterError):
         convergence_check(1, trivial_character(1), Z3, [1, 2], ctx)
+
+
+def test_convergence_rejects_mismatched_ring_order():
+    with pytest.raises(ParameterError, match="ring and twist orders differ"):
+        convergence_check(1, trivial_character(1), TwistSpec(3, 1), [1, 2, 3, 4],
+                          PadicContext(5, 40, 6))
+
+
+def test_convergence_refuses_level_over_ceiling(monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(padic, "gen_bernoulli_numbers", walk)
+    monkeypatch.setattr(padic, "riemann_sum", walk)
+    with pytest.raises(ParameterError, match="ceiling"):
+        convergence_check(1, trivial_character(1), Z3, [1, 30, 2], PadicContext(5, 40, 3))
