@@ -13,6 +13,7 @@ at k = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,7 @@ from typing import Union
 
 from .dirichlet import DirichletCharacter
 from .errors import ParameterError
-from .exactnum import CyclotomicNumber, Scalar
+from .exactnum import CyclotomicNumber, Scalar, linear_combination
 from .series import NonUnitConstantError, TruncatedSeries
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "gen_bernoulli_poly",
     "power_sum",
     "power_sum_egf_check",
+    "twisted_exp_minus_one",
 ]
 
 
@@ -75,6 +77,12 @@ def field_conductor(chi: DirichletCharacter, twist: TwistSpec) -> int:
     return math.lcm(twist.r, chi.order)
 
 
+def twisted_exp_minus_one(twist: TwistSpec, x: int, s: int, order: int, m: int) -> TruncatedSeries:
+    """xi^x e^(s t) - 1 truncated at `order`: the D factor of every quotient."""
+    return TruncatedSeries.exp_linear(s, order, m).scale(twist.root_power(x, m)) \
+        - TruncatedSeries.one(order, m)
+
+
 def character_sum_series(chi: DirichletCharacter, twist: TwistSpec, w: int,
                          order: int, m: int | None = None) -> TruncatedSeries:
     """sum_{a<d} chi(a) xi^{w a} e^{a t} truncated at `order`."""
@@ -95,15 +103,12 @@ def bernoulli_egf(chi: DirichletCharacter, twist: TwistSpec, w: int, order: int,
     if order < 0:
         raise ParameterError("order must be nonnegative")
     m = m or field_conductor(chi, twist)
-    d = chi.d
     numerator = character_sum_series(chi, twist, w, order, m).shift_up(1).truncate(order)
-    denominator = TruncatedSeries.exp_linear(d, order, m).scale(twist.root_power(w * d, m)) \
-        - TruncatedSeries.one(order, m)
     try:
-        return numerator / denominator
+        return numerator / twisted_exp_minus_one(twist, w * chi.d, chi.d, order, m)
     except NonUnitConstantError as exc:
         raise NonUnitConstantError(
-            f"xi^(w*d) = xi^({w}*{d}) = 1: r={twist.r} divides w*d", factor="xi^(w*d) e^(d t) - 1"
+            f"xi^(w*d) = xi^({w}*{chi.d}) = 1: r={twist.r} divides w*d", factor="xi^(w*d) e^(d t) - 1"
         ) from exc
 
 
@@ -149,21 +154,27 @@ def gen_bernoulli_poly(chi: DirichletCharacter, twist: TwistSpec, w: int, n: int
     return BernoulliPolynomial(n, coeffs)
 
 
+@functools.lru_cache(maxsize=1024)
+def _class_weights(chi: DirichletCharacter, twist: TwistSpec, w: int) -> tuple[CyclotomicNumber, ...]:
+    """chi(c) xi^(wc) for the classes c mod lcm(d, r), at the field conductor."""
+    m = field_conductor(chi, twist)
+    return tuple(chi(c).embed(m) * twist.root_power(w * c, m)
+                 for c in range(math.lcm(chi.d, twist.r)))
+
+
 def power_sum(k: int, upper: int, chi: DirichletCharacter, twist: TwistSpec, w: int) -> CyclotomicNumber:
-    """S_k(upper; chi, xi^w) = sum_{a=0}^{upper} chi(a) xi^{wa} a^k, with 0^0 = 1."""
+    """S_k(upper; chi, xi^w) = sum_{a=0}^{upper} chi(a) xi^{wa} a^k, with 0^0 = 1.
+
+    chi(a) xi^(wa) depends only on a mod lcm(d, r), so a^k is summed in
+    integers over each class (Python's 0 ** 0 is 1) and each class total
+    meets its weight once."""
     if k < 0 or upper < 0:
         raise ParameterError("power sum needs k >= 0 and upper >= 0")
-    m = field_conductor(chi, twist)
-    total = CyclotomicNumber.zero(m)
-    for a in range(upper + 1):
-        val = chi(a)
-        if val.is_zero():
-            continue
-        apow = 1 if k == 0 else a ** k
-        if apow == 0:
-            continue
-        total = total + (val.embed(m) * twist.root_power(w * a, m)).scale(apow)
-    return total
+    weights = _class_weights(chi, twist, w % twist.r)
+    period = len(weights)
+    terms = [(sum(a ** k for a in range(c, upper + 1, period)), weight)
+             for c, weight in enumerate(weights[:upper + 1]) if not weight.is_zero()]
+    return linear_combination(terms, field_conductor(chi, twist))
 
 
 @dataclass
@@ -190,11 +201,8 @@ def power_sum_egf_check(chi: DirichletCharacter, twist: TwistSpec, w: int, order
     if twist.divides(d * w):
         raise ParameterError(f"r={twist.r} divides d*w={d * w}")
     m = field_conductor(chi, twist)
-    big_exp = TruncatedSeries.exp_linear(d * w, order, m).scale(twist.root_power(d * w, m)) \
-        - TruncatedSeries.one(order, m)
-    small_exp = TruncatedSeries.exp_linear(d, order, m).scale(twist.root_power(d, m)) \
-        - TruncatedSeries.one(order, m)
-    closed = big_exp / small_exp * character_sum_series(chi, twist, 1, order, m)
+    closed = twisted_exp_minus_one(twist, d * w, d * w, order, m) \
+        / twisted_exp_minus_one(twist, d, d, order, m) * character_sum_series(chi, twist, 1, order, m)
 
     expanded = TruncatedSeries.zero(order, m)
     for a in range(d * w):

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .bernoulli import ParameterError, TwistSpec, gen_bernoulli_numbers
 from .dirichlet import DirichletCharacter
-from .exactnum import CyclotomicNumber, _reduction_rows, cyclotomic_polynomial, euler_phi
+from .exactnum import CyclotomicNumber, _power_vec, _vec_mul_mod, cyclotomic_polynomial, euler_phi
 
 DEFAULT_PRECISION = 40
 GUARD_BAND = 4
@@ -77,21 +77,7 @@ class PadicContext:
 
     def x_power(self, k: int) -> "PadicCycNumber":
         """Image of zeta_r^k (the class of x^k)."""
-        k %= self.r
-        vec = [0] * self.degree
-        if k < self.degree:
-            vec[k] = 1
-            return PadicCycNumber(self, tuple(vec))
-        rows = _reduction_rows(self.r)
-        vec = [0] * self.degree
-        vec[self.degree - 1] = 1
-        for _ in range(k - (self.degree - 1)):
-            top = vec[-1]
-            vec = [0] + vec[:-1]
-            if top:
-                row = rows[0]
-                vec = [c + top * rc for c, rc in zip(vec, row)]
-        return PadicCycNumber(self, tuple(c % self.modulus for c in vec))
+        return PadicCycNumber(self, _power_vec(self.r, k))
 
 
 class PadicCycNumber:
@@ -125,24 +111,7 @@ class PadicCycNumber:
         if isinstance(other, int):
             return PadicCycNumber(self.ctx, [a * other for a in self.coeffs])
         self._check(other)
-        phi = self.ctx.degree
-        if phi == 1:
-            return PadicCycNumber(self.ctx, (self.coeffs[0] * other.coeffs[0],))
-        mod = self.ctx.modulus
-        conv = [0] * (2 * phi - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(other.coeffs):
-                    if bj:
-                        conv[i + j] += ai * bj
-        rows = _reduction_rows(self.ctx.r)
-        out = conv[:phi]
-        for k in range(phi, 2 * phi - 1):
-            c = conv[k]
-            if c:
-                row = rows[k - phi]
-                out = [o + c * rc for o, rc in zip(out, row)]
-        return PadicCycNumber(self.ctx, [c % mod for c in out])
+        return PadicCycNumber(self.ctx, _vec_mul_mod(self.ctx.r, self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -429,8 +398,9 @@ def convergence_check(moment: int, chi: DirichletCharacter, twist: TwistSpec,
 
     Valuations of the differences must be nondecreasing in the level and
     strictly larger at the last level than the first (or the difference is
-    exactly zero at every level, the level-exact case).  Verdicts only
-    trust valuations below M minus a guard band.
+    exactly zero at every level, the level-exact case), so at least two
+    distinct levels are needed.  Verdicts only trust valuations below M
+    minus a guard band.
     """
     d = chi.d
     if ctx.r != twist.r:
@@ -444,8 +414,8 @@ def convergence_check(moment: int, chi: DirichletCharacter, twist: TwistSpec,
     if math.gcd(twist.r, ctx.p * d) != 1:
         raise ParameterError("need gcd(r, p*d) = 1")
     levels = list(levels)
-    if not levels:
-        raise ParameterError("need at least one level")
+    if len(set(levels)) < 2:
+        raise ParameterError("need at least two distinct levels")
     _level_span(d, ctx.p, max(levels))
 
     numbers = gen_bernoulli_numbers(chi, twist, 1, moment + 1)

@@ -19,11 +19,15 @@ data: a list of slots, each contributing one EGF factor in (T*t)^k/k!,
   * an S slot: S_k(d*U - 1; chi, xi^tw),
 
 where every tw, T, A, U, X is a monomial in the w parameters and every f
-a ratio of two.  Expanding the B slot by the multinomial theorem, the term
-B_i * (A*y_v)^e * prod_l S_{p_l} f_l^{p_l} with i + e + sum(p) = k has the
-coefficient T^k * k!/(i! e! prod p_l!) at t^k/k!.  The displayed bracketed
-coefficient of t^n/n! is recovered by convolving the slot factors and
-multiplying by n!.
+a ratio of two.  Every slot's EGF factor is P_s(t) * exp(c_s*y_v*t):
+
+  * B slot: P_s = sum_i B_i (T*t)^i/i! * prod_l sum_p S_p (f_l*T*t)^p/p!,
+    c_s = A*T, the power sums taken over the a-sums' ranges and twists;
+  * S slot: P_s = sum_k S_k (T*t)^k/k!, c_s = 0.
+
+A side is therefore one series product P = prod_s P_s times
+exp((C_1*y_1 + ..)*t), C_v summing c_s over the slots on y_v, and its
+displayed y^e coefficient of t^n/n! is n! * P[n - |e|] * prod_v C_v^e_v/e_v!.
 
 The normalization weight of a form is the product of its B-slot twist
 scales; dividing the form by its weight gives exactly the EGF coefficients
@@ -40,11 +44,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bernoulli import ParameterError, TwistSpec, bernoulli_egf
+from .bernoulli import ParameterError, TwistSpec, bernoulli_egf, power_sum, twisted_exp_minus_one
 from .dirichlet import DirichletCharacter
 from .exactnum import CyclotomicNumber, linear_combination
 from .series import NonUnitConstantError, TruncatedSeries
@@ -316,10 +321,9 @@ def parse_quotient_type(text: str) -> QuotientType:
 class EvalContext:
     """Shared caches for one (character, twist) pair.
 
-    All values live at the fixed conductor lcm(r, order of chi); symbols
-    ("B", twist residue, index) and ("S", twist residue, upper, index) name
-    Bernoulli numbers and power sums, and products of symbol values are
-    cached so repeated tensor assemblies stay cheap.
+    All values live at the fixed conductor lcm(r, order of chi): the
+    Bernoulli numbers and power sums, the slot series built from them, and
+    the closed-form factors.
     """
 
     def __init__(self, chi: DirichletCharacter, twist: TwistSpec):
@@ -333,7 +337,8 @@ class EvalContext:
         self._chi = [chi(a).embed(self.m) for a in range(chi.d)]
         self._bern: dict[int, list[CyclotomicNumber]] = {}
         self._psum: dict[tuple[int, int, int], CyclotomicNumber] = {}
-        self._symprod: dict[tuple, CyclotomicNumber] = {}
+        self._bser: dict[tuple, TruncatedSeries] = {}
+        self._sser: dict[tuple, TruncatedSeries] = {}
         self._tser: dict[tuple[int, int], TruncatedSeries] = {}
         self._dinv: dict[tuple[int, int], TruncatedSeries] = {}
         self._dser: dict[tuple[int, int], TruncatedSeries] = {}
@@ -341,14 +346,9 @@ class EvalContext:
         # theorem sides by (form_id, w, n_max); read and filled only by
         # identities._side_polys
         self.side_memo: dict[tuple, list[YPoly]] = {}
-        self.zero = CyclotomicNumber.zero(self.m)
-        self.one = CyclotomicNumber.one(self.m)
 
     def xi_pow(self, e: int) -> CyclotomicNumber:
         return self._xi[e % self.r]
-
-    def chi_val(self, a: int) -> CyclotomicNumber:
-        return self._chi[a % self.d]
 
     def bern(self, w_exp: int, n: int) -> list[CyclotomicNumber]:
         """B_{0..n, chi, xi^w_exp}; requires r not dividing d*w_exp."""
@@ -361,35 +361,39 @@ class EvalContext:
         return seq
 
     def psum(self, k: int, upper: int, w_exp: int) -> CyclotomicNumber:
+        """S_k(upper; chi, xi^w_exp)."""
         key = (k, upper, w_exp % self.r)
         val = self._psum.get(key)
         if val is None:
-            val = self.zero
-            for a in range(upper + 1):
-                cv = self._chi[a % self.d]
-                if cv.is_zero():
-                    continue
-                apow = 1 if k == 0 else a ** k
-                if apow:
-                    val = val + (cv * self.xi_pow(key[2] * a)).scale(apow)
-            self._psum[key] = val
+            val = self._psum[key] = power_sum(k, upper, self.chi, self.twist, key[2])
         return val
 
-    def sym_value(self, sym: tuple) -> CyclotomicNumber:
-        if sym[0] == "B":
-            return self.bern(sym[1], sym[2])[sym[2]]
-        return self.psum(sym[3], sym[2], sym[1])
+    # -- slot series ------------------------------------------------------
 
-    def sym_product(self, syms: tuple) -> CyclotomicNumber:
-        if not syms:
-            return self.one
-        if len(syms) == 1:
-            return self.sym_value(syms[0])
-        val = self._symprod.get(syms)
-        if val is None:
-            val = self.sym_product(syms[:-1]) * self.sym_value(syms[-1])
-            self._symprod[syms] = val
-        return val
+    def _egf(self, values: Sequence[CyclotomicNumber], scale: Fraction) -> TruncatedSeries:
+        """sum_i values[i] (scale*t)^i/i!."""
+        return TruncatedSeries(self.m, [v.scale(Fraction(scale) ** i / math.factorial(i))
+                                        for i, v in enumerate(values)])
+
+    def bern_series(self, w_exp: int, scale: int, n: int) -> TruncatedSeries:
+        """sum_i B_{i,chi,xi^w_exp} (scale*t)^i/i! to order n."""
+        key = (w_exp % self.r, scale, n)
+        s = self._bser.get(key)
+        if s is None:
+            s = self._bser[key] = self._egf(self.bern(w_exp, n)[:n + 1], scale)
+        return s
+
+    def psum_series(self, upper: int, w_exp: int, scale: Fraction, n: int) -> TruncatedSeries:
+        """sum_p S_p(upper; chi, xi^w_exp) (scale*t)^p/p! to order n."""
+        key = (upper, w_exp % self.r, scale, n)
+        s = self._sser.get(key)
+        if s is None:
+            s = self._sser[key] = self._egf([self.psum(p, upper, w_exp) for p in range(n + 1)], scale)
+        return s
+
+    def sym_product(self, factors: Sequence[TruncatedSeries]) -> TruncatedSeries:
+        """The product of a side's slot series, left to right."""
+        return functools.reduce(operator.mul, factors)
 
     # -- closed-form building blocks ------------------------------------
 
@@ -412,9 +416,8 @@ class EvalContext:
         key = (scale, order)
         s = self._dser.get(key)
         if s is None:
-            s = TruncatedSeries.exp_linear(self.d * scale, order, self.m).scale(self.xi_pow(self.d * scale)) \
-                - TruncatedSeries.one(order, self.m)
-            self._dser[key] = s
+            s = self._dser[key] = twisted_exp_minus_one(self.twist, self.d * scale, self.d * scale,
+                                                        order, self.m)
         return s
 
     def denom_inverse(self, scale: int, order: int, factor: str) -> TruncatedSeries:
@@ -447,10 +450,10 @@ class EvalContext:
 class Mutation:
     """A deliberate single-site perturbation used by the no-vacuous-pass tests.
 
-    kind 'binomial' doubles one slot's EGF coefficient at t-degree `degree`
-    (equivalently scales the binomial weights pairing that degree); 'twist'
-    bumps one slot's twist exponent by 1; 'wpower' multiplies one slot's
-    t-scale by w1.  `expansion_polys` refuses a slot outside the form and a
+    kind 'binomial' doubles the t^degree coefficient of one slot's y-free
+    factor P_s (see `_slot_series`), which for an S slot is its whole
+    t^degree coefficient; 'twist' bumps one slot's twist exponent by 1;
+    'wpower' multiplies one slot's t-scale by w1.  `expansion_polys` refuses a slot outside the form and a
     binomial degree outside 0..n_max, which would perturb nothing.
     """
 
@@ -483,94 +486,36 @@ def _check_conditions(qt: QuotientType, twist: TwistSpec, w: Sequence[int]) -> N
             )
 
 
-@functools.cache
-def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
-    """Every tuple of parts >= 1 nonnegative integers summing to total, in
-    lexicographic order."""
-    if parts == 1:
-        return ((total,),)
-    return tuple((first,) + rest for first in range(total + 1)
-                 for rest in _compositions(total - first, parts - 1))
+def _slot_series(ctx: EvalContext, slot: Slot, w: Sequence[int], n: int,
+                 mut: Optional[Mutation]) -> tuple[TruncatedSeries, int]:
+    """(P_s, c_s) with the slot's EGF factor P_s(t) * exp(c_s*y_v*t).
 
-
-def _slot_symbolic(ctx: EvalContext, slot: Slot, w: Sequence[int], n: int,
-                   y_count: int, mutation: Optional[Mutation], slot_index: int):
-    """Per t-degree k: dict {(y_exps, syms): Fraction} for one slot factor.
-
-    An S slot contributes S_k * T^k/k!.  A B slot under j a-sums
-    contributes, at t^k, the sum over i + e + p_1 + .. + p_j = k (i >= 1
-    unless k = 0, as B_0 = 0) of
-        B_i * y_v^e * prod_l S_{p_l} * T^k * A^e * prod_l f_l^{p_l}
-            / (i! e! prod_l p_l!),
-    the multinomial coefficient k!/(i! e! prod p_l!) of (T*t)^k/k!.
+    An S slot has P_s = sum_k S_k (T*t)^k/k! and c_s = 0.  A B slot under
+    j a-sums has P_s = sum_i B_i (T*t)^i/i! * prod_l sum_p S_p (f_l*T*t)^p/p!
+    and c_s = A*T.  A binomial mutation doubles P_s at t^degree.
     """
-    mut = mutation if mutation is not None and mutation.slot == slot_index else None
-    r = ctx.r
-    d = ctx.d
+    r, d = ctx.r, ctx.d
     tw = mono_val(slot.twist, w) + (1 if mut and mut.kind == "twist" else 0)
     ts = mono_val(slot.t_scale, w) * (w[0] if mut and mut.kind == "wpower" else 1)
-    fact = [math.factorial(k) for k in range(n + 1)]
-    doubled = mut.degree if mut and mut.kind == "binomial" else -1
-    ts_pow = [ts ** k * (2 if k == doubled else 1) for k in range(n + 1)]
     if isinstance(slot, SSlot):
-        upper = d * mono_val(slot.upper, w) - 1
-        zero_y = (0,) * y_count
-        return [{(zero_y, (("S", tw % r, upper, k),)): Fraction(ts_pow[k], fact[k])} for k in range(n + 1)]
-
-    if (d * tw) % r == 0:
-        raise NonUnitConstantError(
-            f"xi^(d*{mono_name(slot.twist)}) = 1 at w={tuple(w)}",
-            factor=mono_name(slot.twist),
-        )
-    bsym = [("B", tw % r, i) for i in range(n + 1)]
-    ykeys = [tuple(e if v == slot.y_var else 0 for v in range(y_count)) for e in range(n + 1)]
-    arg_pow = [mono_val(slot.arg_scale, w) ** e for e in range(n + 1)]
-    # per a-sum and degree p: the S symbol, f^p's numerator, p! * f^p's denominator
-    asums = []
-    for asum in slot.asums:
-        upper = d * mono_val(asum.upper, w) - 1
-        xi = mono_val(asum.xi_exp, w) % r
-        num, den = mono_val(asum.frac_num, w), mono_val(asum.frac_den, w)
-        asums.append([(("S", xi, upper, p), num ** p, fact[p] * den ** p) for p in range(n + 1)])
-    out = []
-    for k in range(n + 1):
-        entries: dict = {}
-        for i in range(1 if k else 0, k + 1):
-            for e, *ps in _compositions(k - i, 1 + len(asums)):
-                syms, num, den = [bsym[i]], ts_pow[k] * arg_pow[e], fact[i] * fact[e]
-                for table, p in zip(asums, ps):
-                    sym, p_num, p_den = table[p]
-                    syms.append(sym)
-                    num *= p_num
-                    den *= p_den
-                key = (ykeys[e], tuple(sorted(syms)))
-                coeff = Fraction(num, den)
-                prev = entries.get(key)
-                entries[key] = coeff if prev is None else prev + coeff
-        out.append(entries)
-    return out
-
-
-def _convolve_symbolic(slot_lists, n: int, y_count: int):
-    cur = [dict() for _ in range(n + 1)]
-    cur[0][((0,) * y_count, ())] = Fraction(1)
-    for sl in slot_lists:
-        nxt = [dict() for _ in range(n + 1)]
-        for t1, entries in enumerate(cur):
-            if not entries:
-                continue
-            for t2 in range(n + 1 - t1):
-                add = sl[t2]
-                if not add:
-                    continue
-                bucket = nxt[t1 + t2]
-                for (y1, s1), c1 in entries.items():
-                    for (y2, s2), c2 in add.items():
-                        key = (tuple(a + b for a, b in zip(y1, y2)), tuple(sorted(s1 + s2)))
-                        prev = bucket.get(key)
-                        bucket[key] = c1 * c2 if prev is None else prev + c1 * c2
-        cur = nxt
-    return cur
+        series, c = ctx.psum_series(d * mono_val(slot.upper, w) - 1, tw, ts, n), 0
+    else:
+        if (d * tw) % r == 0:
+            raise NonUnitConstantError(
+                f"xi^(d*{mono_name(slot.twist)}) = 1 at w={tuple(w)}",
+                factor=mono_name(slot.twist),
+            )
+        series = ctx.bern_series(tw, ts, n)
+        for asum in slot.asums:
+            f = Fraction(mono_val(asum.frac_num, w), mono_val(asum.frac_den, w))
+            series = series * ctx.psum_series(d * mono_val(asum.upper, w) - 1,
+                                              mono_val(asum.xi_exp, w), f * ts, n)
+        c = mono_val(slot.arg_scale, w) * ts
+    if mut and mut.kind == "binomial":
+        coeffs = list(series.coeffs)
+        coeffs[mut.degree] = coeffs[mut.degree].scale(2)
+        series = TruncatedSeries(ctx.m, coeffs)
+    return series, c
 
 
 YPoly = dict[tuple[int, ...], CyclotomicNumber]
@@ -580,7 +525,12 @@ def expansion_polys(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
                     n_max: int, mutation: Optional[Mutation] = None,
                     check: bool = True) -> list[YPoly]:
     """The form's bracketed t^n/n! coefficients for n = 0..n_max, each as a
-    polynomial in the y variables with cyclotomic coefficients."""
+    polynomial in the y variables with cyclotomic coefficients.
+
+    The side is P(t) * exp((C_1*y_1 + ..)*t) with P the product of the
+    slot series and C_v the sum of c_s over the slots on y_v, so its y^e
+    coefficient at t^n/n! is n! * P[n - |e|] * prod_v C_v^e_v / e_v!.
+    """
     if n_max < 0:
         raise ParameterError("n_max must be nonnegative")
     if mutation is not None:
@@ -590,24 +540,26 @@ def expansion_polys(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
             raise ParameterError(f"mutation degree {mutation.degree} outside 0..{n_max}")
     if check:
         _check_conditions(form.qt, ctx.twist, w)
-    y_count = max(1, form.qt.y_count)
-    slot_lists = [
-        _slot_symbolic(ctx, slot, w, n_max, y_count, mutation, idx)
-        for idx, slot in enumerate(form.slots)
-    ]
-    tensor = _convolve_symbolic(slot_lists, n_max, y_count)
+    ys = [0] * max(1, form.qt.y_count)
+    factors = []
+    for idx, slot in enumerate(form.slots):
+        series, c = _slot_series(ctx, slot, w, n_max,
+                                 mutation if mutation is not None and mutation.slot == idx else None)
+        factors.append(series)
+        if c:
+            ys[slot.y_var] += c
+    p = ctx.sym_product(factors)
+    # (e, |e|, prod_v C_v^e_v / e_v!) for every y^e with |e| <= n_max and a
+    # nonzero multiplier
+    monos = [((), 0, Fraction(1))]
+    for c in ys:
+        monos = [(e + (k,), deg + k, wt * Fraction(c ** k, math.factorial(k)))
+                 for e, deg, wt in monos for k in range(n_max + 1 - deg if c else 1)]
     polys: list[YPoly] = []
-    for n, entries in enumerate(tensor):
+    for n in range(n_max + 1):
         fact = math.factorial(n)
-        grouped: dict[tuple[int, ...], list] = {}
-        for (y, syms), coeff in entries.items():
-            grouped.setdefault(y, []).append((coeff * fact, ctx.sym_product(syms)))
-        poly: YPoly = {}
-        for y, terms in grouped.items():
-            val = linear_combination(terms, ctx.m)
-            if not val.is_zero():
-                poly[y] = val
-        polys.append(poly)
+        polys.append({e: p.coeffs[n - deg].scale(wt * fact) for e, deg, wt in monos
+                      if deg <= n and not p.coeffs[n - deg].is_zero()})
     return polys
 
 

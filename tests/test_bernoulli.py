@@ -161,6 +161,21 @@ def test_power_sum_any_twist_power():
     assert power_sum(0, 2, CHI1, Z3, -1) == 1 + Cyc.zeta(3) ** 2 + Cyc.zeta(3)
 
 
+@pytest.mark.parametrize("d,r,w", [(1, 3, 2), (4, 3, 2), (5, 3, 1), (3, 5, 4), (5, 7, 3)])
+def test_power_sum_over_several_periods_matches_termwise_sum(d, r, w):
+    # upper spans more than two periods lcm(d, r), so each residue class
+    # holds several terms; a = 0 contributes 0^0 = 1 at k = 0
+    twist = TwistSpec(r, 1)
+    upper = 2 * math.lcm(d, r) + 3
+    for chi in enumerate_characters(d):
+        m = field_conductor(chi, twist)
+        for k in (0, 1, 4):
+            want = Cyc.zero(m)
+            for a in range(upper + 1):
+                want = want + chi(a).embed(m) * Cyc.zeta(r, w * a).embed(m) * (a ** k)
+            assert power_sum(k, upper, chi, twist, w) == want, (chi, k)
+
+
 def test_egf_check_examples():
     assert power_sum_egf_check(CHI1, Z3, 2, 10).passed
     # the d=4 instance needs r coprime to w; w=3 forces a twist of order != 3

@@ -171,6 +171,13 @@ def test_padic_level_over_ceiling_usage_error(monkeypatch):
     assert out == ""
 
 
+def test_padic_single_level_usage_error():
+    code, out, err = run_cli(["padic", "--p", "5", "--r", "3", "--n", "1", "--levels", "1"])
+    assert code == 2
+    assert err == "error: need at least two distinct levels\n"
+    assert out == ""
+
+
 def test_audit_roundtrip(tmp_path):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(

@@ -246,3 +246,15 @@ def test_convergence_refuses_level_over_ceiling(monkeypatch):
     monkeypatch.setattr(padic, "riemann_sum", walk)
     with pytest.raises(ParameterError, match="ceiling"):
         convergence_check(1, trivial_character(1), Z3, [1, 30, 2], PadicContext(5, 40, 3))
+
+
+@pytest.mark.parametrize("levels", [[], [3], [2, 2]])
+def test_convergence_needs_two_distinct_levels(levels, monkeypatch):
+    # the verdict compares the last level with the first, so one level
+    # would always fail
+    def walk(*args, **kwargs):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(padic, "riemann_sum", walk)
+    with pytest.raises(ParameterError, match="^need at least two distinct levels$"):
+        convergence_check(1, trivial_character(1), Z3, levels, PadicContext(5, 40, 3))
