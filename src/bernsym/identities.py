@@ -7,16 +7,22 @@ normalization weight monomial; sides sharing a weight monomial form an
 orbit and are equal as stated, while cross-orbit equality holds only
 after dividing each side by its weight ("normalized" mode).
 
-Verification works on the sides as polynomials in the y variables.  Each
-side has degree at most n in every y, so coefficientwise equality is
-equivalent to agreement on the standard grid of n+2 integer points per
-variable; the point grid is still used to extract concrete counterexample
-witnesses and to report values, and a pointwise verification method is
-available for cross-checking.
+Verification works on each side's generating function P(t) *
+exp((C_1*y_1 + ..)*t), built once as the pair (P, C) (see
+`quotients.side_series`).  Its t^n/n! coefficient is a y-polynomial whose
+y^e entry is n! * P[n - |e|] * C^e/e!, so two sides agree for every
+n <= n_max exactly when P[k] = P'[k] for every k <= n_max and either C = C'
+or P vanishes below t^n_max (then no y-term survives).  Normalized mode
+compares P[k]/w against P'[k]/w' by cross-multiplying integers.  The
+y-polynomials are spread (`quotients.spread_ypolys`) only where values are
+needed: witnesses, reported values, `theorem_sides`, and the pointwise
+method, which evaluates every side on the standard grid of n+2 integer
+points per variable and stays as an independent cross-check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,6 +46,7 @@ from .quotients import (
     Mono,
     Mutation,
     SSlot,
+    Side,
     YPoly,
     eval_ypoly,
     expansion_polys,
@@ -47,6 +54,8 @@ from .quotients import (
     mono_val,
     perm_apply,
     perm_monomial,
+    side_series,
+    spread_ypolys,
 )
 
 ID2 = ((1, 2), (2, 1))
@@ -81,16 +90,21 @@ class TheoremSpec:
     def conditions(self) -> tuple[Mono, ...]:
         return self.base.qt.conditions()
 
-    def side_weight_monos(self) -> list[Mono]:
+    @functools.cached_property
+    def side_weight_monos(self) -> tuple[Mono, ...]:
         base_mono = self.base.weight_mono()
-        return [perm_monomial(sig, base_mono) for sig in self.sigmas]
+        return tuple(perm_monomial(sig, base_mono) for sig in self.sigmas)
+
+    @functools.cached_property
+    def _orbits(self) -> tuple[tuple[int, ...], ...]:
+        groups: dict[Mono, list[int]] = {}
+        for i, mono in enumerate(self.side_weight_monos, start=1):
+            groups.setdefault(mono, []).append(i)
+        return tuple(map(tuple, groups.values()))
 
     def orbits(self) -> list[list[int]]:
         """1-based side indices grouped by weight monomial, in print order."""
-        groups: dict[Mono, list[int]] = {}
-        for i, mono in enumerate(self.side_weight_monos(), start=1):
-            groups.setdefault(mono, []).append(i)
-        return list(groups.values())
+        return [list(orbit) for orbit in self._orbits]
 
 
 def _mk(id_, base_key, form_no, sigmas, text):
@@ -249,33 +263,36 @@ def y_grid_points(n: int, y_count: int) -> list[tuple[Fraction, ...]]:
     return [tuple(p) for p in product(axis, repeat=y_count)]
 
 
-def _side_polys(inst: TheoremInstance, ctx: EvalContext,
-                mutation: Optional[Mutation] = None) -> list[list[YPoly]]:
-    """Per side, the y-polynomials for n = 0..n_max.
+def _side_series(inst: TheoremInstance, ctx: EvalContext,
+                 mutation: Optional[Mutation] = None) -> list[Side]:
+    """Per side, its (P, C) pair to order n_max (see `side_series`).
 
     A side is the base form at a permuted w-tuple, and over a grid of
     w-tuples each permuted side is another instance's first side.  Sides
     are therefore memoised in ``ctx.side_memo`` under (form_id, permuted w,
     n_max), so every instance sharing the context evaluates each distinct
-    key once; the memo lives as long as the context.  A mutated side
-    neither reads nor fills the memo.  Memoised lists are shared between
-    callers and must not be modified.
+    key once; the memo lives as long as the context or until its owner
+    clears it.  A mutated side neither reads nor fills the memo.
     """
     thm = inst.theorem_spec()
     sides = []
     for idx, sig in enumerate(thm.sigmas):
         w = perm_apply(sig, inst.w)
         if idx == 0 and mutation is not None:
-            sides.append(expansion_polys(thm.base, w, ctx, inst.n_max,
-                                         mutation=mutation, check=False))
+            sides.append(side_series(thm.base, w, ctx, inst.n_max,
+                                     mutation=mutation, check=False))
             continue
         key = (thm.base.form_id, w, inst.n_max)
-        polys = ctx.side_memo.get(key)
-        if polys is None:
-            polys = ctx.side_memo[key] = expansion_polys(thm.base, w, ctx, inst.n_max,
-                                                         check=False)
-        sides.append(polys)
+        side = ctx.side_memo.get(key)
+        if side is None:
+            side = ctx.side_memo[key] = side_series(thm.base, w, ctx, inst.n_max, check=False)
+        sides.append(side)
     return sides
+
+
+def _side_polys(inst: TheoremInstance, ctx: EvalContext) -> list[list[YPoly]]:
+    """Per side, the y-polynomials for n = 0..n_max."""
+    return [spread_ypolys(p, ys, inst.n_max) for p, ys in _side_series(inst, ctx)]
 
 
 def theorem_sides(inst: TheoremInstance, n: int | None = None,
@@ -293,20 +310,26 @@ def theorem_sides(inst: TheoremInstance, n: int | None = None,
     y = y + (Fraction(0),) * (max(1, thm.y_count) - len(y))
     polys = _side_polys(inst, ctx)
     out = []
-    for i, (sig, mono) in enumerate(zip(thm.sigmas, thm.side_weight_monos()), start=1):
+    for i, mono in enumerate(thm.side_weight_monos, start=1):
         value = eval_ypoly(polys[i - 1][n], y, ctx.m)
         out.append((f"side-{i}", mono_val(mono, inst.w), value))
     return out
 
 
-def _scaled_equal(a: YPoly, b: YPoly, wa: int, wb: int) -> bool:
-    """a / wa == b / wb without building scaled copies."""
-    if a.keys() != b.keys():
-        return False
-    for k, va in a.items():
-        if va.scale(wb) != b[k].scale(wa):
+def _sides_equal(a: Side, b: Side, n_max: int, wa: int = 1, wb: int = 1) -> bool:
+    """a / wa == b / wb at every t^n/n! coefficient, n <= n_max, as
+    y-polynomials: P[k]/wa == P'[k]/wb for every k <= n_max (cross-multiplied
+    in integers), and C == C' unless P vanishes below t^n_max."""
+    (p, ys), (q, zs) = a, b
+    for x, z in zip(p.coeffs, q.coeffs):
+        # num_x * wb * den_z == num_z * wa * den_x, coordinatewise
+        fx, fz = wb * z.den, wa * x.den
+        if fx == fz:
+            if x.num != z.num:
+                return False
+        elif any(u * fx != v * fz for u, v in zip(x.num, z.num)):
             return False
-    return True
+    return ys == zs or all(x.is_zero() for x in p.coeffs[:n_max])
 
 
 def verify_instance(inst: TheoremInstance, method: str = "poly",
@@ -316,18 +339,20 @@ def verify_instance(inst: TheoremInstance, method: str = "poly",
                     want_witness: bool = True) -> VerificationReport:
     """Check all side equalities of one theorem instance, in both modes.
 
-    method 'poly' compares y-polynomial coefficients (equivalent to the
-    grid by the degree bound); method 'points' evaluates every side at
-    every grid point directly.  Witnesses are concrete grid points.
+    method 'poly' compares the sides' (P, C) pairs (equivalent to comparing
+    their y-polynomials, see the module docstring); method 'points'
+    evaluates every side at every grid point directly.  Witnesses are
+    concrete grid points.
     """
     inst.validate()
     if method not in ("poly", "points"):
         raise ParameterError(f"unknown verification method {method!r}")
     thm = inst.theorem_spec()
     ctx = ctx or EvalContext(inst.character(), inst.twist())
-    weights = [mono_val(m, inst.w) for m in thm.side_weight_monos()]
-    names = [mono_name(m) for m in thm.side_weight_monos()]
-    polys = _side_polys(inst, ctx, mutation)
+    weights = [mono_val(m, inst.w) for m in thm.side_weight_monos]
+    names = [mono_name(m) for m in thm.side_weight_monos]
+    sides = _side_series(inst, ctx, mutation)
+    polys = None
 
     orbits_static = thm.orbits()
     by_value: dict[int, list[int]] = {}
@@ -336,6 +361,7 @@ def verify_instance(inst: TheoremInstance, method: str = "poly",
     orbits_by_value = list(by_value.values())
 
     if method == "points":
+        polys = [spread_ypolys(p, ys, inst.n_max) for p, ys in sides]
         values = [
             [[eval_ypoly(polys[s][n], pt, ctx.m) for pt in y_grid_points(n, thm.y_count)]
              for n in range(inst.n_max + 1)]
@@ -350,27 +376,16 @@ def verify_instance(inst: TheoremInstance, method: str = "poly",
                     if va != vb:
                         return False
             return True
-        pass_as_stated = all(equal_pair(0, s, False) for s in range(1, thm.sides))
-        pass_normalized = all(equal_pair(0, s, True) for s in range(1, thm.sides))
-        pass_orbits = all(
-            equal_pair(orbit[0] - 1, i - 1, False)
-            for orbit in orbits_static for i in orbit[1:]
-        )
     else:
-        def poly_equal(i, j, normalized):
-            for n in range(inst.n_max + 1):
-                if normalized:
-                    if not _scaled_equal(polys[i][n], polys[j][n], weights[i], weights[j]):
-                        return False
-                elif polys[i][n] != polys[j][n]:
-                    return False
-            return True
-        pass_as_stated = all(poly_equal(0, s, False) for s in range(1, thm.sides))
-        pass_normalized = all(poly_equal(0, s, True) for s in range(1, thm.sides))
-        pass_orbits = all(
-            poly_equal(orbit[0] - 1, i - 1, False)
-            for orbit in orbits_static for i in orbit[1:]
-        )
+        def equal_pair(i, j, normalized):
+            wa, wb = (weights[i], weights[j]) if normalized else (1, 1)
+            return _sides_equal(sides[i], sides[j], inst.n_max, wa, wb)
+    pass_as_stated = all(equal_pair(0, s, False) for s in range(1, thm.sides))
+    pass_normalized = all(equal_pair(0, s, True) for s in range(1, thm.sides))
+    pass_orbits = all(
+        equal_pair(orbit[0] - 1, i - 1, False)
+        for orbit in orbits_static for i in orbit[1:]
+    )
 
     report = VerificationReport(
         instance=inst,
@@ -383,6 +398,8 @@ def verify_instance(inst: TheoremInstance, method: str = "poly",
     )
 
     failed = not (pass_normalized if inst.mode == "normalized" else pass_as_stated)
+    if polys is None and ((failed and want_witness) or include_values):
+        polys = [spread_ypolys(p, ys, inst.n_max) for p, ys in sides]
     if failed and want_witness:
         report.witness = _find_witness(inst, ctx, polys, weights, thm)
 
@@ -587,11 +604,12 @@ def grid_verify(config: GridConfig, method: str = "poly") -> GridReport:
     """Run the whole grid; precondition-violating points are skipped, never
     counted as evidence.  Reports are assembled in instance-key order.
 
-    Instances share one EvalContext per (d, chi, r, j), so each context's
-    side memo (see _side_polys) evaluates every distinct permuted side
-    once, witness passes included.  Instances come theorem-first and no
-    two theorems share a base form, so the contexts are dropped whenever
-    the theorem changes: the memo then holds one theorem's sides at most.
+    Instances share one EvalContext per (d, chi, r, j) for the whole grid,
+    so its Bernoulli numbers, power sums and slot series are built once,
+    and its side memo (see _side_series) evaluates every distinct permuted
+    side once, witness passes included.  Instances come theorem-first and
+    no two theorems share a base form, so every side memo is cleared
+    whenever the theorem changes: it then holds one theorem's sides at most.
     """
     rows: list[GridRow] = []
     counts: dict[tuple[int, str], dict[str, int]] = {
@@ -600,7 +618,7 @@ def grid_verify(config: GridConfig, method: str = "poly") -> GridReport:
     }
     first_witness: dict[tuple[int, str], Witness] = {}
     contexts: dict[tuple, EvalContext] = {}
-    contexts_theorem = None
+    memo_theorem = None
 
     for inst in grid_instances(config):
         row = GridRow(instance_key=inst.key())
@@ -613,8 +631,10 @@ def grid_verify(config: GridConfig, method: str = "poly") -> GridReport:
                 counts[(inst.theorem, mode)]["skipped"] += 1
             rows.append(row)
             continue
-        if inst.theorem != contexts_theorem:
-            contexts, contexts_theorem = {}, inst.theorem
+        if inst.theorem != memo_theorem:
+            for ctx in contexts.values():
+                ctx.side_memo.clear()
+            memo_theorem = inst.theorem
         ckey = (inst.d, inst.char, inst.r, inst.j)
         ctx = contexts.get(ckey)
         if ctx is None:

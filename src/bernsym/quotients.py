@@ -343,9 +343,9 @@ class EvalContext:
         self._dinv: dict[tuple[int, int], TruncatedSeries] = {}
         self._dser: dict[tuple[int, int], TruncatedSeries] = {}
         self._yexp: dict[tuple, TruncatedSeries] = {}
-        # theorem sides by (form_id, w, n_max); read and filled only by
-        # identities._side_polys
-        self.side_memo: dict[tuple, list[YPoly]] = {}
+        # theorem sides (P, C) by (form_id, w, n_max); read and filled only
+        # by identities._side_series
+        self.side_memo: dict[tuple, Side] = {}
 
     def xi_pow(self, e: int) -> CyclotomicNumber:
         return self._xi[e % self.r]
@@ -453,8 +453,9 @@ class Mutation:
     kind 'binomial' doubles the t^degree coefficient of one slot's y-free
     factor P_s (see `_slot_series`), which for an S slot is its whole
     t^degree coefficient; 'twist' bumps one slot's twist exponent by 1;
-    'wpower' multiplies one slot's t-scale by w1.  `expansion_polys` refuses a slot outside the form and a
-    binomial degree outside 0..n_max, which would perturb nothing.
+    'wpower' multiplies one slot's t-scale by w1.  `side_series` refuses a
+    slot outside the form and a binomial degree outside 0..n_max, which
+    would perturb nothing.
     """
 
     kind: str
@@ -519,18 +520,15 @@ def _slot_series(ctx: EvalContext, slot: Slot, w: Sequence[int], n: int,
 
 
 YPoly = dict[tuple[int, ...], CyclotomicNumber]
+Side = tuple[TruncatedSeries, tuple[int, ...]]   # (P, C), see side_series
 
 
-def expansion_polys(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
-                    n_max: int, mutation: Optional[Mutation] = None,
-                    check: bool = True) -> list[YPoly]:
-    """The form's bracketed t^n/n! coefficients for n = 0..n_max, each as a
-    polynomial in the y variables with cyclotomic coefficients.
-
-    The side is P(t) * exp((C_1*y_1 + ..)*t) with P the product of the
-    slot series and C_v the sum of c_s over the slots on y_v, so its y^e
-    coefficient at t^n/n! is n! * P[n - |e|] * prod_v C_v^e_v / e_v!.
-    """
+def side_series(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
+                n_max: int, mutation: Optional[Mutation] = None,
+                check: bool = True) -> Side:
+    """(P, C) with the form's generating function P(t) * exp((C_1*y_1 + ..)*t)
+    to order n_max: P the product of the slot series, C_v the sum of c_s
+    over the slots on y_v (one entry even for a form without y)."""
     if n_max < 0:
         raise ParameterError("n_max must be nonnegative")
     if mutation is not None:
@@ -548,7 +546,13 @@ def expansion_polys(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
         factors.append(series)
         if c:
             ys[slot.y_var] += c
-    p = ctx.sym_product(factors)
+    return ctx.sym_product(factors), tuple(ys)
+
+
+def spread_ypolys(p: TruncatedSeries, ys: Sequence[int], n_max: int) -> list[YPoly]:
+    """The t^n/n! coefficients of P(t) * exp((C_1*y_1 + ..)*t) for
+    n = 0..n_max as y-polynomials: the y^e coefficient is
+    n! * P[n - |e|] * prod_v C_v^e_v / e_v!, and zero entries are dropped."""
     # (e, |e|, prod_v C_v^e_v / e_v!) for every y^e with |e| <= n_max and a
     # nonzero multiplier
     monos = [((), 0, Fraction(1))]
@@ -561,6 +565,14 @@ def expansion_polys(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
         polys.append({e: p.coeffs[n - deg].scale(wt * fact) for e, deg, wt in monos
                       if deg <= n and not p.coeffs[n - deg].is_zero()})
     return polys
+
+
+def expansion_polys(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
+                    n_max: int, mutation: Optional[Mutation] = None,
+                    check: bool = True) -> list[YPoly]:
+    """The form's bracketed t^n/n! coefficients for n = 0..n_max, each as a
+    polynomial in the y variables with cyclotomic coefficients."""
+    return spread_ypolys(*side_series(form, w, ctx, n_max, mutation, check), n_max)
 
 
 def eval_ypoly(poly: YPoly, y: Sequence[Fraction], m: int) -> CyclotomicNumber:

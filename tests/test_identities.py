@@ -13,6 +13,7 @@ from bernsym.identities import (
     GridConfig,
     TheoremInstance,
     _side_polys,
+    _sides_equal,
     grid_instances,
     grid_verify,
     redundancy_check,
@@ -20,7 +21,15 @@ from bernsym.identities import (
     verify_instance,
     y_grid_points,
 )
-from bernsym.quotients import EvalContext, Mutation, expansion_polys, perm_apply
+from bernsym.quotients import (
+    EvalContext,
+    Mutation,
+    expansion_polys,
+    form_weight,
+    perm_apply,
+    side_series,
+    spread_ypolys,
+)
 
 
 def b1_z3():
@@ -151,6 +160,56 @@ def test_poly_and_points_methods_agree(theorem):
             (b.pass_as_stated, b.pass_normalized, b.pass_orbits)
         if a.witness or b.witness:
             assert a.witness.n == b.witness.n and a.witness.y == b.witness.y
+
+
+def _ypoly_equal(a, b, wa=1, wb=1):
+    """a / wa == b / wb, one y-monomial at a time."""
+    return all(
+        pa.keys() == pb.keys() and all(pa[e].scale(wb) == pb[e].scale(wa) for e in pa)
+        for pa, pb in zip(a, b)
+    )
+
+
+@pytest.mark.parametrize("theorem", range(1, 12))
+def test_series_rule_matches_ymonomial_comparison(theorem):
+    # r = 7 and w in {1, 2, 4}^arity keep every condition and every bumped
+    # twist a unit; w1 > 1 makes wpower change the slot's y multiplier
+    thm = THEOREMS[theorem]
+    ws = ((1, 2), (2, 2), (4, 1)) if thm.arity == 2 else ((1, 2, 4), (2, 2, 2), (4, 2, 1))
+    differing_c = 0
+    for d, label in ((1, ()), (4, (1,))):
+        ctx = EvalContext(DirichletCharacter(d, label), TwistSpec(7, 1))
+        for w in ws:
+            for n_max in (0, 1, 3):
+                for mut in (None, Mutation("wpower"), Mutation("twist"),
+                            Mutation("binomial", 0, min(1, n_max))):
+                    inst = TheoremInstance(theorem, d, label, 7, 1, w, n_max)
+                    sides, polys, weights = [], [], []
+                    for idx, sig in enumerate(thm.sigmas):
+                        wp = perm_apply(sig, w)
+                        side = side_series(thm.base, wp, ctx, n_max,
+                                           mutation=mut if idx == 0 else None, check=False)
+                        sides.append(side)
+                        polys.append(spread_ypolys(*side, n_max))
+                        weights.append(form_weight(thm.base, wp))
+                    differing_c += sum(side[1] != sides[0][1] for side in sides)
+                    expected = (
+                        all(_ypoly_equal(polys[0], polys[s]) for s in range(1, thm.sides)),
+                        all(_ypoly_equal(polys[0], polys[s], weights[0], weights[s])
+                            for s in range(1, thm.sides)),
+                        all(_ypoly_equal(polys[o[0] - 1], polys[i - 1])
+                            for o in thm.orbits() for i in o[1:]),
+                    )
+                    rep = verify_instance(inst, ctx=ctx, mutation=mut, want_witness=False)
+                    assert (rep.pass_as_stated, rep.pass_normalized, rep.pass_orbits) == \
+                        expected, (d, w, n_max, mut)
+                    # the same P under a different y multiplier
+                    for p, ys in sides:
+                        bumped = (ys[0] + 1,) + ys[1:]
+                        assert _sides_equal((p, ys), (p, bumped), n_max) == _ypoly_equal(
+                            spread_ypolys(p, ys, n_max), spread_ypolys(p, bumped, n_max))
+    # wpower moves C wherever a slot carries a y variable
+    assert differing_c or thm.y_count == 0
 
 
 def test_scaling_coherence():
