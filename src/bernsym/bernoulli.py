@@ -84,16 +84,18 @@ def twisted_exp_minus_one(twist: TwistSpec, x: int, s: int, order: int, m: int) 
 
 
 def character_sum_series(chi: DirichletCharacter, twist: TwistSpec, w: int,
-                         order: int, m: int | None = None) -> TruncatedSeries:
-    """sum_{a<d} chi(a) xi^{w a} e^{a t} truncated at `order`."""
+                         order: int, m: int | None = None, t_scale: int = 1,
+                         upper: int | None = None) -> TruncatedSeries:
+    """sum_{a<upper} chi(a) xi^{w a} e^{a t_scale t} truncated at `order`;
+    `upper` defaults to the modulus d."""
     m = m or field_conductor(chi, twist)
     total = TruncatedSeries.zero(order, m)
-    for a in range(chi.d):
+    for a in range(chi.d if upper is None else upper):
         val = chi(a)
         if val.is_zero():
             continue
         coeff = val.embed(m) * twist.root_power(w * a, m)
-        total = total + TruncatedSeries.exp_linear(a, order, m).scale(coeff)
+        total = total + TruncatedSeries.exp_linear(a * t_scale, order, m).scale(coeff)
     return total
 
 
@@ -204,13 +206,7 @@ def power_sum_egf_check(chi: DirichletCharacter, twist: TwistSpec, w: int, order
     closed = twisted_exp_minus_one(twist, d * w, d * w, order, m) \
         / twisted_exp_minus_one(twist, d, d, order, m) * character_sum_series(chi, twist, 1, order, m)
 
-    expanded = TruncatedSeries.zero(order, m)
-    for a in range(d * w):
-        val = chi(a)
-        if val.is_zero():
-            continue
-        coeff = val.embed(m) * twist.root_power(a, m)
-        expanded = expanded + TruncatedSeries.exp_linear(a, order, m).scale(coeff)
+    expanded = character_sum_series(chi, twist, 1, order, m, upper=d * w)
 
     for k in range(order + 1):
         lhs = closed.egf_coefficient(k)

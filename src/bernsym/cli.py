@@ -39,26 +39,39 @@ from .quotients import (
     consistency_check,
     parse_quotient_type,
 )
-from .series import NonUnitConstantError
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 INTERNAL_ERROR = 3
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"{text.strip()!r} is not an integer") from None
+
+
+def _parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParameterError(f"{text.strip()!r} is not a rational number") from None
+
+
 def _parse_char_label(text: str) -> tuple[int, ...]:
     text = text.strip()
     if text in ("", "-", "trivial"):
         return ()
-    return tuple(int(part) for part in text.split(","))
+    return tuple(_parse_int(part) for part in text.split(","))
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip() != "")
+    return tuple(_parse_int(part) for part in text.split(",") if part.strip() != "")
 
 
 def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(part) for part in text.split(",") if part.strip() != "")
+    return tuple(_parse_fraction(part) for part in text.split(",") if part.strip() != "")
 
 
 def _resolve_character(d: int, label_text: str | None) -> DirichletCharacter:
@@ -74,7 +87,7 @@ def _emit(doc, fmt: str, csv_rows=None) -> str:
         return json.dumps(doc, separators=(",", ":")) + "\n"
     if fmt == "csv":
         if csv_rows is None:
-            raise ValueError("no csv rendering for this report")
+            raise ParameterError("no csv rendering for this report")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for row in csv_rows:
@@ -171,7 +184,7 @@ def _cmd_bernoulli(args, out) -> int:
     }
     rows = [["n", "value"]] + [[n, str(b)] for n, b in enumerate(numbers)]
     if args.x is not None:
-        x = Fraction(args.x)
+        x = _parse_fraction(args.x)
         values = [gen_bernoulli_poly(chi, twist, args.w, n)(x) for n in range(args.n_max + 1)]
         doc["x"] = str(x)
         doc["polynomial_values"] = [v.to_json() for v in values]
@@ -300,7 +313,7 @@ def parse_grid_file(path: str) -> tuple[GridConfig, str]:
     if "w_components" in values:
         kwargs["w_components"] = _parse_int_list(values.pop("w_components"))
     if "n_max" in values:
-        kwargs["n_max"] = int(values.pop("n_max"))
+        kwargs["n_max"] = _parse_int(values.pop("n_max"))
     if "modes" in values:
         kwargs["modes"] = tuple(m.strip() for m in values.pop("modes").split(","))
     if "chars" in values:
@@ -312,7 +325,7 @@ def parse_grid_file(path: str) -> tuple[GridConfig, str]:
             if not item:
                 continue
             dpart, _, lab = item.partition(":")
-            labels.append((int(dpart), _parse_char_label(lab)))
+            labels.append((_parse_int(dpart), _parse_char_label(lab)))
         kwargs["char_labels"] = tuple(labels)
     if values:
         raise ParameterError(f"unknown grid keys: {sorted(values)}")
@@ -386,14 +399,16 @@ def main(argv=None, out=None, err=None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args, out)
-    except (ParameterError, NonUnitConstantError, ValueError, ZeroDivisionError) as exc:
+    except ParameterError as exc:
+        # validation raises only ParameterError (NonUnitConstantError
+        # included); anything else is our fault, not the user's
         err.write(f"error: {exc}\n")
         return USAGE_ERROR
     except OSError as exc:
         err.write(f"i/o error: {exc}\n")
         return INTERNAL_ERROR
-    except Exception as exc:  # pragma: no cover - defensive
-        err.write(f"internal error: {exc}\n")
+    except Exception as exc:
+        err.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return INTERNAL_ERROR
 
 

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
+from .errors import ParameterError
 from .exactnum import CyclotomicNumber, divisors, euler_phi
 
 
@@ -78,7 +79,7 @@ def unit_group_structure(d: int) -> tuple[tuple[int, int], ...]:
     powers in ascending order.  Empty for d in {1, 2}.
     """
     if d < 1:
-        raise ValueError("d must be positive")
+        raise ParameterError("d must be positive")
     if d in (1, 2):
         return ()
     factors = _factorize(d)
@@ -129,12 +130,13 @@ class DirichletCharacter:
     def __post_init__(self):
         gens = unit_group_structure(self.d)
         if len(self.exponents) != len(gens):
-            raise ValueError(f"label for d={self.d} needs {len(gens)} exponents")
+            raise ParameterError(f"label for d={self.d} needs {len(gens)} exponents")
         for k, (_, order) in zip(self.exponents, gens):
             if not 0 <= k < order:
-                raise ValueError(f"label entry {k} out of range for factor of order {order}")
+                raise ParameterError(f"label entry {k} out of range for factor of order {order}")
 
-    @property
+    # cached: every value chi(a) reads it
+    @cached_property
     def order(self) -> int:
         gens = unit_group_structure(self.d)
         e = 1

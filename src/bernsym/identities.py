@@ -321,15 +321,7 @@ def _sides_equal(a: Side, b: Side, n_max: int, wa: int = 1, wb: int = 1) -> bool
     y-polynomials: P[k]/wa == P'[k]/wb for every k <= n_max (cross-multiplied
     in integers), and C == C' unless P vanishes below t^n_max."""
     (p, ys), (q, zs) = a, b
-    for x, z in zip(p.coeffs, q.coeffs):
-        # num_x * wb * den_z == num_z * wa * den_x, coordinatewise
-        fx, fz = wb * z.den, wa * x.den
-        if fx == fz:
-            if x.num != z.num:
-                return False
-        elif any(u * fx != v * fz for u, v in zip(x.num, z.num)):
-            return False
-    return ys == zs or all(x.is_zero() for x in p.coeffs[:n_max])
+    return p.scaled_equal(q, wa, wb) and (ys == zs or p.vanishes_below(n_max))
 
 
 def verify_instance(inst: TheoremInstance, method: str = "poly",

@@ -8,8 +8,9 @@ z the image of the twist root, and integrals are finite Riemann sums over
 residue classes whose p-adic limits are checked against the algebraic
 Bernoulli moments.  A level-N sum groups its d p^N residues by class mod
 lcm(r, character modulus): f is summed in integers mod p^M within each
-class, and only the class totals meet ring arithmetic.  A level may walk
-at most MAX_RESIDUES residues; deeper levels are refused before any work.
+class, and only the class totals meet ring arithmetic.  A level's cost is
+its residues times the deg f + 1 Horner steps each takes; a level over
+MAX_HORNER_STEPS steps is refused before any work.
 """
 
 from __future__ import annotations
@@ -25,9 +26,12 @@ from .exactnum import CyclotomicNumber, _power_vec, _vec_mul_mod, cyclotomic_pol
 
 DEFAULT_PRECISION = 40
 GUARD_BAND = 4
-# residues d p^N one Riemann-sum level may walk: integer Horner for a cubic
-# f takes about 0.5 us per residue on a 2-core Xeon, so ~2.5 s at the ceiling
-MAX_RESIDUES = 5_000_000
+# Horner steps one Riemann-sum level may take, d p^N residues times deg f + 1
+# steps each: a step takes 0.08-0.15 us on a 2-core Xeon (more at higher
+# degree, whose integers are longer), so 2-3 s at the ceiling
+MAX_HORNER_STEPS = 20_000_000
+# residues one level may walk at all: the ceiling at deg f = 0
+MAX_RESIDUES = MAX_HORNER_STEPS
 
 
 class NonUnitInverseError(ValueError):
@@ -258,10 +262,11 @@ class MeasureQuery:
             raise ParameterError("residue must be nonnegative")
 
 
-def _level_span(d: int, p: int, level: int) -> int:
-    """d p^N, the number of residues a level-N sum walks, refused beyond
-    MAX_RESIDUES; p >= 2, so capping N at the ceiling's bit length keeps
-    p^N small and still over the ceiling for an absurd N."""
+def _level_span(d: int, p: int, level: int, steps: int = 1) -> int:
+    """d p^N, the number of residues a level-N sum walks, refused when they
+    and `steps` Horner steps each exceed MAX_HORNER_STEPS; p >= 2, so
+    capping N at the ceiling's bit length keeps p^N small and still over
+    the ceiling for an absurd N."""
     if d < 1 or level < 0:
         raise ParameterError("need d >= 1 and level N >= 0")
     span = d * p ** min(level, MAX_RESIDUES.bit_length())
@@ -269,6 +274,11 @@ def _level_span(d: int, p: int, level: int) -> int:
         raise ParameterError(
             f"level {level} walks d*p^N = {d}*{p}^{level} residues, "
             f"more than the ceiling of {MAX_RESIDUES}"
+        )
+    if span * steps > MAX_HORNER_STEPS:
+        raise ParameterError(
+            f"level {level} walks d*p^N = {d}*{p}^{level} = {span} residues of deg f + 1 = {steps} "
+            f"Horner steps each, more than the ceiling of {MAX_HORNER_STEPS} steps"
         )
     return span
 
@@ -294,8 +304,8 @@ def riemann_sum(f_coeffs: Sequence, chi: Optional[DirichletCharacter],
 
     f is a polynomial given by rational coefficients (low degree first)
     whose denominators must be prime to p; when chi is supplied its order
-    must divide r so the values embed in the ring.  Levels walking more
-    than MAX_RESIDUES residues are refused before any work.
+    must divide r so the values embed in the ring.  Levels taking more
+    than MAX_HORNER_STEPS Horner steps are refused before any work.
 
     z^a depends only on a mod r and chi(a) only on a mod chi.d, so the sum
     is regrouped by classes c mod L = lcm(r, chi.d), or r without chi: f(a)
@@ -303,7 +313,7 @@ def riemann_sum(f_coeffs: Sequence, chi: Optional[DirichletCharacter],
     multiplied once by z^c chi(c), and the whole by the inverted
     denominator z^(d p^N) - 1.
     """
-    span = _level_span(d, ctx.p, level)
+    span = _level_span(d, ctx.p, level, max(1, len(f_coeffs)))
     if ctx.r != twist.r:
         raise ParameterError("ring and twist orders differ")
     fracs = [Fraction(c) for c in f_coeffs] or [Fraction(0)]
@@ -416,7 +426,7 @@ def convergence_check(moment: int, chi: DirichletCharacter, twist: TwistSpec,
     levels = list(levels)
     if len(set(levels)) < 2:
         raise ParameterError("need at least two distinct levels")
-    _level_span(d, ctx.p, max(levels))
+    _level_span(d, ctx.p, max(levels), moment + 1)
 
     numbers = gen_bernoulli_numbers(chi, twist, 1, moment + 1)
     target = numbers[moment + 1].scale(Fraction(1, moment + 1))

@@ -49,7 +49,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bernoulli import ParameterError, TwistSpec, bernoulli_egf, power_sum, twisted_exp_minus_one
+from .bernoulli import (ParameterError, TwistSpec, bernoulli_egf, character_sum_series, power_sum,
+                        twisted_exp_minus_one)
 from .dirichlet import DirichletCharacter
 from .exactnum import CyclotomicNumber, linear_combination
 from .series import NonUnitConstantError, TruncatedSeries
@@ -332,9 +333,6 @@ class EvalContext:
         self.d = chi.d
         self.r = twist.r
         self.m = math.lcm(twist.r, chi.order)
-        self._xi = [CyclotomicNumber.zeta(twist.r, (twist.j * k) % twist.r).embed(self.m)
-                    for k in range(twist.r)]
-        self._chi = [chi(a).embed(self.m) for a in range(chi.d)]
         self._bern: dict[int, list[CyclotomicNumber]] = {}
         self._psum: dict[tuple[int, int, int], CyclotomicNumber] = {}
         self._bser: dict[tuple, TruncatedSeries] = {}
@@ -346,9 +344,6 @@ class EvalContext:
         # theorem sides (P, C) by (form_id, w, n_max); read and filled only
         # by identities._side_series
         self.side_memo: dict[tuple, Side] = {}
-
-    def xi_pow(self, e: int) -> CyclotomicNumber:
-        return self._xi[e % self.r]
 
     def bern(self, w_exp: int, n: int) -> list[CyclotomicNumber]:
         """B_{0..n, chi, xi^w_exp}; requires r not dividing d*w_exp."""
@@ -402,13 +397,8 @@ class EvalContext:
         key = (scale, order)
         s = self._tser.get(key)
         if s is None:
-            s = TruncatedSeries.zero(order, self.m)
-            for a in range(self.d):
-                cv = self._chi[a]
-                if cv.is_zero():
-                    continue
-                s = s + TruncatedSeries.exp_linear(a * scale, order, self.m).scale(cv * self.xi_pow(a * scale))
-            self._tser[key] = s
+            s = self._tser[key] = character_sum_series(self.chi, self.twist, scale, order, self.m,
+                                                       t_scale=scale)
         return s
 
     def denom_series(self, scale: int, order: int) -> TruncatedSeries:

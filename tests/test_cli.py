@@ -176,6 +176,22 @@ def test_padic_level_over_ceiling_usage_error(monkeypatch):
     assert out == ""
 
 
+def test_padic_high_degree_over_ceiling_usage_error(monkeypatch):
+    # 101^3 residues are under the ceiling, but not at 91 Horner steps each
+    from bernsym import padic
+
+    def walk(*args, **kwargs):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(padic, "gen_bernoulli_numbers", walk)
+    monkeypatch.setattr(padic, "riemann_sum", walk)
+    code, out, err = run_cli(["padic", "--p", "101", "--r", "3", "--n", "90", "--levels", "3"])
+    assert code == 2
+    assert err == ("error: level 3 walks d*p^N = 1*101^3 = 1030301 residues of deg f + 1 = 91 "
+                   f"Horner steps each, more than the ceiling of {padic.MAX_HORNER_STEPS} steps\n")
+    assert out == ""
+
+
 def test_padic_single_level_usage_error():
     code, out, err = run_cli(["padic", "--p", "5", "--r", "3", "--n", "1", "--levels", "1"])
     assert code == 2
@@ -265,3 +281,29 @@ def test_negative_order_is_usage_error(argv, message):
     assert code == 2
     assert err == f"error: {message}\n"
     assert out == ""
+
+
+def test_bad_character_label_is_usage_error():
+    code, out, err = run_cli(["bernoulli", "--d", "5", "--char", "x", "--r", "3"])
+    assert (code, out, err) == (2, "", "error: 'x' is not an integer\n")
+    code, out, err = run_cli(["bernoulli", "--d", "5", "--char", "4", "--r", "3"])
+    assert (code, out, err) == (2, "", "error: label entry 4 out of range for factor of order 4\n")
+
+
+def test_grid_file_non_integer_is_usage_error(tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("theorems = 1\nd = 1\nr = 3\nw_components = 1,2\nn_max = x\n")
+    code, out, err = run_cli(["audit", "--grid-file", str(cfg)])
+    assert (code, out, err) == (2, "", "error: 'x' is not an integer\n")
+
+
+def test_internal_value_error_exits_three(monkeypatch):
+    # only ParameterError means the user erred; a stray ValueError is a bug
+    from bernsym import cli
+
+    def broken(args, out):
+        raise ValueError("not a usage error")
+
+    monkeypatch.setitem(cli._HANDLERS, "chars", broken)
+    code, out, err = run_cli(["chars", "--d", "5"])
+    assert (code, out, err) == (3, "", "internal error: ValueError: not a usage error\n")

@@ -1,5 +1,7 @@
 """Checks against sympy, an oracle that shares no code with bernsym."""
 
+import functools
+import math
 from fractions import Fraction
 
 import pytest
@@ -85,3 +87,64 @@ def test_cyclotomic_inverse_matches_sympy_invert(m, data):
     a = data.draw(cyclotomic_elements(m, nonzero=True))
     product = (as_sympy(a) * as_sympy(a.inverse())).rem(phi_poly(m))
     assert product == sympy.Poly(1, X, domain=sympy.QQ)
+
+
+# The unit groups and characters mod d against sympy.ntheory
+
+from bernsym.dirichlet import enumerate_characters, unit_group_structure  # noqa: E402
+from sympy import totient  # noqa: E402
+from sympy.ntheory import n_order  # noqa: E402
+
+D_LIMIT = 200
+
+
+def test_unit_group_orders_multiply_to_totient():
+    for d in range(1, D_LIMIT):
+        orders = [n for _, n in unit_group_structure(d)]
+        assert sympy.prod(orders) == totient(d), d
+
+
+def test_unit_group_generators_have_their_orders():
+    for d in range(3, D_LIMIT):
+        for g, n in unit_group_structure(d):
+            assert n_order(g, d) == n, (d, g)
+
+
+@functools.lru_cache(maxsize=None)
+def _zeta_terms(order, s):
+    """The nonzero coordinates (i, x) of zeta_order^s."""
+    return tuple((i, x) for i, x in enumerate(CyclotomicNumber.zeta(order, s).num) if x)
+
+
+def _zeta_sum(counts, order):
+    """The integer coordinates of sum_s counts[s] zeta_order^s."""
+    total = [0] * euler_phi(order)
+    for s, c in counts.items():
+        for i, x in _zeta_terms(order, s):
+            total[i] += c * x
+    return total
+
+
+def test_character_orthogonality():
+    # sum_a chi(a) = 0 for chi != 1, and sum_chi chi(a) = phi(d) [a = 1 mod d];
+    # chi(a) = zeta_order(chi)^s is tallied by s, so each sum is exact
+    for d in range(1, D_LIMIT):
+        phi_d = int(totient(d))
+        chars = enumerate_characters(d)
+        assert len(chars) == phi_d
+        exponent = math.lcm(*(n for _, n in unit_group_structure(d)))
+        by_unit = {a: {} for a in range(d) if math.gcd(a, d) == 1}
+        for chi in chars:
+            order = chi.order
+            tally = {}
+            for a, counts in by_unit.items():
+                s = chi._value_exponent(a)
+                tally[s] = tally.get(s, 0) + 1
+                lifted = s * (exponent // order)
+                counts[lifted] = counts.get(lifted, 0) + 1
+            total = _zeta_sum(tally, order)
+            assert total == [phi_d if chi.is_trivial and i == 0 else 0 for i in range(len(total))], \
+                (d, chi.exponents)
+        for a, counts in by_unit.items():
+            total = _zeta_sum(counts, exponent)
+            assert total == [phi_d if a % d == 1 % d and i == 0 else 0 for i in range(len(total))], (d, a)

@@ -175,6 +175,20 @@ def test_riemann_sum_refuses_level_over_ceiling(monkeypatch):
         riemann_sum([1], None, Z3, 1, -1, CTX)
 
 
+def test_riemann_sum_ceiling_counts_horner_steps(monkeypatch):
+    def walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(PadicContext, "x_power", walk)
+    ctx = PadicContext(101, 40, 3)
+    # 101^3 residues at deg f = 0 are under the ceiling; at deg f = 90 they are not
+    assert padic._level_span(1, 101, 3, 1) == 101 ** 3
+    with pytest.raises(ParameterError, match="91 Horner steps each, more than the ceiling"):
+        riemann_sum([0] * 90 + [1], None, Z3, 1, 3, ctx)
+    # the largest request of criterion 9 (d = 4, p = 7, level 6, moment 3) fits
+    assert padic._level_span(4, 7, 6, 4) == 4 * 7 ** 6
+
+
 FRACTIONS = st.builds(Fraction, st.integers(-20, 20), st.sampled_from([1, 2, 3, 4, 6, 9]))
 
 

@@ -1,12 +1,16 @@
 """Truncated series arithmetic and the EGF helpers."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bernsym.bernoulli import TwistSpec
+from bernsym.dirichlet import trivial_character
 from bernsym.exactnum import CyclotomicNumber as Cyc, euler_phi
+from bernsym.quotients import CLOSED_FORMS, EvalContext, closed_form_series
 from bernsym.series import NonUnitConstantError, TruncatedSeries as TS
 
 
@@ -201,3 +205,124 @@ def test_shift_and_truncate():
     assert shifted.order == 3
     assert shifted.coeffs[2] == 1 and shifted.coeffs[3] == 2
     assert shifted.truncate(2).order == 2
+
+
+# The row-held kernel: a series keeps one common denominator and one integer
+# row per coefficient, products hand rows on without normalising, and only
+# coeffs, egf_coefficient and equality look at the values.
+
+def schoolbook_div(a, b):
+    """out_k = (a_k - sum_{i=1..k} b_i out_{k-i}) / b_0 with Cyc arithmetic."""
+    a, b = list(a), list(b)
+    inv0 = b[0].inverse()
+    out = []
+    for k in range(min(len(a), len(b))):
+        acc = a[k]
+        for i in range(1, k + 1):
+            acc = acc - b[i] * out[k - i]
+        out.append(acc * inv0)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(KERNEL_CONDUCTORS), st.integers(3, 8), st.integers(0, 5), st.data())
+def test_product_chain_and_quotient_match_schoolbook(m, length, order, data):
+    # unit constant terms, so that no product or quotient term vanishes early
+    factors = [invertible(data.draw(cyc_series(m, order + data.draw(st.integers(0, 2)), low=-40, high=40)))
+               for _ in range(length)]
+    divisor = invertible(data.draw(cyc_series(m, order, low=-40, high=40)))
+    held = factors[0]
+    expected = list(factors[0].coeffs)
+    for f in factors[1:]:
+        held = held * f
+        expected = schoolbook(TS(m, expected), f)
+    assert held.order == min(f.order for f in factors)
+    assert list(held.coeffs) == expected
+    quotient = held / divisor
+    assert list(quotient.coeffs) == schoolbook_div(expected, divisor.coeffs)
+
+
+def rescaled(series, factor):
+    """The same series held as rows over `factor` times its common denominator."""
+    den, rows, bound = series._rows()
+    return TS._from_rows(series.m, (den * factor, tuple([x * factor for x in row] for row in rows),
+                                    bound * factor))
+
+
+def bumped(series, k, i):
+    """The series with coordinate i of coefficient k raised by 1 / den."""
+    den, rows, bound = series._rows()
+    rows = list(rows)
+    rows[k] = [x + (j == i) for j, x in enumerate(rows[k])]
+    return TS._from_rows(series.m, (den, tuple(rows), bound + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KERNEL_CONDUCTORS), st.integers(0, 4), st.integers(2, 60), st.data())
+def test_equality_across_denominators_and_holdings(m, order, factor, data):
+    a = data.draw(cyc_series(m, order))
+    b = data.draw(cyc_series(m, order))
+    product = a * b                       # row-held, least common denominator
+    by_coeffs = TS(m, product.coeffs)     # coefficient-held, the same values
+    wider = rescaled(product, factor)     # row-held over factor * den
+    for x in (product, by_coeffs, wider):
+        for y in (product, by_coeffs, wider):
+            assert x == y
+    # a / 1 == (factor * a) / factor, and a / 1 != (factor * a) / 1 unless a = 0
+    assert a.scaled_equal(a.scale(factor), 1, factor)
+    assert a.scaled_equal(a.scale(factor), 1, 1) == (a == TS.zero(order, m))
+    k = data.draw(st.integers(0, order))
+    i = data.draw(st.integers(0, euler_phi(m) - 1))
+    changed = bumped(wider, k, i)
+    for x in (product, by_coeffs, wider):
+        assert x != changed and changed != x
+        assert x != TS(m, changed.coeffs)
+
+
+def test_truncated_rows_keep_the_wider_denominator():
+    s = TS(3, [Cyc(3, [1, 2], 5), Cyc(3, [0, 1], 1), Cyc(3, [1, 0], 7)])
+    head = s.truncate(1)
+    assert head._rows()[0] == 35
+    assert head == TS(3, [Cyc(3, [1, 2], 5), Cyc(3, [0, 1], 1)])
+    assert head.coeffs[1].den == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(KERNEL_CONDUCTORS), st.integers(0, 5), st.data())
+def test_egf_coefficients_are_reduced(m, order, data):
+    a = data.draw(cyc_series(m, order))
+    b = invertible(data.draw(cyc_series(m, order)))
+    for series in (a * b, a / b, (a * b).shift_up(2).truncate(order), rescaled(a, 6)):
+        for n in range(order + 1):
+            value = series.egf_coefficient(n)
+            assert value.den > 0 and math.gcd(value.den, *value.num) == 1
+            assert value == series.coeffs[n].scale(math.factorial(n))
+
+
+def test_closed_forms_multiply_every_ordering(monkeypatch):
+    # criterion 5 compares the closed form over every ordering of w; a cache
+    # keyed on the multiset of w would make that comparison vacuous, so each
+    # ordering must multiply all of its CLOSED_FORMS row's factors
+    calls = []
+    product = TS.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(TS, "__mul__", counting)
+    chi, twist = trivial_character(1), TwistSpec(7, 1)
+    ctx = EvalContext(chi, twist)
+    y = (Fraction(1, 2), Fraction(2), Fraction(3, 5))
+    for qt, row in CLOSED_FORMS.items():
+        w = (1, 2, 3)[: qt.arity]
+        # exp(c*(y_1+..)*t) is a factor where the type has y variables (the
+        # y values here are positive, so c*(y_1+..) != 0)
+        factors = len(row.chars) + len(row.numer) + (1 if row.ymul and row.y_count else 0) \
+            + len(row.inverted)
+        seen = []
+        for sigma in itertools.permutations(w):
+            calls.clear()
+            seen.append(closed_form_series(qt, sigma, y[: qt.y_count], chi, twist, 6, ctx))
+            assert len(calls) == factors - 1, (qt.name, sigma)
+        assert all(s == seen[0] for s in seen)
