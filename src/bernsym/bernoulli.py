@@ -79,24 +79,22 @@ def field_conductor(chi: DirichletCharacter, twist: TwistSpec) -> int:
 
 def twisted_exp_minus_one(twist: TwistSpec, x: int, s: int, order: int, m: int) -> TruncatedSeries:
     """xi^x e^(s t) - 1 truncated at `order`: the D factor of every quotient."""
-    return TruncatedSeries.exp_linear(s, order, m).scale(twist.root_power(x, m)) \
-        - TruncatedSeries.one(order, m)
+    return TruncatedSeries.exp_sum([(twist.root_power(x, m), s), (-CyclotomicNumber.one(m), 0)], order, m)
 
 
 def character_sum_series(chi: DirichletCharacter, twist: TwistSpec, w: int,
                          order: int, m: int | None = None, t_scale: int = 1,
                          upper: int | None = None) -> TruncatedSeries:
     """sum_{a<upper} chi(a) xi^{w a} e^{a t_scale t} truncated at `order`;
-    `upper` defaults to the modulus d."""
+    `upper` defaults to the modulus d.  The d terms are summed once per
+    coefficient, in integers (`TruncatedSeries.exp_sum`)."""
     m = m or field_conductor(chi, twist)
-    total = TruncatedSeries.zero(order, m)
+    terms = []
     for a in range(chi.d if upper is None else upper):
         val = chi(a)
-        if val.is_zero():
-            continue
-        coeff = val.embed(m) * twist.root_power(w * a, m)
-        total = total + TruncatedSeries.exp_linear(a * t_scale, order, m).scale(coeff)
-    return total
+        if not val.is_zero():
+            terms.append((val.embed(m) * twist.root_power(w * a, m), a * t_scale))
+    return TruncatedSeries.exp_sum(terms, order, m)
 
 
 def bernoulli_egf(chi: DirichletCharacter, twist: TwistSpec, w: int, order: int,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -168,6 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=4, help="check levels 1..K")
     p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     return parser
+
+
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call (not at import) and kept:
+    parsing never changes it, and building it costs about 10 ms."""
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +398,8 @@ _HANDLERS = {
 def main(argv=None, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse already printed the diagnostic; keep its exit code for
         # --help (0) and report usage errors as 2

@@ -13,11 +13,13 @@ exp((C_1*y_1 + ..)*t), built once as the pair (P, C) (see
 y^e entry is n! * P[n - |e|] * C^e/e!, so two sides agree for every
 n <= n_max exactly when P[k] = P'[k] for every k <= n_max and either C = C'
 or P vanishes below t^n_max (then no y-term survives).  Normalized mode
-compares P[k]/w against P'[k]/w' by cross-multiplying integers.  The
-y-polynomials are spread (`quotients.spread_ypolys`) only where values are
-needed: witnesses, reported values, `theorem_sides`, and the pointwise
-method, which evaluates every side on the standard grid of n+2 integer
-points per variable and stays as an independent cross-check.
+compares P[k]/w against P'[k]/w' by cross-multiplying integers.  Values at
+a y-point, where they are needed (witnesses, reported values,
+`theorem_sides`, and the pointwise method, which evaluates every side on
+the standard grid of n+2 integer points per variable and stays as an
+independent cross-check), are read from each side's
+`quotients.point_series` P(t) * exp((C.y)*t), built once per (side, point);
+no y-polynomial is spread.
 """
 
 from __future__ import annotations
@@ -47,15 +49,13 @@ from .quotients import (
     Mutation,
     SSlot,
     Side,
-    YPoly,
-    eval_ypoly,
     expansion_polys,
     mono_name,
     mono_val,
     perm_apply,
     perm_monomial,
+    point_series,
     side_series,
-    spread_ypolys,
 )
 
 ID2 = ((1, 2), (2, 1))
@@ -290,9 +290,18 @@ def _side_series(inst: TheoremInstance, ctx: EvalContext,
     return sides
 
 
-def _side_polys(inst: TheoremInstance, ctx: EvalContext) -> list[list[YPoly]]:
-    """Per side, the y-polynomials for n = 0..n_max."""
-    return [spread_ypolys(p, ys, inst.n_max) for p, ys in _side_series(inst, ctx)]
+def _point_values(sides: list[Side], n_max: int):
+    """value(s, n, pt): side s's t^n/n! coefficient at the y-point pt, read
+    from its `point_series`, which is built once per (side, point)."""
+    series = {}
+
+    def value(s: int, n: int, pt: tuple) -> CyclotomicNumber:
+        e = series.get((s, pt))
+        if e is None:
+            e = series[(s, pt)] = point_series(sides[s], pt, n_max)
+        return e.egf_coefficient(n)
+
+    return value
 
 
 def theorem_sides(inst: TheoremInstance, n: int | None = None,
@@ -306,14 +315,9 @@ def theorem_sides(inst: TheoremInstance, n: int | None = None,
     n = inst.n_max if n is None else n
     if not 0 <= n <= inst.n_max:
         raise ParameterError(f"n={n} outside 0..{inst.n_max}")
-    y = tuple(Fraction(v) for v in (y or ()))
-    y = y + (Fraction(0),) * (max(1, thm.y_count) - len(y))
-    polys = _side_polys(inst, ctx)
-    out = []
-    for i, mono in enumerate(thm.side_weight_monos, start=1):
-        value = eval_ypoly(polys[i - 1][n], y, ctx.m)
-        out.append((f"side-{i}", mono_val(mono, inst.w), value))
-    return out
+    sides = _side_series(inst, ctx)
+    return [(f"side-{i}", mono_val(mono, inst.w), point_series(side, y or (), n).egf_coefficient(n))
+            for i, (mono, side) in enumerate(zip(thm.side_weight_monos, sides), start=1)]
 
 
 def _sides_equal(a: Side, b: Side, n_max: int, wa: int = 1, wb: int = 1) -> bool:
@@ -344,7 +348,7 @@ def verify_instance(inst: TheoremInstance, method: str = "poly",
     weights = [mono_val(m, inst.w) for m in thm.side_weight_monos]
     names = [mono_name(m) for m in thm.side_weight_monos]
     sides = _side_series(inst, ctx, mutation)
-    polys = None
+    value = _point_values(sides, inst.n_max)
 
     orbits_static = thm.orbits()
     by_value: dict[int, list[int]] = {}
@@ -353,9 +357,8 @@ def verify_instance(inst: TheoremInstance, method: str = "poly",
     orbits_by_value = list(by_value.values())
 
     if method == "points":
-        polys = [spread_ypolys(p, ys, inst.n_max) for p, ys in sides]
         values = [
-            [[eval_ypoly(polys[s][n], pt, ctx.m) for pt in y_grid_points(n, thm.y_count)]
+            [[value(s, n, pt) for pt in y_grid_points(n, thm.y_count)]
              for n in range(inst.n_max + 1)]
             for s in range(thm.sides)
         ]
@@ -390,16 +393,13 @@ def verify_instance(inst: TheoremInstance, method: str = "poly",
     )
 
     failed = not (pass_normalized if inst.mode == "normalized" else pass_as_stated)
-    if polys is None and ((failed and want_witness) or include_values):
-        polys = [spread_ypolys(p, ys, inst.n_max) for p, ys in sides]
     if failed and want_witness:
-        report.witness = _find_witness(inst, ctx, polys, weights, thm)
+        report.witness = _find_witness(inst, value, weights, thm)
 
     if include_values:
         report.values = [
             [
-                [eval_ypoly(polys[s][n], pt, ctx.m).to_json()
-                 for pt in y_grid_points(n, thm.y_count)]
+                [value(s, n, pt).to_json() for pt in y_grid_points(n, thm.y_count)]
                 for n in range(inst.n_max + 1)
             ]
             for s in range(thm.sides)
@@ -407,14 +407,13 @@ def verify_instance(inst: TheoremInstance, method: str = "poly",
     return report
 
 
-def _find_witness(inst: TheoremInstance, ctx: EvalContext,
-                  polys: list[list[YPoly]], weights: list[int],
+def _find_witness(inst: TheoremInstance, value, weights: list[int],
                   thm: TheoremSpec) -> Optional[Witness]:
     """First (n, grid point, side pair) where the requested mode fails."""
     normalized = inst.mode == "normalized"
     for n in range(inst.n_max + 1):
         for pt in y_grid_points(n, thm.y_count):
-            vals = [eval_ypoly(polys[s][n], pt, ctx.m) for s in range(thm.sides)]
+            vals = [value(s, n, pt) for s in range(thm.sides)]
             for i in range(thm.sides):
                 for jdx in range(i + 1, thm.sides):
                     va, vb = vals[i], vals[jdx]

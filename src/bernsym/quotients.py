@@ -28,6 +28,10 @@ a ratio of two.  Every slot's EGF factor is P_s(t) * exp(c_s*y_v*t):
 A side is therefore one series product P = prod_s P_s times
 exp((C_1*y_1 + ..)*t), C_v summing c_s over the slots on y_v, and its
 displayed y^e coefficient of t^n/n! is n! * P[n - |e|] * prod_v C_v^e_v/e_v!.
+At a rational y-point the side's values are the EGF coefficients of one
+series, E(t) = P(t) * exp(c*t) with c = C_1*y_1 + .. (`point_series`),
+summed from P's integer rows; only `expansion_polys` spreads P over the y
+monomials (`spread_ypolys`).
 
 The normalization weight of a form is the product of its B-slot twist
 scales; dividing the form by its weight gives exactly the EGF coefficients
@@ -52,7 +56,7 @@ from typing import Optional, Sequence
 from .bernoulli import (ParameterError, TwistSpec, bernoulli_egf, character_sum_series, power_sum,
                         twisted_exp_minus_one)
 from .dirichlet import DirichletCharacter
-from .exactnum import CyclotomicNumber, linear_combination
+from .exactnum import CyclotomicNumber
 from .series import NonUnitConstantError, TruncatedSeries
 
 Mono = tuple[int, ...]
@@ -565,29 +569,27 @@ def expansion_polys(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
     return spread_ypolys(*side_series(form, w, ctx, n_max, mutation, check), n_max)
 
 
-def eval_ypoly(poly: YPoly, y: Sequence[Fraction], m: int) -> CyclotomicNumber:
-    terms = []
-    for exps, val in poly.items():
-        scalar = Fraction(1)
-        for yv, e in zip(y, exps):
-            if e:
-                scalar *= Fraction(yv) ** e
-        terms.append((scalar, val))
-    return linear_combination(terms, m)
+def point_series(side: Side, y: Sequence, n_max: int) -> TruncatedSeries:
+    """E(t) = P(t) * exp(c*t) to order n_max for the side (P, C) at a
+    rational y-point, c = C_1*y_1 + .. (missing y entries read as 0).
+
+    E's t^n/n! coefficient is the side's displayed value at (n, y), read
+    straight from P's integer rows (`TruncatedSeries.mul_exp`) without
+    spreading P over the y monomials; E is P itself when c = 0."""
+    p, ys = side
+    c = sum((cv * Fraction(yv) for cv, yv in zip(ys, y)), Fraction(0))
+    return p.truncate(n_max).mul_exp(c)
 
 
 def expansion_coefficients(form: ExpansionForm, w: Sequence[int], y: Sequence,
                            chi: DirichletCharacter, twist: TwistSpec, n_max: int,
                            ctx: Optional[EvalContext] = None,
                            mutation: Optional[Mutation] = None) -> list[CyclotomicNumber]:
-    """The displayed coefficient of t^n/n! at a concrete rational y-point."""
+    """The displayed coefficient of t^n/n! at a concrete rational y-point,
+    for n = 0..n_max: the EGF coefficients of the form's `point_series`."""
     ctx = ctx or EvalContext(chi, twist)
-    y = tuple(Fraction(v) for v in y)
-    need = max(1, form.qt.y_count)
-    if len(y) < need:
-        y = y + (Fraction(0),) * (need - len(y))
-    polys = expansion_polys(form, w, ctx, n_max, mutation)
-    return [eval_ypoly(p, y, ctx.m) for p in polys]
+    series = point_series(side_series(form, w, ctx, n_max, mutation), y, n_max)
+    return [series.egf_coefficient(n) for n in range(n_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +675,12 @@ def consistency_check(qt: QuotientType, w: Sequence[int], y: Sequence,
                       ctx: Optional[EvalContext] = None,
                       mutation: Optional[Mutation] = None) -> ConsistencyReport:
     """Assert expansion_n = weight * n![t^n] closed_form for every form of
-    the type; report the first mismatch with both values."""
+    the type; report the first mismatch with both values.
+
+    Each form's values at the y-point are its `point_series` E, compared
+    with the closed form in one cross-multiplied row comparison,
+    E / weight == closed; only a form that fails is walked coefficient by
+    coefficient for the first mismatching n."""
     if n_max < 0:
         raise ParameterError("n_max must be nonnegative")
     ctx = ctx or EvalContext(chi, twist)
@@ -685,9 +692,11 @@ def consistency_check(qt: QuotientType, w: Sequence[int], y: Sequence,
     report = ConsistencyReport(qt.name, tuple(w), y, n_max, [f.form_id for f in FORMS[qt.name]])
     for form in FORMS[qt.name]:
         weight = form_weight(form, w)
-        values = expansion_coefficients(form, w, y, chi, twist, n_max, ctx, mutation)
+        series = point_series(side_series(form, w, ctx, n_max, mutation), y, n_max)
+        if series.scaled_equal(closed, weight, 1):
+            continue
         for n in range(n_max + 1):
-            lhs = values[n]
+            lhs = series.egf_coefficient(n)
             rhs = closed.egf_coefficient(n).scale(weight)
             if lhs != rhs:
                 report.mismatch = ConsistencyMismatch(form.form_id, n, lhs, rhs)

@@ -11,7 +11,9 @@ coordinates' absolute values.  A series built from coefficients derives
 that form once, on its first product, and keeps it; a product or quotient
 returns a series built from rows alone.  Products and quotients read their
 operands' rows, never their coefficients, so the cached factors of a
-closed form are put into integer form once, not once per product.
+closed form are put into integer form once, not once per product.  Sums
+of exponentials with integer rates (`exp_sum`) and products with exp(c*t)
+for a rational c (`mul_exp`) are summed straight into rows as well.
 
 Normalisation happens only at the edges:
 
@@ -211,6 +213,27 @@ class TruncatedSeries:
         return TruncatedSeries.constant(0, order, m)
 
     @staticmethod
+    def exp_sum(terms: Sequence[tuple[CyclotomicNumber, int]], order: int, m: int) -> "TruncatedSeries":
+        """sum_j v_j * exp(s_j*t) truncated at `order`, for values v_j at
+        conductor m and integers s_j, on integer rows: with L the common
+        denominator of the v_j and N = order, row n is
+        sum_j num_j * (L/den_j) * s_j^n * N!/n! over L * N!, which then loses
+        its one content gcd."""
+        phi = euler_phi(m)
+        lcd = math.lcm(*(v.den for v, _ in terms))
+        fact = math.factorial(order)
+        rows = []
+        for n in range(order + 1):
+            acc = [0] * phi
+            for v, s in terms:
+                q = (lcd // v.den) * s ** n
+                if q:
+                    acc = [x + q * y for x, y in zip(acc, v.num)]
+            scale = fact // math.factorial(n)
+            rows.append([x * scale for x in acc])
+        return TruncatedSeries._from_rows(m, _content_reduced(lcd * fact, rows))
+
+    @staticmethod
     def exp_linear(c, order: int, m: int | None = None) -> "TruncatedSeries":
         """exp(c*t) truncated: coefficients c^n / n!."""
         if m is None:
@@ -335,6 +358,28 @@ class TruncatedSeries:
             return self
         den, rows, bound = self._rows()
         return TruncatedSeries._from_rows(self.m, (den, rows[: order + 1], bound))
+
+    def mul_exp(self, c: Fraction) -> "TruncatedSeries":
+        """self * exp(c*t) at self's order, for a rational c, on integer rows.
+
+        With c = a/b and N the order, row n is
+        sum_k row[n-k] * a^k * b^(N-k) * N!/k! over den * b^N * N!, which
+        then loses its one content gcd: integer multiply-adds only."""
+        c = Fraction(c)
+        if not c:
+            return self
+        den, rows, _ = self._rows()
+        order = self.order
+        a, b = c.numerator, c.denominator
+        fact = math.factorial(order)
+        weights = [a ** k * b ** (order - k) * (fact // math.factorial(k)) for k in range(order + 1)]
+        out = []
+        for n in range(order + 1):
+            acc = [0] * len(rows[0])
+            for q, row in zip(weights, rows[n::-1]):
+                acc = [x + q * y for x, y in zip(acc, row)]
+            out.append(acc)
+        return TruncatedSeries._from_rows(self.m, _content_reduced(den * b ** order * fact, out))
 
     def scale_variable(self, w) -> "TruncatedSeries":
         """Substitute t -> w*t, mapping c_n to w^n * c_n."""

@@ -240,6 +240,45 @@ def test_audit_bytes_independent_of_hash_seed(tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_repeated_main_calls_match_fresh_processes(monkeypatch, capsys):
+    # main reuses one parser across calls; a usage error or --help in one
+    # call must leave the next call's output and exit code as a fresh
+    # process would give them
+    import bernsym.cli as cli
+    calls = [
+        (["chars", "--d", "5"], 0),
+        (["--help"], 0),
+        (["verify", "--theorem", "3", "--r", "3", "--w", "1,2", "--n-max", "1"], 1),
+        (["verify", "--r", "3"], 2),
+        (["quotient", "--help"], 0),
+        (["bernoulli", "--r", "1"], 2),
+        (["bernoulli", "--r", "3", "--n-max", "3"], 0),
+        (["chars", "--d", "5"], 0),
+    ]
+    monkeypatch.setenv("COLUMNS", "80")
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    in_process = []
+    try:
+        for argv, _ in calls:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            in_process.append((code, out, err))
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    src = str(Path(bernsym.__file__).resolve().parent.parent)
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for (argv, expected_code), got in zip(calls, in_process):
+        proc = subprocess.run([sys.executable, "-m", "bernsym.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert got[0] == expected_code, argv
+
+
 def test_grid_file_parsing_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense_key = 1\n")

@@ -91,9 +91,9 @@ def test_cyclotomic_inverse_matches_sympy_invert(m, data):
 
 # The unit groups and characters mod d against sympy.ntheory
 
-from bernsym.dirichlet import enumerate_characters, unit_group_structure  # noqa: E402
+from bernsym.dirichlet import _smallest_primitive_root, enumerate_characters, unit_group_structure  # noqa: E402
 from sympy import totient  # noqa: E402
-from sympy.ntheory import n_order  # noqa: E402
+from sympy.ntheory import n_order, primitive_root  # noqa: E402
 
 D_LIMIT = 200
 
@@ -108,6 +108,13 @@ def test_unit_group_generators_have_their_orders():
     for d in range(3, D_LIMIT):
         for g, n in unit_group_structure(d):
             assert n_order(g, d) == n, (d, g)
+
+
+def test_smallest_primitive_roots_of_odd_prime_powers():
+    prime_powers = [q for q in range(3, D_LIMIT, 2) if len(sympy.factorint(q)) == 1]
+    assert len(prime_powers) == 53  # 45 odd primes and 9, 25, 27, 49, 81, 121, 125, 169
+    for q in prime_powers:
+        assert _smallest_primitive_root(q) == primitive_root(q, smallest=True), q
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,10 +5,11 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bernsym.bernoulli import ParameterError, TwistSpec
 from bernsym.dirichlet import DirichletCharacter, trivial_character
-from bernsym.exactnum import CyclotomicNumber as Cyc
+from bernsym.exactnum import CyclotomicNumber as Cyc, euler_phi
 from bernsym.quotients import (
     FORMS,
     BSlot,
@@ -25,8 +26,10 @@ from bernsym.quotients import (
     parse_quotient_type,
     perm_apply,
     perm_monomial,
+    point_series,
+    spread_ypolys,
 )
-from bernsym.series import NonUnitConstantError
+from bernsym.series import NonUnitConstantError, TruncatedSeries, _content_reduced
 
 CHI1 = trivial_character(1)
 Z3 = TwistSpec(3, 1)
@@ -249,3 +252,110 @@ def test_type_shapes_and_conditions():
     for name, (arity, y_count, conditions) in expected.items():
         qt = parse_quotient_type(name)
         assert (qt.arity, qt.y_count, qt.conditions()) == (arity, y_count, conditions), name
+
+
+# ---------------------------------------------------------------------------
+# values at a y-point: point_series against the y-monomial spread
+
+
+def eval_ypoly(poly, y, m):
+    """The oracle: a y-polynomial summed term by term at the point."""
+    total = Cyc.zero(m)
+    for exps, val in poly.items():
+        scalar = Fraction(1)
+        for yv, e in zip(y, exps):
+            scalar *= Fraction(yv) ** e
+        total = total + val.scale(scalar)
+    return total
+
+
+@st.composite
+def row_held_series(draw, m, order):
+    phi = euler_phi(m)
+    rows = draw(st.lists(st.lists(st.integers(-40, 40), min_size=phi, max_size=phi),
+                         min_size=order + 1, max_size=order + 1))
+    return TruncatedSeries._from_rows(m, _content_reduced(draw(st.integers(1, 60)), rows))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from((1, 3, 12, 20)), st.integers(0, 8), st.integers(0, 2), st.data())
+def test_point_series_matches_ypoly_spread(m, n_max, extra, data):
+    p = data.draw(row_held_series(m, n_max + extra))
+    ys = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3)))
+    y = tuple(data.draw(st.lists(st.fractions(-3, 3, max_denominator=6),
+                                 min_size=len(ys), max_size=len(ys))))
+    e = point_series((p, ys), y, n_max)
+    assert e.order == n_max
+    polys = spread_ypolys(p, ys, n_max)
+    for n in range(n_max + 1):
+        assert e.egf_coefficient(n) == eval_ypoly(polys[n], y, m), n
+
+
+def test_point_series_is_the_side_itself_at_c_zero():
+    p = TruncatedSeries(3, [Cyc(3, [1, 2], 5), Cyc(3, [0, 1]), Cyc(3, [4, 0], 7)])
+    assert point_series((p, (2, 3)), (Fraction(3), Fraction(-2)), 2) is p
+    assert point_series((p, (0, 5)), (Fraction(1, 2),), 2) is p   # y_2 missing: 0
+
+
+def consistency_oracle(qt, w, y, chi, twist, n_max, mutation):
+    """consistency_check's witness (or None) from the y-polynomial spread."""
+    ctx = EvalContext(chi, twist)
+    closed = closed_form_series(qt, w, y, chi, twist, n_max, ctx)
+    for form in FORMS[qt.name]:
+        weight = form_weight(form, w)
+        for n, poly in enumerate(expansion_polys(form, w, ctx, n_max, mutation)):
+            lhs = eval_ypoly(poly, y, ctx.m)
+            rhs = closed.egf_coefficient(n).scale(weight)
+            if lhs != rhs:
+                return {"form": form.form_id, "n": n, "expansion": lhs.to_json(),
+                        "weighted_closed_form": rhs.to_json()}
+    return None
+
+
+def outcome(call):
+    try:
+        return call()
+    except ParameterError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_mutated_consistency_matches_spread_oracle(name):
+    chi = DirichletCharacter(4, (1,))
+    twist = TwistSpec(5, 1)
+    qt = parse_quotient_type(name)
+    w = (2, 3) if qt.arity == 2 else (2, 1, 3)
+    y = (Fraction(1, 2), Fraction(-1), Fraction(3, 2))[:qt.y_count]
+    n_max = 4
+    ctx = EvalContext(chi, twist)
+    slots = max(len(f.slots) for f in FORMS[name])
+    mutations = [None] + [Mutation(kind, slot, 2) for kind in ("binomial", "twist", "wpower")
+                          for slot in range(slots)]
+    mismatches = 0
+    for mut in mutations:
+        got = outcome(lambda: consistency_check(qt, w, y, chi, twist, n_max, ctx, mut).to_json())
+        want = outcome(lambda: consistency_oracle(qt, w, y, chi, twist, n_max, mut))
+        if isinstance(got, dict):
+            assert got.get("witness") == want, mut
+            mismatches += want is not None
+        else:
+            assert got == want, mut
+    assert mismatches >= 3   # each kind breaks slot 0
+
+
+def test_passing_forms_are_decided_without_a_walk(monkeypatch):
+    # a passing form is settled by one row comparison, E / weight == closed;
+    # only a failing one is read coefficient by coefficient
+    qt = parse_quotient_type("G1")
+    chi = DirichletCharacter(5, (1,))
+    twist = TwistSpec(3, 1)
+    ctx = EvalContext(chi, twist)
+    assert [form_weight(f, (2, 1)) for f in FORMS["G1"]] == [2, 2]
+    assert consistency_check(qt, (2, 1), (Fraction(1, 3),), chi, twist, 5, ctx).passed
+    reads = []
+    read = TruncatedSeries.egf_coefficient
+    monkeypatch.setattr(TruncatedSeries, "egf_coefficient", lambda s, n: reads.append(n) or read(s, n))
+    assert consistency_check(qt, (2, 1), (Fraction(1, 3),), chi, twist, 5, ctx).passed
+    assert reads == []
+    rep = consistency_check(qt, (2, 1), (Fraction(1, 3),), chi, twist, 5, ctx, Mutation("binomial", 0, 3))
+    assert rep.mismatch.n == 3 and reads

@@ -326,3 +326,17 @@ def test_closed_forms_multiply_every_ordering(monkeypatch):
             seen.append(closed_form_series(qt, sigma, y[: qt.y_count], chi, twist, 6, ctx))
             assert len(calls) == factors - 1, (qt.name, sigma)
         assert all(s == seen[0] for s in seen)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KERNEL_CONDUCTORS), st.integers(0, 8), st.data())
+def test_exp_sum_rows_match_summed_exponentials(m, order, data):
+    # the integer-row sum holds exactly the rows (denominator, coordinates,
+    # bound) that the coefficient-by-coefficient sum of scaled exponentials
+    # derives from its canonical coefficients
+    terms = data.draw(st.lists(st.tuples(cyc_elements(m, low=-20, high=20), st.integers(-6, 6)),
+                               max_size=5))
+    summed = TS.zero(order, m)
+    for value, s in terms:
+        summed = summed + TS.exp_linear(s, order, m).scale(value)
+    assert TS.exp_sum(terms, order, m)._rows() == TS(m, summed.coeffs)._rows()
