@@ -36,6 +36,7 @@ from .identities import (
 from .padic import PadicContext, convergence_check
 from .quotients import (
     EvalContext,
+    QuotientType,
     closed_form_series,
     consistency_check,
     parse_quotient_type,
@@ -73,6 +74,16 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
     return tuple(_parse_fraction(part) for part in text.split(",") if part.strip() != "")
+
+
+def _parse_y(text: str | None, qt: QuotientType) -> tuple[Fraction, ...]:
+    """One rational per y variable of the quotient type; all 0 by default."""
+    if text is None:
+        return (Fraction(0),) * qt.y_count
+    y = _parse_fraction_list(text)
+    if len(y) != qt.y_count:
+        raise ParameterError(f"{qt.name} takes {qt.y_count} y value(s), got {len(y)}")
+    return y
 
 
 def _resolve_character(d: int, label_text: str | None) -> DirichletCharacter:
@@ -241,7 +252,7 @@ def _cmd_quotient(args, out) -> int:
     chi = _resolve_character(args.d, args.char)
     twist = TwistSpec(args.r, args.j)
     w = _parse_int_list(args.w)
-    y = _parse_fraction_list(args.y) if args.y else tuple(Fraction(0) for _ in range(qt.y_count))
+    y = _parse_y(args.y, qt)
     series = closed_form_series(qt, w, y, chi, twist, args.order)
     coeffs = [series.egf_coefficient(n) for n in range(args.order + 1)]
     doc = {
@@ -259,7 +270,7 @@ def _cmd_consistency(args, out) -> int:
     chi = _resolve_character(args.d, args.char)
     twist = TwistSpec(args.r, args.j)
     w = _parse_int_list(args.w)
-    y = _parse_fraction_list(args.y) if args.y else tuple(Fraction(0) for _ in range(qt.y_count))
+    y = _parse_y(args.y, qt)
     report = consistency_check(qt, w, y, chi, twist, args.n_max)
     doc = report.to_json()
     doc["char"] = chi.to_json()

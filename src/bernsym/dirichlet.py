@@ -172,9 +172,6 @@ class DirichletCharacter:
             return CyclotomicNumber.zero(self.order)
         return CyclotomicNumber.zeta(self.order, s)
 
-    def value_table(self) -> dict[int, CyclotomicNumber]:
-        return {a: self(a) for a in range(self.d)}
-
     def conductor(self) -> tuple[int, bool]:
         """Smallest f | d such that chi is induced from a character mod f."""
         for f in divisors(self.d):

@@ -49,7 +49,6 @@ from .quotients import (
     Mutation,
     SSlot,
     Side,
-    expansion_polys,
     mono_name,
     mono_val,
     perm_apply,
@@ -468,7 +467,8 @@ class RedundancyReport:
 def redundancy_check(w: Sequence[int], chi: DirichletCharacter, twist: TwistSpec,
                      n_max: int, ctx: Optional[EvalContext] = None) -> RedundancyReport:
     """The duplicate-display equalities: each extra expression equals the
-    corresponding theorem side exactly (index relabelings of the same sum)."""
+    corresponding theorem side exactly (index relabelings of the same sum),
+    compared as side pairs (P, C) like the theorem sides (`_sides_equal`)."""
     w = tuple(w)
     twist.require_coprime(chi.d)
     for mono in (_Q, _P1, _P2, _P3):
@@ -479,27 +479,26 @@ def redundancy_check(w: Sequence[int], chi: DirichletCharacter, twist: TwistSpec
     ctx = ctx or EvalContext(chi, twist)
     report = RedundancyReport(w, n_max)
 
+    def side(form, wp):
+        return side_series(form, wp, ctx, n_max, check=False)
+
     # three-variable B*S*S displays against the Thm-7 sides
     thm7_sigmas = THEOREMS[7].sigmas
     for idx, sig in enumerate(thm7_sigmas):
         wp = perm_apply(sig, w)
-        lhs = expansion_polys(_DUP_BS, wp, ctx, n_max, check=False)
-        rhs = expansion_polys(_THM7_BASE, wp, ctx, n_max, check=False)
-        report.checks.append((f"dup-{idx + 37}=side-{idx + 1}", lhs == rhs))
+        equal = _sides_equal(side(_DUP_BS, wp), side(_THM7_BASE, wp), n_max)
+        report.checks.append((f"dup-{idx + 37}=side-{idx + 1}", equal))
 
     # pure power-sum displays against the two Thm-11 sides
-    side1_w = perm_apply(THEOREMS[11].sigmas[0], w)
-    side2_w = perm_apply(THEOREMS[11].sigmas[1], w)
-    side1 = expansion_polys(_THM11_BASE, side1_w, ctx, n_max, check=False)
-    side2 = expansion_polys(_THM11_BASE, side2_w, ctx, n_max, check=False)
+    side1 = side(_THM11_BASE, perm_apply(THEOREMS[11].sigmas[0], w))
+    side2 = side(_THM11_BASE, perm_apply(THEOREMS[11].sigmas[1], w))
     for name, form, target in (
         ("dup-40=first", _THM11_BASE, side1),
         ("dup-41=first", _DUP_SSS_A, side1),
         ("dup-42=second", _DUP_SSS_B, side2),
         ("dup-43=second", _DUP_SSS_C, side2),
     ):
-        vals = expansion_polys(form, w, ctx, n_max, check=False)
-        report.checks.append((name, vals == target))
+        report.checks.append((name, _sides_equal(side(form, w), target, n_max)))
     return report
 
 

@@ -25,6 +25,12 @@ a ratio of two.  Every slot's EGF factor is P_s(t) * exp(c_s*y_v*t):
     c_s = A*T, the power sums taken over the a-sums' ranges and twists;
   * S slot: P_s = sum_k S_k (T*t)^k/k!, c_s = 0.
 
+Each of these series is its quantity's generating function with
+t -> scale*t: sum_i B_i t^i/i! is `bernoulli_egf`, and sum_p S_p(U) t^p/p!
+is the character sum over a <= U (`character_sum_series`).  `EvalContext`
+builds them from those two functions on integer rows; no coefficient is
+rescaled on its own.
+
 A side is therefore one series product P = prod_s P_s times
 exp((C_1*y_1 + ..)*t), C_v summing c_s over the slots on y_v, and its
 displayed y^e coefficient of t^n/n! is n! * P[n - |e|] * prod_v C_v^e_v/e_v!.
@@ -53,8 +59,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bernoulli import (ParameterError, TwistSpec, bernoulli_egf, character_sum_series, power_sum,
-                        twisted_exp_minus_one)
+from .bernoulli import ParameterError, TwistSpec, bernoulli_egf, character_sum_series, twisted_exp_minus_one
 from .dirichlet import DirichletCharacter
 from .exactnum import CyclotomicNumber
 from .series import NonUnitConstantError, TruncatedSeries
@@ -326,9 +331,10 @@ def parse_quotient_type(text: str) -> QuotientType:
 class EvalContext:
     """Shared caches for one (character, twist) pair.
 
-    All values live at the fixed conductor lcm(r, order of chi): the
-    Bernoulli numbers and power sums, the slot series built from them, and
-    the closed-form factors.
+    All values live at the fixed conductor lcm(r, order of chi): the slot
+    series, each its quantity's one series (`bernoulli_egf`,
+    `character_sum_series`) with t -> scale*t applied on integer rows
+    (`TruncatedSeries.scale_variable`), and the closed-form factors.
     """
 
     def __init__(self, chi: DirichletCharacter, twist: TwistSpec):
@@ -337,57 +343,39 @@ class EvalContext:
         self.d = chi.d
         self.r = twist.r
         self.m = math.lcm(twist.r, chi.order)
-        self._bern: dict[int, list[CyclotomicNumber]] = {}
-        self._psum: dict[tuple[int, int, int], CyclotomicNumber] = {}
+        self._begf: dict[int, TruncatedSeries] = {}
         self._bser: dict[tuple, TruncatedSeries] = {}
         self._sser: dict[tuple, TruncatedSeries] = {}
         self._tser: dict[tuple[int, int], TruncatedSeries] = {}
         self._dinv: dict[tuple[int, int], TruncatedSeries] = {}
         self._dser: dict[tuple[int, int], TruncatedSeries] = {}
-        self._yexp: dict[tuple, TruncatedSeries] = {}
         # theorem sides (P, C) by (form_id, w, n_max); read and filled only
         # by identities._side_series
         self.side_memo: dict[tuple, Side] = {}
 
-    def bern(self, w_exp: int, n: int) -> list[CyclotomicNumber]:
-        """B_{0..n, chi, xi^w_exp}; requires r not dividing d*w_exp."""
-        key = w_exp % self.r
-        seq = self._bern.get(key)
-        if seq is None or len(seq) <= n:
-            egf = bernoulli_egf(self.chi, self.twist, key, max(n, 8), self.m)
-            seq = [egf.egf_coefficient(i) for i in range(max(n, 8) + 1)]
-            self._bern[key] = seq
-        return seq
-
-    def psum(self, k: int, upper: int, w_exp: int) -> CyclotomicNumber:
-        """S_k(upper; chi, xi^w_exp)."""
-        key = (k, upper, w_exp % self.r)
-        val = self._psum.get(key)
-        if val is None:
-            val = self._psum[key] = power_sum(k, upper, self.chi, self.twist, key[2])
-        return val
-
     # -- slot series ------------------------------------------------------
 
-    def _egf(self, values: Sequence[CyclotomicNumber], scale: Fraction) -> TruncatedSeries:
-        """sum_i values[i] (scale*t)^i/i!."""
-        return TruncatedSeries(self.m, [v.scale(Fraction(scale) ** i / math.factorial(i))
-                                        for i, v in enumerate(values)])
-
     def bern_series(self, w_exp: int, scale: int, n: int) -> TruncatedSeries:
-        """sum_i B_{i,chi,xi^w_exp} (scale*t)^i/i! to order n."""
+        """sum_i B_{i,chi,xi^w_exp} (scale*t)^i/i! to order n; requires r
+        not dividing d*w_exp.  The Bernoulli EGF is cached once per twist
+        class, at order max(n, 8)."""
         key = (w_exp % self.r, scale, n)
         s = self._bser.get(key)
         if s is None:
-            s = self._bser[key] = self._egf(self.bern(w_exp, n)[:n + 1], scale)
+            egf = self._begf.get(key[0])
+            if egf is None or egf.order < n:
+                egf = self._begf[key[0]] = bernoulli_egf(self.chi, self.twist, key[0], max(n, 8), self.m)
+            s = self._bser[key] = egf.truncate(n).scale_variable(scale)
         return s
 
     def psum_series(self, upper: int, w_exp: int, scale: Fraction, n: int) -> TruncatedSeries:
-        """sum_p S_p(upper; chi, xi^w_exp) (scale*t)^p/p! to order n."""
+        """sum_p S_p(upper; chi, xi^w_exp) (scale*t)^p/p! to order n: the
+        character sum over a <= upper with t -> scale*t."""
         key = (upper, w_exp % self.r, scale, n)
         s = self._sser.get(key)
         if s is None:
-            s = self._sser[key] = self._egf([self.psum(p, upper, w_exp) for p in range(n + 1)], scale)
+            s = self._sser[key] = character_sum_series(self.chi, self.twist, key[1], n, self.m,
+                                                       upper=upper + 1).scale_variable(scale)
         return s
 
     def sym_product(self, factors: Sequence[TruncatedSeries]) -> TruncatedSeries:
@@ -425,14 +413,6 @@ class EvalContext:
                 )
             s = TruncatedSeries.one(order, self.m) / self.denom_series(scale, order)
             self._dinv[key] = s
-        return s
-
-    def exp_scalar(self, coeff: Fraction, order: int) -> TruncatedSeries:
-        key = (coeff, order)
-        s = self._yexp.get(key)
-        if s is None:
-            s = TruncatedSeries.exp_linear(CyclotomicNumber.from_rational(coeff, self.m), order, self.m)
-            self._yexp[key] = s
         return s
 
 
@@ -619,8 +599,7 @@ def closed_form_series(qt: QuotientType, w: Sequence[int], y: Sequence,
     for mono in cf.numer:
         num = num * ctx.denom_series(mono_val(mono, w), order)
     coeff = sum(mono_val(mono, w) for mono in cf.ymul) * sum(y[:cf.y_count], Fraction(0))
-    if coeff:
-        num = num * ctx.exp_scalar(coeff, order)
+    num = num.mul_exp(coeff)
     for mono in cf.inverted:
         num = num * ctx.denom_inverse(mono_val(mono, w), order, mono_name(mono))
     return num.shift_up(cf.shift).truncate(order)

@@ -11,9 +11,10 @@ coordinates' absolute values.  A series built from coefficients derives
 that form once, on its first product, and keeps it; a product or quotient
 returns a series built from rows alone.  Products and quotients read their
 operands' rows, never their coefficients, so the cached factors of a
-closed form are put into integer form once, not once per product.  Sums
-of exponentials with integer rates (`exp_sum`) and products with exp(c*t)
-for a rational c (`mul_exp`) are summed straight into rows as well.
+closed form are put into integer form once, not once per product.  Three
+more operations work on rows alone: sums of exponentials with integer
+rates (`exp_sum`), products with exp(c*t) for a rational c (`mul_exp`) and
+the substitution t -> q*t for a rational q (`scale_variable`).
 
 Normalisation happens only at the edges:
 
@@ -381,15 +382,17 @@ class TruncatedSeries:
             out.append(acc)
         return TruncatedSeries._from_rows(self.m, _content_reduced(den * b ** order * fact, out))
 
-    def scale_variable(self, w) -> "TruncatedSeries":
-        """Substitute t -> w*t, mapping c_n to w^n * c_n."""
-        out = []
-        power = CyclotomicNumber.one(self.m) if isinstance(w, CyclotomicNumber) else Fraction(1)
-        for n, c in enumerate(self.coeffs):
-            if n:
-                power = power * w
-            out.append(c * power if isinstance(power, CyclotomicNumber) else c.scale(power))
-        return TruncatedSeries(self.m, out)
+    def scale_variable(self, q) -> "TruncatedSeries":
+        """Substitute t -> q*t for a rational q, mapping c_n to q^n * c_n, on
+        integer rows: with q = a/b and N the order, row n times a^n * b^(N-n)
+        over den * b^N, which then loses its one content gcd."""
+        q = Fraction(q)
+        den, rows, _ = self._rows()
+        order = self.order
+        a, b = q.numerator, q.denominator
+        weights = (a ** n * b ** (order - n) for n in range(order + 1))
+        out = [[x * wn for x in row] for wn, row in zip(weights, rows)]
+        return TruncatedSeries._from_rows(self.m, _content_reduced(den * b ** order, out))
 
     def egf_coefficient(self, n: int) -> CyclotomicNumber:
         """n! times the coefficient of t^n, reduced."""

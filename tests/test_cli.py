@@ -140,6 +140,21 @@ def test_quotient_condition_violation():
     assert code == 2 and "w1" in err
 
 
+def test_quotient_refuses_extra_y_values():
+    code, out, err = run_cli(["quotient", "--type", "G0", "--w", "1,2", "--r", "3",
+                              "--y", "1,2,3,4"])
+    assert (code, out, err) == (2, "", "error: G0 takes 2 y value(s), got 4\n")
+
+
+def test_consistency_refuses_missing_y_values():
+    code, out, err = run_cli(["consistency", "--type", "G0", "--w", "1,2", "--r", "5",
+                              "--y", "1"])
+    assert (code, out, err) == (2, "", "error: G0 takes 2 y value(s), got 1\n")
+    code, _, _ = run_cli(["consistency", "--type", "G0", "--w", "1,2", "--r", "5",
+                          "--y", "1,0", "--n-max", "2"])
+    assert code == 0
+
+
 def test_consistency_command():
     code, out, _ = run_cli(["consistency", "--type", "L23:2", "--d", "1", "--r", "5",
                             "--w", "1,2,3", "--n-max", "4"])

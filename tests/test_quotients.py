@@ -7,7 +7,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bernsym.bernoulli import ParameterError, TwistSpec
+from bernsym.bernoulli import ParameterError, TwistSpec, gen_bernoulli_numbers, power_sum
 from bernsym.dirichlet import DirichletCharacter, trivial_character
 from bernsym.exactnum import CyclotomicNumber as Cyc, euler_phi
 from bernsym.quotients import (
@@ -102,9 +102,11 @@ def test_slot_tensor_degrees_and_generating_function(name, monkeypatch):
     # to ts^k/k!
     n = 6
     ctx = EvalContext(CHI1, TwistSpec(7, 1))
-    one = Cyc.one(ctx.m)
-    monkeypatch.setattr(ctx, "bern", lambda w_exp, n: [one] * (n + 1))
-    monkeypatch.setattr(ctx, "psum", lambda k, upper, w_exp: one)
+    # sum_i 1 * (scale*t)^i/i! is exp(scale*t)
+    monkeypatch.setattr(ctx, "bern_series",
+                        lambda w_exp, scale, n: TruncatedSeries.exp_linear(scale, n, ctx.m))
+    monkeypatch.setattr(ctx, "psum_series",
+                        lambda upper, w_exp, scale, n: TruncatedSeries.exp_linear(scale, n, ctx.m))
     for form in FORMS[name]:
         for w in product(range(1, 5), repeat=form.qt.arity):
             def val(mono):
@@ -124,6 +126,42 @@ def test_slot_tensor_degrees_and_generating_function(name, monkeypatch):
                         shift = sum(Fraction(val(a.frac_num), val(a.frac_den)) for a in slot.asums)
                         want = [scale * x for x in _linear_power(shift + 1, arg, k)]
                     assert got == want, (form.form_id, w, idx, k)
+
+
+SLOT_CASES = [(trivial_character(1), TwistSpec(3, 1)), (DirichletCharacter(4, (1,)), TwistSpec(5, 2)),
+              (DirichletCharacter(5, (1,)), TwistSpec(3, 1)), (DirichletCharacter(3, (1,)), TwistSpec(7, 3))]
+
+
+@pytest.mark.parametrize("chi, twist", SLOT_CASES)
+def test_bern_series_is_scaled_bernoulli_numbers(chi, twist):
+    # coefficient i of the Bernoulli slot series is B_i * s^i/i!; the orders
+    # run below, at and past the cached EGF's first order 8
+    ctx = EvalContext(chi, twist)
+    for w_exp in (1, 2, twist.r + 1):
+        if (chi.d * w_exp) % twist.r == 0:
+            continue
+        for scale, n in ((1, 3), (3, 8), (-2, 11), (6, 5)):
+            numbers = gen_bernoulli_numbers(chi, twist, w_exp, n)
+            series = ctx.bern_series(w_exp, scale, n)
+            assert series.order == n
+            assert list(series.coeffs) == [b.scale(Fraction(scale) ** i / math.factorial(i))
+                                           for i, b in enumerate(numbers)], (w_exp, scale, n)
+
+
+@pytest.mark.parametrize("chi, twist", SLOT_CASES)
+def test_psum_series_is_scaled_power_sums(chi, twist):
+    # coefficient p of the power-sum slot series is S_p(upper) * q^p/p!, for
+    # a rational q and twist exponents past r
+    ctx = EvalContext(chi, twist)
+    for upper, w_exp, q in ((0, 1, Fraction(1)), (chi.d * 2 - 1, 2, Fraction(3, 2)),
+                            (chi.d * 3 - 1, twist.r + 2, Fraction(-5, 3)),
+                            (chi.d * 6 - 1, 2 * twist.r, Fraction(2))):
+        n = 7
+        series = ctx.psum_series(upper, w_exp, q, n)
+        assert series.order == n
+        want = [power_sum(p, upper, chi, twist, w_exp).scale(q ** p / math.factorial(p))
+                for p in range(n + 1)]
+        assert list(series.coeffs) == want, (upper, w_exp, q)
 
 
 def test_closed_form_g1_collapses_at_d1():

@@ -199,6 +199,20 @@ def test_scale_variable():
     assert sz == TS.exp_linear(z.scale(2), 4)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 3, 12, 20)), st.integers(0, 7), st.data())
+def test_scale_variable_rows_match_scaled_coefficients(m, order, data):
+    # t -> q*t on rows holds exactly the rows that c_n * q^n, coefficient by
+    # coefficient, derives; also from a truncated series, whose rows keep
+    # the denominator of the longer one
+    q = data.draw(st.one_of(st.just(Fraction(1)), st.integers(-9, -1).map(Fraction),
+                            st.fractions(-5, 5, max_denominator=12).filter(lambda f: f.denominator > 1)))
+    long = data.draw(cyc_series(m, order + 2, low=-40, high=40))
+    for series in (long, long.truncate(order)):
+        want = TS(m, [c.scale(q ** n) for n, c in enumerate(series.coeffs)])
+        assert series.scale_variable(q)._rows() == want._rows()
+
+
 def test_shift_and_truncate():
     a = TS(1, [1, 2])
     shifted = a.shift_up(2)
@@ -304,20 +318,27 @@ def test_closed_forms_multiply_every_ordering(monkeypatch):
     # keyed on the multiset of w would make that comparison vacuous, so each
     # ordering must multiply all of its CLOSED_FORMS row's factors
     calls = []
-    product = TS.__mul__
+    product, mul_exp = TS.__mul__, TS.mul_exp
 
     def counting(self, other):
         calls.append(1)
         return product(self, other)
 
+    def counting_exp(self, c):
+        if c:
+            calls.append(1)
+        return mul_exp(self, c)
+
     monkeypatch.setattr(TS, "__mul__", counting)
+    monkeypatch.setattr(TS, "mul_exp", counting_exp)
     chi, twist = trivial_character(1), TwistSpec(7, 1)
     ctx = EvalContext(chi, twist)
     y = (Fraction(1, 2), Fraction(2), Fraction(3, 5))
     for qt, row in CLOSED_FORMS.items():
         w = (1, 2, 3)[: qt.arity]
-        # exp(c*(y_1+..)*t) is a factor where the type has y variables (the
-        # y values here are positive, so c*(y_1+..) != 0)
+        # exp(c*(y_1+..)*t) is a factor, applied by mul_exp, where the type
+        # has y variables (the y values here are positive, so
+        # c*(y_1+..) != 0)
         factors = len(row.chars) + len(row.numer) + (1 if row.ymul and row.y_count else 0) \
             + len(row.inverted)
         seen = []
