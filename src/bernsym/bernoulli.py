@@ -86,14 +86,16 @@ def character_sum_series(chi: DirichletCharacter, twist: TwistSpec, w: int,
                          order: int, m: int | None = None, t_scale: int = 1,
                          upper: int | None = None) -> TruncatedSeries:
     """sum_{a<upper} chi(a) xi^{w a} e^{a t_scale t} truncated at `order`;
-    `upper` defaults to the modulus d.  The d terms are summed once per
+    `upper` defaults to the modulus d.  Each weight chi(a) xi^(wa) is read
+    from its class (`_class_weights`), and the terms are summed once per
     coefficient, in integers (`TruncatedSeries.exp_sum`)."""
     m = m or field_conductor(chi, twist)
+    weights = _class_weights(chi, twist, w % twist.r)
     terms = []
     for a in range(chi.d if upper is None else upper):
-        val = chi(a)
-        if not val.is_zero():
-            terms.append((val.embed(m) * twist.root_power(w * a, m), a * t_scale))
+        weight = weights[a % len(weights)]
+        if not weight.is_zero():
+            terms.append((weight.embed(m), a * t_scale))
     return TruncatedSeries.exp_sum(terms, order, m)
 
 

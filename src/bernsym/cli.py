@@ -309,8 +309,12 @@ def parse_grid_file(path: str) -> tuple[GridConfig, str]:
     Keys mirror the grid configuration: theorems, d, chars, char_labels,
     r, j, w_components, n_max, modes, format.
     """
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ParameterError(f"cannot read grid file {path!r}: {exc.strerror or exc}") from None
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with handle:
         for raw in handle:
             line = raw.split("#", 1)[0].strip()
             if not line:

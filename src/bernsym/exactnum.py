@@ -5,7 +5,10 @@ represented on the power basis 1, zeta_m, ..., zeta_m^{phi(m)-1} as the
 canonical remainder modulo the m-th cyclotomic polynomial, stored as one
 integer coefficient vector over a common positive denominator.  The
 representation is unique, so equality is componentwise; there is no
-floating point anywhere.
+floating point anywhere.  An element x of Z[zeta_m] is inverted through
+x * adj(x) = N(x), adj(x) the product of the other Galois conjugates of x
+and N(x) its norm, a rational integer (`_adjugate`); the p-adic ring of
+`bernsym.padic` inverts with the same pair.
 
 `Rational` is an alias for `fractions.Fraction`, which already provides the
 required canonical form (reduced, positive denominator).
@@ -142,42 +145,60 @@ def _vec_mul_mod(m: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
+    """Integer vectors of zeta_m^k reduced modulo Phi_m, for k = 0 .. m - 1:
+    each row is the one before times x, its x^phi coefficient folded back."""
+    phi = euler_phi(m)
+    base = _reduction_rows(m)[0]
+    rows = [(1,) + (0,) * (phi - 1)]
+    for _ in range(m - 1):
+        prev = rows[-1]
+        top = prev[-1]
+        rows.append(tuple(s + top * b for s, b in zip((0,) + prev[:-1], base)))
+    return tuple(rows)
+
+
+def _power_vec(m: int, k: int) -> tuple[int, ...]:
+    """Integer vector of zeta_m^k reduced modulo Phi_m."""
+    return _power_table(m)[k % m]
+
+
+@lru_cache(maxsize=None)
 def _embed_rows(m: int, big: int) -> tuple[tuple[int, ...], ...]:
     """Image of the basis powers zeta_m^i inside Q(zeta_big), m | big."""
     if big % m:
         raise ValueError(f"conductor {m} does not divide {big}")
     step = big // m
-    phi_m = euler_phi(m)
-    phi_big = euler_phi(big)
-    rows = []
-    cur = [1] + [0] * (phi_big - 1)
-    gen = _power_vec(big, step)
-    for i in range(phi_m):
-        rows.append(tuple(cur))
-        if i + 1 < phi_m:
-            cur = _vec_mul_mod(big, cur, gen)
-    return tuple(rows)
+    return tuple(_power_vec(big, i * step) for i in range(euler_phi(m)))
 
 
-def _power_vec(m: int, k: int) -> list[int]:
-    """Integer vector of zeta_m^k reduced modulo Phi_m."""
-    phi = euler_phi(m)
-    k %= m
-    if k < phi:
-        vec = [0] * phi
-        vec[k] = 1
-        return vec
-    vec = [0] * phi
-    vec[phi - 1] = 1
-    rows = _reduction_rows(m)
-    for _ in range(k - (phi - 1)):
-        top = vec[phi - 1]
-        vec = [0] + vec[:-1]
-        if top:
-            row = rows[0]
-            for i in range(phi):
-                vec[i] += top * row[i]
-    return vec
+def _combine_rows(num: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
+    """sum_i num[i] * rows[i], the image of `num` under the linear map whose
+    basis images are `rows`."""
+    out = [0] * len(rows[0])
+    for c, row in zip(num, rows):
+        if c:
+            for i, e in enumerate(row):
+                out[i] += c * e
+    return out
+
+
+def _adjugate(m: int, num: Sequence[int]) -> tuple[list[int], int]:
+    """(adj, N) with x * adj = N for the element x of Z[zeta_m] with integer
+    vector `num`: adj is the product of the other Galois conjugates of x,
+    sigma_k(x) with zeta_m -> zeta_m^k for k in (Z/m)*, k != 1, and N is the
+    norm of x, a rational integer (zero exactly when x is)."""
+    table = _power_table(m)
+    phi = len(num)
+    adj = [1] + [0] * (phi - 1)
+    for k in range(2, m):
+        if math.gcd(k, m) == 1:
+            conj = _combine_rows(num, [table[i * k % m] for i in range(phi)])
+            adj = _vec_mul_mod(m, adj, conj)
+    norm = _vec_mul_mod(m, num, adj)
+    if any(norm[1:]):
+        raise ArithmeticError(f"x * adj(x) is not rational in Q(zeta_{m})")
+    return adj, norm[0]
 
 
 def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -267,14 +288,7 @@ class CyclotomicNumber:
         """Image under the ring embedding zeta_m -> zeta_big^(big/m)."""
         if big == self.m:
             return self
-        rows = _embed_rows(self.m, big)
-        phi_big = len(rows[0])
-        out = [0] * phi_big
-        for c, row in zip(self.num, rows):
-            if c:
-                for i in range(phi_big):
-                    out[i] += c * row[i]
-        return CyclotomicNumber(big, out, self.den)
+        return CyclotomicNumber(big, _combine_rows(self.num, _embed_rows(self.m, big)), self.den)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -334,9 +348,8 @@ class CyclotomicNumber:
         if self.is_rational():
             q = Fraction(self.num[0], self.den)
             return CyclotomicNumber.from_rational(1 / q, self.m)
-        inv = _inverse_vec(self.m, self.num)
-        # inv is the inverse of the integer-vector part; restore denominator
-        return inv.scale(self.den)
+        adj, norm = _adjugate(self.m, self.num)
+        return CyclotomicNumber(self.m, [a * self.den for a in adj], norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -419,73 +432,6 @@ def _to_common(a: CyclotomicNumber, b: CyclotomicNumber) -> tuple[CyclotomicNumb
         return a, b
     big = math.lcm(a.m, b.m)
     return a.embed(big), b.embed(big)
-
-
-def _inverse_vec(m: int, num: Sequence[int]) -> CyclotomicNumber:
-    """Inverse of the element with integer vector `num` via extended gcd of
-    its representative polynomial with Phi_m over the rationals."""
-    mod = [Fraction(c) for c in cyclotomic_polynomial(m)]
-    a = [Fraction(c) for c in num]
-    # extended Euclid keeping only the coefficient of `a`
-    r0, r1 = mod, list(a)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while True:
-        while len(r1) > 1 and r1[-1] == 0:
-            r1.pop()
-        if len(r1) == 1 and r1[0] == 0:
-            raise CycDivisionError(f"division by zero in Q(zeta_{m})")
-        if len(r1) == 1:
-            c = r1[0]
-            u = [x / c for x in s1]
-            break
-        q, r = _qpoly_divmod(r0, r1)
-        s = _qpoly_sub(s0, _qpoly_mul(q, s1))
-        r0, s0, r1, s1 = r1, s1, r, s
-    # reduce u modulo Phi_m and convert to integer vector over one denominator
-    if len(u) >= len(mod):
-        _, u = _qpoly_divmod(u, mod)
-    phi = euler_phi(m)
-    u = (u + [Fraction(0)] * phi)[:phi]
-    den = math.lcm(*(f.denominator for f in u))
-    return CyclotomicNumber(m, [f.numerator * (den // f.denominator) for f in u], den)
-
-
-def _qpoly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = list(num)
-    while len(den) > 1 and den[-1] == 0:
-        den = den[:-1]
-    dden = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(1, len(num) - dden)
-    for k in range(len(num) - 1, dden - 1, -1):
-        c = num[k]
-        if c == 0:
-            continue
-        q = c / lead
-        quot[k - dden] = q
-        for i, dc in enumerate(den):
-            num[k - dden + i] -= q * dc
-    rem = num[:dden] or [Fraction(0)]
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
-
-
-def _qpoly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _qpoly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 def linear_combination(terms: Iterable[tuple[Scalar, CyclotomicNumber]], m: int) -> CyclotomicNumber:

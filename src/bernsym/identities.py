@@ -25,7 +25,6 @@ no y-polynomial is spread.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -163,8 +162,7 @@ class TheoremInstance:
 
     def validate(self) -> None:
         thm = self.theorem_spec()
-        if math.gcd(self.r, self.d) != 1:
-            raise ParameterError(f"gcd(r, d) = gcd({self.r}, {self.d}) != 1")
+        self.twist().require_coprime(self.d)
         if len(self.w) != thm.arity:
             raise ParameterError(f"theorem {self.theorem} needs {thm.arity} w components")
         if any(x < 1 for x in self.w):

@@ -2,15 +2,18 @@
 
 Elements live in Z[x]/(Phi_r(x), p^M) with gcd(r, p) = 1, which avoids
 factoring Phi_r mod p; the coefficientwise valuation is the minimum over
-the ring's components and suffices for convergence checks.  The measure
-assigns a residue class a + d p^N Z_p the value z^a / (z^(d p^N) - 1) with
-z the image of the twist root, and integrals are finite Riemann sums over
-residue classes whose p-adic limits are checked against the algebraic
-Bernoulli moments.  A level-N sum groups its d p^N residues by class mod
-lcm(r, character modulus): f is summed in integers mod p^M within each
-class, and only the class totals meet ring arithmetic.  A level's cost is
-its residues times the deg f + 1 Horner steps each takes; a level over
-MAX_HORNER_STEPS steps is refused before any work.
+the ring's components and suffices for convergence checks.  An element is
+inverted as adj(x) N(x)^-1 mod p^M, with the adjugate and norm of its
+integer representative in Z[zeta_r]; it is a unit exactly when p does not
+divide N(x).  The measure assigns a residue class a + d p^N Z_p the value
+z^a / (z^(d p^N) - 1) with z the image of the twist root, and integrals
+are finite Riemann sums over residue classes whose p-adic limits are
+checked against the algebraic Bernoulli moments.  A level-N sum groups its
+d p^N residues by class mod lcm(r, character modulus): f is summed in
+integers mod p^M within each class, and only the class totals meet ring
+arithmetic.  A level's cost is its residues times the deg f + 1 Horner
+steps each takes; a level over MAX_HORNER_STEPS steps is refused before
+any work.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Optional, Sequence
 
 from .bernoulli import ParameterError, TwistSpec, gen_bernoulli_numbers
 from .dirichlet import DirichletCharacter
-from .exactnum import CyclotomicNumber, _power_vec, _vec_mul_mod, cyclotomic_polynomial, euler_phi
+from .exactnum import CyclotomicNumber, _adjugate, _power_vec, _vec_mul_mod, euler_phi
 
 DEFAULT_PRECISION = 40
 GUARD_BAND = 4
@@ -133,20 +136,16 @@ class PadicCycNumber:
         return out
 
     def inverse(self) -> "PadicCycNumber":
-        """Invert via gcd with Phi_r over GF(p), then Hensel lifting to p^M."""
-        p, M, r = self.ctx.p, self.ctx.M, self.ctx.r
-        inv_mod_p = _invert_mod_p(self.coeffs, r, p)
-        if inv_mod_p is None:
+        """adj(x) / N(x) mod p^M, with adj(x) the product of the other
+        Galois conjugates of x and N(x) its norm (`exactnum._adjugate`):
+        x is a unit exactly when p does not divide N(x)."""
+        p, r = self.ctx.p, self.ctx.r
+        adj, norm = _adjugate(r, self.coeffs)
+        if norm % p == 0:
             raise NonUnitInverseError(
-                f"element shares a factor with Phi_{r} mod {p}; not a unit"
+                f"the element's norm is divisible by p={p}; not a unit mod (Phi_{r}, {p})"
             )
-        x = PadicCycNumber(self.ctx, inv_mod_p)
-        two = self.ctx.one() * 2
-        precision = 1
-        while precision < M:
-            x = x * (two - self * x)
-            precision *= 2
-        return x
+        return PadicCycNumber(self.ctx, adj) * pow(norm, -1, self.ctx.modulus)
 
     def valuation(self) -> int:
         """Largest k <= M with p^k dividing every coefficient."""
@@ -174,51 +173,6 @@ class PadicCycNumber:
 
     def __repr__(self):
         return f"PadicCycNumber(p={self.ctx.p}, M={self.ctx.M}, r={self.ctx.r}, {list(self.coeffs)})"
-
-
-def _gfp_trim(poly: list[int]) -> list[int]:
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    return poly
-
-
-def _gfp_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
-    rem = list(num)
-    q = [0] * max(1, len(rem) - len(den) + 1)
-    lead_inv = pow(den[-1], -1, p)
-    for k in range(len(rem) - 1, len(den) - 2, -1):
-        c = rem[k]
-        if c == 0:
-            continue
-        factor = (c * lead_inv) % p
-        q[k - len(den) + 1] = factor
-        for i, dc in enumerate(den):
-            rem[k - len(den) + 1 + i] = (rem[k - len(den) + 1 + i] - factor * dc) % p
-    return q, _gfp_trim(rem[: len(den) - 1] or [0])
-
-
-def _invert_mod_p(coeffs: Sequence[int], r: int, p: int) -> Optional[tuple[int, ...]]:
-    """Inverse of the representative modulo (Phi_r, p), or None if not a unit."""
-    phi = euler_phi(r)
-    mod_poly = [c % p for c in cyclotomic_polynomial(r)]
-    r0, r1 = mod_poly, _gfp_trim([c % p for c in coeffs])
-    s0, s1 = [0], [1]
-    while len(r1) > 1:
-        q, rem = _gfp_divmod(r0, r1, p)
-        s = [0] * max(len(s0), len(q) + len(s1) - 1)
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    s[i + j] = (s[i + j] - qc * sc) % p
-        for i, sc in enumerate(s0):
-            s[i] = (s[i] + sc) % p
-        r0, s0, r1, s1 = r1, s1, rem, _gfp_trim(s)
-    if r1 == [0]:
-        return None
-    inv_c = pow(r1[0], -1, p)
-    u = [(inv_c * c) % p for c in s1]
-    u = (u + [0] * phi)[:phi]
-    return tuple(u)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bernoulli import ParameterError, TwistSpec, bernoulli_egf, character_sum_series, twisted_exp_minus_one
+from .bernoulli import (ParameterError, TwistSpec, bernoulli_egf, character_sum_series, field_conductor,
+                        twisted_exp_minus_one)
 from .dirichlet import DirichletCharacter
 from .exactnum import CyclotomicNumber
 from .series import NonUnitConstantError, TruncatedSeries
@@ -342,7 +343,7 @@ class EvalContext:
         self.twist = twist
         self.d = chi.d
         self.r = twist.r
-        self.m = math.lcm(twist.r, chi.order)
+        self.m = field_conductor(chi, twist)
         self._begf: dict[int, TruncatedSeries] = {}
         self._bser: dict[tuple, TruncatedSeries] = {}
         self._sser: dict[tuple, TruncatedSeries] = {}

@@ -300,8 +300,10 @@ def test_grid_file_parsing_errors(tmp_path):
     code, _, err = run_cli(["audit", "--grid-file", str(bad)])
     assert code == 2 and "nonsense_key" in err
     missing = tmp_path / "missing.cfg"
-    code, _, _ = run_cli(["audit", "--grid-file", str(missing)])
-    assert code == 3  # i/o failure
+    code, out, err = run_cli(["audit", "--grid-file", str(missing)])
+    assert code == 2  # the user named a file that is not there
+    assert err.startswith("error: cannot read grid file") and str(missing) in err
+    assert out == ""
 
 
 def test_grid_file_explicit_chars(tmp_path):

@@ -50,13 +50,36 @@ def test_inverse_example():
     assert z3m1 * inv == CTX.one()
     assert z3m1.inverse() == inv
     # norm of zeta_3 - 1 is 3, a unit mod 5
+    # random round trips; (Z/12)* is not cyclic, so r = 12 takes the
+    # adjugate over a non-cyclic Galois group
+    for p, r in [(5, 3), (7, 4), (11, 7), (13, 12)]:
+        ctx = PadicContext(p, 30, r)
+        rng = random.Random(p * 100 + r)
+        inverted = 0
+        for _ in range(20):
+            x = PadicCycNumber(ctx, [rng.randrange(ctx.modulus) for _ in range(ctx.degree)])
+            try:
+                inv = x.inverse()
+            except NonUnitInverseError:
+                continue
+            assert x * inv == ctx.one() == inv * x, (p, r)
+            inverted += 1
+        # a random element lies in one of the at most phi(r) primes above p,
+        # each of index p^f, with probability at most phi(r)/p (4/13 at r = 12)
+        assert inverted >= 10, (p, r)
 
 
-def test_non_unit_inverse():
-    # 5 itself is not a unit mod 5^M
-    five = CTX.one() * 5
+@pytest.mark.parametrize("p,r,coeffs", [
+    (5, 3, (5, 0)),     # 5 itself is not a unit mod 5^M
+    (7, 3, (-2, 1)),    # zeta_3 - 2: norm Phi_3(2) = 7, and 7 splits in Q(zeta_3)
+    (13, 12, (-2, 1, 0, 0)),   # zeta_12 - 2: norm Phi_12(2) = 13
+    (11, 5, (-3, 1, 0, 0)),    # zeta_5 - 3: norm Phi_5(3) = 11^2
+], ids=["5-mod-5", "zeta3-2-mod-7", "zeta12-2-mod-13", "zeta5-3-mod-11"])
+def test_non_unit_inverse(p, r, coeffs):
+    # the last three are not divisible by p, yet lie in a prime above it
+    x = PadicCycNumber(PadicContext(p, 20, r), coeffs)
     with pytest.raises(NonUnitInverseError):
-        five.inverse()
+        x.inverse()
 
 
 def test_valuation_shift():
