@@ -83,9 +83,9 @@ def twisted_exp_minus_one(twist: TwistSpec, x: int, s: int, order: int, m: int) 
 
 
 def character_sum_series(chi: DirichletCharacter, twist: TwistSpec, w: int,
-                         order: int, m: int | None = None, t_scale: int = 1,
+                         order: int, m: int | None = None,
                          upper: int | None = None) -> TruncatedSeries:
-    """sum_{a<upper} chi(a) xi^{w a} e^{a t_scale t} truncated at `order`;
+    """sum_{a<upper} chi(a) xi^{w a} e^{a t} truncated at `order`;
     `upper` defaults to the modulus d.  Each weight chi(a) xi^(wa) is read
     from its class (`_class_weights`), and the terms are summed once per
     coefficient, in integers (`TruncatedSeries.exp_sum`)."""
@@ -95,7 +95,7 @@ def character_sum_series(chi: DirichletCharacter, twist: TwistSpec, w: int,
     for a in range(chi.d if upper is None else upper):
         weight = weights[a % len(weights)]
         if not weight.is_zero():
-            terms.append((weight.embed(m), a * t_scale))
+            terms.append((weight.embed(m), a))
     return TruncatedSeries.exp_sum(terms, order, m)
 
 

@@ -45,6 +45,7 @@ from .quotients import (
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 INTERNAL_ERROR = 3
+FORMATS = ("json", "csv", "pretty")
 
 
 def _parse_int(text: str) -> int:
@@ -115,7 +116,7 @@ def _add_common(parser, include_char=True):
                             help="character exponent label, comma separated (default: trivial)")
     parser.add_argument("--r", type=int, required=True, help="order of the twist root")
     parser.add_argument("--j", type=int, default=1, help="twist root is zeta_r^j")
-    parser.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
+    parser.add_argument("--format", choices=FORMATS, default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chars", help="list Dirichlet characters mod d")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--primitive-only", action="store_true")
-    p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
+    p.add_argument("--format", choices=FORMATS, default="json")
 
     p = sub.add_parser("quotient", help="closed-form series of a quotient type")
     _add_common(p)
@@ -167,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="run a verification grid from a config file")
     p.add_argument("--grid-file", required=True)
-    p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
+    p.add_argument("--format", choices=FORMATS, default="json")
 
     p = sub.add_parser("padic", help="finite-level Riemann sums against Bernoulli moments")
     p.add_argument("--p", type=int, required=True)
@@ -178,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--char", default=None)
     p.add_argument("--n", type=int, required=True, help="moment index")
     p.add_argument("--levels", type=int, default=4, help="check levels 1..K")
-    p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
+    p.add_argument("--format", choices=FORMATS, default="json")
     return parser
 
 
@@ -303,6 +304,26 @@ def _cmd_verify(args, out) -> int:
     return 0 if report.passed else VERIFY_ERROR
 
 
+def _parse_char_labels(text: str) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """'d:label; d:label; ..' as (d, exponent label) pairs."""
+    items = (item.partition(":") for item in text.split(";") if item.strip())
+    return tuple((_parse_int(dpart), _parse_char_label(lab)) for dpart, _, lab in items)
+
+
+# grid-file key -> (GridConfig field, parser of its value), parsed in this order
+_GRID_KEYS = {
+    "theorems": ("theorems", _parse_int_list),
+    "d": ("d_values", _parse_int_list),
+    "r": ("r_values", _parse_int_list),
+    "j": ("j_values", _parse_int_list),
+    "w_components": ("w_components", _parse_int_list),
+    "n_max": ("n_max", _parse_int),
+    "modes": ("modes", lambda text: tuple(m.strip() for m in text.split(","))),
+    "chars": ("char_filter", str),
+    "char_labels": ("char_labels", _parse_char_labels),
+}
+
+
 def parse_grid_file(path: str) -> tuple[GridConfig, str]:
     """Flat key = value text: lists are comma separated, comments with '#'.
 
@@ -313,43 +334,24 @@ def parse_grid_file(path: str) -> tuple[GridConfig, str]:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ParameterError(f"cannot read grid file {path!r}: {exc.strerror or exc}") from None
-    values: dict[str, str] = {}
     with handle:
-        for raw in handle:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"malformed grid line {raw.strip()!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"cannot read grid file {path!r}: {exc}") from None
+    values: dict[str, str] = {}
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, val = line.partition("=")
+        if not eq:
+            raise ParameterError(f"malformed grid line {raw.strip()!r}")
+        values[key.strip()] = val.strip()
     fmt = values.pop("format", "json")
-    kwargs = {}
-    if "theorems" in values:
-        kwargs["theorems"] = _parse_int_list(values.pop("theorems"))
-    if "d" in values:
-        kwargs["d_values"] = _parse_int_list(values.pop("d"))
-    if "r" in values:
-        kwargs["r_values"] = _parse_int_list(values.pop("r"))
-    if "j" in values:
-        kwargs["j_values"] = _parse_int_list(values.pop("j"))
-    if "w_components" in values:
-        kwargs["w_components"] = _parse_int_list(values.pop("w_components"))
-    if "n_max" in values:
-        kwargs["n_max"] = _parse_int(values.pop("n_max"))
-    if "modes" in values:
-        kwargs["modes"] = tuple(m.strip() for m in values.pop("modes").split(","))
-    if "chars" in values:
-        kwargs["char_filter"] = values.pop("chars")
-    if "char_labels" in values:
-        labels = []
-        for item in values.pop("char_labels").split(";"):
-            item = item.strip()
-            if not item:
-                continue
-            dpart, _, lab = item.partition(":")
-            labels.append((_parse_int(dpart), _parse_char_label(lab)))
-        kwargs["char_labels"] = tuple(labels)
+    if fmt not in FORMATS:
+        raise ParameterError(f"unknown grid format {fmt!r}; expected one of {list(FORMATS)}")
+    kwargs = {field: parse(values.pop(key)) for key, (field, parse) in _GRID_KEYS.items() if key in values}
     if values:
         raise ParameterError(f"unknown grid keys: {sorted(values)}")
     return GridConfig(**kwargs), fmt

@@ -276,13 +276,12 @@ def _side_series(inst: TheoremInstance, ctx: EvalContext,
     for idx, sig in enumerate(thm.sigmas):
         w = perm_apply(sig, inst.w)
         if idx == 0 and mutation is not None:
-            sides.append(side_series(thm.base, w, ctx, inst.n_max,
-                                     mutation=mutation, check=False))
+            sides.append(side_series(thm.base, w, ctx, inst.n_max, mutation=mutation))
             continue
         key = (thm.base.form_id, w, inst.n_max)
         side = ctx.side_memo.get(key)
         if side is None:
-            side = ctx.side_memo[key] = side_series(thm.base, w, ctx, inst.n_max, check=False)
+            side = ctx.side_memo[key] = side_series(thm.base, w, ctx, inst.n_max)
         sides.append(side)
     return sides
 
@@ -440,9 +439,8 @@ _DUP_BS = ExpansionForm(_THM7_BASE.qt, 91,
                         (_THM7_BASE.slots[0], _THM7_BASE.slots[2], _THM7_BASE.slots[1]))
 _DUP_SSS_A = ExpansionForm(_THM11_BASE.qt, 92, _rot(_THM11_BASE.slots, 1))
 _DUP_SSS_B = ExpansionForm(_THM11_BASE.qt, 93,
-                           (SSlot(upper=_E3, twist=_E1, t_scale=_E1),
-                            SSlot(upper=_E2, twist=_E3, t_scale=_E3),
-                            SSlot(upper=_E1, twist=_E2, t_scale=_E2)))
+                           (SSlot(upper=_E3, twist=_E1), SSlot(upper=_E2, twist=_E3),
+                            SSlot(upper=_E1, twist=_E2)))
 _DUP_SSS_C = ExpansionForm(_THM11_BASE.qt, 94, _rot(_DUP_SSS_B.slots, 1))
 
 
@@ -478,7 +476,7 @@ def redundancy_check(w: Sequence[int], chi: DirichletCharacter, twist: TwistSpec
     report = RedundancyReport(w, n_max)
 
     def side(form, wp):
-        return side_series(form, wp, ctx, n_max, check=False)
+        return side_series(form, wp, ctx, n_max)
 
     # three-variable B*S*S displays against the Thm-7 sides
     thm7_sigmas = THEOREMS[7].sigmas
@@ -526,6 +524,18 @@ class GridConfig:
         for mode in self.modes:
             if mode not in ("as-stated", "normalized"):
                 raise ParameterError(f"unknown mode {mode!r}")
+        # count a repeated mode once, as grid_instances dedups every other list
+        object.__setattr__(self, "modes", tuple(dict.fromkeys(self.modes)))
+        # values that leave nothing to verify are the user's error, not skips
+        if self.n_max < 0:
+            raise ParameterError("n_max must be nonnegative")
+        if min(self.w_components) < 1:
+            raise ParameterError("w components must be positive integers")
+        if min(self.r_values) < 2:
+            raise ParameterError("twist root must differ from 1 (r >= 2)")
+        if self.char_filter not in ("all", "primitive-only", "explicit"):
+            raise ParameterError(f"unknown character filter {self.char_filter!r}; "
+                                 "expected all, primitive-only or explicit")
 
     def characters(self, d: int) -> list[DirichletCharacter]:
         if self.char_filter == "explicit":

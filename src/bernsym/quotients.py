@@ -1,25 +1,30 @@
 """Quotient types, their closed-form series, and the structured expansions.
 
 Each quotient type (two-variable G0..G2, three-variable L23, L13, L12) is
-one closed form
+one closed form, a product of one Koblitz-measure integral
+int chi(x) xi^(Wx) e^(Wxt) dmu = (Wt) * T_W/D_W per variable W:
 
-    t^s * prod_W T_W * prod_V D_V * exp(c*(y_1+..+y_k)*t) / prod_U D_U,
+    t^s * prod_W (T_W/D_W) * prod_V D_V * exp(c*(y_1+..+y_k)*t),
     T_W = sum_{a<d} chi(a) xi^(aW) e^(aWt),   D_W = xi^(dW) e^(dWt) - 1,
 
-read from one table row (`ClosedForm`): the monomials W of the character
-sums, V of the numerator D factors, the y-multiplier monomials summing to
-c, and U of the inverted D factors, with s = len(U) - len(V).  The row
-also gives the type's arity, y-count and conditions.
+read from one table row (`ClosedForm`): the monomials W, V of the
+numerator D factors and the y-multiplier monomials summing to c, with
+s = len(W) - len(V).  The row also gives the type's arity, y-count and
+conditions.  Each T_W/D_W is one cached factor built from T_W and D_W,
+never from the expansions' Bernoulli series, so the reconciliation below
+compares two independent computations.
 
 Each type has one or more expansion forms.  An expansion form is pure
 data: a list of slots, each contributing one EGF factor in (T*t)^k/k!,
+T its twist monomial:
 
-  * a B slot:  B_i(chi, xi^tw)(A*y_v + f_1*a_1 + .. + f_j*a_j), under j
-    a-sums  sum_{a_l < d*U_l} chi(a_l) xi^(a_l*X_l);
-  * an S slot: S_k(d*U - 1; chi, xi^tw),
+  * an S slot: S_k(d*U - 1; chi, xi^T);
+  * a B slot:  B_i(chi, xi^T)(A*y_v + f_1*a_1 + .. + f_j*a_j), under j
+    a-sums, the S slots (U_l, X_l) it absorbs: sum_{a_l < d*U_l} chi(a_l)
+    xi^(a_l*X_l), with f_l = A/U_l,
 
-where every tw, T, A, U, X is a monomial in the w parameters and every f
-a ratio of two.  Every slot's EGF factor is P_s(t) * exp(c_s*y_v*t):
+where every T, A, U, X is a monomial in the w parameters.  Every slot's
+EGF factor is P_s(t) * exp(c_s*y_v*t):
 
   * B slot: P_s = sum_i B_i (T*t)^i/i! * prod_l sum_p S_p (f_l*T*t)^p/p!,
     c_s = A*T, the power sums taken over the a-sums' ranges and twists;
@@ -108,30 +113,23 @@ def perm_monomial(sigma: Sequence[int], mono: Mono) -> Mono:
 
 
 @dataclass(frozen=True)
-class ASumSpec:
-    """sum_{a < d*upper} chi(a) xi^(a*xi_exp) applied to a B slot, shifting
-    its argument by (frac_num/frac_den) * a."""
+class SSlot:
+    """S_k(d*upper - 1; chi, xi^twist) with t -> twist*t.  Absorbed into a B
+    slot it is an a-sum, sum_{a < d*upper} chi(a) xi^(a*twist)."""
 
     upper: Mono
-    xi_exp: Mono
-    frac_num: Mono
-    frac_den: Mono
+    twist: Mono
 
 
 @dataclass(frozen=True)
 class BSlot:
+    """B_i(chi, xi^twist)(arg_scale*y_v + sum_l (arg_scale/upper_l)*a_l)
+    with t -> twist*t, under the a-sums of `asums`."""
+
     twist: Mono
-    t_scale: Mono
     arg_scale: Mono
     y_var: int
-    asums: tuple[ASumSpec, ...] = ()
-
-
-@dataclass(frozen=True)
-class SSlot:
-    upper: Mono
-    twist: Mono
-    t_scale: Mono
+    asums: tuple[SSlot, ...] = ()
 
 
 Slot = BSlot | SSlot
@@ -169,18 +167,18 @@ class QuotientType:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """t^shift * prod T_W * prod D_V * exp(sum(ymul)*(y_1+..+y_{y_count})*t)
-    / prod D_U over W in chars, V in numer, U in inverted."""
+    """t^shift * prod (T_W/D_W) * prod D_V * exp(sum(ymul)*(y_1+..+y_{y_count})*t)
+    over W in chars, V in numer, with shift = #chars - #numer: one factor
+    (Wt)^-1 * int chi(x) xi^(Wx) e^(Wxt) dmu per W."""
 
     y_count: int
     chars: tuple[Mono, ...]
     numer: tuple[Mono, ...]
     ymul: tuple[Mono, ...]
-    inverted: tuple[Mono, ...]
 
     @property
     def shift(self) -> int:
-        return len(self.inverted) - len(self.numer)
+        return len(self.chars) - len(self.numer)
 
     @functools.cached_property
     def arity(self) -> int:
@@ -189,9 +187,9 @@ class ClosedForm:
     @functools.cached_property
     def conditions(self) -> tuple[Mono, ...]:
         """Every D factor must be a unit, i.e. r divides no D monomial.  Each
-        inverted monomial divides a numerator one, so the numerator
-        monomials, where there are any, carry all the conditions."""
-        return tuple(dict.fromkeys(self.numer or self.inverted))
+        char monomial divides a numerator one, so the numerator monomials,
+        where there are any, carry all the conditions."""
+        return tuple(dict.fromkeys(self.numer or self.chars))
 
 
 _E1, _E2, _E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -201,12 +199,11 @@ _E, _P = (_E1, _E2, _E3), (_P1, _P2, _P3)
 _W1, _W2, _W12 = (1, 0), (0, 1), (1, 1)
 
 CLOSED_FORMS: dict[QuotientType, ClosedForm] = {
-    **{QuotientType("G", i): ClosedForm(2 - i, (_W1, _W2), (_W12,) * i, (_W12,), (_W1, _W2))
-       for i in range(3)},
-    **{QuotientType("L23", i): ClosedForm(3 - i, _P, (_Q,) * i, (_Q,), _P) for i in range(4)},
-    **{QuotientType("L13", i): ClosedForm(3 - i, _E, (_Q,) * i, (_Q,), _E) for i in range(4)},
-    QuotientType("L12", 0): ClosedForm(1, _E, (), _P, _E),
-    QuotientType("L12", 1): ClosedForm(0, _E, _P, (), _E),
+    **{QuotientType("G", i): ClosedForm(2 - i, (_W1, _W2), (_W12,) * i, (_W12,)) for i in range(3)},
+    **{QuotientType("L23", i): ClosedForm(3 - i, _P, (_Q,) * i, (_Q,)) for i in range(4)},
+    **{QuotientType("L13", i): ClosedForm(3 - i, _E, (_Q,) * i, (_Q,)) for i in range(4)},
+    QuotientType("L12", 0): ClosedForm(1, _E, (), _P),
+    QuotientType("L12", 1): ClosedForm(0, _E, _P, ()),
 }
 
 
@@ -221,11 +218,9 @@ class ExpansionForm:
         return f"{self.qt.name}-form-{self.form_no}"
 
     def weight_mono(self) -> Mono:
-        out = (0,) * self.qt.arity
-        for slot in self.slots:
-            if isinstance(slot, BSlot):
-                out = mono_mul(out, slot.twist)
-        return out
+        """The product of the form's B-slot twist monomials."""
+        twists = (slot.twist for slot in self.slots if isinstance(slot, BSlot))
+        return functools.reduce(mono_mul, twists, (0,) * self.qt.arity)
 
 
 def form_weight(form: ExpansionForm, w: Sequence[int]) -> int:
@@ -241,26 +236,9 @@ def _l13_sub(mono: Mono) -> Mono:
 
 def _derive_l13_slot(slot: Slot) -> Slot:
     if isinstance(slot, SSlot):
-        return SSlot(
-            upper=_l13_sub(slot.upper),
-            twist=_l13_sub_q(slot.twist),
-            t_scale=_l13_sub_q(slot.t_scale),
-        )
-    return BSlot(
-        twist=_l13_sub_q(slot.twist),
-        t_scale=_l13_sub_q(slot.t_scale),
-        arg_scale=_l13_sub(slot.arg_scale),
-        y_var=slot.y_var,
-        asums=tuple(
-            ASumSpec(
-                upper=_l13_sub(s.upper),
-                xi_exp=_l13_sub_q(s.xi_exp),
-                frac_num=_l13_sub(s.frac_num),
-                frac_den=_l13_sub(s.frac_den),
-            )
-            for s in slot.asums
-        ),
-    )
+        return SSlot(_l13_sub(slot.upper), _l13_sub_q(slot.twist))
+    return BSlot(_l13_sub_q(slot.twist), _l13_sub(slot.arg_scale), slot.y_var,
+                 tuple(map(_derive_l13_slot, slot.asums)))
 
 
 def _l13_sub_q(mono: Mono) -> Mono:
@@ -273,23 +251,15 @@ def _l13_sub_q(mono: Mono) -> Mono:
 
 
 def _build_forms() -> dict[str, tuple[ExpansionForm, ...]]:
-    def b(twist: Mono, arg: Mono, y_var: int) -> BSlot:
-        return BSlot(twist=twist, t_scale=twist, arg_scale=arg, y_var=y_var)
-
-    def s(upper: Mono, twist: Mono) -> SSlot:
-        return SSlot(upper=upper, twist=twist, t_scale=twist)
-
     def absorb(bslot: BSlot, *sslots: SSlot) -> BSlot:
         """The B slot with each S slot S(d*U - 1; xi^X) moved into its
-        argument: an a-sum over a < d*U with xi^(aX), shifting it by A/U * a."""
-        return replace(bslot, asums=tuple(
-            ASumSpec(upper=x.upper, xi_exp=x.twist, frac_num=bslot.arg_scale, frac_den=x.upper)
-            for x in sslots))
+        argument as an a-sum over a < d*U with xi^(aX)."""
+        return replace(bslot, asums=sslots)
 
-    gb = (b(_W1, _W2, 0), b(_W2, _W1, 1))
-    gs = (s(_W2, _W1), s(_W1, _W2))
-    lb = tuple(b(_P[v], _E[v], v) for v in range(3))
-    ls = tuple(s(_E[v], _P[v]) for v in range(3))
+    gb = (BSlot(_W1, _W2, 0), BSlot(_W2, _W1, 1))
+    gs = (SSlot(_W2, _W1), SSlot(_W1, _W2))
+    lb = tuple(BSlot(_P[v], _E[v], v) for v in range(3))
+    ls = tuple(SSlot(_E[v], _P[v]) for v in range(3))
     slot_lists = {
         "G0": [gb],
         "G1": [(gb[0], gs[1]), (absorb(gb[0], gs[1]),)],
@@ -299,8 +269,8 @@ def _build_forms() -> dict[str, tuple[ExpansionForm, ...]]:
         "L23:2": [(lb[0], ls[1], ls[2]), (absorb(lb[0], ls[1]), ls[2]),
                   (absorb(lb[0], ls[1], ls[2]),)],
         "L23:3": [ls],
-        "L12:0": [tuple(b(_E[v], _E[(v + 1) % 3], 0) for v in range(3))],
-        "L12:1": [tuple(s(_E[(v + 1) % 3], _E[v]) for v in range(3))],
+        "L12:0": [tuple(BSlot(_E[v], _E[(v + 1) % 3], 0) for v in range(3))],
+        "L12:1": [tuple(SSlot(_E[(v + 1) % 3], _E[v]) for v in range(3))],
     }
     forms: dict[str, tuple[ExpansionForm, ...]] = {}
     for qt in CLOSED_FORMS:
@@ -347,8 +317,7 @@ class EvalContext:
         self._begf: dict[int, TruncatedSeries] = {}
         self._bser: dict[tuple, TruncatedSeries] = {}
         self._sser: dict[tuple, TruncatedSeries] = {}
-        self._tser: dict[tuple[int, int], TruncatedSeries] = {}
-        self._dinv: dict[tuple[int, int], TruncatedSeries] = {}
+        self._ratio: dict[tuple[int, int], TruncatedSeries] = {}
         self._dser: dict[tuple[int, int], TruncatedSeries] = {}
         # theorem sides (P, C) by (form_id, w, n_max); read and filled only
         # by identities._side_series
@@ -383,15 +352,21 @@ class EvalContext:
         """The product of a side's slot series, left to right."""
         return functools.reduce(operator.mul, factors)
 
-    # -- closed-form building blocks ------------------------------------
+    # -- closed-form factors --------------------------------------------
 
-    def char_sum_series(self, scale: int, order: int) -> TruncatedSeries:
-        """T_W = sum_{a<d} chi(a) xi^(aW) e^(aWt)."""
+    def char_ratio_series(self, scale: int, order: int, factor: str) -> TruncatedSeries:
+        """T_W/D_W, T_W = sum_{a<d} chi(a) xi^(aW) e^(aWt): the character
+        sum with t -> W*t over D_W; requires r not dividing d*W."""
         key = (scale, order)
-        s = self._tser.get(key)
+        s = self._ratio.get(key)
         if s is None:
-            s = self._tser[key] = character_sum_series(self.chi, self.twist, scale, order, self.m,
-                                                       t_scale=scale)
+            if (self.d * scale) % self.r == 0:
+                raise NonUnitConstantError(
+                    f"xi^(d*{factor}) = 1 at w-scale {scale}: r={self.r} divides d*{scale}",
+                    factor=factor,
+                )
+            s = self._ratio[key] = (character_sum_series(self.chi, self.twist, scale, order, self.m)
+                                    .scale_variable(scale) / self.denom_series(scale, order))
         return s
 
     def denom_series(self, scale: int, order: int) -> TruncatedSeries:
@@ -401,19 +376,6 @@ class EvalContext:
         if s is None:
             s = self._dser[key] = twisted_exp_minus_one(self.twist, self.d * scale, self.d * scale,
                                                         order, self.m)
-        return s
-
-    def denom_inverse(self, scale: int, order: int, factor: str) -> TruncatedSeries:
-        key = (scale, order)
-        s = self._dinv.get(key)
-        if s is None:
-            if (self.d * scale) % self.r == 0:
-                raise NonUnitConstantError(
-                    f"xi^(d*{factor}) = 1 at w-scale {scale}: r={self.r} divides d*{scale}",
-                    factor=factor,
-                )
-            s = TruncatedSeries.one(order, self.m) / self.denom_series(scale, order)
-            self._dinv[key] = s
         return s
 
 
@@ -471,8 +433,11 @@ def _slot_series(ctx: EvalContext, slot: Slot, w: Sequence[int], n: int,
     and c_s = A*T.  A binomial mutation doubles P_s at t^degree.
     """
     r, d = ctx.r, ctx.d
-    tw = mono_val(slot.twist, w) + (1 if mut and mut.kind == "twist" else 0)
-    ts = mono_val(slot.t_scale, w) * (w[0] if mut and mut.kind == "wpower" else 1)
+    tw = ts = mono_val(slot.twist, w)
+    if mut and mut.kind == "twist":
+        tw += 1
+    elif mut and mut.kind == "wpower":
+        ts *= w[0]
     if isinstance(slot, SSlot):
         series, c = ctx.psum_series(d * mono_val(slot.upper, w) - 1, tw, ts, n), 0
     else:
@@ -482,11 +447,12 @@ def _slot_series(ctx: EvalContext, slot: Slot, w: Sequence[int], n: int,
                 factor=mono_name(slot.twist),
             )
         series = ctx.bern_series(tw, ts, n)
+        arg = mono_val(slot.arg_scale, w)
         for asum in slot.asums:
-            f = Fraction(mono_val(asum.frac_num, w), mono_val(asum.frac_den, w))
-            series = series * ctx.psum_series(d * mono_val(asum.upper, w) - 1,
-                                              mono_val(asum.xi_exp, w), f * ts, n)
-        c = mono_val(slot.arg_scale, w) * ts
+            upper = mono_val(asum.upper, w)
+            series = series * ctx.psum_series(d * upper - 1, mono_val(asum.twist, w),
+                                              Fraction(arg, upper) * ts, n)
+        c = arg * ts
     if mut and mut.kind == "binomial":
         coeffs = list(series.coeffs)
         coeffs[mut.degree] = coeffs[mut.degree].scale(2)
@@ -499,8 +465,7 @@ Side = tuple[TruncatedSeries, tuple[int, ...]]   # (P, C), see side_series
 
 
 def side_series(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
-                n_max: int, mutation: Optional[Mutation] = None,
-                check: bool = True) -> Side:
+                n_max: int, mutation: Optional[Mutation] = None) -> Side:
     """(P, C) with the form's generating function P(t) * exp((C_1*y_1 + ..)*t)
     to order n_max: P the product of the slot series, C_v the sum of c_s
     over the slots on y_v (one entry even for a form without y)."""
@@ -511,8 +476,7 @@ def side_series(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
             raise ParameterError(f"mutation slot {mutation.slot} outside 0..{len(form.slots) - 1}")
         if mutation.kind == "binomial" and not 0 <= mutation.degree <= n_max:
             raise ParameterError(f"mutation degree {mutation.degree} outside 0..{n_max}")
-    if check:
-        _check_conditions(form.qt, ctx.twist, w)
+    _check_conditions(form.qt, ctx.twist, w)
     ys = [0] * max(1, form.qt.y_count)
     factors = []
     for idx, slot in enumerate(form.slots):
@@ -543,11 +507,10 @@ def spread_ypolys(p: TruncatedSeries, ys: Sequence[int], n_max: int) -> list[YPo
 
 
 def expansion_polys(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
-                    n_max: int, mutation: Optional[Mutation] = None,
-                    check: bool = True) -> list[YPoly]:
+                    n_max: int, mutation: Optional[Mutation] = None) -> list[YPoly]:
     """The form's bracketed t^n/n! coefficients for n = 0..n_max, each as a
     polynomial in the y variables with cyclotomic coefficients."""
-    return spread_ypolys(*side_series(form, w, ctx, n_max, mutation, check), n_max)
+    return spread_ypolys(*side_series(form, w, ctx, n_max, mutation), n_max)
 
 
 def point_series(side: Side, y: Sequence, n_max: int) -> TruncatedSeries:
@@ -582,9 +545,10 @@ def closed_form_series(qt: QuotientType, w: Sequence[int], y: Sequence,
                        ctx: Optional[EvalContext] = None) -> TruncatedSeries:
     """The explicit right-hand-side series of the quotient type, exact to
     the requested order: the product of the type's CLOSED_FORMS row,
-        t^shift * prod T_W * prod D_V * exp(c*(y_1+..+y_k)*t) / prod D_U,
+        t^shift * prod (T_W/D_W) * prod D_V * exp(c*(y_1+..+y_k)*t),
     with c the sum of the y-multiplier monomials: the factors are multiplied
-    left to right in that order, then shifted by t^shift."""
+    left to right in that order, then shifted by t^shift.  Each T_W/D_W is
+    one cached factor (`EvalContext.char_ratio_series`)."""
     if order < 0:
         raise ParameterError("order must be nonnegative")
     ctx = ctx or EvalContext(chi, twist)
@@ -593,17 +557,10 @@ def closed_form_series(qt: QuotientType, w: Sequence[int], y: Sequence,
     if len(y) < qt.y_count:
         raise ParameterError(f"{qt.name} needs {qt.y_count} y value(s)")
     cf = CLOSED_FORMS[qt]
-    first, *rest = cf.chars
-    num = ctx.char_sum_series(mono_val(first, w), order)
-    for mono in rest:
-        num = num * ctx.char_sum_series(mono_val(mono, w), order)
-    for mono in cf.numer:
-        num = num * ctx.denom_series(mono_val(mono, w), order)
+    factors = [ctx.char_ratio_series(mono_val(mono, w), order, mono_name(mono)) for mono in cf.chars]
+    factors += [ctx.denom_series(mono_val(mono, w), order) for mono in cf.numer]
     coeff = sum(mono_val(mono, w) for mono in cf.ymul) * sum(y[:cf.y_count], Fraction(0))
-    num = num.mul_exp(coeff)
-    for mono in cf.inverted:
-        num = num * ctx.denom_inverse(mono_val(mono, w), order, mono_name(mono))
-    return num.shift_up(cf.shift).truncate(order)
+    return functools.reduce(operator.mul, factors).mul_exp(coeff).shift_up(cf.shift).truncate(order)
 
 
 # ---------------------------------------------------------------------------

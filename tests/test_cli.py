@@ -140,6 +140,15 @@ def test_quotient_condition_violation():
     assert code == 2 and "w1" in err
 
 
+def test_quotient_non_unit_denominator_is_named():
+    # r | d*w1 makes xi^(d*w1) e^(d*w1*t) - 1 a non-unit; the refusal names
+    # that factor, not the series division it would break
+    code, out, err = run_cli(["quotient", "--type", "G0", "--d", "3", "--r", "3",
+                              "--w", "1,2", "--y", "0,0"])
+    assert code == 2 and out == ""
+    assert "xi^(d*w1) = 1" in err
+
+
 def test_quotient_refuses_extra_y_values():
     code, out, err = run_cli(["quotient", "--type", "G0", "--w", "1,2", "--r", "3",
                               "--y", "1,2,3,4"])
@@ -294,16 +303,36 @@ def test_repeated_main_calls_match_fresh_processes(monkeypatch, capsys):
         assert got[0] == expected_code, argv
 
 
-def test_grid_file_parsing_errors(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("nonsense_key = 1\n")
-    code, _, err = run_cli(["audit", "--grid-file", str(bad)])
-    assert code == 2 and "nonsense_key" in err
-    missing = tmp_path / "missing.cfg"
-    code, out, err = run_cli(["audit", "--grid-file", str(missing)])
-    assert code == 2  # the user named a file that is not there
-    assert err.startswith("error: cannot read grid file") and str(missing) in err
-    assert out == ""
+@pytest.mark.parametrize("content, message", [
+    (b"nonsense_key = 1\n", "nonsense_key"),
+    (None, "cannot read grid file"),   # the user named a file that is not there
+    (b"theorems = 1\xff\n", "cannot read grid file"),   # not UTF-8
+    (b"n_max = -1\n", "n_max must be nonnegative"),
+    (b"w_components = 0,1\n", "w components must be positive"),
+    (b"r = 1\n", "r >= 2"),
+    (b"chars = primitive\n", "unknown character filter 'primitive'"),
+    (b"format = xml\n", "unknown grid format 'xml'"),
+], ids=["unknown-key", "missing", "not-utf8", "n-max", "w-component", "r", "chars", "format"])
+def test_grid_file_parsing_errors(tmp_path, content, message):
+    # each of these leaves nothing to verify: exit 2 before any work
+    cfg = tmp_path / "grid.cfg"
+    if content is not None:
+        cfg.write_bytes(content)
+    code, out, err = run_cli(["audit", "--grid-file", str(cfg)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_grid_file_repeated_mode_counts_once(tmp_path):
+    docs = []
+    for modes in ("as-stated,normalized,as-stated", "as-stated,normalized"):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"theorems = 1\nd = 1\nr = 3\nw_components = 1,2\nn_max = 1\nmodes = {modes}\n")
+        code, out, _ = run_cli(["audit", "--grid-file", str(cfg)])
+        assert code == 0
+        docs.append(json.loads(out))
+    assert docs[0]["summary"] == docs[1]["summary"]
+    assert docs[0]["summary"][0]["pass"] == 4
 
 
 def test_grid_file_explicit_chars(tmp_path):

@@ -53,8 +53,8 @@ def slot_values(slot, w, chi, twist, m):
         weight = CyclotomicNumber.one(m)
         x = mono_val(slot.arg_scale, w) * Y[slot.y_var]
         for a_l, s in zip(a, slot.asums):
-            weight = weight * chi(a_l).embed(m) * twist.root_power(a_l * mono_val(s.xi_exp, w), m)
-            x += Fraction(mono_val(s.frac_num, w), mono_val(s.frac_den, w)) * a_l
+            weight = weight * chi(a_l).embed(m) * twist.root_power(a_l * mono_val(s.twist, w), m)
+            x += Fraction(mono_val(slot.arg_scale, w), mono_val(s.upper, w)) * a_l
         if not weight.is_zero():
             values = [v + weight * poly(x) for v, poly in zip(values, polys)]
     return values
@@ -63,7 +63,7 @@ def slot_values(slot, w, chi, twist, m):
 def displayed_sum(form, w, chi, twist):
     m = math.lcm(twist.r, chi.order)
     values = [slot_values(slot, w, chi, twist, m) for slot in form.slots]
-    scales = [mono_val(slot.t_scale, w) for slot in form.slots]
+    scales = [mono_val(slot.twist, w) for slot in form.slots]
     out = []
     for n in range(N + 1):
         total = CyclotomicNumber.zero(m)

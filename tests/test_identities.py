@@ -128,7 +128,7 @@ def test_memoised_sides_match_cold_evaluation(theorem):
     assert len(warm.side_memo) == memo_size  # every side was a memo hit
     cold = EvalContext(inst.character(), inst.twist())
     assert memoised == [
-        expansion_polys(thm.base, perm_apply(sig, w), cold, inst.n_max, check=False)
+        expansion_polys(thm.base, perm_apply(sig, w), cold, inst.n_max)
         for sig in thm.sigmas
     ]
 
@@ -188,7 +188,7 @@ def test_series_rule_matches_ymonomial_comparison(theorem):
                     for idx, sig in enumerate(thm.sigmas):
                         wp = perm_apply(sig, w)
                         side = side_series(thm.base, wp, ctx, n_max,
-                                           mutation=mut if idx == 0 else None, check=False)
+                                           mutation=mut if idx == 0 else None)
                         sides.append(side)
                         polys.append(spread_ypolys(*side, n_max))
                         weights.append(form_weight(thm.base, wp))
@@ -283,9 +283,9 @@ def test_redundant_power_sum_display_value():
     chi = trivial_character(1)
     twist = TwistSpec(3, 1)
     ctx = EvalContext(chi, twist)
-    dup40 = expansion_polys(_THM11_BASE, (1, 1, 2), ctx, 1, check=False)
+    dup40 = expansion_polys(_THM11_BASE, (1, 1, 2), ctx, 1)
     side1_w = perm_apply(THEOREMS[11].sigmas[0], (1, 1, 2))
-    side1 = expansion_polys(_THM11_BASE, side1_w, ctx, 1, check=False)
+    side1 = expansion_polys(_THM11_BASE, side1_w, ctx, 1)
     # no y variables: the one y-monomial is y^0
     assert dup40[1] == side1[1] == {(0,): Cyc.zeta(3)}
 

@@ -7,10 +7,12 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bernsym.bernoulli import ParameterError, TwistSpec, gen_bernoulli_numbers, power_sum
+from bernsym.bernoulli import ParameterError, TwistSpec, character_sum_series, gen_bernoulli_numbers, power_sum
 from bernsym.dirichlet import DirichletCharacter, trivial_character
 from bernsym.exactnum import CyclotomicNumber as Cyc, euler_phi
+from bernsym import bernoulli, quotients
 from bernsym.quotients import (
+    CLOSED_FORMS,
     FORMS,
     BSlot,
     EvalContext,
@@ -27,6 +29,7 @@ from bernsym.quotients import (
     perm_apply,
     perm_monomial,
     point_series,
+    side_series,
     spread_ypolys,
 )
 from bernsym.series import NonUnitConstantError, TruncatedSeries, _content_reduced
@@ -55,18 +58,18 @@ def test_l13_derivation_matches_hand_computation():
     # L13:1-form-1 should be B(w1)B(w2)S(d*w1*w2-1; xi^{w3}) with scales w1,w2,w3
     f = FORMS["L13:1"][0]
     b1, b2, s = f.slots
-    assert isinstance(b1, BSlot) and b1.twist == (1, 0, 0) and b1.t_scale == (1, 0, 0)
+    assert isinstance(b1, BSlot) and b1.twist == (1, 0, 0)
     assert b1.arg_scale == (0, 1, 1) and b1.y_var == 0
     assert isinstance(b2, BSlot) and b2.twist == (0, 1, 0) and b2.arg_scale == (1, 0, 1)
-    assert isinstance(s, SSlot) and s.upper == (1, 1, 0) and s.twist == (0, 0, 1) and s.t_scale == (0, 0, 1)
+    assert isinstance(s, SSlot) and s.upper == (1, 1, 0) and s.twist == (0, 0, 1)
     # L13:2-form-2: a-sum over a < d*w1*w3 with xi^(a w2), frac w2w3/w1w3 = w2/w1
     f22 = FORMS["L13:2"][1]
     b = f22.slots[0]
     assert b.asums[0].upper == (1, 0, 1)
-    assert b.asums[0].xi_exp == (0, 1, 0)
+    assert b.asums[0].twist == (0, 1, 0)
     from bernsym.quotients import mono_val
     w = (2, 3, 5)
-    assert Fraction(mono_val(b.asums[0].frac_num, w), mono_val(b.asums[0].frac_den, w)) == Fraction(3, 2)
+    assert Fraction(mono_val(b.arg_scale, w), mono_val(b.asums[0].upper, w)) == Fraction(3, 2)
 
 
 def test_weight_examples():
@@ -114,7 +117,7 @@ def test_slot_tensor_degrees_and_generating_function(name, monkeypatch):
 
             for idx, slot in enumerate(form.slots):
                 series, c = _slot_series(ctx, slot, w, n, None)
-                ts = val(slot.t_scale)
+                ts = val(slot.twist)
                 for k in range(n + 1):
                     got = [series.coeffs[k - e].as_rational() * Fraction(c ** e, math.factorial(e))
                            for e in range(k + 1)]
@@ -123,7 +126,7 @@ def test_slot_tensor_degrees_and_generating_function(name, monkeypatch):
                         want = [scale] + [Fraction(0)] * k
                     else:
                         arg = val(slot.arg_scale)
-                        shift = sum(Fraction(val(a.frac_num), val(a.frac_den)) for a in slot.asums)
+                        shift = sum(Fraction(arg, val(a.upper)) for a in slot.asums)
                         want = [scale * x for x in _linear_power(shift + 1, arg, k)]
                     assert got == want, (form.form_id, w, idx, k)
 
@@ -223,10 +226,30 @@ def test_lambda12_1_with_equal_w_is_cube_of_char_sum():
     twist = TwistSpec(3, 1)
     qt = parse_quotient_type("L12:1")
     s = closed_form_series(qt, (1, 1, 1), (), chi, twist, 6)
-    ctx = EvalContext(chi, twist)
-    cube = ctx.char_sum_series(1, 6)
-    cube = cube * cube * ctx.char_sum_series(1, 6)
+    t = character_sum_series(chi, twist, 1, 6)
+    cube = t * t * t
     assert s == cube
+
+
+def test_closed_forms_never_read_the_bernoulli_series(monkeypatch):
+    # T_W/D_W equals B_W(Wt)/(Wt), but the closed form is built from its own
+    # factors: built from the Bernoulli series, the consistency check of the
+    # all-B forms (G0, L23:0, L13:0, L12:0) would compare P with itself
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed form read a Bernoulli series")
+
+    chi, twist = DirichletCharacter(5, (1,)), TwistSpec(3, 1)
+    ctx = EvalContext(chi, twist)
+    monkeypatch.setattr(ctx, "bern_series", refuse)
+    monkeypatch.setattr(bernoulli, "bernoulli_egf", refuse)
+    monkeypatch.setattr(quotients, "bernoulli_egf", refuse)
+    with pytest.raises(AssertionError):
+        side_series(FORMS["G0"][0], (1, 2), ctx, 6)   # the guard bites
+    for qt in CLOSED_FORMS:
+        w = (1, 2, 4)[: qt.arity]
+        y = (Fraction(1, 2),) * qt.y_count
+        assert closed_form_series(qt, w, y, chi, twist, 6, ctx).order == 6
+        assert closed_form_series(qt, w, y, chi, twist, 6).order == 6
 
 
 @pytest.mark.parametrize("name", sorted(FORMS))
