@@ -173,13 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("padic", help="finite-level Riemann sums against Bernoulli moments")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--M", type=int, default=40)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--j", type=int, default=1)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--char", default=None)
+    _add_common(p)
     p.add_argument("--n", type=int, required=True, help="moment index")
     p.add_argument("--levels", type=int, default=4, help="check levels 1..K")
-    p.add_argument("--format", choices=FORMATS, default="json")
     return parser
 
 
@@ -306,8 +302,14 @@ def _cmd_verify(args, out) -> int:
 
 def _parse_char_labels(text: str) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """'d:label; d:label; ..' as (d, exponent label) pairs."""
-    items = (item.partition(":") for item in text.split(";") if item.strip())
-    return tuple((_parse_int(dpart), _parse_char_label(lab)) for dpart, _, lab in items)
+    labels = []
+    for item in text.split(";"):
+        item = item.strip()
+        if not item:
+            continue
+        dpart, _, lab = item.partition(":")
+        labels.append((_parse_int(dpart), _parse_char_label(lab)))
+    return tuple(labels)
 
 
 # grid-file key -> (GridConfig field, parser of its value), parsed in this order

@@ -25,7 +25,7 @@ no y-polynomial is spread.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional, Sequence
@@ -93,41 +93,38 @@ class TheoremSpec:
         base_mono = self.base.weight_mono()
         return tuple(perm_monomial(sig, base_mono) for sig in self.sigmas)
 
-    @functools.cached_property
-    def _orbits(self) -> tuple[tuple[int, ...], ...]:
-        groups: dict[Mono, list[int]] = {}
-        for i, mono in enumerate(self.side_weight_monos, start=1):
-            groups.setdefault(mono, []).append(i)
-        return tuple(map(tuple, groups.values()))
-
     def orbits(self) -> list[list[int]]:
         """1-based side indices grouped by weight monomial, in print order."""
-        return [list(orbit) for orbit in self._orbits]
+        return _group(self.side_weight_monos)
 
 
-def _mk(id_, base_key, form_no, sigmas, text):
-    return TheoremSpec(id_, base_key, form_no, tuple(sigmas), text)
+def _group(keys: Sequence) -> list[list[int]]:
+    """1-based positions grouped by equal key, in order of first appearance."""
+    groups: dict[object, list[int]] = {}
+    for i, key in enumerate(keys, start=1):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
 
 
-THEOREMS: dict[int, TheoremSpec] = {
-    1: _mk(1, "G0", 1, ID2, "r divides neither w1 nor w2"),
-    2: _mk(2, "G1", 1, ID2, "r does not divide w1*w2"),
-    3: _mk(3, "G1", 2, ID2, "r does not divide w1*w2"),
-    4: _mk(4, "L23:0", 1, LEX3, "r divides none of w2*w3, w1*w3, w1*w2"),
-    5: _mk(5, "L23:1", 1,
-           ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 2, 1), (3, 1, 2)),
-           "r does not divide w1*w2*w3"),
-    6: _mk(6, "L23:1", 2,
-           ((3, 2, 1), (2, 3, 1), (3, 1, 2), (1, 3, 2), (2, 1, 3), (1, 2, 3)),
-           "r does not divide w1*w2*w3"),
-    7: _mk(7, "L23:2", 1, ((1, 2, 3), (2, 3, 1), (3, 1, 2)), "r does not divide w1*w2*w3"),
-    8: _mk(8, "L23:2", 2,
-           ((2, 1, 3), (3, 1, 2), (1, 2, 3), (3, 2, 1), (1, 3, 2), (2, 3, 1)),
-           "r does not divide w1*w2*w3"),
-    9: _mk(9, "L23:2", 3, ((3, 1, 2), (1, 2, 3), (2, 3, 1)), "r does not divide w1*w2*w3"),
-    10: _mk(10, "L12:0", 1, ((3, 1, 2), (2, 1, 3)), "r divides none of w1, w2, w3"),
-    11: _mk(11, "L12:1", 1, ((3, 1, 2), (2, 1, 3)), "r divides none of w2*w3, w1*w3, w1*w2"),
-}
+THEOREMS: dict[int, TheoremSpec] = {thm.id: thm for thm in (
+    TheoremSpec(1, "G0", 1, ID2, "r divides neither w1 nor w2"),
+    TheoremSpec(2, "G1", 1, ID2, "r does not divide w1*w2"),
+    TheoremSpec(3, "G1", 2, ID2, "r does not divide w1*w2"),
+    TheoremSpec(4, "L23:0", 1, LEX3, "r divides none of w2*w3, w1*w3, w1*w2"),
+    TheoremSpec(5, "L23:1", 1,
+                ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 2, 1), (3, 1, 2)),
+                "r does not divide w1*w2*w3"),
+    TheoremSpec(6, "L23:1", 2,
+                ((3, 2, 1), (2, 3, 1), (3, 1, 2), (1, 3, 2), (2, 1, 3), (1, 2, 3)),
+                "r does not divide w1*w2*w3"),
+    TheoremSpec(7, "L23:2", 1, ((1, 2, 3), (2, 3, 1), (3, 1, 2)), "r does not divide w1*w2*w3"),
+    TheoremSpec(8, "L23:2", 2,
+                ((2, 1, 3), (3, 1, 2), (1, 2, 3), (3, 2, 1), (1, 3, 2), (2, 3, 1)),
+                "r does not divide w1*w2*w3"),
+    TheoremSpec(9, "L23:2", 3, ((3, 1, 2), (1, 2, 3), (2, 3, 1)), "r does not divide w1*w2*w3"),
+    TheoremSpec(10, "L12:0", 1, ((3, 1, 2), (2, 1, 3)), "r divides none of w1, w2, w3"),
+    TheoremSpec(11, "L12:1", 1, ((3, 1, 2), (2, 1, 3)), "r divides none of w2*w3, w1*w3, w1*w2"),
+)}
 
 
 # ---------------------------------------------------------------------------
@@ -345,19 +342,15 @@ def verify_instance(inst: TheoremInstance, method: str = "poly",
     names = [mono_name(m) for m in thm.side_weight_monos]
     sides = _side_series(inst, ctx, mutation)
     value = _point_values(sides, inst.n_max)
-
     orbits_static = thm.orbits()
-    by_value: dict[int, list[int]] = {}
-    for i, wt in enumerate(weights, start=1):
-        by_value.setdefault(wt, []).append(i)
-    orbits_by_value = list(by_value.values())
+
+    def grid_values(s: int) -> list[list[CyclotomicNumber]]:
+        """Side s's values at every grid point, per n."""
+        return [[value(s, n, pt) for pt in y_grid_points(n, thm.y_count)]
+                for n in range(inst.n_max + 1)]
 
     if method == "points":
-        values = [
-            [[value(s, n, pt) for pt in y_grid_points(n, thm.y_count)]
-             for n in range(inst.n_max + 1)]
-            for s in range(thm.sides)
-        ]
+        values = [grid_values(s) for s in range(thm.sides)]
         def equal_pair(i, j, normalized):
             for n in range(inst.n_max + 1):
                 for p in range(len(values[0][n])):
@@ -382,24 +375,17 @@ def verify_instance(inst: TheoremInstance, method: str = "poly",
         instance=inst,
         side_weights=list(zip(names, weights)),
         orbits_static=orbits_static,
-        orbits_by_value=orbits_by_value,
+        orbits_by_value=_group(weights),
         pass_as_stated=pass_as_stated,
         pass_normalized=pass_normalized,
         pass_orbits=pass_orbits,
     )
 
-    failed = not (pass_normalized if inst.mode == "normalized" else pass_as_stated)
-    if failed and want_witness:
+    if not report.passed and want_witness:
         report.witness = _find_witness(inst, value, weights, thm)
-
     if include_values:
-        report.values = [
-            [
-                [value(s, n, pt).to_json() for pt in y_grid_points(n, thm.y_count)]
-                for n in range(inst.n_max + 1)
-            ]
-            for s in range(thm.sides)
-        ]
+        report.values = [[[v.to_json() for v in row] for row in grid_values(s)]
+                         for s in range(thm.sides)]
     return report
 
 
@@ -645,9 +631,7 @@ def grid_verify(config: GridConfig, method: str = "poly") -> GridReport:
             ok = report.pass_normalized if mode == "normalized" else report.pass_as_stated
             counts[(inst.theorem, mode)]["pass" if ok else "fail"] += 1
             if not ok and (inst.theorem, mode) not in first_witness:
-                witness_inst = TheoremInstance(inst.theorem, inst.d, inst.char, inst.r,
-                                               inst.j, inst.w, inst.n_max, mode)
-                wrep = verify_instance(witness_inst, method=method, ctx=ctx)
+                wrep = verify_instance(replace(inst, mode=mode), method=method, ctx=ctx)
                 if wrep.witness:
                     first_witness[(inst.theorem, mode)] = wrep.witness
         rows.append(row)

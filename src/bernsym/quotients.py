@@ -219,8 +219,11 @@ class ExpansionForm:
 
     def weight_mono(self) -> Mono:
         """The product of the form's B-slot twist monomials."""
-        twists = (slot.twist for slot in self.slots if isinstance(slot, BSlot))
-        return functools.reduce(mono_mul, twists, (0,) * self.qt.arity)
+        out = (0,) * self.qt.arity
+        for slot in self.slots:
+            if isinstance(slot, BSlot):
+                out = mono_mul(out, slot.twist)
+        return out
 
 
 def form_weight(form: ExpansionForm, w: Sequence[int]) -> int:
@@ -236,9 +239,13 @@ def _l13_sub(mono: Mono) -> Mono:
 
 def _derive_l13_slot(slot: Slot) -> Slot:
     if isinstance(slot, SSlot):
-        return SSlot(_l13_sub(slot.upper), _l13_sub_q(slot.twist))
-    return BSlot(_l13_sub_q(slot.twist), _l13_sub(slot.arg_scale), slot.y_var,
-                 tuple(map(_derive_l13_slot, slot.asums)))
+        return SSlot(upper=_l13_sub(slot.upper), twist=_l13_sub_q(slot.twist))
+    return BSlot(
+        twist=_l13_sub_q(slot.twist),
+        arg_scale=_l13_sub(slot.arg_scale),
+        y_var=slot.y_var,
+        asums=tuple(_derive_l13_slot(s) for s in slot.asums),
+    )
 
 
 def _l13_sub_q(mono: Mono) -> Mono:

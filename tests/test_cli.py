@@ -303,24 +303,26 @@ def test_repeated_main_calls_match_fresh_processes(monkeypatch, capsys):
         assert got[0] == expected_code, argv
 
 
-@pytest.mark.parametrize("content, message", [
-    (b"nonsense_key = 1\n", "nonsense_key"),
-    (None, "cannot read grid file"),   # the user named a file that is not there
-    (b"theorems = 1\xff\n", "cannot read grid file"),   # not UTF-8
-    (b"n_max = -1\n", "n_max must be nonnegative"),
-    (b"w_components = 0,1\n", "w components must be positive"),
-    (b"r = 1\n", "r >= 2"),
-    (b"chars = primitive\n", "unknown character filter 'primitive'"),
-    (b"format = xml\n", "unknown grid format 'xml'"),
+@pytest.mark.parametrize("content, prefix", [
+    (b"nonsense_key = 1\n", "error: unknown grid keys: ['nonsense_key']"),
+    (None, "error: cannot read grid file"),   # the user named a file that is not there
+    (b"theorems = 1\xff\n", "error: cannot read grid file"),   # not UTF-8
+    (b"n_max = -1\n", "error: n_max must be nonnegative"),
+    (b"w_components = 0,1\n", "error: w components must be positive"),
+    (b"r = 1\n", "error: twist root must differ from 1 (r >= 2)"),
+    (b"chars = primitive\n", "error: unknown character filter 'primitive'"),
+    (b"format = xml\n", "error: unknown grid format 'xml'"),
 ], ids=["unknown-key", "missing", "not-utf8", "n-max", "w-component", "r", "chars", "format"])
-def test_grid_file_parsing_errors(tmp_path, content, message):
+def test_grid_file_parsing_errors(tmp_path, content, prefix):
     # each of these leaves nothing to verify: exit 2 before any work
     cfg = tmp_path / "grid.cfg"
     if content is not None:
         cfg.write_bytes(content)
     code, out, err = run_cli(["audit", "--grid-file", str(cfg)])
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and message in err
+    assert err.startswith(prefix)
+    if prefix == "error: cannot read grid file":
+        assert str(cfg) in err   # the message names the file the user gave
 
 
 def test_grid_file_repeated_mode_counts_once(tmp_path):
