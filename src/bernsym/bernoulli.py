@@ -61,15 +61,9 @@ class TwistSpec:
         xi = CyclotomicNumber.zeta(self.r, (self.j * w) % self.r)
         return xi.embed(conductor) if conductor else xi
 
-    def coprime_to(self, d: int) -> bool:
-        return math.gcd(self.r, d) == 1
-
     def require_coprime(self, d: int) -> None:
-        if not self.coprime_to(d):
+        if math.gcd(self.r, d) != 1:
             raise ParameterError(f"gcd(r, d) = gcd({self.r}, {d}) != 1")
-
-    def divides(self, value: int) -> bool:
-        return value % self.r == 0
 
 
 def field_conductor(chi: DirichletCharacter, twist: TwistSpec) -> int:
@@ -198,9 +192,9 @@ def power_sum_egf_check(chi: DirichletCharacter, twist: TwistSpec, w: int, order
     sum are the power sums S_k(dw - 1; chi, xi).
     """
     d = chi.d
-    if twist.divides(w):
+    if w % twist.r == 0:
         raise ParameterError(f"r={twist.r} divides w={w}")
-    if twist.divides(d * w):
+    if d * w % twist.r == 0:
         raise ParameterError(f"r={twist.r} divides d*w={d * w}")
     m = field_conductor(chi, twist)
     closed = twisted_exp_minus_one(twist, d * w, d * w, order, m) \

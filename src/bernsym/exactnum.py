@@ -99,39 +99,17 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    """Rows r[k - phi] with x^k == r (mod Phi_m) for k = phi .. 2*phi - 2."""
-    phi = euler_phi(m)
-    cyc = cyclotomic_polynomial(m)
-    base = tuple(-c for c in cyc[:phi])
-    rows = [base]
-    for _ in range(phi - 2):
-        prev = rows[-1]
-        top = prev[phi - 1]
-        shifted = [0] + list(prev[:-1])
-        if top:
-            for i in range(phi):
-                shifted[i] += top * base[i]
-        rows.append(tuple(shifted))
-    return tuple(rows)
-
-
-def _reduce_mod_phi(m: int, conv: list[int]) -> list[int]:
-    """Reduce an integer polynomial of degree <= 2*phi - 2 (a product of two
-    power-basis vectors) modulo Phi_m: the coefficients of x^phi ..
-    x^(2*phi-2) fold back below x^phi with `_reduction_rows(m)`."""
-    rows = _reduction_rows(m)
-    phi = len(rows[0])
-    out = conv[:phi]
-    for k in range(phi, len(conv)):
-        c = conv[k]
-        if c:
-            row = rows[k - phi]
-            for i in range(phi):
-                out[i] += c * row[i]
-    return out
+    """Rows r[k - phi] with x^k == r (mod Phi_m) for k = phi .. 2*phi - 2
+    (the one row of x^phi when phi = 1), read from `_power_table`."""
+    table = _power_table(m)
+    phi = len(table[0])
+    return tuple(table[k % m] for k in range(phi, max(2 * phi - 1, phi + 1)))
 
 
 def _vec_mul_mod(m: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two power-basis vectors modulo Phi_m: their schoolbook
+    convolution, whose coefficients of x^phi .. x^(2*phi-2) fold back below
+    x^phi with `_reduction_rows(m)`."""
     phi = len(a)
     if phi == 1:
         return [a[0] * b[0]]
@@ -141,7 +119,12 @@ def _vec_mul_mod(m: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
             for j, bj in enumerate(b):
                 if bj:
                     conv[i + j] += ai * bj
-    return _reduce_mod_phi(m, conv)
+    out = conv[:phi]
+    for c, row in zip(conv[phi:], _reduction_rows(m)):
+        if c:
+            for i in range(phi):
+                out[i] += c * row[i]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -149,7 +132,7 @@ def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
     """Integer vectors of zeta_m^k reduced modulo Phi_m, for k = 0 .. m - 1:
     each row is the one before times x, its x^phi coefficient folded back."""
     phi = euler_phi(m)
-    base = _reduction_rows(m)[0]
+    base = tuple(-c for c in cyclotomic_polynomial(m)[:phi])
     rows = [(1,) + (0,) * (phi - 1)]
     for _ in range(m - 1):
         prev = rows[-1]

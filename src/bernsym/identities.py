@@ -17,17 +17,20 @@ compares P[k]/w against P'[k]/w' by cross-multiplying integers.  Values at
 a y-point, where they are needed (witnesses, reported values,
 `theorem_sides`, and the pointwise method, which evaluates every side on
 the standard grid of n+2 integer points per variable and stays as an
-independent cross-check), are read from each side's
-`quotients.point_series` P(t) * exp((C.y)*t), built once per (side, point);
-no y-polynomial is spread.
+independent cross-check), are the t^n/n! coefficients of each side's
+P(t) * exp((C.y)*t), summed from P's integer rows (`quotients.point_value`);
+no y-polynomial is spread.  The grid values are one list per (side, n)
+(`_point_values`), and the pointwise method and the witness search read
+them through one scan (`_first_mismatch`).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
 from .bernoulli import ParameterError, TwistSpec
@@ -37,10 +40,6 @@ from .quotients import (
     _E1,
     _E2,
     _E3,
-    _P1,
-    _P2,
-    _P3,
-    _Q,
     FORMS,
     EvalContext,
     ExpansionForm,
@@ -52,7 +51,7 @@ from .quotients import (
     mono_val,
     perm_apply,
     perm_monomial,
-    point_series,
+    point_value,
     side_series,
 )
 
@@ -83,10 +82,6 @@ class TheoremSpec:
     @property
     def arity(self) -> int:
         return self.base.qt.arity
-
-    @property
-    def conditions(self) -> tuple[Mono, ...]:
-        return self.base.qt.conditions()
 
     @functools.cached_property
     def side_weight_monos(self) -> tuple[Mono, ...]:
@@ -166,7 +161,7 @@ class TheoremInstance:
             raise ParameterError("w components must be positive")
         if self.n_max < 0:
             raise ParameterError("n_max must be nonnegative")
-        for mono in thm.conditions:
+        for mono in thm.base.qt.conditions():
             if mono_val(mono, self.w) % self.r == 0:
                 raise ParameterError(
                     f"theorem {self.theorem} requires {thm.condition_text}; "
@@ -193,7 +188,7 @@ class TheoremInstance:
 class Witness:
     mode: str
     n: int
-    y: tuple[Fraction, ...]
+    y: tuple[int, ...]
     side_a: int
     side_b: int
     value_a: CyclotomicNumber
@@ -249,12 +244,10 @@ class VerificationReport:
         return out
 
 
-def y_grid_points(n: int, y_count: int) -> list[tuple[Fraction, ...]]:
-    """The deterministic verification grid: n+2 points 0,1,..,n+1 per variable."""
-    if y_count == 0:
-        return [()]
-    axis = [Fraction(i) for i in range(n + 2)]
-    return [tuple(p) for p in product(axis, repeat=y_count)]
+def y_grid_points(n: int, y_count: int) -> list[tuple[int, ...]]:
+    """The deterministic verification grid: n+2 integer points 0,1,..,n+1
+    per variable."""
+    return list(product(range(n + 2), repeat=y_count))
 
 
 def _side_series(inst: TheoremInstance, ctx: EvalContext,
@@ -283,18 +276,35 @@ def _side_series(inst: TheoremInstance, ctx: EvalContext,
     return sides
 
 
-def _point_values(sides: list[Side], n_max: int):
-    """value(s, n, pt): side s's t^n/n! coefficient at the y-point pt, read
-    from its `point_series`, which is built once per (side, point)."""
-    series = {}
+def _point_values(sides: list[Side], y_count: int):
+    """row(s, n): side s's t^n/n! coefficients at `y_grid_points(n, y_count)`
+    (`point_value`), one list per (side, n), built once on first use."""
+    rows = {}
 
-    def value(s: int, n: int, pt: tuple) -> CyclotomicNumber:
-        e = series.get((s, pt))
-        if e is None:
-            e = series[(s, pt)] = point_series(sides[s], pt, n_max)
-        return e.egf_coefficient(n)
+    def row(s: int, n: int) -> list[CyclotomicNumber]:
+        vals = rows.get((s, n))
+        if vals is None:
+            vals = rows[(s, n)] = [point_value(sides[s], pt, n) for pt in y_grid_points(n, y_count)]
+        return vals
 
-    return value
+    return row
+
+
+def _first_mismatch(row, pairs: Sequence[tuple[int, int]], weights: Optional[Sequence[int]],
+                    n_max: int) -> Optional[tuple[int, int, int, int]]:
+    """The first (n, grid-point index, i, j), n first, then the point, then
+    the pair in `pairs` order, where sides i and j differ in `row` (see
+    `_point_values`); with `weights`, where v_i * w_j != v_j * w_i."""
+    for n in range(n_max + 1):
+        lists = [(i, j, row(i, n), row(j, n)) for i, j in pairs]
+        for p in range(len(row(0, n))):
+            for i, j, a, b in lists:
+                va, vb = a[p], b[p]
+                if weights:
+                    va, vb = va.scale(weights[j]), vb.scale(weights[i])
+                if va != vb:
+                    return n, p, i, j
+    return None
 
 
 def theorem_sides(inst: TheoremInstance, n: int | None = None,
@@ -309,7 +319,8 @@ def theorem_sides(inst: TheoremInstance, n: int | None = None,
     if not 0 <= n <= inst.n_max:
         raise ParameterError(f"n={n} outside 0..{inst.n_max}")
     sides = _side_series(inst, ctx)
-    return [(f"side-{i}", mono_val(mono, inst.w), point_series(side, y or (), n).egf_coefficient(n))
+    y = tuple(Fraction(v) for v in y or ())
+    return [(f"side-{i}", mono_val(mono, inst.w), point_value(side, y, n))
             for i, (mono, side) in enumerate(zip(thm.side_weight_monos, sides), start=1)]
 
 
@@ -341,71 +352,41 @@ def verify_instance(inst: TheoremInstance, method: str = "poly",
     weights = [mono_val(m, inst.w) for m in thm.side_weight_monos]
     names = [mono_name(m) for m in thm.side_weight_monos]
     sides = _side_series(inst, ctx, mutation)
-    value = _point_values(sides, inst.n_max)
+    row = _point_values(sides, thm.y_count)
     orbits_static = thm.orbits()
 
-    def grid_values(s: int) -> list[list[CyclotomicNumber]]:
-        """Side s's values at every grid point, per n."""
-        return [[value(s, n, pt) for pt in y_grid_points(n, thm.y_count)]
-                for n in range(inst.n_max + 1)]
-
     if method == "points":
-        values = [grid_values(s) for s in range(thm.sides)]
-        def equal_pair(i, j, normalized):
-            for n in range(inst.n_max + 1):
-                for p in range(len(values[0][n])):
-                    va, vb = values[i][n][p], values[j][n][p]
-                    if normalized:
-                        va, vb = va.scale(weights[j]), vb.scale(weights[i])
-                    if va != vb:
-                        return False
-            return True
+        def holds(pairs, normalized):
+            return _first_mismatch(row, pairs, weights if normalized else None, inst.n_max) is None
     else:
-        def equal_pair(i, j, normalized):
-            wa, wb = (weights[i], weights[j]) if normalized else (1, 1)
-            return _sides_equal(sides[i], sides[j], inst.n_max, wa, wb)
-    pass_as_stated = all(equal_pair(0, s, False) for s in range(1, thm.sides))
-    pass_normalized = all(equal_pair(0, s, True) for s in range(1, thm.sides))
-    pass_orbits = all(
-        equal_pair(orbit[0] - 1, i - 1, False)
-        for orbit in orbits_static for i in orbit[1:]
-    )
-
+        def holds(pairs, normalized):
+            return all(_sides_equal(sides[i], sides[j], inst.n_max,
+                                    *((weights[i], weights[j]) if normalized else (1, 1)))
+                       for i, j in pairs)
+    star = [(0, s) for s in range(1, thm.sides)]
     report = VerificationReport(
         instance=inst,
         side_weights=list(zip(names, weights)),
         orbits_static=orbits_static,
         orbits_by_value=_group(weights),
-        pass_as_stated=pass_as_stated,
-        pass_normalized=pass_normalized,
-        pass_orbits=pass_orbits,
+        pass_as_stated=holds(star, False),
+        pass_normalized=holds(star, True),
+        pass_orbits=holds([(orbit[0] - 1, i - 1) for orbit in orbits_static for i in orbit[1:]], False),
     )
 
     if not report.passed and want_witness:
-        report.witness = _find_witness(inst, value, weights, thm)
+        # the first (n, grid point, side pair) where the requested mode fails
+        normalized = inst.mode == "normalized"
+        hit = _first_mismatch(row, list(combinations(range(thm.sides), 2)),
+                              weights if normalized else None, inst.n_max)
+        if hit:
+            n, p, i, j = hit
+            report.witness = Witness(inst.mode, n, y_grid_points(n, thm.y_count)[p], i + 1, j + 1,
+                                     row(i, n)[p], row(j, n)[p])
     if include_values:
-        report.values = [[[v.to_json() for v in row] for row in grid_values(s)]
+        report.values = [[[v.to_json() for v in row(s, n)] for n in range(inst.n_max + 1)]
                          for s in range(thm.sides)]
     return report
-
-
-def _find_witness(inst: TheoremInstance, value, weights: list[int],
-                  thm: TheoremSpec) -> Optional[Witness]:
-    """First (n, grid point, side pair) where the requested mode fails."""
-    normalized = inst.mode == "normalized"
-    for n in range(inst.n_max + 1):
-        for pt in y_grid_points(n, thm.y_count):
-            vals = [value(s, n, pt) for s in range(thm.sides)]
-            for i in range(thm.sides):
-                for jdx in range(i + 1, thm.sides):
-                    va, vb = vals[i], vals[jdx]
-                    if normalized:
-                        ok = va.scale(weights[jdx]) == vb.scale(weights[i])
-                    else:
-                        ok = va == vb
-                    if not ok:
-                        return Witness(inst.mode, n, pt, i + 1, jdx + 1, va, vb)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +434,7 @@ def redundancy_check(w: Sequence[int], chi: DirichletCharacter, twist: TwistSpec
     compared as side pairs (P, C) like the theorem sides (`_sides_equal`)."""
     w = tuple(w)
     twist.require_coprime(chi.d)
-    for mono in (_Q, _P1, _P2, _P3):
+    for mono in dict.fromkeys(_THM7_BASE.qt.conditions() + _THM11_BASE.qt.conditions()):
         if mono_val(mono, w) % twist.r == 0:
             raise ParameterError(
                 f"redundancy check requires r not dividing {mono_name(mono)}"
@@ -522,6 +503,16 @@ class GridConfig:
         if self.char_filter not in ("all", "primitive-only", "explicit"):
             raise ParameterError(f"unknown character filter {self.char_filter!r}; "
                                  "expected all, primitive-only or explicit")
+        for j in self.j_values:
+            if not any(0 < j < r and math.gcd(j, r) == 1 for r in self.r_values):
+                raise ParameterError(f"j={j} does not give a primitive r-th root for any r in "
+                                     f"{sorted(set(self.r_values))}")
+        if self.char_filter == "explicit":
+            if not self.char_labels:
+                raise ParameterError("explicit characters need char_labels")
+            for dd, _ in self.char_labels:
+                if dd not in self.d_values:
+                    raise ParameterError(f"char_labels modulus {dd} is not in d {sorted(set(self.d_values))}")
 
     def characters(self, d: int) -> list[DirichletCharacter]:
         if self.char_filter == "explicit":
@@ -584,7 +575,7 @@ def grid_instances(config: GridConfig) -> Iterable[TheoremInstance]:
     return items
 
 
-def grid_verify(config: GridConfig, method: str = "poly") -> GridReport:
+def grid_verify(config: GridConfig) -> GridReport:
     """Run the whole grid; precondition-violating points are skipped, never
     counted as evidence.  Reports are assembled in instance-key order.
 
@@ -623,7 +614,7 @@ def grid_verify(config: GridConfig, method: str = "poly") -> GridReport:
         ctx = contexts.get(ckey)
         if ctx is None:
             ctx = contexts[ckey] = EvalContext(inst.character(), inst.twist())
-        report = verify_instance(inst, method=method, ctx=ctx, want_witness=False)
+        report = verify_instance(inst, ctx=ctx, want_witness=False)
         row.pass_as_stated = report.pass_as_stated
         row.pass_normalized = report.pass_normalized
         row.pass_orbits = report.pass_orbits
@@ -631,7 +622,7 @@ def grid_verify(config: GridConfig, method: str = "poly") -> GridReport:
             ok = report.pass_normalized if mode == "normalized" else report.pass_as_stated
             counts[(inst.theorem, mode)]["pass" if ok else "fail"] += 1
             if not ok and (inst.theorem, mode) not in first_witness:
-                wrep = verify_instance(replace(inst, mode=mode), method=method, ctx=ctx)
+                wrep = verify_instance(replace(inst, mode=mode), ctx=ctx)
                 if wrep.witness:
                     first_witness[(inst.theorem, mode)] = wrep.witness
         rows.append(row)

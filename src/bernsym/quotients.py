@@ -7,10 +7,10 @@ int chi(x) xi^(Wx) e^(Wxt) dmu = (Wt) * T_W/D_W per variable W:
     t^s * prod_W (T_W/D_W) * prod_V D_V * exp(c*(y_1+..+y_k)*t),
     T_W = sum_{a<d} chi(a) xi^(aW) e^(aWt),   D_W = xi^(dW) e^(dWt) - 1,
 
-read from one table row (`ClosedForm`): the monomials W, V of the
-numerator D factors and the y-multiplier monomials summing to c, with
-s = len(W) - len(V).  The row also gives the type's arity, y-count and
-conditions.  Each T_W/D_W is one cached factor built from T_W and D_W,
+read from the type itself, one row of `QUOTIENT_TYPES`: the monomials W,
+V of the numerator D factors and the y-multiplier monomials summing to c,
+with s = len(W) - len(V).  The same row gives the type's arity, y-count
+and conditions.  Each T_W/D_W is one cached factor built from T_W and D_W,
 never from the expansions' Bernoulli series, so the reconciliation below
 compares two independent computations.
 
@@ -40,9 +40,9 @@ A side is therefore one series product P = prod_s P_s times
 exp((C_1*y_1 + ..)*t), C_v summing c_s over the slots on y_v, and its
 displayed y^e coefficient of t^n/n! is n! * P[n - |e|] * prod_v C_v^e_v/e_v!.
 At a rational y-point the side's values are the EGF coefficients of one
-series, E(t) = P(t) * exp(c*t) with c = C_1*y_1 + .. (`point_series`),
-summed from P's integer rows; only `expansion_polys` spreads P over the y
-monomials (`spread_ypolys`).
+series, E(t) = P(t) * exp(c*t) with c = C_1*y_1 + .. (`point_series`, or
+`point_value` for one coefficient), summed from P's integer rows; only
+`expansion_polys` spreads P over the y monomials (`spread_ypolys`).
 
 The normalization weight of a form is the product of its B-slot twist
 scales; dividing the form by its weight gives exactly the EGF coefficients
@@ -137,55 +137,38 @@ Slot = BSlot | SSlot
 
 @dataclass(frozen=True)
 class QuotientType:
-    """One quotient family member: family G (i=0..2), L23/L13 (i=0..3),
-    L12 (i=0..1).  Its shape is its row of CLOSED_FORMS."""
-
-    family: str
-    index: int
-
-    # cached: grid and pool filters read arity and conditions() per w-tuple
-    @functools.cached_property
-    def _row(self) -> "ClosedForm":
-        return CLOSED_FORMS[self]
-
-    @property
-    def name(self) -> str:
-        return f"{self.family}{self.index}" if self.family == "G" else f"{self.family}:{self.index}"
-
-    @property
-    def arity(self) -> int:
-        return self._row.arity
-
-    @property
-    def y_count(self) -> int:
-        return self._row.y_count
-
-    def conditions(self) -> tuple[Mono, ...]:
-        """Monomials that must not vanish mod r (not divisible by r)."""
-        return self._row.conditions
-
-
-@dataclass(frozen=True)
-class ClosedForm:
-    """t^shift * prod (T_W/D_W) * prod D_V * exp(sum(ymul)*(y_1+..+y_{y_count})*t)
+    """One quotient family member, family G (i=0..2), L23/L13 (i=0..3) or
+    L12 (i=0..1), and its closed form
+        t^shift * prod (T_W/D_W) * prod D_V * exp(sum(ymul)*(y_1+..+y_{y_count})*t)
     over W in chars, V in numer, with shift = #chars - #numer: one factor
     (Wt)^-1 * int chi(x) xi^(Wx) e^(Wxt) dmu per W."""
 
+    family: str
+    index: int
     y_count: int
     chars: tuple[Mono, ...]
     numer: tuple[Mono, ...]
     ymul: tuple[Mono, ...]
 
     @property
+    def name(self) -> str:
+        return f"{self.family}{self.index}" if self.family == "G" else f"{self.family}:{self.index}"
+
+    @property
     def shift(self) -> int:
         return len(self.chars) - len(self.numer)
 
-    @functools.cached_property
+    @property
     def arity(self) -> int:
         return len(self.chars[0])
 
-    @functools.cached_property
     def conditions(self) -> tuple[Mono, ...]:
+        """Monomials that must not vanish mod r (not divisible by r)."""
+        return self._conditions
+
+    # cached: grid and pool filters read conditions() per w-tuple
+    @functools.cached_property
+    def _conditions(self) -> tuple[Mono, ...]:
         """Every D factor must be a unit, i.e. r divides no D monomial.  Each
         char monomial divides a numerator one, so the numerator monomials,
         where there are any, carry all the conditions."""
@@ -198,13 +181,13 @@ _Q = (1, 1, 1)
 _E, _P = (_E1, _E2, _E3), (_P1, _P2, _P3)
 _W1, _W2, _W12 = (1, 0), (0, 1), (1, 1)
 
-CLOSED_FORMS: dict[QuotientType, ClosedForm] = {
-    **{QuotientType("G", i): ClosedForm(2 - i, (_W1, _W2), (_W12,) * i, (_W12,)) for i in range(3)},
-    **{QuotientType("L23", i): ClosedForm(3 - i, _P, (_Q,) * i, (_Q,)) for i in range(4)},
-    **{QuotientType("L13", i): ClosedForm(3 - i, _E, (_Q,) * i, (_Q,)) for i in range(4)},
-    QuotientType("L12", 0): ClosedForm(1, _E, (), _P),
-    QuotientType("L12", 1): ClosedForm(0, _E, _P, ()),
-}
+QUOTIENT_TYPES: dict[str, QuotientType] = {qt.name: qt for qt in (
+    *(QuotientType("G", i, 2 - i, (_W1, _W2), (_W12,) * i, (_W12,)) for i in range(3)),
+    *(QuotientType("L23", i, 3 - i, _P, (_Q,) * i, (_Q,)) for i in range(4)),
+    *(QuotientType("L13", i, 3 - i, _E, (_Q,) * i, (_Q,)) for i in range(4)),
+    QuotientType("L12", 0, 1, _E, (), _P),
+    QuotientType("L12", 1, 0, _E, _P, ()),
+)}
 
 
 @dataclass(frozen=True)
@@ -280,7 +263,7 @@ def _build_forms() -> dict[str, tuple[ExpansionForm, ...]]:
         "L12:1": [tuple(SSlot(_E[(v + 1) % 3], _E[v]) for v in range(3))],
     }
     forms: dict[str, tuple[ExpansionForm, ...]] = {}
-    for qt in CLOSED_FORMS:
+    for qt in QUOTIENT_TYPES.values():
         if qt.family == "L13":
             forms[qt.name] = tuple(
                 ExpansionForm(qt, f.form_no, tuple(_derive_l13_slot(x) for x in f.slots))
@@ -292,8 +275,6 @@ def _build_forms() -> dict[str, tuple[ExpansionForm, ...]]:
 
 
 FORMS: dict[str, tuple[ExpansionForm, ...]] = _build_forms()
-
-QUOTIENT_TYPES: dict[str, QuotientType] = {name: fs[0].qt for name, fs in FORMS.items()}
 
 
 def parse_quotient_type(text: str) -> QuotientType:
@@ -532,6 +513,14 @@ def point_series(side: Side, y: Sequence, n_max: int) -> TruncatedSeries:
     return p.truncate(n_max).mul_exp(c)
 
 
+def point_value(side: Side, y: Sequence, n: int) -> CyclotomicNumber:
+    """The side's displayed value at (n, y), y of ints or Fractions: the
+    t^n/n! coefficient of its `point_series`, summed from P's integer rows
+    without building it."""
+    p, ys = side
+    return p.mul_exp_coefficient(sum(cv * yv for cv, yv in zip(ys, y)), n)
+
+
 def expansion_coefficients(form: ExpansionForm, w: Sequence[int], y: Sequence,
                            chi: DirichletCharacter, twist: TwistSpec, n_max: int,
                            ctx: Optional[EvalContext] = None,
@@ -551,7 +540,7 @@ def closed_form_series(qt: QuotientType, w: Sequence[int], y: Sequence,
                        chi: DirichletCharacter, twist: TwistSpec, order: int,
                        ctx: Optional[EvalContext] = None) -> TruncatedSeries:
     """The explicit right-hand-side series of the quotient type, exact to
-    the requested order: the product of the type's CLOSED_FORMS row,
+    the requested order: the product of the type's closed form,
         t^shift * prod (T_W/D_W) * prod D_V * exp(c*(y_1+..+y_k)*t),
     with c the sum of the y-multiplier monomials: the factors are multiplied
     left to right in that order, then shifted by t^shift.  Each T_W/D_W is
@@ -563,11 +552,10 @@ def closed_form_series(qt: QuotientType, w: Sequence[int], y: Sequence,
     y = tuple(Fraction(v) for v in y)
     if len(y) < qt.y_count:
         raise ParameterError(f"{qt.name} needs {qt.y_count} y value(s)")
-    cf = CLOSED_FORMS[qt]
-    factors = [ctx.char_ratio_series(mono_val(mono, w), order, mono_name(mono)) for mono in cf.chars]
-    factors += [ctx.denom_series(mono_val(mono, w), order) for mono in cf.numer]
-    coeff = sum(mono_val(mono, w) for mono in cf.ymul) * sum(y[:cf.y_count], Fraction(0))
-    return functools.reduce(operator.mul, factors).mul_exp(coeff).shift_up(cf.shift).truncate(order)
+    factors = [ctx.char_ratio_series(mono_val(mono, w), order, mono_name(mono)) for mono in qt.chars]
+    factors += [ctx.denom_series(mono_val(mono, w), order) for mono in qt.numer]
+    coeff = sum(mono_val(mono, w) for mono in qt.ymul) * sum(y[:qt.y_count], Fraction(0))
+    return functools.reduce(operator.mul, factors).mul_exp(coeff).shift_up(qt.shift).truncate(order)
 
 
 # ---------------------------------------------------------------------------

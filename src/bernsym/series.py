@@ -382,6 +382,19 @@ class TruncatedSeries:
             out.append(acc)
         return TruncatedSeries._from_rows(self.m, _content_reduced(den * b ** order * fact, out))
 
+    def mul_exp_coefficient(self, c: Fraction | int, n: int) -> CyclotomicNumber:
+        """n! times the t^n coefficient of self * exp(c*t), for a rational
+        c = a/b: sum_k n!/(n-k)! * a^(n-k) * b^k * row[k] over den * b^n,
+        without building the product series."""
+        den, rows, _ = self._rows()
+        a, b = c.numerator, c.denominator
+        acc = [0] * len(rows[0])
+        for k in range(n + 1):
+            q = math.factorial(n) // math.factorial(n - k) * a ** (n - k) * b ** k
+            if q:
+                acc = [x + q * y for x, y in zip(acc, rows[k])]
+        return CyclotomicNumber(self.m, acc, den * b ** n)
+
     def scale_variable(self, q) -> "TruncatedSeries":
         """Substitute t -> q*t for a rational q, mapping c_n to q^n * c_n, on
         integer rows: with q = a/b and N the order, row n times a^n * b^(N-n)

@@ -312,7 +312,16 @@ def test_repeated_main_calls_match_fresh_processes(monkeypatch, capsys):
     (b"r = 1\n", "error: twist root must differ from 1 (r >= 2)"),
     (b"chars = primitive\n", "error: unknown character filter 'primitive'"),
     (b"format = xml\n", "error: unknown grid format 'xml'"),
-], ids=["unknown-key", "missing", "not-utf8", "n-max", "w-component", "r", "chars", "format"])
+    # a j that is primitive for no r skips every instance; explicit chars
+    # without a label for a listed d run none
+    (b"j = 0\n", "error: j=0 does not give a primitive r-th root for any r in [3, 4, 5, 7]\n"),
+    (b"r = 3\nj = 3\n", "error: j=3 does not give a primitive r-th root for any r in [3]\n"),
+    (b"chars = explicit\n", "error: explicit characters need char_labels\n"),
+    (b"chars = explicit\nchar_labels = 7:1\n", "error: char_labels modulus 7 is not in d [1, 3, 4, 5]\n"),
+    (b"d = 5\nchars = explicit\nchar_labels = 5:2; 3:1\n", "error: char_labels modulus 3 is not in d [5]\n"),
+], ids=["unknown-key", "missing", "not-utf8", "n-max", "w-component", "r", "chars", "format",
+        "j-zero", "j-not-coprime", "explicit-no-labels", "explicit-label-outside-d",
+        "explicit-one-label-outside-d"])
 def test_grid_file_parsing_errors(tmp_path, content, prefix):
     # each of these leaves nothing to verify: exit 2 before any work
     cfg = tmp_path / "grid.cfg"

@@ -1,7 +1,7 @@
 """Theorem catalog, verification modes, orbits, redundancy, grids."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -24,6 +24,7 @@ from bernsym.identities import (
 from bernsym.quotients import (
     EvalContext,
     Mutation,
+    expansion_coefficients,
     expansion_polys,
     form_weight,
     perm_apply,
@@ -147,19 +148,47 @@ def test_mutated_side_bypasses_memo(theorem, w):
     assert verify_instance(inst, ctx=ctx).pass_as_stated
 
 
+def _first_grid_mismatch(inst, mutation=None):
+    """(n, y, side_a, side_b, value_a, value_b) at the first n, then grid
+    point, then side pair where the instance's mode fails, read one point at
+    a time from `theorem_sides` (side 1 from `expansion_coefficients` under a
+    mutation); None when every point agrees."""
+    thm = inst.theorem_spec()
+    ctx = EvalContext(inst.character(), inst.twist())
+    for n in range(inst.n_max + 1):
+        for y in y_grid_points(n, thm.y_count):
+            sides = [(wt, v) for _, wt, v in theorem_sides(inst, n, y, ctx)]
+            if mutation:
+                sides[0] = (sides[0][0], expansion_coefficients(
+                    thm.base, perm_apply(thm.sigmas[0], inst.w), y, ctx.chi, ctx.twist, inst.n_max,
+                    ctx, mutation)[n])
+            for (a, (wa, va)), (b, (wb, vb)) in combinations(enumerate(sides, start=1), 2):
+                if (va.scale(wb) != vb.scale(wa)) if inst.mode == "normalized" else va != vb:
+                    return n, y, a, b, va, vb
+    return None
+
+
 @pytest.mark.parametrize("theorem", (2, 3, 5, 7, 9, 10, 11))
 def test_poly_and_points_methods_agree(theorem):
+    # both methods report the first n, then grid point, then side pair that
+    # fails; the mutation makes side 1 differ from t^1 on, so both modes
+    # fail, and as stated (theorem 9) sides 1 and 2 first differ at a later
+    # n than another pair does, so a scan over pairs before points reports
+    # a different witness
     thm = THEOREMS[theorem]
     w = (1, 2) if thm.arity == 2 else (1, 2, 2)
-    inst = TheoremInstance(theorem, 4, (1,), 3, 1, w, 2)
-    for mode in ("as-stated", "normalized"):
-        inst_m = TheoremInstance(theorem, 4, (1,), 3, 1, w, 2, mode)
-        a = verify_instance(inst_m, method="poly")
-        b = verify_instance(inst_m, method="points")
-        assert (a.pass_as_stated, a.pass_normalized, a.pass_orbits) == \
-            (b.pass_as_stated, b.pass_normalized, b.pass_orbits)
-        if a.witness or b.witness:
-            assert a.witness.n == b.witness.n and a.witness.y == b.witness.y
+    for mutation in (None, Mutation("binomial", 0, 1)):
+        for mode in ("as-stated", "normalized"):
+            inst_m = TheoremInstance(theorem, 4, (1,), 3, 1, w, 2, mode)
+            a = verify_instance(inst_m, method="poly", mutation=mutation)
+            b = verify_instance(inst_m, method="points", mutation=mutation)
+            assert (a.pass_as_stated, a.pass_normalized, a.pass_orbits) == \
+                (b.pass_as_stated, b.pass_normalized, b.pass_orbits)
+            expected = _first_grid_mismatch(inst_m, mutation)
+            for report in (a, b):
+                wit = report.witness
+                got = wit and (wit.n, wit.y, wit.side_a, wit.side_b, wit.value_a, wit.value_b)
+                assert got == expected, (mutation, mode, report is a)
 
 
 def _ypoly_equal(a, b, wa=1, wb=1):

@@ -12,8 +12,8 @@ from bernsym.dirichlet import DirichletCharacter, trivial_character
 from bernsym.exactnum import CyclotomicNumber as Cyc, euler_phi
 from bernsym import bernoulli, quotients
 from bernsym.quotients import (
-    CLOSED_FORMS,
     FORMS,
+    QUOTIENT_TYPES,
     BSlot,
     EvalContext,
     Mutation,
@@ -29,6 +29,7 @@ from bernsym.quotients import (
     perm_apply,
     perm_monomial,
     point_series,
+    point_value,
     side_series,
     spread_ypolys,
 )
@@ -245,7 +246,7 @@ def test_closed_forms_never_read_the_bernoulli_series(monkeypatch):
     monkeypatch.setattr(quotients, "bernoulli_egf", refuse)
     with pytest.raises(AssertionError):
         side_series(FORMS["G0"][0], (1, 2), ctx, 6)   # the guard bites
-    for qt in CLOSED_FORMS:
+    for qt in QUOTIENT_TYPES.values():
         w = (1, 2, 4)[: qt.arity]
         y = (Fraction(1, 2),) * qt.y_count
         assert closed_form_series(qt, w, y, chi, twist, 6, ctx).order == 6
@@ -350,6 +351,21 @@ def test_point_series_matches_ypoly_spread(m, n_max, extra, data):
     polys = spread_ypolys(p, ys, n_max)
     for n in range(n_max + 1):
         assert e.egf_coefficient(n) == eval_ypoly(polys[n], y, m), n
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from((1, 3, 12, 20)), st.integers(0, 8), st.data())
+def test_point_value_is_the_point_series_coefficient(m, order, data):
+    # point_value sums one coefficient straight from P's rows; at integer
+    # and rational y-points alike it is point_series' canonical coefficient
+    p = data.draw(row_held_series(m, order))
+    ys = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3)))
+    y = tuple(data.draw(st.lists(st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=6),
+                                 min_size=len(ys), max_size=len(ys))))
+    e = point_series((p, ys), y, order)
+    for n in range(order + 1):
+        value = point_value((p, ys), y, n)
+        assert value.to_json() == e.egf_coefficient(n).to_json(), n
 
 
 def test_point_series_is_the_side_itself_at_c_zero():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from bernsym.bernoulli import TwistSpec
 from bernsym.dirichlet import trivial_character
 from bernsym.exactnum import CyclotomicNumber as Cyc, euler_phi
-from bernsym.quotients import CLOSED_FORMS, EvalContext, closed_form_series
+from bernsym.quotients import QUOTIENT_TYPES, EvalContext, closed_form_series
 from bernsym.series import NonUnitConstantError, TruncatedSeries as TS
 
 
@@ -316,7 +316,7 @@ def test_egf_coefficients_are_reduced(m, order, data):
 def test_closed_forms_multiply_every_ordering(monkeypatch):
     # criterion 5 compares the closed form over every ordering of w; a cache
     # keyed on the multiset of w would make that comparison vacuous, so each
-    # ordering must multiply all of its CLOSED_FORMS row's factors
+    # ordering must multiply all of its type's closed-form factors
     calls = []
     product, mul_exp = TS.__mul__, TS.mul_exp
 
@@ -334,12 +334,12 @@ def test_closed_forms_multiply_every_ordering(monkeypatch):
     chi, twist = trivial_character(1), TwistSpec(7, 1)
     ctx = EvalContext(chi, twist)
     y = (Fraction(1, 2), Fraction(2), Fraction(3, 5))
-    for qt, row in CLOSED_FORMS.items():
+    for qt in QUOTIENT_TYPES.values():
         w = (1, 2, 3)[: qt.arity]
         # exp(c*(y_1+..)*t) is a factor, applied by mul_exp, where the type
         # has y variables (the y values here are positive, so
         # c*(y_1+..) != 0)
-        factors = len(row.chars) + len(row.numer) + (1 if row.ymul and row.y_count else 0)
+        factors = len(qt.chars) + len(qt.numer) + (1 if qt.ymul and qt.y_count else 0)
         seen = []
         for sigma in itertools.permutations(w):
             calls.clear()
