@@ -21,7 +21,7 @@ from typing import Union
 
 from .dirichlet import DirichletCharacter
 from .errors import ParameterError
-from .exactnum import CyclotomicNumber, Scalar, linear_combination
+from .exactnum import CyclotomicNumber, Scalar, linear_combination, progression_sum
 from .series import NonUnitConstantError, TruncatedSeries
 
 __all__ = [
@@ -161,14 +161,15 @@ def _class_weights(chi: DirichletCharacter, twist: TwistSpec, w: int) -> tuple[C
 def power_sum(k: int, upper: int, chi: DirichletCharacter, twist: TwistSpec, w: int) -> CyclotomicNumber:
     """S_k(upper; chi, xi^w) = sum_{a=0}^{upper} chi(a) xi^{wa} a^k, with 0^0 = 1.
 
-    chi(a) xi^(wa) depends only on a mod lcm(d, r), so a^k is summed in
-    integers over each class (Python's 0 ** 0 is 1) and each class total
-    meets its weight once."""
+    chi(a) xi^(wa) depends only on a mod L = lcm(d, r), so each class
+    c, c + L, ... <= upper is summed in integers (`progression_sum` with
+    f = x^k, whose 0^0 is 1 as Python's is) and each class total meets its
+    weight once.  The cost does not grow with upper."""
     if k < 0 or upper < 0:
         raise ParameterError("power sum needs k >= 0 and upper >= 0")
     weights = _class_weights(chi, twist, w % twist.r)
     period = len(weights)
-    terms = [(sum(a ** k for a in range(c, upper + 1, period)), weight)
+    terms = [(progression_sum([(k, 1)], c, period, (upper - c) // period + 1), weight)
              for c, weight in enumerate(weights[:upper + 1]) if not weight.is_zero()]
     return linear_combination(terms, field_conductor(chi, twist))
 

@@ -4,7 +4,8 @@ Subcommands: bernoulli, power-sum, chars, quotient, consistency, verify,
 audit, padic.  All numbers are rendered as exact strings (rationals or
 cyclotomic coordinate vectors); identical invocations produce identical
 bytes.  Exit codes: 0 all pass, 1 verification failure, 2 usage or
-parameter error, 3 internal error.
+parameter error, 3 internal error; `--debug` (before the subcommand)
+prints an internal error's traceback to stderr after its one-line message.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import functools
 import io
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from .bernoulli import (
@@ -124,6 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bernsym",
         description="Exact twisted-Bernoulli engine: values, quotient series, identity audits.",
     )
+    parser.add_argument("--debug", action="store_true",
+                        help="after an internal error's one-line message, print its traceback to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bernoulli", help="generalized twisted Bernoulli numbers B_n")
@@ -430,11 +434,11 @@ def main(argv=None, out=None, err=None) -> int:
         # included); anything else is our fault, not the user's
         err.write(f"error: {exc}\n")
         return USAGE_ERROR
-    except OSError as exc:
-        err.write(f"i/o error: {exc}\n")
-        return INTERNAL_ERROR
     except Exception as exc:
-        err.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        kind = "i/o error" if isinstance(exc, OSError) else f"internal error: {type(exc).__name__}"
+        err.write(f"{kind}: {exc}\n")
+        if args.debug:
+            traceback.print_exception(exc, file=err)
         return INTERNAL_ERROR
 
 

@@ -59,6 +59,44 @@ def divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
+@lru_cache(maxsize=4)
+def _power_sums(count: int, degree: int) -> tuple[int, ...]:
+    """S_e = sum_{j<count} j^e for e = 0..degree, with 0^0 = 1, from the
+    telescoping sum (e+1) S_e = count^(e+1) - sum_{i<e} C(e+1, i) S_i.
+    The classes of one progression split have at most two counts, so a
+    few entries serve a whole call at any degree."""
+    sums: list[int] = []
+    row = [1]
+    power = 1
+    for e in range(degree + 1):
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]  # C(e+1, i)
+        power *= count
+        sums.append((power - sum(c * s for c, s in zip(row, sums))) // (e + 1))
+    return tuple(sums)
+
+
+def progression_sum(terms: Sequence[tuple[int, int]], start: int, step: int, count: int) -> int:
+    """sum_{j<count} f(start + j*step), exactly, for the integer polynomial
+    f = sum f_i x^i given as its (i, f_i) terms, with step >= 1 and 0^0 = 1.
+
+    f(start + j*step) = sum_e step^e (sum_i C(i, e) f_i start^(i-e)) j^e,
+    and each sum_{j<count} j^e is an exact integer (`_power_sums`), so the
+    cost is about (deg f + 1)^2 integer operations however long the
+    progression.  A progression that costs no more than that term by term,
+    one power per term of f, is summed directly; both ways give the same
+    integer."""
+    degree = max((i for i, _ in terms), default=0)
+    if count * len(terms) <= (degree + 1) ** 2:
+        points = range(start, start + count * step, step)
+        return sum(f * sum(a ** i for a in points) for i, f in terms)
+    total = 0
+    scale = 1
+    for e, s in enumerate(_power_sums(count, degree)):
+        total += scale * s * sum(f * math.comb(i, e) * start ** (i - e) for i, f in terms if i >= e)
+        scale *= step
+    return total
+
+
 def _poly_divmod_int(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
     """Divide integer polynomials (low-to-high coeffs); den must be monic."""
     num = list(num)

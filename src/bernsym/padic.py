@@ -9,15 +9,20 @@ divide N(x).  The measure assigns a residue class a + d p^N Z_p the value
 z^a / (z^(d p^N) - 1) with z the image of the twist root, and integrals
 are finite Riemann sums over residue classes whose p-adic limits are
 checked against the algebraic Bernoulli moments.  A level-N sum groups its
-d p^N residues by class mod lcm(r, character modulus): f is summed in
-integers mod p^M within each class, and only the class totals meet ring
-arithmetic.  A level's cost is its residues times the deg f + 1 Horner
-steps each takes; a level over MAX_HORNER_STEPS steps is refused before
-any work.
+d p^N residues by class mod L = lcm(r, character modulus): each class is
+an arithmetic progression, over which f sums to an exact integer in closed
+form (`exactnum.progression_sum`), and only the class totals meet ring
+arithmetic.  A level therefore costs about L (deg f + 1)^2 integer
+operations, whatever N is.  The refusal of a level whose d p^N residues
+times deg f + 1 exceed MAX_HORNER_STEPS is kept from the residue walk the
+closed form replaced, until a cost model for the closed form takes its
+place.  The measure and its distribution check read z^(d p^N) from
+d p^N mod r, so they never form p^N.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,13 +30,15 @@ from typing import Optional, Sequence
 
 from .bernoulli import ParameterError, TwistSpec, gen_bernoulli_numbers
 from .dirichlet import DirichletCharacter
-from .exactnum import CyclotomicNumber, _adjugate, _power_vec, _vec_mul_mod, euler_phi
+from .exactnum import CyclotomicNumber, _adjugate, _power_vec, _vec_mul_mod, euler_phi, progression_sum
 
 DEFAULT_PRECISION = 40
 GUARD_BAND = 4
-# Horner steps one Riemann-sum level may take, d p^N residues times deg f + 1
-# steps each: a step takes 0.08-0.15 us on a 2-core Xeon (more at higher
-# degree, whose integers are longer), so 2-3 s at the ceiling
+# Horner steps one Riemann-sum level may span, d p^N residues times deg f + 1
+# steps each: the cost of the residue walk that the closed-form class sums
+# replaced, which took 2-3 s at the ceiling on a 2-core Xeon.  A level at the
+# ceiling now takes under a millisecond there; the refusal stays until a
+# cost model for the closed form replaces it
 MAX_HORNER_STEPS = 20_000_000
 # residues one level may walk at all: the ceiling at deg f = 0
 MAX_RESIDUES = MAX_HORNER_STEPS
@@ -237,18 +244,31 @@ def _level_span(d: int, p: int, level: int, steps: int = 1) -> int:
     return span
 
 
+@functools.lru_cache(maxsize=256)
+def _denominator_inverse(ctx: PadicContext, exp: int) -> PadicCycNumber:
+    """1 / (x^exp - 1), the measure's denominator z^(d p^N) - 1 inverted;
+    callers pass exp mod r, so each ring has at most r of them."""
+    return (ctx.x_power(exp) - ctx.one()).inverse()
+
+
 def measure_value(query: MeasureQuery, twist: TwistSpec, ctx: PadicContext) -> PadicCycNumber:
-    """mu_z(a + d p^N Z_p) = z^a / (z^(d p^N) - 1), z = xi^twist_exp."""
+    """mu_z(a + d p^N Z_p) = z^a / (z^(d p^N) - 1), z = xi^twist_exp.
+
+    z has order r, so z^(d p^N) is read from d p^N mod r: the cost does not
+    grow with the level."""
     if ctx.r != twist.r:
         raise ParameterError("ring and twist orders differ")
-    span = query.d * ctx.p ** query.level
-    if query.residue >= span:
-        raise ParameterError(f"residue {query.residue} outside 0..{span - 1}")
+    # p^k > residue at k = residue.bit_length(), so capping N there decides
+    # residue < d p^N without forming a p^N that grows with the level
+    if query.residue >= query.d * ctx.p ** min(query.level, query.residue.bit_length()):
+        raise ParameterError(
+            f"residue {query.residue} outside 0..d*p^N - 1 = {query.d}*{ctx.p}^{query.level} - 1"
+        )
     z_exp = twist.j * query.twist_exp
     if z_exp % twist.r == 0:
         raise ParameterError("z = 1 does not define a measure")
-    den = ctx.x_power(z_exp * span) - ctx.one()
-    return ctx.x_power(z_exp * query.residue) * den.inverse()
+    den_inv = _denominator_inverse(ctx, z_exp * query.d * pow(ctx.p, query.level, ctx.r) % ctx.r)
+    return ctx.x_power(z_exp * query.residue) * den_inv
 
 
 def riemann_sum(f_coeffs: Sequence, chi: Optional[DirichletCharacter],
@@ -258,19 +278,22 @@ def riemann_sum(f_coeffs: Sequence, chi: Optional[DirichletCharacter],
 
     f is a polynomial given by rational coefficients (low degree first)
     whose denominators must be prime to p; when chi is supplied its order
-    must divide r so the values embed in the ring.  Levels taking more
-    than MAX_HORNER_STEPS Horner steps are refused before any work.
+    must divide r so the values embed in the ring.  Levels whose d p^N
+    residues times deg f + 1 exceed MAX_HORNER_STEPS are refused before
+    any work.
 
     z^a depends only on a mod r and chi(a) only on a mod chi.d, so the sum
-    is regrouped by classes c mod L = lcm(r, chi.d), or r without chi: f(a)
-    is summed in integers mod p^M over each class, each class total is
-    multiplied once by z^c chi(c), and the whole by the inverted
-    denominator z^(d p^N) - 1.
+    is regrouped by classes c mod L = lcm(r, chi.d), or r without chi.  The
+    values f(c), f(c + L), ... below d p^N sum to an exact integer in closed
+    form (`progression_sum`, f's coefficients taken mod p^M); each class
+    total is weighted by z^c chi(c), a power of x, in integers; and one ring
+    element, the weighted total, is multiplied by the inverted denominator
+    z^(d p^N) - 1.
     """
     span = _level_span(d, ctx.p, level, max(1, len(f_coeffs)))
     if ctx.r != twist.r:
         raise ParameterError("ring and twist orders differ")
-    fracs = [Fraction(c) for c in f_coeffs] or [Fraction(0)]
+    fracs = [Fraction(c) for c in f_coeffs]
     for c in fracs:
         if c.denominator % ctx.p == 0:
             raise ParameterError(f"coefficient {c} has denominator divisible by p={ctx.p}")
@@ -283,44 +306,37 @@ def riemann_sum(f_coeffs: Sequence, chi: Optional[DirichletCharacter],
         raise ParameterError("z = 1 does not define a measure")
 
     mod = ctx.modulus
-    horner = [c.numerator * pow(c.denominator, -1, mod) % mod for c in reversed(fracs)]
-    period = ctx.r
-    chi_embedded = None
-    if chi is not None:
-        period = math.lcm(ctx.r, chi.d)
-        chi_embedded = [embed_algebraic(chi(a), ctx) for a in range(chi.d)]
-
-    total = ctx.zero()
+    terms = [(i, c.numerator * pow(c.denominator, -1, mod) % mod) for i, c in enumerate(fracs) if c]
+    r = ctx.r
+    period = r if chi is None else math.lcm(r, chi.d)
+    total = [0] * ctx.degree
     for c in range(min(period, span)):
-        weight = ctx.x_power(z_exp * c)
-        if chi_embedded is not None:
-            cv = chi_embedded[c % chi.d]
-            if cv.is_zero():
+        # z^c chi(c) = x^(z_exp c + s r / order) when chi(c) = zeta_order^s
+        weight_exp = z_exp * c
+        if chi is not None:
+            s = chi._value_exponent(c)
+            if s is None:
                 continue
-            weight = weight * cv
-        class_sum = 0
-        for a in range(c, span, period):
-            fa = 0
-            for k in horner:
-                fa = fa * a + k
-            class_sum += fa
-        total = total + weight * (class_sum % mod)
-    den = ctx.x_power(z_exp * span) - ctx.one()
-    return total * den.inverse()
+            weight_exp += s * (r // chi.order)
+        class_sum = progression_sum(terms, c, period, (span - 1 - c) // period + 1)
+        for i, x in enumerate(_power_vec(r, weight_exp)):
+            total[i] += x * class_sum
+    return PadicCycNumber(ctx, total) * _denominator_inverse(ctx, z_exp * span % r)
 
 
 def distribution_check(twist: TwistSpec, d: int, level: int, residue: int,
                        ctx: PadicContext, twist_exp: int = 1) -> bool:
     """Exact finite-level compatibility: the p classes refining
-    a + d p^N Z_p sum to its measure."""
+    a + d p^N Z_p sum to its measure.  Every power of z is read from
+    d p^N mod r, so the cost does not grow with the level."""
     coarse = measure_value(MeasureQuery(d, level, twist_exp, residue), twist, ctx)
     z_exp = twist.j * twist_exp
-    span = d * ctx.p ** level
-    fine_den = ctx.x_power(z_exp * span * ctx.p) - ctx.one()
+    span_mod_r = d * pow(ctx.p, level, ctx.r)  # d p^N, up to a multiple of r
+    fine_den_inv = _denominator_inverse(ctx, z_exp * span_mod_r * ctx.p % ctx.r)
     total = ctx.zero()
     for i in range(ctx.p):
-        total = total + ctx.x_power(z_exp * (residue + i * span))
-    return total * fine_den.inverse() == coarse
+        total = total + ctx.x_power(z_exp * (residue + i * span_mod_r))
+    return total * fine_den_inv == coarse
 
 
 # ---------------------------------------------------------------------------

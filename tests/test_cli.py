@@ -193,6 +193,7 @@ def test_padic_level_over_ceiling_usage_error(monkeypatch):
 
     monkeypatch.setattr(padic, "gen_bernoulli_numbers", walk)
     monkeypatch.setattr(padic, "riemann_sum", walk)
+    monkeypatch.setattr(padic, "progression_sum", walk)
     code, out, err = run_cli(["padic", "--p", "7", "--r", "3", "--n", "1", "--levels", "30"])
     assert code == 2
     assert err == (f"error: level 30 walks d*p^N = 1*7^30 residues, "
@@ -209,6 +210,7 @@ def test_padic_high_degree_over_ceiling_usage_error(monkeypatch):
 
     monkeypatch.setattr(padic, "gen_bernoulli_numbers", walk)
     monkeypatch.setattr(padic, "riemann_sum", walk)
+    monkeypatch.setattr(padic, "progression_sum", walk)
     code, out, err = run_cli(["padic", "--p", "101", "--r", "3", "--n", "90", "--levels", "3"])
     assert code == 2
     assert err == ("error: level 3 walks d*p^N = 1*101^3 = 1030301 residues of deg f + 1 = 91 "
@@ -403,3 +405,33 @@ def test_internal_value_error_exits_three(monkeypatch):
     monkeypatch.setitem(cli._HANDLERS, "chars", broken)
     code, out, err = run_cli(["chars", "--d", "5"])
     assert (code, out, err) == (3, "", "internal error: ValueError: not a usage error\n")
+
+
+@pytest.mark.parametrize("exc,message", [
+    (RuntimeError("boom"), "internal error: RuntimeError: boom\n"),
+    (OSError("disk gone"), "i/o error: disk gone\n"),
+], ids=["runtime", "os"])
+def test_debug_prints_the_traceback_of_an_internal_error(monkeypatch, exc, message):
+    # without --debug stderr is the one line; with it the traceback follows
+    from bernsym import cli
+
+    def broken(args, out):
+        out.write("partial")
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "chars", broken)
+    assert run_cli(["chars", "--d", "5"]) == (3, "partial", message)
+    code, out, err = run_cli(["--debug", "chars", "--d", "5"])
+    assert (code, out) == (3, "partial")
+    first, _, trace = err.partition("\n")
+    assert first + "\n" == message
+    assert trace.startswith("Traceback (most recent call last):\n")
+    assert "in broken\n" in trace
+    assert trace.endswith(f"{type(exc).__name__}: {exc}\n")
+
+
+def test_debug_leaves_usage_errors_and_output_alone():
+    assert run_cli(["--debug", "padic", "--p", "6", "--r", "5", "--n", "1"]) == \
+        run_cli(["padic", "--p", "6", "--r", "5", "--n", "1"])
+    assert run_cli(["--debug", "power-sum", "--r", "3", "--k", "1", "--upper", "2"]) == \
+        run_cli(["power-sum", "--r", "3", "--k", "1", "--upper", "2"])

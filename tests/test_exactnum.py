@@ -13,6 +13,7 @@ from bernsym.exactnum import (
     divisors,
     euler_phi,
     linear_combination,
+    progression_sum,
 )
 
 
@@ -170,3 +171,26 @@ def test_canonical_form_invariants():
     assert math.gcd(math.gcd(*v.num), v.den) == 1
     w = Cyc(6, [-2, -4], -6)
     assert w.den == 3 and w.num == (1, 2)
+
+
+def horner_walk(coeffs, start, step, count):
+    """sum_{j<count} f(start + j*step), one Horner evaluation per term."""
+    total = 0
+    for j in range(count):
+        a, fa = start + j * step, 0
+        for c in reversed(coeffs):
+            fa = fa * a + c
+        total += fa
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=9),
+       st.integers(0, 50), st.integers(1, 12),
+       st.one_of(st.sampled_from([0, 1]), st.integers(2, 120), st.integers(500, 3000)))
+def test_progression_sum_matches_walk(coeffs, start, step, count):
+    # degrees 0..8, starts beyond the step, and counts on both sides of the
+    # switch to the closed form; Horner gives f(0) = f_0, the 0^0 = 1 convention
+    terms = [(i, c) for i, c in enumerate(coeffs) if c]
+    assert progression_sum(terms, start, step, count) == horner_walk(coeffs, start, step, count)
+

@@ -155,3 +155,46 @@ def test_character_orthogonality():
         for a, counts in by_unit.items():
             total = _zeta_sum(counts, exponent)
             assert total == [phi_d if a % d == 1 % d and i == 0 else 0 for i in range(len(total))], (d, a)
+
+
+# power sums at a large upper against sympy's Faulhaber sums
+
+from bernsym.bernoulli import power_sum  # noqa: E402
+from bernsym.dirichlet import DirichletCharacter  # noqa: E402
+
+# real characters by their values: trivial mod d, and the quadratic
+# characters mod 4 and mod 5 as Jacobi symbols
+REAL_CHARACTERS = {
+    (1, ()): lambda a: 1,
+    (3, (0,)): lambda a: 1 if a % 3 else 0,
+    (4, (1,)): lambda a: sympy.jacobi_symbol(-1, a) if a % 2 else 0,
+    (5, (2,)): lambda a: sympy.jacobi_symbol(a, 5),
+}
+
+
+@pytest.mark.parametrize("d,label,r,w,k,upper", [
+    (1, (), 3, 1, 3, 10 ** 12),
+    (3, (0,), 4, 3, 2, 10 ** 12 + 5),
+    (4, (1,), 5, 1, 3, 10 ** 12),
+    (4, (1,), 3, 2, 6, 10 ** 15 + 3),
+    (5, (2,), 3, 1, 4, 10 ** 12 + 1),
+    (5, (2,), 7, 2, 0, 10 ** 18),
+    (5, (2,), 7, 2, 5, 38),
+])
+def test_power_sum_matches_sympy_at_large_upper(d, label, r, w, k, upper):
+    # sum_{a<=U} chi(a) zeta_r^(wa) a^k: sympy sums (c + jL)^k over j < n
+    # in closed form, L = lcm(d, r), and each class c takes its own n;
+    # sympy's x^0 is 1, the 0^0 = 1 convention
+    chi_value = REAL_CHARACTERS[(d, label)]
+    chi = DirichletCharacter(d, label)
+    assert [chi(a).coefficients() for a in range(d)] == [(Fraction(int(chi_value(a))),) for a in range(d)]
+    m = math.lcm(r, chi.order)
+    L = math.lcm(d, r)
+    c, j, n = sympy.symbols("c j n", integer=True, nonnegative=True)
+    class_sum = sympy.summation((c + j * L) ** k, (j, 0, n - 1))
+    expected = sum(chi_value(a) * class_sum.subs({c: a, n: (upper - a) // L + 1})
+                   * X ** ((m // r) * w * a % m) for a in range(L))
+    expected = sympy.Poly(expected, X, domain=sympy.QQ).rem(phi_poly(m))
+    value = power_sum(k, upper, chi, TwistSpec(r, 1), w)
+    assert value.m == m
+    assert value.coefficients() == coordinates(expected, euler_phi(m))

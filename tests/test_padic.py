@@ -148,6 +148,25 @@ def test_distribution_compatibility(p, r, d):
             assert distribution_check(twist, d, level, residue, ctx)
 
 
+@pytest.mark.parametrize("level", [10 ** 6, 10 ** 6 + 1])
+@pytest.mark.parametrize("p,r,d", [(5, 3, 1), (7, 4, 1), (5, 3, 4), (7, 3, 4), (11, 7, 5)])
+def test_measure_at_a_huge_level_reads_p_to_the_n_mod_r(p, r, d, level):
+    # z has order r, so level N and N mod ord_r(p) give the same p^N mod r
+    # and the same measure; neither function forms p^N
+    ctx = PadicContext(p, 25, r)
+    twist = TwistSpec(r, 1)
+    low = level % min(k for k in range(1, r) if pow(p, k, r) == 1)
+    assert pow(p, low, r) == pow(p, level, r)
+    for residue in {0, 1, d - 1, d * p ** low - 1} & set(range(d * p ** low)):
+        for twist_exp in (1, 2):
+            query = MeasureQuery(d, level, twist_exp, residue)
+            assert measure_value(query, twist, ctx) == measure_value(
+                MeasureQuery(d, low, twist_exp, residue), twist, ctx)
+            assert distribution_check(twist, d, level, residue, ctx, twist_exp)
+    with pytest.raises(ParameterError, match=rf"^residue {d * p} outside 0\.\.d\*p\^N - 1 = {d}\*{p}\^1 - 1$"):
+        measure_value(MeasureQuery(d, 1, 1, d * p), twist, ctx)
+
+
 def test_riemann_sum_constant_is_level_exact():
     target = (CTX.x_power(1) - CTX.one()).inverse()
     for level in range(5):
@@ -190,6 +209,7 @@ def test_riemann_sum_refuses_level_over_ceiling(monkeypatch):
         raise AssertionError("the walk started")
 
     monkeypatch.setattr(PadicContext, "x_power", walk)
+    monkeypatch.setattr(padic, "progression_sum", walk)
     with pytest.raises(ParameterError, match="ceiling"):
         riemann_sum([1], None, Z3, 1, 40, CTX)
     with pytest.raises(ParameterError, match="ceiling"):
@@ -203,6 +223,7 @@ def test_riemann_sum_ceiling_counts_horner_steps(monkeypatch):
         raise AssertionError("the walk started")
 
     monkeypatch.setattr(PadicContext, "x_power", walk)
+    monkeypatch.setattr(padic, "progression_sum", walk)
     ctx = PadicContext(101, 40, 3)
     # 101^3 residues at deg f = 0 are under the ceiling; at deg f = 90 they are not
     assert padic._level_span(1, 101, 3, 1) == 101 ** 3
@@ -219,12 +240,12 @@ FRACTIONS = st.builds(Fraction, st.integers(-20, 20), st.sampled_from([1, 2, 3, 
 def riemann_cases(draw):
     p = draw(st.sampled_from([5, 7]))
     r = draw(st.sampled_from([3, 4]))
-    d = draw(st.sampled_from([d for d in (1, 4) if math.gcd(r, p * d) == 1]))
+    d = draw(st.sampled_from([d for d in (1, 3, 4, 5) if math.gcd(r, p * d) == 1]))
     chars = [chi for chi in enumerate_characters(d) if r % chi.order == 0]
     chi = draw(st.sampled_from([None] + chars))
     twist_exp = draw(st.integers(1, 2 * r).filter(lambda e: e % r))
-    f = draw(st.lists(FRACTIONS, min_size=1, max_size=4))
-    return p, r, d, chi, twist_exp, f, draw(st.integers(0, 2))
+    f = draw(st.lists(FRACTIONS, min_size=1, max_size=7))
+    return p, r, d, chi, twist_exp, f, draw(st.integers(0, 3))
 
 
 @settings(max_examples=40, deadline=None)
@@ -281,6 +302,7 @@ def test_convergence_refuses_level_over_ceiling(monkeypatch):
 
     monkeypatch.setattr(padic, "gen_bernoulli_numbers", walk)
     monkeypatch.setattr(padic, "riemann_sum", walk)
+    monkeypatch.setattr(padic, "progression_sum", walk)
     with pytest.raises(ParameterError, match="ceiling"):
         convergence_check(1, trivial_character(1), Z3, [1, 30, 2], PadicContext(5, 40, 3))
 
