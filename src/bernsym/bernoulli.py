@@ -17,11 +17,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 from .dirichlet import DirichletCharacter
 from .errors import ParameterError
-from .exactnum import CyclotomicNumber, Scalar, linear_combination, progression_sum
+from .exactnum import CyclotomicNumber, Scalar, progression_sum
 from .series import NonUnitConstantError, TruncatedSeries
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "power_sum",
     "power_sum_egf_check",
     "twisted_exp_minus_one",
+    "twisted_sum",
 ]
 
 
@@ -158,20 +159,35 @@ def _class_weights(chi: DirichletCharacter, twist: TwistSpec, w: int) -> tuple[C
                  for c in range(math.lcm(chi.d, twist.r)))
 
 
-def power_sum(k: int, upper: int, chi: DirichletCharacter, twist: TwistSpec, w: int) -> CyclotomicNumber:
-    """S_k(upper; chi, xi^w) = sum_{a=0}^{upper} chi(a) xi^{wa} a^k, with 0^0 = 1.
+def twisted_sum(terms: Sequence[tuple[int, int]], upper: int, chi: DirichletCharacter,
+                twist: TwistSpec, w: int) -> CyclotomicNumber:
+    """sum_{a=0}^{upper} chi(a) xi^{wa} f(a) for the integer polynomial
+    f = sum f_i x^i given as its (i, f_i) terms, with 0^0 = 1: the one class
+    sum behind the power sums and the p-adic Riemann sums.
 
-    chi(a) xi^(wa) depends only on a mod L = lcm(d, r), so each class
-    c, c + L, ... <= upper is summed in integers (`progression_sum` with
-    f = x^k, whose 0^0 is 1 as Python's is) and each class total meets its
-    weight once.  The cost does not grow with upper."""
-    if k < 0 or upper < 0:
-        raise ParameterError("power sum needs k >= 0 and upper >= 0")
+    chi(a) xi^(wa) depends only on a mod L = lcm(d, r), so f sums over each
+    class c, c + L, ... <= upper to an exact integer (`progression_sum`),
+    added onto its weight's integer vector: a weight is zero or a root of
+    unity, with denominator 1.  The cost does not grow with upper."""
     weights = _class_weights(chi, twist, w % twist.r)
     period = len(weights)
-    terms = [(progression_sum([(k, 1)], c, period, (upper - c) // period + 1), weight)
-             for c, weight in enumerate(weights[:upper + 1]) if not weight.is_zero()]
-    return linear_combination(terms, field_conductor(chi, twist))
+    total = [0] * len(weights[0].num)
+    for c, weight in enumerate(weights[:upper + 1]):
+        if weight.is_zero():
+            continue
+        class_sum = progression_sum(terms, c, period, (upper - c) // period + 1)
+        for i, x in enumerate(weight.num):
+            if x:
+                total[i] += x * class_sum
+    return CyclotomicNumber(field_conductor(chi, twist), total)
+
+
+def power_sum(k: int, upper: int, chi: DirichletCharacter, twist: TwistSpec, w: int) -> CyclotomicNumber:
+    """S_k(upper; chi, xi^w) = sum_{a=0}^{upper} chi(a) xi^{wa} a^k, with 0^0 = 1:
+    the class sum of f = x^k (`twisted_sum`)."""
+    if k < 0 or upper < 0:
+        raise ParameterError("power sum needs k >= 0 and upper >= 0")
+    return twisted_sum([(k, 1)], upper, chi, twist, w)
 
 
 @dataclass

@@ -18,23 +18,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 
 from .errors import ParameterError
-from .exactnum import CyclotomicNumber, divisors, euler_phi
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
+from .exactnum import CyclotomicNumber, _factorize, divisors, euler_phi
 
 
 def _multiplicative_order(g: int, mod: int) -> int:

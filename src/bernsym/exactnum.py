@@ -30,33 +30,35 @@ class CycDivisionError(ZeroDivisionError):
     """Division by zero inside a cyclotomic field."""
 
 
-def euler_phi(m: int) -> int:
-    if m < 1:
-        raise ValueError("m must be positive")
-    result = m
-    n = m
+def _factorize(n: int) -> list[tuple[int, int]]:
+    """The (prime, exponent) pairs of n >= 1 by trial division, primes ascending."""
+    out = []
     p = 2
     while p * p <= n:
         if n % p == 0:
+            e = 0
             while n % p == 0:
                 n //= p
-            result -= result // p
+                e += 1
+            out.append((p, e))
         p += 1
     if n > 1:
-        result -= result // n
-    return result
+        out.append((n, 1))
+    return out
+
+
+@lru_cache(maxsize=1024)
+def euler_phi(m: int) -> int:
+    if m < 1:
+        raise ValueError("m must be positive")
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in _factorize(m))
 
 
 def divisors(m: int) -> list[int]:
-    small, large = [], []
-    i = 1
-    while i * i <= m:
-        if m % i == 0:
-            small.append(i)
-            if i != m // i:
-                large.append(m // i)
-        i += 1
-    return small + large[::-1]
+    out = [1]
+    for p, e in _factorize(m):
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 @lru_cache(maxsize=4)

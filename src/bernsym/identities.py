@@ -47,6 +47,7 @@ from .quotients import (
     Mutation,
     SSlot,
     Side,
+    _check_conditions,
     mono_name,
     mono_val,
     perm_apply,
@@ -65,7 +66,6 @@ class TheoremSpec:
     base_key: str
     form_no: int
     sigmas: tuple[tuple[int, ...], ...]
-    condition_text: str
 
     @property
     def base(self) -> ExpansionForm:
@@ -102,23 +102,17 @@ def _group(keys: Sequence) -> list[list[int]]:
 
 
 THEOREMS: dict[int, TheoremSpec] = {thm.id: thm for thm in (
-    TheoremSpec(1, "G0", 1, ID2, "r divides neither w1 nor w2"),
-    TheoremSpec(2, "G1", 1, ID2, "r does not divide w1*w2"),
-    TheoremSpec(3, "G1", 2, ID2, "r does not divide w1*w2"),
-    TheoremSpec(4, "L23:0", 1, LEX3, "r divides none of w2*w3, w1*w3, w1*w2"),
-    TheoremSpec(5, "L23:1", 1,
-                ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 2, 1), (3, 1, 2)),
-                "r does not divide w1*w2*w3"),
-    TheoremSpec(6, "L23:1", 2,
-                ((3, 2, 1), (2, 3, 1), (3, 1, 2), (1, 3, 2), (2, 1, 3), (1, 2, 3)),
-                "r does not divide w1*w2*w3"),
-    TheoremSpec(7, "L23:2", 1, ((1, 2, 3), (2, 3, 1), (3, 1, 2)), "r does not divide w1*w2*w3"),
-    TheoremSpec(8, "L23:2", 2,
-                ((2, 1, 3), (3, 1, 2), (1, 2, 3), (3, 2, 1), (1, 3, 2), (2, 3, 1)),
-                "r does not divide w1*w2*w3"),
-    TheoremSpec(9, "L23:2", 3, ((3, 1, 2), (1, 2, 3), (2, 3, 1)), "r does not divide w1*w2*w3"),
-    TheoremSpec(10, "L12:0", 1, ((3, 1, 2), (2, 1, 3)), "r divides none of w1, w2, w3"),
-    TheoremSpec(11, "L12:1", 1, ((3, 1, 2), (2, 1, 3)), "r divides none of w2*w3, w1*w3, w1*w2"),
+    TheoremSpec(1, "G0", 1, ID2),
+    TheoremSpec(2, "G1", 1, ID2),
+    TheoremSpec(3, "G1", 2, ID2),
+    TheoremSpec(4, "L23:0", 1, LEX3),
+    TheoremSpec(5, "L23:1", 1, ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 2, 1), (3, 1, 2))),
+    TheoremSpec(6, "L23:1", 2, ((3, 2, 1), (2, 3, 1), (3, 1, 2), (1, 3, 2), (2, 1, 3), (1, 2, 3))),
+    TheoremSpec(7, "L23:2", 1, ((1, 2, 3), (2, 3, 1), (3, 1, 2))),
+    TheoremSpec(8, "L23:2", 2, ((2, 1, 3), (3, 1, 2), (1, 2, 3), (3, 2, 1), (1, 3, 2), (2, 3, 1))),
+    TheoremSpec(9, "L23:2", 3, ((3, 1, 2), (1, 2, 3), (2, 3, 1))),
+    TheoremSpec(10, "L12:0", 1, ((3, 1, 2), (2, 1, 3))),
+    TheoremSpec(11, "L12:1", 1, ((3, 1, 2), (2, 1, 3))),
 )}
 
 
@@ -153,20 +147,11 @@ class TheoremInstance:
         return TwistSpec(self.r, self.j)
 
     def validate(self) -> None:
-        thm = self.theorem_spec()
-        self.twist().require_coprime(self.d)
-        if len(self.w) != thm.arity:
-            raise ParameterError(f"theorem {self.theorem} needs {thm.arity} w components")
-        if any(x < 1 for x in self.w):
-            raise ParameterError("w components must be positive")
+        twist = self.twist()
+        twist.require_coprime(self.d)
         if self.n_max < 0:
             raise ParameterError("n_max must be nonnegative")
-        for mono in thm.base.qt.conditions():
-            if mono_val(mono, self.w) % self.r == 0:
-                raise ParameterError(
-                    f"theorem {self.theorem} requires {thm.condition_text}; "
-                    f"r={self.r} divides {mono_name(mono)}={mono_val(mono, self.w)} at w={self.w}"
-                )
+        _check_conditions(self.theorem_spec().base.qt, twist, self.w)
 
     def key(self) -> tuple:
         return (self.theorem, self.d, self.char, self.r, self.j, self.w)
@@ -434,11 +419,8 @@ def redundancy_check(w: Sequence[int], chi: DirichletCharacter, twist: TwistSpec
     compared as side pairs (P, C) like the theorem sides (`_sides_equal`)."""
     w = tuple(w)
     twist.require_coprime(chi.d)
-    for mono in dict.fromkeys(_THM7_BASE.qt.conditions() + _THM11_BASE.qt.conditions()):
-        if mono_val(mono, w) % twist.r == 0:
-            raise ParameterError(
-                f"redundancy check requires r not dividing {mono_name(mono)}"
-            )
+    for form in (_THM7_BASE, _THM11_BASE):
+        _check_conditions(form.qt, twist, w)
     ctx = ctx or EvalContext(chi, twist)
     report = RedundancyReport(w, n_max)
 

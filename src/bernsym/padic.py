@@ -8,16 +8,15 @@ integer representative in Z[zeta_r]; it is a unit exactly when p does not
 divide N(x).  The measure assigns a residue class a + d p^N Z_p the value
 z^a / (z^(d p^N) - 1) with z the image of the twist root, and integrals
 are finite Riemann sums over residue classes whose p-adic limits are
-checked against the algebraic Bernoulli moments.  A level-N sum groups its
-d p^N residues by class mod L = lcm(r, character modulus): each class is
-an arithmetic progression, over which f sums to an exact integer in closed
-form (`exactnum.progression_sum`), and only the class totals meet ring
-arithmetic.  A level therefore costs about L (deg f + 1)^2 integer
+checked against the algebraic Bernoulli moments.  The numerator of a
+level-N sum, sum_{a < d p^N} chi(a) z^a f(a), is a twisted power sum of f,
+computed by the one class sum that also gives the power sums
+(`bernoulli.twisted_sum`) in about lcm(r, chi.d) (deg f + 1)^2 integer
 operations, whatever N is.  The refusal of a level whose d p^N residues
 times deg f + 1 exceed MAX_HORNER_STEPS is kept from the residue walk the
 closed form replaced, until a cost model for the closed form takes its
-place.  The measure and its distribution check read z^(d p^N) from
-d p^N mod r, so they never form p^N.
+place.  Every power z^(d p^N) is read from d p^N mod r
+(`_span_exponent`), so p^N is never formed.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bernoulli import ParameterError, TwistSpec, gen_bernoulli_numbers
-from .dirichlet import DirichletCharacter
-from .exactnum import CyclotomicNumber, _adjugate, _power_vec, _vec_mul_mod, euler_phi, progression_sum
+from .bernoulli import ParameterError, TwistSpec, gen_bernoulli_numbers, twisted_sum
+from .dirichlet import DirichletCharacter, trivial_character
+from .exactnum import CyclotomicNumber, _adjugate, _power_vec, _vec_mul_mod, euler_phi
 
 DEFAULT_PRECISION = 40
 GUARD_BAND = 4
@@ -48,14 +47,32 @@ class NonUnitInverseError(ValueError):
     """Inversion of a non-unit in Z[x]/(Phi_r, p^M)."""
 
 
+# Miller-Rabin with the prime bases up to 41 decides primality exactly below
+# this bound; a larger p is refused, far past what any level >= 1 admits
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for p < MAX_PRIME: at most 13
+    modular exponentiations."""
     if p < 2:
         return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    twos = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = odd * 2^twos
+    odd = (p - 1) >> twos
+    for a in _PRIME_BASES:
+        x = pow(a, odd, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        i += 1
     return True
 
 
@@ -68,6 +85,8 @@ class PadicContext:
     r: int
 
     def __post_init__(self):
+        if self.p >= MAX_PRIME:
+            raise ParameterError(f"p={self.p} is not below {MAX_PRIME}, the bound of the primality test")
         if not _is_prime(self.p):
             raise ParameterError(f"p={self.p} is not prime")
         if self.M < 1:
@@ -75,11 +94,12 @@ class PadicContext:
         if self.r < 1 or math.gcd(self.r, self.p) != 1:
             raise ParameterError(f"unramified twist needs gcd(r, p) = 1, got r={self.r}, p={self.p}")
 
-    @property
+    # cached: every element built reads both; hash and equality use the fields
+    @functools.cached_property
     def modulus(self) -> int:
         return self.p ** self.M
 
-    @property
+    @functools.cached_property
     def degree(self) -> int:
         return euler_phi(self.r)
 
@@ -187,20 +207,16 @@ class PadicCycNumber:
 
 
 def embed_algebraic(value: CyclotomicNumber, ctx: PadicContext) -> PadicCycNumber:
-    """Ring homomorphism Q(zeta_c) -> Z[x]/(Phi_r, p^M) for c | r, sending
-    zeta_c to x^(r/c); rationals map by modular inversion of denominators."""
+    """Ring homomorphism Q(zeta_c) -> Z[x]/(Phi_r, p^M) for c | r: the value
+    embedded in Q(zeta_r) (`CyclotomicNumber.embed`), its integer vector
+    times its denominator inverted mod p^M."""
     c = value.conductor
     if ctx.r % c:
         raise ParameterError(f"conductor {c} does not divide r={ctx.r}")
     if value.den % ctx.p == 0:
         raise ParameterError(f"denominator {value.den} is divisible by p={ctx.p}")
-    den_inv = pow(value.den, -1, ctx.modulus)
-    out = ctx.zero()
-    step = ctx.r // c
-    for i, num in enumerate(value.num):
-        if num:
-            out = out + ctx.x_power(i * step) * (num * den_inv)
-    return out
+    image = value.embed(ctx.r)
+    return PadicCycNumber(ctx, image.num) * pow(image.den, -1, ctx.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +260,11 @@ def _level_span(d: int, p: int, level: int, steps: int = 1) -> int:
     return span
 
 
+def _span_exponent(ctx: PadicContext, z_exp: int, d: int, level: int) -> int:
+    """e < r with z^(d p^N) = x^e for z = x^z_exp, read from p^N mod r."""
+    return z_exp * d * pow(ctx.p, level, ctx.r) % ctx.r
+
+
 @functools.lru_cache(maxsize=256)
 def _denominator_inverse(ctx: PadicContext, exp: int) -> PadicCycNumber:
     """1 / (x^exp - 1), the measure's denominator z^(d p^N) - 1 inverted;
@@ -267,7 +288,7 @@ def measure_value(query: MeasureQuery, twist: TwistSpec, ctx: PadicContext) -> P
     z_exp = twist.j * query.twist_exp
     if z_exp % twist.r == 0:
         raise ParameterError("z = 1 does not define a measure")
-    den_inv = _denominator_inverse(ctx, z_exp * query.d * pow(ctx.p, query.level, ctx.r) % ctx.r)
+    den_inv = _denominator_inverse(ctx, _span_exponent(ctx, z_exp, query.d, query.level))
     return ctx.x_power(z_exp * query.residue) * den_inv
 
 
@@ -282,13 +303,10 @@ def riemann_sum(f_coeffs: Sequence, chi: Optional[DirichletCharacter],
     residues times deg f + 1 exceed MAX_HORNER_STEPS are refused before
     any work.
 
-    z^a depends only on a mod r and chi(a) only on a mod chi.d, so the sum
-    is regrouped by classes c mod L = lcm(r, chi.d), or r without chi.  The
-    values f(c), f(c + L), ... below d p^N sum to an exact integer in closed
-    form (`progression_sum`, f's coefficients taken mod p^M); each class
-    total is weighted by z^c chi(c), a power of x, in integers; and one ring
-    element, the weighted total, is multiplied by the inverted denominator
-    z^(d p^N) - 1.
+    mu(a + d p^N Z_p) = z^a / (z^(d p^N) - 1), so the sum is the twisted
+    power sum sum_{a < d p^N} chi(a) z^a f(a), with f's coefficients taken
+    mod p^M, computed by the one class sum (`bernoulli.twisted_sum`), times
+    the inverted denominator z^(d p^N) - 1.
     """
     span = _level_span(d, ctx.p, level, max(1, len(f_coeffs)))
     if ctx.r != twist.r:
@@ -307,21 +325,10 @@ def riemann_sum(f_coeffs: Sequence, chi: Optional[DirichletCharacter],
 
     mod = ctx.modulus
     terms = [(i, c.numerator * pow(c.denominator, -1, mod) % mod) for i, c in enumerate(fracs) if c]
-    r = ctx.r
-    period = r if chi is None else math.lcm(r, chi.d)
-    total = [0] * ctx.degree
-    for c in range(min(period, span)):
-        # z^c chi(c) = x^(z_exp c + s r / order) when chi(c) = zeta_order^s
-        weight_exp = z_exp * c
-        if chi is not None:
-            s = chi._value_exponent(c)
-            if s is None:
-                continue
-            weight_exp += s * (r // chi.order)
-        class_sum = progression_sum(terms, c, period, (span - 1 - c) // period + 1)
-        for i, x in enumerate(_power_vec(r, weight_exp)):
-            total[i] += x * class_sum
-    return PadicCycNumber(ctx, total) * _denominator_inverse(ctx, z_exp * span % r)
+    # chi's order divides r, so the class sum lives at conductor r: its
+    # integer vector is the ring element's
+    total = twisted_sum(terms, span - 1, chi or trivial_character(1), twist, twist_exp)
+    return PadicCycNumber(ctx, total.num) * _denominator_inverse(ctx, _span_exponent(ctx, z_exp, d, level))
 
 
 def distribution_check(twist: TwistSpec, d: int, level: int, residue: int,
@@ -331,11 +338,11 @@ def distribution_check(twist: TwistSpec, d: int, level: int, residue: int,
     d p^N mod r, so the cost does not grow with the level."""
     coarse = measure_value(MeasureQuery(d, level, twist_exp, residue), twist, ctx)
     z_exp = twist.j * twist_exp
-    span_mod_r = d * pow(ctx.p, level, ctx.r)  # d p^N, up to a multiple of r
-    fine_den_inv = _denominator_inverse(ctx, z_exp * span_mod_r * ctx.p % ctx.r)
+    step = _span_exponent(ctx, z_exp, d, level)
+    fine_den_inv = _denominator_inverse(ctx, _span_exponent(ctx, z_exp, d, level + 1))
     total = ctx.zero()
     for i in range(ctx.p):
-        total = total + ctx.x_power(z_exp * (residue + i * span_mod_r))
+        total = total + ctx.x_power(z_exp * residue + i * step)
     return total * fine_den_inv == coarse
 
 
@@ -372,6 +379,13 @@ class ConvergenceReport:
         }
 
 
+@functools.lru_cache(maxsize=256)
+def _moment_target(chi: DirichletCharacter, twist: TwistSpec, moment: int) -> CyclotomicNumber:
+    """B_{n+1,chi,xi}/(n+1), the limit of the level-N moment sums."""
+    numbers = gen_bernoulli_numbers(chi, twist, 1, moment + 1)
+    return numbers[moment + 1].scale(Fraction(1, moment + 1))
+
+
 def convergence_check(moment: int, chi: DirichletCharacter, twist: TwistSpec,
                       levels: Sequence[int], ctx: PadicContext) -> ConvergenceReport:
     """Compare level-N sums of chi(z) z^n against B_{n+1,chi,xi}/(n+1).
@@ -398,9 +412,7 @@ def convergence_check(moment: int, chi: DirichletCharacter, twist: TwistSpec,
         raise ParameterError("need at least two distinct levels")
     _level_span(d, ctx.p, max(levels), moment + 1)
 
-    numbers = gen_bernoulli_numbers(chi, twist, 1, moment + 1)
-    target = numbers[moment + 1].scale(Fraction(1, moment + 1))
-    target_ring = embed_algebraic(target, ctx)
+    target_ring = embed_algebraic(_moment_target(chi, twist, moment), ctx)
 
     f = [Fraction(0)] * moment + [Fraction(1)]
     valuations, exact = [], []

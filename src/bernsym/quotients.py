@@ -406,8 +406,8 @@ def _check_conditions(qt: QuotientType, twist: TwistSpec, w: Sequence[int]) -> N
             # the arithmetic face of the violated condition: the unit
             # denominator xi^(d*mono) - 1 collapses
             raise NonUnitConstantError(
-                f"{qt.name} requires r not dividing {mono_name(mono)}; "
-                f"r={twist.r} divides {mono_val(mono, w)} at w={tuple(w)}",
+                f"{qt.name} requires r to divide none of {', '.join(map(mono_name, qt.conditions()))}; "
+                f"r={twist.r} divides {mono_name(mono)}={mono_val(mono, w)} at w={tuple(w)}",
                 factor=mono_name(mono),
             )
 

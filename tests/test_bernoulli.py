@@ -15,6 +15,7 @@ from bernsym.bernoulli import (
     gen_bernoulli_poly,
     power_sum,
     power_sum_egf_check,
+    twisted_sum,
 )
 from bernsym.dirichlet import DirichletCharacter, enumerate_characters, trivial_character
 from bernsym.exactnum import CyclotomicNumber as Cyc
@@ -174,6 +175,17 @@ def test_power_sum_over_several_periods_matches_termwise_sum(d, r, w):
             for a in range(upper + 1):
                 want = want + chi(a).embed(m) * Cyc.zeta(r, w * a).embed(m) * (a ** k)
             assert power_sum(k, upper, chi, twist, w) == want, (chi, k)
+    # the class sum of a multi-term f, below, at and above one period
+    f = [(0, 3), (1, -2), (4, 5)]
+    period = math.lcm(d, r)
+    for chi in enumerate_characters(d):
+        m = field_conductor(chi, twist)
+        for upper in (period - 2, period - 1, period, 3 * period + 1):
+            want = Cyc.zero(m)
+            for a in range(upper + 1):
+                fa = sum(c * a ** i for i, c in f)
+                want = want + chi(a).embed(m) * Cyc.zeta(r, w * a).embed(m) * fa
+            assert twisted_sum(f, upper, chi, twist, w) == want, (chi, upper)
 
 
 def test_egf_check_examples():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,21 @@ def test_padic_bad_prime_usage_error():
     assert code == 2
 
 
+def test_padic_large_prime_exits_fast():
+    # the primality test costs a few modular powers, not trial division up
+    # to sqrt(p); a p past the test's exact range is refused outright
+    from bernsym import padic
+
+    start = time.perf_counter()
+    code, out, err = run_cli(["padic", "--p", "1000000000000000003", "--r", "3", "--n", "1"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "ceiling" in err
+    code, out, err = run_cli(["padic", "--p", str(2 ** 89 - 1), "--r", "3", "--n", "1"])
+    assert (code, out) == (2, "")
+    assert err == f"error: p={2 ** 89 - 1} is not below {padic.MAX_PRIME}, the bound of the primality test\n"
+
+
 def test_padic_level_over_ceiling_usage_error(monkeypatch):
     from bernsym import padic
 
@@ -193,7 +209,7 @@ def test_padic_level_over_ceiling_usage_error(monkeypatch):
 
     monkeypatch.setattr(padic, "gen_bernoulli_numbers", walk)
     monkeypatch.setattr(padic, "riemann_sum", walk)
-    monkeypatch.setattr(padic, "progression_sum", walk)
+    monkeypatch.setattr(padic, "twisted_sum", walk)
     code, out, err = run_cli(["padic", "--p", "7", "--r", "3", "--n", "1", "--levels", "30"])
     assert code == 2
     assert err == (f"error: level 30 walks d*p^N = 1*7^30 residues, "
@@ -210,7 +226,7 @@ def test_padic_high_degree_over_ceiling_usage_error(monkeypatch):
 
     monkeypatch.setattr(padic, "gen_bernoulli_numbers", walk)
     monkeypatch.setattr(padic, "riemann_sum", walk)
-    monkeypatch.setattr(padic, "progression_sum", walk)
+    monkeypatch.setattr(padic, "twisted_sum", walk)
     code, out, err = run_cli(["padic", "--p", "101", "--r", "3", "--n", "90", "--levels", "3"])
     assert code == 2
     assert err == ("error: level 3 walks d*p^N = 1*101^3 = 1030301 residues of deg f + 1 = 91 "

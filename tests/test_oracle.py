@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from bernsym.bernoulli import TwistSpec, gen_bernoulli_numbers
 from bernsym.dirichlet import trivial_character
-from bernsym.exactnum import CyclotomicNumber, cyclotomic_polynomial, euler_phi
+from bernsym.exactnum import CyclotomicNumber, cyclotomic_polynomial, divisors, euler_phi
+from bernsym.padic import MAX_PRIME, _is_prime
 
 N_MAX = 10
 
@@ -96,6 +97,22 @@ from sympy import totient  # noqa: E402
 from sympy.ntheory import n_order, primitive_root  # noqa: E402
 
 D_LIMIT = 200
+
+
+def test_euler_phi_and_divisors_match_sympy():
+    for m in range(1, 301):
+        assert euler_phi(m) == sympy.totient(m), m
+        assert divisors(m) == sympy.divisors(m), m
+
+
+def test_primality_matches_sympy():
+    # 561 is a Carmichael number; 3215031751 and 3825123056546413051 are
+    # strong pseudoprimes to every prime base up to 7 and up to 23
+    pseudoprimes = [561, 1105, 2047, 3215031751, 3825123056546413051, 318665857834031151167461]
+    primes = [2, 3, 41, 43, 100000000000031, 1000000000000000003, 2 ** 61 - 1]
+    big = [MAX_PRIME - k for k in range(1, 200)]
+    for n in list(range(-2, 3000)) + pseudoprimes + primes + big:
+        assert _is_prime(n) == sympy.isprime(n), n
 
 
 def test_unit_group_orders_multiply_to_totient():

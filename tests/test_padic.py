@@ -209,7 +209,7 @@ def test_riemann_sum_refuses_level_over_ceiling(monkeypatch):
         raise AssertionError("the walk started")
 
     monkeypatch.setattr(PadicContext, "x_power", walk)
-    monkeypatch.setattr(padic, "progression_sum", walk)
+    monkeypatch.setattr(padic, "twisted_sum", walk)
     with pytest.raises(ParameterError, match="ceiling"):
         riemann_sum([1], None, Z3, 1, 40, CTX)
     with pytest.raises(ParameterError, match="ceiling"):
@@ -223,7 +223,7 @@ def test_riemann_sum_ceiling_counts_horner_steps(monkeypatch):
         raise AssertionError("the walk started")
 
     monkeypatch.setattr(PadicContext, "x_power", walk)
-    monkeypatch.setattr(padic, "progression_sum", walk)
+    monkeypatch.setattr(padic, "twisted_sum", walk)
     ctx = PadicContext(101, 40, 3)
     # 101^3 residues at deg f = 0 are under the ceiling; at deg f = 90 they are not
     assert padic._level_span(1, 101, 3, 1) == 101 ** 3
@@ -302,7 +302,7 @@ def test_convergence_refuses_level_over_ceiling(monkeypatch):
 
     monkeypatch.setattr(padic, "gen_bernoulli_numbers", walk)
     monkeypatch.setattr(padic, "riemann_sum", walk)
-    monkeypatch.setattr(padic, "progression_sum", walk)
+    monkeypatch.setattr(padic, "twisted_sum", walk)
     with pytest.raises(ParameterError, match="ceiling"):
         convergence_check(1, trivial_character(1), Z3, [1, 30, 2], PadicContext(5, 40, 3))
 
