@@ -88,6 +88,10 @@ class TheoremSpec:
         base_mono = self.base.weight_mono()
         return tuple(perm_monomial(sig, base_mono) for sig in self.sigmas)
 
+    @functools.cached_property
+    def side_weight_names(self) -> tuple[str, ...]:
+        return tuple(map(mono_name, self.side_weight_monos))
+
     def orbits(self) -> list[list[int]]:
         """1-based side indices grouped by weight monomial, in print order."""
         return _group(self.side_weight_monos)
@@ -244,7 +248,10 @@ def _side_series(inst: TheoremInstance, ctx: EvalContext,
     are therefore memoised in ``ctx.side_memo`` under (form_id, permuted w,
     n_max), so every instance sharing the context evaluates each distinct
     key once; the memo lives as long as the context or until its owner
-    clears it.  A mutated side neither reads nor fills the memo.
+    clears it.  The slot series a side multiplies are not the context's:
+    they come from the process-wide store, built once per process (see
+    `quotients.EvalContext`).  A mutated side neither reads nor fills the
+    memo, and a mutated slot series never enters the store.
     """
     thm = inst.theorem_spec()
     sides = []
@@ -332,10 +339,16 @@ def verify_instance(inst: TheoremInstance, method: str = "poly",
     inst.validate()
     if method not in ("poly", "points"):
         raise ParameterError(f"unknown verification method {method!r}")
+    return _verify(inst, method, include_values, ctx, mutation, want_witness)
+
+
+def _verify(inst: TheoremInstance, method: str = "poly", include_values: bool = False,
+            ctx: Optional[EvalContext] = None, mutation: Optional[Mutation] = None,
+            want_witness: bool = True) -> VerificationReport:
+    """`verify_instance` for an instance already validated."""
     thm = inst.theorem_spec()
     ctx = ctx or EvalContext(inst.character(), inst.twist())
     weights = [mono_val(m, inst.w) for m in thm.side_weight_monos]
-    names = [mono_name(m) for m in thm.side_weight_monos]
     sides = _side_series(inst, ctx, mutation)
     row = _point_values(sides, thm.y_count)
     orbits_static = thm.orbits()
@@ -351,7 +364,7 @@ def verify_instance(inst: TheoremInstance, method: str = "poly",
     star = [(0, s) for s in range(1, thm.sides)]
     report = VerificationReport(
         instance=inst,
-        side_weights=list(zip(names, weights)),
+        side_weights=list(zip(thm.side_weight_names, weights)),
         orbits_static=orbits_static,
         orbits_by_value=_group(weights),
         pass_as_stated=holds(star, False),
@@ -561,12 +574,14 @@ def grid_verify(config: GridConfig) -> GridReport:
     """Run the whole grid; precondition-violating points are skipped, never
     counted as evidence.  Reports are assembled in instance-key order.
 
-    Instances share one EvalContext per (d, chi, r, j) for the whole grid,
-    so its Bernoulli numbers, power sums and slot series are built once,
-    and its side memo (see _side_series) evaluates every distinct permuted
-    side once, witness passes included.  Instances come theorem-first and
-    no two theorems share a base form, so every side memo is cleared
-    whenever the theorem changes: it then holds one theorem's sides at most.
+    Every instance is validated once, here.  Instances share one
+    EvalContext per (d, chi, r, j) for the whole grid, so its side memo
+    (see _side_series) evaluates every distinct permuted side once, witness
+    passes included; its Bernoulli EGFs, character sums and slot series
+    come from the process-wide store, built once per process.  Instances
+    come theorem-first and no two theorems share a base form, so every side
+    memo is cleared whenever the theorem changes: it then holds one
+    theorem's sides at most.
     """
     rows: list[GridRow] = []
     counts: dict[tuple[int, str], dict[str, int]] = {
@@ -596,7 +611,7 @@ def grid_verify(config: GridConfig) -> GridReport:
         ctx = contexts.get(ckey)
         if ctx is None:
             ctx = contexts[ckey] = EvalContext(inst.character(), inst.twist())
-        report = verify_instance(inst, ctx=ctx, want_witness=False)
+        report = _verify(inst, ctx=ctx, want_witness=False)
         row.pass_as_stated = report.pass_as_stated
         row.pass_normalized = report.pass_normalized
         row.pass_orbits = report.pass_orbits
@@ -604,7 +619,7 @@ def grid_verify(config: GridConfig) -> GridReport:
             ok = report.pass_normalized if mode == "normalized" else report.pass_as_stated
             counts[(inst.theorem, mode)]["pass" if ok else "fail"] += 1
             if not ok and (inst.theorem, mode) not in first_witness:
-                wrep = verify_instance(replace(inst, mode=mode), ctx=ctx)
+                wrep = _verify(replace(inst, mode=mode), ctx=ctx)
                 if wrep.witness:
                     first_witness[(inst.theorem, mode)] = wrep.witness
         rows.append(row)

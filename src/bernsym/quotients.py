@@ -287,13 +287,53 @@ def parse_quotient_type(text: str) -> QuotientType:
 # evaluation context
 
 
+# Entries of the process-wide series store (`_stored`), least recently used
+# first out, about 2 KB each at order 6.  The standard grid's whole working
+# set is 1005 entries and criterion 6's (the `consistency_sample` pool at
+# n_max = 8) 1880: the bound holds both twice over
+STORE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=STORE_SIZE)
+def _stored(build, chi: DirichletCharacter, twist: TwistSpec, *key) -> TruncatedSeries:
+    """build(chi, twist, *key), built once per process while it stays among
+    the STORE_SIZE most recently used entries.  `build` is the kind of
+    series, and `key` its twist class, scale, order and, for a slot's
+    character sum, upper end, as the `EvalContext` methods pass them."""
+    return build(chi, twist, *key)
+
+
+def _bern_series(chi: DirichletCharacter, twist: TwistSpec, w_class: int, scale: int,
+                 n: int) -> TruncatedSeries:
+    # the Bernoulli EGF is stored once per twist class, at order max(n, 8)
+    egf = _stored(bernoulli_egf, chi, twist, w_class, max(n, 8))
+    return egf.truncate(n).scale_variable(scale)
+
+
+def _psum_series(chi: DirichletCharacter, twist: TwistSpec, upper: int, w_class: int,
+                 scale: Fraction, n: int) -> TruncatedSeries:
+    return character_sum_series(chi, twist, w_class, n, upper=upper + 1).scale_variable(scale)
+
+
+def _ratio_series(chi: DirichletCharacter, twist: TwistSpec, scale: int, order: int) -> TruncatedSeries:
+    return (character_sum_series(chi, twist, scale, order).scale_variable(scale)
+            / _stored(_denom_series, chi, twist, scale, order))
+
+
+def _denom_series(chi: DirichletCharacter, twist: TwistSpec, scale: int, order: int) -> TruncatedSeries:
+    return twisted_exp_minus_one(twist, chi.d * scale, chi.d * scale, order, field_conductor(chi, twist))
+
+
 class EvalContext:
-    """Shared caches for one (character, twist) pair.
+    """One (character, twist) pair's series, and its side memo.
 
     All values live at the fixed conductor lcm(r, order of chi): the slot
     series, each its quantity's one series (`bernoulli_egf`,
     `character_sum_series`) with t -> scale*t applied on integer rows
-    (`TruncatedSeries.scale_variable`), and the closed-form factors.
+    (`TruncatedSeries.scale_variable`), and the closed-form factors.  They
+    are read from the process-wide store (`_stored`), so every context for
+    the same pair shares them and each is built once per process; only the
+    side memo belongs to the context.
     """
 
     def __init__(self, chi: DirichletCharacter, twist: TwistSpec):
@@ -302,11 +342,6 @@ class EvalContext:
         self.d = chi.d
         self.r = twist.r
         self.m = field_conductor(chi, twist)
-        self._begf: dict[int, TruncatedSeries] = {}
-        self._bser: dict[tuple, TruncatedSeries] = {}
-        self._sser: dict[tuple, TruncatedSeries] = {}
-        self._ratio: dict[tuple[int, int], TruncatedSeries] = {}
-        self._dser: dict[tuple[int, int], TruncatedSeries] = {}
         # theorem sides (P, C) by (form_id, w, n_max); read and filled only
         # by identities._side_series
         self.side_memo: dict[tuple, Side] = {}
@@ -315,26 +350,13 @@ class EvalContext:
 
     def bern_series(self, w_exp: int, scale: int, n: int) -> TruncatedSeries:
         """sum_i B_{i,chi,xi^w_exp} (scale*t)^i/i! to order n; requires r
-        not dividing d*w_exp.  The Bernoulli EGF is cached once per twist
-        class, at order max(n, 8)."""
-        key = (w_exp % self.r, scale, n)
-        s = self._bser.get(key)
-        if s is None:
-            egf = self._begf.get(key[0])
-            if egf is None or egf.order < n:
-                egf = self._begf[key[0]] = bernoulli_egf(self.chi, self.twist, key[0], max(n, 8), self.m)
-            s = self._bser[key] = egf.truncate(n).scale_variable(scale)
-        return s
+        not dividing d*w_exp."""
+        return _stored(_bern_series, self.chi, self.twist, w_exp % self.r, scale, n)
 
     def psum_series(self, upper: int, w_exp: int, scale: Fraction, n: int) -> TruncatedSeries:
         """sum_p S_p(upper; chi, xi^w_exp) (scale*t)^p/p! to order n: the
         character sum over a <= upper with t -> scale*t."""
-        key = (upper, w_exp % self.r, scale, n)
-        s = self._sser.get(key)
-        if s is None:
-            s = self._sser[key] = character_sum_series(self.chi, self.twist, key[1], n, self.m,
-                                                       upper=upper + 1).scale_variable(scale)
-        return s
+        return _stored(_psum_series, self.chi, self.twist, upper, w_exp % self.r, scale, n)
 
     def sym_product(self, factors: Sequence[TruncatedSeries]) -> TruncatedSeries:
         """The product of a side's slot series, left to right."""
@@ -345,26 +367,16 @@ class EvalContext:
     def char_ratio_series(self, scale: int, order: int, factor: str) -> TruncatedSeries:
         """T_W/D_W, T_W = sum_{a<d} chi(a) xi^(aW) e^(aWt): the character
         sum with t -> W*t over D_W; requires r not dividing d*W."""
-        key = (scale, order)
-        s = self._ratio.get(key)
-        if s is None:
-            if (self.d * scale) % self.r == 0:
-                raise NonUnitConstantError(
-                    f"xi^(d*{factor}) = 1 at w-scale {scale}: r={self.r} divides d*{scale}",
-                    factor=factor,
-                )
-            s = self._ratio[key] = (character_sum_series(self.chi, self.twist, scale, order, self.m)
-                                    .scale_variable(scale) / self.denom_series(scale, order))
-        return s
+        if (self.d * scale) % self.r == 0:
+            raise NonUnitConstantError(
+                f"xi^(d*{factor}) = 1 at w-scale {scale}: r={self.r} divides d*{scale}",
+                factor=factor,
+            )
+        return _stored(_ratio_series, self.chi, self.twist, scale, order)
 
     def denom_series(self, scale: int, order: int) -> TruncatedSeries:
         """D_W = xi^(dW) e^(dWt) - 1."""
-        key = (scale, order)
-        s = self._dser.get(key)
-        if s is None:
-            s = self._dser[key] = twisted_exp_minus_one(self.twist, self.d * scale, self.d * scale,
-                                                        order, self.m)
-        return s
+        return _stored(_denom_series, self.chi, self.twist, scale, order)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +556,9 @@ def closed_form_series(qt: QuotientType, w: Sequence[int], y: Sequence,
         t^shift * prod (T_W/D_W) * prod D_V * exp(c*(y_1+..+y_k)*t),
     with c the sum of the y-multiplier monomials: the factors are multiplied
     left to right in that order, then shifted by t^shift.  Each T_W/D_W is
-    one cached factor (`EvalContext.char_ratio_series`)."""
+    one stored factor (`EvalContext.char_ratio_series`).  The shift pushes
+    the top `shift` coefficients past the order, so every factor is
+    truncated to order max(order - shift, 0) before it is multiplied."""
     if order < 0:
         raise ParameterError("order must be nonnegative")
     ctx = ctx or EvalContext(chi, twist)
@@ -552,8 +566,10 @@ def closed_form_series(qt: QuotientType, w: Sequence[int], y: Sequence,
     y = tuple(Fraction(v) for v in y)
     if len(y) < qt.y_count:
         raise ParameterError(f"{qt.name} needs {qt.y_count} y value(s)")
-    factors = [ctx.char_ratio_series(mono_val(mono, w), order, mono_name(mono)) for mono in qt.chars]
-    factors += [ctx.denom_series(mono_val(mono, w), order) for mono in qt.numer]
+    kept = max(order - qt.shift, 0)
+    factors = [ctx.char_ratio_series(mono_val(mono, w), order, mono_name(mono)).truncate(kept)
+               for mono in qt.chars]
+    factors += [ctx.denom_series(mono_val(mono, w), order).truncate(kept) for mono in qt.numer]
     coeff = sum(mono_val(mono, w) for mono in qt.ymul) * sum(y[:qt.y_count], Fraction(0))
     return functools.reduce(operator.mul, factors).mul_exp(coeff).shift_up(qt.shift).truncate(order)
 

@@ -12,6 +12,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
+from bernsym import quotients
 from bernsym.bernoulli import (
     TwistSpec,
     gen_bernoulli_numbers,
@@ -105,6 +106,29 @@ def test_criterion_03_orbit_structure_and_counterexample(full_grid):
         and vrep.witness.value_a == expected_a and vrep.witness.value_b == expected_a.scale(2)
     report(3, orbit_ok and counterexample_ok and witness_ok,
            "within-orbit equalities over G and the recorded Thm-3 counterexample")
+
+
+@pytest.mark.slow
+def test_series_store_stays_within_its_bound(full_grid):
+    # after the standard grid and a grid with w up to 9 the store is within
+    # its bound and every verdict is right; more distinct series than it
+    # holds push out the least recently used
+    store = quotients._stored
+    wide = grid_verify(GridConfig(theorems=(7, 8, 9, 11), d_values=(1, 3), r_values=(5, 7),
+                                  w_components=tuple(range(1, 10)), n_max=1))
+    assert all(wide.failures(t, "normalized") == 0 for t in (7, 8, 9, 11))
+    assert wide.failures(11, "as-stated") == 0 and wide.failures(7, "as-stated") > 0
+    assert store.cache_info().maxsize == quotients.STORE_SIZE
+    assert store.cache_info().currsize <= quotients.STORE_SIZE
+    ctx = EvalContext(enumerate_characters(1)[0], TwistSpec(3, 1))
+    for scale in range(1, quotients.STORE_SIZE + 2):
+        ctx.psum_series(0, 1, scale, 0)
+    info = store.cache_info()
+    assert info.currsize == quotients.STORE_SIZE
+    ctx.psum_series(0, 1, quotients.STORE_SIZE + 1, 0)   # the newest stays
+    assert store.cache_info().misses == info.misses
+    ctx.psum_series(0, 1, 1, 0)                          # the oldest went
+    assert store.cache_info().misses == info.misses + 1
 
 
 def test_criterion_04_power_sum_egf_identity():

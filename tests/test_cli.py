@@ -234,6 +234,26 @@ def test_padic_high_degree_over_ceiling_usage_error(monkeypatch):
     assert out == ""
 
 
+def test_padic_precision_over_ceiling_usage_error(monkeypatch):
+    # an unbounded --M made p^M-sized ring elements; one over the ceiling is
+    # refused before any sum starts
+    from bernsym import padic
+
+    def walk(*args, **kwargs):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(padic, "gen_bernoulli_numbers", walk)
+    monkeypatch.setattr(padic, "riemann_sum", walk)
+    monkeypatch.setattr(padic, "twisted_sum", walk)
+    M = padic.MAX_PRECISION_BITS // 3 + 1
+    start = time.perf_counter()
+    code, out, err = run_cli(["padic", "--p", "5", "--r", "3", "--n", "1", "--M", str(M)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error: precision M={M} at p=5 spans M*bit_length(p) = {3 * M} bits, "
+                   f"more than the ceiling of {padic.MAX_PRECISION_BITS}\n")
+
+
 def test_padic_single_level_usage_error():
     code, out, err = run_cli(["padic", "--p", "5", "--r", "3", "--n", "1", "--levels", "1"])
     assert code == 2
@@ -265,6 +285,29 @@ def test_audit_deterministic_bytes(tmp_path):
         _, out, _ = run_cli(["audit", "--grid-file", str(cfg)])
         outputs.add(out)
     assert len(outputs) == 1
+
+
+def test_second_audit_of_a_cell_builds_no_series(tmp_path, cold_store, monkeypatch):
+    # each audit makes its own contexts, but their series come from the
+    # process-wide store: a second audit of one cell builds none, and
+    # prints the bytes of the first
+    from bernsym import quotients
+
+    def build(*args, **kwargs):
+        raise AssertionError("the second audit built a series")
+
+    cfg = tmp_path / "cell.grid"
+    cfg.write_text("theorems = 5\nd = 3\nchars = explicit\nchar_labels = 3:1\nr = 4\nj = 1\n"
+                   "w_components = 1,2,3,4\nn_max = 6\nmodes = as-stated,normalized\n")
+    first = run_cli(["audit", "--grid-file", str(cfg)])
+    built = cold_store.cache_info()
+    assert built.misses > 0
+    for name in ("bernoulli_egf", "character_sum_series", "twisted_exp_minus_one"):
+        monkeypatch.setattr(quotients, name, build)
+    second = run_cli(["audit", "--grid-file", str(cfg)])
+    assert cold_store.cache_info().misses == built.misses
+    assert first[0] == 1  # theorem 5 holds only after normalizing
+    assert second == first
 
 
 def test_audit_bytes_independent_of_hash_seed(tmp_path):

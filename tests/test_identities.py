@@ -148,6 +148,27 @@ def test_mutated_side_bypasses_memo(theorem, w):
     assert verify_instance(inst, ctx=ctx).pass_as_stated
 
 
+@pytest.mark.parametrize("kind", ("binomial", "twist", "wpower"))
+def test_mutations_fail_with_a_warm_store(kind, cold_store):
+    # a mutation doubles a copy of a stored slot series or reads the true
+    # series of another key, so no mutated series enters the store: every
+    # kind fails with the store warm, and the clean sides built from it
+    # match a cold build
+    inst = TheoremInstance(4, 1, (), 5, 1, (2, 3, 1), 3)
+
+    def ctx():
+        return EvalContext(inst.character(), inst.twist())
+
+    assert verify_instance(inst, ctx=ctx()).pass_as_stated
+    built = cold_store.cache_info().misses
+    assert not verify_instance(inst, ctx=ctx(), mutation=Mutation(kind)).pass_as_stated
+    if kind == "binomial":
+        assert cold_store.cache_info().misses == built
+    warm = _side_series(inst, ctx())
+    cold_store.cache_clear()
+    assert _side_series(inst, ctx()) == warm
+
+
 def _first_grid_mismatch(inst, mutation=None):
     """(n, y, side_a, side_b, value_a, value_b) at the first n, then grid
     point, then side pair where the instance's mode fails, read one point at

@@ -37,6 +37,24 @@ def test_context_validation():
         PadicContext(5, 0, 3)
 
 
+def test_context_refuses_precision_over_ceiling(monkeypatch):
+    # p^M is counted in bits, M * bit_length(p), before any element exists
+    def walk(*args, **kwargs):
+        raise AssertionError("the sum started")
+
+    monkeypatch.setattr(padic, "twisted_sum", walk)
+    bits = (5).bit_length()
+    PadicContext(5, padic.MAX_PRECISION_BITS // bits, 3)
+    over = padic.MAX_PRECISION_BITS // bits + 1
+    with pytest.raises(ParameterError, match=f"ceiling of {padic.MAX_PRECISION_BITS}"):
+        PadicContext(5, over, 3)
+    with pytest.raises(ParameterError, match="ceiling"):
+        PadicContext(1000003, padic.MAX_PRECISION_BITS // 20 + 1, 3)
+    # M = 40 at p = 101, the largest p of the tests and the benchmark, is
+    # under a hundredth of it
+    assert padic.DEFAULT_PRECISION * (101).bit_length() * 100 < padic.MAX_PRECISION_BITS
+
+
 def test_ring_relations():
     # Phi_3 relation: x^2 + x + 1 = 0
     val = CTX.x_power(2) + CTX.x_power(1) + CTX.one()

@@ -1,6 +1,8 @@
 """Closed forms, expansion forms, weights, and the master reconciliation."""
 
+import functools
 import math
+import operator
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -25,6 +27,7 @@ from bernsym.quotients import (
     expansion_polys,
     form_weight,
     mono_name,
+    mono_val,
     parse_quotient_type,
     perm_apply,
     perm_monomial,
@@ -137,9 +140,9 @@ SLOT_CASES = [(trivial_character(1), TwistSpec(3, 1)), (DirichletCharacter(4, (1
 
 
 @pytest.mark.parametrize("chi, twist", SLOT_CASES)
-def test_bern_series_is_scaled_bernoulli_numbers(chi, twist):
+def test_bern_series_is_scaled_bernoulli_numbers(chi, twist, cold_store):
     # coefficient i of the Bernoulli slot series is B_i * s^i/i!; the orders
-    # run below, at and past the cached EGF's first order 8
+    # run below, at and past the stored EGF's first order 8
     ctx = EvalContext(chi, twist)
     for w_exp in (1, 2, twist.r + 1):
         if (chi.d * w_exp) % twist.r == 0:
@@ -166,6 +169,44 @@ def test_psum_series_is_scaled_power_sums(chi, twist):
         want = [power_sum(p, upper, chi, twist, w_exp).scale(q ** p / math.factorial(p))
                 for p in range(n + 1)]
         assert list(series.coeffs) == want, (upper, w_exp, q)
+
+
+def test_contexts_for_one_pair_share_their_series(cold_store):
+    # the series live in the process-wide store, not in the context: a
+    # second context for the same (chi, twist) builds nothing
+    chi, twist = DirichletCharacter(5, (1,)), TwistSpec(3, 1)
+    first, second = EvalContext(chi, twist), EvalContext(chi, twist)
+    reads = (lambda ctx: ctx.bern_series(2, 3, 6),
+             lambda ctx: ctx.psum_series(9, 4, Fraction(3, 2), 6),
+             lambda ctx: ctx.char_ratio_series(2, 6, "w1"),
+             lambda ctx: ctx.denom_series(4, 6))
+    for read in reads:
+        series = read(first)
+        misses = cold_store.cache_info().misses
+        assert read(second) is series
+        assert cold_store.cache_info().misses == misses
+    # a twist exponent is read mod r; another twist root is another key
+    assert first.bern_series(5, 3, 6) is first.bern_series(2, 3, 6)
+    assert EvalContext(chi, TwistSpec(3, 2)).bern_series(2, 3, 6) != first.bern_series(2, 3, 6)
+
+
+@pytest.mark.parametrize("order", (0, 1, 2, 12))
+def test_closed_forms_keep_only_the_coefficients_they_return(order):
+    # every factor is truncated to order - shift, as the shift by t^shift
+    # drops the rest: the untruncated chain, shifted and truncated, is the
+    # same series, also for order < shift, where it is zero
+    chi, twist = DirichletCharacter(4, (1,)), TwistSpec(5, 1)
+    ctx = EvalContext(chi, twist)
+    y = (Fraction(1, 2), Fraction(2), Fraction(-3, 5))
+    for qt in QUOTIENT_TYPES.values():
+        w = (1, 2, 3)[: qt.arity]
+        factors = [ctx.char_ratio_series(mono_val(mono, w), order, mono_name(mono)) for mono in qt.chars]
+        factors += [ctx.denom_series(mono_val(mono, w), order) for mono in qt.numer]
+        c = sum(mono_val(mono, w) for mono in qt.ymul) * sum(y[: qt.y_count], Fraction(0))
+        full = functools.reduce(operator.mul, factors).mul_exp(c).shift_up(qt.shift).truncate(order)
+        got = closed_form_series(qt, w, y[: qt.y_count], chi, twist, order, ctx)
+        assert got.order == order
+        assert got == full, (qt.name, order)
 
 
 def test_closed_form_g1_collapses_at_d1():
@@ -232,10 +273,11 @@ def test_lambda12_1_with_equal_w_is_cube_of_char_sum():
     assert s == cube
 
 
-def test_closed_forms_never_read_the_bernoulli_series(monkeypatch):
+def test_closed_forms_never_read_the_bernoulli_series(monkeypatch, cold_store):
     # T_W/D_W equals B_W(Wt)/(Wt), but the closed form is built from its own
     # factors: built from the Bernoulli series, the consistency check of the
-    # all-B forms (G0, L23:0, L13:0, L12:0) would compare P with itself
+    # all-B forms (G0, L23:0, L13:0, L12:0) would compare P with itself.
+    # Factors read from a warm store would pass without being built here
     def refuse(*args, **kwargs):
         raise AssertionError("the closed form read a Bernoulli series")
 
