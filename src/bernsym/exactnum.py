@@ -206,11 +206,13 @@ def _combine_rows(num: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int
     return out
 
 
-def _adjugate(m: int, num: Sequence[int]) -> tuple[list[int], int]:
+def _adjugate(m: int, num: Sequence[int], modulus: int | None = None) -> tuple[list[int], int]:
     """(adj, N) with x * adj = N for the element x of Z[zeta_m] with integer
     vector `num`: adj is the product of the other Galois conjugates of x,
     sigma_k(x) with zeta_m -> zeta_m^k for k in (Z/m)*, k != 1, and N is the
-    norm of x, a rational integer (zero exactly when x is)."""
+    norm of x, a rational integer (zero exactly when x is).  With a
+    modulus, each partial product and N are reduced by it, so operands stay
+    the modulus's size: (adj, N) mod modulus, for the p-adic ring."""
     table = _power_table(m)
     phi = len(num)
     adj = [1] + [0] * (phi - 1)
@@ -218,7 +220,11 @@ def _adjugate(m: int, num: Sequence[int]) -> tuple[list[int], int]:
         if math.gcd(k, m) == 1:
             conj = _combine_rows(num, [table[i * k % m] for i in range(phi)])
             adj = _vec_mul_mod(m, adj, conj)
+            if modulus:
+                adj = [c % modulus for c in adj]
     norm = _vec_mul_mod(m, num, adj)
+    if modulus:
+        norm = [c % modulus for c in norm]
     if any(norm[1:]):
         raise ArithmeticError(f"x * adj(x) is not rational in Q(zeta_{m})")
     return adj, norm[0]

@@ -22,6 +22,13 @@ P(t) * exp((C.y)*t), summed from P's integer rows (`quotients.point_value`);
 no y-polynomial is spread.  The grid values are one list per (side, n)
 (`_point_values`), and the pointwise method and the witness search read
 them through one scan (`_first_mismatch`).
+
+Each mode compares side 1 with every other side, and the rest of the
+verdicts follow from exact equality: when the as-stated star holds, only
+the normalized pairs of unequal weights are compared, and the sides of an
+orbit share their weight, so the orbit pairs are compared only when both
+stars fail.  The grid's first witnesses are searched on the memoised sides
+of the failing instance, without verifying it again.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from .quotients import (
     Mutation,
     SSlot,
     Side,
+    _build_side,
     _check_conditions,
     mono_name,
     mono_val,
@@ -94,6 +102,10 @@ class TheoremSpec:
 
     def orbits(self) -> list[list[int]]:
         """1-based side indices grouped by weight monomial, in print order."""
+        return self._orbits
+
+    @functools.cached_property
+    def _orbits(self) -> list[list[int]]:
         return _group(self.side_weight_monos)
 
 
@@ -241,7 +253,10 @@ def y_grid_points(n: int, y_count: int) -> list[tuple[int, ...]]:
 
 def _side_series(inst: TheoremInstance, ctx: EvalContext,
                  mutation: Optional[Mutation] = None) -> list[Side]:
-    """Per side, its (P, C) pair to order n_max (see `side_series`).
+    """Per side, its (P, C) pair to order n_max (see `side_series`), for
+    an instance already validated: its conditions are symmetric in w, so
+    every permuted side meets them and is built without checking them
+    again (`quotients._build_side`).
 
     A side is the base form at a permuted w-tuple, and over a grid of
     w-tuples each permuted side is another instance's first side.  Sides
@@ -258,12 +273,12 @@ def _side_series(inst: TheoremInstance, ctx: EvalContext,
     for idx, sig in enumerate(thm.sigmas):
         w = perm_apply(sig, inst.w)
         if idx == 0 and mutation is not None:
-            sides.append(side_series(thm.base, w, ctx, inst.n_max, mutation=mutation))
+            sides.append(_build_side(thm.base, w, ctx, inst.n_max, mutation))
             continue
         key = (thm.base.form_id, w, inst.n_max)
         side = ctx.side_memo.get(key)
         if side is None:
-            side = ctx.side_memo[key] = side_series(thm.base, w, ctx, inst.n_max)
+            side = ctx.side_memo[key] = _build_side(thm.base, w, ctx, inst.n_max)
         sides.append(side)
     return sides
 
@@ -297,6 +312,18 @@ def _first_mismatch(row, pairs: Sequence[tuple[int, int]], weights: Optional[Seq
                 if va != vb:
                     return n, p, i, j
     return None
+
+
+def _first_witness(inst: TheoremInstance, row, weights: Sequence[int]) -> Optional[Witness]:
+    """The first (n, grid point, side pair) where the instance's mode fails,
+    read from its sides' grid values `row` (see `_point_values`)."""
+    thm = inst.theorem_spec()
+    hit = _first_mismatch(row, list(combinations(range(thm.sides), 2)),
+                          weights if inst.mode == "normalized" else None, inst.n_max)
+    if hit is None:
+        return None
+    n, p, i, j = hit
+    return Witness(inst.mode, n, y_grid_points(n, thm.y_count)[p], i + 1, j + 1, row(i, n)[p], row(j, n)[p])
 
 
 def theorem_sides(inst: TheoremInstance, n: int | None = None,
@@ -361,26 +388,26 @@ def _verify(inst: TheoremInstance, method: str = "poly", include_values: bool = 
             return all(_sides_equal(sides[i], sides[j], inst.n_max,
                                     *((weights[i], weights[j]) if normalized else (1, 1)))
                        for i, j in pairs)
+    # every verdict is a star from side 1, and exact equality is transitive:
+    # a normalized pair of equal weights is an as-stated pair, so it is
+    # compared only where the as-stated star has not settled it, and an
+    # orbit's sides share their weight, so either star passing settles them
     star = [(0, s) for s in range(1, thm.sides)]
+    pass_as_stated = holds(star, False)
+    pass_normalized = holds([(i, j) for i, j in star if weights[i] != weights[j]]
+                            if pass_as_stated else star, True)
     report = VerificationReport(
         instance=inst,
         side_weights=list(zip(thm.side_weight_names, weights)),
         orbits_static=orbits_static,
         orbits_by_value=_group(weights),
-        pass_as_stated=holds(star, False),
-        pass_normalized=holds(star, True),
-        pass_orbits=holds([(orbit[0] - 1, i - 1) for orbit in orbits_static for i in orbit[1:]], False),
+        pass_as_stated=pass_as_stated,
+        pass_normalized=pass_normalized,
+        pass_orbits=(pass_as_stated or pass_normalized
+                     or holds([(orbit[0] - 1, i - 1) for orbit in orbits_static for i in orbit[1:]], False)),
     )
-
     if not report.passed and want_witness:
-        # the first (n, grid point, side pair) where the requested mode fails
-        normalized = inst.mode == "normalized"
-        hit = _first_mismatch(row, list(combinations(range(thm.sides), 2)),
-                              weights if normalized else None, inst.n_max)
-        if hit:
-            n, p, i, j = hit
-            report.witness = Witness(inst.mode, n, y_grid_points(n, thm.y_count)[p], i + 1, j + 1,
-                                     row(i, n)[p], row(j, n)[p])
+        report.witness = _first_witness(inst, row, weights)
     if include_values:
         report.values = [[[v.to_json() for v in row(s, n)] for n in range(inst.n_max + 1)]
                          for s in range(thm.sides)]
@@ -576,8 +603,9 @@ def grid_verify(config: GridConfig) -> GridReport:
 
     Every instance is validated once, here.  Instances share one
     EvalContext per (d, chi, r, j) for the whole grid, so its side memo
-    (see _side_series) evaluates every distinct permuted side once, witness
-    passes included; its Bernoulli EGFs, character sums and slot series
+    (see _side_series) evaluates every distinct permuted side once, and the
+    first witness of a theorem and mode is searched on the failing
+    instance's memoised sides; its Bernoulli EGFs, character sums and slot series
     come from the process-wide store, built once per process.  Instances
     come theorem-first and no two theorems share a base form, so every side
     memo is cleared whenever the theorem changes: it then holds one
@@ -619,8 +647,10 @@ def grid_verify(config: GridConfig) -> GridReport:
             ok = report.pass_normalized if mode == "normalized" else report.pass_as_stated
             counts[(inst.theorem, mode)]["pass" if ok else "fail"] += 1
             if not ok and (inst.theorem, mode) not in first_witness:
-                wrep = _verify(replace(inst, mode=mode), ctx=ctx)
-                if wrep.witness:
-                    first_witness[(inst.theorem, mode)] = wrep.witness
+                values = _point_values(_side_series(inst, ctx), THEOREMS[inst.theorem].y_count)
+                weights = [v for _, v in report.side_weights]
+                witness = _first_witness(replace(inst, mode=mode), values, weights)
+                if witness:
+                    first_witness[(inst.theorem, mode)] = witness
         rows.append(row)
     return GridReport(config, rows, counts, first_witness)

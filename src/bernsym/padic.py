@@ -174,10 +174,11 @@ class PadicCycNumber:
 
     def inverse(self) -> "PadicCycNumber":
         """adj(x) / N(x) mod p^M, with adj(x) the product of the other
-        Galois conjugates of x and N(x) its norm (`exactnum._adjugate`):
-        x is a unit exactly when p does not divide N(x)."""
+        Galois conjugates of x and N(x) its norm (`exactnum._adjugate`,
+        reduced mod p^M as it goes): x is a unit exactly when p does not
+        divide N(x)."""
         p, r = self.ctx.p, self.ctx.r
-        adj, norm = _adjugate(r, self.coeffs)
+        adj, norm = _adjugate(r, self.coeffs, self.ctx.modulus)
         if norm % p == 0:
             raise NonUnitInverseError(
                 f"the element's norm is divisible by p={p}; not a unit mod (Phi_{r}, {p})"

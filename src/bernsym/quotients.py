@@ -47,7 +47,13 @@ series, E(t) = P(t) * exp(c*t) with c = C_1*y_1 + .. (`point_series`, or
 The normalization weight of a form is the product of its B-slot twist
 scales; dividing the form by its weight gives exactly the EGF coefficients
 of the closed-form series.  That reconciliation is validated exhaustively
-by `consistency_check`, not assumed.
+by `consistency_check`, not assumed.  The y-point enters both sides only
+through a factor exp(c*t), so the check compares each form's y-free
+product P with the closed form without its exponential,
+t^s * prod (T_W/D_W) * prod D_V, cross-multiplied by the weight; P is
+multiplied by exp((c_form - c_closed)*t) only where the two rates differ.
+The point series and the full closed form are built only for a form that
+fails, to report its first mismatching coefficient.
 
 The Lambda_13 forms are not transcribed by hand: they are generated from
 the Lambda_23 descriptors by the substitution recipe (w1,w2,w3 ->
@@ -196,12 +202,17 @@ class ExpansionForm:
     form_no: int
     slots: tuple[Slot, ...]
 
-    @property
+    @functools.cached_property
     def form_id(self) -> str:
         return f"{self.qt.name}-form-{self.form_no}"
 
     def weight_mono(self) -> Mono:
         """The product of the form's B-slot twist monomials."""
+        return self._weight_mono
+
+    # cached: every form_weight call and theorem side reads it
+    @functools.cached_property
+    def _weight_mono(self) -> Mono:
         out = (0,) * self.qt.arity
         for slot in self.slots:
             if isinstance(slot, BSlot):
@@ -471,12 +482,19 @@ def side_series(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
     over the slots on y_v (one entry even for a form without y)."""
     if n_max < 0:
         raise ParameterError("n_max must be nonnegative")
+    _check_conditions(form.qt, ctx.twist, w)
+    return _build_side(form, w, ctx, n_max, mutation)
+
+
+def _build_side(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
+                n_max: int, mutation: Optional[Mutation] = None) -> Side:
+    """`side_series` for a w-tuple whose conditions hold and n_max >= 0: the
+    callers that have checked them already build their sides here."""
     if mutation is not None:
         if not 0 <= mutation.slot < len(form.slots):
             raise ParameterError(f"mutation slot {mutation.slot} outside 0..{len(form.slots) - 1}")
         if mutation.kind == "binomial" and not 0 <= mutation.degree <= n_max:
             raise ParameterError(f"mutation degree {mutation.degree} outside 0..{n_max}")
-    _check_conditions(form.qt, ctx.twist, w)
     ys = [0] * max(1, form.qt.y_count)
     factors = []
     for idx, slot in enumerate(form.slots):
@@ -521,8 +539,12 @@ def point_series(side: Side, y: Sequence, n_max: int) -> TruncatedSeries:
     straight from P's integer rows (`TruncatedSeries.mul_exp`) without
     spreading P over the y monomials; E is P itself when c = 0."""
     p, ys = side
-    c = sum((cv * Fraction(yv) for cv, yv in zip(ys, y)), Fraction(0))
-    return p.truncate(n_max).mul_exp(c)
+    return p.truncate(n_max).mul_exp(_side_rate(ys, y))
+
+
+def _side_rate(ys: Sequence[int], y: Sequence) -> Fraction:
+    """c = C_1*y_1 + .. of a side's exp(c*t) at a rational y-point."""
+    return sum((cv * Fraction(yv) for cv, yv in zip(ys, y)), Fraction(0))
 
 
 def point_value(side: Side, y: Sequence, n: int) -> CyclotomicNumber:
@@ -555,10 +577,9 @@ def closed_form_series(qt: QuotientType, w: Sequence[int], y: Sequence,
     the requested order: the product of the type's closed form,
         t^shift * prod (T_W/D_W) * prod D_V * exp(c*(y_1+..+y_k)*t),
     with c the sum of the y-multiplier monomials: the factors are multiplied
-    left to right in that order, then shifted by t^shift.  Each T_W/D_W is
-    one stored factor (`EvalContext.char_ratio_series`).  The shift pushes
-    the top `shift` coefficients past the order, so every factor is
-    truncated to order max(order - shift, 0) before it is multiplied."""
+    left to right in that order (`_closed_product`), then shifted by
+    t^shift.  Each T_W/D_W is one stored factor
+    (`EvalContext.char_ratio_series`)."""
     if order < 0:
         raise ParameterError("order must be nonnegative")
     ctx = ctx or EvalContext(chi, twist)
@@ -566,12 +587,26 @@ def closed_form_series(qt: QuotientType, w: Sequence[int], y: Sequence,
     y = tuple(Fraction(v) for v in y)
     if len(y) < qt.y_count:
         raise ParameterError(f"{qt.name} needs {qt.y_count} y value(s)")
+    product = _closed_product(qt, w, ctx, order)
+    return product.mul_exp(_closed_rate(qt, w, y)).shift_up(qt.shift).truncate(order)
+
+
+def _closed_product(qt: QuotientType, w: Sequence[int], ctx: EvalContext, order: int) -> TruncatedSeries:
+    """prod (T_W/D_W) * prod D_V, the closed form without t^shift and its
+    exponential, multiplied left to right.  The shift pushes the top
+    `shift` coefficients past the order, so every factor is truncated to
+    order max(order - shift, 0) before it is multiplied."""
     kept = max(order - qt.shift, 0)
     factors = [ctx.char_ratio_series(mono_val(mono, w), order, mono_name(mono)).truncate(kept)
                for mono in qt.chars]
     factors += [ctx.denom_series(mono_val(mono, w), order).truncate(kept) for mono in qt.numer]
-    coeff = sum(mono_val(mono, w) for mono in qt.ymul) * sum(y[:qt.y_count], Fraction(0))
-    return functools.reduce(operator.mul, factors).mul_exp(coeff).shift_up(qt.shift).truncate(order)
+    return functools.reduce(operator.mul, factors)
+
+
+def _closed_rate(qt: QuotientType, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
+    """c(y) of the closed form's exp(c(y)*t): the sum of the y-multiplier
+    monomials times y_1 + .. + y_k."""
+    return sum(mono_val(mono, w) for mono in qt.ymul) * sum(y[:qt.y_count], Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +660,15 @@ def consistency_check(qt: QuotientType, w: Sequence[int], y: Sequence,
     """Assert expansion_n = weight * n![t^n] closed_form for every form of
     the type; report the first mismatch with both values.
 
-    Each form's values at the y-point are its `point_series` E, compared
-    with the closed form in one cross-multiplied row comparison,
-    E / weight == closed; only a form that fails is walked coefficient by
-    coefficient for the first mismatching n."""
+    A form's values at the y-point are the EGF coefficients of
+    P(t) * exp(c*t), and the closed form's of K(t) * exp(c'*t), K the closed
+    form without its exponential.  Multiplying both by the unit
+    exp(-c'*t) keeps truncated series equal or unequal, so each form is
+    decided by one cross-multiplied row comparison,
+    P * exp((c - c')*t) / weight == K, where the exponential is applied
+    only when the rates differ.  Only a form that fails builds its
+    `point_series` E and the closed form K(t) * exp(c'*t), walked
+    coefficient by coefficient for the first mismatching n."""
     if n_max < 0:
         raise ParameterError("n_max must be nonnegative")
     ctx = ctx or EvalContext(chi, twist)
@@ -636,13 +676,17 @@ def consistency_check(qt: QuotientType, w: Sequence[int], y: Sequence,
     need = qt.y_count
     if len(y) < need:
         y = y + (Fraction(0),) * (need - len(y))
-    closed = closed_form_series(qt, w, y, chi, twist, n_max, ctx)
+    _check_conditions(qt, twist, w)
+    core = _closed_product(qt, w, ctx, n_max).shift_up(qt.shift).truncate(n_max)
+    rate = _closed_rate(qt, w, y)
     report = ConsistencyReport(qt.name, tuple(w), y, n_max, [f.form_id for f in FORMS[qt.name]])
     for form in FORMS[qt.name]:
         weight = form_weight(form, w)
-        series = point_series(side_series(form, w, ctx, n_max, mutation), y, n_max)
-        if series.scaled_equal(closed, weight, 1):
+        side = _build_side(form, w, ctx, n_max, mutation)
+        p, ys = side
+        if p.mul_exp(_side_rate(ys, y) - rate).scaled_equal(core, weight, 1):
             continue
+        series, closed = point_series(side, y, n_max), core.mul_exp(rate)
         for n in range(n_max + 1):
             lhs = series.egf_coefficient(n)
             rhs = closed.egf_coefficient(n).scale(weight)

@@ -60,13 +60,13 @@ def test_verify_csv_expands_each_side_once(monkeypatch):
     import bernsym.identities as identities
 
     calls = []
-    build = identities.side_series
+    build = identities._build_side
 
     def counting(form, w, *args, **kwargs):
         calls.append(tuple(w))
         return build(form, w, *args, **kwargs)
 
-    monkeypatch.setattr(identities, "side_series", counting)
+    monkeypatch.setattr(identities, "_build_side", counting)
     code, out, _ = run_cli(["verify", "--theorem", "8", "--d", "1", "--r", "5", "--w", "1,2,3",
                             "--n-max", "2", "--mode", "normalized", "--format", "csv"])
     assert code == 0

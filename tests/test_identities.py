@@ -1,5 +1,6 @@
 """Theorem catalog, verification modes, orbits, redundancy, grids."""
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -14,6 +15,7 @@ from bernsym.identities import (
     TheoremInstance,
     _side_series,
     _sides_equal,
+    _verify,
     grid_instances,
     grid_verify,
     redundancy_check,
@@ -27,7 +29,9 @@ from bernsym.quotients import (
     expansion_coefficients,
     expansion_polys,
     form_weight,
+    mono_val,
     perm_apply,
+    point_value,
     side_series,
     spread_ypolys,
 )
@@ -210,6 +214,74 @@ def test_poly_and_points_methods_agree(theorem):
                 wit = report.witness
                 got = wit and (wit.n, wit.y, wit.side_a, wit.side_b, wit.value_a, wit.value_b)
                 assert got == expected, (mutation, mode, report is a)
+
+
+def _every_pair_verdicts(inst, sides, method):
+    """(as stated, normalized, within orbits) from comparing every pair of
+    sides, each pair on its own: (P, C) pairs under 'poly', every grid
+    point's value under 'points'."""
+    thm = inst.theorem_spec()
+    weights = [mono_val(m, inst.w) for m in thm.side_weight_monos]
+    if method == "poly":
+        def equal(i, j, wi, wj):
+            return _sides_equal(sides[i], sides[j], inst.n_max, wi, wj)
+    else:
+        values = [[[point_value(side, y, n) for y in y_grid_points(n, thm.y_count)]
+                   for n in range(inst.n_max + 1)] for side in sides]
+
+        def equal(i, j, wi, wj):
+            return all(a.scale(wj) == b.scale(wi) for va, vb in zip(values[i], values[j])
+                       for a, b in zip(va, vb))
+    orbit_of = {i - 1: k for k, orbit in enumerate(thm.orbits()) for i in orbit}
+    pairs = list(combinations(range(thm.sides), 2))
+    return (all(equal(i, j, 1, 1) for i, j in pairs),
+            all(equal(i, j, weights[i], weights[j]) for i, j in pairs),
+            all(equal(i, j, 1, 1) for i, j in pairs if orbit_of[i] == orbit_of[j]))
+
+
+@pytest.mark.parametrize("method", ("poly", "points"))
+@pytest.mark.parametrize("theorem", range(1, 12))
+def test_implied_verdicts_match_every_pair(theorem, method, monkeypatch):
+    # _verify compares stars and derives the rest; each of its three flags
+    # must equal the verdict over every side pair, on sampled standard-grid
+    # instances, on one instance per mutation kind (both stars fail; the
+    # orbit flag then depends on whether side 1 shares its orbit), and on
+    # an instance whose sides are planted equal while their weights differ
+    # (as stated passes, normalized fails).  The points method reads every
+    # grid point, so it runs at a lower n_max
+    n_max = 6 if method == "poly" else 3
+    config = GridConfig(theorems=(theorem,), n_max=n_max)
+    valid = []
+    for inst in grid_instances(config):
+        try:
+            inst.validate()
+        except ParameterError:
+            continue
+        valid.append(inst)
+    cases = [(inst, None) for inst in random.Random(1800 + theorem).sample(valid, 2)]
+    # r = 7 and w in {2, 4} keep every bumped twist a unit, and every
+    # permuted w1 > 1 makes wpower change side 1's slot
+    mutated = TheoremInstance(theorem, 4, (1,), 7, 1, (2, 4, 2)[:THEOREMS[theorem].arity], n_max)
+    cases += [(mutated, Mutation(kind)) for kind in ("binomial", "twist", "wpower")]
+    for inst, mutation in cases:
+        ctx = EvalContext(inst.character(), inst.twist())
+        rep = _verify(inst, method, ctx=ctx, mutation=mutation, want_witness=False)
+        expected = _every_pair_verdicts(inst, _side_series(inst, ctx, mutation), method)
+        assert (rep.pass_as_stated, rep.pass_normalized, rep.pass_orbits) == expected, \
+            (inst.key(), mutation)
+        if mutation:
+            assert not (rep.pass_as_stated or rep.pass_normalized), mutation
+
+    import bernsym.identities as identities
+    build = identities._side_series
+    monkeypatch.setattr(identities, "_side_series",
+                        lambda inst, ctx, mutation=None: [build(inst, ctx)[0]] * inst.theorem_spec().sides)
+    ctx = EvalContext(mutated.character(), mutated.twist())
+    rep = _verify(mutated, method, ctx=ctx, want_witness=False)
+    expected = _every_pair_verdicts(mutated, identities._side_series(mutated, ctx), method)
+    assert (rep.pass_as_stated, rep.pass_normalized, rep.pass_orbits) == expected
+    weights = {mono_val(m, mutated.w) for m in THEOREMS[theorem].side_weight_monos}
+    assert rep.pass_as_stated and rep.pass_normalized == (len(weights) == 1)
 
 
 def _ypoly_equal(a, b, wa=1, wb=1):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from bernsym.bernoulli import ParameterError, TwistSpec
 from bernsym.dirichlet import enumerate_characters, trivial_character
-from bernsym.exactnum import CyclotomicNumber as Cyc
-from bernsym import padic
+from bernsym.exactnum import CyclotomicNumber as Cyc, _adjugate
+from bernsym import exactnum, padic
 from bernsym.padic import (
     ConvergenceReport,
     MeasureQuery,
@@ -85,6 +85,48 @@ def test_inverse_example():
         # a random element lies in one of the at most phi(r) primes above p,
         # each of index p^f, with probability at most phi(r)/p (4/13 at r = 12)
         assert inverted >= 10, (p, r)
+
+
+def _units(ctx, seed, count):
+    """`count` seeded random units of the ring, each with its exact
+    adjugate and norm (`_adjugate` with no modulus)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        x = PadicCycNumber(ctx, [rng.randrange(ctx.modulus) for _ in range(ctx.degree)])
+        adj, norm = _adjugate(ctx.r, x.coeffs)
+        if norm % ctx.p:
+            out.append((x, adj, norm))
+    return out
+
+
+@pytest.mark.parametrize("p,r,M", [(5, 7, 1000), (11, 7, 1000), (13, 12, 1200)])
+def test_reduced_adjugate_inverts_like_the_exact_one(p, r, M):
+    # the inverse reduces the adjugate's partial products mod p^M; the
+    # exact adjugate and norm, reduced at the end, give the same inverse
+    ctx = PadicContext(p, M, r)
+    for x, adj, norm in _units(ctx, p * 1000 + r, 3):
+        assert x.inverse() == PadicCycNumber(ctx, adj) * pow(norm, -1, ctx.modulus), (p, r)
+        assert x * x.inverse() == ctx.one()
+
+
+def test_reduced_adjugate_keeps_operands_near_the_modulus(monkeypatch):
+    # unreduced, the product of phi(r) - 1 = 5 conjugates grows to about
+    # five times the modulus's bit length
+    ctx = PadicContext(5, 1000, 7)
+    units = _units(ctx, 57, 2)
+    bits = []
+    vec_mul_mod = exactnum._vec_mul_mod
+
+    def recording(m, a, b):
+        out = vec_mul_mod(m, a, b)
+        bits.append(max(abs(c).bit_length() for c in (*a, *b, *out)))
+        return out
+
+    monkeypatch.setattr(exactnum, "_vec_mul_mod", recording)
+    for x, _, _ in units:
+        x.inverse()
+    assert bits and max(bits) <= 2 * ctx.M * ctx.p.bit_length() + 16
 
 
 @pytest.mark.parametrize("p,r,coeffs", [

@@ -478,3 +478,59 @@ def test_passing_forms_are_decided_without_a_walk(monkeypatch):
     assert reads == []
     rep = consistency_check(qt, (2, 1), (Fraction(1, 3),), chi, twist, 5, ctx, Mutation("binomial", 0, 3))
     assert rep.mismatch.n == 3 and reads
+
+
+def test_passing_consistency_builds_no_exponential(monkeypatch):
+    # the y-point enters a form and its closed form only through
+    # exp(c*t), so a passing check compares the y-free products and never
+    # builds a point series or multiplies by an exponential
+    exps = []
+    mul_exp = TruncatedSeries.mul_exp
+    monkeypatch.setattr(TruncatedSeries, "mul_exp", lambda s, c: exps.append(c) or mul_exp(s, c))
+
+    def no_point_series(*args):
+        raise AssertionError("point_series on a passing form")
+
+    monkeypatch.setattr(quotients, "point_series", no_point_series)
+    chi, twist = DirichletCharacter(4, (1,)), TwistSpec(5, 1)
+    ctx = EvalContext(chi, twist)
+    for name, qt in sorted(QUOTIENT_TYPES.items()):
+        w = (2, 3) if qt.arity == 2 else (2, 1, 3)
+        y = (Fraction(1, 2), Fraction(-1), Fraction(3, 2))[:qt.y_count]
+        assert consistency_check(qt, w, y, chi, twist, 6, ctx).passed, name
+    assert not any(exps)
+
+
+@pytest.mark.parametrize("name", ("G0", "G1", "L23:0", "L23:2", "L13:1", "L12:0"))
+def test_side_with_another_rate_fails_like_its_point_series(name, monkeypatch):
+    # the same P under another y multiplier C: the rates differ, so P is
+    # multiplied by exp((c_form - c_closed)*t) before the comparison, and the
+    # witness is the one read from the point series E against the weighted
+    # closed form
+    build = quotients._build_side
+
+    def other_rate(*args, **kwargs):
+        p, ys = build(*args, **kwargs)
+        return p, tuple(c + 1 for c in ys)
+
+    monkeypatch.setattr(quotients, "_build_side", other_rate)
+    chi, twist = DirichletCharacter(4, (1,)), TwistSpec(5, 1)
+    qt = parse_quotient_type(name)
+    w = (2, 3) if qt.arity == 2 else (2, 1, 3)
+    y = (Fraction(1, 2), Fraction(2), Fraction(3, 2))[:qt.y_count]
+    n_max = 5
+    ctx = EvalContext(chi, twist)
+    closed = closed_form_series(qt, w, y, chi, twist, n_max, ctx)
+    want = None
+    for form in FORMS[name]:
+        series = point_series(other_rate(form, w, ctx, n_max), y, n_max)
+        for n in range(n_max + 1):
+            lhs, rhs = series.egf_coefficient(n), closed.egf_coefficient(n).scale(form_weight(form, w))
+            if lhs != rhs:
+                want = {"form": form.form_id, "n": n, "expansion": lhs.to_json(),
+                        "weighted_closed_form": rhs.to_json()}
+                break
+        if want:
+            break
+    assert want is not None
+    assert consistency_check(qt, w, y, chi, twist, n_max, ctx).to_json()["witness"] == want
