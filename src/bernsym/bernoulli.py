@@ -21,12 +21,25 @@ from typing import Sequence, Union
 
 from .dirichlet import DirichletCharacter
 from .errors import ParameterError
-from .exactnum import CyclotomicNumber, Scalar, progression_sum
+from .exactnum import CyclotomicNumber, Scalar, euler_phi, progression_sum
 from .series import NonUnitConstantError, TruncatedSeries
+
+# Ceilings on the field every series lives in, checked before any work.  An
+# element of Q(zeta_m) is inverted with phi(m) - 1 products of phi(m)-long
+# vectors, so the cost grows as phi(m)^3: one audit instance (theorem 1,
+# d = 1, w = 1, n_max = 0) took 0.17 s at r = 113, 0.86 s at r = 199 (the
+# largest prime under MAX_TWIST_ORDER), 1.0 s at r = 211 and 1.6 s at
+# r = 251 on a 2-core Xeon.  MAX_TWIST_ORDER bounds r itself, so nothing
+# factors a huge r; MAX_FIELD_DEGREE bounds phi(lcm(r, ord chi)), which
+# the character's order can raise far past phi(r).
+MAX_TWIST_ORDER = 200
+MAX_FIELD_DEGREE = 200
 
 __all__ = [
     "BernoulliPolynomial",
     "EgfCheckResult",
+    "MAX_FIELD_DEGREE",
+    "MAX_TWIST_ORDER",
     "ParameterError",
     "TwistSpec",
     "bernoulli_egf",
@@ -51,6 +64,7 @@ class TwistSpec:
     def __post_init__(self):
         if self.r < 2:
             raise ParameterError("twist root must differ from 1 (r >= 2)")
+        require_twist_order(self.r)
         if not 0 < self.j < self.r or math.gcd(self.j, self.r) != 1:
             raise ParameterError(f"j={self.j} does not give a primitive {self.r}-th root")
 
@@ -67,9 +81,22 @@ class TwistSpec:
             raise ParameterError(f"gcd(r, d) = gcd({self.r}, {d}) != 1")
 
 
+def require_twist_order(r: int) -> None:
+    """Refuse a twist order r over MAX_TWIST_ORDER, before anything factors it."""
+    if r > MAX_TWIST_ORDER:
+        raise ParameterError(f"twist order r={r} is above the ceiling of {MAX_TWIST_ORDER}")
+
+
 def field_conductor(chi: DirichletCharacter, twist: TwistSpec) -> int:
-    """Smallest conductor containing the character values and the twist root."""
-    return math.lcm(twist.r, chi.order)
+    """Smallest conductor containing the character values and the twist
+    root, refused when its degree is over MAX_FIELD_DEGREE."""
+    m = math.lcm(twist.r, chi.order)
+    if euler_phi(m) > MAX_FIELD_DEGREE:
+        raise ParameterError(
+            f"the field Q(zeta_{m}) of r={twist.r} and a character of order {chi.order} "
+            f"has degree {euler_phi(m)}, above the ceiling of {MAX_FIELD_DEGREE}"
+        )
+    return m
 
 
 def twisted_exp_minus_one(twist: TwistSpec, x: int, s: int, order: int, m: int) -> TruncatedSeries:

@@ -353,7 +353,10 @@ def parse_grid_file(path: str) -> tuple[GridConfig, str]:
         key, eq, val = line.partition("=")
         if not eq:
             raise ParameterError(f"malformed grid line {raw.strip()!r}")
-        values[key.strip()] = val.strip()
+        key = key.strip()
+        if key in values:
+            raise ParameterError(f"grid key {key!r} is given more than once")
+        values[key] = val.strip()
     fmt = values.pop("format", "json")
     if fmt not in FORMATS:
         raise ParameterError(f"unknown grid format {fmt!r}; expected one of {list(FORMATS)}")

@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
-from .bernoulli import ParameterError, TwistSpec
+from .bernoulli import ParameterError, TwistSpec, field_conductor
 from .dirichlet import DirichletCharacter, enumerate_characters
 from .exactnum import CyclotomicNumber
 from .quotients import (
@@ -520,8 +520,7 @@ class GridConfig:
             raise ParameterError("n_max must be nonnegative")
         if min(self.w_components) < 1:
             raise ParameterError("w components must be positive integers")
-        if min(self.r_values) < 2:
-            raise ParameterError("twist root must differ from 1 (r >= 2)")
+        twists = [TwistSpec(r) for r in sorted(set(self.r_values))]   # r >= 2, under the ceiling
         if self.char_filter not in ("all", "primitive-only", "explicit"):
             raise ParameterError(f"unknown character filter {self.char_filter!r}; "
                                  "expected all, primitive-only or explicit")
@@ -535,6 +534,13 @@ class GridConfig:
             for dd, _ in self.char_labels:
                 if dd not in self.d_values:
                     raise ParameterError(f"char_labels modulus {dd} is not in d {sorted(set(self.d_values))}")
+        # d and the field of every context that gets verified are refused
+        # over their ceilings here, before any work, not skipped per instance
+        for d in sorted(set(self.d_values)):
+            for chi in self.characters(d):
+                for twist in twists:
+                    if math.gcd(twist.r, d) == 1:
+                        field_conductor(chi, twist)
 
     def characters(self, d: int) -> list[DirichletCharacter]:
         if self.char_filter == "explicit":

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bernoulli import ParameterError, TwistSpec, gen_bernoulli_numbers, twisted_sum
+from .bernoulli import ParameterError, TwistSpec, gen_bernoulli_numbers, require_twist_order, twisted_sum
 from .dirichlet import DirichletCharacter, trivial_character
 from .exactnum import CyclotomicNumber, _adjugate, _power_vec, _vec_mul_mod, euler_phi
 
@@ -101,6 +101,7 @@ class PadicContext:
                 f"precision M={self.M} at p={self.p} spans M*bit_length(p) = "
                 f"{self.M * self.p.bit_length()} bits, more than the ceiling of {MAX_PRECISION_BITS}"
             )
+        require_twist_order(self.r)
         if self.r < 1 or math.gcd(self.r, self.p) != 1:
             raise ParameterError(f"unramified twist needs gcd(r, p) = 1, got r={self.r}, p={self.p}")
 

@@ -28,20 +28,33 @@ Normalisation happens only at the edges:
 
 Products and quotients are batched integer convolutions.  Each
 coefficient's phi(m) coordinates are packed into one Python int,
-coordinate x at bit offset x*B with signed digits.  One big-int multiply of
-two packed coefficients then yields all 2*phi - 1 coordinates of their
-polynomial product, and the products summed for one output coefficient are
-reduced modulo Phi_m once, on the packed int: each of the phi - 1 high
-digits times its packed reduction row is added to the low phi digits, which
-are then unpacked.  The width
+coordinate x at bit offset x*W with signed digits: the row of a(x) packs to
+a(2^W).  One big-int multiply of two packed coefficients then yields the
+value at 2^W of their polynomial product, and the products summed for one
+output coefficient, c(2^W), are reduced modulo Phi_m at once: x -> 2^W is
+a ring map from Z[x]/Phi_m onto Z/N, N = Phi_m(2^W), so c(2^W) is
+congruent modulo N to r(2^W), r = c mod Phi_m the reduced coordinates.
+One `%` by N, lifted into (-N/2, N/2], gives r(2^W) itself, and its phi
+digits are read off with shifts and masks.  The width
 
-    B = bitlen(max|a|) + bitlen(max|b|) + bitlen(phi * terms) + 2 + F_m
+    W = bitlen(max|a|) + bitlen(max|b|) + bitlen(phi * terms) + 2 + F_m
 
 (max|.| over the operands' integer coordinates, `terms` the number of
-products summed, F_m the bits the fold can add, see `_fold_bits`) bounds
-every digit, before and after the fold, by 2^(B-2), so no digit overflows
-into its neighbour.  Packing a whole series into one int as well was
-measured to be no faster at the orders used here.
+products summed, F_m = bitlen(max_i (1 + sum_k |x^(phi+k) mod Phi_m|_i)),
+see `_fold_bits`) bounds every reduced coordinate by |r_i| < 2^(W-2), so
+no digit overflows into its neighbour.  The lift is exact too: with
+S = sum_{i<phi} 2^(iW) and A the largest |coefficient| of Phi_m below its
+leading 1,
+
+    2 |r(2^W)| < 2^(W-1) S,    N >= 2^(phi W) - A S,
+
+so 2 |r(2^W)| < N once (2^(W-1) + A) S <= 2^(phi W); as
+S (2^W - 1) < 2^(phi W), A <= 2^(W-1) - 1 suffices.  The row of x^phi
+mod Phi_m is minus Phi_m's low coefficients, so A < 2^F_m <= 2^(W-3): the
+width needs no further floor for any m.  Products with exp(c*t) pack their
+rows the same way and need no reduction, only a width that holds the
+weighted sum.  Packing a whole series into one int as well was measured to
+be no faster at the orders used here.
 """
 
 from __future__ import annotations
@@ -50,10 +63,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import ParameterError
-from .exactnum import CycDivisionError, CyclotomicNumber, Scalar, _reduction_rows, _vec_mul_mod, euler_phi
+from .exactnum import (CycDivisionError, CyclotomicNumber, Scalar, _reduction_rows, _vec_mul_mod,
+                       cyclotomic_polynomial, euler_phi)
 
 # (common denominator, one coordinate list per coefficient, bound on |coordinate|)
 RowForm = tuple[int, tuple[list[int], ...], int]
@@ -101,7 +116,7 @@ def _content_reduced(den: int, rows: list[list[int]]) -> RowForm:
 
 @lru_cache(maxsize=None)
 def _fold_bits(m: int) -> int:
-    """Bits a coordinate may gain in the fold modulo Phi_m: it becomes its
+    """Bits a coordinate may gain in its reduction modulo Phi_m: it becomes its
     own digit plus the high digits times the entries of `_reduction_rows`."""
     rows = _reduction_rows(m)
     return max(1 + sum(abs(row[i]) for row in rows) for i in range(len(rows[0]))).bit_length()
@@ -119,39 +134,28 @@ def _pack(row: Sequence[int], width: int) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _fold_table(m: int, width: int) -> tuple[tuple[int, ...], int, int]:
-    """(the rows of x^phi .. x^(2*phi-2) mod Phi_m packed at `width`, half
-    of 2^width in each of 2*phi - 1 digits, the mask of the low phi digits)."""
-    rows = _reduction_rows(m)
-    phi = len(rows[0])
-    count = 2 * phi - 1
-    offset = (1 << (width - 1)) * (((1 << (count * width)) - 1) // ((1 << width) - 1))
-    return tuple(_pack(row, width) for row in rows), offset, (1 << (phi * width)) - 1
+def _digit_offset(phi: int, width: int) -> int:
+    """Half of 2^width in each of `phi` digits of `width` bits."""
+    return (1 << (width - 1)) * (((1 << (phi * width)) - 1) // ((1 << width) - 1))
 
 
-def _unpack_reduce(m: int, phi: int, packed: int, width: int) -> list[int]:
-    """The coordinates, reduced modulo Phi_m, of the polynomial whose
-    2*phi - 1 coefficients are the signed digits of `packed`.
+@lru_cache(maxsize=1024)
+def _modulus(m: int, width: int) -> tuple[int, int, int]:
+    """(N, h, lift): N = Phi_m(2^width) and h = floor(N/2).  N is odd, so
+    for any x the residue of x in (-N/2, N/2] is (x + h) % N - h, and
+    (x + h) % N + lift is that residue with half of 2^width added to each of
+    its phi digits, ready to be read with shifts and masks."""
+    modulus = _pack(cyclotomic_polynomial(m), width)
+    half = modulus >> 1
+    return modulus, half, _digit_offset(euler_phi(m), width) - half
 
-    The fold stays packed: each high digit x^(phi+k) is read off and its
-    packed reduction row, times the digit, is added to the low phi digits,
-    which are read off last.  Adding half of 2^width to every digit makes
-    them all nonnegative, so each is read with a shift and mask; the
-    width's `_fold_bits` keep the folded digits below half of 2^width."""
-    if phi == 1:
-        return [packed]
-    rows, offset, low_mask = _fold_table(m, width)
+
+def _unpack(packed: int, phi: int, width: int) -> list[int]:
+    """The `phi` signed digits of `packed`, each below half of 2^width."""
     mask = (1 << width) - 1
     half = 1 << (width - 1)
-    packed += offset
-    high = packed >> (phi * width)
-    low = packed & low_mask
-    for row in rows:
-        digit = (high & mask) - half
-        if digit:
-            low += digit * row
-        high >>= width
-    return [((low >> shift) & mask) - half for shift in range(0, phi * width, width)]
+    packed += _digit_offset(phi, width)
+    return [((packed >> shift) & mask) - half for shift in range(0, phi * width, width)]
 
 
 class TruncatedSeries:
@@ -274,29 +278,40 @@ class TruncatedSeries:
 
         Each operand's rows are packed once, one int per coefficient (see
         the module docstring).  Output row k is the sum of the big-int
-        products packed_a[k - j] * packed_b[j] over the nonzero b_j,
-        unpacked and reduced modulo Phi_m once, over den_a * den_b; the
+        products packed_a[k - j] * packed_b[j] over the nonzero b_j, reduced
+        modulo N = Phi_m(2^width) once and unpacked, over den_a * den_b; the
         whole product then loses its one content gcd.
         """
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
             return self.scale(other)
-        a, b, n = self._common(other)
+        a, b = self, other
+        if not isinstance(other, TruncatedSeries) or other.m != self.m:
+            a, b, _ = self._common(other)
         m = a.m
-        phi = euler_phi(m)
-        den_a, rows_a, bound_a = a._rows()
-        den_b, rows_b, bound_b = b._rows()
-        width = _pack_width(m, phi, bound_a, bound_b, n + 1)
-        packed_a = [_pack(row, width) for row in rows_a[: n + 1]]
-        nonzero_b = [(j, _pack(row, width)) for j, row in enumerate(rows_b[: n + 1]) if any(row)]
+        den_a, rows_a, bound_a = a._form or a._rows()
+        den_b, rows_b, bound_b = b._form or b._rows()
+        n = min(len(rows_a), len(rows_b))
+        phi = len(rows_a[0])
+        width = _pack_width(m, phi, bound_a, bound_b, n)
+        packed_a = [_pack(row, width) for row in rows_a[:n]]
+        nonzero_b = [(j, _pack(row, width)) for j, row in enumerate(rows_b[:n]) if any(row)]
+        modulus, half, lift = _modulus(m, width)
+        mask = (1 << width) - 1
+        top = 1 << (width - 1)
+        shifts = range(0, phi * width, width)
         zero = [0] * phi
         out = []
-        for k in range(n + 1):
+        for k in range(n):
             acc = 0
             for j, pb in nonzero_b:
                 if j > k:
                     break
                 acc += packed_a[k - j] * pb
-            out.append(_unpack_reduce(m, phi, acc, width) if acc else zero)
+            if acc:
+                acc = (acc + half) % modulus + lift
+                out.append([((acc >> shift) & mask) - top for shift in shifts])
+            else:
+                out.append(zero)
         return TruncatedSeries._from_rows(m, _content_reduced(den_a * den_b, out))
 
     __rmul__ = __mul__
@@ -313,8 +328,9 @@ class TruncatedSeries:
         out_k = (a_k - sum_{i=1..k} b_i * out_{k-i}) / b_0, on integer rows.
         The out_j are only known one at a time, so the sum for each k packs
         its own terms (one width from their bounds, as in `__mul__`), is
-        reduced modulo Phi_m once and multiplied by the row of 1/b_0; each
-        out_k loses its own content gcd, which keeps the next sums small.
+        reduced modulo Phi_m(2^width) once, unpacked and multiplied by the
+        row of 1/b_0; each out_k loses its own content gcd, which keeps the
+        next sums small.
         """
         a, b, n = self._common(other)
         m = a.m
@@ -338,7 +354,8 @@ class TruncatedSeries:
                 packed = sum(_pack(rows_b[i], width) * _pack(ro, width) for i, ro in zip(terms, rows_o))
                 if packed:
                     # a_k - s / (den_b * den_o), over den_a * den_b * den_o
-                    s = _unpack_reduce(m, phi, packed, width)
+                    modulus, half, _ = _modulus(m, width)
+                    s = _unpack((packed + half) % modulus - half, phi, width)
                     scale = den_b * den_o
                     num = [x * scale - y * den_a for x, y in zip(num, s)]
                     den = den_a * scale
@@ -365,27 +382,29 @@ class TruncatedSeries:
 
         With c = a/b and N the order, row n is
         sum_k row[n-k] * a^k * b^(N-k) * N!/k! over den * b^N * N!, which
-        then loses its one content gcd: integer multiply-adds only."""
+        then loses its one content gcd: on packed rows, one big-int
+        multiply-add per term and no reduction."""
         c = Fraction(c)
         if not c:
             return self
-        den, rows, _ = self._rows()
+        den, rows, bound = self._rows()
         order = self.order
         a, b = c.numerator, c.denominator
         fact = math.factorial(order)
         weights = [a ** k * b ** (order - k) * (fact // math.factorial(k)) for k in range(order + 1)]
-        out = []
-        for n in range(order + 1):
-            acc = [0] * len(rows[0])
-            for q, row in zip(weights, rows[n::-1]):
-                acc = [x + q * y for x, y in zip(acc, row)]
-            out.append(acc)
+        phi = len(rows[0])
+        # every output coordinate is at most sum_k |weight_k| * bound
+        width = bound.bit_length() + sum(map(abs, weights)).bit_length() + 1
+        packed = [_pack(row, width) for row in rows]
+        out = [_unpack(sum(map(mul, weights, packed[n::-1])), phi, width) for n in range(order + 1)]
         return TruncatedSeries._from_rows(self.m, _content_reduced(den * b ** order * fact, out))
 
     def mul_exp_coefficient(self, c: Fraction | int, n: int) -> CyclotomicNumber:
         """n! times the t^n coefficient of self * exp(c*t), for a rational
         c = a/b: sum_k n!/(n-k)! * a^(n-k) * b^k * row[k] over den * b^n,
-        without building the product series."""
+        without building the product series.  Each call reads its n + 1
+        rows once, so packing them, as `mul_exp` does, costs more than
+        summing them coordinate-wise at the small n of a witness scan."""
         den, rows, _ = self._rows()
         a, b = c.numerator, c.denominator
         acc = [0] * len(rows[0])
@@ -424,17 +443,19 @@ class TruncatedSeries:
 
         The rows are compared cross-multiplied, row_a * wb * den_b ==
         row_b * wa * den_a, so no coefficient is normalised."""
-        a, b, n = self._common(other)
-        if a.order != b.order:
+        a, b = self, other
+        if not isinstance(other, TruncatedSeries) or other.m != self.m:
+            a, b, _ = self._common(other)
+        den_a, rows_a, _ = a._form or a._rows()
+        den_b, rows_b, _ = b._form or b._rows()
+        if len(rows_a) != len(rows_b):
             return False
-        den_a, rows_a, _ = a._rows()
-        den_b, rows_b, _ = b._rows()
         fa, fb = wb * den_b, wa * den_a
-        g = math.gcd(fa, fb)
-        fa, fb = fa // g, fb // g
         if fa == fb:
             return rows_a == rows_b
-        return all(u * fa == v * fb for x, z in zip(rows_a, rows_b) for u, v in zip(x, z))
+        g = math.gcd(fa, fb)
+        fa, fb = fa // g, fb // g
+        return [u * fa for x in rows_a for u in x] == [v * fb for z in rows_b for v in z]
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):

@@ -208,3 +208,41 @@ def test_bernoulli_egf_matches_numbers():
     numbers = gen_bernoulli_numbers(CHI1, Z3, 1, 7)
     for n, b in enumerate(numbers):
         assert egf.egf_coefficient(n) == b
+
+
+def test_twist_order_over_ceiling_refused_before_factoring(monkeypatch):
+    # r = 1009 spent its time inverting in a degree-1008 field, and
+    # r = 10^38 + 7 in trial division; both are refused on their value
+    from bernsym import bernoulli, exactnum, padic
+
+    def factor(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(exactnum, "_factorize", factor)
+    for r in (1009, 10 ** 38 + 7, bernoulli.MAX_TWIST_ORDER + 1):
+        with pytest.raises(ParameterError, match=f"r={r} is above the ceiling of {bernoulli.MAX_TWIST_ORDER}"):
+            TwistSpec(r, 1)
+        with pytest.raises(ParameterError, match="ceiling"):
+            padic.PadicContext(5, 40, r)
+    TwistSpec(bernoulli.MAX_TWIST_ORDER, 1)
+
+
+def test_field_degree_over_ceiling_refused_before_any_series(monkeypatch):
+    # r = 199 alone gives degree 198; a character of order 138 lifts the
+    # field to Q(zeta_27462), of degree 8712
+    from bernsym import bernoulli
+
+    def build(*args, **kwargs):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", build)
+    monkeypatch.setattr(TruncatedSeries, "__truediv__", build)
+    monkeypatch.setattr(Cyc, "inverse", build)
+    chi = DirichletCharacter(139, (1,))
+    assert chi.order == 138
+    assert field_conductor(CHI1, TwistSpec(199, 1)) == 199
+    message = f"has degree 8712, above the ceiling of {bernoulli.MAX_FIELD_DEGREE}"
+    with pytest.raises(ParameterError, match=message):
+        field_conductor(chi, TwistSpec(199, 1))
+    with pytest.raises(ParameterError, match=message):
+        bernoulli_egf(chi, TwistSpec(199, 1), 1, 4)

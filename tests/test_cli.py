@@ -9,9 +9,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bernsym
-from bernsym.cli import main, parse_grid_file
+from bernsym.cli import _GRID_KEYS, FORMATS, main, parse_grid_file
+from bernsym.errors import ParameterError
+from bernsym.identities import GridConfig
 
 
 def run_cli(argv):
@@ -380,11 +383,27 @@ def test_repeated_main_calls_match_fresh_processes(monkeypatch, capsys):
     (b"chars = explicit\n", "error: explicit characters need char_labels\n"),
     (b"chars = explicit\nchar_labels = 7:1\n", "error: char_labels modulus 7 is not in d [1, 3, 4, 5]\n"),
     (b"d = 5\nchars = explicit\nchar_labels = 5:2; 3:1\n", "error: char_labels modulus 3 is not in d [5]\n"),
+    # the last value used to win silently
+    (b"theorems = 1\ntheorems = 2\n", "error: grid key 'theorems' is given more than once\n"),
+    # sizes over a ceiling are the user's error, not skips: an r, a d before
+    # it is factored, and a field refused although the r = 3 context is fine
+    (b"r = 1009\n", "error: twist order r=1009 is above the ceiling of 200\n"),
+    (b"d = %d\nchars = explicit\nchar_labels = %d:1\n" % (10 ** 30 + 57, 10 ** 30 + 57),
+     f"error: character modulus d={10 ** 30 + 57} is above the ceiling of 200\n"),
+    (b"d = 139\nchars = explicit\nchar_labels = 139:1\nr = 3,199\n",
+     "error: the field Q(zeta_27462) of r=199 and a character of order 138 has degree 8712"),
 ], ids=["unknown-key", "missing", "not-utf8", "n-max", "w-component", "r", "chars", "format",
         "j-zero", "j-not-coprime", "explicit-no-labels", "explicit-label-outside-d",
-        "explicit-one-label-outside-d"])
-def test_grid_file_parsing_errors(tmp_path, content, prefix):
+        "explicit-one-label-outside-d", "repeated-key", "r-over-ceiling", "d-over-ceiling",
+        "field-over-ceiling"])
+def test_grid_file_parsing_errors(monkeypatch, tmp_path, content, prefix):
     # each of these leaves nothing to verify: exit 2 before any work
+    from bernsym import identities
+
+    def verify(*args, **kwargs):
+        raise AssertionError("an instance was verified")
+
+    monkeypatch.setattr(identities, "_verify", verify)
     cfg = tmp_path / "grid.cfg"
     if content is not None:
         cfg.write_bytes(content)
@@ -494,3 +513,86 @@ def test_debug_leaves_usage_errors_and_output_alone():
         run_cli(["padic", "--p", "6", "--r", "5", "--n", "1"])
     assert run_cli(["--debug", "power-sum", "--r", "3", "--k", "1", "--upper", "2"]) == \
         run_cli(["power-sum", "--r", "3", "--k", "1", "--upper", "2"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bernoulli", "--r", "1009", "--n-max", "2"], "error: twist order r=1009 is above the ceiling of 200\n"),
+    (["verify", "--theorem", "1", "--r", str(10 ** 38 + 7), "--w", "1,1", "--n-max", "0"],
+     f"error: twist order r={10 ** 38 + 7} is above the ceiling of 200\n"),
+    (["padic", "--p", "5", "--r", "1009", "--n", "1"], "error: twist order r=1009 is above the ceiling of 200\n"),
+    (["chars", "--d", str(10 ** 30 + 57)], f"error: character modulus d={10 ** 30 + 57} is above the ceiling of 200\n"),
+    (["bernoulli", "--d", str(10 ** 30 + 57), "--r", "3"],
+     f"error: character modulus d={10 ** 30 + 57} is above the ceiling of 200\n"),
+], ids=["bernoulli-r", "verify-r", "padic-r", "chars-d", "bernoulli-d"])
+def test_size_over_ceiling_usage_error(monkeypatch, argv, message):
+    # refused on the value itself: nothing is factored
+    from bernsym import dirichlet, exactnum
+
+    def factor(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(exactnum, "_factorize", factor)
+    monkeypatch.setattr(dirichlet, "_factorize", factor)
+    start = time.perf_counter()
+    assert run_cli(argv) == (2, "", message)
+    assert time.perf_counter() - start < 1
+
+
+def test_field_degree_over_ceiling_usage_error(monkeypatch):
+    from bernsym import series
+
+    def build(*args, **kwargs):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(series.TruncatedSeries, "__mul__", build)
+    monkeypatch.setattr(series.TruncatedSeries, "__truediv__", build)
+    code, out, err = run_cli(["verify", "--theorem", "1", "--d", "139", "--char", "1", "--r", "199",
+                              "--w", "1,1", "--n-max", "0"])
+    assert (code, out) == (2, "")
+    assert err == ("error: the field Q(zeta_27462) of r=199 and a character of order 138 "
+                   "has degree 8712, above the ceiling of 200\n")
+
+
+_GRID_INTS = st.one_of(st.integers(-3, 12), st.integers(-10 ** 40, 10 ** 40),
+                       st.sampled_from([10 ** 30 + 57, 10 ** 38 + 7, 1009, 199, 200, 201]))
+
+
+def _grid_value(key):
+    ints = st.lists(_GRID_INTS, min_size=0, max_size=4).map(lambda xs: ",".join(map(str, xs)))
+    label = st.one_of(
+        st.builds(lambda d, lab: f"{d}:{lab}", _GRID_INTS, ints),
+        st.sampled_from(["5:", ":1", "x:1", "5:1,2,3", "5:-1", "5:4", "4:1;5:2", ";", "5:1:2", "-", "trivial"]),
+    )
+    junk = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r#"), max_size=12)
+    if key == "char_labels":
+        return st.one_of(label, st.lists(label, max_size=3).map("; ".join), junk)
+    if key in ("modes", "chars", "format"):
+        return st.one_of(st.sampled_from(["as-stated", "normalized", "as-stated,normalized", "all",
+                                          "primitive-only", "explicit", "json", "csv", "pretty"]), junk)
+    return st.one_of(ints, _GRID_INTS.map(str), junk)
+
+
+_GRID_LINE = st.sampled_from(sorted(_GRID_KEYS) + ["format", "junk", "", "r r"]).flatmap(
+    lambda key: _grid_value(key).map(lambda value: f"{key} = {value}"))
+
+
+# distinct keys, then at most one more line: a comment, a malformed line or
+# a key that may repeat one of them
+_GRID_TEXT = st.tuples(
+    st.lists(_GRID_LINE, max_size=8, unique_by=lambda line: line.partition("=")[0]),
+    st.sampled_from([[], [], ["# comment"], ["no equals sign"]]) | _GRID_LINE.map(lambda line: [line]),
+).map(lambda parts: parts[0] + parts[1])
+
+
+@settings(max_examples=150, deadline=500)
+@given(_GRID_TEXT)
+def test_grid_parser_returns_config_or_usage_error(tmp_path_factory, lines):
+    # any text: a config, or ParameterError (exit 2), within the deadline
+    cfg = tmp_path_factory.mktemp("grid") / "grid.cfg"
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        config, fmt = parse_grid_file(str(cfg))
+    except ParameterError:
+        return
+    assert isinstance(config, GridConfig) and fmt in FORMATS
+

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from bernsym.errors import ParameterError
 from bernsym.exactnum import CyclotomicNumber as Cyc, euler_phi
 from bernsym.dirichlet import (
     DirichletCharacter,
@@ -146,3 +147,28 @@ def test_label_validation():
         DirichletCharacter(5, (4,))
     with pytest.raises(ValueError):
         DirichletCharacter(5, (0, 0))
+
+
+def test_modulus_over_ceiling_refused_before_factoring(monkeypatch):
+    # d = 10^30 + 57 used to sit in trial division; it is refused on its value
+    from bernsym import dirichlet
+
+    def factor(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(dirichlet, "_factorize", factor)
+    huge = 10 ** 30 + 57
+    message = f"character modulus d={huge} is above the ceiling of {dirichlet.MAX_MODULUS}"
+    with pytest.raises(ParameterError, match=message):
+        DirichletCharacter(huge, (1,))
+    with pytest.raises(ParameterError, match=message):
+        enumerate_characters(huge)
+    with pytest.raises(ParameterError, match="ceiling"):
+        trivial_character(dirichlet.MAX_MODULUS + 1)
+
+
+def test_modulus_at_ceiling_is_accepted():
+    from bernsym import dirichlet
+
+    d = dirichlet.MAX_MODULUS
+    assert len(enumerate_characters(d)) == euler_phi(d)

@@ -112,7 +112,10 @@ def test_exp_linear_is_homomorphism(x, y):
 # coefficients with nontrivial denominators, against the schoolbook Cauchy
 # product written with CyclotomicNumber * and +.
 
-KERNEL_CONDUCTORS = (1, 3, 12, 20, 28)
+# the standard grid's conductors, m = 2, two wider fields, and m = 105,
+# whose Phi_m has a coefficient -2: the exact lift of the residue modulo
+# Phi_m(2^W) leans on the largest |coefficient| of Phi_m
+KERNEL_CONDUCTORS = (1, 2, 3, 4, 5, 6, 7, 10, 12, 14, 20, 28, 105)
 
 
 def cyc_elements(m, low=-300, high=300):
@@ -189,6 +192,46 @@ def test_coefficients_near_two_to_the_200(m, data):
     b = TS(m, data.draw(st.lists(coeff, min_size=5, max_size=5)))
     assert list((a * b).coeffs) == schoolbook(a, b)
     assert (a * b) / b == a
+
+
+def extreme_series(m, order, bits):
+    """Series whose every coordinate is +-(2^bits - 1), the largest value of
+    its bit length, all of one sign or of drawn signs."""
+    phi = euler_phi(m)
+    size = phi * (order + 1)
+    top = 2 ** bits - 1
+    signs = st.one_of(st.just([1] * size), st.lists(st.sampled_from([-1, 1]), min_size=size, max_size=size))
+    return signs.map(lambda sg: TS(m, [Cyc(m, [top * x for x in sg[k * phi:(k + 1) * phi]])
+                                       for k in range(order + 1)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KERNEL_CONDUCTORS), st.integers(0, 5), st.sampled_from([1, 2, 7, 64, 200]), st.data())
+def test_operands_at_their_coordinate_bounds(m, order, bits, data):
+    # the width has no slack left for the convolution sums or the reduction,
+    # and equal signs make the sums as large as they get
+    a, b = data.draw(extreme_series(m, order, bits)), data.draw(extreme_series(m, order, bits))
+    assert a._rows()[2] == b._rows()[2] == 2 ** bits - 1
+    assert list((a * b).coeffs) == schoolbook(a, b)
+    assert list((a / b).coeffs) == schoolbook_div(a.coeffs, b.coeffs)
+
+
+def exp_rates():
+    return st.one_of(st.just(Fraction(0)), st.integers(-6, 6).map(Fraction),
+                     st.fractions(-7, 7, max_denominator=9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_CONDUCTORS), st.integers(0, 7), exp_rates(), st.data())
+def test_mul_exp_rows_match_the_product_with_exp_linear(m, order, c, data):
+    # operands at their coordinate bounds fill the width of the weighted sums
+    series = data.draw(st.one_of(cyc_series(m, order), extreme_series(m, order, 30)))
+    want = series * TS.exp_linear(c, order)
+    assert series.mul_exp(c)._rows() == want._rows()
+    for n in range(order + 1):
+        value = series.mul_exp_coefficient(c, n)
+        expected = want.egf_coefficient(n)
+        assert (value.num, value.den) == (expected.num, expected.den)
 
 
 def test_scale_variable():
