@@ -231,18 +231,27 @@ def _cmd_chars(args, out) -> int:
         chars = [c for c in chars if c.is_primitive]
     entries = []
     rows = [["label", "order", "conductor", "primitive", "values"]]
+    # chi(a) is zeta_order^s, or 0 where s is None, so its text depends only
+    # on (order, s): each is rendered once, for all the characters
+    names: dict[tuple, str] = {}
     for chi in chars:
         cond, primitive = chi.conductor()
-        values = [str(chi(a)) for a in range(args.d)]
+        order = chi.order
+        values = []
+        for a in range(args.d):
+            key = (order, chi._value_exponent(a))
+            if key not in names:
+                names[key] = str(chi(a))
+            values.append(names[key])
         entries.append({
             "d": args.d,
             "exponents": list(chi.exponents),
-            "order": chi.order,
+            "order": order,
             "conductor": cond,
             "primitive": primitive,
             "values": values,
         })
-        rows.append([",".join(map(str, chi.exponents)) or "-", chi.order,
+        rows.append([",".join(map(str, chi.exponents)) or "-", order,
                      cond, primitive, " ".join(values)])
     out.write(_emit({"d": args.d, "characters": entries}, args.format, rows))
     return 0

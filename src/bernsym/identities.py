@@ -262,11 +262,16 @@ def _side_series(inst: TheoremInstance, ctx: EvalContext,
     w-tuples each permuted side is another instance's first side.  Sides
     are therefore memoised in ``ctx.side_memo`` under (form_id, permuted w,
     n_max), so every instance sharing the context evaluates each distinct
-    key once; the memo lives as long as the context or until its owner
-    clears it.  The slot series a side multiplies are not the context's:
-    they come from the process-wide store, built once per process (see
-    `quotients.EvalContext`).  A mutated side neither reads nor fills the
-    memo, and a mutated slot series never enters the store.
+    key once.  A side missing there reads its product P from the context's
+    second memo, by its factor chain and n_max (`quotients._build_side`):
+    the forms of one quotient type that fold power sums into the Bernoulli
+    argument have the same chains, so theorems 3, 6, 8 and 9 multiply
+    nothing that theorems 2, 5 and 7 have multiplied on the context.  Both
+    memos live as long as the context or until its owner clears them.  The
+    factors a side multiplies are not the context's: they come from the
+    process-wide store, built once per process (see `quotients.EvalContext`).
+    A mutated side neither reads nor fills either memo, and a mutated slot
+    series never enters the store.
     """
     thm = inst.theorem_spec()
     sides = []
@@ -278,7 +283,7 @@ def _side_series(inst: TheoremInstance, ctx: EvalContext,
         key = (thm.base.form_id, w, inst.n_max)
         side = ctx.side_memo.get(key)
         if side is None:
-            side = ctx.side_memo[key] = _build_side(thm.base, w, ctx, inst.n_max)
+            side = ctx.side_memo[key] = _build_side(thm.base, w, ctx, inst.n_max, products=ctx._products)
         sides.append(side)
     return sides
 
@@ -615,7 +620,10 @@ def grid_verify(config: GridConfig) -> GridReport:
     come from the process-wide store, built once per process.  Instances
     come theorem-first and no two theorems share a base form, so every side
     memo is cleared whenever the theorem changes: it then holds one
-    theorem's sides at most.
+    theorem's sides at most.  The products below the sides are shared by
+    the theorems of one quotient type (2 and 3, 5 and 6, 7 to 9), so each
+    context's product memo is cleared whenever the quotient type changes:
+    it then holds one type's products at most.
     """
     rows: list[GridRow] = []
     counts: dict[tuple[int, str], dict[str, int]] = {
@@ -624,7 +632,7 @@ def grid_verify(config: GridConfig) -> GridReport:
     }
     first_witness: dict[tuple[int, str], Witness] = {}
     contexts: dict[tuple, EvalContext] = {}
-    memo_theorem = None
+    memo_theorem = memo_type = None
 
     for inst in grid_instances(config):
         row = GridRow(instance_key=inst.key())
@@ -638,9 +646,12 @@ def grid_verify(config: GridConfig) -> GridReport:
             rows.append(row)
             continue
         if inst.theorem != memo_theorem:
+            qt = THEOREMS[inst.theorem].base.qt
             for ctx in contexts.values():
                 ctx.side_memo.clear()
-            memo_theorem = inst.theorem
+                if qt != memo_type:
+                    ctx._products.clear()
+            memo_theorem, memo_type = inst.theorem, qt
         ckey = (inst.d, inst.char, inst.r, inst.j)
         ctx = contexts.get(ckey)
         if ctx is None:

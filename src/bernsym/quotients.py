@@ -39,6 +39,12 @@ rescaled on its own.
 A side is therefore one series product P = prod_s P_s times
 exp((C_1*y_1 + ..)*t), C_v summing c_s over the slots on y_v, and its
 displayed y^e coefficient of t^n/n! is n! * P[n - |e|] * prod_v C_v^e_v/e_v!.
+P is multiplied as one flat chain, left to right: each slot contributes
+its factors in order (a B slot its Bernoulli series, then one power-sum
+series per a-sum).  An a-sum's series is the stored series of the S slot it
+folds, so a form that folds power sums into a Bernoulli argument has the
+same chain as the form it came from, and the memos that hold P by its
+chain (`_build_side`) multiply it once for both.
 At a rational y-point the side's values are the EGF coefficients of one
 series, E(t) = P(t) * exp(c*t) with c = C_1*y_1 + .. (`point_series`, or
 `point_value` for one coefficient), summed from P's integer rows; only
@@ -53,7 +59,8 @@ product P with the closed form without its exponential,
 t^s * prod (T_W/D_W) * prod D_V, cross-multiplied by the weight; P is
 multiplied by exp((c_form - c_closed)*t) only where the two rates differ.
 The point series and the full closed form are built only for a form that
-fails, to report its first mismatching coefficient.
+fails, to report its first mismatching coefficient.  The forms of one type
+that share a chain share its product within the check.
 
 The Lambda_13 forms are not transcribed by hand: they are generated from
 the Lambda_23 descriptors by the substitution recipe (w1,w2,w3 ->
@@ -336,15 +343,17 @@ def _denom_series(chi: DirichletCharacter, twist: TwistSpec, scale: int, order: 
 
 
 class EvalContext:
-    """One (character, twist) pair's series, and its side memo.
+    """One (character, twist) pair's series, and its side memos.
 
     All values live at the fixed conductor lcm(r, order of chi): the slot
     series, each its quantity's one series (`bernoulli_egf`,
     `character_sum_series`) with t -> scale*t applied on integer rows
     (`TruncatedSeries.scale_variable`), and the closed-form factors.  They
     are read from the process-wide store (`_stored`), so every context for
-    the same pair shares them and each is built once per process; only the
-    side memo belongs to the context.
+    the same pair shares them and each is built once per process.  Only the
+    two side memos belong to the context: the sides (P, C) by (form_id, w,
+    n_max), and below them each distinct factor chain's product P by
+    (chain keys, n_max), which the sides of different forms share.
     """
 
     def __init__(self, chi: DirichletCharacter, twist: TwistSpec):
@@ -353,9 +362,11 @@ class EvalContext:
         self.d = chi.d
         self.r = twist.r
         self.m = field_conductor(chi, twist)
-        # theorem sides (P, C) by (form_id, w, n_max); read and filled only
-        # by identities._side_series
+        # theorem sides (P, C) by (form_id, w, n_max), and under them the
+        # products P by (chain keys, n_max) (see _build_side); read and
+        # filled only by identities._side_series
         self.side_memo: dict[tuple, Side] = {}
+        self._products: dict[tuple, TruncatedSeries] = {}
 
     # -- slot series ------------------------------------------------------
 
@@ -370,7 +381,7 @@ class EvalContext:
         return _stored(_psum_series, self.chi, self.twist, upper, w_exp % self.r, scale, n)
 
     def sym_product(self, factors: Sequence[TruncatedSeries]) -> TruncatedSeries:
-        """The product of a side's slot series, left to right."""
+        """The product of a side's factor chain, left to right."""
         return functools.reduce(operator.mul, factors)
 
     # -- closed-form factors --------------------------------------------
@@ -399,9 +410,9 @@ class Mutation:
     """A deliberate single-site perturbation used by the no-vacuous-pass tests.
 
     kind 'binomial' doubles the t^degree coefficient of one slot's y-free
-    factor P_s (see `_slot_series`), which for an S slot is its whole
-    t^degree coefficient; 'twist' bumps one slot's twist exponent by 1;
-    'wpower' multiplies one slot's t-scale by w1.  `side_series` refuses a
+    factor P_s, the product of its factors (see `_slot_factors`), which for
+    an S slot is its whole t^degree coefficient; 'twist' bumps one slot's
+    twist exponent by 1; 'wpower' multiplies one slot's t-scale by w1.  `side_series` refuses a
     slot outside the form and a binomial degree outside 0..n_max, which
     would perturb nothing.
     """
@@ -435,13 +446,26 @@ def _check_conditions(qt: QuotientType, twist: TwistSpec, w: Sequence[int]) -> N
             )
 
 
-def _slot_series(ctx: EvalContext, slot: Slot, w: Sequence[int], n: int,
-                 mut: Optional[Mutation]) -> tuple[TruncatedSeries, int]:
-    """(P_s, c_s) with the slot's EGF factor P_s(t) * exp(c_s*y_v*t).
+def _int_or_fraction(num: int, den: int) -> int | Fraction:
+    """num/den, as an int when den divides num."""
+    q, rem = divmod(num, den)
+    return Fraction(num, den) if rem else q
 
-    An S slot has P_s = sum_k S_k (T*t)^k/k! and c_s = 0.  A B slot under
-    j a-sums has P_s = sum_i B_i (T*t)^i/i! * prod_l sum_p S_p (f_l*T*t)^p/p!
-    and c_s = A*T.  A binomial mutation doubles P_s at t^degree.
+
+def _slot_factors(ctx: EvalContext, slot: Slot, w: Sequence[int], n: int,
+                  mut: Optional[Mutation]) -> tuple[list[tuple[Optional[tuple], TruncatedSeries]], int]:
+    """The factors, each with its store key, whose left-to-right product is
+    the y-free series P_s of the slot's EGF factor P_s(t) * exp(c_s*y_v*t),
+    and c_s.
+
+    An S slot is one factor, sum_k S_k (T*t)^k/k!, with c_s = 0.  A B slot
+    under j a-sums is sum_i B_i (T*t)^i/i! followed by each a-sum's
+    sum_p S_p (f_l*T*t)^p/p!, with c_s = A*T.  A key is the store key
+    without chi, the twist and the order.  An a-sum's scale f_l*T is an int
+    wherever it is integral, like the twist scale of the S slot it folds,
+    so the two share one key and one store entry.  A binomial mutation
+    doubles the slot's whole product P_s at t^degree and returns it as one
+    factor with no key.
     """
     r, d = ctx.r, ctx.d
     tw = ts = mono_val(slot.twist, w)
@@ -450,25 +474,26 @@ def _slot_series(ctx: EvalContext, slot: Slot, w: Sequence[int], n: int,
     elif mut and mut.kind == "wpower":
         ts *= w[0]
     if isinstance(slot, SSlot):
-        series, c = ctx.psum_series(d * mono_val(slot.upper, w) - 1, tw, ts, n), 0
+        factors, sums, c = [], [(slot.upper, tw, ts)], 0
     else:
         if (d * tw) % r == 0:
             raise NonUnitConstantError(
                 f"xi^(d*{mono_name(slot.twist)}) = 1 at w={tuple(w)}",
                 factor=mono_name(slot.twist),
             )
-        series = ctx.bern_series(tw, ts, n)
         arg = mono_val(slot.arg_scale, w)
-        for asum in slot.asums:
-            upper = mono_val(asum.upper, w)
-            series = series * ctx.psum_series(d * upper - 1, mono_val(asum.twist, w),
-                                              Fraction(arg, upper) * ts, n)
+        factors = [(("B", tw % r, ts), ctx.bern_series(tw, ts, n))]
+        sums = [(asum.upper, mono_val(asum.twist, w),
+                 _int_or_fraction(arg * ts, mono_val(asum.upper, w))) for asum in slot.asums]
         c = arg * ts
+    for upper, x, scale in sums:
+        end = d * mono_val(upper, w) - 1
+        factors.append((("S", end, x % r, scale), ctx.psum_series(end, x, scale, n)))
     if mut and mut.kind == "binomial":
-        coeffs = list(series.coeffs)
+        coeffs = list(functools.reduce(operator.mul, [f for _, f in factors]).coeffs)
         coeffs[mut.degree] = coeffs[mut.degree].scale(2)
-        series = TruncatedSeries(ctx.m, coeffs)
-    return series, c
+        factors = [(None, TruncatedSeries(ctx.m, coeffs))]
+    return factors, c
 
 
 YPoly = dict[tuple[int, ...], CyclotomicNumber]
@@ -487,23 +512,40 @@ def side_series(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
 
 
 def _build_side(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
-                n_max: int, mutation: Optional[Mutation] = None) -> Side:
+                n_max: int, mutation: Optional[Mutation] = None,
+                products: Optional[dict] = None) -> Side:
     """`side_series` for a w-tuple whose conditions hold and n_max >= 0: the
-    callers that have checked them already build their sides here."""
+    callers that have checked them already build their sides here.
+
+    P is the left-to-right product (`EvalContext.sym_product`) of one flat
+    chain: every slot's factors (`_slot_factors`) in slot order.  An exact
+    product reduced by its content gcd is canonical under any association,
+    so P does not depend on where the slots' own products would have been
+    taken.  `products`, when given, holds P by (the chain's keys, n_max), so
+    forms whose chains agree factor by factor and in order, a folded a-sum
+    and the S slot it replaces, share one product.  A mutated side neither
+    reads nor fills it."""
     if mutation is not None:
         if not 0 <= mutation.slot < len(form.slots):
             raise ParameterError(f"mutation slot {mutation.slot} outside 0..{len(form.slots) - 1}")
         if mutation.kind == "binomial" and not 0 <= mutation.degree <= n_max:
             raise ParameterError(f"mutation degree {mutation.degree} outside 0..{n_max}")
     ys = [0] * max(1, form.qt.y_count)
-    factors = []
+    chain = []
     for idx, slot in enumerate(form.slots):
-        series, c = _slot_series(ctx, slot, w, n_max,
-                                 mutation if mutation is not None and mutation.slot == idx else None)
-        factors.append(series)
+        factors, c = _slot_factors(ctx, slot, w, n_max,
+                                   mutation if mutation is not None and mutation.slot == idx else None)
+        chain += factors
         if c:
             ys[slot.y_var] += c
-    return ctx.sym_product(factors), tuple(ys)
+    keys, series = zip(*chain)
+    if products is None or mutation is not None:
+        return ctx.sym_product(series), tuple(ys)
+    key = (keys, n_max)
+    p = products.get(key)
+    if p is None:
+        p = products[key] = ctx.sym_product(series)
+    return p, tuple(ys)
 
 
 def spread_ypolys(p: TruncatedSeries, ys: Sequence[int], n_max: int) -> list[YPoly]:
@@ -668,7 +710,9 @@ def consistency_check(qt: QuotientType, w: Sequence[int], y: Sequence,
     P * exp((c - c')*t) / weight == K, where the exponential is applied
     only when the rates differ.  Only a form that fails builds its
     `point_series` E and the closed form K(t) * exp(c'*t), walked
-    coefficient by coefficient for the first mismatching n."""
+    coefficient by coefficient for the first mismatching n.  The forms'
+    products are held by chain in a dict local to the call, so forms with
+    one chain multiply it once and a long-lived context gains nothing."""
     if n_max < 0:
         raise ParameterError("n_max must be nonnegative")
     ctx = ctx or EvalContext(chi, twist)
@@ -680,9 +724,10 @@ def consistency_check(qt: QuotientType, w: Sequence[int], y: Sequence,
     core = _closed_product(qt, w, ctx, n_max).shift_up(qt.shift).truncate(n_max)
     rate = _closed_rate(qt, w, y)
     report = ConsistencyReport(qt.name, tuple(w), y, n_max, [f.form_id for f in FORMS[qt.name]])
+    products: dict = {}
     for form in FORMS[qt.name]:
         weight = form_weight(form, w)
-        side = _build_side(form, w, ctx, n_max, mutation)
+        side = _build_side(form, w, ctx, n_max, mutation, products)
         p, ys = side
         if p.mul_exp(_side_rate(ys, y) - rate).scaled_equal(core, weight, 1):
             continue

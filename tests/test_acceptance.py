@@ -5,6 +5,8 @@ gcd(r,d)=1, j=1, w components from {1,2,3,4} filtered per theorem, n <= 6,
 y points 0..n+1 per variable.  One pass/fail line is printed per criterion.
 """
 
+import hashlib
+import json
 import math
 import time
 from fractions import Fraction
@@ -106,6 +108,18 @@ def test_criterion_03_orbit_structure_and_counterexample(full_grid):
         and vrep.witness.value_a == expected_a and vrep.witness.value_b == expected_a.scale(2)
     report(3, orbit_ok and counterexample_ok and witness_ok,
            "within-orbit equalities over G and the recorded Thm-3 counterexample")
+
+
+@pytest.mark.slow
+def test_standard_grid_answers_are_pinned(full_grid):
+    # the sha256 of the report and of every row, unchanged since the
+    # standard grid's answers were first recorded: a change that only makes
+    # the grid faster leaves both as they are
+    rep, _ = full_grid
+    assert hashlib.sha256(json.dumps(rep.to_json(), sort_keys=True).encode()).hexdigest() \
+        == "0ab8ab409fc137da143a7b16c19342c7c20ae5e8907597a55476d65390cb3b33"
+    assert hashlib.sha256(repr(rep.rows).encode()).hexdigest() \
+        == "ceb93ef3805de2992986f2f78f943cb30582da70572e3e69695dfbad127ae1fc"
 
 
 @pytest.mark.slow

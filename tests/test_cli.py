@@ -1,5 +1,6 @@
 """CLI surface: flags, formats, exit codes, determinism."""
 
+import csv
 import io
 import json
 import os
@@ -13,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import bernsym
 from bernsym.cli import _GRID_KEYS, FORMATS, main, parse_grid_file
+from bernsym.dirichlet import enumerate_characters
+from bernsym.exactnum import CyclotomicNumber as Cyc, euler_phi
 from bernsym.errors import ParameterError
 from bernsym.identities import GridConfig
 
@@ -120,6 +123,46 @@ def test_chars_listing():
     assert orders == [1, 2, 4, 4]
     code, out, _ = run_cli(["chars", "--d", "5", "--primitive-only"])
     assert len(json.loads(out)["characters"]) == 3
+
+
+def _naive_chars(d):
+    """The chars listing with every value rendered afresh, as json and csv."""
+    entries, rows = [], [["label", "order", "conductor", "primitive", "values"]]
+    for chi in enumerate_characters(d):
+        cond, primitive = chi.conductor()
+        values = [str(chi(a)) for a in range(d)]
+        entries.append({"d": d, "exponents": list(chi.exponents), "order": chi.order,
+                        "conductor": cond, "primitive": primitive, "values": values})
+        rows.append([",".join(map(str, chi.exponents)) or "-", chi.order, cond, primitive,
+                     " ".join(values)])
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return json.dumps({"d": d, "characters": entries}, separators=(",", ":")) + "\n", buf.getvalue()
+
+
+@pytest.mark.parametrize("d", range(1, 41))
+def test_chars_bytes_match_rendering_every_value(d):
+    assert tuple(run_cli(["chars", "--d", str(d), "--format", fmt])[1] for fmt in ("json", "csv")) \
+        == _naive_chars(d)
+
+
+@pytest.mark.parametrize("d", (12, 40, 199))
+def test_chars_renders_each_distinct_value_once(d, monkeypatch):
+    # a character of order k takes at most k + 1 values (the k-th roots of
+    # unity and 0), so at most that many are rendered for it
+    rendered = []
+    to_text = Cyc.__str__
+
+    def counting(self):
+        rendered.append(self)
+        return to_text(self)
+
+    monkeypatch.setattr(Cyc, "__str__", counting)
+    code, out, _ = run_cli(["chars", "--d", str(d)])
+    assert code == 0
+    orders = [c["order"] for c in json.loads(out)["characters"]]
+    assert len(orders) == euler_phi(d)
+    assert len(rendered) <= sum(k + 1 for k in orders)
 
 
 def test_power_sum_value():

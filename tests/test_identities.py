@@ -1,6 +1,7 @@
 """Theorem catalog, verification modes, orbits, redundancy, grids."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -24,8 +25,10 @@ from bernsym.identities import (
     y_grid_points,
 )
 from bernsym.quotients import (
+    FORMS,
     EvalContext,
     Mutation,
+    consistency_check,
     expansion_coefficients,
     expansion_polys,
     form_weight,
@@ -143,12 +146,13 @@ def test_mutated_side_bypasses_memo(theorem, w):
     inst = TheoremInstance(theorem, 1, (), 5, 1, w, 3)
     ctx = EvalContext(inst.character(), inst.twist())
     assert verify_instance(inst, ctx=ctx).pass_as_stated
-    memo = dict(ctx.side_memo)
-    # a mutated side read from the memo would pass; one written to it
+    memo, products = dict(ctx.side_memo), dict(ctx._products)
+    # a mutated side read from either memo would pass; one written to it
     # would fail the clean re-verify below
     assert not verify_instance(inst, ctx=ctx, mutation=Mutation("twist")).pass_as_stated
-    assert ctx.side_memo.keys() == memo.keys()
-    assert all(ctx.side_memo[k] is v for k, v in memo.items())
+    for now, before in ((ctx.side_memo, memo), (ctx._products, products)):
+        assert now.keys() == before.keys()
+        assert all(now[k] is v for k, v in before.items())
     assert verify_instance(inst, ctx=ctx).pass_as_stated
 
 
@@ -171,6 +175,62 @@ def test_mutations_fail_with_a_warm_store(kind, cold_store):
     warm = _side_series(inst, ctx())
     cold_store.cache_clear()
     assert _side_series(inst, ctx()) == warm
+    # on the very context the clean run filled, both side memos warm: the
+    # same instance, a folded form after the form it folds (theorem 3 after
+    # theorem 2, normalized, as theorem 3 fails as stated) and the same
+    # (type, w) in the consistency check
+    same = ctx()
+    assert verify_instance(inst, ctx=same).pass_as_stated
+    assert not verify_instance(inst, ctx=same, mutation=Mutation(kind)).pass_as_stated
+    for theorem in (2, 3):
+        folded = TheoremInstance(theorem, 1, (), 5, 1, (2, 3), 3, "normalized")
+        assert verify_instance(folded, ctx=same).passed
+    assert not verify_instance(folded, ctx=same, mutation=Mutation(kind)).passed
+    qt, y = FORMS["L23:2"][0].qt, (Fraction(1, 2),)
+    assert consistency_check(qt, inst.w, y, same.chi, same.twist, 3, same).passed
+    assert not consistency_check(qt, inst.w, y, same.chi, same.twist, 3, same, Mutation(kind)).passed
+
+
+def _counting(ctx, monkeypatch) -> list:
+    """The factor chains ctx multiplies from now on, one list per product."""
+    chains = []
+    multiply = ctx.sym_product
+    monkeypatch.setattr(ctx, "sym_product", lambda factors: chains.append(factors) or multiply(factors))
+    return chains
+
+
+@pytest.mark.parametrize("theorem", (1, 4, 10, 11))
+def test_each_permuted_side_is_multiplied_once(theorem, monkeypatch):
+    # with distinct w components no two permuted sides have the same
+    # ordered chain, so each side is one product: a memo keyed by the
+    # sorted chain would share them, one keyed without n_max would hand the
+    # order-2 products to the order-3 instance
+    thm = THEOREMS[theorem]
+    w = (2, 4) if thm.arity == 2 else (1, 2, 4)
+    inst = TheoremInstance(theorem, 5, (1,), 3, 1, w, 2)
+    ctx = EvalContext(inst.character(), inst.twist())
+    chains = _counting(ctx, monkeypatch)
+    assert verify_instance(inst, ctx=ctx).pass_as_stated
+    assert len(chains) == thm.sides
+    deeper = replace(inst, n_max=3)
+    assert verify_instance(deeper, ctx=ctx).pass_as_stated
+    assert len(chains) == 2 * thm.sides
+    assert _side_series(deeper, ctx) == _side_series(deeper, EvalContext(inst.character(), inst.twist()))
+
+
+def test_redundancy_displays_are_multiplied_not_read(monkeypatch):
+    # at w = (1, 2, 2) the B*S*S display's two power sums have one key, so
+    # its chain is its Thm-7 side's; every display is still multiplied on
+    # its own, also on a context whose memos hold the theorem sides
+    w = (1, 2, 2)
+    chi, twist = DirichletCharacter(5, (1,)), TwistSpec(3, 1)
+    ctx = EvalContext(chi, twist)
+    for theorem in (7, 11):
+        verify_instance(TheoremInstance(theorem, 5, (1,), 3, 1, w, 3), ctx=ctx)
+    chains = _counting(ctx, monkeypatch)
+    rep = redundancy_check(w, chi, twist, 3, ctx)
+    assert rep.passed and len(rep.checks) == 7
+    assert len(chains) == 2 * 3 + 2 + 4
 
 
 def _first_grid_mismatch(inst, mutation=None):

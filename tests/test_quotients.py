@@ -20,7 +20,7 @@ from bernsym.quotients import (
     EvalContext,
     Mutation,
     SSlot,
-    _slot_series,
+    _slot_factors,
     closed_form_series,
     consistency_check,
     expansion_coefficients,
@@ -120,7 +120,8 @@ def test_slot_tensor_degrees_and_generating_function(name, monkeypatch):
                 return math.prod(x ** e for x, e in zip(w, mono))
 
             for idx, slot in enumerate(form.slots):
-                series, c = _slot_series(ctx, slot, w, n, None)
+                factors, c = _slot_factors(ctx, slot, w, n, None)
+                series = functools.reduce(operator.mul, [f for _, f in factors])
                 ts = val(slot.twist)
                 for k in range(n + 1):
                     got = [series.coeffs[k - e].as_rational() * Fraction(c ** e, math.factorial(e))
@@ -293,6 +294,72 @@ def test_closed_forms_never_read_the_bernoulli_series(monkeypatch, cold_store):
         y = (Fraction(1, 2),) * qt.y_count
         assert closed_form_series(qt, w, y, chi, twist, 6, ctx).order == 6
         assert closed_form_series(qt, w, y, chi, twist, 6).order == 6
+
+
+def _slot_by_slot(form, w, ctx, n):
+    """P multiplied slot by slot: each B slot's series times its a-sums'
+    first, then the slots' products left to right."""
+    products = []
+    for slot in form.slots:
+        ts = mono_val(slot.twist, w)
+        if isinstance(slot, SSlot):
+            products.append(ctx.psum_series(ctx.d * mono_val(slot.upper, w) - 1, ts, ts, n))
+            continue
+        p = ctx.bern_series(ts, ts, n)
+        arg = mono_val(slot.arg_scale, w)
+        for asum in slot.asums:
+            upper = mono_val(asum.upper, w)
+            p = p * ctx.psum_series(ctx.d * upper - 1, mono_val(asum.twist, w),
+                                    Fraction(arg, upper) * ts, n)
+        products.append(p)
+    return functools.reduce(operator.mul, products)
+
+
+@pytest.mark.parametrize("chi, twist", ((DirichletCharacter(4, (1,)), TwistSpec(5, 1)),
+                                        (DirichletCharacter(5, (1,)), TwistSpec(7, 1))))
+def test_flat_chain_rows_equal_the_slot_by_slot_product(chi, twist):
+    # a side is one product over the flat factor chain; an exact product
+    # reduced by its content gcd is canonical, so its rows and bound equal
+    # those of the slot-by-slot association, here also in Q(zeta_28), phi 12
+    ctx = EvalContext(chi, twist)
+    assert euler_phi(ctx.m) in (4, 12)
+    for name, forms in sorted(FORMS.items()):
+        tuples = ((1, 2), (2, 3), (4, 3)) if forms[0].qt.arity == 2 else ((1, 2, 3), (2, 3, 4), (4, 1, 2))
+        for form, w in product(forms, tuples):
+            p, _ = side_series(form, w, ctx, 6)
+            assert p._rows() == _slot_by_slot(form, w, ctx, 6)._rows(), (form.form_id, w)
+
+
+@pytest.mark.parametrize("name", ("G1", "L23:1", "L23:2", "L13:1", "L13:2"))
+def test_folded_forms_share_one_product_per_consistency_call(name, monkeypatch):
+    # every form of these types folds power sums into the Bernoulli argument
+    # of one chain: one product serves them all, and only within the call
+    chi, twist = DirichletCharacter(4, (1,)), TwistSpec(5, 1)
+    ctx = EvalContext(chi, twist)
+    calls = []
+    multiply = ctx.sym_product
+    monkeypatch.setattr(ctx, "sym_product", lambda factors: calls.append(1) or multiply(factors))
+    qt = parse_quotient_type(name)
+    assert len(FORMS[name]) > 1
+    w = (2, 3) if qt.arity == 2 else (2, 1, 3)
+    y = (Fraction(1, 2), Fraction(-1), Fraction(3, 2))[:qt.y_count]
+    for call in (1, 2):
+        assert consistency_check(qt, w, y, chi, twist, 6, ctx).passed
+        assert len(calls) == call
+
+
+@pytest.mark.parametrize("kind", ("binomial", "twist", "wpower"))
+def test_mutated_side_neither_reads_nor_fills_the_products(kind):
+    chi, twist = DirichletCharacter(4, (1,)), TwistSpec(5, 1)
+    ctx = EvalContext(chi, twist)
+    form, w = FORMS["L23:2"][2], (2, 1, 3)
+    products = {}
+    clean = quotients._build_side(form, w, ctx, 4, products=products)
+    held = dict(products)
+    assert len(held) == 1
+    mutated = quotients._build_side(form, w, ctx, 4, Mutation(kind), products)
+    assert mutated[0] != clean[0]
+    assert products.keys() == held.keys() and all(products[k] is v for k, v in held.items())
 
 
 @pytest.mark.parametrize("name", sorted(FORMS))
