@@ -108,17 +108,45 @@ def character_sum_series(chi: DirichletCharacter, twist: TwistSpec, w: int,
                          order: int, m: int | None = None,
                          upper: int | None = None) -> TruncatedSeries:
     """sum_{a<upper} chi(a) xi^{w a} e^{a t} truncated at `order`;
-    `upper` defaults to the modulus d.  Each weight chi(a) xi^(wa) is read
-    from its class (`_class_weights`), and the terms are summed once per
-    coefficient, in integers (`TruncatedSeries.exp_sum`)."""
+    `upper` defaults to the modulus d.
+
+    Its t^k/k! coefficient is the power sum S_k(upper - 1; chi, xi^w),
+    summed class by class mod lcm(d, r) as `twisted_sum` sums it: each
+    class adds its weight chi(c) xi^(wc) (`_class_weights`) times its sums
+    of a^k, k <= order.  A class of at most (order + 1)^2 terms, the count
+    under which `progression_sum` walks a progression of degree `order`,
+    is walked term by term for all k at once (`_walked_sums`); a longer one
+    is summed in closed form (`progression_sum`), so the cost does not grow
+    with upper."""
     m = m or field_conductor(chi, twist)
+    upper = chi.d if upper is None else upper
     weights = _class_weights(chi, twist, w % twist.r)
-    terms = []
-    for a in range(chi.d if upper is None else upper):
-        weight = weights[a % len(weights)]
-        if not weight.is_zero():
-            terms.append((weight.embed(m), a))
-    return TruncatedSeries.exp_sum(terms, order, m)
+    period = len(weights)
+    rows = [[0] * euler_phi(m) for _ in range(order + 1)]
+    for c, weight in enumerate(weights[:upper]):
+        if weight.is_zero():
+            continue
+        count = (upper - 1 - c) // period + 1
+        if count <= (order + 1) ** 2:
+            sums = _walked_sums(range(c, upper, period), order)
+        else:
+            sums = [progression_sum([(k, 1)], c, period, count) for k in range(order + 1)]
+        num = weight.embed(m).num
+        for k, s in enumerate(sums):
+            if s:
+                rows[k] = [x + s * y for x, y in zip(rows[k], num)]
+    return TruncatedSeries.from_egf_rows(m, rows)
+
+
+def _walked_sums(points: range, order: int) -> list[int]:
+    """sum_a a^k over the points for k = 0..order, with 0^0 = 1."""
+    sums = [0] * (order + 1)
+    for a in points:
+        power = 1
+        for k in range(order + 1):
+            sums[k] += power
+            power *= a
+    return sums
 
 
 def bernoulli_egf(chi: DirichletCharacter, twist: TwistSpec, w: int, order: int,

@@ -19,9 +19,10 @@ a y-point, where they are needed (witnesses, reported values,
 the standard grid of n+2 integer points per variable and stays as an
 independent cross-check), are the t^n/n! coefficients of each side's
 P(t) * exp((C.y)*t), summed from P's integer rows (`quotients.point_value`);
-no y-polynomial is spread.  The grid values are one list per (side, n)
-(`_point_values`), and the pointwise method and the witness search read
-them through one scan (`_first_mismatch`).
+no y-polynomial is spread.  Each grid value is computed once, when a scan
+first reads it (`_PointValues`), and the pointwise method and the witness
+search read them through one scan (`_first_mismatch`), which stops at the
+first mismatch.
 
 Each mode compares side 1 with every other side, and the rest of the
 verdicts follow from exact equality: when the as-stated star holds, only
@@ -75,7 +76,7 @@ class TheoremSpec:
     form_no: int
     sigmas: tuple[tuple[int, ...], ...]
 
-    @property
+    @functools.cached_property
     def base(self) -> ExpansionForm:
         return FORMS[self.base_key][self.form_no - 1]
 
@@ -288,30 +289,42 @@ def _side_series(inst: TheoremInstance, ctx: EvalContext,
     return sides
 
 
-def _point_values(sides: list[Side], y_count: int):
-    """row(s, n): side s's t^n/n! coefficients at `y_grid_points(n, y_count)`
-    (`point_value`), one list per (side, n), built once on first use."""
-    rows = {}
+class _PointValues:
+    """The sides' values on the verification grid: `value(s, n, p)` is side
+    s's t^n/n! coefficient at the p-th point of `y_grid_points(n, y_count)`
+    (`point_value`), computed once on first use, so a scan reads only the
+    values it compares."""
 
-    def row(s: int, n: int) -> list[CyclotomicNumber]:
-        vals = rows.get((s, n))
-        if vals is None:
-            vals = rows[(s, n)] = [point_value(sides[s], pt, n) for pt in y_grid_points(n, y_count)]
-        return vals
+    def __init__(self, sides: list[Side], y_count: int):
+        self.sides = sides
+        self.y_count = y_count
+        self._points: dict[int, list[tuple[int, ...]]] = {}
+        self._values: dict[tuple[int, int, int], CyclotomicNumber] = {}
 
-    return row
+    def points(self, n: int) -> list[tuple[int, ...]]:
+        pts = self._points.get(n)
+        if pts is None:
+            pts = self._points[n] = y_grid_points(n, self.y_count)
+        return pts
+
+    def value(self, s: int, n: int, p: int) -> CyclotomicNumber:
+        key = (s, n, p)
+        v = self._values.get(key)
+        if v is None:
+            v = self._values[key] = point_value(self.sides[s], self.points(n)[p], n)
+        return v
 
 
-def _first_mismatch(row, pairs: Sequence[tuple[int, int]], weights: Optional[Sequence[int]],
+def _first_mismatch(values: _PointValues, pairs: Sequence[tuple[int, int]], weights: Optional[Sequence[int]],
                     n_max: int) -> Optional[tuple[int, int, int, int]]:
     """The first (n, grid-point index, i, j), n first, then the point, then
-    the pair in `pairs` order, where sides i and j differ in `row` (see
-    `_point_values`); with `weights`, where v_i * w_j != v_j * w_i."""
+    the pair in `pairs` order, where sides i and j differ in `values`; with
+    `weights`, where v_i * w_j != v_j * w_i."""
+    value = values.value
     for n in range(n_max + 1):
-        lists = [(i, j, row(i, n), row(j, n)) for i, j in pairs]
-        for p in range(len(row(0, n))):
-            for i, j, a, b in lists:
-                va, vb = a[p], b[p]
+        for p in range(len(values.points(n))):
+            for i, j in pairs:
+                va, vb = value(i, n, p), value(j, n, p)
                 if weights:
                     va, vb = va.scale(weights[j]), vb.scale(weights[i])
                 if va != vb:
@@ -319,16 +332,16 @@ def _first_mismatch(row, pairs: Sequence[tuple[int, int]], weights: Optional[Seq
     return None
 
 
-def _first_witness(inst: TheoremInstance, row, weights: Sequence[int]) -> Optional[Witness]:
+def _first_witness(inst: TheoremInstance, values: _PointValues, weights: Sequence[int]) -> Optional[Witness]:
     """The first (n, grid point, side pair) where the instance's mode fails,
-    read from its sides' grid values `row` (see `_point_values`)."""
+    read from its sides' grid `values`."""
     thm = inst.theorem_spec()
-    hit = _first_mismatch(row, list(combinations(range(thm.sides), 2)),
+    hit = _first_mismatch(values, list(combinations(range(thm.sides), 2)),
                           weights if inst.mode == "normalized" else None, inst.n_max)
     if hit is None:
         return None
     n, p, i, j = hit
-    return Witness(inst.mode, n, y_grid_points(n, thm.y_count)[p], i + 1, j + 1, row(i, n)[p], row(j, n)[p])
+    return Witness(inst.mode, n, values.points(n)[p], i + 1, j + 1, values.value(i, n, p), values.value(j, n, p))
 
 
 def theorem_sides(inst: TheoremInstance, n: int | None = None,
@@ -382,12 +395,12 @@ def _verify(inst: TheoremInstance, method: str = "poly", include_values: bool = 
     ctx = ctx or EvalContext(inst.character(), inst.twist())
     weights = [mono_val(m, inst.w) for m in thm.side_weight_monos]
     sides = _side_series(inst, ctx, mutation)
-    row = _point_values(sides, thm.y_count)
+    values = _PointValues(sides, thm.y_count)
     orbits_static = thm.orbits()
 
     if method == "points":
         def holds(pairs, normalized):
-            return _first_mismatch(row, pairs, weights if normalized else None, inst.n_max) is None
+            return _first_mismatch(values, pairs, weights if normalized else None, inst.n_max) is None
     else:
         def holds(pairs, normalized):
             return all(_sides_equal(sides[i], sides[j], inst.n_max,
@@ -412,9 +425,10 @@ def _verify(inst: TheoremInstance, method: str = "poly", include_values: bool = 
                      or holds([(orbit[0] - 1, i - 1) for orbit in orbits_static for i in orbit[1:]], False)),
     )
     if not report.passed and want_witness:
-        report.witness = _first_witness(inst, row, weights)
+        report.witness = _first_witness(inst, values, weights)
     if include_values:
-        report.values = [[[v.to_json() for v in row(s, n)] for n in range(inst.n_max + 1)]
+        report.values = [[[values.value(s, n, p).to_json() for p in range(len(values.points(n)))]
+                          for n in range(inst.n_max + 1)]
                          for s in range(thm.sides)]
     return report
 
@@ -664,7 +678,7 @@ def grid_verify(config: GridConfig) -> GridReport:
             ok = report.pass_normalized if mode == "normalized" else report.pass_as_stated
             counts[(inst.theorem, mode)]["pass" if ok else "fail"] += 1
             if not ok and (inst.theorem, mode) not in first_witness:
-                values = _point_values(_side_series(inst, ctx), THEOREMS[inst.theorem].y_count)
+                values = _PointValues(_side_series(inst, ctx), THEOREMS[inst.theorem].y_count)
                 weights = [v for _, v in report.side_weights]
                 witness = _first_witness(replace(inst, mode=mode), values, weights)
                 if witness:

@@ -81,7 +81,7 @@ from .bernoulli import (ParameterError, TwistSpec, bernoulli_egf, character_sum_
                         twisted_exp_minus_one)
 from .dirichlet import DirichletCharacter
 from .exactnum import CyclotomicNumber
-from .series import NonUnitConstantError, TruncatedSeries
+from .series import NonUnitConstantError, TruncatedSeries, product
 
 Mono = tuple[int, ...]
 
@@ -381,8 +381,9 @@ class EvalContext:
         return _stored(_psum_series, self.chi, self.twist, upper, w_exp % self.r, scale, n)
 
     def sym_product(self, factors: Sequence[TruncatedSeries]) -> TruncatedSeries:
-        """The product of a side's factor chain, left to right."""
-        return functools.reduce(operator.mul, factors)
+        """The product of a side's factor chain, left to right, at one width
+        (`series.product`)."""
+        return product(factors)
 
     # -- closed-form factors --------------------------------------------
 
@@ -490,7 +491,7 @@ def _slot_factors(ctx: EvalContext, slot: Slot, w: Sequence[int], n: int,
         end = d * mono_val(upper, w) - 1
         factors.append((("S", end, x % r, scale), ctx.psum_series(end, x, scale, n)))
     if mut and mut.kind == "binomial":
-        coeffs = list(functools.reduce(operator.mul, [f for _, f in factors]).coeffs)
+        coeffs = list(product([f for _, f in factors]).coeffs)
         coeffs[mut.degree] = coeffs[mut.degree].scale(2)
         factors = [(None, TruncatedSeries(ctx.m, coeffs))]
     return factors, c
@@ -637,7 +638,10 @@ def _closed_product(qt: QuotientType, w: Sequence[int], ctx: EvalContext, order:
     """prod (T_W/D_W) * prod D_V, the closed form without t^shift and its
     exponential, multiplied left to right.  The shift pushes the top
     `shift` coefficients past the order, so every factor is truncated to
-    order max(order - shift, 0) before it is multiplied."""
+    order max(order - shift, 0) before it is multiplied.  The factors are
+    multiplied pair by pair, each product losing its content gcd before the
+    next: these chains' partial products have content gcds of up to 48
+    bits, so one width for the whole chain (`series.product`) was slower."""
     kept = max(order - qt.shift, 0)
     factors = [ctx.char_ratio_series(mono_val(mono, w), order, mono_name(mono)).truncate(kept)
                for mono in qt.chars]

@@ -29,30 +29,46 @@ Normalisation happens only at the edges:
 Products and quotients are batched integer convolutions.  Each
 coefficient's phi(m) coordinates are packed into one Python int,
 coordinate x at bit offset x*W with signed digits: the row of a(x) packs to
-a(2^W).  One big-int multiply of two packed coefficients then yields the
-value at 2^W of their polynomial product, and the products summed for one
-output coefficient, c(2^W), are reduced modulo Phi_m at once: x -> 2^W is
-a ring map from Z[x]/Phi_m onto Z/N, N = Phi_m(2^W), so c(2^W) is
-congruent modulo N to r(2^W), r = c mod Phi_m the reduced coordinates.
-One `%` by N, lifted into (-N/2, N/2], gives r(2^W) itself, and its phi
-digits are read off with shifts and masks.  The width
+a(2^W).  x -> 2^W is a ring map from Z[x]/Phi_m onto Z/N, N = Phi_m(2^W),
+so a chain of factors f_1 .. f_k (`product`) is multiplied left to right
+entirely in Z/N: each step sums the big-int products for one output
+coefficient and takes one `%` by N, with no unpacking and no content gcd
+between factors.  The last step's sums, lifted into (-N/2, N/2], are
+r(2^W) themselves, r the reduced coordinates of the exact product's
+coefficient, and their phi digits are read off with shifts and masks.  The
+product then loses its one content gcd.  The width
 
-    W = bitlen(max|a|) + bitlen(max|b|) + bitlen(phi * terms) + 2 + F_m
+    W = sum_i bitlen(B_i) + (k - 1) * (bitlen(phi * n) + F_m) + 2,
 
-(max|.| over the operands' integer coordinates, `terms` the number of
-products summed, F_m = bitlen(max_i (1 + sum_k |x^(phi+k) mod Phi_m|_i)),
-see `_fold_bits`) bounds every reduced coordinate by |r_i| < 2^(W-2), so
-no digit overflows into its neighbour.  The lift is exact too: with
-S = sum_{i<phi} 2^(iW) and A the largest |coefficient| of Phi_m below its
-leading 1,
+rounded up to a multiple of WIDTH_STEP bits, with B_i the bound on f_i's
+integer coordinates, n the number of coefficients kept and
+F_m = bitlen(max_i (1 + sum_k |x^(phi+k) mod Phi_m|_i)) (see `_fold_bits`),
+bounds every reduced coordinate of the product by |r_i| < 2^(W-2), so no
+digit overflows into its neighbour.  By induction on the chain: let the
+reduced coordinates of g = f_1 .. f_j be below 2^b (b = bitlen(B_1) at
+j = 1).  A coefficient of g * f_(j+1) before reduction sums at most n
+products of two coefficients, and each coordinate of such a product sums
+at most phi products of coordinates, so it is below
+n * phi * 2^(b + bitlen(B_(j+1))).  Reduction modulo Phi_m adds to each
+coordinate the high coordinates times the entries of `_reduction_rows`,
+which multiplies the bound by less than 2^F_m.  Each step therefore adds
+bitlen(B_(j+1)) + bitlen(phi * n) + F_m bits, and after k factors the
+coordinates are below 2^(W-2) for the unrounded W; rounding up only widens
+it.  The lift is exact too: with S = sum_{i<phi} 2^(iW) and A the largest
+|coefficient| of Phi_m below its leading 1,
 
     2 |r(2^W)| < 2^(W-1) S,    N >= 2^(phi W) - A S,
 
 so 2 |r(2^W)| < N once (2^(W-1) + A) S <= 2^(phi W); as
 S (2^W - 1) < 2^(phi W), A <= 2^(W-1) - 1 suffices.  The row of x^phi
 mod Phi_m is minus Phi_m's low coefficients, so A < 2^F_m <= 2^(W-3): the
-width needs no further floor for any m.  Products with exp(c*t) pack their
-rows the same way and need no reduction, only a width that holds the
+width needs no further floor for any m.
+
+Rounding the width up lets a series keep its packed rows per width
+(`_packed_rows`): a stored factor is packed at a few widths for the whole
+process, and every truncation of it shares its packings.  A quotient packs
+each of its sums at the two-factor width.  Products with exp(c*t) pack
+their rows the same way and need no reduction, only a width that holds the
 weighted sum.  Packing a whole series into one int as well was measured to
 be no faster at the orders used here.
 """
@@ -122,8 +138,19 @@ def _fold_bits(m: int) -> int:
     return max(1 + sum(abs(row[i]) for row in rows) for i in range(len(rows[0]))).bit_length()
 
 
-def _pack_width(m: int, phi: int, bound_a: int, bound_b: int, terms: int) -> int:
-    return bound_a.bit_length() + bound_b.bit_length() + (phi * terms).bit_length() + 2 + _fold_bits(m)
+# product widths are rounded up to a multiple of this many bits, so that a
+# stored factor is packed at a few widths only (see `_packed_rows`)
+WIDTH_STEP = 32
+# packed widths a series keeps, oldest first out
+PACKED_WIDTHS = 4
+
+
+def _pack_width(m: int, phi: int, bounds: Sequence[int], terms: int) -> int:
+    """The width of a chain of factors whose coordinates are bounded by
+    `bounds`, with `terms` coefficients kept (see the module docstring)."""
+    step = (phi * terms).bit_length() + _fold_bits(m)
+    width = sum(b.bit_length() for b in bounds) + (len(bounds) - 1) * step + 2
+    return -(-width // WIDTH_STEP) * WIDTH_STEP
 
 
 def _pack(row: Sequence[int], width: int) -> int:
@@ -164,7 +191,7 @@ class TruncatedSeries:
     Held as coefficients, as integer rows (see the module docstring), or
     both; each form is derived from the other at most once."""
 
-    __slots__ = ("m", "_coeffs", "_form")
+    __slots__ = ("m", "_coeffs", "_form", "_packed")
 
     def __init__(self, m: int, coeffs: Sequence[Union[CyclotomicNumber, Scalar]]):
         if not coeffs:
@@ -172,13 +199,15 @@ class TruncatedSeries:
         self.m = m
         self._coeffs = tuple(_as_cyc(c, m) for c in coeffs)
         self._form: RowForm | None = None
+        self._packed: dict[int, list[int]] | None = None
 
     @staticmethod
-    def _from_rows(m: int, form: RowForm) -> "TruncatedSeries":
+    def _from_rows(m: int, form: RowForm, packed: dict[int, list[int]] | None = None) -> "TruncatedSeries":
         series = object.__new__(TruncatedSeries)
         series.m = m
         series._coeffs = None
         series._form = form
+        series._packed = packed
         return series
 
     def _rows(self) -> RowForm:
@@ -186,6 +215,22 @@ class TruncatedSeries:
         if form is None:
             form = self._form = _common_rows((c.den, c.num) for c in self._coeffs)
         return form
+
+    def _packed_rows(self, width: int) -> list[int]:
+        """Each row packed at `width`, kept per width (at most PACKED_WIDTHS
+        of them) in a cache shared with every truncation of this series.  A
+        truncation packs only its own rows, so a shared list shorter than
+        this series' rows is packed again in full."""
+        cache = self._packed
+        if cache is None:
+            cache = self._packed = {}
+        packed = cache.get(width)
+        rows = (self._form or self._rows())[1]
+        if packed is None or len(packed) < len(rows):
+            if packed is None and len(cache) >= PACKED_WIDTHS:
+                del cache[next(iter(cache))]
+            packed = cache[width] = [_pack(row, width) for row in rows]
+        return packed
 
     @property
     def coeffs(self) -> tuple[CyclotomicNumber, ...]:
@@ -221,12 +266,10 @@ class TruncatedSeries:
     def exp_sum(terms: Sequence[tuple[CyclotomicNumber, int]], order: int, m: int) -> "TruncatedSeries":
         """sum_j v_j * exp(s_j*t) truncated at `order`, for values v_j at
         conductor m and integers s_j, on integer rows: with L the common
-        denominator of the v_j and N = order, row n is
-        sum_j num_j * (L/den_j) * s_j^n * N!/n! over L * N!, which then loses
-        its one content gcd."""
+        denominator of the v_j, the t^n/n! coefficient is
+        sum_j num_j * (L/den_j) * s_j^n over L (`from_egf_rows`)."""
         phi = euler_phi(m)
         lcd = math.lcm(*(v.den for v, _ in terms))
-        fact = math.factorial(order)
         rows = []
         for n in range(order + 1):
             acc = [0] * phi
@@ -234,9 +277,17 @@ class TruncatedSeries:
                 q = (lcd // v.den) * s ** n
                 if q:
                     acc = [x + q * y for x, y in zip(acc, v.num)]
-            scale = fact // math.factorial(n)
-            rows.append([x * scale for x in acc])
-        return TruncatedSeries._from_rows(m, _content_reduced(lcd * fact, rows))
+            rows.append(acc)
+        return TruncatedSeries.from_egf_rows(m, rows, lcd)
+
+    @staticmethod
+    def from_egf_rows(m: int, rows: Sequence[Sequence[int]], den: int = 1) -> "TruncatedSeries":
+        """sum_n (row_n / den) t^n/n! for integer rows of phi(m)
+        coordinates, truncated at the last row: with N the order, row n
+        times N!/n! over den * N!, which then loses its one content gcd."""
+        fact = math.factorial(len(rows) - 1)
+        out = [[x * (fact // math.factorial(n)) for x in row] for n, row in enumerate(rows)]
+        return TruncatedSeries._from_rows(m, _content_reduced(den * fact, out))
 
     @staticmethod
     def exp_linear(c, order: int, m: int | None = None) -> "TruncatedSeries":
@@ -274,45 +325,12 @@ class TruncatedSeries:
         return TruncatedSeries(self.m, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        """Cauchy product, truncated to the smaller order.
-
-        Each operand's rows are packed once, one int per coefficient (see
-        the module docstring).  Output row k is the sum of the big-int
-        products packed_a[k - j] * packed_b[j] over the nonzero b_j, reduced
-        modulo N = Phi_m(2^width) once and unpacked, over den_a * den_b; the
-        whole product then loses its one content gcd.
-        """
+        """Cauchy product, truncated to the smaller order (`product`)."""
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
             return self.scale(other)
-        a, b = self, other
-        if not isinstance(other, TruncatedSeries) or other.m != self.m:
-            a, b, _ = self._common(other)
-        m = a.m
-        den_a, rows_a, bound_a = a._form or a._rows()
-        den_b, rows_b, bound_b = b._form or b._rows()
-        n = min(len(rows_a), len(rows_b))
-        phi = len(rows_a[0])
-        width = _pack_width(m, phi, bound_a, bound_b, n)
-        packed_a = [_pack(row, width) for row in rows_a[:n]]
-        nonzero_b = [(j, _pack(row, width)) for j, row in enumerate(rows_b[:n]) if any(row)]
-        modulus, half, lift = _modulus(m, width)
-        mask = (1 << width) - 1
-        top = 1 << (width - 1)
-        shifts = range(0, phi * width, width)
-        zero = [0] * phi
-        out = []
-        for k in range(n):
-            acc = 0
-            for j, pb in nonzero_b:
-                if j > k:
-                    break
-                acc += packed_a[k - j] * pb
-            if acc:
-                acc = (acc + half) % modulus + lift
-                out.append([((acc >> shift) & mask) - top for shift in shifts])
-            else:
-                out.append(zero)
-        return TruncatedSeries._from_rows(m, _content_reduced(den_a * den_b, out))
+        if not isinstance(other, TruncatedSeries):
+            raise TypeError("expected a TruncatedSeries")
+        return product((self, other))
 
     __rmul__ = __mul__
 
@@ -327,7 +345,7 @@ class TruncatedSeries:
 
         out_k = (a_k - sum_{i=1..k} b_i * out_{k-i}) / b_0, on integer rows.
         The out_j are only known one at a time, so the sum for each k packs
-        its own terms (one width from their bounds, as in `__mul__`), is
+        its own terms (one width from their bounds, as in `product`), is
         reduced modulo Phi_m(2^width) once, unpacked and multiplied by the
         row of 1/b_0; each out_k loses its own content gcd, which keeps the
         next sums small.
@@ -350,7 +368,7 @@ class TruncatedSeries:
             num, den = rows_a[k], den_a
             if terms:
                 den_o, rows_o, bound_o = _common_rows(out[k - i] for i in terms)
-                width = _pack_width(m, phi, bound_b, bound_o, len(terms))
+                width = _pack_width(m, phi, (bound_b, bound_o), len(terms))
                 packed = sum(_pack(rows_b[i], width) * _pack(ro, width) for i, ro in zip(terms, rows_o))
                 if packed:
                     # a_k - s / (den_b * den_o), over den_a * den_b * den_o
@@ -375,7 +393,10 @@ class TruncatedSeries:
         if order >= self.order:
             return self
         den, rows, bound = self._rows()
-        return TruncatedSeries._from_rows(self.m, (den, rows[: order + 1], bound))
+        packed = self._packed
+        if packed is None:
+            packed = self._packed = {}
+        return TruncatedSeries._from_rows(self.m, (den, rows[: order + 1], bound), packed)
 
     def mul_exp(self, c: Fraction) -> "TruncatedSeries":
         """self * exp(c*t) at self's order, for a rational c, on integer rows.
@@ -467,3 +488,52 @@ class TruncatedSeries:
     def __repr__(self):
         return f"TruncatedSeries(m={self.m}, order={self.order})"
 
+
+def product(factors: Sequence[TruncatedSeries]) -> TruncatedSeries:
+    """The Cauchy product of the chain f_1 .. f_k, left to right, truncated
+    to the smallest order, at the lcm of the factors' conductors.
+
+    Every factor's rows are packed at one width (`_pack_width`), read from
+    its packed-rows cache.  Each step's output coefficient k is the sum of
+    the big-int products g[k - j] * f[j] over the factor's nonzero f_j,
+    reduced modulo N = Phi_m(2^width) once and kept packed; the last step's
+    sums are lifted and unpacked instead (see the module docstring), over
+    the product of the denominators, and the product then loses its one
+    content gcd.
+    """
+    if len(factors) == 1:
+        return factors[0]
+    m = factors[0].m
+    if any(f.m != m for f in factors):
+        m = math.lcm(*(f.m for f in factors))
+        factors = [f if f.m == m else TruncatedSeries(m, f.coeffs) for f in factors]
+    forms = [f._form or f._rows() for f in factors]
+    n = min(len(rows) for _, rows, _ in forms)
+    phi = len(forms[0][1][0])
+    width = _pack_width(m, phi, [bound for _, _, bound in forms], n)
+    modulus, half, lift = _modulus(m, width)
+    acc = factors[0]._packed_rows(width)
+    last = len(factors) - 1
+    for step in range(1, last + 1):
+        nonzero = [(j, pb) for j, pb in enumerate(factors[step]._packed_rows(width)[:n]) if pb]
+        sums = []
+        for k in range(n):
+            s = 0
+            for j, pb in nonzero:
+                if j > k:
+                    break
+                s += acc[k - j] * pb
+            sums.append(s if step == last else s % modulus)
+        acc = sums
+    mask = (1 << width) - 1
+    top = 1 << (width - 1)
+    shifts = range(0, phi * width, width)
+    zero = [0] * phi
+    out = []
+    for s in acc:
+        if s:
+            s = (s + half) % modulus + lift
+            out.append([((s >> shift) & mask) - top for shift in shifts])
+        else:
+            out.append(zero)
+    return TruncatedSeries._from_rows(m, _content_reduced(math.prod(den for den, _, _ in forms), out))

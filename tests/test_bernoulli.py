@@ -10,6 +10,7 @@ from bernsym.bernoulli import (
     ParameterError,
     TwistSpec,
     bernoulli_egf,
+    character_sum_series,
     field_conductor,
     gen_bernoulli_numbers,
     gen_bernoulli_poly,
@@ -203,6 +204,70 @@ def test_egf_check_reports_failure_against_corrupted_sum():
     assert isinstance(res, EgfCheckResult) and res.passed and res.first_failure is None
 
 
+# The character sums read long uppers from their classes' closed forms; the
+# term walk below shares no code with that path (no class weights, no
+# progression sums), so it keeps power_sum_egf_check's middle equality,
+# character_sum_series against power_sum, checked independently.
+
+STANDARD_CONTEXTS = [(chi, TwistSpec(r, 1)) for d in (1, 3, 4, 5) for chi in enumerate_characters(d)
+                     for r in (3, 4, 5, 7) if math.gcd(r, d) == 1]
+
+
+def character_sum_by_terms(chi, twist, w, order, upper):
+    """sum_{a<upper} chi(a) xi^(wa) a^k / k! for k = 0..order, term by term."""
+    m = field_conductor(chi, twist)
+    out = [Cyc.zero(m)] * (order + 1)
+    for a in range(upper):
+        value = chi(a).embed(m) * Cyc.zeta(twist.r, twist.j * w * a % twist.r).embed(m)
+        out = [c + value.scale(Fraction(a ** k, math.factorial(k))) for k, c in enumerate(out)]
+    return out
+
+
+def test_character_sum_rows_equal_the_term_walk():
+    # order 3 walks a class of at most 16 terms; upper 97 gives the classes
+    # of a period of 3 to 5 more terms than that, so both paths are taken
+    assert len(STANDARD_CONTEXTS) == 28
+    order = 3
+    for chi, twist in STANDARD_CONTEXTS:
+        for w in (1, 2):
+            for upper in sorted({0, 1, chi.d, 2 * chi.d, 4 * chi.d + 1, 97}):
+                series = character_sum_series(chi, twist, w, order, upper=upper)
+                assert list(series.coeffs) == character_sum_by_terms(chi, twist, w, order, upper), \
+                    (chi.d, chi.exponents, twist.r, w, upper)
+
+
+def test_character_sum_egf_middle_equality_against_the_term_walk():
+    # the sums power_sum_egf_check compares with power_sum, at upper d*w
+    for chi, twist in STANDARD_CONTEXTS:
+        for w in (1, 2, 4):
+            if (chi.d * w) % twist.r == 0 or w % twist.r == 0:
+                continue
+            series = character_sum_series(chi, twist, 1, 6, upper=chi.d * w)
+            assert list(series.coeffs) == character_sum_by_terms(chi, twist, 1, 6, chi.d * w)
+            assert power_sum_egf_check(chi, twist, w, 6).passed
+
+
+def test_verify_at_a_huge_w_walks_no_long_class(monkeypatch):
+    # a slot's power sums over a < d*U read every long class in closed form:
+    # with the walk refusing more than a few hundred terms, theorems 3 and 7
+    # still verify at w = 10^6 (the walk over every a took 17-18 s there)
+    from bernsym import bernoulli
+    from bernsym.identities import TheoremInstance, verify_instance
+
+    walk = bernoulli._walked_sums
+
+    def short_walk(points, order):
+        if len(points) > 500:
+            raise AssertionError(f"walked {len(points)} terms")
+        return walk(points, order)
+
+    monkeypatch.setattr(bernoulli, "_walked_sums", short_walk)
+    chi = next(c for c in enumerate_characters(5) if c.order == 4)
+    for theorem, w in ((3, (1, 10 ** 6)), (7, (1, 2, 10 ** 6))):
+        report = verify_instance(TheoremInstance(theorem, 5, chi.exponents, 3, 1, w, 4, "normalized"))
+        assert report.passed and not report.pass_as_stated
+
+
 def test_bernoulli_egf_matches_numbers():
     egf = bernoulli_egf(CHI1, Z3, 1, 7)
     numbers = gen_bernoulli_numbers(CHI1, Z3, 1, 7)
@@ -230,13 +295,14 @@ def test_twist_order_over_ceiling_refused_before_factoring(monkeypatch):
 def test_field_degree_over_ceiling_refused_before_any_series(monkeypatch):
     # r = 199 alone gives degree 198; a character of order 138 lifts the
     # field to Q(zeta_27462), of degree 8712
-    from bernsym import bernoulli
+    from bernsym import bernoulli, quotients
 
     def build(*args, **kwargs):
         raise AssertionError("a series was built")
 
     monkeypatch.setattr(TruncatedSeries, "__mul__", build)
     monkeypatch.setattr(TruncatedSeries, "__truediv__", build)
+    monkeypatch.setattr(quotients, "product", build)
     monkeypatch.setattr(Cyc, "inverse", build)
     chi = DirichletCharacter(139, (1,))
     assert chi.order == 138

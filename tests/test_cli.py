@@ -356,6 +356,38 @@ def test_second_audit_of_a_cell_builds_no_series(tmp_path, cold_store, monkeypat
     assert second == first
 
 
+def test_second_audit_packs_no_stored_factor(tmp_path, monkeypatch, cold_store):
+    # every factor a side multiplies comes from the process-wide store, and
+    # keeps its packed rows: a second audit of the same cell multiplies every
+    # side chain again (its contexts are new) but packs nothing
+    from bernsym import quotients, series
+
+    cfg = tmp_path / "cell.grid"
+    cfg.write_text("theorems = 7\nd = 5\nchars = explicit\nchar_labels = 5:1\nr = 7\nj = 1\n"
+                   "w_components = 1,2,3,4\nn_max = 6\nmodes = as-stated,normalized\n")
+    counts = {"pack": 0, "sym_product": 0}
+    pack, sym_product = series._pack, quotients.EvalContext.sym_product
+
+    def counting_pack(row, width):
+        counts["pack"] += 1
+        return pack(row, width)
+
+    def counting_sym_product(self, factors):
+        counts["sym_product"] += 1
+        return sym_product(self, factors)
+
+    monkeypatch.setattr(series, "_pack", counting_pack)
+    monkeypatch.setattr(quotients.EvalContext, "sym_product", counting_sym_product)
+    outputs, seen = [], []
+    for _ in range(2):
+        counts.update(pack=0, sym_product=0)
+        outputs.append(run_cli(["audit", "--grid-file", str(cfg)]))
+        seen.append(dict(counts))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 1
+    assert seen[0]["sym_product"] == seen[1]["sym_product"] > 0
+    assert seen[0]["pack"] > 0 and seen[1]["pack"] == 0
+
+
 def test_audit_bytes_independent_of_hash_seed(tmp_path):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text("theorems = 3,5\nd = 1,4\nr = 3\nw_components = 1,2\nn_max = 2\n")
@@ -582,13 +614,14 @@ def test_size_over_ceiling_usage_error(monkeypatch, argv, message):
 
 
 def test_field_degree_over_ceiling_usage_error(monkeypatch):
-    from bernsym import series
+    from bernsym import quotients, series
 
     def build(*args, **kwargs):
         raise AssertionError("a series was built")
 
     monkeypatch.setattr(series.TruncatedSeries, "__mul__", build)
     monkeypatch.setattr(series.TruncatedSeries, "__truediv__", build)
+    monkeypatch.setattr(quotients, "product", build)
     code, out, err = run_cli(["verify", "--theorem", "1", "--d", "139", "--char", "1", "--r", "199",
                               "--w", "1,1", "--n-max", "0"])
     assert (code, out) == (2, "")

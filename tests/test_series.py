@@ -11,7 +11,7 @@ from bernsym.bernoulli import TwistSpec
 from bernsym.dirichlet import trivial_character
 from bernsym.exactnum import CyclotomicNumber as Cyc, euler_phi
 from bernsym.quotients import QUOTIENT_TYPES, EvalContext, closed_form_series
-from bernsym.series import NonUnitConstantError, TruncatedSeries as TS
+from bernsym.series import PACKED_WIDTHS, WIDTH_STEP, NonUnitConstantError, TruncatedSeries as TS, product
 
 
 def test_basic_mul():
@@ -262,6 +262,84 @@ def test_shift_and_truncate():
     assert shifted.order == 3
     assert shifted.coeffs[2] == 1 and shifted.coeffs[3] == 2
     assert shifted.truncate(2).order == 2
+
+
+# `product`: a chain multiplied at one width modulo Phi_m(2^W), each factor
+# packed from its cache of packed rows, against the schoolbook products.
+
+CHAIN_CONDUCTORS = (1, 3, 12, 20, 28)
+
+
+def schoolbook_chain(factors):
+    expected = list(factors[0].coeffs)
+    for f in factors[1:]:
+        expected = schoolbook(TS(f.m, expected), f)
+    return expected
+
+
+def big_series(m, order):
+    big = st.integers(2 ** 200 - 2 ** 12, 2 ** 200)
+    signed_big = st.builds(lambda x, neg: -x if neg else x, big, st.booleans())
+    coeff = st.one_of(st.just(Cyc.zero(m)),
+                      st.builds(lambda num, den: Cyc(m, num, den),
+                                st.lists(signed_big, min_size=euler_phi(m), max_size=euler_phi(m)),
+                                st.integers(1, 720)))
+    return st.lists(coeff, min_size=order + 1, max_size=order + 1).map(lambda cs: TS(m, cs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CHAIN_CONDUCTORS), st.integers(1, 4), st.data())
+def test_product_of_a_chain_matches_schoolbook(m, length, data):
+    factors = [data.draw(big_series(m, data.draw(st.integers(0, 5)))) for _ in range(length)]
+    held = product(factors)
+    assert held.order == min(f.order for f in factors)
+    assert list(held.coeffs) == schoolbook_chain(factors)
+
+
+@pytest.mark.parametrize("m", CHAIN_CONDUCTORS)
+@pytest.mark.parametrize("length", (2, 3, 4))
+def test_product_at_a_width_with_no_rounding_slack(m, length):
+    # coordinates of one sign at their largest for their bit length, the
+    # bit lengths summing to 2 below a multiple of WIDTH_STEP: rounding the
+    # width up adds nothing, so each step's bits must be in the width itself
+    bits = [200] * (length - 1)
+    bits.append(-(-(sum(bits) + 150) // WIDTH_STEP) * WIDTH_STEP - 2 - sum(bits))
+    phi = euler_phi(m)
+    factors = [TS(m, [Cyc(m, [2 ** b - 1] * phi)] * 7) for b in bits]
+    assert sum(bits) % WIDTH_STEP == WIDTH_STEP - 2
+    assert list(product(factors).coeffs) == schoolbook_chain(factors)
+
+
+def test_packed_rows_are_kept_per_width():
+    # one factor multiplied at two widths keeps a packing for each, and at
+    # more widths than it keeps, the oldest go first
+    a = TS(3, [Cyc(3, [k, -2 * k]) for k in range(5)])
+    narrow = TS(3, [Cyc(3, [1, k]) for k in range(5)])
+    wide = TS(3, [Cyc(3, [2 ** 300 + k, -(2 ** 299)], 7) for k in range(5)])
+    for other in (narrow, wide, narrow):
+        assert list((a * other).coeffs) == schoolbook(a, other)
+        assert list((other * a).coeffs) == schoolbook(other, a)
+    assert len(a._packed) == 2
+    for bits in range(400, 400 + 3 * PACKED_WIDTHS * WIDTH_STEP, 3 * WIDTH_STEP):
+        other = TS(3, [Cyc(3, [2 ** bits - k, 1]) for k in range(5)])
+        assert list((a * other).coeffs) == schoolbook(a, other)
+    assert len(a._packed) == PACKED_WIDTHS
+    assert list((a * narrow).coeffs) == schoolbook(a, narrow)
+
+
+@pytest.mark.parametrize("parent_first", (True, False))
+def test_truncation_shares_its_parents_packed_rows(parent_first):
+    # a truncation packs only its own rows into the cache it shares with its
+    # parent, so the parent, packed after it at the same width, packs again
+    parent = TS(1, [k - 3 for k in range(9)])
+    child = parent.truncate(4)
+    other = TS(1, [2 * k + 1 for k in range(9)])
+    pairs = [(parent, other), (other, parent)]
+    pairs = pairs + [(child, other), (other, child)] if parent_first else [(child, other), (other, child)] + pairs
+    for a, b in pairs:
+        assert list((a * b).coeffs) == schoolbook(a, b)
+        assert list(product((a, b, a)).coeffs) == schoolbook_chain((a, b, a))
+    assert child._packed is parent._packed and len(parent._packed) == 1
 
 
 # The row-held kernel: a series keeps one common denominator and one integer
