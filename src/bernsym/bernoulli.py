@@ -21,7 +21,7 @@ from typing import Sequence, Union
 
 from .dirichlet import DirichletCharacter
 from .errors import ParameterError
-from .exactnum import CyclotomicNumber, Scalar, euler_phi, progression_sum
+from .exactnum import CyclotomicNumber, Scalar, euler_phi, progression_power_sums, progression_sum
 from .series import NonUnitConstantError, TruncatedSeries
 
 # Ceilings on the field every series lives in, checked before any work.  An
@@ -34,11 +34,23 @@ from .series import NonUnitConstantError, TruncatedSeries
 # the character's order can raise far past phi(r).
 MAX_TWIST_ORDER = 200
 MAX_FIELD_DEGREE = 200
+# The ceiling on a series' order (`quotient --order`, the --n-max of
+# `bernoulli`, `consistency` and `verify`, and a grid's n_max), checked
+# before any series is built.  A product at order N multiplies about N^2/2
+# pairs of coefficients whose packed widths grow with N, so the cost grows
+# about as N^3: on a 2-core VM (Python 3.11.7), `quotient --type L23:3`
+# with d = 5, a character of order 4 and r = 7 (degree 12) took 0.11 s at
+# order 32, 0.85 s at 64 and 5.9 s at 128, and 7.0 s at order 32 and 45 s
+# at 64 in the widest field (d = 1, r = 199, degree 198); `consistency`
+# (L23:2) and `verify` (theorem 10) at degree 12 took 0.83 s and 1.2 s at
+# n_max 64.
+MAX_SERIES_ORDER = 64
 
 __all__ = [
     "BernoulliPolynomial",
     "EgfCheckResult",
     "MAX_FIELD_DEGREE",
+    "MAX_SERIES_ORDER",
     "MAX_TWIST_ORDER",
     "ParameterError",
     "TwistSpec",
@@ -87,6 +99,15 @@ def require_twist_order(r: int) -> None:
         raise ParameterError(f"twist order r={r} is above the ceiling of {MAX_TWIST_ORDER}")
 
 
+def require_series_order(order: int, name: str = "order") -> None:
+    """Refuse a negative series order or one over MAX_SERIES_ORDER, before
+    any series is built."""
+    if order < 0:
+        raise ParameterError(f"{name} must be nonnegative")
+    if order > MAX_SERIES_ORDER:
+        raise ParameterError(f"{name}={order} is above the ceiling of {MAX_SERIES_ORDER}")
+
+
 def field_conductor(chi: DirichletCharacter, twist: TwistSpec) -> int:
     """Smallest conductor containing the character values and the twist
     root, refused when its degree is over MAX_FIELD_DEGREE."""
@@ -116,8 +137,9 @@ def character_sum_series(chi: DirichletCharacter, twist: TwistSpec, w: int,
     of a^k, k <= order.  A class of at most (order + 1)^2 terms, the count
     under which `progression_sum` walks a progression of degree `order`,
     is walked term by term for all k at once (`_walked_sums`); a longer one
-    is summed in closed form (`progression_sum`), so the cost does not grow
-    with upper."""
+    is summed in closed form for all k at once (`progression_power_sums`,
+    one telescoping `_power_sums` per class count), so the cost does not
+    grow with upper."""
     m = m or field_conductor(chi, twist)
     upper = chi.d if upper is None else upper
     weights = _class_weights(chi, twist, w % twist.r)
@@ -130,7 +152,7 @@ def character_sum_series(chi: DirichletCharacter, twist: TwistSpec, w: int,
         if count <= (order + 1) ** 2:
             sums = _walked_sums(range(c, upper, period), order)
         else:
-            sums = [progression_sum([(k, 1)], c, period, count) for k in range(order + 1)]
+            sums = progression_power_sums(c, period, count, order)
         num = weight.embed(m).num
         for k, s in enumerate(sums):
             if s:
@@ -152,8 +174,7 @@ def _walked_sums(points: range, order: int) -> list[int]:
 def bernoulli_egf(chi: DirichletCharacter, twist: TwistSpec, w: int, order: int,
                   m: int | None = None) -> TruncatedSeries:
     """t * sum_{a<d} chi(a) xi^{wa} e^{at} / (xi^{wd} e^{dt} - 1), exact to `order`."""
-    if order < 0:
-        raise ParameterError("order must be nonnegative")
+    require_series_order(order)
     m = m or field_conductor(chi, twist)
     numerator = character_sum_series(chi, twist, w, order, m).shift_up(1).truncate(order)
     try:

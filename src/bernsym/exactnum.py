@@ -77,6 +77,14 @@ def _power_sums(count: int, degree: int) -> tuple[int, ...]:
     return tuple(sums)
 
 
+def progression_power_sums(start: int, step: int, count: int, degree: int) -> list[int]:
+    """sum_{j<count} (start + j*step)^k for k = 0..degree, exactly, with
+    0^0 = 1: (start + j*step)^k = sum_e C(k, e) start^(k-e) step^e j^e, so
+    every k reads the one `_power_sums(count, degree)`."""
+    scaled = [s * step ** e for e, s in enumerate(_power_sums(count, degree))]
+    return [sum(math.comb(k, e) * start ** (k - e) * scaled[e] for e in range(k + 1)) for k in range(degree + 1)]
+
+
 def progression_sum(terms: Sequence[tuple[int, int]], start: int, step: int, count: int) -> int:
     """sum_{j<count} f(start + j*step), exactly, for the integer polynomial
     f = sum f_i x^i given as its (i, f_i) terms, with step >= 1 and 0^0 = 1.

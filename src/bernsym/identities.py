@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
-from .bernoulli import ParameterError, TwistSpec, field_conductor
+from .bernoulli import ParameterError, TwistSpec, field_conductor, require_series_order
 from .dirichlet import DirichletCharacter, enumerate_characters
 from .exactnum import CyclotomicNumber
 from .quotients import (
@@ -166,8 +166,7 @@ class TheoremInstance:
     def validate(self) -> None:
         twist = self.twist()
         twist.require_coprime(self.d)
-        if self.n_max < 0:
-            raise ParameterError("n_max must be nonnegative")
+        require_series_order(self.n_max, "n_max")
         _check_conditions(self.theorem_spec().base.qt, twist, self.w)
 
     def key(self) -> tuple:
@@ -535,8 +534,7 @@ class GridConfig:
         # count a repeated mode once, as grid_instances dedups every other list
         object.__setattr__(self, "modes", tuple(dict.fromkeys(self.modes)))
         # values that leave nothing to verify are the user's error, not skips
-        if self.n_max < 0:
-            raise ParameterError("n_max must be nonnegative")
+        require_series_order(self.n_max, "n_max")
         if min(self.w_components) < 1:
             raise ParameterError("w components must be positive integers")
         twists = [TwistSpec(r) for r in sorted(set(self.r_values))]   # r >= 2, under the ceiling

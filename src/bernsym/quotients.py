@@ -78,7 +78,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bernoulli import (ParameterError, TwistSpec, bernoulli_egf, character_sum_series, field_conductor,
-                        twisted_exp_minus_one)
+                        require_series_order, twisted_exp_minus_one)
 from .dirichlet import DirichletCharacter
 from .exactnum import CyclotomicNumber
 from .series import NonUnitConstantError, TruncatedSeries, product
@@ -506,8 +506,7 @@ def side_series(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
     """(P, C) with the form's generating function P(t) * exp((C_1*y_1 + ..)*t)
     to order n_max: P the product of the slot series, C_v the sum of c_s
     over the slots on y_v (one entry even for a form without y)."""
-    if n_max < 0:
-        raise ParameterError("n_max must be nonnegative")
+    require_series_order(n_max, "n_max")
     _check_conditions(form.qt, ctx.twist, w)
     return _build_side(form, w, ctx, n_max, mutation)
 
@@ -623,8 +622,7 @@ def closed_form_series(qt: QuotientType, w: Sequence[int], y: Sequence,
     left to right in that order (`_closed_product`), then shifted by
     t^shift.  Each T_W/D_W is one stored factor
     (`EvalContext.char_ratio_series`)."""
-    if order < 0:
-        raise ParameterError("order must be nonnegative")
+    require_series_order(order)
     ctx = ctx or EvalContext(chi, twist)
     _check_conditions(qt, twist, w)
     y = tuple(Fraction(v) for v in y)
@@ -717,8 +715,7 @@ def consistency_check(qt: QuotientType, w: Sequence[int], y: Sequence,
     coefficient by coefficient for the first mismatching n.  The forms'
     products are held by chain in a dict local to the call, so forms with
     one chain multiply it once and a long-lived context gains nothing."""
-    if n_max < 0:
-        raise ParameterError("n_max must be nonnegative")
+    require_series_order(n_max, "n_max")
     ctx = ctx or EvalContext(chi, twist)
     y = tuple(Fraction(v) for v in y)
     need = qt.y_count

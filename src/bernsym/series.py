@@ -6,15 +6,16 @@ each computed coefficient is exact.  The analytic convergence region of the
 source expressions plays no role here; coefficients are formal.
 
 A series holds its integer form: one common positive denominator, one row
-of phi(m) integer coordinates per coefficient, and an upper bound on the
-coordinates' absolute values.  A series built from coefficients derives
-that form once, on its first product, and keeps it; a product or quotient
-returns a series built from rows alone.  Products and quotients read their
-operands' rows, never their coefficients, so the cached factors of a
-closed form are put into integer form once, not once per product.  Three
-more operations work on rows alone: sums of exponentials with integer
-rates (`exp_sum`), products with exp(c*t) for a rational c (`mul_exp`) and
-the substitution t -> q*t for a rational q (`scale_variable`).
+of phi(m) integer coordinates per coefficient, and per row a bound on the
+coordinates' bit lengths (see below), derived on the first read that needs
+it.  A series built from coefficients derives that form once, on its first
+product, and keeps it; a product or quotient returns a series built from
+rows alone.  Products and quotients read their operands' rows, never their
+coefficients, so the cached factors of a closed form are put into integer
+form once, not once per product.  Three more operations work on rows
+alone: sums of exponentials with integer rates (`exp_sum`), products with
+exp(c*t) for a rational c (`mul_exp`) and the substitution t -> q*t for a
+rational q (`scale_variable`).
 
 Normalisation happens only at the edges:
 
@@ -36,25 +37,41 @@ coefficient and takes one `%` by N, with no unpacking and no content gcd
 between factors.  The last step's sums, lifted into (-N/2, N/2], are
 r(2^W) themselves, r the reduced coordinates of the exact product's
 coefficient, and their phi digits are read off with shifts and masks.  The
-product then loses its one content gcd.  The width
+product then loses its one content gcd.
 
-    W = sum_i bitlen(B_i) + (k - 1) * (bitlen(phi * n) + F_m) + 2,
+The width comes from per-row bounds.  With L[t] the bit length of the
+largest |coordinate| of row t (0 for a zero row, as |x| < 2^0 means
+x = 0), a series' row form keeps the prefix maxima B[t] = max(L[0..t])
+(`_row_bounds`): every coordinate of rows 0..t is below 2^B[t], and B is
+nondecreasing.  With n the number of coefficients kept, B_l the row
+bounds of f_l and G = B_1 + .. + B_(k-1) element by element, let
 
-rounded up to a multiple of WIDTH_STEP bits, with B_i the bound on f_i's
-integer coordinates, n the number of coefficients kept and
-F_m = bitlen(max_i (1 + sum_k |x^(phi+k) mod Phi_m|_i)) (see `_fold_bits`),
-bounds every reduced coordinate of the product by |r_i| < 2^(W-2), so no
-digit overflows into its neighbour.  By induction on the chain: let the
-reduced coordinates of g = f_1 .. f_j be below 2^b (b = bitlen(B_1) at
-j = 1).  A coefficient of g * f_(j+1) before reduction sums at most n
-products of two coefficients, and each coordinate of such a product sums
-at most phi products of coordinates, so it is below
-n * phi * 2^(b + bitlen(B_(j+1))).  Reduction modulo Phi_m adds to each
-coordinate the high coordinates times the entries of `_reduction_rows`,
-which multiplies the bound by less than 2^F_m.  Each step therefore adds
-bitlen(B_(j+1)) + bitlen(phi * n) + F_m bits, and after k factors the
-coordinates are below 2^(W-2) for the unrounded W; rounding up only widens
-it.  The lift is exact too: with S = sum_{i<phi} 2^(iW) and A the largest
+    top = max_t (G[t] + B_k[n - 1 - t]),
+    W = top + (k - 1) * (bitlen(phi * n) + F_m) + 2,
+
+rounded up to a multiple of WIDTH_STEP bits, with
+F_m = bitlen(max_i (1 + sum_k |x^(phi+k) mod Phi_m|_i)) (see `_fold_bits`).
+For two factors top is the largest L_1[i] + L_2[j] over i + j <= n - 1:
+the largest pair that a truncated product multiplies, never two top rows.
+Then every reduced coordinate of the product satisfies |r_i| < 2^(W-2), so
+no digit overflows into its neighbour.  By induction on the chain, with
+step = bitlen(phi * n) + F_m: the reduced coordinates of coefficient t of
+g = f_1 .. f_j are below 2^(G_j[t] + (j - 1) * step), G_j = B_1 + .. + B_j
+(at j = 1 this is the row bound).  Coefficient t of g * f_(j+1) before
+reduction sums t + 1 <= n products g[i] * f_(j+1)[t - i], and each
+coordinate of such a product sums at most phi products of coordinates,
+each below 2^(G_j[i] + B_(j+1)[t - i] + (j - 1) * step) <=
+2^(G_j[t] + B_(j+1)[t] + (j - 1) * step), the bounds being nondecreasing.
+Reduction modulo Phi_m adds to each coordinate the high coordinates times
+the entries of `_reduction_rows`, which multiplies the bound by less than
+2^F_m, so the coordinates of coefficient t are below
+2^(G_(j+1)[t] + j * step).  At the last factor each term of coefficient t
+is bounded the same way by 2^(G[i] + B_k[n - 1 - i] + (k - 2) * step) <=
+2^(top + (k - 2) * step), as t - i <= n - 1 - i, so after reduction every
+coordinate is below 2^(top + (k - 1) * step) = 2^(W-2) for the unrounded
+W; rounding up only widens it.  W is never above the width from each
+factor's largest bound alone, sum_l B_l[n - 1] + (k - 1) * step + 2.  The
+lift is exact too: with S = sum_{i<phi} 2^(iW) and A the largest
 |coefficient| of Phi_m below its leading 1,
 
     2 |r(2^W)| < 2^(W-1) S,    N >= 2^(phi W) - A S,
@@ -64,13 +81,17 @@ S (2^W - 1) < 2^(phi W), A <= 2^(W-1) - 1 suffices.  The row of x^phi
 mod Phi_m is minus Phi_m's low coefficients, so A < 2^F_m <= 2^(W-3): the
 width needs no further floor for any m.
 
+A quotient sizes each of its sums from that sum's own terms the same way,
+and a product with exp(c*t) sizes its weighted sums from the weights and
+the row bounds, with no reduction (`mul_exp`).  Truncation keeps a prefix
+of the row bounds and `shift_up` puts a 0 in front for each new row, so
+neither reads a coordinate.
+
 Rounding the width up lets a series keep its packed rows per width
 (`_packed_rows`): a stored factor is packed at a few widths for the whole
-process, and every truncation of it shares its packings.  A quotient packs
-each of its sums at the two-factor width.  Products with exp(c*t) pack
-their rows the same way and need no reduction, only a width that holds the
-weighted sum.  Packing a whole series into one int as well was measured to
-be no faster at the orders used here.
+process, and every truncation of it shares its packings.  Packing a whole
+series into one int as well was measured to be no faster at the orders
+used here.
 """
 
 from __future__ import annotations
@@ -78,16 +99,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from operator import mul
-from typing import Iterable, Sequence, Union
+from itertools import accumulate, chain
+from operator import add, mul
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ParameterError
 from .exactnum import (CycDivisionError, CyclotomicNumber, Scalar, _reduction_rows, _vec_mul_mod,
                        cyclotomic_polynomial, euler_phi)
 
-# (common denominator, one coordinate list per coefficient, bound on |coordinate|)
-RowForm = tuple[int, tuple[list[int], ...], int]
+# (common denominator, one coordinate list per coefficient, the row bounds
+# (`_row_bounds`) or None until first needed)
+RowForm = tuple[int, tuple[list[int], ...], Optional[tuple[int, ...]]]
 
 
 class NonUnitConstantError(ParameterError):
@@ -108,8 +130,15 @@ def _as_cyc(value, m: int) -> CyclotomicNumber:
     return CyclotomicNumber.from_rational(value, m)
 
 
-def _bound(rows) -> int:
-    return max(map(abs, chain.from_iterable(rows)))
+def _bit_lengths(rows) -> list[int]:
+    """The bit length of each row's largest |coordinate|, 0 for a zero row."""
+    return [max(map(abs, row)).bit_length() for row in rows]
+
+
+def _row_bounds(rows) -> tuple[int, ...]:
+    """Row t's bound: the bit length of the largest |coordinate| in rows
+    0..t, 0 while those rows are zero."""
+    return tuple(accumulate(_bit_lengths(rows), max))
 
 
 def _common_rows(fractions: Iterable[tuple[int, Sequence[int]]]) -> RowForm:
@@ -118,7 +147,7 @@ def _common_rows(fractions: Iterable[tuple[int, Sequence[int]]]) -> RowForm:
     fractions = list(fractions)
     den = math.lcm(*(d for d, _ in fractions))
     rows = tuple(list(row) if d == den else [x * (den // d) for x in row] for d, row in fractions)
-    return den, rows, _bound(rows)
+    return den, rows, None
 
 
 def _content_reduced(den: int, rows: list[list[int]]) -> RowForm:
@@ -127,7 +156,7 @@ def _content_reduced(den: int, rows: list[list[int]]) -> RowForm:
     if g > 1:
         rows = [[x // g for x in row] for row in rows]
         den //= g
-    return den, tuple(rows), _bound(rows)
+    return den, tuple(rows), None
 
 
 @lru_cache(maxsize=None)
@@ -145,11 +174,22 @@ WIDTH_STEP = 32
 PACKED_WIDTHS = 4
 
 
-def _pack_width(m: int, phi: int, bounds: Sequence[int], terms: int) -> int:
-    """The width of a chain of factors whose coordinates are bounded by
-    `bounds`, with `terms` coefficients kept (see the module docstring)."""
+def _chain_top(bounds: Sequence[Sequence[int]], n: int) -> int:
+    """top = max_t (G[t] + B_k[n - 1 - t]) for the row bounds B_1 .. B_k of
+    a chain's factors, over its n kept rows, with G = B_1 + .. + B_(k-1)
+    element by element (see the module docstring)."""
+    grown, *middle, last = bounds
+    for prefix in middle:
+        grown = list(map(add, grown, prefix))
+    return max(map(add, grown, reversed(last[:n])))
+
+
+def _pack_width(m: int, phi: int, top: int, factors: int, terms: int) -> int:
+    """The width of a product of `factors` factors with `terms` coefficients
+    kept, whose largest pair of row bounds sums to `top` (see the module
+    docstring)."""
     step = (phi * terms).bit_length() + _fold_bits(m)
-    width = sum(b.bit_length() for b in bounds) + (len(bounds) - 1) * step + 2
+    width = top + (factors - 1) * step + 2
     return -(-width // WIDTH_STEP) * WIDTH_STEP
 
 
@@ -211,9 +251,15 @@ class TruncatedSeries:
         return series
 
     def _rows(self) -> RowForm:
+        """The row form with its row bounds, derived on the first call: the
+        readers that need only the denominator and rows take `_form` when
+        it is there, so a product that is only compared or read never
+        derives its bounds."""
         form = self._form
         if form is None:
-            form = self._form = _common_rows((c.den, c.num) for c in self._coeffs)
+            form = _common_rows((c.den, c.num) for c in self._coeffs)
+        if form[2] is None:
+            form = self._form = (form[0], form[1], _row_bounds(form[1]))
         return form
 
     def _packed_rows(self, width: int) -> list[int]:
@@ -345,7 +391,8 @@ class TruncatedSeries:
 
         out_k = (a_k - sum_{i=1..k} b_i * out_{k-i}) / b_0, on integer rows.
         The out_j are only known one at a time, so the sum for each k packs
-        its own terms (one width from their bounds, as in `product`), is
+        its own terms at one width, from the largest sum of b_i's row bound
+        and out_(k-i)'s bit length over its terms (as in `product`), is
         reduced modulo Phi_m(2^width) once, unpacked and multiplied by the
         row of 1/b_0; each out_k loses its own content gcd, which keeps the
         next sums small.
@@ -353,8 +400,8 @@ class TruncatedSeries:
         a, b, n = self._common(other)
         m = a.m
         phi = euler_phi(m)
-        den_a, rows_a, _ = a._rows()
-        den_b, rows_b, bound_b = b._rows()
+        den_a, rows_a, _ = a._form or a._rows()
+        den_b, rows_b, bounds_b = b._rows()
         if not any(rows_b[0]):
             raise NonUnitConstantError("series division by a series with zero constant term")
         try:
@@ -367,8 +414,9 @@ class TruncatedSeries:
             terms = [i for i in nonzero_b if i <= k]
             num, den = rows_a[k], den_a
             if terms:
-                den_o, rows_o, bound_o = _common_rows(out[k - i] for i in terms)
-                width = _pack_width(m, phi, (bound_b, bound_o), len(terms))
+                den_o, rows_o, _ = _common_rows(out[k - i] for i in terms)
+                top = max(map(add, (bounds_b[i] for i in terms), _bit_lengths(rows_o)))
+                width = _pack_width(m, phi, top, 2, len(terms))
                 packed = sum(_pack(rows_b[i], width) * _pack(ro, width) for i, ro in zip(terms, rows_o))
                 if packed:
                     # a_k - s / (den_b * den_o), over den_a * den_b * den_o
@@ -386,17 +434,19 @@ class TruncatedSeries:
 
     def shift_up(self, k: int) -> "TruncatedSeries":
         """Multiply by t^k, keeping all known coefficients (order grows by k)."""
-        den, rows, bound = self._rows()
-        return TruncatedSeries._from_rows(self.m, (den, ([0] * euler_phi(self.m),) * k + rows, bound))
+        den, rows, bounds = self._form or self._rows()
+        if bounds is not None:
+            bounds = (0,) * k + bounds
+        return TruncatedSeries._from_rows(self.m, (den, ([0] * euler_phi(self.m),) * k + rows, bounds))
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order >= self.order:
             return self
-        den, rows, bound = self._rows()
+        den, rows, bounds = self._rows()
         packed = self._packed
         if packed is None:
             packed = self._packed = {}
-        return TruncatedSeries._from_rows(self.m, (den, rows[: order + 1], bound), packed)
+        return TruncatedSeries._from_rows(self.m, (den, rows[: order + 1], bounds[: order + 1]), packed)
 
     def mul_exp(self, c: Fraction) -> "TruncatedSeries":
         """self * exp(c*t) at self's order, for a rational c, on integer rows.
@@ -404,18 +454,22 @@ class TruncatedSeries:
         With c = a/b and N the order, row n is
         sum_k row[n-k] * a^k * b^(N-k) * N!/k! over den * b^N * N!, which
         then loses its one content gcd: on packed rows, one big-int
-        multiply-add per term and no reduction."""
+        multiply-add per term and no reduction.  Row n sums n + 1 <= N + 1
+        terms weight_k * row[n-k], each below 2^(bitlen(weight_k) + B[N-k])
+        for the row bounds B (nondecreasing, and n - k <= N - k), so the
+        width holds the largest of these bounds times N + 1, and a sign
+        bit."""
         c = Fraction(c)
         if not c:
             return self
-        den, rows, bound = self._rows()
+        den, rows, bounds = self._rows()
         order = self.order
         a, b = c.numerator, c.denominator
         fact = math.factorial(order)
         weights = [a ** k * b ** (order - k) * (fact // math.factorial(k)) for k in range(order + 1)]
         phi = len(rows[0])
-        # every output coordinate is at most sum_k |weight_k| * bound
-        width = bound.bit_length() + sum(map(abs, weights)).bit_length() + 1
+        top = max(map(add, map(int.bit_length, weights), reversed(bounds)))
+        width = top + (order + 1).bit_length() + 1
         packed = [_pack(row, width) for row in rows]
         out = [_unpack(sum(map(mul, weights, packed[n::-1])), phi, width) for n in range(order + 1)]
         return TruncatedSeries._from_rows(self.m, _content_reduced(den * b ** order * fact, out))
@@ -426,7 +480,7 @@ class TruncatedSeries:
         without building the product series.  Each call reads its n + 1
         rows once, so packing them, as `mul_exp` does, costs more than
         summing them coordinate-wise at the small n of a witness scan."""
-        den, rows, _ = self._rows()
+        den, rows, _ = self._form or self._rows()
         a, b = c.numerator, c.denominator
         acc = [0] * len(rows[0])
         for k in range(n + 1):
@@ -440,7 +494,7 @@ class TruncatedSeries:
         integer rows: with q = a/b and N the order, row n times a^n * b^(N-n)
         over den * b^N, which then loses its one content gcd."""
         q = Fraction(q)
-        den, rows, _ = self._rows()
+        den, rows, _ = self._form or self._rows()
         order = self.order
         a, b = q.numerator, q.denominator
         weights = (a ** n * b ** (order - n) for n in range(order + 1))
@@ -451,13 +505,13 @@ class TruncatedSeries:
         """n! times the coefficient of t^n, reduced."""
         if n > self.order:
             raise IndexError(f"index {n} beyond truncation order {self.order}")
-        den, rows, _ = self._rows()
+        den, rows, _ = self._form or self._rows()
         fact = math.factorial(n)
         return CyclotomicNumber(self.m, [x * fact for x in rows[n]], den)
 
     def vanishes_below(self, k: int) -> bool:
         """Whether c_0..c_(k-1) are all zero."""
-        return not any(map(any, self._rows()[1][:k]))
+        return not any(map(any, (self._form or self._rows())[1][:k]))
 
     def scaled_equal(self, other: "TruncatedSeries", wa: int = 1, wb: int = 1) -> bool:
         """self / wa == other / wb, coefficient by coefficient at one order.
@@ -493,7 +547,8 @@ def product(factors: Sequence[TruncatedSeries]) -> TruncatedSeries:
     """The Cauchy product of the chain f_1 .. f_k, left to right, truncated
     to the smallest order, at the lcm of the factors' conductors.
 
-    Every factor's rows are packed at one width (`_pack_width`), read from
+    Every factor's rows are packed at one width (`_pack_width`), sized from
+    the factors' row bounds (`_chain_top`) and read from
     its packed-rows cache.  Each step's output coefficient k is the sum of
     the big-int products g[k - j] * f[j] over the factor's nonzero f_j,
     reduced modulo N = Phi_m(2^width) once and kept packed; the last step's
@@ -507,10 +562,10 @@ def product(factors: Sequence[TruncatedSeries]) -> TruncatedSeries:
     if any(f.m != m for f in factors):
         m = math.lcm(*(f.m for f in factors))
         factors = [f if f.m == m else TruncatedSeries(m, f.coeffs) for f in factors]
-    forms = [f._form or f._rows() for f in factors]
+    forms = [f._rows() for f in factors]
     n = min(len(rows) for _, rows, _ in forms)
     phi = len(forms[0][1][0])
-    width = _pack_width(m, phi, [bound for _, _, bound in forms], n)
+    width = _pack_width(m, phi, _chain_top([form[2] for form in forms], n), len(forms), n)
     modulus, half, lift = _modulus(m, width)
     acc = factors[0]._packed_rows(width)
     last = len(factors) - 1

@@ -247,6 +247,32 @@ def test_character_sum_egf_middle_equality_against_the_term_walk():
             assert power_sum_egf_check(chi, twist, w, 6).passed
 
 
+@pytest.mark.parametrize("upper", (10 ** 4, 10 ** 6))
+def test_long_classes_read_one_power_sum_table_per_count(upper):
+    # d = 5, chi of order 4, r = 7, order 12: every class mod 35 holds more
+    # than (order + 1)^2 terms, so each is summed in closed form, and all
+    # its degrees k <= 12 read one `_power_sums(count, 12)`; the 35 classes
+    # have at most two counts
+    from bernsym import exactnum
+    chi = next(c for c in enumerate_characters(5) if c.order == 4)
+    twist, order, period = TwistSpec(7, 1), 12, 35
+    m = field_conductor(chi, twist)
+    exactnum._power_sums.cache_clear()
+    series = character_sum_series(chi, twist, 1, order, upper=upper)
+    counts = {(upper - 1 - c) // period + 1 for c in range(period)}
+    assert exactnum._power_sums.cache_info().misses <= len(counts) <= 2
+    weights = [chi(c).embed(m) * Cyc.zeta(twist.r, twist.j * c % twist.r).embed(m) for c in range(period)]
+    by_progression = [sum((weight.scale(exactnum.progression_sum([(k, 1)], c, period, (upper - 1 - c) // period + 1))
+                           for c, weight in enumerate(weights)), Cyc.zero(m)).scale(Fraction(1, math.factorial(k)))
+                      for k in range(order + 1)]
+    assert list(series.coeffs) == by_progression
+    if upper <= 10 ** 4:
+        by_terms = [sum((weight.scale(sum(a ** k for a in range(c, upper, period)))
+                         for c, weight in enumerate(weights)), Cyc.zero(m)).scale(Fraction(1, math.factorial(k)))
+                    for k in range(order + 1)]
+        assert by_terms == by_progression
+
+
 def test_verify_at_a_huge_w_walks_no_long_class(monkeypatch):
     # a slot's power sums over a < d*U read every long class in closed form:
     # with the walk refusing more than a few hundred terms, theorems 3 and 7
@@ -290,6 +316,35 @@ def test_twist_order_over_ceiling_refused_before_factoring(monkeypatch):
         with pytest.raises(ParameterError, match="ceiling"):
             padic.PadicContext(5, 40, r)
     TwistSpec(bernoulli.MAX_TWIST_ORDER, 1)
+
+
+def test_series_order_over_ceiling_refused_before_any_series(monkeypatch):
+    # every entry that takes an order or n_max refuses one over the ceiling
+    # before it builds a series; the ceiling itself is accepted
+    from bernsym import bernoulli
+    from bernsym.identities import GridConfig, TheoremInstance
+    from bernsym.quotients import QUOTIENT_TYPES, closed_form_series, consistency_check
+
+    top = bernoulli.MAX_SERIES_ORDER
+    bernoulli.require_series_order(top)
+
+    def build(*args, **kwargs):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(TruncatedSeries, "__init__", build)
+    monkeypatch.setattr(TruncatedSeries, "_from_rows", staticmethod(build))
+    chi, twist, g0 = DirichletCharacter(5, (1,)), TwistSpec(7, 1), QUOTIENT_TYPES["G0"]
+    refusals = [
+        (lambda: bernoulli_egf(chi, twist, 1, top + 1), "order"),
+        (lambda: gen_bernoulli_poly(chi, twist, 1, top + 1), "order"),
+        (lambda: closed_form_series(g0, (1, 2), (), chi, twist, top + 1), "order"),
+        (lambda: consistency_check(g0, (1, 2), (Fraction(1), Fraction(2)), chi, twist, top + 1), "n_max"),
+        (lambda: TheoremInstance(1, 5, (1,), 7, 1, (1, 2), top + 1).validate(), "n_max"),
+        (lambda: GridConfig(n_max=top + 1), "n_max"),
+    ]
+    for call, name in refusals:
+        with pytest.raises(ParameterError, match=f"^{name}={top + 1} is above the ceiling of {top}$"):
+            call()
 
 
 def test_field_degree_over_ceiling_refused_before_any_series(monkeypatch):

@@ -629,6 +629,43 @@ def test_field_degree_over_ceiling_usage_error(monkeypatch):
                    "has degree 8712, above the ceiling of 200\n")
 
 
+def _refuse_series(monkeypatch):
+    """Make building any series, from coefficients or from rows, fail the test."""
+    from bernsym.series import TruncatedSeries
+
+    def build(*args, **kwargs):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(TruncatedSeries, "__init__", build)
+    monkeypatch.setattr(TruncatedSeries, "_from_rows", staticmethod(build))
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["quotient", "--type", "G0", "--r", "3", "--w", "1,2", "--order", "65"], "order"),
+    (["consistency", "--type", "G0", "--r", "3", "--w", "1,2", "--n-max", "65"], "n_max"),
+    (["verify", "--theorem", "1", "--r", "3", "--w", "1,2", "--n-max", "65"], "n_max"),
+    (["bernoulli", "--r", "3", "--n-max", "65"], "order"),
+    (["bernoulli", "--r", "3", "--n-max", str(10 ** 40), "--x", "1/2"], "order"),
+], ids=["quotient", "consistency", "verify", "bernoulli", "bernoulli-huge"])
+def test_series_order_over_ceiling_usage_error(monkeypatch, argv, name):
+    from bernsym.bernoulli import MAX_SERIES_ORDER
+    _refuse_series(monkeypatch)
+    value = argv[argv.index("--order" if "--order" in argv else "--n-max") + 1]
+    start = time.perf_counter()
+    assert run_cli(argv) == (2, "", f"error: {name}={value} is above the ceiling of {MAX_SERIES_ORDER}\n")
+    assert time.perf_counter() - start < 1
+
+
+def test_grid_n_max_over_ceiling_usage_error(monkeypatch, tmp_path):
+    from bernsym.bernoulli import MAX_SERIES_ORDER
+    _refuse_series(monkeypatch)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"n_max = {MAX_SERIES_ORDER + 1}\n")
+    assert run_cli(["audit", "--grid-file", str(cfg)]) == \
+        (2, "", f"error: n_max={MAX_SERIES_ORDER + 1} is above the ceiling of {MAX_SERIES_ORDER}\n")
+    assert GridConfig(n_max=MAX_SERIES_ORDER).n_max == MAX_SERIES_ORDER
+
+
 _GRID_INTS = st.one_of(st.integers(-3, 12), st.integers(-10 ** 40, 10 ** 40),
                        st.sampled_from([10 ** 30 + 57, 10 ** 38 + 7, 1009, 199, 200, 201]))
 

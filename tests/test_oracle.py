@@ -215,3 +215,102 @@ def test_power_sum_matches_sympy_at_large_upper(d, label, r, w, k, upper):
     value = power_sum(k, upper, chi, TwistSpec(r, 1), w)
     assert value.m == m
     assert value.coefficients() == coordinates(expected, euler_phi(m))
+
+
+# Each quotient type's closed form, built from its row of QUOTIENT_TYPES
+# (the specification) in sympy arithmetic over QQ[x]/Phi_m: the characters
+# from sympy's primitive roots and discrete logs, the series products and
+# quotients as sympy polynomial products and inverses modulo Phi_m
+
+from sympy.ntheory import discrete_log  # noqa: E402
+
+from bernsym.quotients import QUOTIENT_TYPES, closed_form_series  # noqa: E402
+
+CLOSED_FORM_ORDER = 6
+# (d, e, r): d prime and chi(g) = zeta_(d-1)^e at the smallest primitive
+# root g mod d, the generator a label (e,) refers to; the twist xi = zeta_r
+CLOSED_FORM_CONTEXTS = [(5, 1, 3), (7, 2, 4), (3, 1, 5)]
+CLOSED_FORM_Y = (Fraction(1, 2), Fraction(2), Fraction(3, 5))
+CLOSED_FORM_W = [(1, 2, 4), (2, 1, 3), (3, 2, 1), (1, 4, 5), (5, 3, 2)]
+
+
+def _monomial(mono, w):
+    return math.prod(x ** e for x, e in zip(w, mono))
+
+
+class _ClosedFormOracle:
+    """The closed form t^s * prod_W (T_W/D_W) * prod_V D_V * exp(c*t) of one
+    quotient type, T_W = sum_{a<d} chi(a) xi^(aW) e^(aWt) and
+    D_W = xi^(dW) e^(dWt) - 1, as lists of coefficients of t^n."""
+
+    def __init__(self, d, e, r, order):
+        chi_order = (d - 1) // math.gcd(d - 1, e)
+        self.d, self.r, self.order = d, r, order
+        self.m = math.lcm(r, chi_order)
+        self.modulus = phi_poly(self.m)
+        g = primitive_root(d, smallest=True)
+        self.chi = {}       # a -> the exponent of zeta_m that is chi(a)
+        for a in range(1, d):
+            exponent = sympy.Rational(e * discrete_log(d, a, g) * self.m, d - 1)
+            assert exponent.q == 1
+            self.chi[a] = int(exponent)
+
+    def zeta(self, k):
+        return sympy.Poly(X ** (k % self.m), X, domain=sympy.QQ).rem(self.modulus)
+
+    def constant(self, q):
+        return sympy.Poly(q, X, domain=sympy.QQ)
+
+    def exp_sum(self, terms):
+        """sum_j v_j e^(s_j t) for field elements v_j and rationals s_j."""
+        return [sum((v * self.constant(sympy.Rational(s) ** n / math.factorial(n)) for v, s in terms),
+                    self.constant(0)).rem(self.modulus) for n in range(self.order + 1)]
+
+    def mul(self, a, b):
+        return [sum((a[i] * b[k - i] for i in range(k + 1)), self.constant(0)).rem(self.modulus)
+                for k in range(self.order + 1)]
+
+    def div(self, a, b):
+        inverse = b[0].invert(self.modulus)
+        out = []
+        for k in range(self.order + 1):
+            rest = a[k] - sum((b[i] * out[k - i] for i in range(1, k + 1)), self.constant(0))
+            out.append((rest * inverse).rem(self.modulus))
+        return out
+
+    def denominator(self, big_w):
+        return self.exp_sum([(self.zeta(self.m // self.r * self.d * big_w), self.d * big_w),
+                             (self.constant(-1), 0)])
+
+    def ratio(self, big_w):
+        numerator = self.exp_sum([(self.zeta(self.chi[a] + self.m // self.r * a * big_w), a * big_w)
+                                  for a in range(1, self.d)])
+        return self.div(numerator, self.denominator(big_w))
+
+    def closed_form(self, qt, w, y):
+        series = self.exp_sum([(self.constant(1), 0)])
+        for mono in qt.chars:
+            series = self.mul(series, self.ratio(_monomial(mono, w)))
+        for mono in qt.numer:
+            series = self.mul(series, self.denominator(_monomial(mono, w)))
+        rate = sum(_monomial(mono, w) for mono in qt.ymul) * sum(y[:qt.y_count], Fraction(0))
+        series = self.mul(series, self.exp_sum([(self.constant(1), rate)]))
+        shift = len(qt.chars) - len(qt.numer)
+        return [self.constant(0)] * shift + series[: self.order + 1 - shift]
+
+
+@pytest.mark.parametrize("d,e,r", CLOSED_FORM_CONTEXTS)
+def test_closed_forms_match_the_sympy_product_of_their_rows(d, e, r):
+    assert unit_group_structure(d) == ((primitive_root(d, smallest=True), d - 1),)
+    oracle = _ClosedFormOracle(d, e, r, CLOSED_FORM_ORDER)
+    chi, twist = DirichletCharacter(d, (e,)), TwistSpec(r, 1)
+    assert not chi.is_trivial
+    for qt in QUOTIENT_TYPES.values():
+        # the first w whose D monomials are units: r divides none of them
+        w = next(w[: qt.arity] for w in CLOSED_FORM_W
+                 if all(_monomial(mono, w[: qt.arity]) % r for mono in qt.chars + qt.numer))
+        series = closed_form_series(qt, w, CLOSED_FORM_Y[: qt.y_count], chi, twist, CLOSED_FORM_ORDER)
+        assert series.m == oracle.m
+        expected = oracle.closed_form(qt, w, CLOSED_FORM_Y)
+        phi = int(totient(oracle.m))
+        assert [c.coefficients() for c in series.coeffs] == [coordinates(p, phi) for p in expected], (qt.name, w)

@@ -211,7 +211,7 @@ def test_operands_at_their_coordinate_bounds(m, order, bits, data):
     # the width has no slack left for the convolution sums or the reduction,
     # and equal signs make the sums as large as they get
     a, b = data.draw(extreme_series(m, order, bits)), data.draw(extreme_series(m, order, bits))
-    assert a._rows()[2] == b._rows()[2] == 2 ** bits - 1
+    assert a._rows()[2] == b._rows()[2] == (bits,) * (order + 1)
     assert list((a * b).coeffs) == schoolbook(a, b)
     assert list((a / b).coeffs) == schoolbook_div(a.coeffs, b.coeffs)
 
@@ -377,19 +377,29 @@ def test_product_chain_and_quotient_match_schoolbook(m, length, order, data):
     assert list(quotient.coeffs) == schoolbook_div(expected, divisor.coeffs)
 
 
+def row_bounds(rows):
+    """For each row t, the bit length of the largest |coordinate| in rows
+    0..t, as a row form holds it."""
+    bounds, top = [], 0
+    for row in rows:
+        top = max([top] + [abs(x).bit_length() for x in row])
+        bounds.append(top)
+    return tuple(bounds)
+
+
 def rescaled(series, factor):
     """The same series held as rows over `factor` times its common denominator."""
-    den, rows, bound = series._rows()
-    return TS._from_rows(series.m, (den * factor, tuple([x * factor for x in row] for row in rows),
-                                    bound * factor))
+    den, rows, _ = series._rows()
+    rows = tuple([x * factor for x in row] for row in rows)
+    return TS._from_rows(series.m, (den * factor, rows, row_bounds(rows)))
 
 
 def bumped(series, k, i):
     """The series with coordinate i of coefficient k raised by 1 / den."""
-    den, rows, bound = series._rows()
+    den, rows, _ = series._rows()
     rows = list(rows)
     rows[k] = [x + (j == i) for j, x in enumerate(rows[k])]
-    return TS._from_rows(series.m, (den, tuple(rows), bound + 1))
+    return TS._from_rows(series.m, (den, tuple(rows), row_bounds(rows)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -481,3 +491,140 @@ def test_exp_sum_rows_match_summed_exponentials(m, order, data):
     for value, s in terms:
         summed = summed + TS.exp_linear(s, order, m).scale(value)
     assert TS.exp_sum(terms, order, m)._rows() == TS(m, summed.coeffs)._rows()
+
+
+# Widths from per-row bounds.  Operands whose rows rise, fall, spike or
+# start with zero rows (as after shift_up), at coordinates as large as their
+# bit lengths allow: a width that misses a reachable pair of rows, or a
+# step's bits, lets a digit overflow into its neighbour.
+
+def rows_at_bits(m, bits, signs=None):
+    """A series whose row t holds +-(2^bits[t] - 1) in every coordinate (a
+    zero row where bits[t] = 0), of one sign unless `signs` are given."""
+    phi = euler_phi(m)
+    signs = signs or [1] * (phi * len(bits))
+    return TS(m, [Cyc(m, [s * (2 ** b - 1) for s in signs[t * phi:(t + 1) * phi]]) for t, b in enumerate(bits)])
+
+
+def shaped_bits(shape, order, low, high, at=0):
+    """Row bit lengths 0..order: rising or falling from low to high, or low
+    with one spike of high at row `at`."""
+    if shape == "rising":
+        return [low + (high - low) * t // max(order, 1) for t in range(order + 1)]
+    if shape == "falling":
+        return [high - (high - low) * t // max(order, 1) for t in range(order + 1)]
+    return [high if t == at else low for t in range(order + 1)]
+
+
+@st.composite
+def skewed_series(draw, m, order):
+    """A rising, falling or spiked series, or one of those shifted up behind
+    zero rows, with coordinates at their bit lengths' largest values."""
+    shape = draw(st.sampled_from(("rising", "falling", "spike")))
+    zeros = draw(st.integers(0, order))
+    inner = order - zeros
+    low = draw(st.integers(0, 40))
+    bits = shaped_bits(shape, inner, low, draw(st.integers(low, 240)), draw(st.integers(0, inner)))
+    size = euler_phi(m) * (inner + 1)
+    signs = draw(st.one_of(st.none(), st.lists(st.sampled_from([-1, 1]), min_size=size, max_size=size)))
+    series = rows_at_bits(m, bits, signs)
+    return series.shift_up(zeros) if zeros else series
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CHAIN_CONDUCTORS), st.integers(1, 4), st.data())
+def test_skewed_chains_match_schoolbook(m, length, data):
+    factors = [data.draw(skewed_series(m, data.draw(st.integers(0, 6)))) for _ in range(length)]
+    held = product(factors)
+    expected = schoolbook_chain(factors)
+    assert list(held.coeffs) == expected
+    divisor = invertible(data.draw(skewed_series(m, held.order)))
+    assert list((held / divisor).coeffs) == schoolbook_div(expected, divisor.coeffs)
+    c = data.draw(exp_rates())
+    for series in (factors[0], held):
+        assert list(series.mul_exp(c).coeffs) == schoolbook(series, TS.exp_linear(c, series.order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CHAIN_CONDUCTORS), st.integers(0, 6), st.integers(0, 3), st.data())
+def test_row_bounds_are_the_prefix_maxima_of_the_rows(m, order, zeros, data):
+    # every way a row form is handed on keeps bounds equal to the prefix
+    # maxima of its rows' bit lengths: one per row, 0 for leading zero rows
+    a = data.draw(skewed_series(m, order))
+    b = invertible(data.draw(skewed_series(m, order)))
+    cut = data.draw(st.integers(0, order))
+    for series in (a, a.shift_up(zeros), a.shift_up(zeros).truncate(order), a.truncate(cut),
+                   a.shift_up(zeros).truncate(cut), a * b, a / b, a.mul_exp(Fraction(3, 2)),
+                   a.scale_variable(Fraction(-2, 3)), (a * b).shift_up(zeros).truncate(cut)):
+        assert series._rows()[2] == row_bounds(series._rows()[1])
+        assert len(series._rows()[2]) == series.order + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CHAIN_CONDUCTORS), st.integers(2, 4), st.data())
+def test_width_is_never_above_the_sum_of_largest_bounds(m, length, data):
+    # the width a product packs at, against the width from each factor's
+    # largest coordinate over all its rows
+    from unittest import mock
+    from bernsym import series as series_module
+    factors = [data.draw(skewed_series(m, data.draw(st.integers(0, 6)))) for _ in range(length)]
+    n = min(f.order for f in factors) + 1
+    largest = sum(max(abs(x) for row in f._rows()[1] for x in row).bit_length() for f in factors)
+    step = (euler_phi(m) * n).bit_length() + series_module._fold_bits(m)
+    widest = -(-(largest + (length - 1) * step + 2) // WIDTH_STEP) * WIDTH_STEP
+    with mock.patch.object(series_module, "_modulus", wraps=series_module._modulus) as modulus:
+        assert list(product(factors).coeffs) == schoolbook_chain(factors)
+    (_, width), = {call.args for call in modulus.call_args_list}
+    assert width <= widest
+
+
+def formula_top(bits):
+    """top = max_t (G[t] + B_k[n - 1 - t]), B_l the prefix maxima of factor
+    l's row bit lengths and G the sum of all but the last."""
+    prefix = [[max(b[: t + 1]) for t in range(len(b))] for b in bits]
+    n = len(bits[0])
+    return max(sum(p[t] for p in prefix[:-1]) + prefix[-1][n - 1 - t] for t in range(n))
+
+
+SKEWS = {
+    # every pair binds, and every term of a weighted sum
+    "flat": lambda a, l, n: [a] * n,
+    # every anti-diagonal pair binds: bits a + 20 t
+    "rising": lambda a, l, n: [a + 20 * t for t in range(n)],
+    # the first rows bind
+    "falling": lambda a, l, n: [a + 20 * (n - 1 - t) for t in range(n)],
+    # factor l has one spike, at row l; the spikes' rows sum to at most n - 1
+    "spike": lambda a, l, n: [a if t == l else 1 for t in range(n)],
+}
+
+
+@pytest.mark.parametrize("m", CHAIN_CONDUCTORS)
+@pytest.mark.parametrize("length", (2, 3, 4))
+@pytest.mark.parametrize("shape", sorted(SKEWS))
+@pytest.mark.parametrize("slack", ("none", "step"))
+def test_skewed_product_at_a_width_with_no_rounding_slack(m, length, shape, slack):
+    # the binding rows' bits, plus the step bits ("none") or alone ("step"),
+    # land 2 below a multiple of WIDTH_STEP, so rounding the width up adds
+    # nothing to what the bound itself provides
+    from bernsym.series import _fold_bits
+    n, phi = 7, euler_phi(m)
+    step = (phi * n).bit_length() + _fold_bits(m)
+    bits = [SKEWS[shape](150, l, n) for l in range(length)]
+    target = formula_top(bits) + (length - 1) * step * (slack == "none")
+    bits[-1] = SKEWS[shape](150 + (WIDTH_STEP - 2 - target) % WIDTH_STEP, length - 1, n)
+    target = formula_top(bits) + (length - 1) * step * (slack == "none")
+    assert target % WIDTH_STEP == WIDTH_STEP - 2
+    factors = [rows_at_bits(m, b) for b in bits]
+    assert list(product(factors).coeffs) == schoolbook_chain(factors)
+
+
+@pytest.mark.parametrize("m", CHAIN_CONDUCTORS)
+@pytest.mark.parametrize("shape", sorted(SKEWS))
+@pytest.mark.parametrize("c", (Fraction(1), Fraction(-1), Fraction(3), Fraction(1, 2), Fraction(-7, 3)))
+def test_mul_exp_of_skewed_rows(m, shape, c):
+    # weighted sums of coordinates of one sign: the weights' sum, not only
+    # the largest weight, must fit in the width
+    series = rows_at_bits(m, SKEWS[shape](90, 0, 9))
+    assert list(series.mul_exp(c).coeffs) == schoolbook(series, TS.exp_linear(c, series.order))
+    shifted = series.shift_up(3)
+    assert list(shifted.mul_exp(c).coeffs) == schoolbook(shifted, TS.exp_linear(c, shifted.order))
