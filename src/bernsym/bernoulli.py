@@ -8,7 +8,9 @@ which requires xi^d != 1; with xi of exact order r that is r not dividing d
 (and r not dividing w*d when the twist is xi^w).  The d = 1 case is the
 plain twisted Bernoulli number.  Power sums S_k(n; chi, xi) use the
 convention 0^0 = 1, which is what makes the closed quotient identity hold
-at k = 0.
+at k = 0.  The power sums, the character-sum series (whose t^k/k!
+coefficients they are) and the p-adic Riemann sums are all one class sum
+of integer polynomials (`_class_sums`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence, Union
 
 from .dirichlet import DirichletCharacter
 from .errors import ParameterError
-from .exactnum import CyclotomicNumber, Scalar, euler_phi, progression_power_sums, progression_sum
+from .exactnum import CyclotomicNumber, Scalar, euler_phi, progression_sums
 from .series import NonUnitConstantError, TruncatedSeries
 
 # Ceilings on the field every series lives in, checked before any work.  An
@@ -126,57 +128,26 @@ def twisted_exp_minus_one(twist: TwistSpec, x: int, s: int, order: int, m: int) 
 
 
 def character_sum_series(chi: DirichletCharacter, twist: TwistSpec, w: int,
-                         order: int, m: int | None = None,
-                         upper: int | None = None) -> TruncatedSeries:
+                         order: int, upper: int | None = None) -> TruncatedSeries:
     """sum_{a<upper} chi(a) xi^{w a} e^{a t} truncated at `order`;
     `upper` defaults to the modulus d.
 
-    Its t^k/k! coefficient is the power sum S_k(upper - 1; chi, xi^w),
-    summed class by class mod lcm(d, r) as `twisted_sum` sums it: each
-    class adds its weight chi(c) xi^(wc) (`_class_weights`) times its sums
-    of a^k, k <= order.  A class of at most (order + 1)^2 terms, the count
-    under which `progression_sum` walks a progression of degree `order`,
-    is walked term by term for all k at once (`_walked_sums`); a longer one
-    is summed in closed form for all k at once (`progression_power_sums`,
-    one telescoping `_power_sums` per class count), so the cost does not
-    grow with upper."""
-    m = m or field_conductor(chi, twist)
+    Its t^k/k! coefficient is the power sum S_k(upper - 1; chi, xi^w), so
+    its rows are the class sums of x^0..x^order (`_class_sums`): each class
+    walks at most order + 1 terms, and a longer one reads one
+    `_power_sums` table for every k, so the cost does not grow with
+    upper."""
     upper = chi.d if upper is None else upper
-    weights = _class_weights(chi, twist, w % twist.r)
-    period = len(weights)
-    rows = [[0] * euler_phi(m) for _ in range(order + 1)]
-    for c, weight in enumerate(weights[:upper]):
-        if weight.is_zero():
-            continue
-        count = (upper - 1 - c) // period + 1
-        if count <= (order + 1) ** 2:
-            sums = _walked_sums(range(c, upper, period), order)
-        else:
-            sums = progression_power_sums(c, period, count, order)
-        num = weight.embed(m).num
-        for k, s in enumerate(sums):
-            if s:
-                rows[k] = [x + s * y for x, y in zip(rows[k], num)]
-    return TruncatedSeries.from_egf_rows(m, rows)
+    monomials = [[(k, 1)] for k in range(order + 1)]
+    return TruncatedSeries.from_egf_rows(field_conductor(chi, twist),
+                                         _class_sums(monomials, upper - 1, chi, twist, w))
 
 
-def _walked_sums(points: range, order: int) -> list[int]:
-    """sum_a a^k over the points for k = 0..order, with 0^0 = 1."""
-    sums = [0] * (order + 1)
-    for a in points:
-        power = 1
-        for k in range(order + 1):
-            sums[k] += power
-            power *= a
-    return sums
-
-
-def bernoulli_egf(chi: DirichletCharacter, twist: TwistSpec, w: int, order: int,
-                  m: int | None = None) -> TruncatedSeries:
+def bernoulli_egf(chi: DirichletCharacter, twist: TwistSpec, w: int, order: int) -> TruncatedSeries:
     """t * sum_{a<d} chi(a) xi^{wa} e^{at} / (xi^{wd} e^{dt} - 1), exact to `order`."""
     require_series_order(order)
-    m = m or field_conductor(chi, twist)
-    numerator = character_sum_series(chi, twist, w, order, m).shift_up(1).truncate(order)
+    m = field_conductor(chi, twist)
+    numerator = character_sum_series(chi, twist, w, order).shift_up(1).truncate(order)
     try:
         return numerator / twisted_exp_minus_one(twist, w * chi.d, chi.d, order, m)
     except NonUnitConstantError as exc:
@@ -228,41 +199,56 @@ def gen_bernoulli_poly(chi: DirichletCharacter, twist: TwistSpec, w: int, n: int
 
 
 @functools.lru_cache(maxsize=1024)
-def _class_weights(chi: DirichletCharacter, twist: TwistSpec, w: int) -> tuple[CyclotomicNumber, ...]:
-    """chi(c) xi^(wc) for the classes c mod lcm(d, r), at the field conductor."""
+def _class_weights(chi: DirichletCharacter, twist: TwistSpec,
+                   w: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The classes c mod lcm(d, r) whose weight chi(c) xi^(wc) is not zero,
+    ascending, each with the nonzero coordinates (i, x) of its weight's
+    integer vector at the field conductor: a weight is zero or a root of
+    unity, with denominator 1."""
     m = field_conductor(chi, twist)
-    return tuple(chi(c).embed(m) * twist.root_power(w * c, m)
-                 for c in range(math.lcm(chi.d, twist.r)))
+    weights = ((c, chi(c).embed(m) * twist.root_power(w * c, m)) for c in range(math.lcm(chi.d, twist.r)))
+    return tuple((c, tuple((i, x) for i, x in enumerate(weight.num) if x)) for c, weight in weights if weight)
+
+
+def _class_sums(polys: Sequence[Sequence[tuple[int, int]]], upper: int, chi: DirichletCharacter,
+                twist: TwistSpec, w: int) -> list[list[int]]:
+    """The integer vectors of sum_{a=0}^{upper} chi(a) xi^{wa} f(a) at the
+    field conductor, one for each integer polynomial f of `polys` given as
+    its (i, f_i) terms, with 0^0 = 1: the one class sum behind the power
+    sums, the character-sum series and the p-adic Riemann sums.
+
+    chi(a) xi^(wa) depends only on a mod L = lcm(d, r), so each f sums over
+    each class c, c + L, ... <= upper to an exact integer
+    (`exactnum.progression_sums`), added onto the nonzero coordinates of
+    the class's weight.  The cost does not grow with upper."""
+    period = math.lcm(chi.d, twist.r)
+    totals = [[0] * euler_phi(field_conductor(chi, twist)) for _ in polys]
+    for c, coords in _class_weights(chi, twist, w % twist.r):
+        if c > upper:
+            break
+        for total, s in zip(totals, progression_sums(polys, c, period, (upper - c) // period + 1)):
+            if s:
+                for i, x in coords:
+                    total[i] += x * s
+    return totals
 
 
 def twisted_sum(terms: Sequence[tuple[int, int]], upper: int, chi: DirichletCharacter,
                 twist: TwistSpec, w: int) -> CyclotomicNumber:
     """sum_{a=0}^{upper} chi(a) xi^{wa} f(a) for the integer polynomial
-    f = sum f_i x^i given as its (i, f_i) terms, with 0^0 = 1: the one class
-    sum behind the power sums and the p-adic Riemann sums.
-
-    chi(a) xi^(wa) depends only on a mod L = lcm(d, r), so f sums over each
-    class c, c + L, ... <= upper to an exact integer (`progression_sum`),
-    added onto its weight's integer vector: a weight is zero or a root of
-    unity, with denominator 1.  The cost does not grow with upper."""
-    weights = _class_weights(chi, twist, w % twist.r)
-    period = len(weights)
-    total = [0] * len(weights[0].num)
-    for c, weight in enumerate(weights[:upper + 1]):
-        if weight.is_zero():
-            continue
-        class_sum = progression_sum(terms, c, period, (upper - c) // period + 1)
-        for i, x in enumerate(weight.num):
-            if x:
-                total[i] += x * class_sum
-    return CyclotomicNumber(field_conductor(chi, twist), total)
+    f = sum f_i x^i given as its (i, f_i) terms, with 0^0 = 1: the class
+    sum (`_class_sums`) of [f]."""
+    return CyclotomicNumber(field_conductor(chi, twist), _class_sums([terms], upper, chi, twist, w)[0])
 
 
 def power_sum(k: int, upper: int, chi: DirichletCharacter, twist: TwistSpec, w: int) -> CyclotomicNumber:
     """S_k(upper; chi, xi^w) = sum_{a=0}^{upper} chi(a) xi^{wa} a^k, with 0^0 = 1:
-    the class sum of f = x^k (`twisted_sum`)."""
+    the class sum of f = x^k (`twisted_sum`).  S_k is the t^k/k! coefficient
+    of the character-sum series, so k is bounded by MAX_SERIES_ORDER too,
+    before any class is summed."""
     if k < 0 or upper < 0:
         raise ParameterError("power sum needs k >= 0 and upper >= 0")
+    require_series_order(k, "k")
     return twisted_sum([(k, 1)], upper, chi, twist, w)
 
 
@@ -291,9 +277,9 @@ def power_sum_egf_check(chi: DirichletCharacter, twist: TwistSpec, w: int, order
         raise ParameterError(f"r={twist.r} divides d*w={d * w}")
     m = field_conductor(chi, twist)
     closed = twisted_exp_minus_one(twist, d * w, d * w, order, m) \
-        / twisted_exp_minus_one(twist, d, d, order, m) * character_sum_series(chi, twist, 1, order, m)
+        / twisted_exp_minus_one(twist, d, d, order, m) * character_sum_series(chi, twist, 1, order)
 
-    expanded = character_sum_series(chi, twist, 1, order, m, upper=d * w)
+    expanded = character_sum_series(chi, twist, 1, order, upper=d * w)
 
     for k in range(order + 1):
         lhs = closed.egf_coefficient(k)

@@ -10,12 +10,13 @@ z^a / (z^(d p^N) - 1) with z the image of the twist root, and integrals
 are finite Riemann sums over residue classes whose p-adic limits are
 checked against the algebraic Bernoulli moments.  The numerator of a
 level-N sum, sum_{a < d p^N} chi(a) z^a f(a), is a twisted power sum of f,
-computed by the one class sum that also gives the power sums
-(`bernoulli.twisted_sum`) in about lcm(r, chi.d) (deg f + 1)^2 integer
-operations, whatever N is.  The refusal of a level whose d p^N residues
-times deg f + 1 exceed MAX_HORNER_STEPS is kept from the residue walk the
-closed form replaced, until a cost model for the closed form takes its
-place.  Every power z^(d p^N) is read from d p^N mod r
+computed by the one class sum that also gives the power sums and the
+character-sum series (`bernoulli.twisted_sum`): each class mod
+lcm(r, chi.d) is one progression (`exactnum.progression_sums`), so a level
+costs about lcm(r, chi.d) (deg f + 1)^2 integer operations, whatever N
+is.  The refusal of a level whose d p^N residues times deg f + 1 exceed
+MAX_HORNER_STEPS is kept from the residue walk the closed form replaced,
+until a cost model for the closed form takes its place.  Every power z^(d p^N) is read from d p^N mod r
 (`_span_exponent`), so p^N is never formed.
 """
 
@@ -317,8 +318,9 @@ def riemann_sum(f_coeffs: Sequence, chi: Optional[DirichletCharacter],
 
     mu(a + d p^N Z_p) = z^a / (z^(d p^N) - 1), so the sum is the twisted
     power sum sum_{a < d p^N} chi(a) z^a f(a), with f's coefficients taken
-    mod p^M, computed by the one class sum (`bernoulli.twisted_sum`), times
-    the inverted denominator z^(d p^N) - 1.
+    mod p^M, computed by the one class sum (`bernoulli.twisted_sum`, one
+    `exactnum.progression_sums` per class), times the inverted denominator
+    z^(d p^N) - 1.
     """
     span = _level_span(d, ctx.p, level, max(1, len(f_coeffs)))
     if ctx.r != twist.r:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bernsym.bernoulli import (
+    MAX_SERIES_ORDER,
     EgfCheckResult,
     ParameterError,
     TwistSpec,
@@ -224,8 +225,8 @@ def character_sum_by_terms(chi, twist, w, order, upper):
 
 
 def test_character_sum_rows_equal_the_term_walk():
-    # order 3 walks a class of at most 16 terms; upper 97 gives the classes
-    # of a period of 3 to 5 more terms than that, so both paths are taken
+    # order 3 walks a class of at most 4 terms (count * 4 <= 4^2); the
+    # uppers give classes of 1 to 33 terms, so both paths are taken
     assert len(STANDARD_CONTEXTS) == 28
     order = 3
     for chi, twist in STANDARD_CONTEXTS:
@@ -248,50 +249,89 @@ def test_character_sum_egf_middle_equality_against_the_term_walk():
 
 
 @pytest.mark.parametrize("upper", (10 ** 4, 10 ** 6))
-def test_long_classes_read_one_power_sum_table_per_count(upper):
+def test_long_classes_read_one_power_sum_table_per_count(upper, sympy_character_sums):
     # d = 5, chi of order 4, r = 7, order 12: every class mod 35 holds more
-    # than (order + 1)^2 terms, so each is summed in closed form, and all
-    # its degrees k <= 12 read one `_power_sums(count, 12)`; the 35 classes
+    # than order + 1 terms, so each is summed in closed form, and all its
+    # degrees k <= 12 read one `_power_sums(count, 35, 12)`; the 35 classes
     # have at most two counts
     from bernsym import exactnum
-    chi = next(c for c in enumerate_characters(5) if c.order == 4)
+    chi = DirichletCharacter(5, (1,))
+    assert chi.order == 4
     twist, order, period = TwistSpec(7, 1), 12, 35
     m = field_conductor(chi, twist)
     exactnum._power_sums.cache_clear()
     series = character_sum_series(chi, twist, 1, order, upper=upper)
     counts = {(upper - 1 - c) // period + 1 for c in range(period)}
     assert exactnum._power_sums.cache_info().misses <= len(counts) <= 2
-    weights = [chi(c).embed(m) * Cyc.zeta(twist.r, twist.j * c % twist.r).embed(m) for c in range(period)]
-    by_progression = [sum((weight.scale(exactnum.progression_sum([(k, 1)], c, period, (upper - 1 - c) // period + 1))
-                           for c, weight in enumerate(weights)), Cyc.zero(m)).scale(Fraction(1, math.factorial(k)))
-                      for k in range(order + 1)]
-    assert list(series.coeffs) == by_progression
+    assert [c.coefficients() for c in series.coeffs] == sympy_character_sums(5, 1, 7, 1, order, upper)
     if upper <= 10 ** 4:
+        weights = [chi(c).embed(m) * Cyc.zeta(twist.r, twist.j * c % twist.r).embed(m) for c in range(period)]
         by_terms = [sum((weight.scale(sum(a ** k for a in range(c, upper, period)))
                          for c, weight in enumerate(weights)), Cyc.zero(m)).scale(Fraction(1, math.factorial(k)))
                     for k in range(order + 1)]
-        assert by_terms == by_progression
+        assert list(series.coeffs) == by_terms
 
 
 def test_verify_at_a_huge_w_walks_no_long_class(monkeypatch):
     # a slot's power sums over a < d*U read every long class in closed form:
     # with the walk refusing more than a few hundred terms, theorems 3 and 7
     # still verify at w = 10^6 (the walk over every a took 17-18 s there)
-    from bernsym import bernoulli
+    from bernsym import exactnum
     from bernsym.identities import TheoremInstance, verify_instance
 
-    walk = bernoulli._walked_sums
+    walk = exactnum._progression_walk
 
-    def short_walk(points, order):
+    def short_walk(polys, points):
         if len(points) > 500:
             raise AssertionError(f"walked {len(points)} terms")
-        return walk(points, order)
+        return walk(polys, points)
 
-    monkeypatch.setattr(bernoulli, "_walked_sums", short_walk)
+    monkeypatch.setattr(exactnum, "_progression_walk", short_walk)
     chi = next(c for c in enumerate_characters(5) if c.order == 4)
     for theorem, w in ((3, (1, 10 ** 6)), (7, (1, 2, 10 ** 6))):
         report = verify_instance(TheoremInstance(theorem, 5, chi.exponents, 3, 1, w, 4, "normalized"))
         assert report.passed and not report.pass_as_stated
+
+
+def test_order_64_series_walks_no_class_longer_than_its_order(monkeypatch):
+    # the series of x^0..x^64 walks a class only when count * 65 <= 65^2:
+    # at most 65 terms, where a rule of (order + 1)^2 terms walked about
+    # 2,857 of each class mod 35 at upper 10^5; at upper 35 * 65 + 18 the
+    # classes below 18 hold 66 terms and the rest 65, so both paths run
+    from bernsym import exactnum
+
+    walked = []
+    walk = exactnum._progression_walk
+
+    def counted_walk(polys, points):
+        walked.append(len(points))
+        return walk(polys, points)
+
+    monkeypatch.setattr(exactnum, "_progression_walk", counted_walk)
+    chi, twist, order = DirichletCharacter(5, (1,)), TwistSpec(7, 1), MAX_SERIES_ORDER
+    character_sum_series(chi, twist, 1, order, upper=10 ** 5)
+    assert walked == []
+    boundary = character_sum_series(chi, twist, 1, order, upper=35 * 65 + 18)
+    assert walked and max(walked) == order + 1 and len(walked) < 35
+    assert boundary.egf_coefficient(order) == power_sum(order, 35 * 65 + 17, chi, twist, 1)
+
+
+def test_power_sum_degree_over_ceiling_refused_before_any_class(monkeypatch):
+    # S_k is the t^k coefficient of the character-sum series, so k has the
+    # series' ceiling: k = 200 walked 28,571 terms of a^200 per class at
+    # upper 10^6, and k = 1000 took 55 s there
+    from bernsym import bernoulli
+
+    def summed(*args, **kwargs):
+        raise AssertionError("a class was summed")
+
+    chi, twist, top = DirichletCharacter(5, (1,)), TwistSpec(7, 1), MAX_SERIES_ORDER
+    monkeypatch.setattr(bernoulli, "progression_sums", summed)
+    for k in (top + 1, 1000):
+        with pytest.raises(ParameterError, match=f"^k={k} is above the ceiling of {top}$"):
+            power_sum(k, 10 ** 6, chi, twist, 1)
+    with pytest.raises(AssertionError, match="a class was summed"):
+        power_sum(top, 10 ** 6, chi, twist, 1)
 
 
 def test_bernoulli_egf_matches_numbers():

@@ -172,6 +172,21 @@ def test_power_sum_value():
     assert json.loads(out)["value"] == {"m": 3, "coeffs": ["-2", "-1"]}
 
 
+def test_power_sum_degree_over_ceiling_usage_error(monkeypatch):
+    # S_k is a coefficient of the character-sum series, so --k has the
+    # series' ceiling; k = 1000 took 55 s at upper 10^6
+    from bernsym import bernoulli
+
+    def summed(*args, **kwargs):
+        raise AssertionError("a class was summed")
+
+    monkeypatch.setattr(bernoulli, "progression_sums", summed)
+    top = bernoulli.MAX_SERIES_ORDER
+    code, out, err = run_cli(["power-sum", "--d", "5", "--r", "7", "--k", str(top + 1), "--upper", "1000000"])
+    assert (code, out) == (2, "")
+    assert err == f"error: k={top + 1} is above the ceiling of {top}\n"
+
+
 def test_quotient_series_coefficients():
     code, out, _ = run_cli(["quotient", "--type", "G1", "--d", "1", "--r", "3",
                             "--w", "1,2", "--order", "2"])

@@ -13,7 +13,7 @@ from bernsym.exactnum import (
     divisors,
     euler_phi,
     linear_combination,
-    progression_sum,
+    progression_sums,
 )
 
 
@@ -185,12 +185,40 @@ def horner_walk(coeffs, start, step, count):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=9),
+@given(st.lists(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=9), min_size=1, max_size=4),
        st.integers(0, 50), st.integers(1, 12),
        st.one_of(st.sampled_from([0, 1]), st.integers(2, 120), st.integers(500, 3000)))
-def test_progression_sum_matches_walk(coeffs, start, step, count):
-    # degrees 0..8, starts beyond the step, and counts on both sides of the
-    # switch to the closed form; Horner gives f(0) = f_0, the 0^0 = 1 convention
-    terms = [(i, c) for i, c in enumerate(coeffs) if c]
-    assert progression_sum(terms, start, step, count) == horner_walk(coeffs, start, step, count)
+def test_progression_sum_matches_walk(polys, start, step, count):
+    # one to four polynomials of degrees 0..8, starts beyond the step, and
+    # counts on both sides of the switch to the closed form, which reads
+    # the largest degree of all of them; Horner gives f(0) = f_0, the
+    # 0^0 = 1 convention
+    terms = [[(i, c) for i, c in enumerate(coeffs) if c] for coeffs in polys]
+    assert progression_sums(terms, start, step, count) == \
+        [horner_walk(coeffs, start, step, count) for coeffs in polys]
 
+
+@pytest.mark.parametrize("polys", [
+    [[(3, 1)]],
+    [[(0, 5), (2, -1)], [(7, 2)]],
+    [[(k, 1)] for k in range(13)],
+])
+def test_progression_walks_exactly_the_short_progressions(polys, monkeypatch):
+    # a progression is walked when count times the terms of all f is at
+    # most (deg + 1)^2, and summed in closed form otherwise: x^0..x^12
+    # walks at most 13 terms
+    from bernsym import exactnum
+
+    degree = max(i for f in polys for i, _ in f)
+    limit = (degree + 1) ** 2 // sum(map(len, polys))
+    walked = []
+    walk = exactnum._progression_walk
+
+    def counted_walk(polys, points):
+        walked.append(len(points))
+        return walk(polys, points)
+
+    monkeypatch.setattr(exactnum, "_progression_walk", counted_walk)
+    for count in range(limit + 3):
+        progression_sums(polys, 3, 7, count)
+    assert walked == list(range(limit + 1))

@@ -314,3 +314,23 @@ def test_closed_forms_match_the_sympy_product_of_their_rows(d, e, r):
         expected = oracle.closed_form(qt, w, CLOSED_FORM_Y)
         phi = int(totient(oracle.m))
         assert [c.coefficients() for c in series.coeffs] == [coordinates(p, phi) for p in expected], (qt.name, w)
+
+
+# The character-sum series against sympy's sums over each class: at each
+# upper below, some classes are walked and the rest summed in closed form,
+# or all of them are summed in closed form
+
+from bernsym.bernoulli import character_sum_series  # noqa: E402
+
+
+@pytest.mark.parametrize("d,e,r,w,order,uppers", [
+    (3, 1, 5, 1, 8, (1, 7, 15 * 9 + 1, 10 ** 9)),
+    (7, 2, 4, 3, 12, (28 * 13 + 5, 10 ** 12)),
+    (5, 1, 7, 2, 16, (35 * 17 + 1, 10 ** 5)),
+])
+def test_character_sum_rows_match_sympy(d, e, r, w, order, uppers, sympy_character_sums):
+    chi, twist = DirichletCharacter(d, (e,)), TwistSpec(r, 1)
+    assert unit_group_structure(d) == ((primitive_root(d, smallest=True), d - 1),)
+    for upper in uppers:
+        series = character_sum_series(chi, twist, w, order, upper=upper)
+        assert [c.coefficients() for c in series.coeffs] == sympy_character_sums(d, e, r, w, order, upper), upper
