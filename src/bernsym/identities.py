@@ -28,15 +28,17 @@ Each mode compares side 1 with every other side, and the rest of the
 verdicts follow from exact equality: when the as-stated star holds, only
 the normalized pairs of unequal weights are compared, and the sides of an
 orbit share their weight, so the orbit pairs are compared only when both
-stars fail.  The grid's first witnesses are searched on the memoised sides
-of the failing instance, without verifying it again.
+stars fail.  The engine (`_verify`) decides and returns its verdicts with
+the instance's grid values; its two callers search the witnesses they
+report on those values: `verify_instance` for the instance's mode, and
+`grid_verify` for each mode's first failure.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
@@ -267,9 +269,9 @@ def _side_series(inst: TheoremInstance, ctx: EvalContext,
     the forms of one quotient type that fold power sums into the Bernoulli
     argument have the same chains, so theorems 3, 6, 8 and 9 multiply
     nothing that theorems 2, 5 and 7 have multiplied on the context.  Both
-    memos live as long as the context or until its owner clears them.  The
-    factors a side multiplies are not the context's: they come from the
-    process-wide store, built once per process (see `quotients.EvalContext`).
+    memos live as long as the context.  The factors a side multiplies are
+    not the context's: they come from the process-wide store, built once
+    per process (see `quotients.EvalContext`).
     A mutated side neither reads nor fills either memo, and a mutated slot
     series never enters the store.
     """
@@ -331,16 +333,16 @@ def _first_mismatch(values: _PointValues, pairs: Sequence[tuple[int, int]], weig
     return None
 
 
-def _first_witness(inst: TheoremInstance, values: _PointValues, weights: Sequence[int]) -> Optional[Witness]:
-    """The first (n, grid point, side pair) where the instance's mode fails,
-    read from its sides' grid `values`."""
-    thm = inst.theorem_spec()
-    hit = _first_mismatch(values, list(combinations(range(thm.sides), 2)),
-                          weights if inst.mode == "normalized" else None, inst.n_max)
+def _first_witness(report: VerificationReport, values: _PointValues, mode: str) -> Optional[Witness]:
+    """The first (n, grid point, side pair) where the reported instance's
+    sides fail `mode`, read from their grid `values`."""
+    weights = [v for _, v in report.side_weights]
+    hit = _first_mismatch(values, list(combinations(range(len(weights)), 2)),
+                          weights if mode == "normalized" else None, report.instance.n_max)
     if hit is None:
         return None
     n, p, i, j = hit
-    return Witness(inst.mode, n, values.points(n)[p], i + 1, j + 1, values.value(i, n, p), values.value(j, n, p))
+    return Witness(mode, n, values.points(n)[p], i + 1, j + 1, values.value(i, n, p), values.value(j, n, p))
 
 
 def theorem_sides(inst: TheoremInstance, n: int | None = None,
@@ -371,27 +373,33 @@ def _sides_equal(a: Side, b: Side, n_max: int, wa: int = 1, wb: int = 1) -> bool
 def verify_instance(inst: TheoremInstance, method: str = "poly",
                     include_values: bool = False,
                     ctx: Optional[EvalContext] = None,
-                    mutation: Optional[Mutation] = None,
-                    want_witness: bool = True) -> VerificationReport:
+                    mutation: Optional[Mutation] = None) -> VerificationReport:
     """Check all side equalities of one theorem instance, in both modes.
 
     method 'poly' compares the sides' (P, C) pairs (equivalent to comparing
     their y-polynomials, see the module docstring); method 'points'
-    evaluates every side at every grid point directly.  Witnesses are
-    concrete grid points.
+    evaluates every side at every grid point directly.  A failing
+    instance's witness is the first grid point where its mode fails.
     """
     inst.validate()
     if method not in ("poly", "points"):
         raise ParameterError(f"unknown verification method {method!r}")
-    return _verify(inst, method, include_values, ctx, mutation, want_witness)
+    report, values = _verify(inst, method, ctx or EvalContext(inst.character(), inst.twist()), mutation)
+    if not report.passed:
+        report.witness = _first_witness(report, values, inst.mode)
+    if include_values:
+        report.values = [[[values.value(s, n, p).to_json() for p in range(len(values.points(n)))]
+                          for n in range(inst.n_max + 1)]
+                         for s in range(len(values.sides))]
+    return report
 
 
-def _verify(inst: TheoremInstance, method: str = "poly", include_values: bool = False,
-            ctx: Optional[EvalContext] = None, mutation: Optional[Mutation] = None,
-            want_witness: bool = True) -> VerificationReport:
-    """`verify_instance` for an instance already validated."""
+def _verify(inst: TheoremInstance, method: str, ctx: EvalContext,
+            mutation: Optional[Mutation] = None) -> tuple[VerificationReport, _PointValues]:
+    """The verdicts of an instance already validated, with no witness, and
+    its sides' grid values, filled as far as the verdicts read them: the
+    callers search the witnesses they report on that one table."""
     thm = inst.theorem_spec()
-    ctx = ctx or EvalContext(inst.character(), inst.twist())
     weights = [mono_val(m, inst.w) for m in thm.side_weight_monos]
     sides = _side_series(inst, ctx, mutation)
     values = _PointValues(sides, thm.y_count)
@@ -423,13 +431,7 @@ def _verify(inst: TheoremInstance, method: str = "poly", include_values: bool = 
         pass_orbits=(pass_as_stated or pass_normalized
                      or holds([(orbit[0] - 1, i - 1) for orbit in orbits_static for i in orbit[1:]], False)),
     )
-    if not report.passed and want_witness:
-        report.witness = _first_witness(inst, values, weights)
-    if include_values:
-        report.values = [[[values.value(s, n, p).to_json() for p in range(len(values.points(n)))]
-                          for n in range(inst.n_max + 1)]
-                         for s in range(thm.sides)]
-    return report
+    return report, values
 
 
 # ---------------------------------------------------------------------------
@@ -625,17 +627,18 @@ def grid_verify(config: GridConfig) -> GridReport:
     counted as evidence.  Reports are assembled in instance-key order.
 
     Every instance is validated once, here.  Instances share one
-    EvalContext per (d, chi, r, j) for the whole grid, so its side memo
-    (see _side_series) evaluates every distinct permuted side once, and the
-    first witness of a theorem and mode is searched on the failing
-    instance's memoised sides; its Bernoulli EGFs, character sums and slot series
-    come from the process-wide store, built once per process.  Instances
-    come theorem-first and no two theorems share a base form, so every side
-    memo is cleared whenever the theorem changes: it then holds one
-    theorem's sides at most.  The products below the sides are shared by
-    the theorems of one quotient type (2 and 3, 5 and 6, 7 to 9), so each
-    context's product memo is cleared whenever the quotient type changes:
-    it then holds one type's products at most.
+    EvalContext per (d, chi, r, j), so its side memo (see _side_series)
+    evaluates every distinct permuted side once, and the first witness of a
+    theorem and mode is searched on the grid values that verifying the
+    failing instance returned.  The products below the sides are shared by
+    the theorems of one quotient type (2 and 3, 5 and 6, 7 to 9), and
+    instances come theorem-first, so one type's theorems are adjacent: the
+    contexts are started afresh whenever the quotient type changes, and
+    their memos then hold one type's sides and products at most.  A side's
+    key holds its form, so the theorems of a type never share a side.  The
+    Bernoulli EGFs, character sums and slot series come from the
+    process-wide store, built once per process, so a fresh context
+    rebuilds none of them.
     """
     rows: list[GridRow] = []
     counts: dict[tuple[int, str], dict[str, int]] = {
@@ -644,7 +647,7 @@ def grid_verify(config: GridConfig) -> GridReport:
     }
     first_witness: dict[tuple[int, str], Witness] = {}
     contexts: dict[tuple, EvalContext] = {}
-    memo_theorem = memo_type = None
+    memo_type = None
 
     for inst in grid_instances(config):
         row = GridRow(instance_key=inst.key())
@@ -657,18 +660,14 @@ def grid_verify(config: GridConfig) -> GridReport:
                 counts[(inst.theorem, mode)]["skipped"] += 1
             rows.append(row)
             continue
-        if inst.theorem != memo_theorem:
-            qt = THEOREMS[inst.theorem].base.qt
-            for ctx in contexts.values():
-                ctx.side_memo.clear()
-                if qt != memo_type:
-                    ctx._products.clear()
-            memo_theorem, memo_type = inst.theorem, qt
+        qt = THEOREMS[inst.theorem].base.qt
+        if qt != memo_type:
+            contexts, memo_type = {}, qt
         ckey = (inst.d, inst.char, inst.r, inst.j)
         ctx = contexts.get(ckey)
         if ctx is None:
             ctx = contexts[ckey] = EvalContext(inst.character(), inst.twist())
-        report = _verify(inst, ctx=ctx, want_witness=False)
+        report, values = _verify(inst, "poly", ctx)
         row.pass_as_stated = report.pass_as_stated
         row.pass_normalized = report.pass_normalized
         row.pass_orbits = report.pass_orbits
@@ -676,9 +675,7 @@ def grid_verify(config: GridConfig) -> GridReport:
             ok = report.pass_normalized if mode == "normalized" else report.pass_as_stated
             counts[(inst.theorem, mode)]["pass" if ok else "fail"] += 1
             if not ok and (inst.theorem, mode) not in first_witness:
-                values = _PointValues(_side_series(inst, ctx), THEOREMS[inst.theorem].y_count)
-                weights = [v for _, v in report.side_weights]
-                witness = _first_witness(replace(inst, mode=mode), values, weights)
+                witness = _first_witness(report, values, mode)
                 if witness:
                     first_witness[(inst.theorem, mode)] = witness
         rows.append(row)

@@ -5,11 +5,11 @@ c_0..c_N exactly; every binary operation truncates to the smaller order, so
 each computed coefficient is exact.  The analytic convergence region of the
 source expressions plays no role here; coefficients are formal.
 
-A series holds its integer form: one common positive denominator, one row
-of phi(m) integer coordinates per coefficient, and per row a bound on the
-coordinates' bit lengths (see below), derived on the first read that needs
-it.  A series built from coefficients derives that form once, on its first
-product, and keeps it; a product or quotient returns a series built from
+A series holds one form, its integer rows: one common positive
+denominator, one row of phi(m) integer coordinates per coefficient, and
+per row a bound on the coordinates' bit lengths (see below), derived on the
+first read that needs it.  A series built from coefficients derives its
+rows when it is built; a product or quotient returns a series built from
 rows alone.  Products and quotients read their operands' rows, never their
 coefficients, so the cached factors of a closed form are put into integer
 form once, not once per product.  Three more operations work on rows
@@ -228,8 +228,8 @@ def _unpack(packed: int, phi: int, width: int) -> list[int]:
 class TruncatedSeries:
     """Formal power series over Q(zeta_m) truncated at an explicit order.
 
-    Held as coefficients, as integer rows (see the module docstring), or
-    both; each form is derived from the other at most once."""
+    Held as integer rows (see the module docstring); `coeffs` is a view of
+    them, built on its first read and cached."""
 
     __slots__ = ("m", "_coeffs", "_form", "_packed")
 
@@ -238,7 +238,7 @@ class TruncatedSeries:
             raise ValueError("a series stores at least the constant term")
         self.m = m
         self._coeffs = tuple(_as_cyc(c, m) for c in coeffs)
-        self._form: RowForm | None = None
+        self._form: RowForm = _common_rows((c.den, c.num) for c in self._coeffs)
         self._packed: dict[int, list[int]] | None = None
 
     @staticmethod
@@ -252,12 +252,9 @@ class TruncatedSeries:
 
     def _rows(self) -> RowForm:
         """The row form with its row bounds, derived on the first call: the
-        readers that need only the denominator and rows take `_form` when
-        it is there, so a product that is only compared or read never
-        derives its bounds."""
+        readers that need only the denominator and rows take `_form`, so a
+        product that is only compared or read never derives its bounds."""
         form = self._form
-        if form is None:
-            form = _common_rows((c.den, c.num) for c in self._coeffs)
         if form[2] is None:
             form = self._form = (form[0], form[1], _row_bounds(form[1]))
         return form
@@ -271,7 +268,7 @@ class TruncatedSeries:
         if cache is None:
             cache = self._packed = {}
         packed = cache.get(width)
-        rows = (self._form or self._rows())[1]
+        rows = self._form[1]
         if packed is None or len(packed) < len(rows):
             if packed is None and len(cache) >= PACKED_WIDTHS:
                 del cache[next(iter(cache))]
@@ -289,7 +286,7 @@ class TruncatedSeries:
 
     @property
     def order(self) -> int:
-        return len(self._coeffs if self._coeffs is not None else self._form[1]) - 1
+        return len(self._form[1]) - 1
 
     # ------------------------------------------------------------------
     # constructors
@@ -400,7 +397,7 @@ class TruncatedSeries:
         a, b, n = self._common(other)
         m = a.m
         phi = euler_phi(m)
-        den_a, rows_a, _ = a._form or a._rows()
+        den_a, rows_a, _ = a._form
         den_b, rows_b, bounds_b = b._rows()
         if not any(rows_b[0]):
             raise NonUnitConstantError("series division by a series with zero constant term")
@@ -434,7 +431,7 @@ class TruncatedSeries:
 
     def shift_up(self, k: int) -> "TruncatedSeries":
         """Multiply by t^k, keeping all known coefficients (order grows by k)."""
-        den, rows, bounds = self._form or self._rows()
+        den, rows, bounds = self._form
         if bounds is not None:
             bounds = (0,) * k + bounds
         return TruncatedSeries._from_rows(self.m, (den, ([0] * euler_phi(self.m),) * k + rows, bounds))
@@ -480,7 +477,7 @@ class TruncatedSeries:
         without building the product series.  Each call reads its n + 1
         rows once, so packing them, as `mul_exp` does, costs more than
         summing them coordinate-wise at the small n of a witness scan."""
-        den, rows, _ = self._form or self._rows()
+        den, rows, _ = self._form
         a, b = c.numerator, c.denominator
         acc = [0] * len(rows[0])
         for k in range(n + 1):
@@ -494,7 +491,7 @@ class TruncatedSeries:
         integer rows: with q = a/b and N the order, row n times a^n * b^(N-n)
         over den * b^N, which then loses its one content gcd."""
         q = Fraction(q)
-        den, rows, _ = self._form or self._rows()
+        den, rows, _ = self._form
         order = self.order
         a, b = q.numerator, q.denominator
         weights = (a ** n * b ** (order - n) for n in range(order + 1))
@@ -505,13 +502,13 @@ class TruncatedSeries:
         """n! times the coefficient of t^n, reduced."""
         if n > self.order:
             raise IndexError(f"index {n} beyond truncation order {self.order}")
-        den, rows, _ = self._form or self._rows()
+        den, rows, _ = self._form
         fact = math.factorial(n)
         return CyclotomicNumber(self.m, [x * fact for x in rows[n]], den)
 
     def vanishes_below(self, k: int) -> bool:
         """Whether c_0..c_(k-1) are all zero."""
-        return not any(map(any, (self._form or self._rows())[1][:k]))
+        return not any(map(any, self._form[1][:k]))
 
     def scaled_equal(self, other: "TruncatedSeries", wa: int = 1, wb: int = 1) -> bool:
         """self / wa == other / wb, coefficient by coefficient at one order.
@@ -521,8 +518,8 @@ class TruncatedSeries:
         a, b = self, other
         if not isinstance(other, TruncatedSeries) or other.m != self.m:
             a, b, _ = self._common(other)
-        den_a, rows_a, _ = a._form or a._rows()
-        den_b, rows_b, _ = b._form or b._rows()
+        den_a, rows_a, _ = a._form
+        den_b, rows_b, _ = b._form
         if len(rows_a) != len(rows_b):
             return False
         fa, fb = wb * den_b, wa * den_a

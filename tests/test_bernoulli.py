@@ -200,15 +200,50 @@ def test_egf_check_examples():
         power_sum_egf_check(CHI1, Z3, 3, 5)
 
 
-def test_egf_check_reports_failure_against_corrupted_sum():
-    res = power_sum_egf_check(CHI1, Z3, 2, 6)
-    assert isinstance(res, EgfCheckResult) and res.passed and res.first_failure is None
+def test_egf_check_reports_failure_against_corrupted_sum(monkeypatch):
+    import bernsym.bernoulli as bernoulli
+    chi4 = DirichletCharacter(4, (1,))
+    assert power_sum_egf_check(chi4, Z3, 2, 6).passed
+    build = bernoulli.character_sum_series
+
+    def corrupted(chi, twist, w, order, upper=None):
+        # the expanded route, sum_{a<dw}, off by 1 at t^3 and t^5
+        series = build(chi, twist, w, order, upper)
+        if upper is None:
+            return series
+        coeffs = list(series.coeffs)
+        for k in (3, 5):
+            coeffs[k] = coeffs[k] + 1
+        return TruncatedSeries(series.m, coeffs)
+
+    monkeypatch.setattr(bernoulli, "character_sum_series", corrupted)
+    res = power_sum_egf_check(chi4, Z3, 2, 6)
+    assert isinstance(res, EgfCheckResult) and not res.passed
+    k, closed, expanded = res.first_failure
+    assert k == 3
+    assert closed == power_sum(3, 7, chi4, Z3, 1)
+    assert expanded == closed + math.factorial(3)
+
+
+def test_egf_check_compares_its_two_routes_only(monkeypatch):
+    # the closed quotient against the expanded sum; S_k(dw - 1) is their
+    # t^k/k! coefficient, checked against the term walk and sympy elsewhere,
+    # so the check itself sums no power
+    import bernsym.bernoulli as bernoulli
+
+    def refuse(*args):
+        raise AssertionError("power_sum called")
+
+    monkeypatch.setattr(bernoulli, "power_sum", refuse)
+    assert power_sum_egf_check(CHI1, Z3, 2, 10).passed
+    assert power_sum_egf_check(DirichletCharacter(5, (1,)), TwistSpec(7, 1), 4, 12).passed
 
 
 # The character sums read long uppers from their classes' closed forms; the
 # term walk below shares no code with that path (no class weights, no
-# progression sums), so it keeps power_sum_egf_check's middle equality,
-# character_sum_series against power_sum, checked independently.
+# progression sums), so it checks character_sum_series, and with it the
+# power sums S_k that power_sum_egf_check's expanded route carries as its
+# t^k/k! coefficients, independently.
 
 STANDARD_CONTEXTS = [(chi, TwistSpec(r, 1)) for d in (1, 3, 4, 5) for chi in enumerate_characters(d)
                      for r in (3, 4, 5, 7) if math.gcd(r, d) == 1]
@@ -238,7 +273,8 @@ def test_character_sum_rows_equal_the_term_walk():
 
 
 def test_character_sum_egf_middle_equality_against_the_term_walk():
-    # the sums power_sum_egf_check compares with power_sum, at upper d*w
+    # power_sum_egf_check's expanded route, the sums at upper d*w, against
+    # the term walk
     for chi, twist in STANDARD_CONTEXTS:
         for w in (1, 2, 4):
             if (chi.d * w) % twist.r == 0 or w % twist.r == 0:

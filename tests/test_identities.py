@@ -325,7 +325,7 @@ def test_implied_verdicts_match_every_pair(theorem, method, monkeypatch):
     cases += [(mutated, Mutation(kind)) for kind in ("binomial", "twist", "wpower")]
     for inst, mutation in cases:
         ctx = EvalContext(inst.character(), inst.twist())
-        rep = _verify(inst, method, ctx=ctx, mutation=mutation, want_witness=False)
+        rep, _ = _verify(inst, method, ctx, mutation)
         expected = _every_pair_verdicts(inst, _side_series(inst, ctx, mutation), method)
         assert (rep.pass_as_stated, rep.pass_normalized, rep.pass_orbits) == expected, \
             (inst.key(), mutation)
@@ -337,7 +337,7 @@ def test_implied_verdicts_match_every_pair(theorem, method, monkeypatch):
     monkeypatch.setattr(identities, "_side_series",
                         lambda inst, ctx, mutation=None: [build(inst, ctx)[0]] * inst.theorem_spec().sides)
     ctx = EvalContext(mutated.character(), mutated.twist())
-    rep = _verify(mutated, method, ctx=ctx, want_witness=False)
+    rep, _ = _verify(mutated, method, ctx)
     expected = _every_pair_verdicts(mutated, identities._side_series(mutated, ctx), method)
     assert (rep.pass_as_stated, rep.pass_normalized, rep.pass_orbits) == expected
     weights = {mono_val(m, mutated.w) for m in THEOREMS[theorem].side_weight_monos}
@@ -382,7 +382,7 @@ def test_series_rule_matches_ymonomial_comparison(theorem):
                         all(_ypoly_equal(polys[o[0] - 1], polys[i - 1])
                             for o in thm.orbits() for i in o[1:]),
                     )
-                    rep = verify_instance(inst, ctx=ctx, mutation=mut, want_witness=False)
+                    rep, _ = _verify(inst, "poly", ctx, mut)
                     assert (rep.pass_as_stated, rep.pass_normalized, rep.pass_orbits) == \
                         expected, (d, w, n_max, mut)
                     # the same P under a different y multiplier
