@@ -35,7 +35,7 @@ from .identities import (
     theorem_sides,
     verify_instance,
 )
-from .padic import PadicContext, convergence_check
+from .padic import DEFAULT_PRECISION, PadicContext, convergence_check
 from .quotients import (
     EvalContext,
     QuotientType,
@@ -95,14 +95,12 @@ def _resolve_character(d: int, label_text: str | None) -> DirichletCharacter:
     return DirichletCharacter(d, _parse_char_label(label_text))
 
 
-def _emit(doc, fmt: str, csv_rows=None) -> str:
+def _emit(doc, fmt: str, csv_rows) -> str:
     """Stable rendering: json with fixed separators, csv from prepared rows,
     pretty as an indented json view."""
     if fmt == "json":
         return json.dumps(doc, separators=(",", ":")) + "\n"
     if fmt == "csv":
-        if csv_rows is None:
-            raise ParameterError("no csv rendering for this report")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for row in csv_rows:
@@ -111,11 +109,10 @@ def _emit(doc, fmt: str, csv_rows=None) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _add_common(parser, include_char=True):
+def _add_common(parser):
     parser.add_argument("--d", type=int, default=1, help="character modulus")
-    if include_char:
-        parser.add_argument("--char", default=None,
-                            help="character exponent label, comma separated (default: trivial)")
+    parser.add_argument("--char", default=None,
+                        help="character exponent label, comma separated (default: trivial)")
     parser.add_argument("--r", type=int, required=True, help="order of the twist root")
     parser.add_argument("--j", type=int, default=1, help="twist root is zeta_r^j")
     parser.add_argument("--format", choices=FORMATS, default="json")
@@ -176,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("padic", help="finite-level Riemann sums against Bernoulli moments")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--M", type=int, default=40)
+    p.add_argument("--M", type=int, default=DEFAULT_PRECISION)
     _add_common(p)
     p.add_argument("--n", type=int, required=True, help="moment index")
     p.add_argument("--levels", type=int, default=4, help="check levels 1..K")
@@ -407,7 +404,7 @@ def _cmd_padic(args, out) -> int:
     chi = _resolve_character(args.d, args.char)
     twist = TwistSpec(args.r, args.j)
     ctx = PadicContext(args.p, args.M, args.r)
-    report = convergence_check(args.n, chi, twist, list(range(1, args.levels + 1)), ctx)
+    report = convergence_check(args.n, chi, twist, range(1, args.levels + 1), ctx)
     doc = report.to_json()
     doc["char"] = chi.to_json()
     rows = [["level", "valuation", "exact"]]

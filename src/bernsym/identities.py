@@ -533,8 +533,9 @@ class GridConfig:
         for mode in self.modes:
             if mode not in ("as-stated", "normalized"):
                 raise ParameterError(f"unknown mode {mode!r}")
-        # count a repeated mode once, as grid_instances dedups every other list
+        # count a repeated mode or label once, as grid_instances dedups the rest
         object.__setattr__(self, "modes", tuple(dict.fromkeys(self.modes)))
+        object.__setattr__(self, "char_labels", tuple(dict.fromkeys(self.char_labels)))
         # values that leave nothing to verify are the user's error, not skips
         require_series_order(self.n_max, "n_max")
         if min(self.w_components) < 1:

@@ -14,10 +14,10 @@ computed by the one class sum that also gives the power sums and the
 character-sum series (`bernoulli.twisted_sum`): each class mod
 lcm(r, chi.d) is one progression (`exactnum.progression_sums`), so a level
 costs about lcm(r, chi.d) (deg f + 1)^2 integer operations, whatever N
-is.  The refusal of a level whose d p^N residues times deg f + 1 exceed
-MAX_HORNER_STEPS is kept from the residue walk the closed form replaced,
-until a cost model for the closed form takes its place.  Every power z^(d p^N) is read from d p^N mod r
-(`_span_exponent`), so p^N is never formed.
+is.  Every power z^(d p^N) is read from d p^N mod r (`_span_exponent`),
+so p^N is never formed.  The measure's preconditions (`_measure_exponent`)
+and the level ceiling (`_level_span`) each have one home, checked before
+any work.
 """
 
 from __future__ import annotations
@@ -28,20 +28,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bernoulli import ParameterError, TwistSpec, gen_bernoulli_numbers, require_twist_order, twisted_sum
+from .bernoulli import (MAX_SERIES_ORDER, ParameterError, TwistSpec, gen_bernoulli_numbers,
+                        require_twist_order, twisted_sum)
 from .dirichlet import DirichletCharacter, trivial_character
 from .exactnum import CyclotomicNumber, _adjugate, _power_vec, _vec_mul_mod, euler_phi
 
 DEFAULT_PRECISION = 40
 GUARD_BAND = 4
-# Horner steps one Riemann-sum level may span, d p^N residues times deg f + 1
-# steps each: the cost of the residue walk that the closed-form class sums
+# d p^N residues times deg f + 1 terms one Riemann-sum level may span: the
+# size of the residue walk, one Horner step per term, that the class sums
 # replaced, which took 2-3 s at the ceiling on a 2-core Xeon.  A level at the
 # ceiling now takes under a millisecond there; the refusal stays until a
 # cost model for the closed form replaces it
 MAX_HORNER_STEPS = 20_000_000
-# residues one level may walk at all: the ceiling at deg f = 0
-MAX_RESIDUES = MAX_HORNER_STEPS
 # bits of the modulus p^M, counted as M * bit_length(p): ring elements are
 # p^M-sized integers and an inverse multiplies them unreduced, so the cost
 # grows faster than M.  At the ceiling a four-level run with phi(r) <= 6
@@ -252,25 +251,31 @@ class MeasureQuery:
             raise ParameterError("residue must be nonnegative")
 
 
-def _level_span(d: int, p: int, level: int, steps: int = 1) -> int:
-    """d p^N, the number of residues a level-N sum walks, refused when they
-    and `steps` Horner steps each exceed MAX_HORNER_STEPS; p >= 2, so
-    capping N at the ceiling's bit length keeps p^N small and still over
-    the ceiling for an absurd N."""
+def _level_span(d: int, p: int, level: int, steps: int) -> int:
+    """d p^N, the residues of a level-N sum, refused when they times
+    `steps` = deg f + 1 >= 1 terms each exceed MAX_HORNER_STEPS: the one
+    level ceiling.  p >= 2, so capping N at the ceiling's bit length keeps
+    p^N small and still over the ceiling for an absurd N."""
     if d < 1 or level < 0:
         raise ParameterError("need d >= 1 and level N >= 0")
-    span = d * p ** min(level, MAX_RESIDUES.bit_length())
-    if span > MAX_RESIDUES:
-        raise ParameterError(
-            f"level {level} walks d*p^N = {d}*{p}^{level} residues, "
-            f"more than the ceiling of {MAX_RESIDUES}"
-        )
+    span = d * p ** min(level, MAX_HORNER_STEPS.bit_length())
     if span * steps > MAX_HORNER_STEPS:
         raise ParameterError(
-            f"level {level} walks d*p^N = {d}*{p}^{level} = {span} residues of deg f + 1 = {steps} "
-            f"Horner steps each, more than the ceiling of {MAX_HORNER_STEPS} steps"
+            f"level {level} spans d*p^N = {d}*{p}^{level} residues of deg f + 1 = {steps} "
+            f"terms each, more than the ceiling of {MAX_HORNER_STEPS}"
         )
     return span
+
+
+def _measure_exponent(ctx: PadicContext, twist: TwistSpec, twist_exp: int) -> int:
+    """The exponent j twist_exp of z = xi^twist_exp, refused unless the
+    ring's order is the twist's and z != 1: the measure's preconditions."""
+    if ctx.r != twist.r:
+        raise ParameterError("ring and twist orders differ")
+    z_exp = twist.j * twist_exp
+    if z_exp % twist.r == 0:
+        raise ParameterError("z = 1 does not define a measure")
+    return z_exp
 
 
 def _span_exponent(ctx: PadicContext, z_exp: int, d: int, level: int) -> int:
@@ -290,17 +295,13 @@ def measure_value(query: MeasureQuery, twist: TwistSpec, ctx: PadicContext) -> P
 
     z has order r, so z^(d p^N) is read from d p^N mod r: the cost does not
     grow with the level."""
-    if ctx.r != twist.r:
-        raise ParameterError("ring and twist orders differ")
+    z_exp = _measure_exponent(ctx, twist, query.twist_exp)
     # p^k > residue at k = residue.bit_length(), so capping N there decides
     # residue < d p^N without forming a p^N that grows with the level
     if query.residue >= query.d * ctx.p ** min(query.level, query.residue.bit_length()):
         raise ParameterError(
             f"residue {query.residue} outside 0..d*p^N - 1 = {query.d}*{ctx.p}^{query.level} - 1"
         )
-    z_exp = twist.j * query.twist_exp
-    if z_exp % twist.r == 0:
-        raise ParameterError("z = 1 does not define a measure")
     den_inv = _denominator_inverse(ctx, _span_exponent(ctx, z_exp, query.d, query.level))
     return ctx.x_power(z_exp * query.residue) * den_inv
 
@@ -312,9 +313,9 @@ def riemann_sum(f_coeffs: Sequence, chi: Optional[DirichletCharacter],
 
     f is a polynomial given by rational coefficients (low degree first)
     whose denominators must be prime to p; when chi is supplied its order
-    must divide r so the values embed in the ring.  Levels whose d p^N
-    residues times deg f + 1 exceed MAX_HORNER_STEPS are refused before
-    any work.
+    must divide r so the values embed in the ring.  Every input is checked
+    before any work, the level against the ceiling on d p^N residues times
+    deg f + 1 terms (`_level_span`).
 
     mu(a + d p^N Z_p) = z^a / (z^(d p^N) - 1), so the sum is the twisted
     power sum sum_{a < d p^N} chi(a) z^a f(a), with f's coefficients taken
@@ -323,8 +324,7 @@ def riemann_sum(f_coeffs: Sequence, chi: Optional[DirichletCharacter],
     z^(d p^N) - 1.
     """
     span = _level_span(d, ctx.p, level, max(1, len(f_coeffs)))
-    if ctx.r != twist.r:
-        raise ParameterError("ring and twist orders differ")
+    z_exp = _measure_exponent(ctx, twist, twist_exp)
     fracs = [Fraction(c) for c in f_coeffs]
     for c in fracs:
         if c.denominator % ctx.p == 0:
@@ -333,9 +333,6 @@ def riemann_sum(f_coeffs: Sequence, chi: Optional[DirichletCharacter],
         raise ParameterError(
             f"character order {chi.order} does not divide r={ctx.r}; values do not embed"
         )
-    z_exp = twist.j * twist_exp
-    if z_exp % twist.r == 0:
-        raise ParameterError("z = 1 does not define a measure")
 
     mod = ctx.modulus
     terms = [(i, c.numerator * pow(c.denominator, -1, mod) % mod) for i, c in enumerate(fracs) if c]
@@ -351,7 +348,7 @@ def distribution_check(twist: TwistSpec, d: int, level: int, residue: int,
     a + d p^N Z_p sum to its measure.  Every power of z is read from
     d p^N mod r, so the cost does not grow with the level."""
     coarse = measure_value(MeasureQuery(d, level, twist_exp, residue), twist, ctx)
-    z_exp = twist.j * twist_exp
+    z_exp = _measure_exponent(ctx, twist, twist_exp)
     step = _span_exponent(ctx, z_exp, d, level)
     fine_den_inv = _denominator_inverse(ctx, _span_exponent(ctx, z_exp, d, level + 1))
     total = ctx.zero()
@@ -409,12 +406,22 @@ def convergence_check(moment: int, chi: DirichletCharacter, twist: TwistSpec,
     exactly zero at every level, the level-exact case), so at least two
     distinct levels are needed.  Verdicts only trust valuations below M
     minus a guard band.
-    """
+
+    Every input is refused before any work: the least and largest levels
+    (a range's ends, so it is not walked) and B_{n+1}'s series order are
+    checked before the levels are listed or the target is built."""
     d = chi.d
-    if ctx.r != twist.r:
-        raise ParameterError("ring and twist orders differ")
+    _measure_exponent(ctx, twist, 1)
     if moment < 0:
         raise ParameterError("moment index must be nonnegative")
+    ends = (levels[0], levels[-1]) if isinstance(levels, range) and levels else levels
+    if len(set(ends)) < 2:
+        raise ParameterError("need at least two distinct levels")
+    for level in (min(ends), max(ends)):
+        _level_span(d, ctx.p, level, moment + 1)
+    if moment + 1 > MAX_SERIES_ORDER:
+        raise ParameterError(f"moment n={moment} needs B_(n+1) at series order {moment + 1}, "
+                             f"above the ceiling of {MAX_SERIES_ORDER}")
     if ctx.p <= moment + 1:
         raise ParameterError(f"need p > n+1 = {moment + 1} to keep 1/(n+1) a unit")
     if ctx.r % chi.order:
@@ -422,9 +429,6 @@ def convergence_check(moment: int, chi: DirichletCharacter, twist: TwistSpec,
     if math.gcd(twist.r, ctx.p * d) != 1:
         raise ParameterError("need gcd(r, p*d) = 1")
     levels = list(levels)
-    if len(set(levels)) < 2:
-        raise ParameterError("need at least two distinct levels")
-    _level_span(d, ctx.p, max(levels), moment + 1)
 
     target_ring = embed_algebraic(_moment_target(chi, twist, moment), ctx)
 
@@ -436,14 +440,9 @@ def convergence_check(moment: int, chi: DirichletCharacter, twist: TwistSpec,
         valuations.append(diff.valuation())
         exact.append(diff.is_zero())
 
-    if all(exact):
-        passed = True
-    else:
-        trusted_cap = ctx.M - GUARD_BAND
-        vals = valuations
-        monotone = all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
-        growing = vals[-1] > vals[0]
-        trustworthy = vals[0] < trusted_cap
-        passed = monotone and growing and trustworthy
+    monotone = all(a <= b for a, b in zip(valuations, valuations[1:]))
+    growing = valuations[-1] > valuations[0]
+    trustworthy = valuations[0] < ctx.M - GUARD_BAND
+    passed = all(exact) or (monotone and growing and trustworthy)
     return ConvergenceReport(moment, ctx.p, ctx.M, ctx.r, twist.j, d,
                              levels, valuations, exact, passed)

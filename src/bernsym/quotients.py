@@ -625,9 +625,7 @@ def closed_form_series(qt: QuotientType, w: Sequence[int], y: Sequence,
     require_series_order(order)
     ctx = ctx or EvalContext(chi, twist)
     _check_conditions(qt, twist, w)
-    y = tuple(Fraction(v) for v in y)
-    if len(y) < qt.y_count:
-        raise ParameterError(f"{qt.name} needs {qt.y_count} y value(s)")
+    y = _y_point(qt, y)
     product = _closed_product(qt, w, ctx, order)
     return product.mul_exp(_closed_rate(qt, w, y)).shift_up(qt.shift).truncate(order)
 
@@ -647,10 +645,17 @@ def _closed_product(qt: QuotientType, w: Sequence[int], ctx: EvalContext, order:
     return functools.reduce(operator.mul, factors)
 
 
+def _y_point(qt: QuotientType, y: Sequence) -> tuple[Fraction, ...]:
+    """The y_1, .., y_k of a y-point that the type reads, k = y_count."""
+    if len(y) < qt.y_count:
+        raise ParameterError(f"{qt.name} needs {qt.y_count} y value(s)")
+    return tuple(Fraction(v) for v in y[:qt.y_count])
+
+
 def _closed_rate(qt: QuotientType, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
     """c(y) of the closed form's exp(c(y)*t): the sum of the y-multiplier
-    monomials times y_1 + .. + y_k."""
-    return sum(mono_val(mono, w) for mono in qt.ymul) * sum(y[:qt.y_count], Fraction(0))
+    monomials times y_1 + .. + y_k, y as `_y_point` returns it."""
+    return sum(mono_val(mono, w) for mono in qt.ymul) * sum(y, Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -717,10 +722,7 @@ def consistency_check(qt: QuotientType, w: Sequence[int], y: Sequence,
     one chain multiply it once and a long-lived context gains nothing."""
     require_series_order(n_max, "n_max")
     ctx = ctx or EvalContext(chi, twist)
-    y = tuple(Fraction(v) for v in y)
-    need = qt.y_count
-    if len(y) < need:
-        y = y + (Fraction(0),) * (need - len(y))
+    y = _y_point(qt, y)
     _check_conditions(qt, twist, w)
     core = _closed_product(qt, w, ctx, n_max).shift_up(qt.shift).truncate(n_max)
     rate = _closed_rate(qt, w, y)

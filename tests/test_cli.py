@@ -273,13 +273,13 @@ def test_padic_level_over_ceiling_usage_error(monkeypatch):
     monkeypatch.setattr(padic, "twisted_sum", walk)
     code, out, err = run_cli(["padic", "--p", "7", "--r", "3", "--n", "1", "--levels", "30"])
     assert code == 2
-    assert err == (f"error: level 30 walks d*p^N = 1*7^30 residues, "
-                   f"more than the ceiling of {padic.MAX_RESIDUES}\n")
+    assert err == ("error: level 30 spans d*p^N = 1*7^30 residues of deg f + 1 = 2 terms each, "
+                   f"more than the ceiling of {padic.MAX_HORNER_STEPS}\n")
     assert out == ""
 
 
 def test_padic_high_degree_over_ceiling_usage_error(monkeypatch):
-    # 101^3 residues are under the ceiling, but not at 91 Horner steps each
+    # 101^3 residues are under the ceiling, but not at 91 terms each
     from bernsym import padic
 
     def walk(*args, **kwargs):
@@ -290,8 +290,8 @@ def test_padic_high_degree_over_ceiling_usage_error(monkeypatch):
     monkeypatch.setattr(padic, "twisted_sum", walk)
     code, out, err = run_cli(["padic", "--p", "101", "--r", "3", "--n", "90", "--levels", "3"])
     assert code == 2
-    assert err == ("error: level 3 walks d*p^N = 1*101^3 = 1030301 residues of deg f + 1 = 91 "
-                   f"Horner steps each, more than the ceiling of {padic.MAX_HORNER_STEPS} steps\n")
+    assert err == ("error: level 3 spans d*p^N = 1*101^3 residues of deg f + 1 = 91 terms each, "
+                   f"more than the ceiling of {padic.MAX_HORNER_STEPS}\n")
     assert out == ""
 
 
@@ -320,6 +320,55 @@ def test_padic_single_level_usage_error():
     assert code == 2
     assert err == "error: need at least two distinct levels\n"
     assert out == ""
+
+
+def _refuse_padic_work(monkeypatch):
+    from bernsym import padic
+
+    def work(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    monkeypatch.setattr(padic, "gen_bernoulli_numbers", work)
+    monkeypatch.setattr(padic, "twisted_sum", work)
+
+
+def test_padic_levels_refused_before_they_are_listed(monkeypatch):
+    # levels 1..K are a range read from its ends: listing K = 2*10^6 of them
+    # first took about 0.3 s and 200 MB before the ceiling refused them
+    import tracemalloc
+
+    _refuse_padic_work(monkeypatch)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run_cli(["padic", "--p", "5", "--r", "3", "--n", "1", "--levels", "2000000"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: level 2000000 spans d*p^N = 1*5^2000000 residues")
+    assert elapsed < 0.5
+    assert peak < 1_000_000
+
+
+def test_padic_moment_over_series_ceiling_names_the_moment(monkeypatch):
+    from bernsym.bernoulli import MAX_SERIES_ORDER
+
+    _refuse_padic_work(monkeypatch)
+    n = MAX_SERIES_ORDER
+    code, out, err = run_cli(["padic", "--p", "67", "--r", "3", "--n", str(n), "--levels", "2"])
+    assert (code, out) == (2, "")
+    assert err == (f"error: moment n={n} needs B_(n+1) at series order {n + 1}, "
+                   f"above the ceiling of {MAX_SERIES_ORDER}\n")
+
+
+def test_padic_precision_defaults_to_the_library_default():
+    from bernsym import padic
+
+    code, out, _ = run_cli(["padic", "--p", "5", "--r", "3", "--n", "1", "--levels", "2"])
+    assert code == 0
+    assert json.loads(out)["M"] == padic.DEFAULT_PRECISION
 
 
 def test_audit_roundtrip(tmp_path):
@@ -513,6 +562,20 @@ def test_grid_file_repeated_mode_counts_once(tmp_path):
         assert code == 0
         docs.append(json.loads(out))
     assert docs[0]["summary"] == docs[1]["summary"]
+    assert docs[0]["summary"][0]["pass"] == 4
+
+
+def test_grid_file_repeated_char_label_counts_once(tmp_path):
+    docs = []
+    for labels in ("5:1;5:1", "5:1"):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("theorems = 1\nd = 5\nchars = explicit\n"
+                       f"char_labels = {labels}\nr = 3\nw_components = 1,2\nn_max = 1\n")
+        code, out, _ = run_cli(["audit", "--grid-file", str(cfg)])
+        assert code == 0
+        docs.append(json.loads(out))
+    assert docs[0]["summary"] == docs[1]["summary"]
+    assert docs[0]["instances"] == docs[1]["instances"]
     assert docs[0]["summary"][0]["pass"] == 4
 
 

@@ -7,6 +7,7 @@ bernsym defines: each further part must resolve by getattr.  Other dotted
 names (``ctx.side_memo``, file names) are not checked.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -54,3 +55,17 @@ def test_backticked_names_resolve():
     assert len(cited) >= 30   # the check reads the docs at all
     stale = [f"{path}: {name}" for path, name in cited if not _resolves(roots, name)]
     assert not stale, stale
+
+
+def test_every_size_ceiling_is_cited():
+    # each module-level MAX_* constant of src/bernsym is cited in README.md
+    # as `module.NAME`, which test_backticked_names_resolve keeps resolving
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    ceilings = [f"{path.stem}.{target.id}"
+                for path in sorted((ROOT / "src" / "bernsym").glob("*.py"))
+                for node in ast.parse(path.read_text(encoding="utf-8")).body if isinstance(node, ast.Assign)
+                for target in node.targets
+                if isinstance(target, ast.Name) and target.id.startswith("MAX_")]
+    assert len(ceilings) >= 7   # the check reads the modules at all
+    missing = [name for name in ceilings if f"`{name}`" not in readme]
+    assert not missing, missing

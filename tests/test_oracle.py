@@ -8,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from bernsym.bernoulli import TwistSpec, gen_bernoulli_numbers
+from bernsym.bernoulli import TwistSpec, gen_bernoulli_numbers, gen_bernoulli_poly
 from bernsym.dirichlet import trivial_character
 from bernsym.exactnum import CyclotomicNumber, cyclotomic_polynomial, divisors, euler_phi
 from bernsym.padic import MAX_PRIME, _is_prime
@@ -241,15 +241,17 @@ def _monomial(mono, w):
 class _ClosedFormOracle:
     """The closed form t^s * prod_W (T_W/D_W) * prod_V D_V * exp(c*t) of one
     quotient type, T_W = sum_{a<d} chi(a) xi^(aW) e^(aWt) and
-    D_W = xi^(dW) e^(dWt) - 1, as lists of coefficients of t^n."""
+    D_W = xi^(dW) e^(dWt) - 1, and the Bernoulli numbers and polynomials,
+    as lists of coefficients of t^n.  At d = 1 chi is trivial, and its one
+    term is a = 0 with chi(0) = 1."""
 
     def __init__(self, d, e, r, order):
-        chi_order = (d - 1) // math.gcd(d - 1, e)
+        chi_order = (d - 1) // math.gcd(d - 1, e) if d > 1 else 1
         self.d, self.r, self.order = d, r, order
         self.m = math.lcm(r, chi_order)
         self.modulus = phi_poly(self.m)
-        g = primitive_root(d, smallest=True)
-        self.chi = {}       # a -> the exponent of zeta_m that is chi(a)
+        self.chi = {0: 0} if d == 1 else {}     # a -> the exponent of zeta_m that is chi(a)
+        g = primitive_root(d, smallest=True) if d > 1 else None
         for a in range(1, d):
             exponent = sympy.Rational(e * discrete_log(d, a, g) * self.m, d - 1)
             assert exponent.q == 1
@@ -283,9 +285,19 @@ class _ClosedFormOracle:
                              (self.constant(-1), 0)])
 
     def ratio(self, big_w):
-        numerator = self.exp_sum([(self.zeta(self.chi[a] + self.m // self.r * a * big_w), a * big_w)
-                                  for a in range(1, self.d)])
+        numerator = self.exp_sum([(self.zeta(e + self.m // self.r * a * big_w), a * big_w)
+                                  for a, e in self.chi.items()])
         return self.div(numerator, self.denominator(big_w))
+
+    def bernoulli(self, w, x=Fraction(0)):
+        """B_{n,chi,xi^w}(x) for n <= order: n! [t^n] of
+        t * sum_{a<d} chi(a) xi^(wa) e^((a+x)t) / (xi^(wd) e^(dt) - 1)."""
+        numerator = self.exp_sum([(self.zeta(e + self.m // self.r * w * a), a + x)
+                                  for a, e in self.chi.items()])
+        denominator = self.exp_sum([(self.zeta(self.m // self.r * w * self.d), self.d),
+                                    (self.constant(-1), 0)])
+        quotient = self.div(numerator, denominator)
+        return [self.constant(0)] + [quotient[n - 1] * math.factorial(n) for n in range(1, self.order + 1)]
 
     def closed_form(self, qt, w, y):
         series = self.exp_sum([(self.constant(1), 0)])
@@ -314,6 +326,27 @@ def test_closed_forms_match_the_sympy_product_of_their_rows(d, e, r):
         expected = oracle.closed_form(qt, w, CLOSED_FORM_Y)
         phi = int(totient(oracle.m))
         assert [c.coefficients() for c in series.coeffs] == [coordinates(p, phi) for p in expected], (qt.name, w)
+
+
+BERNOULLI_ORDER = 6
+BERNOULLI_X = (Fraction(1, 2), Fraction(-5, 3))
+
+
+@pytest.mark.parametrize("d,e,r", CLOSED_FORM_CONTEXTS + [(1, 0, 3), (1, 0, 4)])
+def test_bernoulli_numbers_and_polynomials_match_the_sympy_egf(d, e, r):
+    # B(x) is read from e^(xt) in the EGF, never from the binomial sum
+    oracle = _ClosedFormOracle(d, e, r, BERNOULLI_ORDER)
+    chi, twist = (DirichletCharacter(d, (e,)) if d > 1 else trivial_character(1)), TwistSpec(r, 1)
+    phi = int(totient(oracle.m))
+    for w in (1, 2, 3):
+        if w * d % r == 0:
+            continue
+        numbers = gen_bernoulli_numbers(chi, twist, w, BERNOULLI_ORDER)
+        assert [b.coefficients() for b in numbers] == [coordinates(p, phi) for p in oracle.bernoulli(w)], w
+        for x in BERNOULLI_X:
+            values = [gen_bernoulli_poly(chi, twist, w, n)(x) for n in range(BERNOULLI_ORDER + 1)]
+            expected = oracle.bernoulli(w, x)
+            assert [v.coefficients() for v in values] == [coordinates(p, phi) for p in expected], (w, x)
 
 
 # The character-sum series against sympy's sums over each class: at each

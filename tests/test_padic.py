@@ -264,6 +264,18 @@ def test_riemann_sum_rejects_mismatched_ring_order():
         riemann_sum([1], None, Z3, 1, 1, PadicContext(5, 20, 6))
 
 
+@pytest.mark.parametrize("measure", [
+    lambda ctx, e: measure_value(MeasureQuery(1, 1, e, 0), Z3, ctx),
+    lambda ctx, e: riemann_sum([1], None, Z3, 1, 1, ctx, twist_exp=e),
+    lambda ctx, e: distribution_check(Z3, 1, 1, 0, ctx, twist_exp=e),
+], ids=["measure_value", "riemann_sum", "distribution_check"])
+def test_measure_preconditions_refuse_z_one_and_a_foreign_ring(measure):
+    with pytest.raises(ParameterError, match="^z = 1 does not define a measure$"):
+        measure(CTX, 3)
+    with pytest.raises(ParameterError, match="^ring and twist orders differ$"):
+        measure(PadicContext(5, 20, 4), 1)
+
+
 def test_riemann_sum_refuses_level_over_ceiling(monkeypatch):
     def walk(*args):
         raise AssertionError("the walk started")
@@ -273,7 +285,7 @@ def test_riemann_sum_refuses_level_over_ceiling(monkeypatch):
     with pytest.raises(ParameterError, match="ceiling"):
         riemann_sum([1], None, Z3, 1, 40, CTX)
     with pytest.raises(ParameterError, match="ceiling"):
-        riemann_sum([1], None, Z3, padic.MAX_RESIDUES + 1, 0, CTX)
+        riemann_sum([1], None, Z3, padic.MAX_HORNER_STEPS + 1, 0, CTX)
     with pytest.raises(ParameterError):
         riemann_sum([1], None, Z3, 1, -1, CTX)
 
@@ -287,10 +299,33 @@ def test_riemann_sum_ceiling_counts_horner_steps(monkeypatch):
     ctx = PadicContext(101, 40, 3)
     # 101^3 residues at deg f = 0 are under the ceiling; at deg f = 90 they are not
     assert padic._level_span(1, 101, 3, 1) == 101 ** 3
-    with pytest.raises(ParameterError, match="91 Horner steps each, more than the ceiling"):
+    with pytest.raises(ParameterError, match="91 terms each, more than the ceiling"):
         riemann_sum([0] * 90 + [1], None, Z3, 1, 3, ctx)
     # the largest request of criterion 9 (d = 4, p = 7, level 6, moment 3) fits
     assert padic._level_span(4, 7, 6, 4) == 4 * 7 ** 6
+
+
+def _two_branch_refusal(d, p, level, steps):
+    """The level rule before the ceiling had one branch: d p^N residues over
+    the residue ceiling, which equalled MAX_HORNER_STEPS, or those residues
+    times deg f + 1 steps over MAX_HORNER_STEPS."""
+    ceiling = padic.MAX_HORNER_STEPS
+    span = d * p ** min(level, ceiling.bit_length())
+    return span > ceiling or span * steps > ceiling
+
+
+@pytest.mark.parametrize("d", [1, 4, 200])
+@pytest.mark.parametrize("p", [2, 5, 101])
+def test_level_span_refuses_what_the_two_branch_rule_refused(d, p):
+    for level in [*range(31), 10 ** 6]:
+        for steps in (1, 2, 91, 10 ** 7):
+            try:
+                span = padic._level_span(d, p, level, steps)
+            except ParameterError:
+                assert _two_branch_refusal(d, p, level, steps), (level, steps)
+            else:
+                assert not _two_branch_refusal(d, p, level, steps), (level, steps)
+                assert span == d * p ** level
 
 
 FRACTIONS = st.builds(Fraction, st.integers(-20, 20), st.sampled_from([1, 2, 3, 4, 6, 9]))
@@ -363,11 +398,13 @@ def test_convergence_refuses_level_over_ceiling(monkeypatch):
     monkeypatch.setattr(padic, "gen_bernoulli_numbers", walk)
     monkeypatch.setattr(padic, "riemann_sum", walk)
     monkeypatch.setattr(padic, "twisted_sum", walk)
-    with pytest.raises(ParameterError, match="ceiling"):
-        convergence_check(1, trivial_character(1), Z3, [1, 30, 2], PadicContext(5, 40, 3))
+    # a range of levels is read from its ends, never walked
+    for levels in ([1, 30, 2], range(1, 10 ** 18), range(10 ** 18, 0, -1)):
+        with pytest.raises(ParameterError, match="ceiling"):
+            convergence_check(1, trivial_character(1), Z3, levels, PadicContext(5, 40, 3))
 
 
-@pytest.mark.parametrize("levels", [[], [3], [2, 2]])
+@pytest.mark.parametrize("levels", [[], [3], [2, 2], range(0), range(3, 4)])
 def test_convergence_needs_two_distinct_levels(levels, monkeypatch):
     # the verdict compares the last level with the first, so one level
     # would always fail
@@ -377,3 +414,24 @@ def test_convergence_needs_two_distinct_levels(levels, monkeypatch):
     monkeypatch.setattr(padic, "riemann_sum", walk)
     with pytest.raises(ParameterError, match="^need at least two distinct levels$"):
         convergence_check(1, trivial_character(1), Z3, levels, PadicContext(5, 40, 3))
+
+
+def test_convergence_refuses_before_any_work(monkeypatch):
+    # a range of levels gives the report of its list, and a negative level
+    # or a moment past the series ceiling is refused before the target is
+    # built
+    def work(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    ctx = PadicContext(67, 40, 3)
+    assert convergence_check(1, trivial_character(1), Z3, range(1, 4), ctx) == \
+        convergence_check(1, trivial_character(1), Z3, [1, 2, 3], ctx)
+    monkeypatch.setattr(padic, "gen_bernoulli_numbers", work)
+    monkeypatch.setattr(padic, "twisted_sum", work)
+    with pytest.raises(ParameterError, match="level N >= 0"):
+        convergence_check(1, trivial_character(1), Z3, range(-10 ** 18, 3), ctx)
+    with pytest.raises(ParameterError, match="level N >= 0"):
+        convergence_check(1, trivial_character(1), Z3, [2, 1, -1], ctx)
+    top = padic.MAX_SERIES_ORDER
+    with pytest.raises(ParameterError, match=f"^moment n={top} needs B_\\(n\\+1\\) at series order {top + 1}, "):
+        convergence_check(top, trivial_character(1), Z3, [1, 2], ctx)

@@ -384,6 +384,19 @@ def test_consistency_weight_direction():
     assert closed.egf_coefficient(1) == b1_z3()
 
 
+def test_consistency_reads_the_y_values_of_its_type():
+    # the y-point rule of closed_form_series: a short y is refused, not
+    # padded with zeros, and values past y_count are not reported
+    g0 = parse_quotient_type("G0")
+    assert g0.y_count == 2
+    for check in (consistency_check, closed_form_series):
+        with pytest.raises(ParameterError, match=r"^G0 needs 2 y value\(s\)$"):
+            check(g0, (1, 2), (), CHI1, Z3, 2)
+    rep = consistency_check(g0, (1, 2), (1, 2, 3, 4), CHI1, Z3, 2)
+    assert rep.passed and rep.to_json()["y"] == ["1", "2"]
+    assert rep.to_json() == consistency_check(g0, (1, 2), (1, 2), CHI1, Z3, 2).to_json()
+
+
 def test_mutation_breaks_consistency():
     qt = parse_quotient_type("L23:1")
     chi = DirichletCharacter(4, (1,))
