@@ -10,20 +10,22 @@ plain twisted Bernoulli number.  Power sums S_k(n; chi, xi) use the
 convention 0^0 = 1, which is what makes the closed quotient identity hold
 at k = 0.  The power sums, the character-sum series (whose t^k/k!
 coefficients they are) and the p-adic Riemann sums are all one class sum
-of integer polynomials (`_class_sums`).
+of integer polynomials (`_class_sums`), read from cached class moments
+(`_class_moments`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .dirichlet import DirichletCharacter
 from .errors import ParameterError
-from .exactnum import CyclotomicNumber, Scalar, euler_phi, progression_sums
+from .exactnum import CyclotomicNumber, Scalar, _power_sums, euler_phi
 from .series import NonUnitConstantError, TruncatedSeries
 
 # Ceilings on the field every series lives in, checked before any work.  An
@@ -133,10 +135,11 @@ def character_sum_series(chi: DirichletCharacter, twist: TwistSpec, w: int,
     `upper` defaults to the modulus d.
 
     Its t^k/k! coefficient is the power sum S_k(upper - 1; chi, xi^w), so
-    its rows are the class sums of x^0..x^order (`_class_sums`): each class
-    walks at most order + 1 terms, and a longer one reads one
-    `_power_sums` table for every k, so the cost does not grow with
-    upper."""
+    its rows are the class sums of x^0..x^order (`_class_sums`): past
+    order + 1 + lcm(d, r) terms each row reads the class moments and one
+    `_power_sums` table, so the cost does not grow with upper, and no class
+    is read once the moments of the order and of (upper mod lcm(d, r)) are
+    cached; a shorter sum is walked term by term."""
     upper = chi.d if upper is None else upper
     monomials = [[(k, 1)] for k in range(order + 1)]
     return TruncatedSeries.from_egf_rows(field_conductor(chi, twist),
@@ -210,26 +213,94 @@ def _class_weights(chi: DirichletCharacter, twist: TwistSpec,
     return tuple((c, tuple((i, x) for i, x in enumerate(weight.num) if x)) for c, weight in weights if weight)
 
 
+# Entries of the class-moment cache (`_class_moments`), least recently used
+# first out.  An entry holds the nonzero coordinates of deg + 1 moments, the
+# k-th of about k log2(L) bits: deg <= MAX_SERIES_ORDER, phi(m) <=
+# MAX_FIELD_DEGREE and L = lcm(d, r) <= 40,000 put the worst entry at about
+# 1.3 MB (d = 199, r = 197), so the whole cache at about 82 MB.  The
+# working set of the `padic_moments` pool is 27 entries of at most 600 B,
+# which the bound holds twice over; the first 3,000 ops of
+# `consistency_sample` read 230 distinct entries of at most 5.6 KB, 29% of
+# the reads repeating, which no small bound holds, and each rebuild is one
+# pass over at most L classes
+MOMENT_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=MOMENT_CACHE_SIZE)
+def _class_moments(chi: DirichletCharacter, twist: TwistSpec, w: int, rho: int,
+                   degree: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """M_rho(k) = sum_{c<rho} chi(c) xi^(wc) c^k for k = 0..degree, with
+    0^0 = 1, built in one pass over `_class_weights`: each coordinate of the
+    field conductor that some class c < rho touches, with its integers in
+    M_rho(0), ..., M_rho(degree)."""
+    columns: dict[int, list[int]] = {}
+    for c, coords in _class_weights(chi, twist, w):
+        if c >= rho:
+            break
+        powers = [c ** k for k in range(degree + 1)]
+        for i, x in coords:
+            column = columns.get(i, [0] * (degree + 1))
+            columns[i] = [m + x * y for m, y in zip(column, powers)]
+    return tuple((i, tuple(column)) for i, column in sorted(columns.items()))
+
+
 def _class_sums(polys: Sequence[Sequence[tuple[int, int]]], upper: int, chi: DirichletCharacter,
                 twist: TwistSpec, w: int) -> list[list[int]]:
     """The integer vectors of sum_{a=0}^{upper} chi(a) xi^{wa} f(a) at the
-    field conductor, one for each integer polynomial f of `polys` given as
+    field conductor, one for each integer polynomial f of `polys`, given as
     its (i, f_i) terms, with 0^0 = 1: the one class sum behind the power
     sums, the character-sum series and the p-adic Riemann sums.
 
-    chi(a) xi^(wa) depends only on a mod L = lcm(d, r), so each f sums over
-    each class c, c + L, ... <= upper to an exact integer
-    (`exactnum.progression_sums`), added onto the nonzero coordinates of
-    the class's weight.  The cost does not grow with upper."""
+    chi(a) xi^(wa) depends only on a mod L = lcm(d, r).  Write
+    upper + 1 = qL + rho with 0 <= rho < L: the a = c + jL with j < q fill q
+    whole periods, and the rest are qL + c with c < rho.  So with the class
+    moments M_rho (`_class_moments`) and S_e(q) = sum_{j<q} (jL)^e
+    (`exactnum._power_sums`),
+
+        sum_{a<=upper} chi(a) xi^(wa) a^i
+            = sum_{e<=i} C(i, e) (S_e(q) M_L(i - e) + (qL)^e M_rho(i - e)).
+
+    Each f folds into one integer per moment, and a half with q = 0 or
+    rho = 0 is skipped.  With T the terms of all f, that costs about
+    (deg + 1)^2 integer operations for the `_power_sums` table, T (deg + 1)
+    for the folds and one dot product per f and coordinate a table
+    touches, plus deg + 1 powers for each of the L + rho classes when the
+    two tables are built; once they are cached a call loops over no class,
+    whatever upper is.  When walking the upper + 1 terms of every f,
+    T (upper + 1) powers, costs no more than the moments would with nothing
+    cached, about (deg + 1)(deg + 1 + L), the terms are walked class by
+    class instead: both ways give the same integers."""
     period = math.lcm(chi.d, twist.r)
+    degree = max([i for f in polys for i, _ in f], default=0)
+    count = max(upper + 1, 0)
+    w %= twist.r
     totals = [[0] * euler_phi(field_conductor(chi, twist)) for _ in polys]
-    for c, coords in _class_weights(chi, twist, w % twist.r):
-        if c > upper:
-            break
-        for total, s in zip(totals, progression_sums(polys, c, period, (upper - c) // period + 1)):
-            if s:
-                for i, x in coords:
-                    total[i] += x * s
+    if count * sum(map(len, polys)) <= (degree + 1) * (degree + 1 + period):
+        for c, coords in _class_weights(chi, twist, w):
+            if c >= count:
+                break
+            points = range(c, count, period)
+            for total, f in zip(totals, polys):
+                s = sum(x * sum([a ** i for a in points]) for i, x in f)
+                if s:
+                    for k, y in coords:
+                        total[k] += y * s
+        return totals
+    q, rho = divmod(count, period)
+    halves = []  # (the sums S_e(q) or (qL)^e, the moments they multiply)
+    if q:
+        halves.append((_power_sums(q, period, degree), _class_moments(chi, twist, w, period, degree)))
+    if rho:
+        start = q * period
+        halves.append(([start ** e for e in range(degree + 1)], _class_moments(chi, twist, w, rho, degree)))
+    for total, f in zip(totals, polys):
+        for values, moments in halves:
+            folded = [0] * (max([i for i, _ in f], default=-1) + 1)  # the integer multiplying each M(k)
+            for i, x in f:
+                for e in range(i + 1):
+                    folded[i - e] += x * math.comb(i, e) * values[e]
+            for k, column in moments:
+                total[k] += sum(map(operator.mul, folded, column))
     return totals
 
 

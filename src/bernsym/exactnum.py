@@ -65,10 +65,9 @@ def divisors(m: int) -> list[int]:
 def _power_sums(count: int, step: int, degree: int) -> tuple[int, ...]:
     """sum_{j<count} (j*step)^e for e = 0..degree, with 0^0 = 1: step^e S_e,
     from the telescoping sum (e+1) S_e = count^(e+1) - sum_{i<e} C(e+1, i) S_i
-    for S_e = sum_{j<count} j^e.  The classes of one class sum share their
-    step and have at most two counts, so two entries serve a whole call;
-    the rest keep the tables of recent calls, such as the levels of a
-    p-adic convergence check."""
+    for S_e = sum_{j<count} j^e.  A class sum reads one table, for its
+    count of whole periods; the other entries keep the tables of recent
+    calls, such as the levels of a p-adic convergence check."""
     sums: list[int] = []
     row = [1]
     power = 1
@@ -77,39 +76,6 @@ def _power_sums(count: int, step: int, degree: int) -> tuple[int, ...]:
         power *= count
         sums.append((power - sum(c * s for c, s in zip(row, sums))) // (e + 1))
     return tuple(s * step ** e for e, s in enumerate(sums))
-
-
-def progression_sums(polys: Sequence[Sequence[tuple[int, int]]], start: int, step: int, count: int) -> list[int]:
-    """sum_{j<count} f(start + j*step), exactly, for each integer polynomial
-    f = sum f_i x^i of `polys`, given as its (i, f_i) terms, with step >= 1
-    and 0^0 = 1.
-
-    sum_j (start + j*step)^i = sum_e C(i, e) start^(i-e) sum_j (j*step)^e,
-    and each sum_j (j*step)^e is an exact integer, so every f reads the one
-    `_power_sums(count, step, deg)`, deg the largest degree of `polys`:
-    about (deg + 1)^2 integer operations per call for x^0..x^deg or one
-    full f, however long the progression.  A progression that costs no
-    more than that term by term, count times the terms of all f together,
-    is walked (`_progression_walk`); both ways give the same integers."""
-    degree = max([i for f in polys for i, _ in f], default=0)
-    if count * sum(map(len, polys)) <= (degree + 1) ** 2:
-        return _progression_walk(polys, range(start, start + count * step, step))
-    sums = _power_sums(count, step, degree)
-    out = []
-    for f in polys:
-        total = 0
-        for i, c in f:
-            acc = 0  # sum_e C(i, e) start^(i-e) sums[e], by Horner in start
-            for e in range(i + 1):
-                acc = acc * start + math.comb(i, e) * sums[e]
-            total += c * acc
-        out.append(total)
-    return out
-
-
-def _progression_walk(polys: Sequence[Sequence[tuple[int, int]]], points: range) -> list[int]:
-    """sum_a f(a) over the points for each f of `polys`, term by term, with 0^0 = 1."""
-    return [sum(c * sum([a ** i for a in points]) for i, c in f) for f in polys]
 
 
 def _poly_divmod_int(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:

@@ -11,13 +11,18 @@ are finite Riemann sums over residue classes whose p-adic limits are
 checked against the algebraic Bernoulli moments.  The numerator of a
 level-N sum, sum_{a < d p^N} chi(a) z^a f(a), is a twisted power sum of f,
 computed by the one class sum that also gives the power sums and the
-character-sum series (`bernoulli.twisted_sum`): each class mod
-lcm(r, chi.d) is one progression (`exactnum.progression_sums`), so a level
-costs about lcm(r, chi.d) (deg f + 1)^2 integer operations, whatever N
-is.  Every power z^(d p^N) is read from d p^N mod r (`_span_exponent`),
-so p^N is never formed.  The measure's preconditions (`_measure_exponent`)
-and the level ceiling (`_level_span`) each have one home, checked before
-any work.
+character-sum series (`bernoulli._class_sums`).  With L = lcm(r, chi.d)
+and d p^N = qL + rho it reads two tables of class moments,
+sum_{c<rho} chi(c) z^c c^k and the same below L, each built once in one
+pass over its classes and cached, and one table of the sums of (jL)^e
+over j < q: once the tables are cached a level costs about
+(deg f + 1)^2 integer operations, whatever N and L are, and a level of
+few residues is walked term by term.  A convergence check makes every
+check once and then sums each level (`_level_sum`).  The span d p^N is
+formed only under the level ceiling (`_level_span`), and every power
+z^(d p^N) is read from d p^N mod r (`_span_exponent`).  The measure's
+preconditions (`_measure_exponent`) and the level ceiling each have one
+home, checked before any work.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bernoulli import (MAX_SERIES_ORDER, ParameterError, TwistSpec, gen_bernoulli_numbers,
-                        require_twist_order, twisted_sum)
+from .bernoulli import (MAX_SERIES_ORDER, ParameterError, TwistSpec, _class_sums, gen_bernoulli_numbers,
+                        require_twist_order)
 from .dirichlet import DirichletCharacter, trivial_character
 from .exactnum import CyclotomicNumber, _adjugate, _power_vec, _vec_mul_mod, euler_phi
 
@@ -245,10 +250,16 @@ class MeasureQuery:
     residue: int
 
     def __post_init__(self):
-        if self.d < 1 or self.level < 0:
-            raise ParameterError("need d >= 1 and level N >= 0")
+        _require_level(self.d, self.level)
         if self.residue < 0:
             raise ParameterError("residue must be nonnegative")
+
+
+def _require_level(d: int, level: int) -> None:
+    """Refuse d < 1 or a negative level: the residue classes a + d p^N Z_p
+    need both."""
+    if d < 1 or level < 0:
+        raise ParameterError("need d >= 1 and level N >= 0")
 
 
 def _level_span(d: int, p: int, level: int, steps: int) -> int:
@@ -256,8 +267,7 @@ def _level_span(d: int, p: int, level: int, steps: int) -> int:
     `steps` = deg f + 1 >= 1 terms each exceed MAX_HORNER_STEPS: the one
     level ceiling.  p >= 2, so capping N at the ceiling's bit length keeps
     p^N small and still over the ceiling for an absurd N."""
-    if d < 1 or level < 0:
-        raise ParameterError("need d >= 1 and level N >= 0")
+    _require_level(d, level)
     span = d * p ** min(level, MAX_HORNER_STEPS.bit_length())
     if span * steps > MAX_HORNER_STEPS:
         raise ParameterError(
@@ -315,15 +325,10 @@ def riemann_sum(f_coeffs: Sequence, chi: Optional[DirichletCharacter],
     whose denominators must be prime to p; when chi is supplied its order
     must divide r so the values embed in the ring.  Every input is checked
     before any work, the level against the ceiling on d p^N residues times
-    deg f + 1 terms (`_level_span`).
-
-    mu(a + d p^N Z_p) = z^a / (z^(d p^N) - 1), so the sum is the twisted
-    power sum sum_{a < d p^N} chi(a) z^a f(a), with f's coefficients taken
-    mod p^M, computed by the one class sum (`bernoulli.twisted_sum`, one
-    `exactnum.progression_sums` per class), times the inverted denominator
-    z^(d p^N) - 1.
+    deg f + 1 terms (`_level_span`); f's coefficients are then taken mod
+    p^M, and the sum is `_level_sum`'s.
     """
-    span = _level_span(d, ctx.p, level, max(1, len(f_coeffs)))
+    _level_span(d, ctx.p, level, max(1, len(f_coeffs)))
     z_exp = _measure_exponent(ctx, twist, twist_exp)
     fracs = [Fraction(c) for c in f_coeffs]
     for c in fracs:
@@ -336,10 +341,22 @@ def riemann_sum(f_coeffs: Sequence, chi: Optional[DirichletCharacter],
 
     mod = ctx.modulus
     terms = [(i, c.numerator * pow(c.denominator, -1, mod) % mod) for i, c in enumerate(fracs) if c]
-    # chi's order divides r, so the class sum lives at conductor r: its
-    # integer vector is the ring element's
-    total = twisted_sum(terms, span - 1, chi or trivial_character(1), twist, twist_exp)
-    return PadicCycNumber(ctx, total.num) * _denominator_inverse(ctx, _span_exponent(ctx, z_exp, d, level))
+    return _level_sum(terms, chi or trivial_character(1), z_exp, d, level, ctx)
+
+
+def _level_sum(terms: Sequence[tuple[int, int]], chi: DirichletCharacter, z_exp: int,
+               d: int, level: int, ctx: PadicContext) -> PadicCycNumber:
+    """The level sum of `riemann_sum` for inputs it has checked: f's (i, f_i)
+    terms reduced mod p^M and z = x^z_exp (`_measure_exponent`).
+
+    mu(a + d p^N Z_p) = z^a / (z^(d p^N) - 1), so the sum is the twisted
+    power sum sum_{a < d p^N} chi(a) z^a f(a), the one class sum
+    (`bernoulli._class_sums`) at the twist x = zeta_r, times the inverted
+    denominator.  chi's order divides r, so the class sum lives at
+    conductor r: its integer vector is the ring element's."""
+    total = _class_sums([terms], d * ctx.p ** level - 1, chi, TwistSpec(ctx.r, 1), z_exp)[0]
+    den_inv = _denominator_inverse(ctx, _span_exponent(ctx, z_exp, d, level))
+    return PadicCycNumber(ctx, _vec_mul_mod(ctx.r, total, den_inv.coeffs))
 
 
 def distribution_check(twist: TwistSpec, d: int, level: int, residue: int,
@@ -409,9 +426,15 @@ def convergence_check(moment: int, chi: DirichletCharacter, twist: TwistSpec,
 
     Every input is refused before any work: the least and largest levels
     (a range's ends, so it is not walked) and B_{n+1}'s series order are
-    checked before the levels are listed or the target is built."""
+    checked before the levels are listed or the target is built.  Those
+    checks cover every check `riemann_sum` makes, so each level is summed
+    by `_level_sum` directly, with f = x^n reduced once: z = xi is checked
+    by `_measure_exponent`; the least and largest levels by `_level_span`,
+    whose ceiling only tightens as N grows; chi's order divides r; and x^n
+    has denominator 1.  The levels are then judged in ascending order,
+    whatever order the caller lists them in."""
     d = chi.d
-    _measure_exponent(ctx, twist, 1)
+    z_exp = _measure_exponent(ctx, twist, 1)
     if moment < 0:
         raise ParameterError("moment index must be nonnegative")
     ends = (levels[0], levels[-1]) if isinstance(levels, range) and levels else levels
@@ -428,15 +451,14 @@ def convergence_check(moment: int, chi: DirichletCharacter, twist: TwistSpec,
         raise ParameterError(f"character order {chi.order} does not divide r={ctx.r}")
     if math.gcd(twist.r, ctx.p * d) != 1:
         raise ParameterError("need gcd(r, p*d) = 1")
-    levels = list(levels)
+    levels = sorted(levels)
 
     target_ring = embed_algebraic(_moment_target(chi, twist, moment), ctx)
 
-    f = [Fraction(0)] * moment + [Fraction(1)]
+    terms = [(moment, 1)]
     valuations, exact = [], []
     for lv in levels:
-        s = riemann_sum(f, chi, twist, d, lv, ctx)
-        diff = s - target_ring
+        diff = _level_sum(terms, chi, z_exp, d, lv, ctx) - target_ring
         valuations.append(diff.valuation())
         exact.append(diff.is_zero())
 

@@ -66,3 +66,19 @@ def sympy_character_sums():
     """(d, e, r, w, order, upper) -> the coordinates of the t^k/k! rows of
     sum_{a<upper} chi(a) zeta_r^(wa) e^(at), computed in sympy alone."""
     return _sympy_character_sums
+
+
+@pytest.fixture
+def no_padic_work(monkeypatch):
+    """Every function on the p-adic work path patched to raise: the
+    Bernoulli target (`gen_bernoulli_numbers`), the per-level core
+    (`padic._level_sum`) and the class kernel (`_class_sums`).  A refusal
+    seen under it came before any work."""
+    from bernsym import bernoulli, padic
+
+    def work(*args, **kwargs):
+        raise AssertionError("the p-adic work started")
+
+    for module, name in ((padic, "gen_bernoulli_numbers"), (padic, "_level_sum"),
+                         (padic, "_class_sums"), (bernoulli, "_class_sums")):
+        monkeypatch.setattr(module, name, work)

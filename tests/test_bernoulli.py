@@ -286,10 +286,9 @@ def test_character_sum_egf_middle_equality_against_the_term_walk():
 
 @pytest.mark.parametrize("upper", (10 ** 4, 10 ** 6))
 def test_long_classes_read_one_power_sum_table_per_count(upper, sympy_character_sums):
-    # d = 5, chi of order 4, r = 7, order 12: every class mod 35 holds more
-    # than order + 1 terms, so each is summed in closed form, and all its
-    # degrees k <= 12 read one `_power_sums(count, 35, 12)`; the 35 classes
-    # have at most two counts
+    # d = 5, chi of order 4, r = 7, order 12: the q whole periods of 35 of
+    # every degree k <= 12 read one `_power_sums(q, 35, 12)`, where each
+    # class once read its own count's table (at most two counts)
     from bernsym import exactnum
     chi = DirichletCharacter(5, (1,))
     assert chi.order == 4
@@ -297,8 +296,7 @@ def test_long_classes_read_one_power_sum_table_per_count(upper, sympy_character_
     m = field_conductor(chi, twist)
     exactnum._power_sums.cache_clear()
     series = character_sum_series(chi, twist, 1, order, upper=upper)
-    counts = {(upper - 1 - c) // period + 1 for c in range(period)}
-    assert exactnum._power_sums.cache_info().misses <= len(counts) <= 2
+    assert exactnum._power_sums.cache_info().misses == 1
     assert [c.coefficients() for c in series.coeffs] == sympy_character_sums(5, 1, 7, 1, order, upper)
     if upper <= 10 ** 4:
         weights = [chi(c).embed(m) * Cyc.zeta(twist.r, twist.j * c % twist.r).embed(m) for c in range(period)]
@@ -308,48 +306,102 @@ def test_long_classes_read_one_power_sum_table_per_count(upper, sympy_character_
         assert list(series.coeffs) == by_terms
 
 
-def test_verify_at_a_huge_w_walks_no_long_class(monkeypatch):
-    # a slot's power sums over a < d*U read every long class in closed form:
-    # with the walk refusing more than a few hundred terms, theorems 3 and 7
-    # still verify at w = 10^6 (the walk over every a took 17-18 s there)
-    from bernsym import exactnum
+def _count_class_visits(monkeypatch):
+    """The classes that each walk or class-moment table reads from
+    `_class_weights`, one list per read, with the moment tables emptied
+    first."""
+    from bernsym import bernoulli
+
+    reads = []
+    weights = bernoulli._class_weights
+
+    def counted(*key):
+        visited = []
+        reads.append(visited)
+        for item in weights(*key):
+            visited.append(item[0])
+            yield item
+
+    bernoulli._class_moments.cache_clear()
+    monkeypatch.setattr(bernoulli, "_class_weights", counted)
+    return reads
+
+
+def test_verify_at_a_huge_w_walks_no_long_class(monkeypatch, cold_store):
+    # a slot's power sums over a < d*U are walked only when they hold at
+    # most (deg + 1)(deg + 1 + L) / T terms, and read from class moments
+    # otherwise, each walk or table one pass over at most the 15 classes
+    # mod lcm(5, 3): theorems 3 and 7 still verify at w = 10^6 (the walk
+    # over every a took 17-18 s there) reading a few hundred classes
     from bernsym.identities import TheoremInstance, verify_instance
 
-    walk = exactnum._progression_walk
-
-    def short_walk(polys, points):
-        if len(points) > 500:
-            raise AssertionError(f"walked {len(points)} terms")
-        return walk(polys, points)
-
-    monkeypatch.setattr(exactnum, "_progression_walk", short_walk)
+    reads = _count_class_visits(monkeypatch)
     chi = next(c for c in enumerate_characters(5) if c.order == 4)
     for theorem, w in ((3, (1, 10 ** 6)), (7, (1, 2, 10 ** 6))):
         report = verify_instance(TheoremInstance(theorem, 5, chi.exponents, 3, 1, w, 4, "normalized"))
         assert report.passed and not report.pass_as_stated
+    assert reads and max(map(len, reads)) <= 15
+    assert sum(map(len, reads)) <= 500
 
 
 def test_order_64_series_walks_no_class_longer_than_its_order(monkeypatch):
-    # the series of x^0..x^64 walks a class only when count * 65 <= 65^2:
-    # at most 65 terms, where a rule of (order + 1)^2 terms walked about
-    # 2,857 of each class mod 35 at upper 10^5; at upper 35 * 65 + 18 the
-    # classes below 18 hold 66 terms and the rest 65, so both paths run
-    from bernsym import exactnum
+    # the series of x^0..x^64 walks its terms only while their 65 (upper)
+    # powers cost no more than 65 (65 + 35), that is upper <= 100 at
+    # L = 35: at most 3 terms a class, where a rule of (order + 1)^2 terms
+    # once walked about 2,857 of each class mod 35 at upper 10^5.  Past
+    # that every class is read from the moment tables, one pass over at
+    # most the 35 classes each (and the first class past rho): upper 10^5
+    # (q = 2857, rho = 5) builds the
+    # tables of 35 and 5, and 101 (q = 2, rho = 31) only that of 31
+    from bernsym import bernoulli
 
-    walked = []
-    walk = exactnum._progression_walk
-
-    def counted_walk(polys, points):
-        walked.append(len(points))
-        return walk(polys, points)
-
-    monkeypatch.setattr(exactnum, "_progression_walk", counted_walk)
+    reads = _count_class_visits(monkeypatch)
     chi, twist, order = DirichletCharacter(5, (1,)), TwistSpec(7, 1), MAX_SERIES_ORDER
     character_sum_series(chi, twist, 1, order, upper=10 ** 5)
-    assert walked == []
-    boundary = character_sum_series(chi, twist, 1, order, upper=35 * 65 + 18)
-    assert walked and max(walked) == order + 1 and len(walked) < 35
-    assert boundary.egf_coefficient(order) == power_sum(order, 35 * 65 + 17, chi, twist, 1)
+    assert bernoulli._class_moments.cache_info().misses == 2
+    assert [len(v) for v in reads] == [28, 5]
+    walked = character_sum_series(chi, twist, 1, order, upper=100)
+    assert bernoulli._class_moments.cache_info().misses == 2
+    assert [len(v) for v in reads] == [28, 5, 28]
+    read = character_sum_series(chi, twist, 1, order, upper=101)
+    assert bernoulli._class_moments.cache_info().misses == 3
+    assert [len(v) for v in reads] == [28, 5, 28, 25]
+    # chi(100) = 0, so the walk below 100 and the moments below 101 agree
+    # row by row, and power_sum's one f walks all 101 terms
+    assert list(read.coeffs) == list(walked.coeffs)
+    assert read.egf_coefficient(order) == power_sum(order, 100, chi, twist, 1)
+
+
+def _dense_polys(order):
+    """Three polynomials with every degree 0..order: their T = 3 (order + 1)
+    terms make the kernel read class moments at q = 0, where it walks the
+    monomials x^0..x^order."""
+    return [[(k, 1) for k in range(order + 1)], [(k, k + 1) for k in range(order + 1)],
+            [(k, (-1) ** k) for k in range(order + 1)]]
+
+
+@pytest.mark.parametrize("order", (0, 12, MAX_SERIES_ORDER))
+def test_class_sums_match_sympy_at_every_cut(order, sympy_character_sums):
+    # upper + 1 = qL + rho with L = 35 (d = 5, chi of order 4, r = 7), cut
+    # at q = 0 (rho = 20 and rho = L - 1 = 34, and the empty sum), rho = 0,
+    # rho = L - 1 and q >= 10^6: the kernel's rows against sympy's, order
+    # 64 at three cuts.  The monomials are walked below 36 + order terms
+    # and read from moments above; the three dense polynomials are read
+    # from moments at q = 0 from 20 terms on (34 at order 64)
+    from bernsym.bernoulli import _class_sums
+
+    chi, twist = DirichletCharacter(5, (1,)), TwistSpec(7, 1)
+    monomials = [[(k, 1)] for k in range(order + 1)]
+    cuts = (34, 35, 35 * 10 ** 6 + 34) if order == MAX_SERIES_ORDER else \
+        (0, 20, 34, 35, 35 * 3, 35 * 3 + 34, 35 * 10 ** 6, 35 * 10 ** 6 + 34)
+    for count in cuts:
+        rows = _class_sums(monomials, count - 1, chi, twist, 1)
+        expected = sympy_character_sums(5, 1, 7, 1, order, count)
+        assert [tuple(Fraction(x, math.factorial(k)) for x in row) for k, row in enumerate(rows)] == \
+            expected, count
+        sums = [[x * math.factorial(k) for x in row] for k, row in enumerate(expected)]
+        assert _class_sums(_dense_polys(order), count - 1, chi, twist, 1) == \
+            [[sum(c * sums[k][i] for k, c in f) for i in range(len(rows[0]))] for f in _dense_polys(order)], count
 
 
 def test_power_sum_degree_over_ceiling_refused_before_any_class(monkeypatch):
@@ -362,7 +414,7 @@ def test_power_sum_degree_over_ceiling_refused_before_any_class(monkeypatch):
         raise AssertionError("a class was summed")
 
     chi, twist, top = DirichletCharacter(5, (1,)), TwistSpec(7, 1), MAX_SERIES_ORDER
-    monkeypatch.setattr(bernoulli, "progression_sums", summed)
+    monkeypatch.setattr(bernoulli, "_class_sums", summed)
     for k in (top + 1, 1000):
         with pytest.raises(ParameterError, match=f"^k={k} is above the ceiling of {top}$"):
             power_sum(k, 10 ** 6, chi, twist, 1)

@@ -180,7 +180,7 @@ def test_power_sum_degree_over_ceiling_usage_error(monkeypatch):
     def summed(*args, **kwargs):
         raise AssertionError("a class was summed")
 
-    monkeypatch.setattr(bernoulli, "progression_sums", summed)
+    monkeypatch.setattr(bernoulli, "_class_sums", summed)
     top = bernoulli.MAX_SERIES_ORDER
     code, out, err = run_cli(["power-sum", "--d", "5", "--r", "7", "--k", str(top + 1), "--upper", "1000000"])
     assert (code, out) == (2, "")
@@ -262,15 +262,9 @@ def test_padic_large_prime_exits_fast():
     assert err == f"error: p={2 ** 89 - 1} is not below {padic.MAX_PRIME}, the bound of the primality test\n"
 
 
-def test_padic_level_over_ceiling_usage_error(monkeypatch):
+def test_padic_level_over_ceiling_usage_error(no_padic_work):
     from bernsym import padic
 
-    def walk(*args, **kwargs):
-        raise AssertionError("the walk started")
-
-    monkeypatch.setattr(padic, "gen_bernoulli_numbers", walk)
-    monkeypatch.setattr(padic, "riemann_sum", walk)
-    monkeypatch.setattr(padic, "twisted_sum", walk)
     code, out, err = run_cli(["padic", "--p", "7", "--r", "3", "--n", "1", "--levels", "30"])
     assert code == 2
     assert err == ("error: level 30 spans d*p^N = 1*7^30 residues of deg f + 1 = 2 terms each, "
@@ -278,16 +272,10 @@ def test_padic_level_over_ceiling_usage_error(monkeypatch):
     assert out == ""
 
 
-def test_padic_high_degree_over_ceiling_usage_error(monkeypatch):
+def test_padic_high_degree_over_ceiling_usage_error(no_padic_work):
     # 101^3 residues are under the ceiling, but not at 91 terms each
     from bernsym import padic
 
-    def walk(*args, **kwargs):
-        raise AssertionError("the walk started")
-
-    monkeypatch.setattr(padic, "gen_bernoulli_numbers", walk)
-    monkeypatch.setattr(padic, "riemann_sum", walk)
-    monkeypatch.setattr(padic, "twisted_sum", walk)
     code, out, err = run_cli(["padic", "--p", "101", "--r", "3", "--n", "90", "--levels", "3"])
     assert code == 2
     assert err == ("error: level 3 spans d*p^N = 1*101^3 residues of deg f + 1 = 91 terms each, "
@@ -295,17 +283,11 @@ def test_padic_high_degree_over_ceiling_usage_error(monkeypatch):
     assert out == ""
 
 
-def test_padic_precision_over_ceiling_usage_error(monkeypatch):
+def test_padic_precision_over_ceiling_usage_error(no_padic_work):
     # an unbounded --M made p^M-sized ring elements; one over the ceiling is
     # refused before any sum starts
     from bernsym import padic
 
-    def walk(*args, **kwargs):
-        raise AssertionError("the walk started")
-
-    monkeypatch.setattr(padic, "gen_bernoulli_numbers", walk)
-    monkeypatch.setattr(padic, "riemann_sum", walk)
-    monkeypatch.setattr(padic, "twisted_sum", walk)
     M = padic.MAX_PRECISION_BITS // 3 + 1
     start = time.perf_counter()
     code, out, err = run_cli(["padic", "--p", "5", "--r", "3", "--n", "1", "--M", str(M)])
@@ -322,22 +304,11 @@ def test_padic_single_level_usage_error():
     assert out == ""
 
 
-def _refuse_padic_work(monkeypatch):
-    from bernsym import padic
-
-    def work(*args, **kwargs):
-        raise AssertionError("the work started")
-
-    monkeypatch.setattr(padic, "gen_bernoulli_numbers", work)
-    monkeypatch.setattr(padic, "twisted_sum", work)
-
-
-def test_padic_levels_refused_before_they_are_listed(monkeypatch):
+def test_padic_levels_refused_before_they_are_listed(no_padic_work):
     # levels 1..K are a range read from its ends: listing K = 2*10^6 of them
     # first took about 0.3 s and 200 MB before the ceiling refused them
     import tracemalloc
 
-    _refuse_padic_work(monkeypatch)
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -352,10 +323,9 @@ def test_padic_levels_refused_before_they_are_listed(monkeypatch):
     assert peak < 1_000_000
 
 
-def test_padic_moment_over_series_ceiling_names_the_moment(monkeypatch):
+def test_padic_moment_over_series_ceiling_names_the_moment(no_padic_work):
     from bernsym.bernoulli import MAX_SERIES_ORDER
 
-    _refuse_padic_work(monkeypatch)
     n = MAX_SERIES_ORDER
     code, out, err = run_cli(["padic", "--p", "67", "--r", "3", "--n", str(n), "--levels", "2"])
     assert (code, out) == (2, "")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bernsym.dirichlet import enumerate_characters, trivial_character
 from bernsym.exactnum import (
     CycDivisionError,
     CyclotomicNumber as Cyc,
@@ -13,7 +14,6 @@ from bernsym.exactnum import (
     divisors,
     euler_phi,
     linear_combination,
-    progression_sums,
 )
 
 
@@ -184,18 +184,46 @@ def horner_walk(coeffs, start, step, count):
     return total
 
 
+# The progression sums live in the class kernel (`bernoulli._class_sums`):
+# each class c mod L is the progression c, c + L, ... <= upper, walked or
+# summed from `_power_sums` and the class moments.  With r = 2 and a
+# character mod d of
+# order at most 2, every weight chi(c) (-1)^(wc) is 0 or +-1 and the field is
+# Q, so the kernel's one coordinate is checked against horner_walk in
+# integers alone, chi(c) read from Euler's criterion.
+
+def _real_character(d):
+    return trivial_character(1) if d == 1 else next(c for c in enumerate_characters(d) if c.order == 2)
+
+
+def _real_weight(d, w, c):
+    """chi(c) (-1)^(wc) for the real character mod d of `_real_character`."""
+    if d > 1 and c % d == 0:
+        return 0
+    legendre = 1 if d == 1 or pow(c, (d - 1) // 2, d) == 1 else -1
+    return legendre * (-1) ** (w * c)
+
+
+def _class_walk(coeffs, d, w, upper):
+    """sum_{a<=upper} chi(a) (-1)^(wa) f(a), one Horner walk per class."""
+    period = math.lcm(d, 2)
+    return sum(_real_weight(d, w, c) * horner_walk(coeffs, c, period, (upper - c) // period + 1)
+               for c in range(min(period, upper + 1)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=9), min_size=1, max_size=4),
-       st.integers(0, 50), st.integers(1, 12),
-       st.one_of(st.sampled_from([0, 1]), st.integers(2, 120), st.integers(500, 3000)))
-def test_progression_sum_matches_walk(polys, start, step, count):
-    # one to four polynomials of degrees 0..8, starts beyond the step, and
-    # counts on both sides of the switch to the closed form, which reads
-    # the largest degree of all of them; Horner gives f(0) = f_0, the
-    # 0^0 = 1 convention
+       st.sampled_from([1, 3, 5, 7, 11]), st.integers(0, 3),
+       st.one_of(st.sampled_from([-1, 0]), st.integers(1, 240), st.integers(1000, 6000)))
+def test_progression_sum_matches_walk(polys, d, w, upper):
+    # one to four polynomials of degrees 0..8 summed over the classes mod
+    # L = lcm(d, 2) in 2..22, with upper below one period, at a few periods
+    # and at hundreds; Horner gives f(0) = f_0, the 0^0 = 1 convention
+    from bernsym.bernoulli import TwistSpec, _class_sums
+
     terms = [[(i, c) for i, c in enumerate(coeffs) if c] for coeffs in polys]
-    assert progression_sums(terms, start, step, count) == \
-        [horner_walk(coeffs, start, step, count) for coeffs in polys]
+    assert _class_sums(terms, upper, _real_character(d), TwistSpec(2, 1), w) == \
+        [[_class_walk(coeffs, d, w, upper)] for coeffs in polys]
 
 
 @pytest.mark.parametrize("polys", [
@@ -204,21 +232,31 @@ def test_progression_sum_matches_walk(polys, start, step, count):
     [[(k, 1)] for k in range(13)],
 ])
 def test_progression_walks_exactly_the_short_progressions(polys, monkeypatch):
-    # a progression is walked when count times the terms of all f is at
-    # most (deg + 1)^2, and summed in closed form otherwise: x^0..x^12
-    # walks at most 13 terms
-    from bernsym import exactnum
+    # the class kernel walks the count = upper + 1 terms of every f when
+    # count times the terms of all f is at most (deg + 1)(deg + 1 + L),
+    # the cost of reading them from class moments with nothing cached, and
+    # reads the moments otherwise.  Here L = 14 (the real character mod 7,
+    # r = 2), so the counts run past a period and both ways must agree
+    # with horner_walk
+    from bernsym import bernoulli
 
+    chi, twist, period = _real_character(7), bernoulli.TwistSpec(2, 1), 14
     degree = max(i for f in polys for i, _ in f)
-    limit = (degree + 1) ** 2 // sum(map(len, polys))
+    limit = (degree + 1) * (degree + 1 + period) // sum(map(len, polys))
+    read = []
+    moments = bernoulli._class_moments
+
+    def counted(*key):
+        read.append(key)
+        return moments(*key)
+
+    monkeypatch.setattr(bernoulli, "_class_moments", counted)
+    coeffs = [[dict(f).get(i, 0) for i in range(degree + 1)] for f in polys]
     walked = []
-    walk = exactnum._progression_walk
-
-    def counted_walk(polys, points):
-        walked.append(len(points))
-        return walk(polys, points)
-
-    monkeypatch.setattr(exactnum, "_progression_walk", counted_walk)
     for count in range(limit + 3):
-        progression_sums(polys, 3, 7, count)
+        before = len(read)
+        assert bernoulli._class_sums(polys, count - 1, chi, twist, 1) == \
+            [[_class_walk(f, 7, 1, count - 1)] for f in coeffs], count
+        if len(read) == before:
+            walked.append(count)
     assert walked == list(range(limit + 1))

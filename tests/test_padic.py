@@ -2,13 +2,14 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bernsym.bernoulli import ParameterError, TwistSpec
-from bernsym.dirichlet import enumerate_characters, trivial_character
+from bernsym.dirichlet import DirichletCharacter, enumerate_characters, trivial_character
 from bernsym.exactnum import CyclotomicNumber as Cyc, _adjugate
 from bernsym import exactnum, padic
 from bernsym.padic import (
@@ -37,12 +38,8 @@ def test_context_validation():
         PadicContext(5, 0, 3)
 
 
-def test_context_refuses_precision_over_ceiling(monkeypatch):
+def test_context_refuses_precision_over_ceiling(no_padic_work):
     # p^M is counted in bits, M * bit_length(p), before any element exists
-    def walk(*args, **kwargs):
-        raise AssertionError("the sum started")
-
-    monkeypatch.setattr(padic, "twisted_sum", walk)
     bits = (5).bit_length()
     PadicContext(5, padic.MAX_PRECISION_BITS // bits, 3)
     over = padic.MAX_PRECISION_BITS // bits + 1
@@ -276,12 +273,11 @@ def test_measure_preconditions_refuse_z_one_and_a_foreign_ring(measure):
         measure(PadicContext(5, 20, 4), 1)
 
 
-def test_riemann_sum_refuses_level_over_ceiling(monkeypatch):
+def test_riemann_sum_refuses_level_over_ceiling(monkeypatch, no_padic_work):
     def walk(*args):
         raise AssertionError("the walk started")
 
     monkeypatch.setattr(PadicContext, "x_power", walk)
-    monkeypatch.setattr(padic, "twisted_sum", walk)
     with pytest.raises(ParameterError, match="ceiling"):
         riemann_sum([1], None, Z3, 1, 40, CTX)
     with pytest.raises(ParameterError, match="ceiling"):
@@ -290,12 +286,11 @@ def test_riemann_sum_refuses_level_over_ceiling(monkeypatch):
         riemann_sum([1], None, Z3, 1, -1, CTX)
 
 
-def test_riemann_sum_ceiling_counts_horner_steps(monkeypatch):
+def test_riemann_sum_ceiling_counts_horner_steps(monkeypatch, no_padic_work):
     def walk(*args):
         raise AssertionError("the walk started")
 
     monkeypatch.setattr(PadicContext, "x_power", walk)
-    monkeypatch.setattr(padic, "twisted_sum", walk)
     ctx = PadicContext(101, 40, 3)
     # 101^3 residues at deg f = 0 are under the ceiling; at deg f = 90 they are not
     assert padic._level_span(1, 101, 3, 1) == 101 ** 3
@@ -303,6 +298,20 @@ def test_riemann_sum_ceiling_counts_horner_steps(monkeypatch):
         riemann_sum([0] * 90 + [1], None, Z3, 1, 3, ctx)
     # the largest request of criterion 9 (d = 4, p = 7, level 6, moment 3) fits
     assert padic._level_span(4, 7, 6, 4) == 4 * 7 ** 6
+
+
+def test_riemann_sum_high_degree_short_level_walks_its_terms():
+    # the 25 residues of level 2 at deg f = 2000 are walked term by term
+    # in a few ms, as they cost less than the power sums S_k, k <= 2000,
+    # that the class moments would read (about 8 s on a 2-core Xeon); the
+    # sum is that of the measure's values
+    start = time.perf_counter()
+    total = riemann_sum([0] * 2000 + [1], None, Z3, 1, 2, CTX)
+    assert time.perf_counter() - start < 2
+    by_terms = CTX.zero()
+    for a in range(25):
+        by_terms = by_terms + measure_value(MeasureQuery(1, 2, 1, a), Z3, CTX) * a ** 2000
+    assert total == by_terms
 
 
 def _two_branch_refusal(d, p, level, steps):
@@ -391,13 +400,7 @@ def test_convergence_rejects_mismatched_ring_order():
                           PadicContext(5, 40, 6))
 
 
-def test_convergence_refuses_level_over_ceiling(monkeypatch):
-    def walk(*args, **kwargs):
-        raise AssertionError("the walk started")
-
-    monkeypatch.setattr(padic, "gen_bernoulli_numbers", walk)
-    monkeypatch.setattr(padic, "riemann_sum", walk)
-    monkeypatch.setattr(padic, "twisted_sum", walk)
+def test_convergence_refuses_level_over_ceiling(no_padic_work):
     # a range of levels is read from its ends, never walked
     for levels in ([1, 30, 2], range(1, 10 ** 18), range(10 ** 18, 0, -1)):
         with pytest.raises(ParameterError, match="ceiling"):
@@ -405,29 +408,17 @@ def test_convergence_refuses_level_over_ceiling(monkeypatch):
 
 
 @pytest.mark.parametrize("levels", [[], [3], [2, 2], range(0), range(3, 4)])
-def test_convergence_needs_two_distinct_levels(levels, monkeypatch):
+def test_convergence_needs_two_distinct_levels(levels, no_padic_work):
     # the verdict compares the last level with the first, so one level
     # would always fail
-    def walk(*args, **kwargs):
-        raise AssertionError("the walk started")
-
-    monkeypatch.setattr(padic, "riemann_sum", walk)
     with pytest.raises(ParameterError, match="^need at least two distinct levels$"):
         convergence_check(1, trivial_character(1), Z3, levels, PadicContext(5, 40, 3))
 
 
-def test_convergence_refuses_before_any_work(monkeypatch):
-    # a range of levels gives the report of its list, and a negative level
-    # or a moment past the series ceiling is refused before the target is
-    # built
-    def work(*args, **kwargs):
-        raise AssertionError("the work started")
-
+def test_convergence_refuses_before_any_work(no_padic_work):
+    # a negative level or a moment past the series ceiling is refused
+    # before the target is built
     ctx = PadicContext(67, 40, 3)
-    assert convergence_check(1, trivial_character(1), Z3, range(1, 4), ctx) == \
-        convergence_check(1, trivial_character(1), Z3, [1, 2, 3], ctx)
-    monkeypatch.setattr(padic, "gen_bernoulli_numbers", work)
-    monkeypatch.setattr(padic, "twisted_sum", work)
     with pytest.raises(ParameterError, match="level N >= 0"):
         convergence_check(1, trivial_character(1), Z3, range(-10 ** 18, 3), ctx)
     with pytest.raises(ParameterError, match="level N >= 0"):
@@ -435,3 +426,50 @@ def test_convergence_refuses_before_any_work(monkeypatch):
     top = padic.MAX_SERIES_ORDER
     with pytest.raises(ParameterError, match=f"^moment n={top} needs B_\\(n\\+1\\) at series order {top + 1}, "):
         convergence_check(top, trivial_character(1), Z3, [1, 2], ctx)
+
+
+@pytest.mark.parametrize("p", [5, 67])
+def test_convergence_judges_levels_in_level_order(p):
+    # the levels are sorted once they are checked, so a list in any order
+    # and a range give the report of the ascending list; [3, 1, 2] once
+    # reported valuations [3, 1, 2] and failed
+    ctx = PadicContext(p, 40, 3)
+    ascending = convergence_check(1, trivial_character(1), Z3, [1, 2, 3], ctx)
+    assert ascending.passed
+    for levels in ([3, 1, 2], [2, 3, 1], range(1, 4), range(3, 0, -1)):
+        assert convergence_check(1, trivial_character(1), Z3, levels, ctx) == ascending, levels
+
+
+def test_no_padic_work_fixture_stops_a_valid_check(no_padic_work):
+    # the positive control of every guard that refuses under the fixture:
+    # valid input reaches the patched work, so those guards cannot pass
+    # because the work moved off the patched path
+    with pytest.raises(AssertionError, match="^the p-adic work started$"):
+        convergence_check(1, trivial_character(1), Z3, [1, 2], PadicContext(5, 40, 3))
+    with pytest.raises(AssertionError, match="^the p-adic work started$"):
+        riemann_sum([0, 1], None, Z3, 1, 2, CTX)
+    with pytest.raises(AssertionError, match="^the p-adic work started$"):
+        padic._moment_target.__wrapped__(trivial_character(1), Z3, 1)
+
+
+def test_second_convergence_check_loops_over_no_class(monkeypatch):
+    # a check reads each level of more than (n + 1)(n + 1 + L) residues
+    # from the class moments of chi, z and its remainder d p^N mod L: a
+    # second check on the same ring and chi, with the levels in another
+    # order, builds no moment table and reads no class.  Here L = 12 and
+    # n = 2, so levels 2..4 (196 residues and up) are read from moments,
+    # where level 1's 28 residues are walked
+    from bernsym import bernoulli
+
+    chi, twist, ctx = DirichletCharacter(4, (0,)), Z3, PadicContext(7, 40, 3)
+    first = convergence_check(2, chi, twist, [2, 3, 4], ctx)
+    built = bernoulli._class_moments.cache_info().misses
+
+    def walked(*args):
+        raise AssertionError("a class was read")
+
+    monkeypatch.setattr(bernoulli, "_class_weights", walked)
+    assert convergence_check(2, chi, twist, [4, 2, 3], ctx) == first
+    assert bernoulli._class_moments.cache_info().misses == built
+    with pytest.raises(AssertionError, match="^a class was read$"):
+        convergence_check(2, chi, twist, [1, 2], ctx)
