@@ -25,7 +25,7 @@ from typing import Sequence, Union
 
 from .dirichlet import DirichletCharacter
 from .errors import ParameterError
-from .exactnum import CyclotomicNumber, Scalar, _power_sums, euler_phi
+from .exactnum import CyclotomicNumber, Scalar, _power_sums, _power_table, euler_phi
 from .series import NonUnitConstantError, TruncatedSeries
 
 # Ceilings on the field every series lives in, checked before any work.  An
@@ -207,10 +207,14 @@ def _class_weights(chi: DirichletCharacter, twist: TwistSpec,
     """The classes c mod lcm(d, r) whose weight chi(c) xi^(wc) is not zero,
     ascending, each with the nonzero coordinates (i, x) of its weight's
     integer vector at the field conductor: a weight is zero or a root of
-    unity, with denominator 1."""
+    unity, with denominator 1, so it is one row of `exactnum._power_table`."""
     m = field_conductor(chi, twist)
-    weights = ((c, chi(c).embed(m) * twist.root_power(w * c, m)) for c in range(math.lcm(chi.d, twist.r)))
-    return tuple((c, tuple((i, x) for i, x in enumerate(weight.num) if x)) for c, weight in weights if weight)
+    table = _power_table(m)
+    # chi(c) = zeta_m^(s*m/order) and xi^(wc) = zeta_m^(j*w*c*m/r): one row
+    chi_step, xi_step = m // chi.order, m // twist.r * twist.j * w
+    exponents = ((c, chi._value_exponent(c)) for c in range(math.lcm(chi.d, twist.r)))
+    return tuple((c, tuple((i, x) for i, x in enumerate(table[(s * chi_step + xi_step * c) % m]) if x))
+                 for c, s in exponents if s is not None)
 
 
 # Entries of the class-moment cache (`_class_moments`), least recently used

@@ -405,7 +405,13 @@ class CyclotomicNumber:
     # presentation
 
     def to_json(self) -> dict:
-        return {"m": self.m, "coeffs": [str(c) for c in self.coefficients()]}
+        """The conductor and each coordinate as str(Fraction) writes it,
+        "n" or "n/d" in lowest terms, without building the Fractions."""
+        coeffs = []
+        for x in self.num:
+            g = math.gcd(x, self.den)
+            coeffs.append(str(x // g) if g == self.den else f"{x // g}/{self.den // g}")
+        return {"m": self.m, "coeffs": coeffs}
 
     @staticmethod
     def from_json(data: dict) -> "CyclotomicNumber":

@@ -306,10 +306,15 @@ def parse_quotient_type(text: str) -> QuotientType:
 
 
 # Entries of the process-wide series store (`_stored`), least recently used
-# first out, about 2 KB each at order 6.  The standard grid's whole working
-# set is 1005 entries and criterion 6's (the `consistency_sample` pool at
-# n_max = 8) 1880: the bound holds both twice over
-STORE_SIZE = 4096
+# first out.  Measured working sets: the standard grid's is 1005 entries;
+# one pass of the `closed_form_sweep` pool (criterion 5 at order 12) leaves
+# 5,145, 4,627 of them closed-form chains, in 25.6 MB; one pass of the
+# `consistency_sample` pool (criterion 6 at n_max = 8) 6,507 in 22.7 MB.
+# The bound holds each twice over.  The largest entry, rows and packed rows,
+# is about 15 KB at order 12 (a chain of three T_W/D_W, d = 5, r = 7) and
+# 12 KB at order 8 (a slot's character sum), so a store full of order-12
+# entries takes at most about 240 MB
+STORE_SIZE = 16384
 
 
 @functools.lru_cache(maxsize=STORE_SIZE)
@@ -317,7 +322,9 @@ def _stored(build, chi: DirichletCharacter, twist: TwistSpec, *key) -> Truncated
     """build(chi, twist, *key), built once per process while it stays among
     the STORE_SIZE most recently used entries.  `build` is the kind of
     series, and `key` its twist class, scale, order and, for a slot's
-    character sum, upper end, as the `EvalContext` methods pass them."""
+    character sum, upper end, as the `EvalContext` methods pass them; for a
+    closed-form chain (`_chain`), its factors' kind, their ordered scales
+    and the order."""
     return build(chi, twist, *key)
 
 
@@ -340,6 +347,17 @@ def _ratio_series(chi: DirichletCharacter, twist: TwistSpec, scale: int, order: 
 
 def _denom_series(chi: DirichletCharacter, twist: TwistSpec, scale: int, order: int) -> TruncatedSeries:
     return twisted_exp_minus_one(twist, chi.d * scale, chi.d * scale, order, field_conductor(chi, twist))
+
+
+def _chain(chi: DirichletCharacter, twist: TwistSpec, factor, scales: tuple[int, ...],
+           order: int) -> TruncatedSeries:
+    """The stored factors factor(scale) for the scales in their order,
+    multiplied left to right, each product losing its content gcd before
+    the next: a closed form's chain of T_W/D_W (`_ratio_series`) or of D_V
+    (`_denom_series`).  These chains' partial products have content gcds of
+    up to 48 bits, so one width for the whole chain (`series.product`) was
+    slower."""
+    return functools.reduce(operator.mul, (_stored(factor, chi, twist, scale, order) for scale in scales))
 
 
 class EvalContext:
@@ -390,12 +408,17 @@ class EvalContext:
     def char_ratio_series(self, scale: int, order: int, factor: str) -> TruncatedSeries:
         """T_W/D_W, T_W = sum_{a<d} chi(a) xi^(aW) e^(aWt): the character
         sum with t -> W*t over D_W; requires r not dividing d*W."""
+        self.require_unit_ratio(scale, factor)
+        return _stored(_ratio_series, self.chi, self.twist, scale, order)
+
+    def require_unit_ratio(self, scale: int, factor: str) -> None:
+        """Refuse T_W/D_W at W = scale, named `factor`, when D_W has no
+        unit constant term: xi^(dW) = 1, i.e. r divides d*W."""
         if (self.d * scale) % self.r == 0:
             raise NonUnitConstantError(
                 f"xi^(d*{factor}) = 1 at w-scale {scale}: r={self.r} divides d*{scale}",
                 factor=factor,
             )
-        return _stored(_ratio_series, self.chi, self.twist, scale, order)
 
     def denom_series(self, scale: int, order: int) -> TruncatedSeries:
         """D_W = xi^(dW) e^(dWt) - 1."""
@@ -618,9 +641,10 @@ def closed_form_series(qt: QuotientType, w: Sequence[int], y: Sequence,
     """The explicit right-hand-side series of the quotient type, exact to
     the requested order: the product of the type's closed form,
         t^shift * prod (T_W/D_W) * prod D_V * exp(c*(y_1+..+y_k)*t),
-    with c the sum of the y-multiplier monomials: the factors are multiplied
-    left to right in that order (`_closed_product`), then shifted by
-    t^shift.  Each T_W/D_W is one stored factor
+    with c the sum of the y-multiplier monomials: the product of the
+    ordered chain of T_W/D_W and the ordered chain of D_V, each multiplied
+    left to right in the type's order and stored (`_closed_product`), then
+    shifted by t^shift.  Each T_W/D_W is one stored factor
     (`EvalContext.char_ratio_series`)."""
     require_series_order(order)
     ctx = ctx or EvalContext(chi, twist)
@@ -632,17 +656,24 @@ def closed_form_series(qt: QuotientType, w: Sequence[int], y: Sequence,
 
 def _closed_product(qt: QuotientType, w: Sequence[int], ctx: EvalContext, order: int) -> TruncatedSeries:
     """prod (T_W/D_W) * prod D_V, the closed form without t^shift and its
-    exponential, multiplied left to right.  The shift pushes the top
-    `shift` coefficients past the order, so every factor is truncated to
-    order max(order - shift, 0) before it is multiplied.  The factors are
-    multiplied pair by pair, each product losing its content gcd before the
-    next: these chains' partial products have content gcds of up to 48
-    bits, so one width for the whole chain (`series.product`) was slower."""
+    exponential: the type's chars chain times its numerator chain, each
+    read from the store (`_chain`) at `order` and truncated to
+    max(order - shift, 0), as the shift pushes the top `shift`
+    coefficients past the order.  A chain is keyed by its ordered scales,
+    so each ordering of w multiplies its own chain in its own order, while
+    the types of one family share theirs: L13:0..3 and L12:0..1 the chain
+    of (w1, w2, w3), and the D_Q^i of one w serve every ordering.  A
+    T_W/D_W whose D_W has no unit constant term is refused
+    (`EvalContext.require_unit_ratio`) before any chain is read."""
     kept = max(order - qt.shift, 0)
-    factors = [ctx.char_ratio_series(mono_val(mono, w), order, mono_name(mono)).truncate(kept)
-               for mono in qt.chars]
-    factors += [ctx.denom_series(mono_val(mono, w), order).truncate(kept) for mono in qt.numer]
-    return functools.reduce(operator.mul, factors)
+    chars = tuple(mono_val(mono, w) for mono in qt.chars)
+    for mono, scale in zip(qt.chars, chars):
+        ctx.require_unit_ratio(scale, mono_name(mono))
+    out = _stored(_chain, ctx.chi, ctx.twist, _ratio_series, chars, order).truncate(kept)
+    if not qt.numer:
+        return out
+    numer = tuple(mono_val(mono, w) for mono in qt.numer)
+    return out * _stored(_chain, ctx.chi, ctx.twist, _denom_series, numer, order).truncate(kept)
 
 
 def _y_point(qt: QuotientType, y: Sequence) -> tuple[Fraction, ...]:

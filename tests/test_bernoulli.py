@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bernsym.bernoulli import (
     MAX_SERIES_ORDER,
@@ -304,6 +305,23 @@ def test_long_classes_read_one_power_sum_table_per_count(upper, sympy_character_
                          for c, weight in enumerate(weights)), Cyc.zero(m)).scale(Fraction(1, math.factorial(k)))
                     for k in range(order + 1)]
         assert list(series.coeffs) == by_terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 13), st.integers(2, 13), st.data())
+def test_class_weights_are_the_products_of_their_roots(d, r, data):
+    # each class weight, read as one row of the power table, is the
+    # cyclotomic product chi(c) * xi^(wc) at the field conductor, for every
+    # character mod d, every j coprime to r and every w <= 2r
+    from bernsym.bernoulli import _class_weights
+
+    chi = data.draw(st.sampled_from(enumerate_characters(d)))
+    twist = TwistSpec(r, data.draw(st.sampled_from([j for j in range(1, r) if math.gcd(j, r) == 1])))
+    w = data.draw(st.integers(0, 2 * r))
+    m = field_conductor(chi, twist)
+    weights = ((c, chi(c).embed(m) * twist.root_power(w * c, m)) for c in range(math.lcm(chi.d, twist.r)))
+    assert _class_weights.__wrapped__(chi, twist, w) == tuple(
+        (c, tuple((i, x) for i, x in enumerate(weight.num) if x)) for c, weight in weights if weight)
 
 
 def _count_class_visits(monkeypatch):

@@ -117,6 +117,20 @@ def test_serialization_roundtrip():
     assert Cyc.from_json(data) == v
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 3, 4, 12, 20]), st.data())
+def test_to_json_writes_each_coordinate_as_fraction_str(m, data):
+    # zero, negative and huge coordinates over a common denominator, each
+    # written as str(Fraction) writes it
+    phi = euler_phi(m)
+    coord = st.one_of(st.just(0), st.integers(-50, 50), st.integers(-2 ** 200, 2 ** 200))
+    num = data.draw(st.lists(coord, min_size=phi, max_size=phi))
+    den = data.draw(st.one_of(st.integers(1, 720), st.integers(1, 2 ** 120)))
+    v = Cyc(m, num, den)
+    assert v.to_json() == {"m": m, "coeffs": [str(Fraction(x, v.den)) for x in v.num]}
+    assert v.to_json()["coeffs"] == [str(c) for c in v.coefficients()]
+
+
 # ---------------------------------------------------------------------------
 # randomized field axioms
 

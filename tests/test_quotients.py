@@ -210,6 +210,36 @@ def test_closed_forms_keep_only_the_coefficients_they_return(order):
         assert got == full, (qt.name, order)
 
 
+def test_family_types_share_one_chars_chain(monkeypatch, cold_store):
+    # L13:0..3 and L12:0..1 all read the chain T_w1/D_w1 * T_w2/D_w2 *
+    # T_w3/D_w3; stored at the order and truncated to order - shift on
+    # read, it is built once for all six, and each closed form is still
+    # the plain left-to-right product of all its truncated factors
+    chains = []
+    build = quotients._chain
+
+    def counted(chi, twist, factor, scales, order):
+        chains.append((factor, scales))
+        return build(chi, twist, factor, scales, order)
+
+    monkeypatch.setattr(quotients, "_chain", counted)
+    chi, twist, order = DirichletCharacter(5, (1,)), TwistSpec(7, 1), 8
+    ctx = EvalContext(chi, twist)
+    w, y = (1, 2, 3), (Fraction(1, 2), Fraction(2), Fraction(-3, 5))
+    for name in ("L13:0", "L13:1", "L13:2", "L13:3", "L12:0", "L12:1"):
+        qt = QUOTIENT_TYPES[name]
+        kept = max(order - qt.shift, 0)
+        factors = [ctx.char_ratio_series(mono_val(mono, w), order, mono_name(mono)).truncate(kept)
+                   for mono in qt.chars]
+        factors += [ctx.denom_series(mono_val(mono, w), order).truncate(kept) for mono in qt.numer]
+        c = sum(mono_val(mono, w) for mono in qt.ymul) * sum(y[: qt.y_count], Fraction(0))
+        want = functools.reduce(operator.mul, factors).mul_exp(c).shift_up(qt.shift).truncate(order)
+        assert closed_form_series(qt, w, y[: qt.y_count], chi, twist, order, ctx) == want, name
+    assert [scales for factor, scales in chains if factor is quotients._ratio_series] == [(1, 2, 3)]
+    assert [scales for factor, scales in chains if factor is quotients._denom_series] == \
+        [(6,), (6, 6), (6, 6, 6), (6, 3, 2)]
+
+
 def test_closed_form_g1_collapses_at_d1():
     qt = parse_quotient_type("G1")
     s = closed_form_series(qt, (1, 2), (0,), CHI1, Z3, 6)

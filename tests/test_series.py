@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from bernsym.bernoulli import TwistSpec
 from bernsym.dirichlet import trivial_character
 from bernsym.exactnum import CyclotomicNumber as Cyc, euler_phi
-from bernsym.quotients import QUOTIENT_TYPES, EvalContext, closed_form_series
+from bernsym import quotients
+from bernsym.quotients import QUOTIENT_TYPES, EvalContext, closed_form_series, mono_val
 from bernsym.series import PACKED_WIDTHS, WIDTH_STEP, NonUnitConstantError, TruncatedSeries as TS, product
 
 
@@ -444,39 +445,67 @@ def test_egf_coefficients_are_reduced(m, order, data):
             assert value == series.coeffs[n].scale(math.factorial(n))
 
 
-def test_closed_forms_multiply_every_ordering(monkeypatch):
+def test_closed_forms_multiply_every_ordering(monkeypatch, cold_store):
     # criterion 5 compares the closed form over every ordering of w; a cache
-    # keyed on the multiset of w would make that comparison vacuous, so each
-    # ordering must multiply all of its type's closed-form factors
-    calls = []
-    product, mul_exp = TS.__mul__, TS.mul_exp
+    # keyed on the multiset of w would make that comparison vacuous.  So
+    # each ordering reads the chains of its own ordered scales, every
+    # distinct ordered chain is built once, left to right from its stored
+    # factors in that order, and orderings whose scales differ share no chain
+    frames = []      # (key, products) of each store read still open
+    reads = []       # (key, chain) of each chain a closed form reads
+    built = {}       # (factor kind, scales) -> the products of each build
+    mul = TS.__mul__
 
-    def counting(self, other):
-        calls.append(1)
-        return product(self, other)
+    def recording_mul(self, other):
+        out = mul(self, other)
+        if frames:
+            frames[-1][1].append((self, other, out))
+        return out
 
-    def counting_exp(self, c):
-        if c:
-            calls.append(1)
-        return mul_exp(self, c)
+    def recording_store(build, chi, twist, *key):
+        misses = cold_store.cache_info().misses
+        frames.append((key, []))
+        try:
+            out = cold_store(build, chi, twist, *key)
+        finally:
+            _, products = frames.pop()
+        if build is quotients._chain:
+            if not frames:
+                reads.append((key, out))
+            if cold_store.cache_info().misses > misses:
+                built.setdefault(key[:2], []).append(products)
+        return out
 
-    monkeypatch.setattr(TS, "__mul__", counting)
-    monkeypatch.setattr(TS, "mul_exp", counting_exp)
-    chi, twist = trivial_character(1), TwistSpec(7, 1)
+    monkeypatch.setattr(TS, "__mul__", recording_mul)
+    monkeypatch.setattr(quotients, "_stored", recording_store)
+    chi, twist, order = trivial_character(1), TwistSpec(7, 1), 6
     ctx = EvalContext(chi, twist)
     y = (Fraction(1, 2), Fraction(2), Fraction(3, 5))
+    read = set()
     for qt in QUOTIENT_TYPES.values():
-        w = (1, 2, 3)[: qt.arity]
-        # exp(c*(y_1+..)*t) is a factor, applied by mul_exp, where the type
-        # has y variables (the y values here are positive, so
-        # c*(y_1+..) != 0)
-        factors = len(qt.chars) + len(qt.numer) + (1 if qt.ymul and qt.y_count else 0)
-        seen = []
-        for sigma in itertools.permutations(w):
-            calls.clear()
-            seen.append(closed_form_series(qt, sigma, y[: qt.y_count], chi, twist, 6, ctx))
-            assert len(calls) == factors - 1, (qt.name, sigma)
-        assert all(s == seen[0] for s in seen)
+        for w in ((1, 2, 3), (1, 1, 2)):
+            seen, chains = [], {}
+            for sigma in itertools.permutations(w[: qt.arity]):
+                reads.clear()
+                seen.append(closed_form_series(qt, sigma, y[: qt.y_count], chi, twist, order, ctx))
+                want = [(quotients._ratio_series, tuple(mono_val(mono, sigma) for mono in qt.chars), order)]
+                if qt.numer:
+                    want.append((quotients._denom_series, tuple(mono_val(mono, sigma) for mono in qt.numer), order))
+                assert [key for key, _ in reads] == want, (qt.name, sigma)
+                for key, chain in reads:
+                    assert chains.setdefault(key, chain) is chain
+            assert len({id(chain) for chain in chains.values()}) == len(chains), qt.name
+            assert all(s == seen[0] for s in seen), qt.name
+            read |= {key[:2] for key in chains}
+    assert set(built) == read
+    for (factor, scales), builds in built.items():
+        assert len(builds) == 1, (factor.__name__, scales)
+        stored = [cold_store(factor, chi, twist, scale, order) for scale in scales]
+        acc = stored[0]
+        assert len(builds[0]) == len(scales) - 1
+        for (left, right, out), f in zip(builds[0], stored[1:]):
+            assert left is acc and right is f, (factor.__name__, scales)
+            acc = out
 
 
 @settings(max_examples=40, deadline=None)
