@@ -264,16 +264,19 @@ def _side_series(inst: TheoremInstance, ctx: EvalContext,
     w-tuples each permuted side is another instance's first side.  Sides
     are therefore memoised in ``ctx.side_memo`` under (form_id, permuted w,
     n_max), so every instance sharing the context evaluates each distinct
-    key once.  A side missing there reads its product P from the context's
-    second memo, by its factor chain and n_max (`quotients._build_side`):
-    the forms of one quotient type that fold power sums into the Bernoulli
+    key once; the memo lives as long as the context.  A side missing there
+    reads its product P from the process-wide store
+    (`EvalContext.side_product`), keyed by chi, the twist, its factor
+    chain's keys in chain order and n_max, so each ordered chain is multiplied
+    once per process, whichever audit, grid or context first needs it.
+    The forms of one quotient type that fold power sums into the Bernoulli
     argument have the same chains, so theorems 3, 6, 8 and 9 multiply
-    nothing that theorems 2, 5 and 7 have multiplied on the context.  Both
-    memos live as long as the context.  The factors a side multiplies are
-    not the context's: they come from the process-wide store, built once
-    per process (see `quotients.EvalContext`).
-    A mutated side neither reads nor fills either memo, and a mutated slot
-    series never enters the store.
+    nothing that theorems 2, 5 and 7 have multiplied.  Every ordered chain
+    is still multiplied on its own; equal stored products are merged into
+    one object only after an exact comparison (`quotients._shared`), so no
+    verdict rests on commutativity.
+    A mutated side neither reads nor fills the memo or the store, and a
+    mutated slot series never enters the store.
     """
     thm = inst.theorem_spec()
     sides = []
@@ -285,7 +288,7 @@ def _side_series(inst: TheoremInstance, ctx: EvalContext,
         key = (thm.base.form_id, w, inst.n_max)
         side = ctx.side_memo.get(key)
         if side is None:
-            side = ctx.side_memo[key] = _build_side(thm.base, w, ctx, inst.n_max, products=ctx._products)
+            side = ctx.side_memo[key] = _build_side(thm.base, w, ctx, inst.n_max, products=ctx.side_product)
         sides.append(side)
     return sides
 
@@ -631,15 +634,15 @@ def grid_verify(config: GridConfig) -> GridReport:
     EvalContext per (d, chi, r, j), so its side memo (see _side_series)
     evaluates every distinct permuted side once, and the first witness of a
     theorem and mode is searched on the grid values that verifying the
-    failing instance returned.  The products below the sides are shared by
-    the theorems of one quotient type (2 and 3, 5 and 6, 7 to 9), and
-    instances come theorem-first, so one type's theorems are adjacent: the
-    contexts are started afresh whenever the quotient type changes, and
-    their memos then hold one type's sides and products at most.  A side's
-    key holds its form, so the theorems of a type never share a side.  The
-    Bernoulli EGFs, character sums and slot series come from the
-    process-wide store, built once per process, so a fresh context
-    rebuilds none of them.
+    failing instance returned.  A side's key holds its form, so the
+    theorems of a type never share a side, and instances come
+    theorem-first, so one type's theorems are adjacent: the contexts are
+    started afresh whenever the quotient type changes, and their memos then
+    hold one type's sides at most.  The products below the sides, shared by
+    the theorems of one quotient type (2 and 3, 5 and 6, 7 to 9), and the
+    Bernoulli EGFs, character sums and slot series below them come from the
+    process-wide store, built once per process, so a fresh context, or a
+    second grid over the same cells, multiplies and rebuilds none of them.
     """
     rows: list[GridRow] = []
     counts: dict[tuple[int, str], dict[str, int]] = {

@@ -43,8 +43,8 @@ P is multiplied as one flat chain, left to right: each slot contributes
 its factors in order (a B slot its Bernoulli series, then one power-sum
 series per a-sum).  An a-sum's series is the stored series of the S slot it
 folds, so a form that folds power sums into a Bernoulli argument has the
-same chain as the form it came from, and the memos that hold P by its
-chain (`_build_side`) multiply it once for both.
+same chain as the form it came from, and the store and memos that hold P
+by its chain (`_build_side`) multiply it once for both.
 At a rational y-point the side's values are the EGF coefficients of one
 series, E(t) = P(t) * exp(c*t) with c = C_1*y_1 + .. (`point_series`, or
 `point_value` for one coefficient), summed from P's integer rows; only
@@ -73,9 +73,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .bernoulli import (ParameterError, TwistSpec, bernoulli_egf, character_sum_series, field_conductor,
                         require_series_order, twisted_exp_minus_one)
@@ -306,14 +307,17 @@ def parse_quotient_type(text: str) -> QuotientType:
 
 
 # Entries of the process-wide series store (`_stored`), least recently used
-# first out.  Measured working sets: the standard grid's is 1005 entries;
-# one pass of the `closed_form_sweep` pool (criterion 5 at order 12) leaves
-# 5,145, 4,627 of them closed-form chains, in 25.6 MB; one pass of the
-# `consistency_sample` pool (criterion 6 at n_max = 8) 6,507 in 22.7 MB.
-# The bound holds each twice over.  The largest entry, rows and packed rows,
-# is about 15 KB at order 12 (a chain of three T_W/D_W, d = 5, r = 7) and
-# 12 KB at order 8 (a slot's character sum), so a store full of order-12
-# entries takes at most about 240 MB
+# first out.  Measured working sets: the standard grid's is 7,550 entries,
+# 6,545 of them side products (held by 3,105 distinct objects, see
+# `_shared`), in about 11.6 MB; one pass of the `closed_form_sweep` pool
+# (criterion 5 at order 12) leaves 5,145, 4,627 of them closed-form chains,
+# in 25.6 MB; one pass of the `consistency_sample` pool (criterion 6 at
+# n_max = 8) 6,507 in 22.7 MB.  The bound holds each twice over, and
+# criteria 1, 5 and 6 together in one process (16,051 entries, as they
+# share factors) once, with no entry evicted but only 333 to spare.  The
+# largest entry, rows and packed rows, is about 15 KB at order 12 (a chain
+# of three T_W/D_W, d = 5, r = 7) and 12 KB at order 8 (a slot's character
+# sum), so a store full of order-12 entries takes at most about 240 MB
 STORE_SIZE = 16384
 
 
@@ -324,7 +328,8 @@ def _stored(build, chi: DirichletCharacter, twist: TwistSpec, *key) -> Truncated
     series, and `key` its twist class, scale, order and, for a slot's
     character sum, upper end, as the `EvalContext` methods pass them; for a
     closed-form chain (`_chain`), its factors' kind, their ordered scales
-    and the order."""
+    and the order; for a theorem side's product (`_side_product`), its
+    chain's factor keys in chain order and n_max."""
     return build(chi, twist, *key)
 
 
@@ -360,18 +365,52 @@ def _chain(chi: DirichletCharacter, twist: TwistSpec, factor, scales: tuple[int,
     return functools.reduce(operator.mul, (_stored(factor, chi, twist, scale, order) for scale in scales))
 
 
+def _factors(chi: DirichletCharacter, twist: TwistSpec, keys: Sequence[tuple], n: int) -> list[TruncatedSeries]:
+    """The stored slot series of a chain's factor keys (`_slot_keys`), in
+    their order, to order n: a key ("B", w_class, scale) reads a Bernoulli
+    series (`_bern_series`), ("S", upper, w_class, scale) a character sum
+    (`_psum_series`)."""
+    return [_stored(_bern_series if key[0] == "B" else _psum_series, chi, twist, *key[1:], n) for key in keys]
+
+
+def _side_product(chi: DirichletCharacter, twist: TwistSpec, keys: tuple[tuple, ...], n: int) -> TruncatedSeries:
+    """A theorem side's product P: the stored factors of its chain's keys,
+    multiplied in chain order (`EvalContext.sym_product`), and then
+    exchanged for an equal product already held (`_shared`)."""
+    return _shared(EvalContext.sym_product(_factors(chi, twist, keys, n)))
+
+
+# Stored side products by (conductor, denominator, hash of the rows), held
+# weakly, so an entry lives no longer than the store entries and sides that
+# hold its product
+_SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _share_key(series: TruncatedSeries) -> tuple:
+    den, rows, _ = series._form
+    return series.m, den, hash(tuple(map(tuple, rows)))
+
+
+def _shared(series: TruncatedSeries) -> TruncatedSeries:
+    """The product already held under series' key when the two are exactly
+    equal, else series itself: the permuted sides of a symmetric theorem,
+    each multiplied from its own ordered chain, then hold one set of rows.
+    Under a key held by an unequal series, series stays its own object."""
+    held = _SHARED.setdefault(_share_key(series), series)
+    return held if held == series else series
+
+
 class EvalContext:
-    """One (character, twist) pair's series, and its side memos.
+    """One (character, twist) pair's series, and its side memo.
 
     All values live at the fixed conductor lcm(r, order of chi): the slot
     series, each its quantity's one series (`bernoulli_egf`,
     `character_sum_series`) with t -> scale*t applied on integer rows
-    (`TruncatedSeries.scale_variable`), and the closed-form factors.  They
-    are read from the process-wide store (`_stored`), so every context for
-    the same pair shares them and each is built once per process.  Only the
-    two side memos belong to the context: the sides (P, C) by (form_id, w,
-    n_max), and below them each distinct factor chain's product P by
-    (chain keys, n_max), which the sides of different forms share.
+    (`TruncatedSeries.scale_variable`), the closed-form factors and chains,
+    and the theorem sides' products.  They are read from the process-wide
+    store (`_stored`), so every context for the same pair shares them and
+    each is built once per process.  Only the side memo belongs to the
+    context: the sides (P, C) by (form_id, w, n_max).
     """
 
     def __init__(self, chi: DirichletCharacter, twist: TwistSpec):
@@ -380,28 +419,28 @@ class EvalContext:
         self.d = chi.d
         self.r = twist.r
         self.m = field_conductor(chi, twist)
-        # theorem sides (P, C) by (form_id, w, n_max), and under them the
-        # products P by (chain keys, n_max) (see _build_side); read and
-        # filled only by identities._side_series
+        # theorem sides (P, C) by (form_id, w, n_max); read and filled only
+        # by identities._side_series
         self.side_memo: dict[tuple, Side] = {}
-        self._products: dict[tuple, TruncatedSeries] = {}
 
-    # -- slot series ------------------------------------------------------
+    # -- side products --------------------------------------------------
 
-    def bern_series(self, w_exp: int, scale: int, n: int) -> TruncatedSeries:
-        """sum_i B_{i,chi,xi^w_exp} (scale*t)^i/i! to order n; requires r
-        not dividing d*w_exp."""
-        return _stored(_bern_series, self.chi, self.twist, w_exp % self.r, scale, n)
-
-    def psum_series(self, upper: int, w_exp: int, scale: Fraction, n: int) -> TruncatedSeries:
-        """sum_p S_p(upper; chi, xi^w_exp) (scale*t)^p/p! to order n: the
-        character sum over a <= upper with t -> scale*t."""
-        return _stored(_psum_series, self.chi, self.twist, upper, w_exp % self.r, scale, n)
-
-    def sym_product(self, factors: Sequence[TruncatedSeries]) -> TruncatedSeries:
+    @staticmethod
+    def sym_product(factors: Sequence[TruncatedSeries]) -> TruncatedSeries:
         """The product of a side's factor chain, left to right, at one width
-        (`series.product`)."""
+        (`series.product`): every theorem side, stored or not, and every
+        expansion is multiplied here."""
         return product(factors)
+
+    def chain_product(self, keys: tuple[tuple, ...], n: int) -> TruncatedSeries:
+        """The product of the factor chain with these keys, to order n,
+        multiplied anew."""
+        return self.sym_product(_factors(self.chi, self.twist, keys, n))
+
+    def side_product(self, keys: tuple[tuple, ...], n: int) -> TruncatedSeries:
+        """`chain_product` read from the process-wide store (`_side_product`),
+        so each ordered chain is multiplied once per process."""
+        return _stored(_side_product, self.chi, self.twist, keys, n)
 
     # -- closed-form factors --------------------------------------------
 
@@ -434,7 +473,7 @@ class Mutation:
     """A deliberate single-site perturbation used by the no-vacuous-pass tests.
 
     kind 'binomial' doubles the t^degree coefficient of one slot's y-free
-    factor P_s, the product of its factors (see `_slot_factors`), which for
+    factor P_s, the product of its factors (see `_slot_keys`), which for
     an S slot is its whole t^degree coefficient; 'twist' bumps one slot's
     twist exponent by 1; 'wpower' multiplies one slot's t-scale by w1.  `side_series` refuses a
     slot outside the form and a binomial degree outside 0..n_max, which
@@ -476,20 +515,21 @@ def _int_or_fraction(num: int, den: int) -> int | Fraction:
     return Fraction(num, den) if rem else q
 
 
-def _slot_factors(ctx: EvalContext, slot: Slot, w: Sequence[int], n: int,
-                  mut: Optional[Mutation]) -> tuple[list[tuple[Optional[tuple], TruncatedSeries]], int]:
-    """The factors, each with its store key, whose left-to-right product is
-    the y-free series P_s of the slot's EGF factor P_s(t) * exp(c_s*y_v*t),
-    and c_s.
+def _slot_keys(ctx: EvalContext, slot: Slot, w: Sequence[int],
+               mut: Optional[Mutation]) -> tuple[list[tuple], int]:
+    """The store keys of the factors whose left-to-right product is the
+    y-free series P_s of the slot's EGF factor P_s(t) * exp(c_s*y_v*t), and
+    c_s, worked out from the slot data alone.
 
     An S slot is one factor, sum_k S_k (T*t)^k/k!, with c_s = 0.  A B slot
     under j a-sums is sum_i B_i (T*t)^i/i! followed by each a-sum's
-    sum_p S_p (f_l*T*t)^p/p!, with c_s = A*T.  A key is the store key
-    without chi, the twist and the order.  An a-sum's scale f_l*T is an int
-    wherever it is integral, like the twist scale of the S slot it folds,
-    so the two share one key and one store entry.  A binomial mutation
-    doubles the slot's whole product P_s at t^degree and returns it as one
-    factor with no key.
+    sum_p S_p (f_l*T*t)^p/p!, with c_s = A*T.  A key is its kind, "B" or
+    "S", then the store key without chi, the twist and the order (see
+    `_factors`).  An a-sum's scale f_l*T is an int wherever it is integral,
+    like the twist scale of the S slot it folds, so the two share one key
+    and one store entry.  A twist or wpower mutation names the true series
+    of another key; a binomial one is applied to the slot's factors by
+    `_build_side`.
     """
     r, d = ctx.r, ctx.d
     tw = ts = mono_val(slot.twist, w)
@@ -498,7 +538,7 @@ def _slot_factors(ctx: EvalContext, slot: Slot, w: Sequence[int], n: int,
     elif mut and mut.kind == "wpower":
         ts *= w[0]
     if isinstance(slot, SSlot):
-        factors, sums, c = [], [(slot.upper, tw, ts)], 0
+        keys, sums, c = [], [(slot.upper, tw, ts)], 0
     else:
         if (d * tw) % r == 0:
             raise NonUnitConstantError(
@@ -506,18 +546,13 @@ def _slot_factors(ctx: EvalContext, slot: Slot, w: Sequence[int], n: int,
                 factor=mono_name(slot.twist),
             )
         arg = mono_val(slot.arg_scale, w)
-        factors = [(("B", tw % r, ts), ctx.bern_series(tw, ts, n))]
+        keys = [("B", tw % r, ts)]
         sums = [(asum.upper, mono_val(asum.twist, w),
                  _int_or_fraction(arg * ts, mono_val(asum.upper, w))) for asum in slot.asums]
         c = arg * ts
     for upper, x, scale in sums:
-        end = d * mono_val(upper, w) - 1
-        factors.append((("S", end, x % r, scale), ctx.psum_series(end, x, scale, n)))
-    if mut and mut.kind == "binomial":
-        coeffs = list(product([f for _, f in factors]).coeffs)
-        coeffs[mut.degree] = coeffs[mut.degree].scale(2)
-        factors = [(None, TruncatedSeries(ctx.m, coeffs))]
-    return factors, c
+        keys.append(("S", d * mono_val(upper, w) - 1, x % r, scale))
+    return keys, c
 
 
 YPoly = dict[tuple[int, ...], CyclotomicNumber]
@@ -536,18 +571,24 @@ def side_series(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
 
 def _build_side(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
                 n_max: int, mutation: Optional[Mutation] = None,
-                products: Optional[dict] = None) -> Side:
+                products: Optional[Callable[[tuple, int], TruncatedSeries]] = None) -> Side:
     """`side_series` for a w-tuple whose conditions hold and n_max >= 0: the
     callers that have checked them already build their sides here.
 
-    P is the left-to-right product (`EvalContext.sym_product`) of one flat
-    chain: every slot's factors (`_slot_factors`) in slot order.  An exact
-    product reduced by its content gcd is canonical under any association,
-    so P does not depend on where the slots' own products would have been
-    taken.  `products`, when given, holds P by (the chain's keys, n_max), so
-    forms whose chains agree factor by factor and in order, a folded a-sum
-    and the S slot it replaces, share one product.  A mutated side neither
-    reads nor fills it."""
+    P is the left-to-right product of one flat chain: every slot's factors
+    (`_slot_keys`) in slot order.  An exact product reduced by its content
+    gcd is canonical under any association, so P does not depend on where
+    the slots' own products would have been taken.  The chain's keys are
+    worked out first, and its factor series are read from the store only
+    when P is multiplied.  `products`, when given, maps (the chain's keys,
+    n_max) to P: a memo local to the caller (`consistency_check`) or the
+    process-wide store (`EvalContext.side_product`), so forms whose chains
+    agree factor by factor and in order, a folded a-sum and the S slot it
+    replaces, share one product.  Without it P is multiplied anew
+    (`EvalContext.chain_product`).  A mutated side multiplies its own P and
+    never calls `products`; a binomial mutation doubles its slot's product
+    P_s at t^degree in a series of its own, so no mutated series enters
+    the store."""
     if mutation is not None:
         if not 0 <= mutation.slot < len(form.slots):
             raise ParameterError(f"mutation slot {mutation.slot} outside 0..{len(form.slots) - 1}")
@@ -556,19 +597,23 @@ def _build_side(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
     ys = [0] * max(1, form.qt.y_count)
     chain = []
     for idx, slot in enumerate(form.slots):
-        factors, c = _slot_factors(ctx, slot, w, n_max,
-                                   mutation if mutation is not None and mutation.slot == idx else None)
-        chain += factors
+        keys, c = _slot_keys(ctx, slot, w, mutation if mutation is not None and mutation.slot == idx else None)
+        chain.append(keys)
         if c:
             ys[slot.y_var] += c
-    keys, series = zip(*chain)
-    if products is None or mutation is not None:
-        return ctx.sym_product(series), tuple(ys)
-    key = (keys, n_max)
-    p = products.get(key)
-    if p is None:
-        p = products[key] = ctx.sym_product(series)
-    return p, tuple(ys)
+    ys = tuple(ys)
+    if mutation is not None:
+        factors = []
+        for idx, keys in enumerate(chain):
+            slot_factors = _factors(ctx.chi, ctx.twist, keys, n_max)
+            if idx == mutation.slot and mutation.kind == "binomial":
+                coeffs = list(product(slot_factors).coeffs)
+                coeffs[mutation.degree] = coeffs[mutation.degree].scale(2)
+                slot_factors = [TruncatedSeries(ctx.m, coeffs)]
+            factors += slot_factors
+        return ctx.sym_product(factors), ys
+    keys = tuple(key for slot_keys in chain for key in slot_keys)
+    return (ctx.chain_product if products is None else products)(keys, n_max), ys
 
 
 def spread_ypolys(p: TruncatedSeries, ys: Sequence[int], n_max: int) -> list[YPoly]:
@@ -749,8 +794,8 @@ def consistency_check(qt: QuotientType, w: Sequence[int], y: Sequence,
     only when the rates differ.  Only a form that fails builds its
     `point_series` E and the closed form K(t) * exp(c'*t), walked
     coefficient by coefficient for the first mismatching n.  The forms'
-    products are held by chain in a dict local to the call, so forms with
-    one chain multiply it once and a long-lived context gains nothing."""
+    products are memoised by chain for the call only, so forms with one
+    chain multiply it once and a long-lived context gains nothing."""
     require_series_order(n_max, "n_max")
     ctx = ctx or EvalContext(chi, twist)
     y = _y_point(qt, y)
@@ -758,7 +803,7 @@ def consistency_check(qt: QuotientType, w: Sequence[int], y: Sequence,
     core = _closed_product(qt, w, ctx, n_max).shift_up(qt.shift).truncate(n_max)
     rate = _closed_rate(qt, w, y)
     report = ConsistencyReport(qt.name, tuple(w), y, n_max, [f.form_id for f in FORMS[qt.name]])
-    products: dict = {}
+    products = functools.cache(ctx.chain_product)
     for form in FORMS[qt.name]:
         weight = form_weight(form, w)
         side = _build_side(form, w, ctx, n_max, mutation, products)

@@ -231,7 +231,7 @@ class TruncatedSeries:
     Held as integer rows (see the module docstring); `coeffs` is a view of
     them, built on its first read and cached."""
 
-    __slots__ = ("m", "_coeffs", "_form", "_packed")
+    __slots__ = ("m", "_coeffs", "_form", "_packed", "__weakref__")
 
     def __init__(self, m: int, coeffs: Sequence[Union[CyclotomicNumber, Scalar]]):
         if not coeffs:

@@ -134,14 +134,18 @@ def test_series_store_stays_within_its_bound(full_grid):
     assert wide.failures(11, "as-stated") == 0 and wide.failures(7, "as-stated") > 0
     assert store.cache_info().maxsize == quotients.STORE_SIZE
     assert store.cache_info().currsize <= quotients.STORE_SIZE
-    ctx = EvalContext(enumerate_characters(1)[0], TwistSpec(3, 1))
+    chi, twist = enumerate_characters(1)[0], TwistSpec(3, 1)
+
+    def psum(scale):
+        quotients._factors(chi, twist, [("S", 0, 1, scale)], 0)
+
     for scale in range(1, quotients.STORE_SIZE + 2):
-        ctx.psum_series(0, 1, scale, 0)
+        psum(scale)
     info = store.cache_info()
     assert info.currsize == quotients.STORE_SIZE
-    ctx.psum_series(0, 1, quotients.STORE_SIZE + 1, 0)   # the newest stays
+    psum(quotients.STORE_SIZE + 1)   # the newest stays
     assert store.cache_info().misses == info.misses
-    ctx.psum_series(0, 1, 1, 0)                          # the oldest went
+    psum(1)                          # the oldest went
     assert store.cache_info().misses == info.misses + 1
 
 

@@ -391,34 +391,34 @@ def test_second_audit_of_a_cell_builds_no_series(tmp_path, cold_store, monkeypat
 
 
 def test_second_audit_packs_no_stored_factor(tmp_path, monkeypatch, cold_store):
-    # every factor a side multiplies comes from the process-wide store, and
-    # keeps its packed rows: a second audit of the same cell multiplies every
-    # side chain again (its contexts are new) but packs nothing
+    # every side product comes from the process-wide store, as do the
+    # factors below it with their packed rows: a second audit of the same
+    # cell, on new contexts, multiplies no chain and packs nothing
     from bernsym import quotients, series
 
     cfg = tmp_path / "cell.grid"
     cfg.write_text("theorems = 7\nd = 5\nchars = explicit\nchar_labels = 5:1\nr = 7\nj = 1\n"
                    "w_components = 1,2,3,4\nn_max = 6\nmodes = as-stated,normalized\n")
-    counts = {"pack": 0, "sym_product": 0}
-    pack, sym_product = series._pack, quotients.EvalContext.sym_product
+    counts = {"pack": 0, "product": 0}
+    pack, multiply = series._pack, quotients.product
 
     def counting_pack(row, width):
         counts["pack"] += 1
         return pack(row, width)
 
-    def counting_sym_product(self, factors):
-        counts["sym_product"] += 1
-        return sym_product(self, factors)
+    def counting_product(factors):
+        counts["product"] += 1
+        return multiply(factors)
 
     monkeypatch.setattr(series, "_pack", counting_pack)
-    monkeypatch.setattr(quotients.EvalContext, "sym_product", counting_sym_product)
+    monkeypatch.setattr(quotients, "product", counting_product)
     outputs, seen = [], []
     for _ in range(2):
-        counts.update(pack=0, sym_product=0)
+        counts.update(pack=0, product=0)
         outputs.append(run_cli(["audit", "--grid-file", str(cfg)]))
         seen.append(dict(counts))
     assert outputs[0] == outputs[1] and outputs[0][0] == 1
-    assert seen[0]["sym_product"] == seen[1]["sym_product"] > 0
+    assert seen[0]["product"] > 0 and seen[1]["product"] == 0
     assert seen[0]["pack"] > 0 and seen[1]["pack"] == 0
 
 

@@ -3,10 +3,11 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
+from bernsym import quotients
 from bernsym.bernoulli import ParameterError, TwistSpec
 from bernsym.dirichlet import DirichletCharacter, trivial_character
 from bernsym.exactnum import CyclotomicNumber as Cyc
@@ -141,19 +142,59 @@ def test_memoised_sides_match_cold_evaluation(theorem):
     ]
 
 
+def _stored_products(monkeypatch) -> list:
+    """The side products the series store builds from now on: every one
+    passes through `quotients._shared` once, when it is built."""
+    built = []
+    share = quotients._shared
+    monkeypatch.setattr(quotients, "_shared", lambda series: built.append(series) or share(series))
+    return built
+
+
+def _products_made(monkeypatch) -> list:
+    """The factor chains `series.product` multiplies for quotients from now
+    on, stored side products and the rest, one list per product."""
+    chains = []
+    multiply = quotients.product
+    monkeypatch.setattr(quotients, "product", lambda factors: chains.append(factors) or multiply(factors))
+    return chains
+
+
 @pytest.mark.parametrize("theorem, w", ((1, (2, 4)), (4, (2, 3, 1)), (11, (2, 1, 1))))
-def test_mutated_side_bypasses_memo(theorem, w):
+def test_mutated_side_bypasses_memo(theorem, w, monkeypatch, cold_store):
     inst = TheoremInstance(theorem, 1, (), 5, 1, w, 3)
     ctx = EvalContext(inst.character(), inst.twist())
+    built = _stored_products(monkeypatch)
     assert verify_instance(inst, ctx=ctx).pass_as_stated
-    memo, products = dict(ctx.side_memo), dict(ctx._products)
-    # a mutated side read from either memo would pass; one written to it
-    # would fail the clean re-verify below
+    memo, stored = dict(ctx.side_memo), len(built)
+    assert stored > 0
+    # a mutated side read from the memo or the store would pass; one written
+    # to either would fail the clean re-verifies below
     assert not verify_instance(inst, ctx=ctx, mutation=Mutation("twist")).pass_as_stated
-    for now, before in ((ctx.side_memo, memo), (ctx._products, products)):
-        assert now.keys() == before.keys()
-        assert all(now[k] is v for k, v in before.items())
+    assert ctx.side_memo.keys() == memo.keys()
+    assert all(ctx.side_memo[k] is v for k, v in memo.items())
+    assert len(built) == stored
     assert verify_instance(inst, ctx=ctx).pass_as_stated
+    assert verify_instance(inst).pass_as_stated   # a fresh context reads the store
+    assert len(built) == stored
+
+
+@pytest.mark.parametrize("kind", ("binomial", "twist", "wpower"))
+def test_no_mutation_adds_a_stored_side_product(kind, monkeypatch, cold_store):
+    # every stored side product is built through `_shared`: a mutated run
+    # builds none, whether the side it mutates is stored already or not,
+    # and the clean run after it reads every side from the store
+    inst = TheoremInstance(4, 5, (1,), 7, 1, (2, 3, 1), 4)
+    built = _stored_products(monkeypatch)
+    assert not verify_instance(inst, mutation=Mutation(kind)).pass_as_stated
+    mutated_first = len(built)
+    assert verify_instance(inst).pass_as_stated
+    stored = len(built)
+    assert not verify_instance(inst, mutation=Mutation(kind)).pass_as_stated
+    assert verify_instance(inst).pass_as_stated
+    assert len(built) == stored
+    # the mutated side 1 was the only side the first run did not store
+    assert stored - mutated_first == 1
 
 
 @pytest.mark.parametrize("kind", ("binomial", "twist", "wpower"))
@@ -200,22 +241,51 @@ def _counting(ctx, monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("theorem", (1, 4, 10, 11))
-def test_each_permuted_side_is_multiplied_once(theorem, monkeypatch):
+def test_each_permuted_side_is_multiplied_once(theorem, monkeypatch, cold_store):
     # with distinct w components no two permuted sides have the same
-    # ordered chain, so each side is one product: a memo keyed by the
-    # sorted chain would share them, one keyed without n_max would hand the
-    # order-2 products to the order-3 instance
+    # ordered chain, so each side is one stored product, multiplied once per
+    # process: a second instance on a fresh context multiplies none, a
+    # store keyed by the sorted chain would share the sides' products, one
+    # keyed without n_max would hand the order-2 products to the order-3
+    # instance
     thm = THEOREMS[theorem]
     w = (2, 4) if thm.arity == 2 else (1, 2, 4)
     inst = TheoremInstance(theorem, 5, (1,), 3, 1, w, 2)
-    ctx = EvalContext(inst.character(), inst.twist())
-    chains = _counting(ctx, monkeypatch)
-    assert verify_instance(inst, ctx=ctx).pass_as_stated
+    chains = _products_made(monkeypatch)
+    assert verify_instance(inst).pass_as_stated
+    assert len(chains) == thm.sides
+    assert verify_instance(inst).pass_as_stated
     assert len(chains) == thm.sides
     deeper = replace(inst, n_max=3)
-    assert verify_instance(deeper, ctx=ctx).pass_as_stated
+    assert verify_instance(deeper).pass_as_stated
     assert len(chains) == 2 * thm.sides
-    assert _side_series(deeper, ctx) == _side_series(deeper, EvalContext(inst.character(), inst.twist()))
+    stored = _side_series(deeper, EvalContext(inst.character(), inst.twist()))
+    cold_store.cache_clear()
+    assert stored == _side_series(deeper, EvalContext(inst.character(), inst.twist()))
+    # the permuted sides are equal, so they hold one product object
+    assert all(p is stored[0][0] for p, _ in stored)
+
+
+@pytest.mark.parametrize("d, char, r", ((1, (), 3), (4, (1,), 5), (5, (1,), 7)))
+def test_stored_side_products_equal_a_cold_multiplication(d, char, r, cold_store):
+    # every theorem base's sides, read from the store after every theorem
+    # has filled it on fresh contexts, equal the same chains multiplied
+    # anew from a cold store (`side_series` multiplies on its own)
+    chi, twist = DirichletCharacter(d, char), TwistSpec(r, 1)
+    sides = {}
+    for theorem, thm in THEOREMS.items():
+        for w in product((1, 2, 3), repeat=thm.arity):
+            inst = TheoremInstance(theorem, d, char, r, 1, w, 6)
+            try:
+                inst.validate()
+            except ParameterError:
+                continue
+            for sig, side in zip(thm.sigmas, _side_series(inst, EvalContext(chi, twist))):
+                sides[thm.base.form_id, perm_apply(sig, w)] = (thm.base, side)
+    assert len({form_id for form_id, _ in sides}) == len(THEOREMS)
+    cold_store.cache_clear()
+    for (_, w), (form, side) in sides.items():
+        assert side_series(form, w, EvalContext(chi, twist), 6) == side, (form.form_id, w)
 
 
 def test_redundancy_displays_are_multiplied_not_read(monkeypatch):

@@ -1,6 +1,7 @@
 """Closed forms, expansion forms, weights, and the master reconciliation."""
 
 import functools
+import gc
 import math
 import operator
 from fractions import Fraction
@@ -13,6 +14,7 @@ from bernsym.bernoulli import ParameterError, TwistSpec, character_sum_series, g
 from bernsym.dirichlet import DirichletCharacter, trivial_character
 from bernsym.exactnum import CyclotomicNumber as Cyc, euler_phi
 from bernsym import bernoulli, quotients
+from bernsym.identities import TheoremInstance, verify_instance
 from bernsym.quotients import (
     FORMS,
     QUOTIENT_TYPES,
@@ -20,7 +22,7 @@ from bernsym.quotients import (
     EvalContext,
     Mutation,
     SSlot,
-    _slot_factors,
+    _slot_keys,
     closed_form_series,
     consistency_check,
     expansion_coefficients,
@@ -101,7 +103,7 @@ def _linear_power(c, slope, k):
 
 
 @pytest.mark.parametrize("name", sorted(FORMS))
-def test_slot_tensor_degrees_and_generating_function(name, monkeypatch):
+def test_slot_tensor_degrees_and_generating_function(name):
     # a slot's factor is P_s(t) exp(c_s z t), so its z^e coefficient at t^k
     # is P_s[k - e] c_s^e/e!, of degree k in all.  With every B_i and S_p
     # set to 1 (B_0 too: it is carried as a value, 0 in practice, not
@@ -109,19 +111,17 @@ def test_slot_tensor_degrees_and_generating_function(name, monkeypatch):
     # to ts^k/k!
     n = 6
     ctx = EvalContext(CHI1, TwistSpec(7, 1))
-    # sum_i 1 * (scale*t)^i/i! is exp(scale*t)
-    monkeypatch.setattr(ctx, "bern_series",
-                        lambda w_exp, scale, n: TruncatedSeries.exp_linear(scale, n, ctx.m))
-    monkeypatch.setattr(ctx, "psum_series",
-                        lambda upper, w_exp, scale, n: TruncatedSeries.exp_linear(scale, n, ctx.m))
     for form in FORMS[name]:
         for w in product(range(1, 5), repeat=form.qt.arity):
             def val(mono):
                 return math.prod(x ** e for x, e in zip(w, mono))
 
             for idx, slot in enumerate(form.slots):
-                factors, c = _slot_factors(ctx, slot, w, n, None)
-                series = functools.reduce(operator.mul, [f for _, f in factors])
+                keys, c = _slot_keys(ctx, slot, w, None)
+                # a factor's t-scale ends its key; sum_i 1 * (scale*t)^i/i!
+                # is exp(scale*t)
+                series = functools.reduce(operator.mul, [TruncatedSeries.exp_linear(key[-1], n, ctx.m)
+                                                         for key in keys])
                 ts = val(slot.twist)
                 for k in range(n + 1):
                     got = [series.coeffs[k - e].as_rational() * Fraction(c ** e, math.factorial(e))
@@ -144,13 +144,12 @@ SLOT_CASES = [(trivial_character(1), TwistSpec(3, 1)), (DirichletCharacter(4, (1
 def test_bern_series_is_scaled_bernoulli_numbers(chi, twist, cold_store):
     # coefficient i of the Bernoulli slot series is B_i * s^i/i!; the orders
     # run below, at and past the stored EGF's first order 8
-    ctx = EvalContext(chi, twist)
     for w_exp in (1, 2, twist.r + 1):
         if (chi.d * w_exp) % twist.r == 0:
             continue
         for scale, n in ((1, 3), (3, 8), (-2, 11), (6, 5)):
             numbers = gen_bernoulli_numbers(chi, twist, w_exp, n)
-            series = ctx.bern_series(w_exp, scale, n)
+            [series] = quotients._factors(chi, twist, [("B", w_exp % twist.r, scale)], n)
             assert series.order == n
             assert list(series.coeffs) == [b.scale(Fraction(scale) ** i / math.factorial(i))
                                            for i, b in enumerate(numbers)], (w_exp, scale, n)
@@ -160,12 +159,11 @@ def test_bern_series_is_scaled_bernoulli_numbers(chi, twist, cold_store):
 def test_psum_series_is_scaled_power_sums(chi, twist):
     # coefficient p of the power-sum slot series is S_p(upper) * q^p/p!, for
     # a rational q and twist exponents past r
-    ctx = EvalContext(chi, twist)
     for upper, w_exp, q in ((0, 1, Fraction(1)), (chi.d * 2 - 1, 2, Fraction(3, 2)),
                             (chi.d * 3 - 1, twist.r + 2, Fraction(-5, 3)),
                             (chi.d * 6 - 1, 2 * twist.r, Fraction(2))):
         n = 7
-        series = ctx.psum_series(upper, w_exp, q, n)
+        [series] = quotients._factors(chi, twist, [("S", upper, w_exp % twist.r, q)], n)
         assert series.order == n
         want = [power_sum(p, upper, chi, twist, w_exp).scale(q ** p / math.factorial(p))
                 for p in range(n + 1)]
@@ -177,8 +175,7 @@ def test_contexts_for_one_pair_share_their_series(cold_store):
     # second context for the same (chi, twist) builds nothing
     chi, twist = DirichletCharacter(5, (1,)), TwistSpec(3, 1)
     first, second = EvalContext(chi, twist), EvalContext(chi, twist)
-    reads = (lambda ctx: ctx.bern_series(2, 3, 6),
-             lambda ctx: ctx.psum_series(9, 4, Fraction(3, 2), 6),
+    reads = (lambda ctx: ctx.side_product((("B", 2, 3), ("S", 9, 1, Fraction(3, 2))), 6),
              lambda ctx: ctx.char_ratio_series(2, 6, "w1"),
              lambda ctx: ctx.denom_series(4, 6))
     for read in reads:
@@ -186,9 +183,11 @@ def test_contexts_for_one_pair_share_their_series(cold_store):
         misses = cold_store.cache_info().misses
         assert read(second) is series
         assert cold_store.cache_info().misses == misses
-    # a twist exponent is read mod r; another twist root is another key
-    assert first.bern_series(5, 3, 6) is first.bern_series(2, 3, 6)
-    assert EvalContext(chi, TwistSpec(3, 2)).bern_series(2, 3, 6) != first.bern_series(2, 3, 6)
+    # a slot's twist exponent is keyed mod r (the B slot of G0 at w1 = 5:
+    # class 2, scale 5); another twist root is another store entry
+    keys, _ = quotients._slot_keys(first, FORMS["G0"][0].slots[0], (5, 1), None)
+    assert keys == [("B", 2, 5)]
+    assert EvalContext(chi, TwistSpec(3, 2)).side_product(tuple(keys), 6) != first.side_product(tuple(keys), 6)
 
 
 @pytest.mark.parametrize("order", (0, 1, 2, 12))
@@ -314,7 +313,7 @@ def test_closed_forms_never_read_the_bernoulli_series(monkeypatch, cold_store):
 
     chi, twist = DirichletCharacter(5, (1,)), TwistSpec(3, 1)
     ctx = EvalContext(chi, twist)
-    monkeypatch.setattr(ctx, "bern_series", refuse)
+    monkeypatch.setattr(quotients, "_bern_series", refuse)
     monkeypatch.setattr(bernoulli, "bernoulli_egf", refuse)
     monkeypatch.setattr(quotients, "bernoulli_egf", refuse)
     with pytest.raises(AssertionError):
@@ -329,18 +328,20 @@ def test_closed_forms_never_read_the_bernoulli_series(monkeypatch, cold_store):
 def _slot_by_slot(form, w, ctx, n):
     """P multiplied slot by slot: each B slot's series times its a-sums'
     first, then the slots' products left to right."""
+    def factor(*key):
+        return quotients._factors(ctx.chi, ctx.twist, [key], n)[0]
+
     products = []
     for slot in form.slots:
         ts = mono_val(slot.twist, w)
         if isinstance(slot, SSlot):
-            products.append(ctx.psum_series(ctx.d * mono_val(slot.upper, w) - 1, ts, ts, n))
+            products.append(factor("S", ctx.d * mono_val(slot.upper, w) - 1, ts % ctx.r, ts))
             continue
-        p = ctx.bern_series(ts, ts, n)
+        p = factor("B", ts % ctx.r, ts)
         arg = mono_val(slot.arg_scale, w)
         for asum in slot.asums:
             upper = mono_val(asum.upper, w)
-            p = p * ctx.psum_series(ctx.d * upper - 1, mono_val(asum.twist, w),
-                                    Fraction(arg, upper) * ts, n)
+            p = p * factor("S", ctx.d * upper - 1, mono_val(asum.twist, w) % ctx.r, Fraction(arg, upper) * ts)
         products.append(p)
     return functools.reduce(operator.mul, products)
 
@@ -383,13 +384,39 @@ def test_mutated_side_neither_reads_nor_fills_the_products(kind):
     chi, twist = DirichletCharacter(4, (1,)), TwistSpec(5, 1)
     ctx = EvalContext(chi, twist)
     form, w = FORMS["L23:2"][2], (2, 1, 3)
-    products = {}
+    calls = []
+
+    def products(keys, n):
+        calls.append((keys, n))
+        return ctx.chain_product(keys, n)
+
     clean = quotients._build_side(form, w, ctx, 4, products=products)
-    held = dict(products)
-    assert len(held) == 1
+    assert len(calls) == 1
     mutated = quotients._build_side(form, w, ctx, 4, Mutation(kind), products)
     assert mutated[0] != clean[0]
-    assert products.keys() == held.keys() and all(products[k] is v for k, v in held.items())
+    assert len(calls) == 1
+
+
+def test_a_forced_share_key_collision_keeps_two_objects(monkeypatch):
+    # every series gets one share key here: an unequal series under a held
+    # key stays its own object, and only an exactly equal one is merged
+    monkeypatch.setattr(quotients, "_share_key", lambda series: ("collision",))
+    one, two = TruncatedSeries.constant(1, 3), TruncatedSeries.constant(2, 3)
+    assert quotients._shared(one) is one
+    assert quotients._shared(two) is two
+    assert quotients._shared(TruncatedSeries.constant(1, 3)) is one
+    assert quotients._SHARED[("collision",)] is one
+
+
+def test_the_shared_products_live_no_longer_than_the_store(cold_store):
+    # the table of shared side products holds them weakly: once the store
+    # has dropped its entries, and no side holds them, the table is empty
+    inst = TheoremInstance(4, 5, (1,), 7, 1, (2, 3, 1), 4)
+    assert verify_instance(inst).pass_as_stated
+    assert len(quotients._SHARED) > 0
+    cold_store.cache_clear()
+    gc.collect()
+    assert len(quotients._SHARED) == 0
 
 
 @pytest.mark.parametrize("name", sorted(FORMS))

@@ -20,6 +20,7 @@ from bernsym.bernoulli import TwistSpec, gen_bernoulli_numbers
 from bernsym.dirichlet import DirichletCharacter, enumerate_characters, unit_group_structure
 from bernsym.exactnum import CyclotomicNumber as Cyc
 from bernsym.exactnum import euler_phi
+from bernsym import quotients
 from bernsym.quotients import FORMS, QUOTIENT_TYPES, EvalContext, closed_form_series, side_series
 
 N_MAX = 6
@@ -134,8 +135,8 @@ def test_slot_factors_are_the_closed_form_factors_they_integrate(chi, twist):
         if chi.d * scale % twist.r == 0:
             continue
         ratio = ctx.char_ratio_series(scale, N_MAX, "W")
-        bern = ctx.bern_series(scale, scale, N_MAX)
+        [bern] = quotients._factors(chi, twist, [("B", scale % twist.r, scale)], N_MAX)
         assert bern == ratio.shift_up(1).truncate(N_MAX).scale(scale), scale
         for upper in (1, 2, 3):
-            psum = ctx.psum_series(chi.d * upper - 1, scale, scale, N_MAX)
+            [psum] = quotients._factors(chi, twist, [("S", chi.d * upper - 1, scale % twist.r, scale)], N_MAX)
             assert psum == ratio * ctx.denom_series(scale * upper, N_MAX), (scale, upper)
