@@ -12,26 +12,31 @@ exp((C_1*y_1 + ..)*t), built once as the pair (P, C) (see
 `quotients.side_series`).  Its t^n/n! coefficient is a y-polynomial whose
 y^e entry is n! * P[n - |e|] * C^e/e!, so two sides agree for every
 n <= n_max exactly when P[k] = P'[k] for every k <= n_max and either C = C'
-or P vanishes below t^n_max (then no y-term survives).  Normalized mode
-compares P[k]/w against P'[k]/w' by cross-multiplying integers.  Values at
-a y-point, where they are needed (witnesses, reported values,
-`theorem_sides`, and the pointwise method, which evaluates every side on
-the standard grid of n+2 integer points per variable and stays as an
-independent cross-check), are the t^n/n! coefficients of each side's
-P(t) * exp((C.y)*t), summed from P's integer rows (`quotients.point_value`);
-no y-polynomial is spread.  Each grid value is computed once, when a scan
-first reads it (`_PointValues`), and the pointwise method and the witness
-search read them through one scan (`_first_mismatch`), which stops at the
-first mismatch.
+or P vanishes below t^n_max (then no y-term survives).  Each distinct side
+of a context is one record (`_side_records`): (P, C), its weight and its
+normal form, P / weight in lowest terms (`TruncatedSeries.normal_form`),
+so normalized mode compares two normal forms, and as-stated mode compares
+P itself (`_records_equal`).  Values at a y-point, where they are needed
+(witnesses, reported values, `theorem_sides`, and the pointwise method,
+which evaluates every side on the standard grid of n+2 integer points per
+variable and stays as an independent cross-check), are the t^n/n!
+coefficients of each side's P(t) * exp((C.y)*t), summed from P's integer
+rows (`quotients.point_value`); no y-polynomial is spread.  Each grid value
+is computed once, when a scan first reads it (`_PointValues`), and the
+pointwise method and the witness search read them through one scan
+(`_first_mismatch`), which stops at the first mismatch.  A witness search
+under the series rule starts at the first n that is not provably equal
+(`_witness_start`); the pointwise method scans from n = 0.
 
 Each mode compares side 1 with every other side, and the rest of the
 verdicts follow from exact equality: when the as-stated star holds, only
 the normalized pairs of unequal weights are compared, and the sides of an
 orbit share their weight, so the orbit pairs are compared only when both
-stars fail.  The engine (`_verify`) decides and returns its verdicts with
-the instance's grid values; its two callers search the witnesses they
-report on those values: `verify_instance` for the instance's mode, and
-`grid_verify` for each mode's first failure.
+stars fail.  One engine (`_verify`) decides the verdicts of
+`verify_instance` and `grid_verify` and returns them with the side
+records; `verify_instance` builds the report and searches the witness of
+the instance's mode, and `grid_verify`, which builds no report, searches
+each mode's first witness.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .bernoulli import ParameterError, TwistSpec, field_conductor, require_series_order
 from .dirichlet import DirichletCharacter, enumerate_characters
@@ -59,13 +65,16 @@ from .quotients import (
     Side,
     _build_side,
     _check_conditions,
+    _require_units,
+    _require_w_components,
+    form_weight,
     mono_name,
-    mono_val,
     perm_apply,
     perm_monomial,
     point_value,
     side_series,
 )
+from .series import TruncatedSeries
 
 ID2 = ((1, 2), (2, 1))
 LEX3 = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
@@ -102,6 +111,23 @@ class TheoremSpec:
     @functools.cached_property
     def side_weight_names(self) -> tuple[str, ...]:
         return tuple(map(mono_name, self.side_weight_monos))
+
+    @functools.cached_property
+    def picks(self) -> tuple[Callable[[tuple], tuple], ...]:
+        """Per side, w -> the side's permuted w-tuple (`perm_apply`), as an
+        item getter over the sigma's 0-based indices (every sigma has at
+        least two entries, so each returns a tuple)."""
+        return tuple(itemgetter(*(s - 1 for s in sig)) for sig in self.sigmas)
+
+    @functools.cached_property
+    def star(self) -> tuple[tuple[int, int], ...]:
+        """The 0-based side pairs (0, s): side 1 against every other side."""
+        return tuple((0, s) for s in range(1, self.sides))
+
+    @functools.cached_property
+    def orbit_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The 0-based pairs of each orbit's first side with its others."""
+        return tuple((orbit[0] - 1, i - 1) for orbit in self.orbits() for i in orbit[1:])
 
     def orbits(self) -> list[list[int]]:
         """1-based side indices grouped by weight monomial, in print order."""
@@ -253,19 +279,43 @@ def y_grid_points(n: int, y_count: int) -> list[tuple[int, ...]]:
     return list(product(range(n + 2), repeat=y_count))
 
 
-def _side_series(inst: TheoremInstance, ctx: EvalContext,
-                 mutation: Optional[Mutation] = None) -> list[Side]:
-    """Per side, its (P, C) pair to order n_max (see `side_series`), for
-    an instance already validated: its conditions are symmetric in w, so
-    every permuted side meets them and is built without checking them
-    again (`quotients._build_side`).
+class _SideRecord(NamedTuple):
+    """One displayed side as the verdicts read it: its (P, C) pair (see
+    `side_series`), its weight at its own w (`form_weight`) and P / weight
+    in lowest terms (`TruncatedSeries.normal_form`).  Two sides are equal
+    after their weights exactly when their normal forms are, and C agrees
+    or P vanishes below t^n_max."""
 
-    A side is the base form at a permuted w-tuple, and over a grid of
-    w-tuples each permuted side is another instance's first side.  Sides
-    are therefore memoised in ``ctx.side_memo`` under (form_id, permuted w,
-    n_max), so every instance sharing the context evaluates each distinct
-    key once; the memo lives as long as the context.  A side missing there
-    reads its product P from the process-wide store
+    side: Side
+    weight: int
+    normal: tuple[int, tuple[int, ...]]
+
+
+def _side_record(form: ExpansionForm, w: tuple[int, ...], ctx: EvalContext, n_max: int,
+                 mutation: Optional[Mutation] = None,
+                 products: Optional[Callable[[tuple, int], TruncatedSeries]] = None) -> _SideRecord:
+    """The side's record, its (P, C) built by `quotients._build_side`."""
+    side = _build_side(form, w, ctx, n_max, mutation, products)
+    weight = form_weight(form, w)
+    return _SideRecord(side, weight, side[0].normal_form(weight))
+
+
+def _side_records(thm: TheoremSpec, w: tuple[int, ...], n_max: int, ctx: EvalContext,
+                  mutation: Optional[Mutation] = None) -> list[_SideRecord]:
+    """Per side, in print order, its record to order n_max, for a w-tuple
+    whose conditions hold: they are symmetric in w, so every permuted side
+    meets them and is built without checking them again
+    (`quotients._build_side`).
+
+    A side is the base form at a permuted w-tuple (`TheoremSpec.picks`),
+    and over a grid of w-tuples each permuted side is another instance's
+    first side.  Records are therefore memoised in ``ctx.side_memo`` under
+    (form_id, permuted w, n_max), so every instance sharing the context
+    builds each distinct side, and works out its weight and normal form,
+    once; the memo lives as long as the context.  Its weight
+    mono_val(base weight, permuted w) is the side's weight monomial at w,
+    as mono_val(perm_monomial(sigma, m), w) == mono_val(m, perm_apply(sigma, w)).
+    A side missing there reads its product P from the process-wide store
     (`EvalContext.side_product`), keyed by chi, the twist, its factor
     chain's keys in chain order and n_max, so each ordered chain is multiplied
     once per process, whichever audit, grid or context first needs it.
@@ -278,19 +328,19 @@ def _side_series(inst: TheoremInstance, ctx: EvalContext,
     A mutated side neither reads nor fills the memo or the store, and a
     mutated slot series never enters the store.
     """
-    thm = inst.theorem_spec()
-    sides = []
-    for idx, sig in enumerate(thm.sigmas):
-        w = perm_apply(sig, inst.w)
-        if idx == 0 and mutation is not None:
-            sides.append(_build_side(thm.base, w, ctx, inst.n_max, mutation))
+    form, memo = thm.base, ctx.side_memo
+    records = []
+    for pick in thm.picks:
+        wp = pick(w)
+        if mutation is not None and not records:
+            records.append(_side_record(form, wp, ctx, n_max, mutation))
             continue
-        key = (thm.base.form_id, w, inst.n_max)
-        side = ctx.side_memo.get(key)
-        if side is None:
-            side = ctx.side_memo[key] = _build_side(thm.base, w, ctx, inst.n_max, products=ctx.side_product)
-        sides.append(side)
-    return sides
+        key = (form.form_id, wp, n_max)
+        record = memo.get(key)
+        if record is None:
+            record = memo[key] = _side_record(form, wp, ctx, n_max, products=ctx.side_product)
+        records.append(record)
+    return records
 
 
 class _PointValues:
@@ -299,8 +349,8 @@ class _PointValues:
     (`point_value`), computed once on first use, so a scan reads only the
     values it compares."""
 
-    def __init__(self, sides: list[Side], y_count: int):
-        self.sides = sides
+    def __init__(self, records: Sequence[_SideRecord], y_count: int):
+        self.sides = [record.side for record in records]
         self.y_count = y_count
         self._points: dict[int, list[tuple[int, ...]]] = {}
         self._values: dict[tuple[int, int, int], CyclotomicNumber] = {}
@@ -320,12 +370,12 @@ class _PointValues:
 
 
 def _first_mismatch(values: _PointValues, pairs: Sequence[tuple[int, int]], weights: Optional[Sequence[int]],
-                    n_max: int) -> Optional[tuple[int, int, int, int]]:
-    """The first (n, grid-point index, i, j), n first, then the point, then
-    the pair in `pairs` order, where sides i and j differ in `values`; with
-    `weights`, where v_i * w_j != v_j * w_i."""
+                    n_max: int, start: int = 0) -> Optional[tuple[int, int, int, int]]:
+    """The first (n, grid-point index, i, j), n first from `start`, then the
+    point, then the pair in `pairs` order, where sides i and j differ in
+    `values`; with `weights`, where v_i * w_j != v_j * w_i."""
     value = values.value
-    for n in range(n_max + 1):
+    for n in range(start, n_max + 1):
         for p in range(len(values.points(n))):
             for i, j in pairs:
                 va, vb = value(i, n, p), value(j, n, p)
@@ -336,12 +386,38 @@ def _first_mismatch(values: _PointValues, pairs: Sequence[tuple[int, int]], weig
     return None
 
 
-def _first_witness(report: VerificationReport, values: _PointValues, mode: str) -> Optional[Witness]:
-    """The first (n, grid point, side pair) where the reported instance's
-    sides fail `mode`, read from their grid `values`."""
-    weights = [v for _, v in report.side_weights]
+def _witness_start(records: Sequence[_SideRecord], normalized: bool, n_max: int) -> int:
+    """The first n at which some pair of sides is not provably equal.
+
+    Level n is provably equal for a pair when P's rows 0..n agree after the
+    weights (in `normalized` mode) and either C agrees or those rows
+    vanish: every value at level n reads only rows 0..n and C, so no grid
+    point below the returned n can hold the first mismatch.  Rows are read
+    from the normal forms, P / weight in lowest terms (or P itself, as
+    stated) and compared cross-multiplied by the other side's
+    denominator."""
+    forms = [record.normal if normalized else record.side[0].normal_form() for record in records]
+    phi = len(forms[0][1]) // (n_max + 1)
+    start = n_max + 1
+    for i, j in combinations(range(len(records)), 2):
+        (da, fa), (db, fb) = forms[i], forms[j]
+        same_rate = records[i].side[1] == records[j].side[1]
+        n = 0
+        while n < start:
+            row_a, row_b = fa[n * phi:(n + 1) * phi], fb[n * phi:(n + 1) * phi]
+            if [x * db for x in row_a] != [x * da for x in row_b] or not same_rate and any(row_a):
+                break
+            n += 1
+        start = n
+    return start
+
+
+def _first_witness(values: _PointValues, weights: Sequence[int], mode: str, n_max: int,
+                   start: int = 0) -> Optional[Witness]:
+    """The first (n, grid point, side pair) where the sides fail `mode`, read
+    from their grid `values` from level `start` on (`_witness_start`)."""
     hit = _first_mismatch(values, list(combinations(range(len(weights)), 2)),
-                          weights if mode == "normalized" else None, report.instance.n_max)
+                          weights if mode == "normalized" else None, n_max, start)
     if hit is None:
         return None
     n, p, i, j = hit
@@ -354,15 +430,13 @@ def theorem_sides(inst: TheoremInstance, n: int | None = None,
     """Evaluate every displayed side exactly at one (n, y-point):
     returns (label, weight, value) per side in print order."""
     inst.validate()
-    thm = inst.theorem_spec()
     ctx = ctx or EvalContext(inst.character(), inst.twist())
     n = inst.n_max if n is None else n
     if not 0 <= n <= inst.n_max:
         raise ParameterError(f"n={n} outside 0..{inst.n_max}")
-    sides = _side_series(inst, ctx)
     y = tuple(Fraction(v) for v in y or ())
-    return [(f"side-{i}", mono_val(mono, inst.w), point_value(side, y, n))
-            for i, (mono, side) in enumerate(zip(thm.side_weight_monos, sides), start=1)]
+    return [(f"side-{i}", record.weight, point_value(record.side, y, n))
+            for i, record in enumerate(_side_records(inst.theorem_spec(), inst.w, inst.n_max, ctx), start=1)]
 
 
 def _sides_equal(a: Side, b: Side, n_max: int, wa: int = 1, wb: int = 1) -> bool:
@@ -373,68 +447,82 @@ def _sides_equal(a: Side, b: Side, n_max: int, wa: int = 1, wb: int = 1) -> bool
     return p.scaled_equal(q, wa, wb) and (ys == zs or p.vanishes_below(n_max))
 
 
+def _records_equal(a: _SideRecord, b: _SideRecord, normalized: bool, n_max: int) -> bool:
+    """`_sides_equal` on two records, after their weights when `normalized`:
+    P's normal forms compared, or P itself (one object when the store
+    merged two equal products, see `quotients._shared`)."""
+    (p, ys), (q, zs) = a.side, b.side
+    if not (a.normal == b.normal if normalized else p is q or p.scaled_equal(q)):
+        return False
+    return ys == zs or p.vanishes_below(n_max)
+
+
 def verify_instance(inst: TheoremInstance, method: str = "poly",
                     include_values: bool = False,
                     ctx: Optional[EvalContext] = None,
                     mutation: Optional[Mutation] = None) -> VerificationReport:
     """Check all side equalities of one theorem instance, in both modes.
 
-    method 'poly' compares the sides' (P, C) pairs (equivalent to comparing
+    method 'poly' compares the sides' records (equivalent to comparing
     their y-polynomials, see the module docstring); method 'points'
     evaluates every side at every grid point directly.  A failing
-    instance's witness is the first grid point where its mode fails.
+    instance's witness is the first grid point where its mode fails: under
+    'poly' the scan starts at the first level not provably equal
+    (`_witness_start`), under 'points' at n = 0.
     """
     inst.validate()
     if method not in ("poly", "points"):
         raise ParameterError(f"unknown verification method {method!r}")
-    report, values = _verify(inst, method, ctx or EvalContext(inst.character(), inst.twist()), mutation)
+    thm = inst.theorem_spec()
+    verdicts, records, values = _verify(thm, inst.w, inst.n_max,
+                                        ctx or EvalContext(inst.character(), inst.twist()), method, mutation)
+    weights = [record.weight for record in records]
+    report = VerificationReport(inst, list(zip(thm.side_weight_names, weights)), thm.orbits(), _group(weights),
+                                *verdicts)
+    if values is None and (include_values or not report.passed):
+        values = _PointValues(records, thm.y_count)
     if not report.passed:
-        report.witness = _first_witness(report, values, inst.mode)
+        start = 0 if method == "points" else _witness_start(records, inst.mode == "normalized", inst.n_max)
+        report.witness = _first_witness(values, weights, inst.mode, inst.n_max, start)
     if include_values:
         report.values = [[[values.value(s, n, p).to_json() for p in range(len(values.points(n)))]
                           for n in range(inst.n_max + 1)]
-                         for s in range(len(values.sides))]
+                         for s in range(len(records))]
     return report
 
 
-def _verify(inst: TheoremInstance, method: str, ctx: EvalContext,
-            mutation: Optional[Mutation] = None) -> tuple[VerificationReport, _PointValues]:
-    """The verdicts of an instance already validated, with no witness, and
-    its sides' grid values, filled as far as the verdicts read them: the
-    callers search the witnesses they report on that one table."""
-    thm = inst.theorem_spec()
-    weights = [mono_val(m, inst.w) for m in thm.side_weight_monos]
-    sides = _side_series(inst, ctx, mutation)
-    values = _PointValues(sides, thm.y_count)
-    orbits_static = thm.orbits()
+def _verify(thm: TheoremSpec, w: tuple[int, ...], n_max: int, ctx: EvalContext, method: str = "poly",
+            mutation: Optional[Mutation] = None
+            ) -> tuple[tuple[bool, bool, bool], list[_SideRecord], Optional[_PointValues]]:
+    """The verdicts (as stated, normalized, within orbits) of a w-tuple whose
+    conditions hold, with its side records and, under 'points', the grid
+    values the verdicts read: the one verdict function of `verify_instance`
+    and `grid_verify`, whose callers search the witnesses they report.
 
+    Under 'poly' each pair is decided by its records (`_records_equal`);
+    under 'points' by every grid point's value (`_first_mismatch`).  Every
+    verdict is a star from side 1, and exact equality is transitive: a
+    normalized pair of equal weights is an as-stated pair, so it is
+    compared only where the as-stated star has not settled it, and an
+    orbit's sides share their weight, so either star passing settles them.
+    """
+    records = _side_records(thm, w, n_max, ctx, mutation)
+    values = None
     if method == "points":
+        values = _PointValues(records, thm.y_count)
+        weights = [record.weight for record in records]
+
         def holds(pairs, normalized):
-            return _first_mismatch(values, pairs, weights if normalized else None, inst.n_max) is None
+            return _first_mismatch(values, pairs, weights if normalized else None, n_max) is None
     else:
         def holds(pairs, normalized):
-            return all(_sides_equal(sides[i], sides[j], inst.n_max,
-                                    *((weights[i], weights[j]) if normalized else (1, 1)))
-                       for i, j in pairs)
-    # every verdict is a star from side 1, and exact equality is transitive:
-    # a normalized pair of equal weights is an as-stated pair, so it is
-    # compared only where the as-stated star has not settled it, and an
-    # orbit's sides share their weight, so either star passing settles them
-    star = [(0, s) for s in range(1, thm.sides)]
+            return all(_records_equal(records[i], records[j], normalized, n_max) for i, j in pairs)
+    star = thm.star
     pass_as_stated = holds(star, False)
-    pass_normalized = holds([(i, j) for i, j in star if weights[i] != weights[j]]
+    pass_normalized = holds([(i, j) for i, j in star if records[i].weight != records[j].weight]
                             if pass_as_stated else star, True)
-    report = VerificationReport(
-        instance=inst,
-        side_weights=list(zip(thm.side_weight_names, weights)),
-        orbits_static=orbits_static,
-        orbits_by_value=_group(weights),
-        pass_as_stated=pass_as_stated,
-        pass_normalized=pass_normalized,
-        pass_orbits=(pass_as_stated or pass_normalized
-                     or holds([(orbit[0] - 1, i - 1) for orbit in orbits_static for i in orbit[1:]], False)),
-    )
-    return report, values
+    pass_orbits = pass_as_stated or pass_normalized or holds(thm.orbit_pairs, False)
+    return (pass_as_stated, pass_normalized, pass_orbits), records, values
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +624,12 @@ class GridConfig:
         for mode in self.modes:
             if mode not in ("as-stated", "normalized"):
                 raise ParameterError(f"unknown mode {mode!r}")
-        # count a repeated mode or label once, as grid_instances dedups the rest
+        # count a repeated mode or label once, as _grid_cells dedups the rest
         object.__setattr__(self, "modes", tuple(dict.fromkeys(self.modes)))
         object.__setattr__(self, "char_labels", tuple(dict.fromkeys(self.char_labels)))
         # values that leave nothing to verify are the user's error, not skips
         require_series_order(self.n_max, "n_max")
-        if min(self.w_components) < 1:
-            raise ParameterError("w components must be positive integers")
+        _require_w_components(self.w_components)
         twists = [TwistSpec(r) for r in sorted(set(self.r_values))]   # r >= 2, under the ceiling
         if self.char_filter not in ("all", "primitive-only", "explicit"):
             raise ParameterError(f"unknown character filter {self.char_filter!r}; "
@@ -610,39 +697,50 @@ class GridReport:
         }
 
 
-def grid_instances(config: GridConfig) -> Iterable[TheoremInstance]:
-    """All grid instances in deterministic key order (skips applied later)."""
-    items = []
+def _grid_cells(config: GridConfig) -> list[tuple]:
+    """Every (theorem, d, chi, r, j) cell of the grid with its w-tuples, in
+    instance-key order: cells sorted by (theorem, d, chi's exponents, r, j),
+    each with every w-tuple of its theorem's arity in sorted order."""
+    components = sorted(set(config.w_components))
+    cells = []
     for theorem in sorted(set(config.theorems)):
-        thm = THEOREMS[theorem]
+        ws = list(product(components, repeat=THEOREMS[theorem].arity))
         for d in sorted(set(config.d_values)):
-            for chi in config.characters(d):
+            for chi in sorted(config.characters(d), key=lambda c: c.exponents):
                 for r in sorted(set(config.r_values)):
                     for j in sorted(set(config.j_values)):
-                        for w in product(sorted(set(config.w_components)), repeat=thm.arity):
-                            items.append(TheoremInstance(
-                                theorem, d, chi.exponents, r, j, tuple(w), config.n_max))
-    items.sort(key=lambda inst: inst.key())
-    return items
+                        cells.append((theorem, d, chi, r, j, ws))
+    return cells
 
 
 def grid_verify(config: GridConfig) -> GridReport:
     """Run the whole grid; precondition-violating points are skipped, never
-    counted as evidence.  Reports are assembled in instance-key order.
+    counted as evidence.  Rows are assembled in instance-key order.
 
-    Every instance is validated once, here.  Instances share one
-    EvalContext per (d, chi, r, j), so its side memo (see _side_series)
-    evaluates every distinct permuted side once, and the first witness of a
-    theorem and mode is searched on the grid values that verifying the
-    failing instance returned.  A side's key holds its form, so the
-    theorems of a type never share a side, and instances come
-    theorem-first, so one type's theorems are adjacent: the contexts are
-    started afresh whenever the quotient type changes, and their memos then
-    hold one type's sides at most.  The products below the sides, shared by
-    the theorems of one quotient type (2 and 3, 5 and 6, 7 to 9), and the
-    Bernoulli EGFs, character sums and slot series below them come from the
-    process-wide store, built once per process, so a fresh context, or a
-    second grid over the same cells, multiplies and rebuilds none of them.
+    The grid works cell by cell, a cell being one (theorem, d, chi, r, j)
+    with its w-tuples (`_grid_cells`).  What depends on the cell alone is
+    checked once per cell: the twist and gcd(r, d) = 1 skip all its
+    instances with one message, and only the type's conditions at w
+    (`quotients._require_units`) are checked per instance; the rest of an
+    instance's preconditions hold for the whole grid (`GridConfig`).  A
+    skip's message is built only for an instance that is skipped.  Each
+    instance is decided by `_verify` on its side records, with no report
+    built: the first failing instance of a theorem and mode builds its grid
+    values and searches its witness from the first level that is not
+    provably equal (`_witness_start`).
+
+    Cells share one EvalContext per (d, chi, r, j), so its side memo (see
+    `_side_records`) holds every distinct permuted side once, with its
+    weight and normal form.  A side's key holds its form, so the theorems
+    of a type never share a side, and cells come theorem-first, so one
+    type's theorems are adjacent: the contexts are started afresh whenever
+    the quotient type changes, and their memos then hold one type's sides
+    at most; nothing but the series store outlives the call.  The products
+    below the sides, shared by the theorems of one quotient type (2 and 3,
+    5 and 6, 7 to 9), and the Bernoulli EGFs, character sums and slot
+    series below them come from the process-wide store, built once per
+    process, so a fresh context, or a second grid over the same cells,
+    multiplies and rebuilds none of them.
     """
     rows: list[GridRow] = []
     counts: dict[tuple[int, str], dict[str, int]] = {
@@ -650,37 +748,49 @@ def grid_verify(config: GridConfig) -> GridReport:
         for t in sorted(set(config.theorems)) for mode in config.modes
     }
     first_witness: dict[tuple[int, str], Witness] = {}
+    n_max = config.n_max
     contexts: dict[tuple, EvalContext] = {}
     memo_type = None
 
-    for inst in grid_instances(config):
-        row = GridRow(instance_key=inst.key())
-        try:
-            inst.validate()
-        except ParameterError as exc:
-            row.skipped = True
-            row.skip_reason = str(exc)
-            for mode in config.modes:
-                counts[(inst.theorem, mode)]["skipped"] += 1
-            rows.append(row)
-            continue
-        qt = THEOREMS[inst.theorem].base.qt
-        if qt != memo_type:
+    for theorem, d, chi, r, j, ws in _grid_cells(config):
+        thm = THEOREMS[theorem]
+        qt = thm.base.qt
+        if qt is not memo_type:
             contexts, memo_type = {}, qt
-        ckey = (inst.d, inst.char, inst.r, inst.j)
-        ctx = contexts.get(ckey)
+        tallies = [((theorem, mode), counts[(theorem, mode)], mode == "normalized") for mode in config.modes]
+        cell = (theorem, d, chi.exponents, r, j)
+        try:
+            twist = TwistSpec(r, j)
+            twist.require_coprime(d)
+        except ParameterError as exc:
+            reason = str(exc)
+            rows += [GridRow(cell + (w,), True, reason) for w in ws]
+            for _, tally, _ in tallies:
+                tally["skipped"] += len(ws)
+            continue
+        ctx = contexts.get(cell[1:])
         if ctx is None:
-            ctx = contexts[ckey] = EvalContext(inst.character(), inst.twist())
-        report, values = _verify(inst, "poly", ctx)
-        row.pass_as_stated = report.pass_as_stated
-        row.pass_normalized = report.pass_normalized
-        row.pass_orbits = report.pass_orbits
-        for mode in config.modes:
-            ok = report.pass_normalized if mode == "normalized" else report.pass_as_stated
-            counts[(inst.theorem, mode)]["pass" if ok else "fail"] += 1
-            if not ok and (inst.theorem, mode) not in first_witness:
-                witness = _first_witness(report, values, mode)
-                if witness:
-                    first_witness[(inst.theorem, mode)] = witness
-        rows.append(row)
+            ctx = contexts[cell[1:]] = EvalContext(chi, twist)
+        for w in ws:
+            try:
+                _require_units(qt, twist, w)
+            except ParameterError as exc:
+                rows.append(GridRow(cell + (w,), True, str(exc)))
+                for _, tally, _ in tallies:
+                    tally["skipped"] += 1
+                continue
+            (as_stated, normalized, orbits), records, _ = _verify(thm, w, n_max, ctx)
+            rows.append(GridRow(cell + (w,), False, "", as_stated, normalized, orbits))
+            values = None
+            for key, tally, in_normalized in tallies:
+                if normalized if in_normalized else as_stated:
+                    tally["pass"] += 1
+                    continue
+                tally["fail"] += 1
+                if key not in first_witness:
+                    values = values or _PointValues(records, thm.y_count)
+                    witness = _first_witness(values, [record.weight for record in records], key[1], n_max,
+                                             _witness_start(records, in_normalized, n_max))
+                    if witness:
+                        first_witness[key] = witness
     return GridReport(config, rows, counts, first_witness)

@@ -88,11 +88,7 @@ Mono = tuple[int, ...]
 
 
 def mono_val(mono: Mono, w: Sequence[int]) -> int:
-    out = 1
-    for base, exp in zip(w, mono):
-        if exp:
-            out *= base ** exp
-    return out
+    return math.prod(map(pow, w, mono))
 
 
 def mono_name(mono: Mono) -> str:
@@ -410,7 +406,7 @@ class EvalContext:
     and the theorem sides' products.  They are read from the process-wide
     store (`_stored`), so every context for the same pair shares them and
     each is built once per process.  Only the side memo belongs to the
-    context: the sides (P, C) by (form_id, w, n_max).
+    context: the theorem sides' records by (form_id, w, n_max).
     """
 
     def __init__(self, chi: DirichletCharacter, twist: TwistSpec):
@@ -419,9 +415,10 @@ class EvalContext:
         self.d = chi.d
         self.r = twist.r
         self.m = field_conductor(chi, twist)
-        # theorem sides (P, C) by (form_id, w, n_max); read and filled only
-        # by identities._side_series
-        self.side_memo: dict[tuple, Side] = {}
+        # theorem sides by (form_id, w, n_max), each its (P, C) with the
+        # side's weight and normal form; read and filled only by
+        # identities._side_records
+        self.side_memo: dict[tuple, tuple] = {}
 
     # -- side products --------------------------------------------------
 
@@ -444,19 +441,21 @@ class EvalContext:
 
     # -- closed-form factors --------------------------------------------
 
-    def char_ratio_series(self, scale: int, order: int, factor: str) -> TruncatedSeries:
+    def char_ratio_series(self, scale: int, order: int, factor: Mono) -> TruncatedSeries:
         """T_W/D_W, T_W = sum_{a<d} chi(a) xi^(aW) e^(aWt): the character
         sum with t -> W*t over D_W; requires r not dividing d*W."""
         self.require_unit_ratio(scale, factor)
         return _stored(_ratio_series, self.chi, self.twist, scale, order)
 
-    def require_unit_ratio(self, scale: int, factor: str) -> None:
-        """Refuse T_W/D_W at W = scale, named `factor`, when D_W has no
-        unit constant term: xi^(dW) = 1, i.e. r divides d*W."""
+    def require_unit_ratio(self, scale: int, factor: Mono) -> None:
+        """Refuse T_W/D_W at W = scale, the value of monomial `factor`, when
+        D_W has no unit constant term: xi^(dW) = 1, i.e. r divides d*W.
+        The monomial is named only in the refusal."""
         if (self.d * scale) % self.r == 0:
+            name = mono_name(factor)
             raise NonUnitConstantError(
-                f"xi^(d*{factor}) = 1 at w-scale {scale}: r={self.r} divides d*{scale}",
-                factor=factor,
+                f"xi^(d*{name}) = 1 at w-scale {scale}: r={self.r} divides d*{scale}",
+                factor=name,
             )
 
     def denom_series(self, scale: int, order: int) -> TruncatedSeries:
@@ -493,19 +492,49 @@ class Mutation:
 # expansion evaluation
 
 
+# The ceiling on a w component's bit length.  A side's cost grows with the
+# bit length of its scales, not with their values, and with the order:
+# theorem 8 at d = 5, r = 7 and w = (2^64 - 1, 2^64 - 3, 2^64 - 5), from a
+# cold store in a fresh process, took 0.11 s of CPU at n_max = 6, 2.4 s at
+# 16 and 252 s at 64, against 0.005, 0.02 and 2.1 s at w = (1, 2, 3)
+# (2-core Xeon, Python 3.11.7).  So this ceiling and
+# `bernoulli.MAX_SERIES_ORDER` together bound one instance, but loosely
+MAX_W_BITS = 64
+
+
 def _check_conditions(qt: QuotientType, twist: TwistSpec, w: Sequence[int]) -> None:
+    """Refuse a w-tuple the type cannot take: the wrong length, a component
+    that is not a positive integer of at most MAX_W_BITS bits
+    (`_require_w_components`), or a violated condition (`_require_units`)."""
     if len(w) != qt.arity:
         raise ParameterError(f"{qt.name} needs a w-tuple of length {qt.arity}")
+    _require_w_components(w)
+    _require_units(qt, twist, w)
+
+
+def _require_w_components(w: Sequence[int]) -> None:
+    """Refuse a w component below 1 or above MAX_W_BITS bits, before any
+    series is built: every w-tuple and a grid's w components pass here."""
     if any(x < 1 for x in w):
         raise ParameterError("w components must be positive integers")
+    for x in w:
+        if x >= 1 << MAX_W_BITS:
+            raise ParameterError(f"w component {x} has {int(x).bit_length()} bits, "
+                                 f"above the ceiling of {MAX_W_BITS}")
+
+
+def _require_units(qt: QuotientType, twist: TwistSpec, w: Sequence[int]) -> None:
+    """Refuse a w at which r divides one of the type's condition monomials;
+    the message is built only then."""
     for mono in qt.conditions():
         if mono_val(mono, w) % twist.r == 0:
             # the arithmetic face of the violated condition: the unit
             # denominator xi^(d*mono) - 1 collapses
+            name = mono_name(mono)
             raise NonUnitConstantError(
                 f"{qt.name} requires r to divide none of {', '.join(map(mono_name, qt.conditions()))}; "
-                f"r={twist.r} divides {mono_name(mono)}={mono_val(mono, w)} at w={tuple(w)}",
-                factor=mono_name(mono),
+                f"r={twist.r} divides {name}={mono_val(mono, w)} at w={tuple(w)}",
+                factor=name,
             )
 
 
@@ -538,20 +567,17 @@ def _slot_keys(ctx: EvalContext, slot: Slot, w: Sequence[int],
     elif mut and mut.kind == "wpower":
         ts *= w[0]
     if isinstance(slot, SSlot):
-        keys, sums, c = [], [(slot.upper, tw, ts)], 0
-    else:
-        if (d * tw) % r == 0:
-            raise NonUnitConstantError(
-                f"xi^(d*{mono_name(slot.twist)}) = 1 at w={tuple(w)}",
-                factor=mono_name(slot.twist),
-            )
-        arg = mono_val(slot.arg_scale, w)
-        keys = [("B", tw % r, ts)]
-        sums = [(asum.upper, mono_val(asum.twist, w),
-                 _int_or_fraction(arg * ts, mono_val(asum.upper, w))) for asum in slot.asums]
-        c = arg * ts
-    for upper, x, scale in sums:
-        keys.append(("S", d * mono_val(upper, w) - 1, x % r, scale))
+        return [("S", d * mono_val(slot.upper, w) - 1, tw % r, ts)], 0
+    if (d * tw) % r == 0:
+        raise NonUnitConstantError(
+            f"xi^(d*{mono_name(slot.twist)}) = 1 at w={tuple(w)}",
+            factor=mono_name(slot.twist),
+        )
+    c = mono_val(slot.arg_scale, w) * ts
+    keys = [("B", tw % r, ts)]
+    for asum in slot.asums:
+        upper = mono_val(asum.upper, w)
+        keys.append(("S", d * upper - 1, mono_val(asum.twist, w) % r, _int_or_fraction(c, upper)))
     return keys, c
 
 
@@ -713,7 +739,7 @@ def _closed_product(qt: QuotientType, w: Sequence[int], ctx: EvalContext, order:
     kept = max(order - qt.shift, 0)
     chars = tuple(mono_val(mono, w) for mono in qt.chars)
     for mono, scale in zip(qt.chars, chars):
-        ctx.require_unit_ratio(scale, mono_name(mono))
+        ctx.require_unit_ratio(scale, mono)
     out = _stored(_chain, ctx.chi, ctx.twist, _ratio_series, chars, order).truncate(kept)
     if not qt.numer:
         return out

@@ -25,7 +25,9 @@ Normalisation happens only at the edges:
     from the rows on its first read and cached; `egf_coefficient` reduces
     the one coefficient it returns;
   * equality cross-multiplies the two sides' rows by the other side's
-    denominator (and by any weights) and normalises nothing.
+    denominator (and by any weights) and normalises nothing;
+  * `normal_form` gives a series divided by a weight in lowest terms, for
+    callers that compare one series with many others.
 
 Products and quotients are batched integer convolutions.  Each
 coefficient's phi(m) coordinates are packed into one Python int,
@@ -509,6 +511,22 @@ class TruncatedSeries:
     def vanishes_below(self, k: int) -> bool:
         """Whether c_0..c_(k-1) are all zero."""
         return not any(map(any, self._form[1][:k]))
+
+    def normal_form(self, weight: int = 1) -> tuple[int, tuple[int, ...]]:
+        """self / weight in lowest terms, for a positive integer weight:
+        (D, the coordinates of every row in order) over the one common
+        denominator D = den * weight / g, g the gcd of den * weight and every
+        coordinate.  Two series at one conductor and order, each divided by
+        its weight, are equal exactly when their normal forms are.  g is
+        taken from the rows, so a series whose rows are not content-reduced
+        gets the same form."""
+        den, rows, _ = self._form
+        den *= weight
+        flat = tuple(chain.from_iterable(rows))
+        g = math.gcd(den, *flat)
+        if g > 1:
+            return den // g, tuple([x // g for x in flat])
+        return den, flat
 
     def scaled_equal(self, other: "TruncatedSeries", wa: int = 1, wb: int = 1) -> bool:
         """self / wa == other / wb, coefficient by coefficient at one order.

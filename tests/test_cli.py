@@ -482,6 +482,8 @@ def test_repeated_main_calls_match_fresh_processes(monkeypatch, capsys):
     (b"theorems = 1\xff\n", "error: cannot read grid file"),   # not UTF-8
     (b"n_max = -1\n", "error: n_max must be nonnegative"),
     (b"w_components = 0,1\n", "error: w components must be positive"),
+    (b"w_components = 1,%d\n" % 2 ** 64,
+     "error: w component 18446744073709551616 has 65 bits, above the ceiling of 64\n"),
     (b"r = 1\n", "error: twist root must differ from 1 (r >= 2)"),
     (b"chars = primitive\n", "error: unknown character filter 'primitive'"),
     (b"format = xml\n", "error: unknown grid format 'xml'"),
@@ -501,7 +503,7 @@ def test_repeated_main_calls_match_fresh_processes(monkeypatch, capsys):
      f"error: character modulus d={10 ** 30 + 57} is above the ceiling of 200\n"),
     (b"d = 139\nchars = explicit\nchar_labels = 139:1\nr = 3,199\n",
      "error: the field Q(zeta_27462) of r=199 and a character of order 138 has degree 8712"),
-], ids=["unknown-key", "missing", "not-utf8", "n-max", "w-component", "r", "chars", "format",
+], ids=["unknown-key", "missing", "not-utf8", "n-max", "w-component", "w-bits", "r", "chars", "format",
         "j-zero", "j-not-coprime", "explicit-no-labels", "explicit-label-outside-d",
         "explicit-one-label-outside-d", "repeated-key", "r-over-ceiling", "d-over-ceiling",
         "field-over-ceiling"])
@@ -757,3 +759,44 @@ def test_grid_parser_returns_config_or_usage_error(tmp_path_factory, lines):
         return
     assert isinstance(config, GridConfig) and fmt in FORMATS
 
+
+
+_WIDE = 2 ** 64   # one bit over quotients.MAX_W_BITS
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "8", "--d", "5", "--r", "7", "--w", f"{_WIDE},1,2"],
+    ["verify", "--theorem", "1", "--r", "7", "--w", f"1,{_WIDE}", "--method", "points"],
+    ["quotient", "--type", "L23:2", "--r", "7", "--w", f"1,{_WIDE},2"],
+    ["consistency", "--type", "L13:1", "--r", "7", "--w", f"1,2,{_WIDE}", "--y", "0,0"],
+    ["audit", "--grid-file", "GRID"],
+], ids=["verify", "verify-points", "quotient", "consistency", "audit"])
+def test_w_over_the_bit_ceiling_exits_2_before_any_work(argv, tmp_path, monkeypatch, cold_store):
+    # a w component of more than quotients.MAX_W_BITS bits is the user's
+    # error, refused before any series is built: every builder raises
+    from bernsym import quotients
+
+    def build(*args, **kwargs):
+        raise AssertionError("a series was built")
+
+    for name in ("bernoulli_egf", "character_sum_series", "twisted_exp_minus_one", "product"):
+        monkeypatch.setattr(quotients, name, build)
+    grid = tmp_path / "wide.grid"
+    grid.write_text(f"theorems = 7\nd = 5\nr = 7\nw_components = 1,2,{_WIDE}\nn_max = 2\n")
+    argv = [str(grid) if arg == "GRID" else arg for arg in argv]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: w component {_WIDE} has 65 bits, above the ceiling of 64\n"
+
+
+def test_w_at_the_bit_ceiling_is_verified(tmp_path):
+    # 64-bit components are accepted, by one instance and by a grid cell
+    # (r = 7 divides none of them, nor any product of two or three)
+    wide = (2 ** 64 - 1, 2 ** 64 - 3, 2 ** 64 - 5)
+    code, out, _ = run_cli(["verify", "--theorem", "8", "--d", "5", "--r", "7", "--w",
+                            ",".join(map(str, wide)), "--n-max", "2", "--mode", "normalized"])
+    assert code == 0 and json.loads(out)["pass"] is True
+    grid = tmp_path / "wide.grid"
+    grid.write_text(f"theorems = 11\nd = 1\nr = 7\nw_components = {wide[0]},{wide[2]}\nn_max = 2\n")
+    code, out, _ = run_cli(["audit", "--grid-file", str(grid)])
+    assert code == 0 and json.loads(out)["summary"][0]["pass"] == 8

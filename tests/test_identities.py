@@ -1,5 +1,8 @@
 """Theorem catalog, verification modes, orbits, redundancy, grids."""
 
+import hashlib
+import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,7 +10,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from bernsym import quotients
+from bernsym import identities, quotients
 from bernsym.bernoulli import ParameterError, TwistSpec
 from bernsym.dirichlet import DirichletCharacter, trivial_character
 from bernsym.exactnum import CyclotomicNumber as Cyc
@@ -15,10 +18,9 @@ from bernsym.identities import (
     THEOREMS,
     GridConfig,
     TheoremInstance,
-    _side_series,
+    _side_records,
     _sides_equal,
     _verify,
-    grid_instances,
     grid_verify,
     redundancy_check,
     theorem_sides,
@@ -43,6 +45,17 @@ from bernsym.quotients import (
 
 def b1_z3():
     return (Cyc.zeta(3) ** 2 - 1).scale(Fraction(1, 3))
+
+
+def _side_series(inst, ctx, mutation=None):
+    """The instance's (P, C) sides in print order, read from its side
+    records."""
+    return [record.side for record in _side_records(inst.theorem_spec(), inst.w, inst.n_max, ctx, mutation)]
+
+
+def _verdicts(inst, method, ctx, mutation=None):
+    """(as stated, normalized, within orbits) from `_verify`."""
+    return _verify(inst.theorem_spec(), inst.w, inst.n_max, ctx, method, mutation)[0]
 
 
 def test_catalog_structure():
@@ -382,7 +395,7 @@ def test_implied_verdicts_match_every_pair(theorem, method, monkeypatch):
     n_max = 6 if method == "poly" else 3
     config = GridConfig(theorems=(theorem,), n_max=n_max)
     valid = []
-    for inst in grid_instances(config):
+    for inst in _instances(config):
         try:
             inst.validate()
         except ParameterError:
@@ -395,23 +408,27 @@ def test_implied_verdicts_match_every_pair(theorem, method, monkeypatch):
     cases += [(mutated, Mutation(kind)) for kind in ("binomial", "twist", "wpower")]
     for inst, mutation in cases:
         ctx = EvalContext(inst.character(), inst.twist())
-        rep, _ = _verify(inst, method, ctx, mutation)
+        verdicts = _verdicts(inst, method, ctx, mutation)
         expected = _every_pair_verdicts(inst, _side_series(inst, ctx, mutation), method)
-        assert (rep.pass_as_stated, rep.pass_normalized, rep.pass_orbits) == expected, \
-            (inst.key(), mutation)
+        assert verdicts == expected, (inst.key(), mutation)
         if mutation:
-            assert not (rep.pass_as_stated or rep.pass_normalized), mutation
+            assert not (verdicts[0] or verdicts[1]), mutation
 
-    import bernsym.identities as identities
-    build = identities._side_series
-    monkeypatch.setattr(identities, "_side_series",
-                        lambda inst, ctx, mutation=None: [build(inst, ctx)[0]] * inst.theorem_spec().sides)
+    # every side planted as side 1, each record keeping its own weight
+    build = identities._side_records
+
+    def planted(thm, w, n_max, ctx, mutation=None):
+        records = build(thm, w, n_max, ctx)
+        side = records[0].side
+        return [identities._SideRecord(side, rec.weight, side[0].normal_form(rec.weight)) for rec in records]
+
+    monkeypatch.setattr(identities, "_side_records", planted)
     ctx = EvalContext(mutated.character(), mutated.twist())
-    rep, _ = _verify(mutated, method, ctx)
-    expected = _every_pair_verdicts(mutated, identities._side_series(mutated, ctx), method)
-    assert (rep.pass_as_stated, rep.pass_normalized, rep.pass_orbits) == expected
+    verdicts = _verdicts(mutated, method, ctx)
+    expected = _every_pair_verdicts(mutated, [_side_series(mutated, ctx)[0]] * THEOREMS[theorem].sides, method)
+    assert verdicts == expected
     weights = {mono_val(m, mutated.w) for m in THEOREMS[theorem].side_weight_monos}
-    assert rep.pass_as_stated and rep.pass_normalized == (len(weights) == 1)
+    assert verdicts[0] and verdicts[1] == (len(weights) == 1)
 
 
 def _ypoly_equal(a, b, wa=1, wb=1):
@@ -452,9 +469,7 @@ def test_series_rule_matches_ymonomial_comparison(theorem):
                         all(_ypoly_equal(polys[o[0] - 1], polys[i - 1])
                             for o in thm.orbits() for i in o[1:]),
                     )
-                    rep, _ = _verify(inst, "poly", ctx, mut)
-                    assert (rep.pass_as_stated, rep.pass_normalized, rep.pass_orbits) == \
-                        expected, (d, w, n_max, mut)
+                    assert _verdicts(inst, "poly", ctx, mut) == expected, (d, w, n_max, mut)
                     # the same P under a different y multiplier
                     for p, ys in sides:
                         bumped = (ys[0] + 1,) + ys[1:]
@@ -548,9 +563,15 @@ def test_y_grid_points():
     assert len(y_grid_points(2, 2)) == 16
 
 
-def test_grid_instances_deterministic_and_sorted():
+def _instances(config):
+    """Every instance of the grid, cell by cell in key order."""
+    return [TheoremInstance(theorem, d, chi.exponents, r, j, w, config.n_max)
+            for theorem, d, chi, r, j, ws in identities._grid_cells(config) for w in ws]
+
+
+def test_grid_cells_deterministic_and_sorted():
     cfg = GridConfig(theorems=(1,), d_values=(1, 3), r_values=(3, 4), n_max=2)
-    keys = [inst.key() for inst in grid_instances(cfg)]
+    keys = [inst.key() for inst in _instances(cfg)]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
 
@@ -588,3 +609,122 @@ def test_report_serialization_shape():
     # values: per side, per n, per grid point
     vals = doc["sides"][0]["values"]
     assert len(vals) == 2 and len(vals[1]) == 3
+
+
+# ---------------------------------------------------------------------------
+# side records, the grid's verdicts and the witness scan's start
+
+
+def _standard_instances():
+    """(theorem spec, w, context) for every valid instance of the standard
+    grid, cell by cell in key order, one context per cell."""
+    for theorem, d, chi, r, j, ws in identities._grid_cells(GridConfig(n_max=6)):
+        twist = TwistSpec(r, j)
+        if math.gcd(r, d) != 1:
+            continue
+        ctx = EvalContext(chi, twist)
+        thm = THEOREMS[theorem]
+        for w in ws:
+            try:
+                quotients._require_units(thm.base.qt, twist, w)
+            except ParameterError:
+                continue
+            yield thm, w, ctx
+
+
+def _both_scans(records, thm, mode, n_max):
+    """The witness of the full scan and of the scan from `_witness_start`."""
+    values = identities._PointValues(records, thm.y_count)
+    weights = [record.weight for record in records]
+    start = identities._witness_start(records, mode == "normalized", n_max)
+    full = identities._first_witness(values, weights, mode, n_max)
+    skipped = identities._first_witness(values, weights, mode, n_max, start)
+    assert full is None or full.n >= start
+    return full, skipped
+
+
+def test_record_verdicts_match_sides_equal_on_the_standard_grid():
+    # every pair of sides of every valid standard-grid instance, in both
+    # modes: comparing records (normal forms, or P itself as stated) gives
+    # what `_sides_equal` gives by cross-multiplying the rows
+    cell, checked = None, 0
+    for thm, w, ctx in _standard_instances():
+        if ctx is not cell:
+            # pairs are counted once per cell, while its memo keeps them alive
+            cell, seen = ctx, set()
+        records = _side_records(thm, w, 6, ctx)
+        for a, b in combinations(records, 2):
+            if (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            for normalized in (False, True):
+                weights = (a.weight, b.weight) if normalized else (1, 1)
+                assert identities._records_equal(a, b, normalized, 6) == \
+                    _sides_equal(a.side, b.side, 6, *weights), (thm.id, w, normalized)
+                checked += 1
+    assert checked > 20000
+
+
+def test_skipped_witness_scan_matches_the_full_scan():
+    # the scan from the first level that is not provably equal returns the
+    # full scan's witness: on the first failing instance of every theorem
+    # and mode in every standard context, on every mutation kind in both
+    # modes (the standard grid never fails normalized), and on sides planted
+    # with one P and two rates C, which only the y-points tell apart
+    first_failures = {}
+    for thm, w, ctx in _standard_instances():
+        verdicts, records, _ = identities._verify(thm, w, 6, ctx)
+        for mode, ok in (("as-stated", verdicts[0]), ("normalized", verdicts[1])):
+            key = (thm.id, ctx.chi, ctx.r, mode)
+            if not ok and key not in first_failures:
+                first_failures[key] = records
+                full, skipped = _both_scans(records, thm, mode, 6)
+                assert full is not None and skipped == full, key
+    assert len(first_failures) == 7 * 28   # theorems 2, 3, 5 to 9 fail as stated everywhere
+
+    for theorem, thm in THEOREMS.items():
+        w = (2, 4, 2)[:thm.arity]
+        ctx = EvalContext(DirichletCharacter(4, (1,)), TwistSpec(7, 1))
+        for kind in ("binomial", "twist", "wpower"):
+            records = _side_records(thm, w, 6, ctx, Mutation(kind))
+            for mode in ("as-stated", "normalized"):
+                full, skipped = _both_scans(records, thm, mode, 6)
+                assert full is not None and skipped == full, (theorem, kind, mode)
+        if thm.y_count:
+            first = _side_records(thm, w, 6, ctx)[0]
+            (p, ys), weight, normal = first
+            bumped = identities._SideRecord((p, (ys[0] + 1,) + ys[1:]), weight, normal)
+            for mode in ("as-stated", "normalized"):
+                full, skipped = _both_scans([first, bumped], thm, mode, 6)
+                assert full is not None and skipped == full, (theorem, mode)
+                assert full.n == next(n for n in range(7) if not p.vanishes_below(n + 1)) + 1
+
+
+# (number of reports, sha256 of their JSON), recorded while every pair of
+# sides was compared by cross-multiplying its rows
+PINNED_REPORTS = (386, "fc8c9041abe351d231f20996313d36f616abe913b3e97d3246b0df59c283e126")
+
+
+def test_verify_instance_reports_are_pinned():
+    # verify_instance's reports, with their witnesses, weights, orbits by
+    # weight value and grid values, for both methods and modes, clean and
+    # mutated, are the bytes recorded before verdicts were read from side
+    # records
+    docs = []
+    for theorem, thm in THEOREMS.items():
+        for d, char, r in ((1, (), 3), (4, (1,), 5), (5, (1,), 7)):
+            for w in ((1, 2, 3), (2, 2, 1), (3, 1, 2)):
+                for mode in ("as-stated", "normalized"):
+                    inst = TheoremInstance(theorem, d, char, r, 1, w[:thm.arity], 3, mode)
+                    try:
+                        inst.validate()
+                    except ParameterError:
+                        continue
+                    for method in ("poly", "points"):
+                        docs.append(verify_instance(inst, method, include_values=True).to_json())
+        for kind in ("binomial", "twist", "wpower"):
+            inst = TheoremInstance(theorem, 4, (1,), 7, 1, (2, 4, 2)[:thm.arity], 3, "normalized")
+            for method in ("poly", "points"):
+                docs.append(verify_instance(inst, method, mutation=Mutation(kind)).to_json())
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert len(docs) == PINNED_REPORTS[0] and digest == PINNED_REPORTS[1]

@@ -176,7 +176,7 @@ def test_contexts_for_one_pair_share_their_series(cold_store):
     chi, twist = DirichletCharacter(5, (1,)), TwistSpec(3, 1)
     first, second = EvalContext(chi, twist), EvalContext(chi, twist)
     reads = (lambda ctx: ctx.side_product((("B", 2, 3), ("S", 9, 1, Fraction(3, 2))), 6),
-             lambda ctx: ctx.char_ratio_series(2, 6, "w1"),
+             lambda ctx: ctx.char_ratio_series(2, 6, (1,)),
              lambda ctx: ctx.denom_series(4, 6))
     for read in reads:
         series = read(first)
@@ -200,7 +200,7 @@ def test_closed_forms_keep_only_the_coefficients_they_return(order):
     y = (Fraction(1, 2), Fraction(2), Fraction(-3, 5))
     for qt in QUOTIENT_TYPES.values():
         w = (1, 2, 3)[: qt.arity]
-        factors = [ctx.char_ratio_series(mono_val(mono, w), order, mono_name(mono)) for mono in qt.chars]
+        factors = [ctx.char_ratio_series(mono_val(mono, w), order, mono) for mono in qt.chars]
         factors += [ctx.denom_series(mono_val(mono, w), order) for mono in qt.numer]
         c = sum(mono_val(mono, w) for mono in qt.ymul) * sum(y[: qt.y_count], Fraction(0))
         full = functools.reduce(operator.mul, factors).mul_exp(c).shift_up(qt.shift).truncate(order)
@@ -228,7 +228,7 @@ def test_family_types_share_one_chars_chain(monkeypatch, cold_store):
     for name in ("L13:0", "L13:1", "L13:2", "L13:3", "L12:0", "L12:1"):
         qt = QUOTIENT_TYPES[name]
         kept = max(order - qt.shift, 0)
-        factors = [ctx.char_ratio_series(mono_val(mono, w), order, mono_name(mono)).truncate(kept)
+        factors = [ctx.char_ratio_series(mono_val(mono, w), order, mono).truncate(kept)
                    for mono in qt.chars]
         factors += [ctx.denom_series(mono_val(mono, w), order).truncate(kept) for mono in qt.numer]
         c = sum(mono_val(mono, w) for mono in qt.ymul) * sum(y[: qt.y_count], Fraction(0))
@@ -271,6 +271,23 @@ def test_closed_form_condition_violation_names_factor():
     qt23 = parse_quotient_type("L23:1")
     with pytest.raises(ParameterError):
         closed_form_series(qt23, (1, 1, 3), (0, 0), CHI1, Z3, 4)
+
+
+def test_closed_form_names_a_factor_only_when_refusing_it(monkeypatch):
+    # each T_W/D_W is checked for a unit denominator by its scale alone, and
+    # its name is formatted for the refusal only: valid closed forms of
+    # every type name nothing, and a refused one keeps its message and factor
+    names = []
+    name = quotients.mono_name
+    monkeypatch.setattr(quotients, "mono_name", lambda mono: names.append(mono) or name(mono))
+    chi, twist = DirichletCharacter(5, (1,)), TwistSpec(7, 1)
+    for qt in QUOTIENT_TYPES.values():
+        closed_form_series(qt, (1, 2, 4)[:qt.arity], (0,) * qt.y_count, chi, twist, 4)
+    assert names == []
+    with pytest.raises(NonUnitConstantError) as err:
+        closed_form_series(parse_quotient_type("G0"), (1, 2), (0, 0), trivial_character(3), Z3, 2)
+    assert str(err.value) == "xi^(d*w1) = 1 at w-scale 1: r=3 divides d*1"
+    assert err.value.factor == "w1" and names == [(1, 0)]
 
 
 def test_negative_n_max_is_parameter_error():

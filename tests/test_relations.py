@@ -134,7 +134,7 @@ def test_slot_factors_are_the_closed_form_factors_they_integrate(chi, twist):
     for scale in (1, 2, 4):
         if chi.d * scale % twist.r == 0:
             continue
-        ratio = ctx.char_ratio_series(scale, N_MAX, "W")
+        ratio = ctx.char_ratio_series(scale, N_MAX, (1,))
         [bern] = quotients._factors(chi, twist, [("B", scale % twist.r, scale)], N_MAX)
         assert bern == ratio.shift_up(1).truncate(N_MAX).scale(scale), scale
         for upper in (1, 2, 3):
