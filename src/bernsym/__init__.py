@@ -26,7 +26,6 @@ from .quotients import (
     FORMS,
     QUOTIENT_TYPES,
     ExpansionForm,
-    Mutation,
     QuotientType,
     closed_form_series,
     consistency_check,
@@ -45,7 +44,6 @@ __all__ = [
     "FORMS",
     "GridConfig",
     "MeasureQuery",
-    "Mutation",
     "NonUnitConstantError",
     "PadicContext",
     "PadicCycNumber",

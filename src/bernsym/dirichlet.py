@@ -141,10 +141,6 @@ class DirichletCharacter:
                 e = math.lcm(e, n // math.gcd(n, k))
         return e
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(k == 0 for k in self.exponents)
-
     def _value_exponent(self, a: int) -> int | None:
         """Exponent s with chi(a) = zeta_order^s, or None when chi(a) = 0."""
         if self.d == 1:

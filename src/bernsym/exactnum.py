@@ -261,15 +261,6 @@ class CyclotomicNumber:
         """zeta_m^k as an element of Q(zeta_m)."""
         return CyclotomicNumber(m, _power_vec(m, k))
 
-    @staticmethod
-    def from_coefficients(m: int, coeffs: Iterable[Scalar]) -> "CyclotomicNumber":
-        fracs = [Fraction(c) for c in coeffs]
-        phi = euler_phi(m)
-        if len(fracs) != phi:
-            raise ValueError(f"expected {phi} coefficients for conductor {m}")
-        den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        return CyclotomicNumber(m, [f.numerator * (den // f.denominator) for f in fracs], den)
-
     # ------------------------------------------------------------------
     # structure
 
@@ -286,11 +277,6 @@ class CyclotomicNumber:
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("value is not rational")
-        return Fraction(self.num[0], self.den)
 
     def embed(self, big: int) -> "CyclotomicNumber":
         """Image under the ring embedding zeta_m -> zeta_big^(big/m)."""
@@ -412,10 +398,6 @@ class CyclotomicNumber:
             g = math.gcd(x, self.den)
             coeffs.append(str(x // g) if g == self.den else f"{x // g}/{self.den // g}")
         return {"m": self.m, "coeffs": coeffs}
-
-    @staticmethod
-    def from_json(data: dict) -> "CyclotomicNumber":
-        return CyclotomicNumber.from_coefficients(int(data["m"]), [Fraction(c) for c in data["coeffs"]])
 
     def __str__(self):
         if self.is_rational():

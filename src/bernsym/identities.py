@@ -60,7 +60,6 @@ from .quotients import (
     EvalContext,
     ExpansionForm,
     Mono,
-    Mutation,
     SSlot,
     Side,
     _build_side,
@@ -74,7 +73,6 @@ from .quotients import (
     point_value,
     side_series,
 )
-from .series import TruncatedSeries
 
 ID2 = ((1, 2), (2, 1))
 LEX3 = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
@@ -291,17 +289,7 @@ class _SideRecord(NamedTuple):
     normal: tuple[int, tuple[int, ...]]
 
 
-def _side_record(form: ExpansionForm, w: tuple[int, ...], ctx: EvalContext, n_max: int,
-                 mutation: Optional[Mutation] = None,
-                 products: Optional[Callable[[tuple, int], TruncatedSeries]] = None) -> _SideRecord:
-    """The side's record, its (P, C) built by `quotients._build_side`."""
-    side = _build_side(form, w, ctx, n_max, mutation, products)
-    weight = form_weight(form, w)
-    return _SideRecord(side, weight, side[0].normal_form(weight))
-
-
-def _side_records(thm: TheoremSpec, w: tuple[int, ...], n_max: int, ctx: EvalContext,
-                  mutation: Optional[Mutation] = None) -> list[_SideRecord]:
+def _side_records(thm: TheoremSpec, w: tuple[int, ...], n_max: int, ctx: EvalContext) -> list[_SideRecord]:
     """Per side, in print order, its record to order n_max, for a w-tuple
     whose conditions hold: they are symmetric in w, so every permuted side
     meets them and is built without checking them again
@@ -325,20 +313,17 @@ def _side_records(thm: TheoremSpec, w: tuple[int, ...], n_max: int, ctx: EvalCon
     is still multiplied on its own; equal stored products are merged into
     one object only after an exact comparison (`quotients._shared`), so no
     verdict rests on commutativity.
-    A mutated side neither reads nor fills the memo or the store, and a
-    mutated slot series never enters the store.
     """
     form, memo = thm.base, ctx.side_memo
     records = []
     for pick in thm.picks:
         wp = pick(w)
-        if mutation is not None and not records:
-            records.append(_side_record(form, wp, ctx, n_max, mutation))
-            continue
         key = (form.form_id, wp, n_max)
         record = memo.get(key)
         if record is None:
-            record = memo[key] = _side_record(form, wp, ctx, n_max, products=ctx.side_product)
+            side = _build_side(form, wp, ctx, n_max, ctx.side_product)
+            weight = form_weight(form, wp)
+            record = memo[key] = _SideRecord(side, weight, side[0].normal_form(weight))
         records.append(record)
     return records
 
@@ -459,8 +444,7 @@ def _records_equal(a: _SideRecord, b: _SideRecord, normalized: bool, n_max: int)
 
 def verify_instance(inst: TheoremInstance, method: str = "poly",
                     include_values: bool = False,
-                    ctx: Optional[EvalContext] = None,
-                    mutation: Optional[Mutation] = None) -> VerificationReport:
+                    ctx: Optional[EvalContext] = None) -> VerificationReport:
     """Check all side equalities of one theorem instance, in both modes.
 
     method 'poly' compares the sides' records (equivalent to comparing
@@ -475,7 +459,7 @@ def verify_instance(inst: TheoremInstance, method: str = "poly",
         raise ParameterError(f"unknown verification method {method!r}")
     thm = inst.theorem_spec()
     verdicts, records, values = _verify(thm, inst.w, inst.n_max,
-                                        ctx or EvalContext(inst.character(), inst.twist()), method, mutation)
+                                        ctx or EvalContext(inst.character(), inst.twist()), method)
     weights = [record.weight for record in records]
     report = VerificationReport(inst, list(zip(thm.side_weight_names, weights)), thm.orbits(), _group(weights),
                                 *verdicts)
@@ -491,8 +475,7 @@ def verify_instance(inst: TheoremInstance, method: str = "poly",
     return report
 
 
-def _verify(thm: TheoremSpec, w: tuple[int, ...], n_max: int, ctx: EvalContext, method: str = "poly",
-            mutation: Optional[Mutation] = None
+def _verify(thm: TheoremSpec, w: tuple[int, ...], n_max: int, ctx: EvalContext, method: str = "poly"
             ) -> tuple[tuple[bool, bool, bool], list[_SideRecord], Optional[_PointValues]]:
     """The verdicts (as stated, normalized, within orbits) of a w-tuple whose
     conditions hold, with its side records and, under 'points', the grid
@@ -506,7 +489,7 @@ def _verify(thm: TheoremSpec, w: tuple[int, ...], n_max: int, ctx: EvalContext, 
     compared only where the as-stated star has not settled it, and an
     orbit's sides share their weight, so either star passing settles them.
     """
-    records = _side_records(thm, w, n_max, ctx, mutation)
+    records = _side_records(thm, w, n_max, ctx)
     values = None
     if method == "points":
         values = _PointValues(records, thm.y_count)

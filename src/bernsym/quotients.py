@@ -311,9 +311,16 @@ def parse_quotient_type(text: str) -> QuotientType:
 # n_max = 8) 6,507 in 22.7 MB.  The bound holds each twice over, and
 # criteria 1, 5 and 6 together in one process (16,051 entries, as they
 # share factors) once, with no entry evicted but only 333 to spare.  The
-# largest entry, rows and packed rows, is about 15 KB at order 12 (a chain
-# of three T_W/D_W, d = 5, r = 7) and 12 KB at order 8 (a slot's character
-# sum), so a store full of order-12 entries takes at most about 240 MB
+# bound counts entries, not bytes, and an entry grows with the field degree
+# phi and with the order.  At phi = 12 (d = 5, r = 7) the largest entry,
+# rows and packed rows, is about 15 KB at order 12 (a chain of three
+# T_W/D_W) and 12 KB at order 8 (a slot's character sum), so a store full
+# of order-12 entries at phi = 12 takes at most about 240 MB.  The same
+# chain holds 15.7 KB at order 16 and 151.5 KB at order 64, and its rows
+# grow about in proportion to phi, which `bernoulli.MAX_FIELD_DEGREE` lets
+# reach 200: a store full of order-64 entries in such fields could hold
+# about 16384 * 151.5 KB * 200/12, some 40 GB.  Only a process that builds
+# that many order-64 series, each about 0.5 s at phi = 12, gets there
 STORE_SIZE = 16384
 
 
@@ -464,31 +471,6 @@ class EvalContext:
 
 
 # ---------------------------------------------------------------------------
-# mutation controls
-
-
-@dataclass(frozen=True)
-class Mutation:
-    """A deliberate single-site perturbation used by the no-vacuous-pass tests.
-
-    kind 'binomial' doubles the t^degree coefficient of one slot's y-free
-    factor P_s, the product of its factors (see `_slot_keys`), which for
-    an S slot is its whole t^degree coefficient; 'twist' bumps one slot's
-    twist exponent by 1; 'wpower' multiplies one slot's t-scale by w1.  `side_series` refuses a
-    slot outside the form and a binomial degree outside 0..n_max, which
-    would perturb nothing.
-    """
-
-    kind: str
-    slot: int = 0
-    degree: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("binomial", "twist", "wpower"):
-            raise ValueError(f"unknown mutation kind {self.kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # expansion evaluation
 
 
@@ -544,8 +526,7 @@ def _int_or_fraction(num: int, den: int) -> int | Fraction:
     return Fraction(num, den) if rem else q
 
 
-def _slot_keys(ctx: EvalContext, slot: Slot, w: Sequence[int],
-               mut: Optional[Mutation]) -> tuple[list[tuple], int]:
+def _slot_keys(ctx: EvalContext, slot: Slot, w: Sequence[int]) -> tuple[list[tuple], int]:
     """The store keys of the factors whose left-to-right product is the
     y-free series P_s of the slot's EGF factor P_s(t) * exp(c_s*y_v*t), and
     c_s, worked out from the slot data alone.
@@ -556,25 +537,19 @@ def _slot_keys(ctx: EvalContext, slot: Slot, w: Sequence[int],
     "S", then the store key without chi, the twist and the order (see
     `_factors`).  An a-sum's scale f_l*T is an int wherever it is integral,
     like the twist scale of the S slot it folds, so the two share one key
-    and one store entry.  A twist or wpower mutation names the true series
-    of another key; a binomial one is applied to the slot's factors by
-    `_build_side`.
+    and one store entry.
     """
     r, d = ctx.r, ctx.d
-    tw = ts = mono_val(slot.twist, w)
-    if mut and mut.kind == "twist":
-        tw += 1
-    elif mut and mut.kind == "wpower":
-        ts *= w[0]
+    ts = mono_val(slot.twist, w)
     if isinstance(slot, SSlot):
-        return [("S", d * mono_val(slot.upper, w) - 1, tw % r, ts)], 0
-    if (d * tw) % r == 0:
+        return [("S", d * mono_val(slot.upper, w) - 1, ts % r, ts)], 0
+    if (d * ts) % r == 0:
         raise NonUnitConstantError(
             f"xi^(d*{mono_name(slot.twist)}) = 1 at w={tuple(w)}",
             factor=mono_name(slot.twist),
         )
     c = mono_val(slot.arg_scale, w) * ts
-    keys = [("B", tw % r, ts)]
+    keys = [("B", ts % r, ts)]
     for asum in slot.asums:
         upper = mono_val(asum.upper, w)
         keys.append(("S", d * upper - 1, mono_val(asum.twist, w) % r, _int_or_fraction(c, upper)))
@@ -585,18 +560,16 @@ YPoly = dict[tuple[int, ...], CyclotomicNumber]
 Side = tuple[TruncatedSeries, tuple[int, ...]]   # (P, C), see side_series
 
 
-def side_series(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
-                n_max: int, mutation: Optional[Mutation] = None) -> Side:
+def side_series(form: ExpansionForm, w: Sequence[int], ctx: EvalContext, n_max: int) -> Side:
     """(P, C) with the form's generating function P(t) * exp((C_1*y_1 + ..)*t)
     to order n_max: P the product of the slot series, C_v the sum of c_s
     over the slots on y_v (one entry even for a form without y)."""
     require_series_order(n_max, "n_max")
     _check_conditions(form.qt, ctx.twist, w)
-    return _build_side(form, w, ctx, n_max, mutation)
+    return _build_side(form, w, ctx, n_max)
 
 
-def _build_side(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
-                n_max: int, mutation: Optional[Mutation] = None,
+def _build_side(form: ExpansionForm, w: Sequence[int], ctx: EvalContext, n_max: int,
                 products: Optional[Callable[[tuple, int], TruncatedSeries]] = None) -> Side:
     """`side_series` for a w-tuple whose conditions hold and n_max >= 0: the
     callers that have checked them already build their sides here.
@@ -611,35 +584,15 @@ def _build_side(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
     process-wide store (`EvalContext.side_product`), so forms whose chains
     agree factor by factor and in order, a folded a-sum and the S slot it
     replaces, share one product.  Without it P is multiplied anew
-    (`EvalContext.chain_product`).  A mutated side multiplies its own P and
-    never calls `products`; a binomial mutation doubles its slot's product
-    P_s at t^degree in a series of its own, so no mutated series enters
-    the store."""
-    if mutation is not None:
-        if not 0 <= mutation.slot < len(form.slots):
-            raise ParameterError(f"mutation slot {mutation.slot} outside 0..{len(form.slots) - 1}")
-        if mutation.kind == "binomial" and not 0 <= mutation.degree <= n_max:
-            raise ParameterError(f"mutation degree {mutation.degree} outside 0..{n_max}")
+    (`EvalContext.chain_product`)."""
     ys = [0] * max(1, form.qt.y_count)
     chain = []
-    for idx, slot in enumerate(form.slots):
-        keys, c = _slot_keys(ctx, slot, w, mutation if mutation is not None and mutation.slot == idx else None)
-        chain.append(keys)
+    for slot in form.slots:
+        keys, c = _slot_keys(ctx, slot, w)
+        chain += keys
         if c:
             ys[slot.y_var] += c
-    ys = tuple(ys)
-    if mutation is not None:
-        factors = []
-        for idx, keys in enumerate(chain):
-            slot_factors = _factors(ctx.chi, ctx.twist, keys, n_max)
-            if idx == mutation.slot and mutation.kind == "binomial":
-                coeffs = list(product(slot_factors).coeffs)
-                coeffs[mutation.degree] = coeffs[mutation.degree].scale(2)
-                slot_factors = [TruncatedSeries(ctx.m, coeffs)]
-            factors += slot_factors
-        return ctx.sym_product(factors), ys
-    keys = tuple(key for slot_keys in chain for key in slot_keys)
-    return (ctx.chain_product if products is None else products)(keys, n_max), ys
+    return (ctx.chain_product if products is None else products)(tuple(chain), n_max), tuple(ys)
 
 
 def spread_ypolys(p: TruncatedSeries, ys: Sequence[int], n_max: int) -> list[YPoly]:
@@ -660,11 +613,10 @@ def spread_ypolys(p: TruncatedSeries, ys: Sequence[int], n_max: int) -> list[YPo
     return polys
 
 
-def expansion_polys(form: ExpansionForm, w: Sequence[int], ctx: EvalContext,
-                    n_max: int, mutation: Optional[Mutation] = None) -> list[YPoly]:
+def expansion_polys(form: ExpansionForm, w: Sequence[int], ctx: EvalContext, n_max: int) -> list[YPoly]:
     """The form's bracketed t^n/n! coefficients for n = 0..n_max, each as a
     polynomial in the y variables with cyclotomic coefficients."""
-    return spread_ypolys(*side_series(form, w, ctx, n_max, mutation), n_max)
+    return spread_ypolys(*side_series(form, w, ctx, n_max), n_max)
 
 
 def point_series(side: Side, y: Sequence, n_max: int) -> TruncatedSeries:
@@ -693,12 +645,11 @@ def point_value(side: Side, y: Sequence, n: int) -> CyclotomicNumber:
 
 def expansion_coefficients(form: ExpansionForm, w: Sequence[int], y: Sequence,
                            chi: DirichletCharacter, twist: TwistSpec, n_max: int,
-                           ctx: Optional[EvalContext] = None,
-                           mutation: Optional[Mutation] = None) -> list[CyclotomicNumber]:
+                           ctx: Optional[EvalContext] = None) -> list[CyclotomicNumber]:
     """The displayed coefficient of t^n/n! at a concrete rational y-point,
     for n = 0..n_max: the EGF coefficients of the form's `point_series`."""
     ctx = ctx or EvalContext(chi, twist)
-    series = point_series(side_series(form, w, ctx, n_max, mutation), y, n_max)
+    series = point_series(side_series(form, w, ctx, n_max), y, n_max)
     return [series.egf_coefficient(n) for n in range(n_max + 1)]
 
 
@@ -806,8 +757,7 @@ class ConsistencyReport:
 
 def consistency_check(qt: QuotientType, w: Sequence[int], y: Sequence,
                       chi: DirichletCharacter, twist: TwistSpec, n_max: int,
-                      ctx: Optional[EvalContext] = None,
-                      mutation: Optional[Mutation] = None) -> ConsistencyReport:
+                      ctx: Optional[EvalContext] = None) -> ConsistencyReport:
     """Assert expansion_n = weight * n![t^n] closed_form for every form of
     the type; report the first mismatch with both values.
 
@@ -832,7 +782,7 @@ def consistency_check(qt: QuotientType, w: Sequence[int], y: Sequence,
     products = functools.cache(ctx.chain_product)
     for form in FORMS[qt.name]:
         weight = form_weight(form, w)
-        side = _build_side(form, w, ctx, n_max, mutation, products)
+        side = _build_side(form, w, ctx, n_max, products)
         p, ys = side
         if p.mul_exp(_side_rate(ys, y) - rate).scaled_equal(core, weight, 1):
             continue

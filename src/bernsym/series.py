@@ -334,19 +334,6 @@ class TruncatedSeries:
         out = [[x * (fact // math.factorial(n)) for x in row] for n, row in enumerate(rows)]
         return TruncatedSeries._from_rows(m, _content_reduced(den * fact, out))
 
-    @staticmethod
-    def exp_linear(c, order: int, m: int | None = None) -> "TruncatedSeries":
-        """exp(c*t) truncated: coefficients c^n / n!."""
-        if m is None:
-            m = c.m if isinstance(c, CyclotomicNumber) else 1
-        cur = CyclotomicNumber.one(m)
-        coeffs = [cur]
-        cc = _as_cyc(c, m)
-        for n in range(1, order + 1):
-            cur = (cur * cc).scale(Fraction(1, n))
-            coeffs.append(cur)
-        return TruncatedSeries(m, coeffs)
-
     # ------------------------------------------------------------------
     # arithmetic (binary ops truncate to the common order)
 

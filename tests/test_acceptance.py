@@ -37,11 +37,12 @@ from bernsym.quotients import (
     FORMS,
     QUOTIENT_TYPES,
     EvalContext,
-    Mutation,
     closed_form_series,
     consistency_check,
     mono_val,
 )
+
+from mutants import KINDS, mutation
 
 D_VALUES = (1, 3, 4, 5)
 R_VALUES = (3, 4, 5, 7)
@@ -234,13 +235,13 @@ def test_criterion_08_mutation_controls():
         TheoremInstance(11, 1, (), 3, 1, (2, 1, 1), 3),
     ]
     ok = True
-    for kind in ("binomial", "twist", "wpower"):
+    for kind in KINDS:
         broke_somewhere = False
         for inst in targets:
             clean = verify_instance(inst)
             assert clean.pass_as_stated, inst
-            mutated = verify_instance(inst, mutation=Mutation(kind, 0,
-                                                              1 if kind == "binomial" else 1))
+            with mutation(kind):
+                mutated = verify_instance(inst)
             if not mutated.pass_as_stated:
                 broke_somewhere = True
         ok = ok and broke_somewhere

@@ -30,32 +30,33 @@ from bernsym.identities import (
 from bernsym.quotients import (
     FORMS,
     EvalContext,
-    Mutation,
     consistency_check,
-    expansion_coefficients,
     expansion_polys,
     form_weight,
     mono_val,
     perm_apply,
+    point_series,
     point_value,
     side_series,
     spread_ypolys,
 )
+
+from mutants import KINDS, mutated_side, mutation, planted
 
 
 def b1_z3():
     return (Cyc.zeta(3) ** 2 - 1).scale(Fraction(1, 3))
 
 
-def _side_series(inst, ctx, mutation=None):
+def _side_series(inst, ctx):
     """The instance's (P, C) sides in print order, read from its side
-    records."""
-    return [record.side for record in _side_records(inst.theorem_spec(), inst.w, inst.n_max, ctx, mutation)]
+    records (`identities._side_records`, mutated where one is planted)."""
+    return [record.side for record in identities._side_records(inst.theorem_spec(), inst.w, inst.n_max, ctx)]
 
 
-def _verdicts(inst, method, ctx, mutation=None):
+def _verdicts(inst, method, ctx):
     """(as stated, normalized, within orbits) from `_verify`."""
-    return _verify(inst.theorem_spec(), inst.w, inst.n_max, ctx, method, mutation)[0]
+    return _verify(inst.theorem_spec(), inst.w, inst.n_max, ctx, method)[0]
 
 
 def test_catalog_structure():
@@ -174,43 +175,59 @@ def _products_made(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("theorem, w", ((1, (2, 4)), (4, (2, 3, 1)), (11, (2, 1, 1))))
-def test_mutated_side_bypasses_memo(theorem, w, monkeypatch, cold_store):
+def test_a_mutated_run_memoises_and_stores_only_clean_sides(theorem, w, monkeypatch, cold_store):
+    # a mutated side 1 read from the memo or the store would pass; one
+    # written to either would fail the clean re-verifies below.  A mutated
+    # run on a fresh context memoises every side clean, as a cold build
+    # gives it, and after it, a clean run or a mutated one on the warm
+    # context, or a clean run on a fresh one, changes no record and builds
+    # no product
     inst = TheoremInstance(theorem, 1, (), 5, 1, w, 3)
+    thm = inst.theorem_spec()
     ctx = EvalContext(inst.character(), inst.twist())
     built = _stored_products(monkeypatch)
-    assert verify_instance(inst, ctx=ctx).pass_as_stated
+    with mutation("twist"):
+        assert not verify_instance(inst, ctx=ctx).pass_as_stated
+    cold = EvalContext(inst.character(), inst.twist())
+    assert len(ctx.side_memo) == len({pick(w) for pick in thm.picks})
+    for (form_id, wp, n_max), record in ctx.side_memo.items():
+        assert form_id == thm.base.form_id and record.side == side_series(thm.base, wp, cold, n_max), wp
     memo, stored = dict(ctx.side_memo), len(built)
     assert stored > 0
-    # a mutated side read from the memo or the store would pass; one written
-    # to either would fail the clean re-verifies below
-    assert not verify_instance(inst, ctx=ctx, mutation=Mutation("twist")).pass_as_stated
+    assert verify_instance(inst, ctx=ctx).pass_as_stated
+    with mutation("twist"):
+        assert not verify_instance(inst, ctx=ctx).pass_as_stated
     assert ctx.side_memo.keys() == memo.keys()
     assert all(ctx.side_memo[k] is v for k, v in memo.items())
-    assert len(built) == stored
     assert verify_instance(inst, ctx=ctx).pass_as_stated
     assert verify_instance(inst).pass_as_stated   # a fresh context reads the store
     assert len(built) == stored
 
 
-@pytest.mark.parametrize("kind", ("binomial", "twist", "wpower"))
-def test_no_mutation_adds_a_stored_side_product(kind, monkeypatch, cold_store):
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_mutated_run_stores_only_clean_side_products(kind, monkeypatch, cold_store):
     # every stored side product is built through `_shared`: a mutated run
-    # builds none, whether the side it mutates is stored already or not,
-    # and the clean run after it reads every side from the store
+    # from a cold store stores each side's clean product, equal to the side
+    # multiplied anew and unequal to the mutated side 1, so neither the
+    # clean run after it nor a second mutated run builds one
     inst = TheoremInstance(4, 5, (1,), 7, 1, (2, 3, 1), 4)
+    thm = inst.theorem_spec()
     built = _stored_products(monkeypatch)
-    assert not verify_instance(inst, mutation=Mutation(kind)).pass_as_stated
-    mutated_first = len(built)
-    assert verify_instance(inst).pass_as_stated
+    with mutation(kind):
+        assert not verify_instance(inst).pass_as_stated
+    cold = EvalContext(inst.character(), inst.twist())
+    clean = [side_series(thm.base, perm_apply(sig, inst.w), cold, inst.n_max)[0] for sig in thm.sigmas]
+    assert built == clean
+    assert mutated_side(thm.base, perm_apply(thm.sigmas[0], inst.w), cold, inst.n_max, kind)[0] not in clean
     stored = len(built)
-    assert not verify_instance(inst, mutation=Mutation(kind)).pass_as_stated
+    assert verify_instance(inst).pass_as_stated
+    with mutation(kind):
+        assert not verify_instance(inst).pass_as_stated
     assert verify_instance(inst).pass_as_stated
     assert len(built) == stored
-    # the mutated side 1 was the only side the first run did not store
-    assert stored - mutated_first == 1
 
 
-@pytest.mark.parametrize("kind", ("binomial", "twist", "wpower"))
+@pytest.mark.parametrize("kind", KINDS)
 def test_mutations_fail_with_a_warm_store(kind, cold_store):
     # a mutation doubles a copy of a stored slot series or reads the true
     # series of another key, so no mutated series enters the store: every
@@ -223,7 +240,8 @@ def test_mutations_fail_with_a_warm_store(kind, cold_store):
 
     assert verify_instance(inst, ctx=ctx()).pass_as_stated
     built = cold_store.cache_info().misses
-    assert not verify_instance(inst, ctx=ctx(), mutation=Mutation(kind)).pass_as_stated
+    with mutation(kind):
+        assert not verify_instance(inst, ctx=ctx()).pass_as_stated
     if kind == "binomial":
         assert cold_store.cache_info().misses == built
     warm = _side_series(inst, ctx())
@@ -235,14 +253,17 @@ def test_mutations_fail_with_a_warm_store(kind, cold_store):
     # (type, w) in the consistency check
     same = ctx()
     assert verify_instance(inst, ctx=same).pass_as_stated
-    assert not verify_instance(inst, ctx=same, mutation=Mutation(kind)).pass_as_stated
+    with mutation(kind):
+        assert not verify_instance(inst, ctx=same).pass_as_stated
     for theorem in (2, 3):
         folded = TheoremInstance(theorem, 1, (), 5, 1, (2, 3), 3, "normalized")
         assert verify_instance(folded, ctx=same).passed
-    assert not verify_instance(folded, ctx=same, mutation=Mutation(kind)).passed
+    with mutation(kind):
+        assert not verify_instance(folded, ctx=same).passed
     qt, y = FORMS["L23:2"][0].qt, (Fraction(1, 2),)
     assert consistency_check(qt, inst.w, y, same.chi, same.twist, 3, same).passed
-    assert not consistency_check(qt, inst.w, y, same.chi, same.twist, 3, same, Mutation(kind)).passed
+    with mutation(kind):
+        assert not consistency_check(qt, inst.w, y, same.chi, same.twist, 3, same).passed
 
 
 def _counting(ctx, monkeypatch) -> list:
@@ -316,20 +337,20 @@ def test_redundancy_displays_are_multiplied_not_read(monkeypatch):
     assert len(chains) == 2 * 3 + 2 + 4
 
 
-def _first_grid_mismatch(inst, mutation=None):
+def _first_grid_mismatch(inst, mut=None):
     """(n, y, side_a, side_b, value_a, value_b) at the first n, then grid
     point, then side pair where the instance's mode fails, read one point at
-    a time from `theorem_sides` (side 1 from `expansion_coefficients` under a
-    mutation); None when every point agrees."""
+    a time from `theorem_sides` (side 1 from the point series of the side
+    that `mutants.mutated_side` builds for the mutation (kind, slot,
+    degree)); None when every point agrees."""
     thm = inst.theorem_spec()
     ctx = EvalContext(inst.character(), inst.twist())
+    mutated = mut and mutated_side(thm.base, perm_apply(thm.sigmas[0], inst.w), ctx, inst.n_max, *mut)
     for n in range(inst.n_max + 1):
         for y in y_grid_points(n, thm.y_count):
             sides = [(wt, v) for _, wt, v in theorem_sides(inst, n, y, ctx)]
-            if mutation:
-                sides[0] = (sides[0][0], expansion_coefficients(
-                    thm.base, perm_apply(thm.sigmas[0], inst.w), y, ctx.chi, ctx.twist, inst.n_max,
-                    ctx, mutation)[n])
+            if mutated:
+                sides[0] = (sides[0][0], point_series(mutated, y, inst.n_max).egf_coefficient(n))
             for (a, (wa, va)), (b, (wb, vb)) in combinations(enumerate(sides, start=1), 2):
                 if (va.scale(wb) != vb.scale(wa)) if inst.mode == "normalized" else va != vb:
                     return n, y, a, b, va, vb
@@ -345,18 +366,19 @@ def test_poly_and_points_methods_agree(theorem):
     # a different witness
     thm = THEOREMS[theorem]
     w = (1, 2) if thm.arity == 2 else (1, 2, 2)
-    for mutation in (None, Mutation("binomial", 0, 1)):
+    for mut in (None, ("binomial", 0, 1)):
         for mode in ("as-stated", "normalized"):
             inst_m = TheoremInstance(theorem, 4, (1,), 3, 1, w, 2, mode)
-            a = verify_instance(inst_m, method="poly", mutation=mutation)
-            b = verify_instance(inst_m, method="points", mutation=mutation)
+            with planted(mut):
+                a = verify_instance(inst_m, method="poly")
+                b = verify_instance(inst_m, method="points")
             assert (a.pass_as_stated, a.pass_normalized, a.pass_orbits) == \
                 (b.pass_as_stated, b.pass_normalized, b.pass_orbits)
-            expected = _first_grid_mismatch(inst_m, mutation)
+            expected = _first_grid_mismatch(inst_m, mut)
             for report in (a, b):
                 wit = report.witness
                 got = wit and (wit.n, wit.y, wit.side_a, wit.side_b, wit.value_a, wit.value_b)
-                assert got == expected, (mutation, mode, report is a)
+                assert got == expected, (mut, mode, report is a)
 
 
 def _every_pair_verdicts(inst, sides, method):
@@ -405,24 +427,25 @@ def test_implied_verdicts_match_every_pair(theorem, method, monkeypatch):
     # r = 7 and w in {2, 4} keep every bumped twist a unit, and every
     # permuted w1 > 1 makes wpower change side 1's slot
     mutated = TheoremInstance(theorem, 4, (1,), 7, 1, (2, 4, 2)[:THEOREMS[theorem].arity], n_max)
-    cases += [(mutated, Mutation(kind)) for kind in ("binomial", "twist", "wpower")]
-    for inst, mutation in cases:
+    cases += [(mutated, (kind,)) for kind in KINDS]
+    for inst, mut in cases:
         ctx = EvalContext(inst.character(), inst.twist())
-        verdicts = _verdicts(inst, method, ctx, mutation)
-        expected = _every_pair_verdicts(inst, _side_series(inst, ctx, mutation), method)
-        assert verdicts == expected, (inst.key(), mutation)
-        if mutation:
-            assert not (verdicts[0] or verdicts[1]), mutation
+        with planted(mut):
+            verdicts = _verdicts(inst, method, ctx)
+            expected = _every_pair_verdicts(inst, _side_series(inst, ctx), method)
+        assert verdicts == expected, (inst.key(), mut)
+        if mut:
+            assert not (verdicts[0] or verdicts[1]), mut
 
     # every side planted as side 1, each record keeping its own weight
     build = identities._side_records
 
-    def planted(thm, w, n_max, ctx, mutation=None):
+    def side_1_everywhere(thm, w, n_max, ctx):
         records = build(thm, w, n_max, ctx)
         side = records[0].side
         return [identities._SideRecord(side, rec.weight, side[0].normal_form(rec.weight)) for rec in records]
 
-    monkeypatch.setattr(identities, "_side_records", planted)
+    monkeypatch.setattr(identities, "_side_records", side_1_everywhere)
     ctx = EvalContext(mutated.character(), mutated.twist())
     verdicts = _verdicts(mutated, method, ctx)
     expected = _every_pair_verdicts(mutated, [_side_series(mutated, ctx)[0]] * THEOREMS[theorem].sides, method)
@@ -450,14 +473,13 @@ def test_series_rule_matches_ymonomial_comparison(theorem):
         ctx = EvalContext(DirichletCharacter(d, label), TwistSpec(7, 1))
         for w in ws:
             for n_max in (0, 1, 3):
-                for mut in (None, Mutation("wpower"), Mutation("twist"),
-                            Mutation("binomial", 0, min(1, n_max))):
+                for mut in (None, ("wpower",), ("twist",), ("binomial", 0, min(1, n_max))):
                     inst = TheoremInstance(theorem, d, label, 7, 1, w, n_max)
                     sides, polys, weights = [], [], []
                     for idx, sig in enumerate(thm.sigmas):
                         wp = perm_apply(sig, w)
-                        side = side_series(thm.base, wp, ctx, n_max,
-                                           mutation=mut if idx == 0 else None)
+                        side = (mutated_side(thm.base, wp, ctx, n_max, *mut) if mut and idx == 0
+                                else side_series(thm.base, wp, ctx, n_max))
                         sides.append(side)
                         polys.append(spread_ypolys(*side, n_max))
                         weights.append(form_weight(thm.base, wp))
@@ -469,7 +491,8 @@ def test_series_rule_matches_ymonomial_comparison(theorem):
                         all(_ypoly_equal(polys[o[0] - 1], polys[i - 1])
                             for o in thm.orbits() for i in o[1:]),
                     )
-                    assert _verdicts(inst, "poly", ctx, mut) == expected, (d, w, n_max, mut)
+                    with planted(mut):
+                        assert _verdicts(inst, "poly", ctx) == expected, (d, w, n_max, mut)
                     # the same P under a different y multiplier
                     for p, ys in sides:
                         bumped = (ys[0] + 1,) + ys[1:]
@@ -518,18 +541,18 @@ def test_theorem7_sides_vanish_at_n0():
 def test_mutations_break_verification():
     inst = TheoremInstance(4, 1, (), 5, 1, (2, 3, 1), 3)
     assert verify_instance(inst).pass_as_stated
-    for mut in (Mutation("binomial", 0, 1), Mutation("twist", 0), Mutation("wpower", 1)):
-        rep = verify_instance(inst, mutation=mut)
+    for mut in (("binomial", 0, 1), ("twist", 0), ("wpower", 1)):
+        with mutation(*mut):
+            rep = verify_instance(inst)
         assert not rep.pass_as_stated, mut
 
 
-@pytest.mark.parametrize("mut", [Mutation("binomial", 0, 9), Mutation("binomial", 0, -1),
-                                 Mutation("twist", 7), Mutation("wpower", -1)])
+@pytest.mark.parametrize("mut", [("binomial", 0, 9), ("binomial", 0, -1), ("twist", 7), ("wpower", -1)])
 def test_out_of_range_mutation_is_parameter_error(mut):
     # a mutation that matches no slot or no degree would verify as passing
     inst = TheoremInstance(4, 1, (), 5, 1, (2, 3, 1), 3)
-    with pytest.raises(ParameterError, match="mutation"):
-        verify_instance(inst, mutation=mut)
+    with mutation(*mut), pytest.raises(ParameterError, match="mutation"):
+        verify_instance(inst)
 
 
 def test_redundancy_examples():
@@ -685,8 +708,9 @@ def test_skipped_witness_scan_matches_the_full_scan():
     for theorem, thm in THEOREMS.items():
         w = (2, 4, 2)[:thm.arity]
         ctx = EvalContext(DirichletCharacter(4, (1,)), TwistSpec(7, 1))
-        for kind in ("binomial", "twist", "wpower"):
-            records = _side_records(thm, w, 6, ctx, Mutation(kind))
+        for kind in KINDS:
+            with mutation(kind):
+                records = identities._side_records(thm, w, 6, ctx)
             for mode in ("as-stated", "normalized"):
                 full, skipped = _both_scans(records, thm, mode, 6)
                 assert full is not None and skipped == full, (theorem, kind, mode)
@@ -722,9 +746,10 @@ def test_verify_instance_reports_are_pinned():
                         continue
                     for method in ("poly", "points"):
                         docs.append(verify_instance(inst, method, include_values=True).to_json())
-        for kind in ("binomial", "twist", "wpower"):
+        for kind in KINDS:
             inst = TheoremInstance(theorem, 4, (1,), 7, 1, (2, 4, 2)[:thm.arity], 3, "normalized")
             for method in ("poly", "points"):
-                docs.append(verify_instance(inst, method, mutation=Mutation(kind)).to_json())
+                with mutation(kind):
+                    docs.append(verify_instance(inst, method).to_json())
     digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
     assert len(docs) == PINNED_REPORTS[0] and digest == PINNED_REPORTS[1]

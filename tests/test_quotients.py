@@ -20,7 +20,6 @@ from bernsym.quotients import (
     QUOTIENT_TYPES,
     BSlot,
     EvalContext,
-    Mutation,
     SSlot,
     _slot_keys,
     closed_form_series,
@@ -39,6 +38,9 @@ from bernsym.quotients import (
     spread_ypolys,
 )
 from bernsym.series import NonUnitConstantError, TruncatedSeries, _content_reduced
+
+from helpers import as_rational, exp_linear
+from mutants import KINDS, data_mutants, mutation, planted
 
 CHI1 = trivial_character(1)
 Z3 = TwistSpec(3, 1)
@@ -117,14 +119,14 @@ def test_slot_tensor_degrees_and_generating_function(name):
                 return math.prod(x ** e for x, e in zip(w, mono))
 
             for idx, slot in enumerate(form.slots):
-                keys, c = _slot_keys(ctx, slot, w, None)
+                keys, c = _slot_keys(ctx, slot, w)
                 # a factor's t-scale ends its key; sum_i 1 * (scale*t)^i/i!
                 # is exp(scale*t)
-                series = functools.reduce(operator.mul, [TruncatedSeries.exp_linear(key[-1], n, ctx.m)
+                series = functools.reduce(operator.mul, [exp_linear(key[-1], n, ctx.m)
                                                          for key in keys])
                 ts = val(slot.twist)
                 for k in range(n + 1):
-                    got = [series.coeffs[k - e].as_rational() * Fraction(c ** e, math.factorial(e))
+                    got = [as_rational(series.coeffs[k - e]) * Fraction(c ** e, math.factorial(e))
                            for e in range(k + 1)]
                     scale = Fraction(ts ** k, math.factorial(k))
                     if isinstance(slot, SSlot):
@@ -185,7 +187,7 @@ def test_contexts_for_one_pair_share_their_series(cold_store):
         assert cold_store.cache_info().misses == misses
     # a slot's twist exponent is keyed mod r (the B slot of G0 at w1 = 5:
     # class 2, scale 5); another twist root is another store entry
-    keys, _ = quotients._slot_keys(first, FORMS["G0"][0].slots[0], (5, 1), None)
+    keys, _ = quotients._slot_keys(first, FORMS["G0"][0].slots[0], (5, 1))
     assert keys == [("B", 2, 5)]
     assert EvalContext(chi, TwistSpec(3, 2)).side_product(tuple(keys), 6) != first.side_product(tuple(keys), 6)
 
@@ -396,22 +398,26 @@ def test_folded_forms_share_one_product_per_consistency_call(name, monkeypatch):
         assert len(calls) == call
 
 
-@pytest.mark.parametrize("kind", ("binomial", "twist", "wpower"))
-def test_mutated_side_neither_reads_nor_fills_the_products(kind):
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_mutated_consistency_check_leaves_the_products_clean(kind, monkeypatch):
+    # a mutated side is multiplied on its own: it reads and fills no side
+    # product, and a clean check after the mutated one, on the same
+    # context, passes with its forms' product multiplied once, as before
     chi, twist = DirichletCharacter(4, (1,)), TwistSpec(5, 1)
     ctx = EvalContext(chi, twist)
-    form, w = FORMS["L23:2"][2], (2, 1, 3)
-    calls = []
-
-    def products(keys, n):
-        calls.append((keys, n))
-        return ctx.chain_product(keys, n)
-
-    clean = quotients._build_side(form, w, ctx, 4, products=products)
-    assert len(calls) == 1
-    mutated = quotients._build_side(form, w, ctx, 4, Mutation(kind), products)
-    assert mutated[0] != clean[0]
-    assert len(calls) == 1
+    qt, w, y = parse_quotient_type("L23:2"), (2, 1, 3), (Fraction(1, 2),)
+    form = FORMS["L23:2"][2]
+    clean = quotients._build_side(form, w, ctx, 4)
+    chains = []
+    multiply = ctx.chain_product
+    monkeypatch.setattr(ctx, "chain_product", lambda keys, n: chains.append(keys) or multiply(keys, n))
+    with mutation(kind):
+        assert not consistency_check(qt, w, y, chi, twist, 4, ctx).passed
+        assert quotients._build_side(form, w, ctx, 4)[0] != clean[0]
+    assert chains == []
+    assert consistency_check(qt, w, y, chi, twist, 4, ctx).passed
+    assert len(chains) == 1
+    assert quotients._build_side(form, w, ctx, 4) == clean
 
 
 def test_a_forced_share_key_collision_keeps_two_objects(monkeypatch):
@@ -478,9 +484,42 @@ def test_mutation_breaks_consistency():
     # w1 > 1 so the w-power perturbation is visible
     clean = consistency_check(qt, (2, 1, 3), (1, 2), chi, twist, 4)
     assert clean.passed
-    for mut in (Mutation("binomial", 0, 1), Mutation("twist", 0), Mutation("wpower", 1)):
-        rep = consistency_check(qt, (2, 1, 3), (1, 2), chi, twist, 4, mutation=mut)
+    for mut in (("binomial", 0, 1), ("twist", 0), ("wpower", 1)):
+        with mutation(*mut):
+            rep = consistency_check(qt, (2, 1, 3), (1, 2), chi, twist, 4)
         assert not rep.passed, mut
+
+
+def test_every_single_site_data_mutant_fails_consistency(monkeypatch):
+    # each form with one slot monomial's exponent moved by 1 (kept >= 0,
+    # an a-sum's upper end and twist included) or one B slot moved to
+    # another y variable, planted as its type's only form, fails
+    # consistency_check at a sampled point: three contexts, w a permutation
+    # of distinct components from {2, 3, 5}, n_max = 4; a point that
+    # refuses the type or the mutant is passed over.  The count pins the
+    # generator
+    y = (Fraction(1, 2), Fraction(-1), Fraction(3, 2))
+    contexts = [(DirichletCharacter(d, label), TwistSpec(r, 1)) for d, label, r in ((1, (), 7), (4, (1,), 5),
+                                                                                      (5, (1,), 3))]
+
+    def killed(qt):
+        for chi, twist in contexts:
+            for w in permutations((2, 3, 5), qt.arity):
+                try:
+                    if not consistency_check(qt, w, y[:qt.y_count], chi, twist, 4).passed:
+                        return True
+                except ParameterError:
+                    continue
+        return False
+
+    mutants = list(data_mutants())
+    survivors = []
+    for name, mutant in mutants:
+        monkeypatch.setitem(quotients.FORMS, name, (mutant,))
+        if not killed(mutant.qt):
+            survivors.append((name, mutant.form_no, mutant.slots))
+    assert len(mutants) == 496
+    assert not survivors
 
 
 def test_perm_helpers():
@@ -570,13 +609,13 @@ def test_point_series_is_the_side_itself_at_c_zero():
     assert point_series((p, (0, 5)), (Fraction(1, 2),), 2) is p   # y_2 missing: 0
 
 
-def consistency_oracle(qt, w, y, chi, twist, n_max, mutation):
+def consistency_oracle(qt, w, y, chi, twist, n_max):
     """consistency_check's witness (or None) from the y-polynomial spread."""
     ctx = EvalContext(chi, twist)
     closed = closed_form_series(qt, w, y, chi, twist, n_max, ctx)
     for form in FORMS[qt.name]:
         weight = form_weight(form, w)
-        for n, poly in enumerate(expansion_polys(form, w, ctx, n_max, mutation)):
+        for n, poly in enumerate(expansion_polys(form, w, ctx, n_max)):
             lhs = eval_ypoly(poly, y, ctx.m)
             rhs = closed.egf_coefficient(n).scale(weight)
             if lhs != rhs:
@@ -602,12 +641,13 @@ def test_mutated_consistency_matches_spread_oracle(name):
     n_max = 4
     ctx = EvalContext(chi, twist)
     slots = max(len(f.slots) for f in FORMS[name])
-    mutations = [None] + [Mutation(kind, slot, 2) for kind in ("binomial", "twist", "wpower")
-                          for slot in range(slots)]
+    mutations = [None] + [(kind, slot, 2) for kind in KINDS for slot in range(slots)]
     mismatches = 0
     for mut in mutations:
-        got = outcome(lambda: consistency_check(qt, w, y, chi, twist, n_max, ctx, mut).to_json())
-        want = outcome(lambda: consistency_oracle(qt, w, y, chi, twist, n_max, mut))
+        # the oracle's forms are mutated too, through `expansion_polys`
+        with planted(mut):
+            got = outcome(lambda: consistency_check(qt, w, y, chi, twist, n_max, ctx).to_json())
+            want = outcome(lambda: consistency_oracle(qt, w, y, chi, twist, n_max))
         if isinstance(got, dict):
             assert got.get("witness") == want, mut
             mismatches += want is not None
@@ -630,7 +670,8 @@ def test_passing_forms_are_decided_without_a_walk(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "egf_coefficient", lambda s, n: reads.append(n) or read(s, n))
     assert consistency_check(qt, (2, 1), (Fraction(1, 3),), chi, twist, 5, ctx).passed
     assert reads == []
-    rep = consistency_check(qt, (2, 1), (Fraction(1, 3),), chi, twist, 5, ctx, Mutation("binomial", 0, 3))
+    with mutation("binomial", 0, 3):
+        rep = consistency_check(qt, (2, 1), (Fraction(1, 3),), chi, twist, 5, ctx)
     assert rep.mismatch.n == 3 and reads
 
 
