@@ -13,8 +13,8 @@ exp((C_1*y_1 + ..)*t), built once as the pair (P, C) (see
 y^e entry is n! * P[n - |e|] * C^e/e!, so two sides agree for every
 n <= n_max exactly when P[k] = P'[k] for every k <= n_max and either C = C'
 or P vanishes below t^n_max (then no y-term survives).  Each distinct side
-of a context is one record (`_side_records`): (P, C), its weight and its
-normal form, P / weight in lowest terms (`TruncatedSeries.normal_form`),
+is one record, kept in the series store (`_side_records`): (P, C), its
+weight and its normal form, P / weight in lowest terms (`TruncatedSeries.normal_form`),
 so normalized mode compares two normal forms, and as-stated mode compares
 P itself (`_records_equal`).  Values at a y-point, where they are needed
 (witnesses, reported values, `theorem_sides`, and the pointwise method,
@@ -43,12 +43,14 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
+from . import quotients
 from .bernoulli import ParameterError, TwistSpec, field_conductor, require_series_order
 from .dirichlet import DirichletCharacter, enumerate_characters
 from .exactnum import CyclotomicNumber
@@ -288,6 +290,29 @@ class _SideRecord(NamedTuple):
     weight: int
     normal: tuple[int, tuple[int, ...]]
 
+    def held_bytes(self) -> int:
+        """An upper bound of the bytes the record keeps alive, for the series
+        store: its P whole (`TruncatedSeries.held_bytes`), C, its weight,
+        its normal form's slot in the table that shares it
+        (`quotients._shared_normal`), and the normal form, at most P's bound
+        again: one tuple of P's coordinates, each divided by one gcd, over
+        P's denominator times the weight."""
+        p, ys = self.side
+        return (2 * p.held_bytes() + sys.getsizeof(self) + sys.getsizeof(self.side) + sys.getsizeof(ys)
+                + sum(map(sys.getsizeof, ys)) + sys.getsizeof(self.weight) + quotients._SLOT_BYTES)
+
+
+def _side_record(chi: DirichletCharacter, twist: TwistSpec, form: ExpansionForm, w: tuple[int, ...],
+                 n_max: int) -> _SideRecord:
+    """The record of the form's side at a w-tuple whose conditions hold, to
+    order n_max: its product P read from the store (`EvalContext.side_product`),
+    its weight, and its normal form, held once among equal ones
+    (`quotients._shared_normal`)."""
+    ctx = EvalContext(chi, twist)
+    side = _build_side(form, w, ctx, n_max, ctx.side_product)
+    weight = form_weight(form, w)
+    return _SideRecord(side, weight, quotients._shared_normal(side[0].normal_form(weight)))
+
 
 def _side_records(thm: TheoremSpec, w: tuple[int, ...], n_max: int, ctx: EvalContext) -> list[_SideRecord]:
     """Per side, in print order, its record to order n_max, for a w-tuple
@@ -297,35 +322,26 @@ def _side_records(thm: TheoremSpec, w: tuple[int, ...], n_max: int, ctx: EvalCon
 
     A side is the base form at a permuted w-tuple (`TheoremSpec.picks`),
     and over a grid of w-tuples each permuted side is another instance's
-    first side.  Records are therefore memoised in ``ctx.side_memo`` under
-    (form_id, permuted w, n_max), so every instance sharing the context
-    builds each distinct side, and works out its weight and normal form,
-    once; the memo lives as long as the context.  Its weight
+    first side.  Records are therefore read from the process-wide store
+    (`quotients._stored`), under chi, the twist, the form itself, the
+    permuted w and n_max, so each distinct side is built, and its weight and
+    normal form worked out, once per process while it stays there, by
+    whichever audit, grid or instance first needs it.  The form object is
+    part of the key, not only its id, so a form that differs from a
+    catalogued one never reads that one's record.  Its weight
     mono_val(base weight, permuted w) is the side's weight monomial at w,
     as mono_val(perm_monomial(sigma, m), w) == mono_val(m, perm_apply(sigma, w)).
-    A side missing there reads its product P from the process-wide store
-    (`EvalContext.side_product`), keyed by chi, the twist, its factor
-    chain's keys in chain order and n_max, so each ordered chain is multiplied
-    once per process, whichever audit, grid or context first needs it.
-    The forms of one quotient type that fold power sums into the Bernoulli
-    argument have the same chains, so theorems 3, 6, 8 and 9 multiply
-    nothing that theorems 2, 5 and 7 have multiplied.  Every ordered chain
-    is still multiplied on its own; equal stored products are merged into
-    one object only after an exact comparison (`quotients._shared`), so no
-    verdict rests on commutativity.
+    A record's product P is read from the store too, keyed by its factor
+    chain's keys in chain order and n_max, so each ordered chain is
+    multiplied once per process.  The forms of one quotient type that fold
+    power sums into the Bernoulli argument have the same chains, so
+    theorems 3, 6, 8 and 9 multiply nothing that theorems 2, 5 and 7 have
+    multiplied.  Every ordered chain is still multiplied on its own; equal
+    stored products are merged into one object only after an exact
+    comparison (`quotients._shared`), so no verdict rests on commutativity.
     """
-    form, memo = thm.base, ctx.side_memo
-    records = []
-    for pick in thm.picks:
-        wp = pick(w)
-        key = (form.form_id, wp, n_max)
-        record = memo.get(key)
-        if record is None:
-            side = _build_side(form, wp, ctx, n_max, ctx.side_product)
-            weight = form_weight(form, wp)
-            record = memo[key] = _SideRecord(side, weight, side[0].normal_form(weight))
-        records.append(record)
-    return records
+    stored, form, chi, twist = quotients._stored, thm.base, ctx.chi, ctx.twist
+    return [stored(_side_record, chi, twist, form, pick(w), n_max) for pick in thm.picks]
 
 
 class _PointValues:
@@ -434,10 +450,11 @@ def _sides_equal(a: Side, b: Side, n_max: int, wa: int = 1, wb: int = 1) -> bool
 
 def _records_equal(a: _SideRecord, b: _SideRecord, normalized: bool, n_max: int) -> bool:
     """`_sides_equal` on two records, after their weights when `normalized`:
-    P's normal forms compared, or P itself (one object when the store
-    merged two equal products, see `quotients._shared`)."""
+    P's normal forms compared, or P itself.  Equal normal forms, and equal
+    stored products, are mostly one object (`quotients._shared_normal`,
+    `quotients._shared`), so most equal pairs are settled by identity."""
     (p, ys), (q, zs) = a.side, b.side
-    if not (a.normal == b.normal if normalized else p is q or p.scaled_equal(q)):
+    if not (a.normal is b.normal or a.normal == b.normal if normalized else p is q or p.scaled_equal(q)):
         return False
     return ys == zs or p.vanishes_below(n_max)
 
@@ -712,18 +729,13 @@ def grid_verify(config: GridConfig) -> GridReport:
     values and searches its witness from the first level that is not
     provably equal (`_witness_start`).
 
-    Cells share one EvalContext per (d, chi, r, j), so its side memo (see
-    `_side_records`) holds every distinct permuted side once, with its
-    weight and normal form.  A side's key holds its form, so the theorems
-    of a type never share a side, and cells come theorem-first, so one
-    type's theorems are adjacent: the contexts are started afresh whenever
-    the quotient type changes, and their memos then hold one type's sides
-    at most; nothing but the series store outlives the call.  The products
-    below the sides, shared by the theorems of one quotient type (2 and 3,
-    5 and 6, 7 to 9), and the Bernoulli EGFs, character sums and slot
-    series below them come from the process-wide store, built once per
-    process, so a fresh context, or a second grid over the same cells,
-    multiplies and rebuilds none of them.
+    Each cell reads its side records from the process-wide store (see
+    `_side_records`), which holds every distinct permuted side once, with
+    its weight and normal form, as do the products below the sides, shared
+    by the theorems of one quotient type (2 and 3, 5 and 6, 7 to 9), and
+    the Bernoulli EGFs, character sums and slot series below them.  So a
+    second grid over the same cells, in the same process, builds, multiplies
+    and normalizes none of them.
     """
     rows: list[GridRow] = []
     counts: dict[tuple[int, str], dict[str, int]] = {
@@ -732,14 +744,10 @@ def grid_verify(config: GridConfig) -> GridReport:
     }
     first_witness: dict[tuple[int, str], Witness] = {}
     n_max = config.n_max
-    contexts: dict[tuple, EvalContext] = {}
-    memo_type = None
 
     for theorem, d, chi, r, j, ws in _grid_cells(config):
         thm = THEOREMS[theorem]
         qt = thm.base.qt
-        if qt is not memo_type:
-            contexts, memo_type = {}, qt
         tallies = [((theorem, mode), counts[(theorem, mode)], mode == "normalized") for mode in config.modes]
         cell = (theorem, d, chi.exponents, r, j)
         try:
@@ -751,9 +759,7 @@ def grid_verify(config: GridConfig) -> GridReport:
             for _, tally, _ in tallies:
                 tally["skipped"] += len(ws)
             continue
-        ctx = contexts.get(cell[1:])
-        if ctx is None:
-            ctx = contexts[cell[1:]] = EvalContext(chi, twist)
+        ctx = EvalContext(chi, twist)
         for w in ws:
             try:
                 _require_units(qt, twist, w)

@@ -43,8 +43,8 @@ P is multiplied as one flat chain, left to right: each slot contributes
 its factors in order (a B slot its Bernoulli series, then one power-sum
 series per a-sum).  An a-sum's series is the stored series of the S slot it
 folds, so a form that folds power sums into a Bernoulli argument has the
-same chain as the form it came from, and the store and memos that hold P
-by its chain (`_build_side`) multiply it once for both.
+same chain as the form it came from, and the store, which holds P by its
+chain (`_build_side`), multiplies it once for both.
 At a rational y-point the side's values are the EGF coefficients of one
 series, E(t) = P(t) * exp(c*t) with c = C_1*y_1 + .. (`point_series`, or
 `point_value` for one coefficient), summed from P's integer rows; only
@@ -73,10 +73,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .bernoulli import (ParameterError, TwistSpec, bernoulli_egf, character_sum_series, field_conductor,
                         require_series_order, twisted_exp_minus_one)
@@ -210,6 +212,14 @@ class ExpansionForm:
     def form_id(self) -> str:
         return f"{self.qt.name}-form-{self.form_no}"
 
+    # cached: the series store keys every side record by its form
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.qt, self.form_no, self.slots))
+
     def weight_mono(self) -> Mono:
         """The product of the form's B-slot twist monomials."""
         return self._weight_mono
@@ -302,38 +312,124 @@ def parse_quotient_type(text: str) -> QuotientType:
 # evaluation context
 
 
-# Entries of the process-wide series store (`_stored`), least recently used
-# first out.  Measured working sets: the standard grid's is 7,550 entries,
-# 6,545 of them side products (held by 3,105 distinct objects, see
-# `_shared`), in about 11.6 MB; one pass of the `closed_form_sweep` pool
-# (criterion 5 at order 12) leaves 5,145, 4,627 of them closed-form chains,
-# in 25.6 MB; one pass of the `consistency_sample` pool (criterion 6 at
-# n_max = 8) 6,507 in 22.7 MB.  The bound holds each twice over, and
-# criteria 1, 5 and 6 together in one process (16,051 entries, as they
-# share factors) once, with no entry evicted but only 333 to spare.  The
-# bound counts entries, not bytes, and an entry grows with the field degree
-# phi and with the order.  At phi = 12 (d = 5, r = 7) the largest entry,
-# rows and packed rows, is about 15 KB at order 12 (a chain of three
-# T_W/D_W) and 12 KB at order 8 (a slot's character sum), so a store full
-# of order-12 entries at phi = 12 takes at most about 240 MB.  The same
-# chain holds 15.7 KB at order 16 and 151.5 KB at order 64, and its rows
-# grow about in proportion to phi, which `bernoulli.MAX_FIELD_DEGREE` lets
-# reach 200: a store full of order-64 entries in such fields could hold
-# about 16384 * 151.5 KB * 200/12, some 40 GB.  Only a process that builds
-# that many order-64 series, each about 0.5 s at phi = 12, gets there
-STORE_SIZE = 16384
+# The bytes the process-wide series store (`_stored`) may charge to its
+# entries (`_charge`), least recently used first out (`_Store`).  The
+# standard grid with its side records, then criteria 5 and 6, in one
+# process, charge 506 MB over 26,936 entries (at 83 MB max RSS), so the
+# bound holds them 2.1 times over.  A charge over-counts: it is an upper
+# bound of what the entry keeps alive, not a measure of it
+MAX_STORE_BYTES = 1 << 30
+
+# the most bytes a dict takes per entry, its header included (the worst
+# over 1 to 20,000 entries is one entry, 224 bytes), and the most a store
+# entry takes beyond its key's own items and its value: its ordered-dict
+# slot and link, its [value, charge, mark] list and, for a side product,
+# its weak slot in `_SHARED`.  A key's d, r and j are at most 200
+# (`dirichlet.MAX_MODULUS`, `bernoulli.MAX_TWIST_ORDER`): small ints that
+# the interpreter holds once
+_SLOT_BYTES = 224
+_ENTRY_BYTES = 1024
 
 
-@functools.lru_cache(maxsize=STORE_SIZE)
-def _stored(build, chi: DirichletCharacter, twist: TwistSpec, *key) -> TruncatedSeries:
-    """build(chi, twist, *key), built once per process while it stays among
-    the STORE_SIZE most recently used entries.  `build` is the kind of
-    series, and `key` its twist class, scale, order and, for a slot's
-    character sum, upper end, as the `EvalContext` methods pass them; for a
-    closed-form chain (`_chain`), its factors' kind, their ordered scales
-    and the order; for a theorem side's product (`_side_product`), its
-    chain's factor keys in chain order and n_max."""
-    return build(chi, twist, *key)
+class StoreInfo(NamedTuple):
+    """The series store's size and counts (`_Store.cache_info`)."""
+
+    entries: int
+    bytes: int
+    hits: int
+    misses: int
+    evictions: int
+
+
+class _Store:
+    """build(chi, twist, *key), built once and kept under (build, chi,
+    twist, *key) while the bytes charged to its entries (`_charge`) stay
+    within `max_bytes`.  The least recently used entries go first, in the
+    second-chance form of LRU: an entry is marked when it is kept and when
+    it is read, and one due out that is marked is unmarked and sent to the
+    back instead, so a read hashes its key once.  A value whose charge
+    alone is over `max_bytes` is returned and not kept.  Every entry
+    dropped, and every value not kept, also empties the table of shared
+    normal forms (`_shared_normal`), so that the table holds only tuples
+    that a kept entry holds and has been charged for."""
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self._entries: OrderedDict = OrderedDict()   # key -> [value, charge, read since it came up]
+        self._bytes = self._hits = self._misses = self._evictions = 0
+
+    def __call__(self, build, chi: DirichletCharacter, twist: TwistSpec, *key):
+        """build(chi, twist, *key) as kept, or built now and kept.  The
+        character and twist enter the entry's key as the fields that
+        define them, (d, exponents) and (r, j), so a lookup hashes and
+        compares plain tuples."""
+        full = (build, chi.d, chi.exponents, twist.r, twist.j, *key)
+        entry = self._entries.get(full)
+        if entry is not None:
+            entry[2] = True
+            self._hits += 1
+            return entry[0]
+        self._misses += 1
+        value = build(chi, twist, *key)
+        charge = sys.getsizeof(full) + sys.getsizeof(chi.exponents) + _charge(key) + _charge(value) + _ENTRY_BYTES
+        if charge > self.max_bytes:
+            _NORMALS.clear()
+            return value
+        self._entries[full] = [value, charge, True]
+        self._bytes += charge
+        while self._bytes > self.max_bytes:
+            oldest, entry = self._entries.popitem(last=False)
+            if entry[2]:
+                entry[2] = False
+                self._entries[oldest] = entry
+                continue
+            self._bytes -= entry[1]
+            self._evictions += 1
+            _NORMALS.clear()
+        return value
+
+    def cache_info(self) -> StoreInfo:
+        return StoreInfo(len(self._entries), self._bytes, self._hits, self._misses, self._evictions)
+
+    def cache_clear(self) -> None:
+        """Empty the store, its counters and the shared normal forms."""
+        self._entries.clear()
+        self._bytes = self._hits = self._misses = self._evictions = 0
+        _NORMALS.clear()
+
+
+def _charge(value) -> int:
+    """An upper bound of the bytes a store key or value keeps alive: an
+    int's, a str's or a Fraction's size, a tuple's size and its items', a
+    series' or a side record's own bound (`held_bytes`).  Other objects in
+    a tuple, such as a record key's form, count 0: the program holds them
+    anyway."""
+    kind = type(value)
+    if kind is tuple:
+        size = sys.getsizeof(value)
+        for item in value:
+            kind = type(item)
+            if kind is int or kind is str:
+                size += sys.getsizeof(item)
+            elif kind is tuple or kind is Fraction:
+                size += _charge(item)
+        return size
+    if kind is int or kind is str:
+        return sys.getsizeof(value)
+    if kind is Fraction:
+        return sys.getsizeof(value) + sys.getsizeof(value.numerator) + sys.getsizeof(value.denominator)
+    held = kind.__dict__.get("held_bytes")
+    return 0 if held is None else held(value)
+
+
+# The process-wide series store.  `build` is the kind of value, and `key`
+# its twist class, scale, order and, for a slot's character sum, upper end,
+# as the `EvalContext` methods pass them; for a closed-form chain (`_chain`),
+# its factors' kind, their ordered scales and the order; for a theorem
+# side's product (`_side_product`), its chain's factor keys in chain order
+# and n_max; for a theorem side's record (`identities._side_record`), its
+# form, w-tuple and n_max.
+_stored = _Store(MAX_STORE_BYTES)
 
 
 def _bern_series(chi: DirichletCharacter, twist: TwistSpec, w_class: int, scale: int,
@@ -403,17 +499,30 @@ def _shared(series: TruncatedSeries) -> TruncatedSeries:
     return held if held == series else series
 
 
+# Normal forms of stored side records, each under itself.  Tuples cannot be
+# held weakly, so the store empties the table whenever it drops an entry or
+# keeps no value (`_Store`): every tuple here belongs to a stored record
+_NORMALS: dict[tuple, tuple] = {}
+
+
+def _shared_normal(normal: tuple) -> tuple:
+    """The normal form already held when one exactly equal to `normal` is,
+    found by the table's key comparison, else `normal` itself: the standard
+    grid's 10,885 side records hold 2,232 distinct normal forms."""
+    return _NORMALS.setdefault(normal, normal)
+
+
 class EvalContext:
-    """One (character, twist) pair's series, and its side memo.
+    """One (character, twist) pair and its readers of the series store.
 
     All values live at the fixed conductor lcm(r, order of chi): the slot
     series, each its quantity's one series (`bernoulli_egf`,
     `character_sum_series`) with t -> scale*t applied on integer rows
     (`TruncatedSeries.scale_variable`), the closed-form factors and chains,
-    and the theorem sides' products.  They are read from the process-wide
-    store (`_stored`), so every context for the same pair shares them and
-    each is built once per process.  Only the side memo belongs to the
-    context: the theorem sides' records by (form_id, w, n_max).
+    and the theorem sides' products and records.  They are read from the
+    process-wide store (`_stored`), so every context for the same pair
+    shares them and each is built once per process while it stays there; a
+    context holds nothing of its own.
     """
 
     def __init__(self, chi: DirichletCharacter, twist: TwistSpec):
@@ -422,10 +531,6 @@ class EvalContext:
         self.d = chi.d
         self.r = twist.r
         self.m = field_conductor(chi, twist)
-        # theorem sides by (form_id, w, n_max), each its (P, C) with the
-        # side's weight and normal form; read and filled only by
-        # identities._side_records
-        self.side_memo: dict[tuple, tuple] = {}
 
     # -- side products --------------------------------------------------
 
@@ -464,10 +569,6 @@ class EvalContext:
                 f"xi^(d*{name}) = 1 at w-scale {scale}: r={self.r} divides d*{scale}",
                 factor=name,
             )
-
-    def denom_series(self, scale: int, order: int) -> TruncatedSeries:
-        """D_W = xi^(dW) e^(dWt) - 1."""
-        return _stored(_denom_series, self.chi, self.twist, scale, order)
 
 
 # ---------------------------------------------------------------------------

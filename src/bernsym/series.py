@@ -91,14 +91,18 @@ neither reads a coordinate.
 
 Rounding the width up lets a series keep its packed rows per width
 (`_packed_rows`): a stored factor is packed at a few widths for the whole
-process, and every truncation of it shares its packings.  Packing a whole
-series into one int as well was measured to be no faster at the orders
-used here.
+process, and every truncation of it shares its packings.  A series keeps a
+packing only up to twice its largest row bound plus KEPT_WIDTH_SLACK bits,
+which every product of the standard workloads meets, so that the bytes it
+keeps alive have a bound of their own (`TruncatedSeries.held_bytes`); a
+wider packing is made for its one product.  Packing a whole series into one
+int as well was measured to be no faster at the orders used here.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain
@@ -174,6 +178,45 @@ def _fold_bits(m: int) -> int:
 WIDTH_STEP = 32
 # packed widths a series keeps, oldest first out
 PACKED_WIDTHS = 4
+# a series keeps a packing of at most 2*B + KEPT_WIDTH_SLACK bits, B its
+# largest row bound: the standard workloads pack at most 2*B + 96 bits
+KEPT_WIDTH_SLACK = 128
+
+
+def _int_bytes(bits: int) -> int:
+    """An upper bound of the size of an int of at most `bits` bits."""
+    digits = max(1, -(-bits // sys.int_info.bits_per_digit))
+    return sys.getsizeof(1) + (digits - 1) * sys.int_info.sizeof_digit
+
+
+_INT_BYTES = _int_bytes(1)
+
+
+def _list_bytes(length: int) -> int:
+    """An upper bound of the size of a list of `length` items built by
+    appending, with its over-allocation."""
+    return sys.getsizeof([]) + (length + (length >> 3) + 6) * (sys.getsizeof([None]) - sys.getsizeof([]))
+
+
+@lru_cache(maxsize=1024)
+def _shape_bytes(n: int, phi: int, bound: int) -> int:
+    """An upper bound of the bytes a series of n rows of phi coordinates,
+    each coordinate below 2^bound, keeps alive beside its denominator and
+    the n denominators of its `coeffs` view: the object, its conductor and
+    its row form;
+    n rows and n row bounds (each below 2^30); the `coeffs` view, built or
+    not, n `CyclotomicNumber` objects whose coordinates are no larger than
+    the rows'; and a dict of PACKED_WIDTHS packed copies of every row at
+    the widest kept width, 2*bound + KEPT_WIDTH_SLACK bits (`_packed_rows`),
+    each row a phi*width-bit int."""
+    coords = n * phi * _int_bytes(bound)
+    rows = (sys.getsizeof(object.__new__(TruncatedSeries)) + _INT_BYTES + sys.getsizeof((0, 0, 0))
+            + sys.getsizeof((0,) * n) + n * _list_bytes(phi) + sys.getsizeof((0,) * n) + n * _INT_BYTES)
+    view = sys.getsizeof((0,) * n) + n * (sys.getsizeof(CyclotomicNumber.zero(1)) + sys.getsizeof((0,) * phi))
+    width = -(-(2 * bound + KEPT_WIDTH_SLACK) // WIDTH_STEP) * WIDTH_STEP
+    packed = sys.getsizeof({i: None for i in range(PACKED_WIDTHS)}) + PACKED_WIDTHS * (
+        _list_bytes(n) + _int_bytes(width.bit_length()) + n * _int_bytes(phi * width))
+    return 2 * coords + rows + view + packed
 
 
 def _chain_top(bounds: Sequence[Sequence[int]], n: int) -> int:
@@ -265,17 +308,29 @@ class TruncatedSeries:
         """Each row packed at `width`, kept per width (at most PACKED_WIDTHS
         of them) in a cache shared with every truncation of this series.  A
         truncation packs only its own rows, so a shared list shorter than
-        this series' rows is packed again in full."""
+        this series' rows is packed again in full.  A width above
+        2*B + KEPT_WIDTH_SLACK, B the largest row bound, is packed and not
+        kept."""
         cache = self._packed
         if cache is None:
             cache = self._packed = {}
         packed = cache.get(width)
         rows = self._form[1]
         if packed is None or len(packed) < len(rows):
-            if packed is None and len(cache) >= PACKED_WIDTHS:
+            packed = [_pack(row, width) for row in rows]
+            if width > 2 * self._rows()[2][-1] + KEPT_WIDTH_SLACK:
+                return packed
+            if width not in cache and len(cache) >= PACKED_WIDTHS:
                 del cache[next(iter(cache))]
-            packed = cache[width] = [_pack(row, width) for row in rows]
+            cache[width] = packed
         return packed
+
+    def held_bytes(self) -> int:
+        """An upper bound of the bytes this series keeps alive, for a cache
+        that charges what it holds (`quotients._stored`), worked out from its
+        shape, its largest row bound and its denominator (`_shape_bytes`)."""
+        den, rows, bounds = self._rows()
+        return _shape_bytes(len(rows), len(rows[0]), bounds[-1]) + (len(rows) + 1) * sys.getsizeof(den)
 
     @property
     def coeffs(self) -> tuple[CyclotomicNumber, ...]:

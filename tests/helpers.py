@@ -4,6 +4,7 @@ the public data of the values they build or read."""
 import math
 from fractions import Fraction
 
+from bernsym import quotients
 from bernsym.dirichlet import DirichletCharacter
 from bernsym.exactnum import CyclotomicNumber
 from bernsym.series import TruncatedSeries
@@ -41,3 +42,9 @@ def as_rational(x: CyclotomicNumber) -> Fraction:
 def is_trivial(chi: DirichletCharacter) -> bool:
     """chi is the trivial character mod its d: every exponent is 0."""
     return not any(chi.exponents)
+
+
+def denom_series(ctx: quotients.EvalContext, scale: int, order: int) -> TruncatedSeries:
+    """D_W = xi^(dW) e^(dWt) - 1 at W = scale for the context's pair, read
+    from the series store as the closed forms read it."""
+    return quotients._stored(quotients._denom_series, ctx.chi, ctx.twist, scale, order)

@@ -111,43 +111,91 @@ def test_criterion_03_orbit_structure_and_counterexample(full_grid):
            "within-orbit equalities over G and the recorded Thm-3 counterexample")
 
 
+# the sha256 of the standard grid's report and of its rows, unchanged since
+# the standard grid's answers were first recorded
+GRID_SHA256 = "0ab8ab409fc137da143a7b16c19342c7c20ae5e8907597a55476d65390cb3b33"
+ROWS_SHA256 = "ceb93ef3805de2992986f2f78f943cb30582da70572e3e69695dfbad127ae1fc"
+
+
+def _pinned(rep) -> bool:
+    return (hashlib.sha256(json.dumps(rep.to_json(), sort_keys=True).encode()).hexdigest() == GRID_SHA256
+            and hashlib.sha256(repr(rep.rows).encode()).hexdigest() == ROWS_SHA256)
+
+
 @pytest.mark.slow
 def test_standard_grid_answers_are_pinned(full_grid):
-    # the sha256 of the report and of every row, unchanged since the
-    # standard grid's answers were first recorded: a change that only makes
-    # the grid faster leaves both as they are
+    # a change that only makes the grid faster leaves both hashes as they are
     rep, _ = full_grid
-    assert hashlib.sha256(json.dumps(rep.to_json(), sort_keys=True).encode()).hexdigest() \
-        == "0ab8ab409fc137da143a7b16c19342c7c20ae5e8907597a55476d65390cb3b33"
-    assert hashlib.sha256(repr(rep.rows).encode()).hexdigest() \
-        == "ceb93ef3805de2992986f2f78f943cb30582da70572e3e69695dfbad127ae1fc"
+    assert hashlib.sha256(json.dumps(rep.to_json(), sort_keys=True).encode()).hexdigest() == GRID_SHA256
+    assert hashlib.sha256(repr(rep.rows).encode()).hexdigest() == ROWS_SHA256
 
 
 @pytest.mark.slow
-def test_series_store_stays_within_its_bound(full_grid):
+def test_series_store_stays_within_its_bound(full_grid, monkeypatch):
     # after the standard grid and a grid with w up to 9 the store is within
-    # its bound and every verdict is right; more distinct series than it
-    # holds push out the least recently used
+    # its bound in bytes and every verdict is right; more distinct series
+    # than a bound holds push out the least recently used, and the store
+    # fills up to the bound before the first goes
     store = quotients._stored
     wide = grid_verify(GridConfig(theorems=(7, 8, 9, 11), d_values=(1, 3), r_values=(5, 7),
                                   w_components=tuple(range(1, 10)), n_max=1))
     assert all(wide.failures(t, "normalized") == 0 for t in (7, 8, 9, 11))
     assert wide.failures(11, "as-stated") == 0 and wide.failures(7, "as-stated") > 0
-    assert store.cache_info().maxsize == quotients.STORE_SIZE
-    assert store.cache_info().currsize <= quotients.STORE_SIZE
+    assert store.max_bytes == quotients.MAX_STORE_BYTES
+    assert store.cache_info().bytes <= quotients.MAX_STORE_BYTES
     chi, twist = enumerate_characters(1)[0], TwistSpec(3, 1)
 
     def psum(scale):
         quotients._factors(chi, twist, [("S", 0, 1, scale)], 0)
 
-    for scale in range(1, quotients.STORE_SIZE + 2):
+    store.cache_clear()
+    monkeypatch.setattr(store, "max_bytes", 1 << 20)
+    scale = 0
+    while not store.cache_info().evictions:
+        scale += 1
         psum(scale)
     info = store.cache_info()
-    assert info.currsize == quotients.STORE_SIZE
-    psum(quotients.STORE_SIZE + 1)   # the newest stays
+    assert info.evictions == 1 and info.entries == scale - 1 and info.bytes <= store.max_bytes
+    psum(scale)   # the newest stays
     assert store.cache_info().misses == info.misses
-    psum(1)                          # the oldest went
+    psum(1)       # the oldest went
     assert store.cache_info().misses == info.misses + 1
+    assert store.cache_info().bytes <= store.max_bytes
+
+
+@pytest.mark.slow
+def test_a_small_store_evicts_and_keeps_the_answers(monkeypatch, cold_store):
+    # with a bound far below the standard grid's working set the store
+    # evicts throughout, its charged bytes never exceed the bound after any
+    # read, and the grid's answers are the pinned ones
+    budget = 4 << 20
+    monkeypatch.setattr(cold_store, "max_bytes", budget)
+    peak = []
+
+    def bounded(*key):
+        value = cold_store(*key)
+        peak.append(cold_store.cache_info().bytes)
+        assert peak[-1] <= budget
+        return value
+
+    monkeypatch.setattr(quotients, "_stored", bounded)
+    rep = grid_verify(GridConfig(n_max=N_MAX))
+    assert _pinned(rep)
+    assert cold_store.cache_info().evictions > 1000
+    assert max(peak) > budget // 2
+
+
+@pytest.mark.slow
+def test_the_default_store_holds_criteria_1_5_and_6(cold_store):
+    # the standard grid with its side records, then criteria 5 and 6, in
+    # one process, evict nothing at the default bound
+    assert cold_store.max_bytes == quotients.MAX_STORE_BYTES
+    rep = grid_verify(GridConfig(n_max=N_MAX))
+    assert _pinned(rep)
+    assert _criterion_05()[0] and _criterion_06()[0]
+    info = cold_store.cache_info()
+    assert info.evictions == 0 and info.bytes <= quotients.MAX_STORE_BYTES
+    assert info.entries > 26000
 
 
 def test_criterion_04_power_sum_egf_identity():
@@ -164,8 +212,8 @@ def test_criterion_04_power_sum_egf_identity():
     report(4, ok and checked > 0, f"{checked} (d,chi,r,w) checks to order 12")
 
 
-@pytest.mark.slow
-def test_criterion_05_closed_form_permutation_invariance():
+def _criterion_05() -> tuple[bool, int]:
+    """(every ordering's closed form agrees, closed forms evaluated)."""
     checked = 0
     ok = True
     y3 = (Fraction(1, 2), Fraction(2), Fraction(3, 5))
@@ -182,11 +230,17 @@ def test_criterion_05_closed_form_permutation_invariance():
                           for w in orderings]
                 checked += len(orderings)
                 ok = ok and all(s == series[0] for s in series[1:])
-    report(5, ok and checked > 0, f"{checked} closed-form evaluations to order 12")
+    return ok, checked
 
 
 @pytest.mark.slow
-def test_criterion_06_weighted_master_consistency():
+def test_criterion_05_closed_form_permutation_invariance():
+    ok, checked = _criterion_05()
+    report(5, ok and checked > 0, f"{checked} closed-form evaluations to order 12")
+
+
+def _criterion_06() -> tuple[bool, int]:
+    """(every sampled consistency check passes, instances checked)."""
     instances = 0
     ok = True
     stride = {2: 5, 3: 11}
@@ -205,6 +259,12 @@ def test_criterion_06_weighted_master_consistency():
                 rep = consistency_check(qt, w, y, chi, twist, 8, ctx)
                 instances += 1
                 ok = ok and rep.passed
+    return ok, instances
+
+
+@pytest.mark.slow
+def test_criterion_06_weighted_master_consistency():
+    ok, instances = _criterion_06()
     report(6, ok and instances >= 200, f"{instances} sampled instances, every form, n <= 8")
 
 

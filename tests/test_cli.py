@@ -390,6 +390,40 @@ def test_second_audit_of_a_cell_builds_no_series(tmp_path, cold_store, monkeypat
     assert second == first
 
 
+def test_second_audit_builds_no_record_and_multiplies_nothing(tmp_path, monkeypatch, cold_store):
+    # the side records live in the process-wide store with the products
+    # below them: a second audit of the same cell builds no side and
+    # multiplies no chain, and prints the bytes of the first
+    from bernsym import identities, quotients
+
+    cfg = tmp_path / "cell.grid"
+    cfg.write_text("theorems = 8\nd = 4\nchars = explicit\nchar_labels = 4:1\nr = 5\nj = 1\n"
+                   "w_components = 1,2,3,4\nn_max = 6\nmodes = as-stated,normalized\n")
+    counts = {"side": 0, "product": 0}
+    build, multiply = quotients._build_side, quotients.product
+
+    def counting_build(*args, **kwargs):
+        counts["side"] += 1
+        return build(*args, **kwargs)
+
+    def counting_product(factors):
+        counts["product"] += 1
+        return multiply(factors)
+
+    for module in (quotients, identities):
+        monkeypatch.setattr(module, "_build_side", counting_build)
+    monkeypatch.setattr(quotients, "product", counting_product)
+    outputs, seen = [], []
+    for _ in range(2):
+        counts.update(side=0, product=0)
+        outputs.append(run_cli(["audit", "--grid-file", str(cfg)]))
+        seen.append(dict(counts))
+    assert outputs[0][0] == 1 and outputs[0][1]
+    assert outputs[1] == outputs[0]
+    assert seen[0]["side"] > 0 and seen[0]["product"] > 0
+    assert seen[1] == {"side": 0, "product": 0}
+
+
 def test_second_audit_packs_no_stored_factor(tmp_path, monkeypatch, cold_store):
     # every side product comes from the process-wide store, as do the
     # factors below it with their packed rows: a second audit of the same

@@ -138,22 +138,30 @@ def test_equal_w_passes_as_stated_everywhere():
 
 
 @pytest.mark.parametrize("theorem", range(1, 12))
-def test_memoised_sides_match_cold_evaluation(theorem):
+def test_memoised_sides_match_cold_evaluation(theorem, cold_store):
+    # every side of the instance is a side of another ordering of w, so
+    # after those, a fresh context reads each of its sides from the store,
+    # and they equal the sides multiplied anew
     thm = THEOREMS[theorem]
     w = (2, 4) if thm.arity == 2 else (1, 2, 4)
     inst = TheoremInstance(theorem, 5, (1,), 3, 1, w, 3)
     inst.validate()
-    warm = EvalContext(inst.character(), inst.twist())
     for other in sorted(set(permutations(w)) - {w}):
-        verify_instance(TheoremInstance(theorem, 5, (1,), 3, 1, other, 3), ctx=warm)
-    memo_size = len(warm.side_memo)
-    memoised = [spread_ypolys(p, ys, inst.n_max) for p, ys in _side_series(inst, warm)]
-    assert len(warm.side_memo) == memo_size  # every side was a memo hit
+        verify_instance(TheoremInstance(theorem, 5, (1,), 3, 1, other, 3))
+    misses = cold_store.cache_info().misses
+    memoised = [spread_ypolys(p, ys, inst.n_max)
+                for p, ys in _side_series(inst, EvalContext(inst.character(), inst.twist()))]
+    assert cold_store.cache_info().misses == misses  # every side was a store hit
     cold = EvalContext(inst.character(), inst.twist())
     assert memoised == [
         expansion_polys(thm.base, perm_apply(sig, w), cold, inst.n_max)
         for sig in thm.sigmas
     ]
+
+
+def _stored_records(store) -> dict:
+    """The side records the series store holds, by (form, w, n_max)."""
+    return {key[5:]: entry[0] for key, entry in store._entries.items() if key[0] is identities._side_record}
 
 
 def _stored_products(monkeypatch) -> list:
@@ -176,32 +184,76 @@ def _products_made(monkeypatch) -> list:
 
 @pytest.mark.parametrize("theorem, w", ((1, (2, 4)), (4, (2, 3, 1)), (11, (2, 1, 1))))
 def test_a_mutated_run_memoises_and_stores_only_clean_sides(theorem, w, monkeypatch, cold_store):
-    # a mutated side 1 read from the memo or the store would pass; one
-    # written to either would fail the clean re-verifies below.  A mutated
-    # run on a fresh context memoises every side clean, as a cold build
-    # gives it, and after it, a clean run or a mutated one on the warm
-    # context, or a clean run on a fresh one, changes no record and builds
-    # no product
+    # a mutated side 1 read from the store would pass; one written to it
+    # would fail the clean re-verifies below.  A mutated run from a cold
+    # store stores every side's record clean, as a cold build gives it, and
+    # after it, a clean run or a mutated one, on fresh contexts, changes no
+    # record and builds no product
     inst = TheoremInstance(theorem, 1, (), 5, 1, w, 3)
     thm = inst.theorem_spec()
-    ctx = EvalContext(inst.character(), inst.twist())
     built = _stored_products(monkeypatch)
     with mutation("twist"):
-        assert not verify_instance(inst, ctx=ctx).pass_as_stated
+        assert not verify_instance(inst).pass_as_stated
     cold = EvalContext(inst.character(), inst.twist())
-    assert len(ctx.side_memo) == len({pick(w) for pick in thm.picks})
-    for (form_id, wp, n_max), record in ctx.side_memo.items():
-        assert form_id == thm.base.form_id and record.side == side_series(thm.base, wp, cold, n_max), wp
-    memo, stored = dict(ctx.side_memo), len(built)
+    records = _stored_records(cold_store)
+    assert len(records) == len({pick(w) for pick in thm.picks})
+    for (form, wp, n_max), record in records.items():
+        assert form is thm.base and record.side == side_series(thm.base, wp, cold, n_max), wp
+    stored = len(built)
     assert stored > 0
-    assert verify_instance(inst, ctx=ctx).pass_as_stated
+    assert verify_instance(inst).pass_as_stated
     with mutation("twist"):
-        assert not verify_instance(inst, ctx=ctx).pass_as_stated
-    assert ctx.side_memo.keys() == memo.keys()
-    assert all(ctx.side_memo[k] is v for k, v in memo.items())
-    assert verify_instance(inst, ctx=ctx).pass_as_stated
-    assert verify_instance(inst).pass_as_stated   # a fresh context reads the store
+        assert not verify_instance(inst).pass_as_stated
+    after = _stored_records(cold_store)
+    assert after.keys() == records.keys()
+    assert all(after[k] is v for k, v in records.items())
+    assert verify_instance(inst).pass_as_stated
     assert len(built) == stored
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_warm_records_still_fail_every_mutation(kind, monkeypatch, cold_store):
+    # with every side's record already stored, each mutation kind still
+    # fails: the mutated side is built on its own, never read from the
+    # store.  No mutated record or product enters the store, and the clean
+    # re-verify afterwards reads the same clean records and builds nothing
+    inst = TheoremInstance(4, 5, (1,), 7, 1, (2, 4, 1), 4)
+    thm = inst.theorem_spec()
+    # no twist scale of this cell, bumped by 1, is a multiple of 7
+    cell = GridConfig(theorems=(4,), d_values=(5,), char_filter="explicit", char_labels=((5, (1,)),),
+                      r_values=(7,), w_components=(1, 2, 4), n_max=4)
+    assert grid_verify(cell).failures(4, "as-stated") == 0
+    records = _stored_records(cold_store)
+    assert len(records) == 3 ** 3
+    built = _stored_products(monkeypatch)
+    with mutation(kind):
+        assert not verify_instance(inst).pass_as_stated
+        assert grid_verify(cell).failures(4, "as-stated") > 0
+    assert built == []
+    after = _stored_records(cold_store)
+    assert all(after[k] is v for k, v in records.items())
+    cold = EvalContext(inst.character(), inst.twist())
+    for (form, wp, n_max), record in after.items():
+        assert record.side == side_series(form, wp, cold, n_max), wp
+    misses = cold_store.cache_info().misses
+    assert verify_instance(inst).pass_as_stated
+    assert cold_store.cache_info().misses == misses
+    assert _side_series(inst, cold) == [records[thm.base, perm_apply(sig, inst.w), inst.n_max].side
+                                        for sig in thm.sigmas]
+
+
+def test_equal_normal_forms_are_one_tuple(cold_store):
+    # the sides of a symmetric theorem at distinct w components are
+    # multiplied from distinct chains, and their normal forms, exactly
+    # equal, are then one tuple, so a normalized comparison is an identity
+    # check; the table that shares them empties with the store
+    inst = TheoremInstance(4, 5, (1,), 7, 1, (2, 3, 1), 4)
+    records = identities._side_records(inst.theorem_spec(), inst.w, inst.n_max,
+                                       EvalContext(inst.character(), inst.twist()))
+    assert len({id(record.normal) for record in records}) == 1
+    assert len(quotients._NORMALS) == 1
+    cold_store.cache_clear()
+    assert quotients._NORMALS == {}
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -247,8 +299,8 @@ def test_mutations_fail_with_a_warm_store(kind, cold_store):
     warm = _side_series(inst, ctx())
     cold_store.cache_clear()
     assert _side_series(inst, ctx()) == warm
-    # on the very context the clean run filled, both side memos warm: the
-    # same instance, a folded form after the form it folds (theorem 3 after
+    # with the store holding the clean records and products: the same
+    # instance, a folded form after the form it folds (theorem 3 after
     # theorem 2, normalized, as theorem 3 fails as stated) and the same
     # (type, w) in the consistency check
     same = ctx()

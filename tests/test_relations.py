@@ -23,6 +23,8 @@ from bernsym.exactnum import euler_phi
 from bernsym import quotients
 from bernsym.quotients import FORMS, QUOTIENT_TYPES, EvalContext, closed_form_series, side_series
 
+from helpers import denom_series
+
 N_MAX = 6
 STANDARD_CONTEXTS = [(chi, TwistSpec(r, 1)) for d in (1, 3, 4, 5) for chi in enumerate_characters(d)
                      for r in (3, 4, 5, 7) if math.gcd(r, d) == 1]
@@ -139,4 +141,4 @@ def test_slot_factors_are_the_closed_form_factors_they_integrate(chi, twist):
         assert bern == ratio.shift_up(1).truncate(N_MAX).scale(scale), scale
         for upper in (1, 2, 3):
             [psum] = quotients._factors(chi, twist, [("S", chi.d * upper - 1, scale % twist.r, scale)], N_MAX)
-            assert psum == ratio * ctx.denom_series(scale * upper, N_MAX), (scale, upper)
+            assert psum == ratio * denom_series(ctx, scale * upper, N_MAX), (scale, upper)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from bernsym.dirichlet import trivial_character
 from bernsym.exactnum import CyclotomicNumber as Cyc, euler_phi
 from bernsym import quotients
 from bernsym.quotients import QUOTIENT_TYPES, EvalContext, closed_form_series, mono_val
-from bernsym.series import PACKED_WIDTHS, WIDTH_STEP, NonUnitConstantError, TruncatedSeries as TS, product
+from bernsym.series import (KEPT_WIDTH_SLACK, PACKED_WIDTHS, WIDTH_STEP, NonUnitConstantError, TruncatedSeries as TS,
+                            product)
 
 from helpers import exp_linear
 
@@ -299,8 +301,9 @@ def test_product_at_a_width_with_no_rounding_slack(m, length):
 
 def test_packed_rows_are_kept_per_width():
     # one factor multiplied at two widths keeps a packing for each, and at
-    # more widths than it keeps, the oldest go first
-    a = TS(3, [Cyc(3, [k, -2 * k]) for k in range(5)])
+    # more widths than it keeps, the oldest go first; its 901-bit rows keep
+    # every one of these widths (see test_a_wide_packing_is_not_kept)
+    a = TS(3, [Cyc(3, [2 ** 900 + k, -2 * k]) for k in range(5)])
     narrow = TS(3, [Cyc(3, [1, k]) for k in range(5)])
     wide = TS(3, [Cyc(3, [2 ** 300 + k, -(2 ** 299)], 7) for k in range(5)])
     for other in (narrow, wide, narrow):
@@ -312,6 +315,64 @@ def test_packed_rows_are_kept_per_width():
         assert list((a * other).coeffs) == schoolbook(a, other)
     assert len(a._packed) == PACKED_WIDTHS
     assert list((a * narrow).coeffs) == schoolbook(a, narrow)
+
+
+def test_a_wide_packing_is_not_kept():
+    # a series keeps a packing only up to 2*B + KEPT_WIDTH_SLACK bits, B its
+    # largest row bound; a wider one is made for its product and dropped
+    a = TS(3, [Cyc(3, [k, -2 * k]) for k in range(5)])
+    wide = TS(3, [Cyc(3, [2 ** 300 + k, 1]) for k in range(5)])
+    assert list((a * wide).coeffs) == schoolbook(a, wide)
+    assert list((wide * a).coeffs) == schoolbook(wide, a)
+    assert a._packed == {} and len(wide._packed) == 1
+
+
+def _deep_bytes(series) -> int:
+    """The bytes a series keeps alive, walked object by object, each once:
+    its object and row form, the rows, row bounds, `coeffs` view and
+    packed copies, with every int in them (the conductor aside)."""
+    seen, total = set(), sys.getsizeof(series)
+    stack = [series._form, series._coeffs, series._packed]
+    while stack:
+        item = stack.pop()
+        if item is None or id(item) in seen:
+            continue
+        seen.add(id(item))
+        total += sys.getsizeof(item)
+        if isinstance(item, (tuple, list)):
+            stack += item
+        elif isinstance(item, dict):
+            stack += [*item.keys(), *item.values()]
+        elif isinstance(item, Cyc):
+            stack += [item.num, item.den]
+    return total
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(KERNEL_CONDUCTORS), st.integers(0, 12), st.integers(0, 400), st.data())
+def test_held_bytes_bound_what_a_series_keeps(m, order, bits, data):
+    # with its coeffs view built and every packed copy it keeps, each at
+    # the widest width it keeps, a series holds no more than it is charged
+    series = data.draw(cyc_series(m, order, low=-(2 ** bits), high=2 ** bits))
+    assert series.coeffs
+    bound = series._rows()[2][-1]
+    widest = (2 * bound + KEPT_WIDTH_SLACK) // WIDTH_STEP * WIDTH_STEP
+    for width in range(widest, max(widest - PACKED_WIDTHS * WIDTH_STEP, 0), -WIDTH_STEP):
+        series._packed_rows(width)
+    assert len(series._packed) == min(PACKED_WIDTHS, widest // WIDTH_STEP)
+    assert _deep_bytes(series) <= series.held_bytes()
+
+
+def test_stored_series_hold_no_more_than_their_charge(cold_store):
+    # every series a standard-grid audit cell stores, packed as the cell
+    # packed it and with its coeffs view built, holds no more than its charge
+    from bernsym.identities import GridConfig, grid_verify
+    grid_verify(GridConfig(theorems=(8,), d_values=(5,), r_values=(7,), w_components=(1, 2, 3), n_max=6))
+    values = [entry[0] for entry in cold_store._entries.values() if isinstance(entry[0], TS)]
+    assert len(values) > 100 and any(value._packed for value in values)
+    for value in values:
+        assert value.coeffs
+        assert _deep_bytes(value) <= value.held_bytes()
 
 
 @pytest.mark.parametrize("parent_first", (True, False))
