@@ -84,10 +84,6 @@ class TwistSpec:
         if not 0 < self.j < self.r or math.gcd(self.j, self.r) != 1:
             raise ParameterError(f"j={self.j} does not give a primitive {self.r}-th root")
 
-    def root(self, conductor: int | None = None) -> CyclotomicNumber:
-        xi = CyclotomicNumber.zeta(self.r, self.j)
-        return xi.embed(conductor) if conductor else xi
-
     def root_power(self, w: int, conductor: int | None = None) -> CyclotomicNumber:
         xi = CyclotomicNumber.zeta(self.r, (self.j * w) % self.r)
         return xi.embed(conductor) if conductor else xi

@@ -59,8 +59,12 @@ product P with the closed form without its exponential,
 t^s * prod (T_W/D_W) * prod D_V, cross-multiplied by the weight; P is
 multiplied by exp((c_form - c_closed)*t) only where the two rates differ.
 The point series and the full closed form are built only for a form that
-fails, to report its first mismatching coefficient.  The forms of one type
-that share a chain share its product within the check.
+fails, to report its first mismatching coefficient.  Both sides of the
+check are read from the series store: each form's product by its ordered
+chain, as theorem sides read theirs, and the closed form's product by the
+ordered scales of its two chains, so a check repeated in one process
+multiplies nothing, and the forms of one type that share a chain share one
+product.
 
 The Lambda_13 forms are not transcribed by hand: they are generated from
 the Lambda_23 descriptors by the substitution recipe (w1,w2,w3 ->
@@ -314,19 +318,20 @@ def parse_quotient_type(text: str) -> QuotientType:
 
 # The bytes the process-wide series store (`_stored`) may charge to its
 # entries (`_charge`), least recently used first out (`_Store`).  The
-# standard grid with its side records, then criteria 5 and 6, in one
-# process, charge 506 MB over 26,936 entries (at 83 MB max RSS), so the
-# bound holds them 2.1 times over.  A charge over-counts: it is an upper
-# bound of what the entry keeps alive, not a measure of it
+# standard grid with its side records, then criteria 5 and 6 with their
+# stored side products and closed-form cores, in one process, charge 741 MB
+# over 38,327 entries (at 124 MB max RSS, the acceptance tests' module
+# loaded), so the bound holds them 1.45 times over.  A charge over-counts:
+# it is an upper bound of what the entry keeps alive, not a measure of it
 MAX_STORE_BYTES = 1 << 30
 
 # the most bytes a dict takes per entry, its header included (the worst
 # over 1 to 20,000 entries is one entry, 224 bytes), and the most a store
 # entry takes beyond its key's own items and its value: its ordered-dict
-# slot and link, its [value, charge, mark] list and, for a side product,
-# its weak slot in `_SHARED`.  A key's d, r and j are at most 200
-# (`dirichlet.MAX_MODULUS`, `bernoulli.MAX_TWIST_ORDER`): small ints that
-# the interpreter holds once
+# slot and link, its [value, charge, mark] list and, for a side product or
+# a closed-form core, its weak slot in `_SHARED`.  A key's d, r and j are
+# at most 200 (`dirichlet.MAX_MODULUS`, `bernoulli.MAX_TWIST_ORDER`): small
+# ints that the interpreter holds once
 _SLOT_BYTES = 224
 _ENTRY_BYTES = 1024
 
@@ -425,10 +430,11 @@ def _charge(value) -> int:
 # The process-wide series store.  `build` is the kind of value, and `key`
 # its twist class, scale, order and, for a slot's character sum, upper end,
 # as the `EvalContext` methods pass them; for a closed-form chain (`_chain`),
-# its factors' kind, their ordered scales and the order; for a theorem
-# side's product (`_side_product`), its chain's factor keys in chain order
-# and n_max; for a theorem side's record (`identities._side_record`), its
-# form, w-tuple and n_max.
+# its factors' kind, their ordered scales and the order; for a closed form's
+# core (`_core`), the ordered scales of its T_W/D_W chain, those of its D_V
+# chain and the order; for a side's product (`_side_product`), its chain's
+# factor keys in chain order and n_max; for a theorem side's record
+# (`identities._side_record`), its form, w-tuple and n_max.
 _stored = _Store(MAX_STORE_BYTES)
 
 
@@ -479,9 +485,9 @@ def _side_product(chi: DirichletCharacter, twist: TwistSpec, keys: tuple[tuple, 
     return _shared(EvalContext.sym_product(_factors(chi, twist, keys, n)))
 
 
-# Stored side products by (conductor, denominator, hash of the rows), held
-# weakly, so an entry lives no longer than the store entries and sides that
-# hold its product
+# Stored side products and closed-form cores by (conductor, denominator,
+# hash of the rows), held weakly, so an entry lives no longer than the store
+# entries and sides that hold its series
 _SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -491,10 +497,12 @@ def _share_key(series: TruncatedSeries) -> tuple:
 
 
 def _shared(series: TruncatedSeries) -> TruncatedSeries:
-    """The product already held under series' key when the two are exactly
+    """The series already held under series' key when the two are exactly
     equal, else series itself: the permuted sides of a symmetric theorem,
-    each multiplied from its own ordered chain, then hold one set of rows.
-    Under a key held by an unequal series, series stays its own object."""
+    each multiplied from its own ordered chain, and the cores of a closed
+    form's orderings, each from its own ordered scales, then hold one set of
+    rows.  Under a key held by an unequal series, series stays its own
+    object."""
     held = _SHARED.setdefault(_share_key(series), series)
     return held if held == series else series
 
@@ -543,7 +551,8 @@ class EvalContext:
 
     def chain_product(self, keys: tuple[tuple, ...], n: int) -> TruncatedSeries:
         """The product of the factor chain with these keys, to order n,
-        multiplied anew."""
+        multiplied anew: the sides of `side_series` and of the redundancy
+        displays."""
         return self.sym_product(_factors(self.chi, self.twist, keys, n))
 
     def side_product(self, keys: tuple[tuple, ...], n: int) -> TruncatedSeries:
@@ -552,12 +561,6 @@ class EvalContext:
         return _stored(_side_product, self.chi, self.twist, keys, n)
 
     # -- closed-form factors --------------------------------------------
-
-    def char_ratio_series(self, scale: int, order: int, factor: Mono) -> TruncatedSeries:
-        """T_W/D_W, T_W = sum_{a<d} chi(a) xi^(aW) e^(aWt): the character
-        sum with t -> W*t over D_W; requires r not dividing d*W."""
-        self.require_unit_ratio(scale, factor)
-        return _stored(_ratio_series, self.chi, self.twist, scale, order)
 
     def require_unit_ratio(self, scale: int, factor: Mono) -> None:
         """Refuse T_W/D_W at W = scale, the value of monomial `factor`, when
@@ -681,8 +684,8 @@ def _build_side(form: ExpansionForm, w: Sequence[int], ctx: EvalContext, n_max: 
     the slots' own products would have been taken.  The chain's keys are
     worked out first, and its factor series are read from the store only
     when P is multiplied.  `products`, when given, maps (the chain's keys,
-    n_max) to P: a memo local to the caller (`consistency_check`) or the
-    process-wide store (`EvalContext.side_product`), so forms whose chains
+    n_max) to P: the process-wide store (`EvalContext.side_product`), as
+    theorem sides and `consistency_check` read it, so forms whose chains
     agree factor by factor and in order, a folded a-sum and the S slot it
     replaces, share one product.  Without it P is multiplied anew
     (`EvalContext.chain_product`)."""
@@ -766,9 +769,9 @@ def closed_form_series(qt: QuotientType, w: Sequence[int], y: Sequence,
         t^shift * prod (T_W/D_W) * prod D_V * exp(c*(y_1+..+y_k)*t),
     with c the sum of the y-multiplier monomials: the product of the
     ordered chain of T_W/D_W and the ordered chain of D_V, each multiplied
-    left to right in the type's order and stored (`_closed_product`), then
-    shifted by t^shift.  Each T_W/D_W is one stored factor
-    (`EvalContext.char_ratio_series`)."""
+    left to right in the type's order, read from the store
+    (`_closed_product`), then shifted by t^shift.  Each T_W/D_W is one
+    stored factor (`_ratio_series`)."""
     require_series_order(order)
     ctx = ctx or EvalContext(chi, twist)
     _check_conditions(qt, twist, w)
@@ -779,24 +782,34 @@ def closed_form_series(qt: QuotientType, w: Sequence[int], y: Sequence,
 
 def _closed_product(qt: QuotientType, w: Sequence[int], ctx: EvalContext, order: int) -> TruncatedSeries:
     """prod (T_W/D_W) * prod D_V, the closed form without t^shift and its
-    exponential: the type's chars chain times its numerator chain, each
-    read from the store (`_chain`) at `order` and truncated to
-    max(order - shift, 0), as the shift pushes the top `shift`
-    coefficients past the order.  A chain is keyed by its ordered scales,
-    so each ordering of w multiplies its own chain in its own order, while
-    the types of one family share theirs: L13:0..3 and L12:0..1 the chain
-    of (w1, w2, w3), and the D_Q^i of one w serve every ordering.  A
-    T_W/D_W whose D_W has no unit constant term is refused
-    (`EvalContext.require_unit_ratio`) before any chain is read."""
-    kept = max(order - qt.shift, 0)
+    exponential, truncated to max(order - shift, 0), as the shift pushes
+    the top `shift` coefficients past the order: the type's stored core
+    (`_core`), or its chars chain (`_chain`) when it has no numerator.
+    Both are keyed by ordered scales, so each ordering of w reads its own,
+    while the types of one family share their chains: L13:0..3 and
+    L12:0..1 the chain of (w1, w2, w3), and the D_Q^i of one w serve every
+    ordering.  A T_W/D_W whose D_W has no unit constant term is refused
+    (`EvalContext.require_unit_ratio`) before anything is read."""
     chars = tuple(mono_val(mono, w) for mono in qt.chars)
     for mono, scale in zip(qt.chars, chars):
         ctx.require_unit_ratio(scale, mono)
-    out = _stored(_chain, ctx.chi, ctx.twist, _ratio_series, chars, order).truncate(kept)
     if not qt.numer:
-        return out
+        return _stored(_chain, ctx.chi, ctx.twist, _ratio_series, chars, order).truncate(max(order - qt.shift, 0))
     numer = tuple(mono_val(mono, w) for mono in qt.numer)
-    return out * _stored(_chain, ctx.chi, ctx.twist, _denom_series, numer, order).truncate(kept)
+    return _stored(_core, ctx.chi, ctx.twist, chars, numer, order)
+
+
+def _core(chi: DirichletCharacter, twist: TwistSpec, chars: tuple[int, ...], numer: tuple[int, ...],
+          order: int) -> TruncatedSeries:
+    """The stored chain of T_W/D_W over the ordered scales `chars` times
+    the stored chain of D_V over the ordered scales `numer`, each truncated
+    to max(order - shift, 0), shift = len(chars) - len(numer), and then
+    exchanged for an equal core already held (`_shared`): the permuted
+    orderings of one w each build their own core from their own chains,
+    and the equal ones then hold one set of rows."""
+    kept = max(order - len(chars) + len(numer), 0)
+    return _shared(_stored(_chain, chi, twist, _ratio_series, chars, order).truncate(kept)
+                   * _stored(_chain, chi, twist, _denom_series, numer, order).truncate(kept))
 
 
 def _y_point(qt: QuotientType, y: Sequence) -> tuple[Fraction, ...]:
@@ -871,8 +884,10 @@ def consistency_check(qt: QuotientType, w: Sequence[int], y: Sequence,
     only when the rates differ.  Only a form that fails builds its
     `point_series` E and the closed form K(t) * exp(c'*t), walked
     coefficient by coefficient for the first mismatching n.  The forms'
-    products are memoised by chain for the call only, so forms with one
-    chain multiply it once and a long-lived context gains nothing."""
+    products (`EvalContext.side_product`) and the closed form's product
+    (`_closed_product`) are read from the process-wide store, so forms with
+    one chain share one product, and a check repeated in the same process
+    multiplies nothing."""
     require_series_order(n_max, "n_max")
     ctx = ctx or EvalContext(chi, twist)
     y = _y_point(qt, y)
@@ -880,10 +895,9 @@ def consistency_check(qt: QuotientType, w: Sequence[int], y: Sequence,
     core = _closed_product(qt, w, ctx, n_max).shift_up(qt.shift).truncate(n_max)
     rate = _closed_rate(qt, w, y)
     report = ConsistencyReport(qt.name, tuple(w), y, n_max, [f.form_id for f in FORMS[qt.name]])
-    products = functools.cache(ctx.chain_product)
     for form in FORMS[qt.name]:
         weight = form_weight(form, w)
-        side = _build_side(form, w, ctx, n_max, products)
+        side = _build_side(form, w, ctx, n_max, ctx.side_product)
         p, ys = side
         if p.mul_exp(_side_rate(ys, y) - rate).scaled_equal(core, weight, 1):
             continue

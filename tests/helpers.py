@@ -48,3 +48,10 @@ def denom_series(ctx: quotients.EvalContext, scale: int, order: int) -> Truncate
     """D_W = xi^(dW) e^(dWt) - 1 at W = scale for the context's pair, read
     from the series store as the closed forms read it."""
     return quotients._stored(quotients._denom_series, ctx.chi, ctx.twist, scale, order)
+
+
+def char_ratio_series(ctx: quotients.EvalContext, scale: int, order: int) -> TruncatedSeries:
+    """T_W/D_W at W = scale for the context's pair, T_W = sum_{a<d} chi(a)
+    xi^(aW) e^(aWt), read from the series store as the closed forms' chains
+    read it; r must not divide d*W."""
+    return quotients._stored(quotients._ratio_series, ctx.chi, ctx.twist, scale, order)

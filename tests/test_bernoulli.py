@@ -64,7 +64,7 @@ def test_twist_spec_validation():
         TwistSpec(1, 1)
     with pytest.raises(ParameterError):
         TwistSpec(4, 2)
-    assert TwistSpec(4, 3).root() == Cyc.zeta(4) ** 3
+    assert TwistSpec(4, 3).root_power(1) == Cyc.zeta(4) ** 3
 
 
 def test_first_values_d1_zeta3():
@@ -155,7 +155,7 @@ def test_power_sum_examples():
     assert power_sum(1, 2, CHI1, Z3, 1) == z + (z ** 2).scale(2)
     chi4 = DirichletCharacter(4, (1,))
     xi = TwistSpec(5, 1)
-    expected = xi.root() - xi.root_power(3)
+    expected = xi.root_power(1) - xi.root_power(3)
     assert power_sum(0, 3, chi4, xi, 1) == expected
     assert power_sum(0, 0, CHI1, Z3, 1) == 1  # 0^0 = 1
     assert power_sum(3, 0, CHI1, Z3, 1).is_zero()

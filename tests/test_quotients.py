@@ -37,9 +37,9 @@ from bernsym.quotients import (
     side_series,
     spread_ypolys,
 )
-from bernsym.series import NonUnitConstantError, TruncatedSeries, _content_reduced
+from bernsym.series import NonUnitConstantError, TruncatedSeries, _content_reduced, product as series_product
 
-from helpers import as_rational, denom_series, exp_linear
+from helpers import as_rational, char_ratio_series, denom_series, exp_linear
 from mutants import KINDS, data_mutants, mutation, planted
 
 CHI1 = trivial_character(1)
@@ -178,7 +178,7 @@ def test_contexts_for_one_pair_share_their_series(cold_store):
     chi, twist = DirichletCharacter(5, (1,)), TwistSpec(3, 1)
     first, second = EvalContext(chi, twist), EvalContext(chi, twist)
     reads = (lambda ctx: ctx.side_product((("B", 2, 3), ("S", 9, 1, Fraction(3, 2))), 6),
-             lambda ctx: ctx.char_ratio_series(2, 6, (1,)),
+             lambda ctx: char_ratio_series(ctx, 2, 6),
              lambda ctx: denom_series(ctx, 4, 6))
     for read in reads:
         series = read(first)
@@ -202,7 +202,7 @@ def test_closed_forms_keep_only_the_coefficients_they_return(order):
     y = (Fraction(1, 2), Fraction(2), Fraction(-3, 5))
     for qt in QUOTIENT_TYPES.values():
         w = (1, 2, 3)[: qt.arity]
-        factors = [ctx.char_ratio_series(mono_val(mono, w), order, mono) for mono in qt.chars]
+        factors = [char_ratio_series(ctx, mono_val(mono, w), order) for mono in qt.chars]
         factors += [denom_series(ctx, mono_val(mono, w), order) for mono in qt.numer]
         c = sum(mono_val(mono, w) for mono in qt.ymul) * sum(y[: qt.y_count], Fraction(0))
         full = functools.reduce(operator.mul, factors).mul_exp(c).shift_up(qt.shift).truncate(order)
@@ -230,8 +230,7 @@ def test_family_types_share_one_chars_chain(monkeypatch, cold_store):
     for name in ("L13:0", "L13:1", "L13:2", "L13:3", "L12:0", "L12:1"):
         qt = QUOTIENT_TYPES[name]
         kept = max(order - qt.shift, 0)
-        factors = [ctx.char_ratio_series(mono_val(mono, w), order, mono).truncate(kept)
-                   for mono in qt.chars]
+        factors = [char_ratio_series(ctx, mono_val(mono, w), order).truncate(kept) for mono in qt.chars]
         factors += [denom_series(ctx, mono_val(mono, w), order).truncate(kept) for mono in qt.numer]
         c = sum(mono_val(mono, w) for mono in qt.ymul) * sum(y[: qt.y_count], Fraction(0))
         want = functools.reduce(operator.mul, factors).mul_exp(c).shift_up(qt.shift).truncate(order)
@@ -380,26 +379,42 @@ def test_flat_chain_rows_equal_the_slot_by_slot_product(chi, twist):
             assert p._rows() == _slot_by_slot(form, w, ctx, 6)._rows(), (form.form_id, w)
 
 
+def _counting_products(monkeypatch) -> list:
+    """The factor lists of every side product multiplied from here on,
+    counted at the class (`EvalContext.sym_product`), so that the store's
+    own builds are counted too."""
+    calls = []
+    multiply = EvalContext.sym_product
+    monkeypatch.setattr(EvalContext, "sym_product", staticmethod(lambda factors: calls.append(factors)
+                                                                  or multiply(factors)))
+    return calls
+
+
+def _stored_side_products(store) -> list:
+    """The keys of the side products the store holds."""
+    return [key for key in store._entries if key[0] is quotients._side_product]
+
+
 @pytest.mark.parametrize("name", ("G1", "L23:1", "L23:2", "L13:1", "L13:2"))
-def test_folded_forms_share_one_product_per_consistency_call(name, monkeypatch):
+def test_folded_forms_share_one_product_per_consistency_call(name, monkeypatch, cold_store):
     # every form of these types folds power sums into the Bernoulli argument
-    # of one chain: one product serves them all, and only within the call
+    # of one chain: one stored product serves them all, and a second check
+    # reads it and multiplies none
     chi, twist = DirichletCharacter(4, (1,)), TwistSpec(5, 1)
     ctx = EvalContext(chi, twist)
-    calls = []
-    multiply = ctx.sym_product
-    monkeypatch.setattr(ctx, "sym_product", lambda factors: calls.append(1) or multiply(factors))
+    calls = _counting_products(monkeypatch)
     qt = parse_quotient_type(name)
     assert len(FORMS[name]) > 1
     w = (2, 3) if qt.arity == 2 else (2, 1, 3)
     y = (Fraction(1, 2), Fraction(-1), Fraction(3, 2))[:qt.y_count]
     for call in (1, 2):
         assert consistency_check(qt, w, y, chi, twist, 6, ctx).passed
-        assert len(calls) == call
+        assert len(calls) == 1, call
+        assert len(_stored_side_products(cold_store)) == 1
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_a_mutated_consistency_check_leaves_the_products_clean(kind, monkeypatch):
+def test_a_mutated_consistency_check_leaves_the_products_clean(kind, monkeypatch, cold_store):
     # a mutated side is multiplied on its own: it reads and fills no side
     # product, and a clean check after the mutated one, on the same
     # context, passes with its forms' product multiplied once, as before
@@ -408,16 +423,72 @@ def test_a_mutated_consistency_check_leaves_the_products_clean(kind, monkeypatch
     qt, w, y = parse_quotient_type("L23:2"), (2, 1, 3), (Fraction(1, 2),)
     form = FORMS["L23:2"][2]
     clean = quotients._build_side(form, w, ctx, 4)
-    chains = []
-    multiply = ctx.chain_product
-    monkeypatch.setattr(ctx, "chain_product", lambda keys, n: chains.append(keys) or multiply(keys, n))
     with mutation(kind):
         assert not consistency_check(qt, w, y, chi, twist, 4, ctx).passed
         assert quotients._build_side(form, w, ctx, 4)[0] != clean[0]
-    assert chains == []
+    assert _stored_side_products(cold_store) == []
+    calls = _counting_products(monkeypatch)
     assert consistency_check(qt, w, y, chi, twist, 4, ctx).passed
-    assert len(chains) == 1
+    assert len(calls) == 1
+    assert len(_stored_side_products(cold_store)) == 1
     assert quotients._build_side(form, w, ctx, 4) == clean
+
+
+def test_a_warm_check_and_closed_form_multiply_nothing(monkeypatch, cold_store):
+    # the second consistency check and closed form of each type, in the
+    # same process, read every product from the store: no series is
+    # multiplied, and the report and the series equal the first ones
+    chi, twist = DirichletCharacter(5, (1,)), TwistSpec(7, 1)
+    y = (Fraction(1, 2), Fraction(-1), Fraction(3, 2))
+    first = {}
+    for qt in QUOTIENT_TYPES.values():
+        w = (2, 1, 3)[: qt.arity]
+        first[qt.name] = (consistency_check(qt, w, y, chi, twist, 6),
+                          closed_form_series(qt, w, y[: qt.y_count], chi, twist, 8))
+        assert first[qt.name][0].passed
+    products, mul = [], TruncatedSeries.__mul__
+    monkeypatch.setattr(TruncatedSeries, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    monkeypatch.setattr(quotients, "product", lambda factors: products.append(1) or series_product(factors))
+    misses = cold_store.cache_info().misses
+    for qt in QUOTIENT_TYPES.values():
+        w = (2, 1, 3)[: qt.arity]
+        ctx = EvalContext(chi, twist)
+        report, series = first[qt.name]
+        assert consistency_check(qt, w, y, chi, twist, 6, ctx) == report, qt.name
+        assert closed_form_series(qt, w, y[: qt.y_count], chi, twist, 8, ctx) == series, qt.name
+    assert products == []
+    assert cold_store.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("share", ("by-rows", "one-key"))
+def test_an_order_dependent_chain_defect_fails_criterion_5(share, monkeypatch, cold_store):
+    # a chain that drops its last factor depends on the order of its
+    # scales, so at a w with distinct scales every type's orderings
+    # disagree: from a cold store and from the warm one it leaves, while
+    # equal cores are held once, also when every core has one share key
+    chi, twist, order = DirichletCharacter(5, (1,)), TwistSpec(7, 1), 6
+    ctx = EvalContext(chi, twist)
+    y = (Fraction(1, 2), Fraction(2), Fraction(3, 5))
+
+    def orderings_agree(qt) -> bool:
+        series = [closed_form_series(qt, sigma, y[: qt.y_count], chi, twist, order, ctx)
+                  for sigma in permutations((1, 2, 3)[: qt.arity])]
+        return all(s == series[0] for s in series)
+
+    assert all(map(orderings_agree, QUOTIENT_TYPES.values()))
+    cold_store.cache_clear()
+    build = quotients._chain
+    monkeypatch.setattr(quotients, "_chain", lambda chi, twist, factor, scales, order:
+                        build(chi, twist, factor, scales[:-1] or scales, order))
+    if share == "one-key":
+        monkeypatch.setattr(quotients, "_share_key", lambda series: ("collision",))
+    try:
+        assert not any(map(orderings_agree, QUOTIENT_TYPES.values()))
+        misses = cold_store.cache_info().misses
+        assert not any(map(orderings_agree, QUOTIENT_TYPES.values()))
+        assert cold_store.cache_info().misses == misses
+    finally:
+        cold_store.cache_clear()   # the defect's cores are stored under the true `_core`
 
 
 def test_a_forced_share_key_collision_keeps_two_objects(monkeypatch):

@@ -23,7 +23,7 @@ from bernsym.exactnum import euler_phi
 from bernsym import quotients
 from bernsym.quotients import FORMS, QUOTIENT_TYPES, EvalContext, closed_form_series, side_series
 
-from helpers import denom_series
+from helpers import char_ratio_series, denom_series
 
 N_MAX = 6
 STANDARD_CONTEXTS = [(chi, TwistSpec(r, 1)) for d in (1, 3, 4, 5) for chi in enumerate_characters(d)
@@ -136,7 +136,7 @@ def test_slot_factors_are_the_closed_form_factors_they_integrate(chi, twist):
     for scale in (1, 2, 4):
         if chi.d * scale % twist.r == 0:
             continue
-        ratio = ctx.char_ratio_series(scale, N_MAX, (1,))
+        ratio = char_ratio_series(ctx, scale, N_MAX)
         [bern] = quotients._factors(chi, twist, [("B", scale % twist.r, scale)], N_MAX)
         assert bern == ratio.shift_up(1).truncate(N_MAX).scale(scale), scale
         for upper in (1, 2, 3):

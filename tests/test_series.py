@@ -495,32 +495,38 @@ def test_egf_coefficients_are_reduced(m, order, data):
 def test_closed_forms_multiply_every_ordering(monkeypatch, cold_store):
     # criterion 5 compares the closed form over every ordering of w; a cache
     # keyed on the multiset of w would make that comparison vacuous.  So
-    # each ordering reads the chains of its own ordered scales, every
-    # distinct ordered chain is built once, left to right from its stored
-    # factors in that order, and orderings whose scales differ share no chain
-    frames = []      # (key, products) of each store read still open
-    reads = []       # (key, chain) of each chain a closed form reads
-    built = {}       # (factor kind, scales) -> the products of each build
+    # each ordering reads the one value stored under its own ordered
+    # scales: the core of a type with a numerator (`_core`), else its chain
+    # of T_W/D_W.  Every distinct core is built once, as one product of the
+    # chains of those same ordered scales, and every distinct ordered chain
+    # once, left to right from its stored factors in that order; chains
+    # whose scales differ are distinct objects
+    frames = []      # (products, inner reads) of each store read still open
+    reads = []       # (build, key, value) of each value a closed form reads
+    built = {}       # (build, key) -> (products, inner reads) of each build
     mul = TS.__mul__
 
     def recording_mul(self, other):
         out = mul(self, other)
         if frames:
-            frames[-1][1].append((self, other, out))
+            frames[-1][0].append((self, other, out))
         return out
 
     def recording_store(build, chi, twist, *key):
         misses = cold_store.cache_info().misses
-        frames.append((key, []))
+        if frames:
+            frames[-1][1].append((build, key))
+        frames.append(([], []))
         try:
             out = cold_store(build, chi, twist, *key)
         finally:
-            _, products = frames.pop()
-        if build is quotients._chain:
+            products, inner = frames.pop()
+        if build in (quotients._chain, quotients._core):
             if not frames:
-                reads.append((key, out))
+                reads.append((build, key, out))
             if cold_store.cache_info().misses > misses:
-                built.setdefault(key[:2], []).append(products)
+                assert (build, key) not in built, key
+                built[build, key] = (products, inner)
         return out
 
     monkeypatch.setattr(TS, "__mul__", recording_mul)
@@ -531,28 +537,39 @@ def test_closed_forms_multiply_every_ordering(monkeypatch, cold_store):
     read = set()
     for qt in QUOTIENT_TYPES.values():
         for w in ((1, 2, 3), (1, 1, 2)):
-            seen, chains = [], {}
+            seen = []
             for sigma in itertools.permutations(w[: qt.arity]):
                 reads.clear()
                 seen.append(closed_form_series(qt, sigma, y[: qt.y_count], chi, twist, order, ctx))
-                want = [(quotients._ratio_series, tuple(mono_val(mono, sigma) for mono in qt.chars), order)]
+                chars = tuple(mono_val(mono, sigma) for mono in qt.chars)
                 if qt.numer:
-                    want.append((quotients._denom_series, tuple(mono_val(mono, sigma) for mono in qt.numer), order))
-                assert [key for key, _ in reads] == want, (qt.name, sigma)
-                for key, chain in reads:
-                    assert chains.setdefault(key, chain) is chain
-            assert len({id(chain) for chain in chains.values()}) == len(chains), qt.name
+                    want = (quotients._core, (chars, tuple(mono_val(mono, sigma) for mono in qt.numer), order))
+                else:
+                    want = (quotients._chain, (quotients._ratio_series, chars, order))
+                assert [(build, key) for build, key, _ in reads] == [want], (qt.name, sigma)
+                read.add(want)
             assert all(s == seen[0] for s in seen), qt.name
-            read |= {key[:2] for key in chains}
-    assert set(built) == read
-    for (factor, scales), builds in built.items():
-        assert len(builds) == 1, (factor.__name__, scales)
+    assert read <= set(built)
+    chains = {}
+    for (build, key), (products, inner) in built.items():
+        if build is quotients._core:
+            chars, numer, _ = key
+            kept = max(order - len(chars) + len(numer), 0)
+            assert inner == [(quotients._chain, (quotients._ratio_series, chars, order)),
+                             (quotients._chain, (quotients._denom_series, numer, order))], key
+            [(left, right, _)] = products
+            for side, (kind, chain) in zip((left, right), inner):
+                assert side == cold_store(kind, chi, twist, *chain).truncate(kept), key
+            continue
+        factor, scales, _ = key
         stored = [cold_store(factor, chi, twist, scale, order) for scale in scales]
         acc = stored[0]
-        assert len(builds[0]) == len(scales) - 1
-        for (left, right, out), f in zip(builds[0], stored[1:]):
+        assert len(products) == len(scales) - 1
+        for (left, right, out), f in zip(products, stored[1:]):
             assert left is acc and right is f, (factor.__name__, scales)
             acc = out
+        chains[key] = cold_store(build, chi, twist, *key)
+    assert len({id(chain) for chain in chains.values()}) == len(chains)
 
 
 @settings(max_examples=40, deadline=None)
