@@ -37,7 +37,6 @@ from .identities import (
 )
 from .padic import DEFAULT_PRECISION, PadicContext, convergence_check
 from .quotients import (
-    EvalContext,
     QuotientType,
     closed_form_series,
     consistency_check,
@@ -292,14 +291,13 @@ def _cmd_verify(args, out) -> int:
     chi = _resolve_character(args.d, args.char)
     inst = TheoremInstance(args.theorem, args.d, chi.exponents, args.r, args.j, w,
                            args.n_max, args.mode)
-    ctx = EvalContext(chi, inst.twist())
-    report = verify_instance(inst, method=args.method, include_values=args.values, ctx=ctx)
+    report = verify_instance(inst, method=args.method, include_values=args.values)
     doc = report.to_json()
     rows = [["theorem", "d", "char", "r", "j", "w", "side", "weight", "n", "value_at_origin"]]
     thm = THEOREMS[inst.theorem]
     origin = tuple(Fraction(0) for _ in range(max(1, thm.y_count)))
     for n in range(inst.n_max + 1):
-        for s, (label, _, value) in enumerate(theorem_sides(inst, n=n, y=origin, ctx=ctx)):
+        for s, (label, _, value) in enumerate(theorem_sides(inst, n=n, y=origin)):
             rows.append([
                 inst.theorem, inst.d, ",".join(map(str, inst.char)) or "-",
                 inst.r, inst.j, ",".join(map(str, inst.w)),

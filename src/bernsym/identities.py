@@ -59,15 +59,14 @@ from .quotients import (
     _E2,
     _E3,
     FORMS,
-    EvalContext,
     ExpansionForm,
     Mono,
     SSlot,
     Side,
-    _build_side,
     _check_conditions,
     _require_units,
     _require_w_components,
+    _stored_side,
     form_weight,
     mono_name,
     perm_apply,
@@ -305,20 +304,20 @@ class _SideRecord(NamedTuple):
 def _side_record(chi: DirichletCharacter, twist: TwistSpec, form: ExpansionForm, w: tuple[int, ...],
                  n_max: int) -> _SideRecord:
     """The record of the form's side at a w-tuple whose conditions hold, to
-    order n_max: its product P read from the store (`EvalContext.side_product`),
+    order n_max: its side with P read from the store (`quotients._stored_side`),
     its weight, and its normal form, held once among equal ones
     (`quotients._shared_normal`)."""
-    ctx = EvalContext(chi, twist)
-    side = _build_side(form, w, ctx, n_max, ctx.side_product)
+    side = _stored_side(form, w, chi, twist, n_max)
     weight = form_weight(form, w)
     return _SideRecord(side, weight, quotients._shared_normal(side[0].normal_form(weight)))
 
 
-def _side_records(thm: TheoremSpec, w: tuple[int, ...], n_max: int, ctx: EvalContext) -> list[_SideRecord]:
+def _side_records(thm: TheoremSpec, w: tuple[int, ...], chi: DirichletCharacter, twist: TwistSpec,
+                  n_max: int) -> list[_SideRecord]:
     """Per side, in print order, its record to order n_max, for a w-tuple
     whose conditions hold: they are symmetric in w, so every permuted side
     meets them and is built without checking them again
-    (`quotients._build_side`).
+    (`quotients._stored_side`).
 
     A side is the base form at a permuted w-tuple (`TheoremSpec.picks`),
     and over a grid of w-tuples each permuted side is another instance's
@@ -340,7 +339,7 @@ def _side_records(thm: TheoremSpec, w: tuple[int, ...], n_max: int, ctx: EvalCon
     stored products are merged into one object only after an exact
     comparison (`quotients._shared`), so no verdict rests on commutativity.
     """
-    stored, form, chi, twist = quotients._stored, thm.base, ctx.chi, ctx.twist
+    stored, form = quotients._stored, thm.base
     return [stored(_side_record, chi, twist, form, pick(w), n_max) for pick in thm.picks]
 
 
@@ -426,18 +425,17 @@ def _first_witness(values: _PointValues, weights: Sequence[int], mode: str, n_ma
 
 
 def theorem_sides(inst: TheoremInstance, n: int | None = None,
-                  y: Sequence | None = None,
-                  ctx: Optional[EvalContext] = None) -> list[tuple[str, int, CyclotomicNumber]]:
+                  y: Sequence | None = None) -> list[tuple[str, int, CyclotomicNumber]]:
     """Evaluate every displayed side exactly at one (n, y-point):
     returns (label, weight, value) per side in print order."""
     inst.validate()
-    ctx = ctx or EvalContext(inst.character(), inst.twist())
     n = inst.n_max if n is None else n
     if not 0 <= n <= inst.n_max:
         raise ParameterError(f"n={n} outside 0..{inst.n_max}")
     y = tuple(Fraction(v) for v in y or ())
     return [(f"side-{i}", record.weight, point_value(record.side, y, n))
-            for i, record in enumerate(_side_records(inst.theorem_spec(), inst.w, inst.n_max, ctx), start=1)]
+            for i, record in enumerate(_side_records(inst.theorem_spec(), inst.w, inst.character(), inst.twist(),
+                                                     inst.n_max), start=1)]
 
 
 def _sides_equal(a: Side, b: Side, n_max: int, wa: int = 1, wb: int = 1) -> bool:
@@ -460,8 +458,7 @@ def _records_equal(a: _SideRecord, b: _SideRecord, normalized: bool, n_max: int)
 
 
 def verify_instance(inst: TheoremInstance, method: str = "poly",
-                    include_values: bool = False,
-                    ctx: Optional[EvalContext] = None) -> VerificationReport:
+                    include_values: bool = False) -> VerificationReport:
     """Check all side equalities of one theorem instance, in both modes.
 
     method 'poly' compares the sides' records (equivalent to comparing
@@ -475,8 +472,7 @@ def verify_instance(inst: TheoremInstance, method: str = "poly",
     if method not in ("poly", "points"):
         raise ParameterError(f"unknown verification method {method!r}")
     thm = inst.theorem_spec()
-    verdicts, records, values = _verify(thm, inst.w, inst.n_max,
-                                        ctx or EvalContext(inst.character(), inst.twist()), method)
+    verdicts, records, values = _verify(thm, inst.w, inst.character(), inst.twist(), inst.n_max, method)
     weights = [record.weight for record in records]
     report = VerificationReport(inst, list(zip(thm.side_weight_names, weights)), thm.orbits(), _group(weights),
                                 *verdicts)
@@ -492,8 +488,8 @@ def verify_instance(inst: TheoremInstance, method: str = "poly",
     return report
 
 
-def _verify(thm: TheoremSpec, w: tuple[int, ...], n_max: int, ctx: EvalContext, method: str = "poly"
-            ) -> tuple[tuple[bool, bool, bool], list[_SideRecord], Optional[_PointValues]]:
+def _verify(thm: TheoremSpec, w: tuple[int, ...], chi: DirichletCharacter, twist: TwistSpec, n_max: int,
+            method: str = "poly") -> tuple[tuple[bool, bool, bool], list[_SideRecord], Optional[_PointValues]]:
     """The verdicts (as stated, normalized, within orbits) of a w-tuple whose
     conditions hold, with its side records and, under 'points', the grid
     values the verdicts read: the one verdict function of `verify_instance`
@@ -506,7 +502,7 @@ def _verify(thm: TheoremSpec, w: tuple[int, ...], n_max: int, ctx: EvalContext, 
     compared only where the as-stated star has not settled it, and an
     orbit's sides share their weight, so either star passing settles them.
     """
-    records = _side_records(thm, w, n_max, ctx)
+    records = _side_records(thm, w, chi, twist, n_max)
     values = None
     if method == "points":
         values = _PointValues(records, thm.y_count)
@@ -564,7 +560,7 @@ class RedundancyReport:
 
 
 def redundancy_check(w: Sequence[int], chi: DirichletCharacter, twist: TwistSpec,
-                     n_max: int, ctx: Optional[EvalContext] = None) -> RedundancyReport:
+                     n_max: int) -> RedundancyReport:
     """The duplicate-display equalities: each extra expression equals the
     corresponding theorem side exactly (index relabelings of the same sum),
     compared as side pairs (P, C) like the theorem sides (`_sides_equal`)."""
@@ -572,11 +568,10 @@ def redundancy_check(w: Sequence[int], chi: DirichletCharacter, twist: TwistSpec
     twist.require_coprime(chi.d)
     for form in (_THM7_BASE, _THM11_BASE):
         _check_conditions(form.qt, twist, w)
-    ctx = ctx or EvalContext(chi, twist)
     report = RedundancyReport(w, n_max)
 
     def side(form, wp):
-        return side_series(form, wp, ctx, n_max)
+        return side_series(form, wp, chi, twist, n_max)
 
     # three-variable B*S*S displays against the Thm-7 sides
     thm7_sigmas = THEOREMS[7].sigmas
@@ -644,7 +639,7 @@ class GridConfig:
             for dd, _ in self.char_labels:
                 if dd not in self.d_values:
                     raise ParameterError(f"char_labels modulus {dd} is not in d {sorted(set(self.d_values))}")
-        # d and the field of every context that gets verified are refused
+        # d and the field of every (chi, twist) that gets verified are refused
         # over their ceilings here, before any work, not skipped per instance
         for d in sorted(set(self.d_values)):
             for chi in self.characters(d):
@@ -759,7 +754,6 @@ def grid_verify(config: GridConfig) -> GridReport:
             for _, tally, _ in tallies:
                 tally["skipped"] += len(ws)
             continue
-        ctx = EvalContext(chi, twist)
         for w in ws:
             try:
                 _require_units(qt, twist, w)
@@ -768,7 +762,7 @@ def grid_verify(config: GridConfig) -> GridReport:
                 for _, tally, _ in tallies:
                     tally["skipped"] += 1
                 continue
-            (as_stated, normalized, orbits), records, _ = _verify(thm, w, n_max, ctx)
+            (as_stated, normalized, orbits), records, _ = _verify(thm, w, chi, twist, n_max)
             rows.append(GridRow(cell + (w,), False, "", as_stated, normalized, orbits))
             values = None
             for key, tally, in_normalized in tallies:

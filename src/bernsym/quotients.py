@@ -32,9 +32,9 @@ EGF factor is P_s(t) * exp(c_s*y_v*t):
 
 Each of these series is its quantity's generating function with
 t -> scale*t: sum_i B_i t^i/i! is `bernoulli_egf`, and sum_p S_p(U) t^p/p!
-is the character sum over a <= U (`character_sum_series`).  `EvalContext`
-builds them from those two functions on integer rows; no coefficient is
-rescaled on its own.
+is the character sum over a <= U (`character_sum_series`).  The stored slot
+series (`_bern_series`, `_psum_series`) are built from those two functions
+on integer rows; no coefficient is rescaled on its own.
 
 A side is therefore one series product P = prod_s P_s times
 exp((C_1*y_1 + ..)*t), C_v summing c_s over the slots on y_v, and its
@@ -43,8 +43,8 @@ P is multiplied as one flat chain, left to right: each slot contributes
 its factors in order (a B slot its Bernoulli series, then one power-sum
 series per a-sum).  An a-sum's series is the stored series of the S slot it
 folds, so a form that folds power sums into a Bernoulli argument has the
-same chain as the form it came from, and the store, which holds P by its
-chain (`_build_side`), multiplies it once for both.
+same chain as the form it came from (`_side_chain`), and the store, which
+holds P by its chain (`_side_product`), multiplies it once for both.
 At a rational y-point the side's values are the EGF coefficients of one
 series, E(t) = P(t) * exp(c*t) with c = C_1*y_1 + .. (`point_series`, or
 `point_value` for one coefficient), summed from P's integer rows; only
@@ -82,7 +82,7 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bernoulli import (ParameterError, TwistSpec, bernoulli_egf, character_sum_series, field_conductor,
                         require_series_order, twisted_exp_minus_one)
@@ -313,7 +313,7 @@ def parse_quotient_type(text: str) -> QuotientType:
 
 
 # ---------------------------------------------------------------------------
-# evaluation context
+# the series store
 
 
 # The bytes the process-wide series store (`_stored`) may charge to its
@@ -429,11 +429,11 @@ def _charge(value) -> int:
 
 # The process-wide series store.  `build` is the kind of value, and `key`
 # its twist class, scale, order and, for a slot's character sum, upper end,
-# as the `EvalContext` methods pass them; for a closed-form chain (`_chain`),
-# its factors' kind, their ordered scales and the order; for a closed form's
-# core (`_core`), the ordered scales of its T_W/D_W chain, those of its D_V
-# chain and the order; for a side's product (`_side_product`), its chain's
-# factor keys in chain order and n_max; for a theorem side's record
+# as `_factors` passes them; for a closed-form chain (`_chain`), its
+# factors' kind, their ordered scales and the order; for a closed form's core
+# (`_core`), the ordered scales of its T_W/D_W chain, those of its D_V chain
+# and the order; for a side's product (`_side_product`), its chain's factor
+# keys in chain order and n_max; for a theorem side's record
 # (`identities._side_record`), its form, w-tuple and n_max.
 _stored = _Store(MAX_STORE_BYTES)
 
@@ -521,16 +521,13 @@ def _shared_normal(normal: tuple) -> tuple:
 
 
 class EvalContext:
-    """One (character, twist) pair and its readers of the series store.
+    """A (character, twist) pair as the benchmark's workloads and tracer
+    hold it, and the one multiply of side chains (`sym_product`).
 
-    All values live at the fixed conductor lcm(r, order of chi): the slot
-    series, each its quantity's one series (`bernoulli_egf`,
-    `character_sum_series`) with t -> scale*t applied on integer rows
-    (`TruncatedSeries.scale_variable`), the closed-form factors and chains,
-    and the theorem sides' products and records.  They are read from the
-    process-wide store (`_stored`), so every context for the same pair
-    shares them and each is built once per process while it stays there; a
-    context holds nothing of its own.
+    Every value is a function of (chi, twist) alone and lives in the
+    process-wide store (`_stored`) under that pair, so nothing here reads a
+    context but `expansion_polys`, whose tracer reads its fields by name.
+    The class goes with those workloads and that tracer (ROADMAP item 15).
     """
 
     def __init__(self, chi: DirichletCharacter, twist: TwistSpec):
@@ -538,9 +535,6 @@ class EvalContext:
         self.twist = twist
         self.d = chi.d
         self.r = twist.r
-        self.m = field_conductor(chi, twist)
-
-    # -- side products --------------------------------------------------
 
     @staticmethod
     def sym_product(factors: Sequence[TruncatedSeries]) -> TruncatedSeries:
@@ -548,30 +542,6 @@ class EvalContext:
         (`series.product`): every theorem side, stored or not, and every
         expansion is multiplied here."""
         return product(factors)
-
-    def chain_product(self, keys: tuple[tuple, ...], n: int) -> TruncatedSeries:
-        """The product of the factor chain with these keys, to order n,
-        multiplied anew: the sides of `side_series` and of the redundancy
-        displays."""
-        return self.sym_product(_factors(self.chi, self.twist, keys, n))
-
-    def side_product(self, keys: tuple[tuple, ...], n: int) -> TruncatedSeries:
-        """`chain_product` read from the process-wide store (`_side_product`),
-        so each ordered chain is multiplied once per process."""
-        return _stored(_side_product, self.chi, self.twist, keys, n)
-
-    # -- closed-form factors --------------------------------------------
-
-    def require_unit_ratio(self, scale: int, factor: Mono) -> None:
-        """Refuse T_W/D_W at W = scale, the value of monomial `factor`, when
-        D_W has no unit constant term: xi^(dW) = 1, i.e. r divides d*W.
-        The monomial is named only in the refusal."""
-        if (self.d * scale) % self.r == 0:
-            name = mono_name(factor)
-            raise NonUnitConstantError(
-                f"xi^(d*{name}) = 1 at w-scale {scale}: r={self.r} divides d*{scale}",
-                factor=name,
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +600,7 @@ def _int_or_fraction(num: int, den: int) -> int | Fraction:
     return Fraction(num, den) if rem else q
 
 
-def _slot_keys(ctx: EvalContext, slot: Slot, w: Sequence[int]) -> tuple[list[tuple], int]:
+def _slot_keys(slot: Slot, w: Sequence[int], chi: DirichletCharacter, twist: TwistSpec) -> tuple[list[tuple], int]:
     """The store keys of the factors whose left-to-right product is the
     y-free series P_s of the slot's EGF factor P_s(t) * exp(c_s*y_v*t), and
     c_s, worked out from the slot data alone.
@@ -643,7 +613,7 @@ def _slot_keys(ctx: EvalContext, slot: Slot, w: Sequence[int]) -> tuple[list[tup
     like the twist scale of the S slot it folds, so the two share one key
     and one store entry.
     """
-    r, d = ctx.r, ctx.d
+    r, d = twist.r, chi.d
     ts = mono_val(slot.twist, w)
     if isinstance(slot, SSlot):
         return [("S", d * mono_val(slot.upper, w) - 1, ts % r, ts)], 0
@@ -664,39 +634,50 @@ YPoly = dict[tuple[int, ...], CyclotomicNumber]
 Side = tuple[TruncatedSeries, tuple[int, ...]]   # (P, C), see side_series
 
 
-def side_series(form: ExpansionForm, w: Sequence[int], ctx: EvalContext, n_max: int) -> Side:
+def side_series(form: ExpansionForm, w: Sequence[int], chi: DirichletCharacter, twist: TwistSpec,
+                n_max: int) -> Side:
     """(P, C) with the form's generating function P(t) * exp((C_1*y_1 + ..)*t)
     to order n_max: P the product of the slot series, C_v the sum of c_s
-    over the slots on y_v (one entry even for a form without y)."""
+    over the slots on y_v (one entry even for a form without y).  P is
+    multiplied anew, never read from the store: the redundancy displays
+    and the expansions are built here."""
     require_series_order(n_max, "n_max")
-    _check_conditions(form.qt, ctx.twist, w)
-    return _build_side(form, w, ctx, n_max)
+    _check_conditions(form.qt, twist, w)
+    keys, ys = _side_chain(form, w, chi, twist)
+    return EvalContext.sym_product(_factors(chi, twist, keys, n_max)), ys
 
 
-def _build_side(form: ExpansionForm, w: Sequence[int], ctx: EvalContext, n_max: int,
-                products: Optional[Callable[[tuple, int], TruncatedSeries]] = None) -> Side:
-    """`side_series` for a w-tuple whose conditions hold and n_max >= 0: the
-    callers that have checked them already build their sides here.
+def _side_chain(form: ExpansionForm, w: Sequence[int], chi: DirichletCharacter,
+                twist: TwistSpec) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    """The factor keys of P's chain and C, for a w-tuple whose conditions
+    hold.
 
     P is the left-to-right product of one flat chain: every slot's factors
     (`_slot_keys`) in slot order.  An exact product reduced by its content
     gcd is canonical under any association, so P does not depend on where
-    the slots' own products would have been taken.  The chain's keys are
-    worked out first, and its factor series are read from the store only
-    when P is multiplied.  `products`, when given, maps (the chain's keys,
-    n_max) to P: the process-wide store (`EvalContext.side_product`), as
-    theorem sides and `consistency_check` read it, so forms whose chains
-    agree factor by factor and in order, a folded a-sum and the S slot it
-    replaces, share one product.  Without it P is multiplied anew
-    (`EvalContext.chain_product`)."""
+    the slots' own products would have been taken.  The keys are worked
+    out from the slot data alone, and P is multiplied from them anew
+    (`side_series`) or read from the store by them (`_stored_side`), so
+    forms whose chains agree factor by factor and in order, a folded a-sum
+    and the S slot it replaces, share one stored product."""
     ys = [0] * max(1, form.qt.y_count)
     chain = []
     for slot in form.slots:
-        keys, c = _slot_keys(ctx, slot, w)
+        keys, c = _slot_keys(slot, w, chi, twist)
         chain += keys
         if c:
             ys[slot.y_var] += c
-    return (ctx.chain_product if products is None else products)(tuple(chain), n_max), tuple(ys)
+    return tuple(chain), tuple(ys)
+
+
+def _stored_side(form: ExpansionForm, w: Sequence[int], chi: DirichletCharacter, twist: TwistSpec,
+                 n_max: int) -> Side:
+    """`side_series` for a w-tuple whose conditions hold and n_max >= 0,
+    with P read from the process-wide store (`_side_product`), so each
+    ordered chain is multiplied once per process: the sides of the theorem
+    records (`identities._side_record`) and of `consistency_check`."""
+    keys, ys = _side_chain(form, w, chi, twist)
+    return _stored(_side_product, chi, twist, keys, n_max), ys
 
 
 def spread_ypolys(p: TruncatedSeries, ys: Sequence[int], n_max: int) -> list[YPoly]:
@@ -719,8 +700,10 @@ def spread_ypolys(p: TruncatedSeries, ys: Sequence[int], n_max: int) -> list[YPo
 
 def expansion_polys(form: ExpansionForm, w: Sequence[int], ctx: EvalContext, n_max: int) -> list[YPoly]:
     """The form's bracketed t^n/n! coefficients for n = 0..n_max, each as a
-    polynomial in the y variables with cyclotomic coefficients."""
-    return spread_ypolys(*side_series(form, w, ctx, n_max), n_max)
+    polynomial in the y variables with cyclotomic coefficients, for the
+    pair of `ctx`.  It takes a context, not (chi, twist), only because the
+    benchmark's tracer reads `ctx` by name; both go with ROADMAP item 15."""
+    return spread_ypolys(*side_series(form, w, ctx.chi, ctx.twist, n_max), n_max)
 
 
 def point_series(side: Side, y: Sequence, n_max: int) -> TruncatedSeries:
@@ -748,12 +731,10 @@ def point_value(side: Side, y: Sequence, n: int) -> CyclotomicNumber:
 
 
 def expansion_coefficients(form: ExpansionForm, w: Sequence[int], y: Sequence,
-                           chi: DirichletCharacter, twist: TwistSpec, n_max: int,
-                           ctx: Optional[EvalContext] = None) -> list[CyclotomicNumber]:
+                           chi: DirichletCharacter, twist: TwistSpec, n_max: int) -> list[CyclotomicNumber]:
     """The displayed coefficient of t^n/n! at a concrete rational y-point,
     for n = 0..n_max: the EGF coefficients of the form's `point_series`."""
-    ctx = ctx or EvalContext(chi, twist)
-    series = point_series(side_series(form, w, ctx, n_max), y, n_max)
+    series = point_series(side_series(form, w, chi, twist, n_max), y, n_max)
     return [series.egf_coefficient(n) for n in range(n_max + 1)]
 
 
@@ -771,16 +752,18 @@ def closed_form_series(qt: QuotientType, w: Sequence[int], y: Sequence,
     ordered chain of T_W/D_W and the ordered chain of D_V, each multiplied
     left to right in the type's order, read from the store
     (`_closed_product`), then shifted by t^shift.  Each T_W/D_W is one
-    stored factor (`_ratio_series`)."""
+    stored factor (`_ratio_series`).  `ctx` is not read: the benchmark's
+    workloads pass their context there, and it goes with them (ROADMAP
+    item 15)."""
     require_series_order(order)
-    ctx = ctx or EvalContext(chi, twist)
     _check_conditions(qt, twist, w)
     y = _y_point(qt, y)
-    product = _closed_product(qt, w, ctx, order)
+    product = _closed_product(qt, w, chi, twist, order)
     return product.mul_exp(_closed_rate(qt, w, y)).shift_up(qt.shift).truncate(order)
 
 
-def _closed_product(qt: QuotientType, w: Sequence[int], ctx: EvalContext, order: int) -> TruncatedSeries:
+def _closed_product(qt: QuotientType, w: Sequence[int], chi: DirichletCharacter, twist: TwistSpec,
+                    order: int) -> TruncatedSeries:
     """prod (T_W/D_W) * prod D_V, the closed form without t^shift and its
     exponential, truncated to max(order - shift, 0), as the shift pushes
     the top `shift` coefficients past the order: the type's stored core
@@ -789,14 +772,26 @@ def _closed_product(qt: QuotientType, w: Sequence[int], ctx: EvalContext, order:
     while the types of one family share their chains: L13:0..3 and
     L12:0..1 the chain of (w1, w2, w3), and the D_Q^i of one w serve every
     ordering.  A T_W/D_W whose D_W has no unit constant term is refused
-    (`EvalContext.require_unit_ratio`) before anything is read."""
+    (`_require_unit_ratio`) before anything is read."""
     chars = tuple(mono_val(mono, w) for mono in qt.chars)
     for mono, scale in zip(qt.chars, chars):
-        ctx.require_unit_ratio(scale, mono)
+        _require_unit_ratio(chi, twist, scale, mono)
     if not qt.numer:
-        return _stored(_chain, ctx.chi, ctx.twist, _ratio_series, chars, order).truncate(max(order - qt.shift, 0))
+        return _stored(_chain, chi, twist, _ratio_series, chars, order).truncate(max(order - qt.shift, 0))
     numer = tuple(mono_val(mono, w) for mono in qt.numer)
-    return _stored(_core, ctx.chi, ctx.twist, chars, numer, order)
+    return _stored(_core, chi, twist, chars, numer, order)
+
+
+def _require_unit_ratio(chi: DirichletCharacter, twist: TwistSpec, scale: int, factor: Mono) -> None:
+    """Refuse T_W/D_W at W = scale, the value of monomial `factor`, when
+    D_W has no unit constant term: xi^(dW) = 1, i.e. r divides d*W.
+    The monomial is named only in the refusal."""
+    if (chi.d * scale) % twist.r == 0:
+        name = mono_name(factor)
+        raise NonUnitConstantError(
+            f"xi^(d*{name}) = 1 at w-scale {scale}: r={twist.r} divides d*{scale}",
+            factor=name,
+        )
 
 
 def _core(chi: DirichletCharacter, twist: TwistSpec, chars: tuple[int, ...], numer: tuple[int, ...],
@@ -884,20 +879,20 @@ def consistency_check(qt: QuotientType, w: Sequence[int], y: Sequence,
     only when the rates differ.  Only a form that fails builds its
     `point_series` E and the closed form K(t) * exp(c'*t), walked
     coefficient by coefficient for the first mismatching n.  The forms'
-    products (`EvalContext.side_product`) and the closed form's product
+    products (`_stored_side`) and the closed form's product
     (`_closed_product`) are read from the process-wide store, so forms with
     one chain share one product, and a check repeated in the same process
-    multiplies nothing."""
+    multiplies nothing.  `ctx` is not read: the benchmark's workloads pass
+    their context there, and it goes with them (ROADMAP item 15)."""
     require_series_order(n_max, "n_max")
-    ctx = ctx or EvalContext(chi, twist)
     y = _y_point(qt, y)
     _check_conditions(qt, twist, w)
-    core = _closed_product(qt, w, ctx, n_max).shift_up(qt.shift).truncate(n_max)
+    core = _closed_product(qt, w, chi, twist, n_max).shift_up(qt.shift).truncate(n_max)
     rate = _closed_rate(qt, w, y)
     report = ConsistencyReport(qt.name, tuple(w), y, n_max, [f.form_id for f in FORMS[qt.name]])
     for form in FORMS[qt.name]:
         weight = form_weight(form, w)
-        side = _build_side(form, w, ctx, n_max, ctx.side_product)
+        side = _stored_side(form, w, chi, twist, n_max)
         p, ys = side
         if p.mul_exp(_side_rate(ys, y) - rate).scaled_equal(core, weight, 1):
             continue

@@ -349,20 +349,6 @@ class TruncatedSeries:
     # constructors
 
     @staticmethod
-    def constant(value, order: int, m: int = 1) -> "TruncatedSeries":
-        c = _as_cyc(value, m)
-        zero = CyclotomicNumber.zero(m)
-        return TruncatedSeries(m, (c,) + (zero,) * order)
-
-    @staticmethod
-    def one(order: int, m: int = 1) -> "TruncatedSeries":
-        return TruncatedSeries.constant(1, order, m)
-
-    @staticmethod
-    def zero(order: int, m: int = 1) -> "TruncatedSeries":
-        return TruncatedSeries.constant(0, order, m)
-
-    @staticmethod
     def exp_sum(terms: Sequence[tuple[CyclotomicNumber, int]], order: int, m: int) -> "TruncatedSeries":
         """sum_j v_j * exp(s_j*t) truncated at `order`, for values v_j at
         conductor m and integers s_j, on integer rows: with L the common

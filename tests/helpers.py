@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 from bernsym import quotients
+from bernsym.bernoulli import TwistSpec
 from bernsym.dirichlet import DirichletCharacter
 from bernsym.exactnum import CyclotomicNumber
 from bernsym.series import TruncatedSeries
@@ -44,14 +45,28 @@ def is_trivial(chi: DirichletCharacter) -> bool:
     return not any(chi.exponents)
 
 
-def denom_series(ctx: quotients.EvalContext, scale: int, order: int) -> TruncatedSeries:
-    """D_W = xi^(dW) e^(dWt) - 1 at W = scale for the context's pair, read
-    from the series store as the closed forms read it."""
-    return quotients._stored(quotients._denom_series, ctx.chi, ctx.twist, scale, order)
+def series_constant(value, order: int, m: int = 1) -> TruncatedSeries:
+    """The constant series `value` (an int, a Fraction or a cyclotomic
+    number) truncated at t^order, in Q(zeta_m)."""
+    return TruncatedSeries(m, [value] + [0] * order)
 
 
-def char_ratio_series(ctx: quotients.EvalContext, scale: int, order: int) -> TruncatedSeries:
-    """T_W/D_W at W = scale for the context's pair, T_W = sum_{a<d} chi(a)
-    xi^(aW) e^(aWt), read from the series store as the closed forms' chains
-    read it; r must not divide d*W."""
-    return quotients._stored(quotients._ratio_series, ctx.chi, ctx.twist, scale, order)
+def series_one(order: int, m: int = 1) -> TruncatedSeries:
+    return series_constant(1, order, m)
+
+
+def series_zero(order: int, m: int = 1) -> TruncatedSeries:
+    return series_constant(0, order, m)
+
+
+def denom_series(chi: DirichletCharacter, twist: TwistSpec, scale: int, order: int) -> TruncatedSeries:
+    """D_W = xi^(dW) e^(dWt) - 1 at W = scale for the pair (chi, twist),
+    read from the series store as the closed forms read it."""
+    return quotients._stored(quotients._denom_series, chi, twist, scale, order)
+
+
+def char_ratio_series(chi: DirichletCharacter, twist: TwistSpec, scale: int, order: int) -> TruncatedSeries:
+    """T_W/D_W at W = scale for the pair (chi, twist), T_W = sum_{a<d}
+    chi(a) xi^(aW) e^(aWt), read from the series store as the closed forms'
+    chains read it; r must not divide d*W."""
+    return quotients._stored(quotients._ratio_series, chi, twist, scale, order)

@@ -23,11 +23,13 @@ from dataclasses import replace
 import pytest
 
 from bernsym import identities, quotients
-from bernsym.bernoulli import ParameterError
+from bernsym.bernoulli import ParameterError, field_conductor, require_series_order
 from bernsym.quotients import (
     BSlot,
+    EvalContext,
     ExpansionForm,
     SSlot,
+    _check_conditions,
     _factors,
     _int_or_fraction,
     _slot_keys,
@@ -39,19 +41,19 @@ from bernsym.series import NonUnitConstantError, TruncatedSeries
 KINDS = ("binomial", "twist", "wpower")
 
 
-def _perturbed_keys(ctx, slot, w, kind) -> tuple[list[tuple], int]:
+def _perturbed_keys(slot, w, chi, twist, kind) -> tuple[list[tuple], int]:
     """The slot's factor keys and c_s (`quotients._slot_keys`) with its twist
     exponent bumped by 1 ('twist': the first key's twist class moves, its
     scale does not) or its t-scale multiplied by w1 ('wpower': the scales
     and c_s move, the twist class does not)."""
-    keys, c = _slot_keys(ctx, slot, w)
+    keys, c = _slot_keys(slot, w, chi, twist)
     first = list(keys[0])   # ("S", upper end, twist class, scale) or ("B", twist class, scale)
     if kind == "twist":
-        twist = mono_val(slot.twist, w) + 1
-        if isinstance(slot, BSlot) and (ctx.d * twist) % ctx.r == 0:
+        bumped = mono_val(slot.twist, w) + 1
+        if isinstance(slot, BSlot) and (chi.d * bumped) % twist.r == 0:
             name = mono_name(slot.twist)
             raise NonUnitConstantError(f"xi^(d*{name}) = 1 at w={tuple(w)}", factor=name)
-        first[-2] = twist % ctx.r
+        first[-2] = bumped % twist.r
         return [tuple(first), *keys[1:]], c
     first[-1] *= w[0]
     if isinstance(slot, SSlot):
@@ -62,9 +64,10 @@ def _perturbed_keys(ctx, slot, w, kind) -> tuple[list[tuple], int]:
     return [tuple(first), *asums], c
 
 
-def mutated_side(form: ExpansionForm, w, ctx, n_max: int, kind: str, slot: int = 0,
+def mutated_side(form: ExpansionForm, w, chi, twist, n_max: int, kind: str, slot: int = 0,
                  degree: int = 1) -> quotients.Side:
-    """(P, C) of the form at w, built as `quotients._build_side` builds it,
+    """(P, C) of the form at w for the pair (chi, twist), built as
+    `quotients.side_series` builds it from its chain (`quotients._side_chain`),
     with slot `slot` perturbed by `kind`.  A slot outside the form, and a
     binomial degree outside 0..n_max, would perturb nothing, so they are
     refused.  P is multiplied here (`EvalContext.sym_product`), never read
@@ -80,45 +83,54 @@ def mutated_side(form: ExpansionForm, w, ctx, n_max: int, kind: str, slot: int =
     factors = []
     for idx, s in enumerate(form.slots):
         if idx == slot and kind != "binomial":
-            keys, c = _perturbed_keys(ctx, s, w, kind)
+            keys, c = _perturbed_keys(s, w, chi, twist, kind)
         else:
-            keys, c = _slot_keys(ctx, s, w)
-        slot_factors = _factors(ctx.chi, ctx.twist, keys, n_max)
+            keys, c = _slot_keys(s, w, chi, twist)
+        slot_factors = _factors(chi, twist, keys, n_max)
         if idx == slot and kind == "binomial":
-            coeffs = list(ctx.sym_product(slot_factors).coeffs)
+            coeffs = list(EvalContext.sym_product(slot_factors).coeffs)
             coeffs[degree] = coeffs[degree].scale(2)
-            slot_factors = [TruncatedSeries(ctx.m, coeffs)]
+            slot_factors = [TruncatedSeries(field_conductor(chi, twist), coeffs)]
         factors += slot_factors
         if c:
             ys[s.y_var] += c
-    return ctx.sym_product(factors), tuple(ys)
+    return EvalContext.sym_product(factors), tuple(ys)
 
 
 @contextlib.contextmanager
 def mutation(kind: str, slot: int = 0, degree: int = 1):
     """For the length of the block, every theorem instance verified has a
-    mutated side 1, and every side `quotients._build_side` builds is
-    mutated (`consistency_check`, `side_series`, `expansion_polys`,
-    `expansion_coefficients`).
+    mutated side 1, and every side of a check or a display is mutated: the
+    forms of `consistency_check` (`quotients._stored_side`) and every
+    `side_series` (`redundancy_check`, `expansion_polys`,
+    `expansion_coefficients`), after its refusals.
 
     Side 1's record (`identities._side_records`) is the mutated side with
     the clean side's weight, built before any other side, so a refused
     mutation does no work; the other records are read as usual.  The clean
-    records, side 1's included, are built and memoised as in a clean run."""
+    records, side 1's included, are built and memoised as in a clean run.
+    A mutated side is multiplied on its own and never stored."""
     records = identities._side_records
 
-    def mutated_records(thm, w, n_max, ctx):
-        side = mutated_side(thm.base, thm.picks[0](w), ctx, n_max, kind, slot, degree)
-        clean = records(thm, w, n_max, ctx)
+    def mutated_records(thm, w, chi, twist, n_max):
+        side = mutated_side(thm.base, thm.picks[0](w), chi, twist, n_max, kind, slot, degree)
+        clean = records(thm, w, chi, twist, n_max)
         weight = clean[0].weight
         return [identities._SideRecord(side, weight, side[0].normal_form(weight)), *clean[1:]]
 
-    def mutated_build(form, w, ctx, n_max, products=None):
-        return mutated_side(form, w, ctx, n_max, kind, slot, degree)
+    def mutated_stored(form, w, chi, twist, n_max):
+        return mutated_side(form, w, chi, twist, n_max, kind, slot, degree)
+
+    def mutated_series(form, w, chi, twist, n_max):
+        require_series_order(n_max, "n_max")
+        _check_conditions(form.qt, twist, w)
+        return mutated_side(form, w, chi, twist, n_max, kind, slot, degree)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(identities, "_side_records", mutated_records)
-        patch.setattr(quotients, "_build_side", mutated_build)
+        patch.setattr(quotients, "_stored_side", mutated_stored)
+        for module in (quotients, identities):
+            patch.setattr(module, "side_series", mutated_series)
         yield
 
 

@@ -36,7 +36,6 @@ from bernsym.padic import PadicContext, convergence_check, distribution_check, r
 from bernsym.quotients import (
     FORMS,
     QUOTIENT_TYPES,
-    EvalContext,
     closed_form_series,
     consistency_check,
     mono_val,
@@ -219,14 +218,13 @@ def _criterion_05() -> tuple[bool, int]:
     y3 = (Fraction(1, 2), Fraction(2), Fraction(3, 5))
     for d, chi, r in grid_combos():
         twist = TwistSpec(r, 1)
-        ctx = EvalContext(chi, twist)
         for qt in QUOTIENT_TYPES.values():
             y = y3[: max(1, qt.y_count)] if qt.y_count else ()
             for multiset in combinations_with_replacement(W_COMPONENTS, qt.arity):
                 if any(mono_val(m, multiset) % r == 0 for m in qt.conditions()):
                     continue
                 orderings = sorted(set(permutations(multiset)))
-                series = [closed_form_series(qt, w, y, chi, twist, 12, ctx)
+                series = [closed_form_series(qt, w, y, chi, twist, 12)
                           for w in orderings]
                 checked += len(orderings)
                 ok = ok and all(s == series[0] for s in series[1:])
@@ -247,7 +245,6 @@ def _criterion_06() -> tuple[bool, int]:
     counter = 0
     for d, chi, r in grid_combos():
         twist = TwistSpec(r, 1)
-        ctx = EvalContext(chi, twist)
         for qt in QUOTIENT_TYPES.values():
             y = tuple(Fraction(i + 1, 2) for i in range(qt.y_count))
             for w in product(W_COMPONENTS, repeat=qt.arity):
@@ -256,7 +253,7 @@ def _criterion_06() -> tuple[bool, int]:
                 counter += 1
                 if counter % stride[qt.arity]:
                     continue
-                rep = consistency_check(qt, w, y, chi, twist, 8, ctx)
+                rep = consistency_check(qt, w, y, chi, twist, 8)
                 instances += 1
                 ok = ok and rep.passed
     return ok, instances
@@ -274,7 +271,6 @@ def test_criterion_07_redundancy_equalities():
     counter = 0
     for d, chi, r in grid_combos():
         twist = TwistSpec(r, 1)
-        ctx = EvalContext(chi, twist)
         for w in combinations_with_replacement(W_COMPONENTS, 3):
             if any(mono_val(m, w) % r == 0
                    for m in ((1, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0))):
@@ -282,7 +278,7 @@ def test_criterion_07_redundancy_equalities():
             counter += 1
             if counter % 7:
                 continue
-            rep = redundancy_check(w, chi, twist, 5, ctx)
+            rep = redundancy_check(w, chi, twist, 5)
             instances += 1
             ok = ok and rep.passed
     report(7, ok and instances >= 50, f"{instances} sampled redundancy instances")

@@ -66,13 +66,13 @@ def test_verify_csv_expands_each_side_once(monkeypatch):
     import bernsym.identities as identities
 
     calls = []
-    build = identities._build_side
+    build = identities._stored_side
 
     def counting(form, w, *args, **kwargs):
         calls.append(tuple(w))
         return build(form, w, *args, **kwargs)
 
-    monkeypatch.setattr(identities, "_build_side", counting)
+    monkeypatch.setattr(identities, "_stored_side", counting)
     code, out, _ = run_cli(["verify", "--theorem", "8", "--d", "1", "--r", "5", "--w", "1,2,3",
                             "--n-max", "2", "--mode", "normalized", "--format", "csv"])
     assert code == 0
@@ -394,13 +394,13 @@ def test_second_audit_builds_no_record_and_multiplies_nothing(tmp_path, monkeypa
     # the side records live in the process-wide store with the products
     # below them: a second audit of the same cell builds no side and
     # multiplies no chain, and prints the bytes of the first
-    from bernsym import identities, quotients
+    from bernsym import quotients
 
     cfg = tmp_path / "cell.grid"
     cfg.write_text("theorems = 8\nd = 4\nchars = explicit\nchar_labels = 4:1\nr = 5\nj = 1\n"
                    "w_components = 1,2,3,4\nn_max = 6\nmodes = as-stated,normalized\n")
     counts = {"side": 0, "product": 0}
-    build, multiply = quotients._build_side, quotients.product
+    build, multiply = quotients._side_chain, quotients.product
 
     def counting_build(*args, **kwargs):
         counts["side"] += 1
@@ -410,8 +410,7 @@ def test_second_audit_builds_no_record_and_multiplies_nothing(tmp_path, monkeypa
         counts["product"] += 1
         return multiply(factors)
 
-    for module in (quotients, identities):
-        monkeypatch.setattr(module, "_build_side", counting_build)
+    monkeypatch.setattr(quotients, "_side_chain", counting_build)
     monkeypatch.setattr(quotients, "product", counting_product)
     outputs, seen = [], []
     for _ in range(2):

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bernsym.exactnum import CyclotomicNumber as Cyc, euler_phi
-from bernsym.series import TruncatedSeries as TS
 
-from helpers import as_rational, exp_linear, from_json
+from helpers import as_rational, exp_linear, from_json, series_one
 
 
 def test_exp_linear_values():
     e0 = exp_linear(0, 4)
-    assert e0 == TS.one(4)
+    assert e0 == series_one(4)
     e2 = exp_linear(2, 4)
     assert e2.coeffs[3] == Fraction(4, 3)
     ez = exp_linear(Cyc.zeta(3), 3)

@@ -48,15 +48,16 @@ def b1_z3():
     return (Cyc.zeta(3) ** 2 - 1).scale(Fraction(1, 3))
 
 
-def _side_series(inst, ctx):
+def _side_series(inst):
     """The instance's (P, C) sides in print order, read from its side
     records (`identities._side_records`, mutated where one is planted)."""
-    return [record.side for record in identities._side_records(inst.theorem_spec(), inst.w, inst.n_max, ctx)]
+    return [record.side for record in identities._side_records(inst.theorem_spec(), inst.w, inst.character(),
+                                                               inst.twist(), inst.n_max)]
 
 
-def _verdicts(inst, method, ctx):
+def _verdicts(inst, method):
     """(as stated, normalized, within orbits) from `_verify`."""
-    return _verify(inst.theorem_spec(), inst.w, inst.n_max, ctx, method)[0]
+    return _verify(inst.theorem_spec(), inst.w, inst.character(), inst.twist(), inst.n_max, method)[0]
 
 
 def test_catalog_structure():
@@ -140,8 +141,8 @@ def test_equal_w_passes_as_stated_everywhere():
 @pytest.mark.parametrize("theorem", range(1, 12))
 def test_memoised_sides_match_cold_evaluation(theorem, cold_store):
     # every side of the instance is a side of another ordering of w, so
-    # after those, a fresh context reads each of its sides from the store,
-    # and they equal the sides multiplied anew
+    # after those, the instance reads each of its sides from the store, and
+    # they equal the sides multiplied anew
     thm = THEOREMS[theorem]
     w = (2, 4) if thm.arity == 2 else (1, 2, 4)
     inst = TheoremInstance(theorem, 5, (1,), 3, 1, w, 3)
@@ -149,8 +150,7 @@ def test_memoised_sides_match_cold_evaluation(theorem, cold_store):
     for other in sorted(set(permutations(w)) - {w}):
         verify_instance(TheoremInstance(theorem, 5, (1,), 3, 1, other, 3))
     misses = cold_store.cache_info().misses
-    memoised = [spread_ypolys(p, ys, inst.n_max)
-                for p, ys in _side_series(inst, EvalContext(inst.character(), inst.twist()))]
+    memoised = [spread_ypolys(p, ys, inst.n_max) for p, ys in _side_series(inst)]
     assert cold_store.cache_info().misses == misses  # every side was a store hit
     cold = EvalContext(inst.character(), inst.twist())
     assert memoised == [
@@ -187,18 +187,18 @@ def test_a_mutated_run_memoises_and_stores_only_clean_sides(theorem, w, monkeypa
     # a mutated side 1 read from the store would pass; one written to it
     # would fail the clean re-verifies below.  A mutated run from a cold
     # store stores every side's record clean, as a cold build gives it, and
-    # after it, a clean run or a mutated one, on fresh contexts, changes no
-    # record and builds no product
+    # after it, a clean run or a mutated one changes no record and builds
+    # no product
     inst = TheoremInstance(theorem, 1, (), 5, 1, w, 3)
     thm = inst.theorem_spec()
     built = _stored_products(monkeypatch)
     with mutation("twist"):
         assert not verify_instance(inst).pass_as_stated
-    cold = EvalContext(inst.character(), inst.twist())
+    chi, twist = inst.character(), inst.twist()
     records = _stored_records(cold_store)
     assert len(records) == len({pick(w) for pick in thm.picks})
     for (form, wp, n_max), record in records.items():
-        assert form is thm.base and record.side == side_series(thm.base, wp, cold, n_max), wp
+        assert form is thm.base and record.side == side_series(thm.base, wp, chi, twist, n_max), wp
     stored = len(built)
     assert stored > 0
     assert verify_instance(inst).pass_as_stated
@@ -232,13 +232,13 @@ def test_warm_records_still_fail_every_mutation(kind, monkeypatch, cold_store):
     assert built == []
     after = _stored_records(cold_store)
     assert all(after[k] is v for k, v in records.items())
-    cold = EvalContext(inst.character(), inst.twist())
+    chi, twist = inst.character(), inst.twist()
     for (form, wp, n_max), record in after.items():
-        assert record.side == side_series(form, wp, cold, n_max), wp
+        assert record.side == side_series(form, wp, chi, twist, n_max), wp
     misses = cold_store.cache_info().misses
     assert verify_instance(inst).pass_as_stated
     assert cold_store.cache_info().misses == misses
-    assert _side_series(inst, cold) == [records[thm.base, perm_apply(sig, inst.w), inst.n_max].side
+    assert _side_series(inst) == [records[thm.base, perm_apply(sig, inst.w), inst.n_max].side
                                         for sig in thm.sigmas]
 
 
@@ -248,8 +248,7 @@ def test_equal_normal_forms_are_one_tuple(cold_store):
     # equal, are then one tuple, so a normalized comparison is an identity
     # check; the table that shares them empties with the store
     inst = TheoremInstance(4, 5, (1,), 7, 1, (2, 3, 1), 4)
-    records = identities._side_records(inst.theorem_spec(), inst.w, inst.n_max,
-                                       EvalContext(inst.character(), inst.twist()))
+    records = identities._side_records(inst.theorem_spec(), inst.w, inst.character(), inst.twist(), inst.n_max)
     assert len({id(record.normal) for record in records}) == 1
     assert len(quotients._NORMALS) == 1
     cold_store.cache_clear()
@@ -267,10 +266,10 @@ def test_a_mutated_run_stores_only_clean_side_products(kind, monkeypatch, cold_s
     built = _stored_products(monkeypatch)
     with mutation(kind):
         assert not verify_instance(inst).pass_as_stated
-    cold = EvalContext(inst.character(), inst.twist())
-    clean = [side_series(thm.base, perm_apply(sig, inst.w), cold, inst.n_max)[0] for sig in thm.sigmas]
+    chi, twist = inst.character(), inst.twist()
+    clean = [side_series(thm.base, perm_apply(sig, inst.w), chi, twist, inst.n_max)[0] for sig in thm.sigmas]
     assert built == clean
-    assert mutated_side(thm.base, perm_apply(thm.sigmas[0], inst.w), cold, inst.n_max, kind)[0] not in clean
+    assert mutated_side(thm.base, perm_apply(thm.sigmas[0], inst.w), chi, twist, inst.n_max, kind)[0] not in clean
     stored = len(built)
     assert verify_instance(inst).pass_as_stated
     with mutation(kind):
@@ -286,43 +285,41 @@ def test_mutations_fail_with_a_warm_store(kind, cold_store):
     # kind fails with the store warm, and the clean sides built from it
     # match a cold build
     inst = TheoremInstance(4, 1, (), 5, 1, (2, 3, 1), 3)
-
-    def ctx():
-        return EvalContext(inst.character(), inst.twist())
-
-    assert verify_instance(inst, ctx=ctx()).pass_as_stated
+    assert verify_instance(inst).pass_as_stated
     built = cold_store.cache_info().misses
     with mutation(kind):
-        assert not verify_instance(inst, ctx=ctx()).pass_as_stated
+        assert not verify_instance(inst).pass_as_stated
     if kind == "binomial":
         assert cold_store.cache_info().misses == built
-    warm = _side_series(inst, ctx())
+    warm = _side_series(inst)
     cold_store.cache_clear()
-    assert _side_series(inst, ctx()) == warm
+    assert _side_series(inst) == warm
     # with the store holding the clean records and products: the same
     # instance, a folded form after the form it folds (theorem 3 after
     # theorem 2, normalized, as theorem 3 fails as stated) and the same
     # (type, w) in the consistency check
-    same = ctx()
-    assert verify_instance(inst, ctx=same).pass_as_stated
+    assert verify_instance(inst).pass_as_stated
     with mutation(kind):
-        assert not verify_instance(inst, ctx=same).pass_as_stated
+        assert not verify_instance(inst).pass_as_stated
     for theorem in (2, 3):
         folded = TheoremInstance(theorem, 1, (), 5, 1, (2, 3), 3, "normalized")
-        assert verify_instance(folded, ctx=same).passed
+        assert verify_instance(folded).passed
     with mutation(kind):
-        assert not verify_instance(folded, ctx=same).passed
+        assert not verify_instance(folded).passed
     qt, y = FORMS["L23:2"][0].qt, (Fraction(1, 2),)
-    assert consistency_check(qt, inst.w, y, same.chi, same.twist, 3, same).passed
+    assert consistency_check(qt, inst.w, y, inst.character(), inst.twist(), 3).passed
     with mutation(kind):
-        assert not consistency_check(qt, inst.w, y, same.chi, same.twist, 3, same).passed
+        assert not consistency_check(qt, inst.w, y, inst.character(), inst.twist(), 3).passed
 
 
-def _counting(ctx, monkeypatch) -> list:
-    """The factor chains ctx multiplies from now on, one list per product."""
+def _counting(monkeypatch) -> list:
+    """The factor chains of every side product multiplied from now on, one
+    list per product, counted at the class (`EvalContext.sym_product`), so
+    that the store's own builds are counted too."""
     chains = []
-    multiply = ctx.sym_product
-    monkeypatch.setattr(ctx, "sym_product", lambda factors: chains.append(factors) or multiply(factors))
+    multiply = EvalContext.sym_product
+    monkeypatch.setattr(EvalContext, "sym_product", staticmethod(lambda factors: chains.append(factors)
+                                                                  or multiply(factors)))
     return chains
 
 
@@ -330,7 +327,7 @@ def _counting(ctx, monkeypatch) -> list:
 def test_each_permuted_side_is_multiplied_once(theorem, monkeypatch, cold_store):
     # with distinct w components no two permuted sides have the same
     # ordered chain, so each side is one stored product, multiplied once per
-    # process: a second instance on a fresh context multiplies none, a
+    # process: a second verify of the instance multiplies none, a
     # store keyed by the sorted chain would share the sides' products, one
     # keyed without n_max would hand the order-2 products to the order-3
     # instance
@@ -345,9 +342,9 @@ def test_each_permuted_side_is_multiplied_once(theorem, monkeypatch, cold_store)
     deeper = replace(inst, n_max=3)
     assert verify_instance(deeper).pass_as_stated
     assert len(chains) == 2 * thm.sides
-    stored = _side_series(deeper, EvalContext(inst.character(), inst.twist()))
+    stored = _side_series(deeper)
     cold_store.cache_clear()
-    assert stored == _side_series(deeper, EvalContext(inst.character(), inst.twist()))
+    assert stored == _side_series(deeper)
     # the permuted sides are equal, so they hold one product object
     assert all(p is stored[0][0] for p, _ in stored)
 
@@ -355,8 +352,8 @@ def test_each_permuted_side_is_multiplied_once(theorem, monkeypatch, cold_store)
 @pytest.mark.parametrize("d, char, r", ((1, (), 3), (4, (1,), 5), (5, (1,), 7)))
 def test_stored_side_products_equal_a_cold_multiplication(d, char, r, cold_store):
     # every theorem base's sides, read from the store after every theorem
-    # has filled it on fresh contexts, equal the same chains multiplied
-    # anew from a cold store (`side_series` multiplies on its own)
+    # has filled it, equal the same chains multiplied anew from a cold
+    # store (`side_series` multiplies on its own)
     chi, twist = DirichletCharacter(d, char), TwistSpec(r, 1)
     sides = {}
     for theorem, thm in THEOREMS.items():
@@ -366,25 +363,24 @@ def test_stored_side_products_equal_a_cold_multiplication(d, char, r, cold_store
                 inst.validate()
             except ParameterError:
                 continue
-            for sig, side in zip(thm.sigmas, _side_series(inst, EvalContext(chi, twist))):
+            for sig, side in zip(thm.sigmas, _side_series(inst)):
                 sides[thm.base.form_id, perm_apply(sig, w)] = (thm.base, side)
     assert len({form_id for form_id, _ in sides}) == len(THEOREMS)
     cold_store.cache_clear()
     for (_, w), (form, side) in sides.items():
-        assert side_series(form, w, EvalContext(chi, twist), 6) == side, (form.form_id, w)
+        assert side_series(form, w, chi, twist, 6) == side, (form.form_id, w)
 
 
 def test_redundancy_displays_are_multiplied_not_read(monkeypatch):
     # at w = (1, 2, 2) the B*S*S display's two power sums have one key, so
     # its chain is its Thm-7 side's; every display is still multiplied on
-    # its own, also on a context whose memos hold the theorem sides
+    # its own, also with the theorem sides in the store
     w = (1, 2, 2)
     chi, twist = DirichletCharacter(5, (1,)), TwistSpec(3, 1)
-    ctx = EvalContext(chi, twist)
     for theorem in (7, 11):
-        verify_instance(TheoremInstance(theorem, 5, (1,), 3, 1, w, 3), ctx=ctx)
-    chains = _counting(ctx, monkeypatch)
-    rep = redundancy_check(w, chi, twist, 3, ctx)
+        verify_instance(TheoremInstance(theorem, 5, (1,), 3, 1, w, 3))
+    chains = _counting(monkeypatch)
+    rep = redundancy_check(w, chi, twist, 3)
     assert rep.passed and len(rep.checks) == 7
     assert len(chains) == 2 * 3 + 2 + 4
 
@@ -396,11 +392,11 @@ def _first_grid_mismatch(inst, mut=None):
     that `mutants.mutated_side` builds for the mutation (kind, slot,
     degree)); None when every point agrees."""
     thm = inst.theorem_spec()
-    ctx = EvalContext(inst.character(), inst.twist())
-    mutated = mut and mutated_side(thm.base, perm_apply(thm.sigmas[0], inst.w), ctx, inst.n_max, *mut)
+    mutated = mut and mutated_side(thm.base, perm_apply(thm.sigmas[0], inst.w), inst.character(), inst.twist(),
+                                   inst.n_max, *mut)
     for n in range(inst.n_max + 1):
         for y in y_grid_points(n, thm.y_count):
-            sides = [(wt, v) for _, wt, v in theorem_sides(inst, n, y, ctx)]
+            sides = [(wt, v) for _, wt, v in theorem_sides(inst, n, y)]
             if mutated:
                 sides[0] = (sides[0][0], point_series(mutated, y, inst.n_max).egf_coefficient(n))
             for (a, (wa, va)), (b, (wb, vb)) in combinations(enumerate(sides, start=1), 2):
@@ -481,10 +477,9 @@ def test_implied_verdicts_match_every_pair(theorem, method, monkeypatch):
     mutated = TheoremInstance(theorem, 4, (1,), 7, 1, (2, 4, 2)[:THEOREMS[theorem].arity], n_max)
     cases += [(mutated, (kind,)) for kind in KINDS]
     for inst, mut in cases:
-        ctx = EvalContext(inst.character(), inst.twist())
         with planted(mut):
-            verdicts = _verdicts(inst, method, ctx)
-            expected = _every_pair_verdicts(inst, _side_series(inst, ctx), method)
+            verdicts = _verdicts(inst, method)
+            expected = _every_pair_verdicts(inst, _side_series(inst), method)
         assert verdicts == expected, (inst.key(), mut)
         if mut:
             assert not (verdicts[0] or verdicts[1]), mut
@@ -492,15 +487,14 @@ def test_implied_verdicts_match_every_pair(theorem, method, monkeypatch):
     # every side planted as side 1, each record keeping its own weight
     build = identities._side_records
 
-    def side_1_everywhere(thm, w, n_max, ctx):
-        records = build(thm, w, n_max, ctx)
+    def side_1_everywhere(thm, w, chi, twist, n_max):
+        records = build(thm, w, chi, twist, n_max)
         side = records[0].side
         return [identities._SideRecord(side, rec.weight, side[0].normal_form(rec.weight)) for rec in records]
 
     monkeypatch.setattr(identities, "_side_records", side_1_everywhere)
-    ctx = EvalContext(mutated.character(), mutated.twist())
-    verdicts = _verdicts(mutated, method, ctx)
-    expected = _every_pair_verdicts(mutated, [_side_series(mutated, ctx)[0]] * THEOREMS[theorem].sides, method)
+    verdicts = _verdicts(mutated, method)
+    expected = _every_pair_verdicts(mutated, [_side_series(mutated)[0]] * THEOREMS[theorem].sides, method)
     assert verdicts == expected
     weights = {mono_val(m, mutated.w) for m in THEOREMS[theorem].side_weight_monos}
     assert verdicts[0] and verdicts[1] == (len(weights) == 1)
@@ -522,7 +516,7 @@ def test_series_rule_matches_ymonomial_comparison(theorem):
     ws = ((1, 2), (2, 2), (4, 1)) if thm.arity == 2 else ((1, 2, 4), (2, 2, 2), (4, 2, 1))
     differing_c = 0
     for d, label in ((1, ()), (4, (1,))):
-        ctx = EvalContext(DirichletCharacter(d, label), TwistSpec(7, 1))
+        chi, twist = DirichletCharacter(d, label), TwistSpec(7, 1)
         for w in ws:
             for n_max in (0, 1, 3):
                 for mut in (None, ("wpower",), ("twist",), ("binomial", 0, min(1, n_max))):
@@ -530,8 +524,8 @@ def test_series_rule_matches_ymonomial_comparison(theorem):
                     sides, polys, weights = [], [], []
                     for idx, sig in enumerate(thm.sigmas):
                         wp = perm_apply(sig, w)
-                        side = (mutated_side(thm.base, wp, ctx, n_max, *mut) if mut and idx == 0
-                                else side_series(thm.base, wp, ctx, n_max))
+                        side = (mutated_side(thm.base, wp, chi, twist, n_max, *mut) if mut and idx == 0
+                                else side_series(thm.base, wp, chi, twist, n_max))
                         sides.append(side)
                         polys.append(spread_ypolys(*side, n_max))
                         weights.append(form_weight(thm.base, wp))
@@ -544,7 +538,7 @@ def test_series_rule_matches_ymonomial_comparison(theorem):
                             for o in thm.orbits() for i in o[1:]),
                     )
                     with planted(mut):
-                        assert _verdicts(inst, "poly", ctx) == expected, (d, w, n_max, mut)
+                        assert _verdicts(inst, "poly") == expected, (d, w, n_max, mut)
                     # the same P under a different y multiplier
                     for p, ys in sides:
                         bumped = (ys[0] + 1,) + ys[1:]
@@ -691,20 +685,20 @@ def test_report_serialization_shape():
 
 
 def _standard_instances():
-    """(theorem spec, w, context) for every valid instance of the standard
-    grid, cell by cell in key order, one context per cell."""
+    """(cell, theorem spec, w, chi, twist) for every valid instance of the
+    standard grid, cell by cell in key order, a cell being its (theorem, d,
+    chi's exponents, r, j)."""
     for theorem, d, chi, r, j, ws in identities._grid_cells(GridConfig(n_max=6)):
         twist = TwistSpec(r, j)
         if math.gcd(r, d) != 1:
             continue
-        ctx = EvalContext(chi, twist)
         thm = THEOREMS[theorem]
         for w in ws:
             try:
                 quotients._require_units(thm.base.qt, twist, w)
             except ParameterError:
                 continue
-            yield thm, w, ctx
+            yield (theorem, d, chi.exponents, r, j), thm, w, chi, twist
 
 
 def _both_scans(records, thm, mode, n_max):
@@ -723,11 +717,11 @@ def test_record_verdicts_match_sides_equal_on_the_standard_grid():
     # modes: comparing records (normal forms, or P itself as stated) gives
     # what `_sides_equal` gives by cross-multiplying the rows
     cell, checked = None, 0
-    for thm, w, ctx in _standard_instances():
-        if ctx is not cell:
-            # pairs are counted once per cell, while its memo keeps them alive
-            cell, seen = ctx, set()
-        records = _side_records(thm, w, 6, ctx)
+    for key, thm, w, chi, twist in _standard_instances():
+        if key != cell:
+            # pairs are counted once per cell, while the store keeps them alive
+            cell, seen = key, set()
+        records = _side_records(thm, w, chi, twist, 6)
         for a, b in combinations(records, 2):
             if (id(a), id(b)) in seen:
                 continue
@@ -747,10 +741,10 @@ def test_skipped_witness_scan_matches_the_full_scan():
     # modes (the standard grid never fails normalized), and on sides planted
     # with one P and two rates C, which only the y-points tell apart
     first_failures = {}
-    for thm, w, ctx in _standard_instances():
-        verdicts, records, _ = identities._verify(thm, w, 6, ctx)
+    for _, thm, w, chi, twist in _standard_instances():
+        verdicts, records, _ = identities._verify(thm, w, chi, twist, 6)
         for mode, ok in (("as-stated", verdicts[0]), ("normalized", verdicts[1])):
-            key = (thm.id, ctx.chi, ctx.r, mode)
+            key = (thm.id, chi, twist.r, mode)
             if not ok and key not in first_failures:
                 first_failures[key] = records
                 full, skipped = _both_scans(records, thm, mode, 6)
@@ -759,15 +753,15 @@ def test_skipped_witness_scan_matches_the_full_scan():
 
     for theorem, thm in THEOREMS.items():
         w = (2, 4, 2)[:thm.arity]
-        ctx = EvalContext(DirichletCharacter(4, (1,)), TwistSpec(7, 1))
+        chi, twist = DirichletCharacter(4, (1,)), TwistSpec(7, 1)
         for kind in KINDS:
             with mutation(kind):
-                records = identities._side_records(thm, w, 6, ctx)
+                records = identities._side_records(thm, w, chi, twist, 6)
             for mode in ("as-stated", "normalized"):
                 full, skipped = _both_scans(records, thm, mode, 6)
                 assert full is not None and skipped == full, (theorem, kind, mode)
         if thm.y_count:
-            first = _side_records(thm, w, 6, ctx)[0]
+            first = _side_records(thm, w, chi, twist, 6)[0]
             (p, ys), weight, normal = first
             bumped = identities._SideRecord((p, (ys[0] + 1,) + ys[1:]), weight, normal)
             for mode in ("as-stated", "normalized"):

@@ -10,7 +10,8 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bernsym.bernoulli import ParameterError, TwistSpec, character_sum_series, gen_bernoulli_numbers, power_sum
+from bernsym.bernoulli import (ParameterError, TwistSpec, character_sum_series, field_conductor,
+                               gen_bernoulli_numbers, power_sum)
 from bernsym.dirichlet import DirichletCharacter, trivial_character
 from bernsym.exactnum import CyclotomicNumber as Cyc, euler_phi
 from bernsym import bernoulli, quotients
@@ -39,7 +40,7 @@ from bernsym.quotients import (
 )
 from bernsym.series import NonUnitConstantError, TruncatedSeries, _content_reduced, product as series_product
 
-from helpers import as_rational, char_ratio_series, denom_series, exp_linear
+from helpers import as_rational, char_ratio_series, denom_series, exp_linear, series_constant
 from mutants import KINDS, data_mutants, mutation, planted
 
 CHI1 = trivial_character(1)
@@ -112,17 +113,18 @@ def test_slot_tensor_degrees_and_generating_function(name):
     # skipped) a B slot sums to ts^k/k! (A z + F + 1)^k at t^k, an S slot
     # to ts^k/k!
     n = 6
-    ctx = EvalContext(CHI1, TwistSpec(7, 1))
+    twist = TwistSpec(7, 1)
+    m = field_conductor(CHI1, twist)
     for form in FORMS[name]:
         for w in product(range(1, 5), repeat=form.qt.arity):
             def val(mono):
                 return math.prod(x ** e for x, e in zip(w, mono))
 
             for idx, slot in enumerate(form.slots):
-                keys, c = _slot_keys(ctx, slot, w)
+                keys, c = _slot_keys(slot, w, CHI1, twist)
                 # a factor's t-scale ends its key; sum_i 1 * (scale*t)^i/i!
                 # is exp(scale*t)
-                series = functools.reduce(operator.mul, [exp_linear(key[-1], n, ctx.m)
+                series = functools.reduce(operator.mul, [exp_linear(key[-1], n, m)
                                                          for key in keys])
                 ts = val(slot.twist)
                 for k in range(n + 1):
@@ -172,24 +174,31 @@ def test_psum_series_is_scaled_power_sums(chi, twist):
         assert list(series.coeffs) == want, (upper, w_exp, q)
 
 
-def test_contexts_for_one_pair_share_their_series(cold_store):
-    # the series live in the process-wide store, not in the context: a
-    # second context for the same (chi, twist) builds nothing
-    chi, twist = DirichletCharacter(5, (1,)), TwistSpec(3, 1)
-    first, second = EvalContext(chi, twist), EvalContext(chi, twist)
-    reads = (lambda ctx: ctx.side_product((("B", 2, 3), ("S", 9, 1, Fraction(3, 2))), 6),
-             lambda ctx: char_ratio_series(ctx, 2, 6),
-             lambda ctx: denom_series(ctx, 4, 6))
+def _side_product(chi, twist, keys, n):
+    """The stored product of a side chain with these factor keys."""
+    return quotients._stored(quotients._side_product, chi, twist, keys, n)
+
+
+def test_equal_pairs_share_their_series(cold_store):
+    # the series live in the process-wide store under (chi, twist): a
+    # second, equal but distinct, character and twist build nothing
+    first = DirichletCharacter(5, (1,)), TwistSpec(3, 1)
+    second = DirichletCharacter(5, (1,)), TwistSpec(3, 1)
+    assert first[0] is not second[0] and first[1] is not second[1]
+    reads = (lambda chi, twist: _side_product(chi, twist, (("B", 2, 3), ("S", 9, 1, Fraction(3, 2))), 6),
+             lambda chi, twist: char_ratio_series(chi, twist, 2, 6),
+             lambda chi, twist: denom_series(chi, twist, 4, 6))
     for read in reads:
-        series = read(first)
+        series = read(*first)
         misses = cold_store.cache_info().misses
-        assert read(second) is series
+        assert read(*second) is series
         assert cold_store.cache_info().misses == misses
     # a slot's twist exponent is keyed mod r (the B slot of G0 at w1 = 5:
     # class 2, scale 5); another twist root is another store entry
-    keys, _ = quotients._slot_keys(first, FORMS["G0"][0].slots[0], (5, 1))
+    chi, twist = first
+    keys, _ = quotients._slot_keys(FORMS["G0"][0].slots[0], (5, 1), chi, twist)
     assert keys == [("B", 2, 5)]
-    assert EvalContext(chi, TwistSpec(3, 2)).side_product(tuple(keys), 6) != first.side_product(tuple(keys), 6)
+    assert _side_product(chi, TwistSpec(3, 2), tuple(keys), 6) != _side_product(chi, twist, tuple(keys), 6)
 
 
 @pytest.mark.parametrize("order", (0, 1, 2, 12))
@@ -198,15 +207,14 @@ def test_closed_forms_keep_only_the_coefficients_they_return(order):
     # drops the rest: the untruncated chain, shifted and truncated, is the
     # same series, also for order < shift, where it is zero
     chi, twist = DirichletCharacter(4, (1,)), TwistSpec(5, 1)
-    ctx = EvalContext(chi, twist)
     y = (Fraction(1, 2), Fraction(2), Fraction(-3, 5))
     for qt in QUOTIENT_TYPES.values():
         w = (1, 2, 3)[: qt.arity]
-        factors = [char_ratio_series(ctx, mono_val(mono, w), order) for mono in qt.chars]
-        factors += [denom_series(ctx, mono_val(mono, w), order) for mono in qt.numer]
+        factors = [char_ratio_series(chi, twist, mono_val(mono, w), order) for mono in qt.chars]
+        factors += [denom_series(chi, twist, mono_val(mono, w), order) for mono in qt.numer]
         c = sum(mono_val(mono, w) for mono in qt.ymul) * sum(y[: qt.y_count], Fraction(0))
         full = functools.reduce(operator.mul, factors).mul_exp(c).shift_up(qt.shift).truncate(order)
-        got = closed_form_series(qt, w, y[: qt.y_count], chi, twist, order, ctx)
+        got = closed_form_series(qt, w, y[: qt.y_count], chi, twist, order)
         assert got.order == order
         assert got == full, (qt.name, order)
 
@@ -225,16 +233,15 @@ def test_family_types_share_one_chars_chain(monkeypatch, cold_store):
 
     monkeypatch.setattr(quotients, "_chain", counted)
     chi, twist, order = DirichletCharacter(5, (1,)), TwistSpec(7, 1), 8
-    ctx = EvalContext(chi, twist)
     w, y = (1, 2, 3), (Fraction(1, 2), Fraction(2), Fraction(-3, 5))
     for name in ("L13:0", "L13:1", "L13:2", "L13:3", "L12:0", "L12:1"):
         qt = QUOTIENT_TYPES[name]
         kept = max(order - qt.shift, 0)
-        factors = [char_ratio_series(ctx, mono_val(mono, w), order).truncate(kept) for mono in qt.chars]
-        factors += [denom_series(ctx, mono_val(mono, w), order).truncate(kept) for mono in qt.numer]
+        factors = [char_ratio_series(chi, twist, mono_val(mono, w), order).truncate(kept) for mono in qt.chars]
+        factors += [denom_series(chi, twist, mono_val(mono, w), order).truncate(kept) for mono in qt.numer]
         c = sum(mono_val(mono, w) for mono in qt.ymul) * sum(y[: qt.y_count], Fraction(0))
         want = functools.reduce(operator.mul, factors).mul_exp(c).shift_up(qt.shift).truncate(order)
-        assert closed_form_series(qt, w, y[: qt.y_count], chi, twist, order, ctx) == want, name
+        assert closed_form_series(qt, w, y[: qt.y_count], chi, twist, order) == want, name
     assert [scales for factor, scales in chains if factor is quotients._ratio_series] == [(1, 2, 3)]
     assert [scales for factor, scales in chains if factor is quotients._denom_series] == \
         [(6,), (6, 6), (6, 6, 6), (6, 3, 2)]
@@ -293,9 +300,10 @@ def test_closed_form_names_a_factor_only_when_refusing_it(monkeypatch):
 
 def test_negative_n_max_is_parameter_error():
     # the CLI reaches the other entry points' checks (tests/test_cli.py)
-    ctx = EvalContext(CHI1, Z3)
     with pytest.raises(ParameterError, match="^n_max must be nonnegative$"):
-        expansion_polys(FORMS["G0"][0], (1, 2), ctx, -1)
+        expansion_polys(FORMS["G0"][0], (1, 2), EvalContext(CHI1, Z3), -1)
+    with pytest.raises(ParameterError, match="^n_max must be nonnegative$"):
+        side_series(FORMS["G0"][0], (1, 2), CHI1, Z3, -1)
 
 
 def test_expansion_examples_g1():
@@ -330,36 +338,35 @@ def test_closed_forms_never_read_the_bernoulli_series(monkeypatch, cold_store):
         raise AssertionError("the closed form read a Bernoulli series")
 
     chi, twist = DirichletCharacter(5, (1,)), TwistSpec(3, 1)
-    ctx = EvalContext(chi, twist)
     monkeypatch.setattr(quotients, "_bern_series", refuse)
     monkeypatch.setattr(bernoulli, "bernoulli_egf", refuse)
     monkeypatch.setattr(quotients, "bernoulli_egf", refuse)
     with pytest.raises(AssertionError):
-        side_series(FORMS["G0"][0], (1, 2), ctx, 6)   # the guard bites
+        side_series(FORMS["G0"][0], (1, 2), chi, twist, 6)   # the guard bites
     for qt in QUOTIENT_TYPES.values():
         w = (1, 2, 4)[: qt.arity]
         y = (Fraction(1, 2),) * qt.y_count
-        assert closed_form_series(qt, w, y, chi, twist, 6, ctx).order == 6
         assert closed_form_series(qt, w, y, chi, twist, 6).order == 6
 
 
-def _slot_by_slot(form, w, ctx, n):
+def _slot_by_slot(form, w, chi, twist, n):
     """P multiplied slot by slot: each B slot's series times its a-sums'
     first, then the slots' products left to right."""
     def factor(*key):
-        return quotients._factors(ctx.chi, ctx.twist, [key], n)[0]
+        return quotients._factors(chi, twist, [key], n)[0]
 
+    d, r = chi.d, twist.r
     products = []
     for slot in form.slots:
         ts = mono_val(slot.twist, w)
         if isinstance(slot, SSlot):
-            products.append(factor("S", ctx.d * mono_val(slot.upper, w) - 1, ts % ctx.r, ts))
+            products.append(factor("S", d * mono_val(slot.upper, w) - 1, ts % r, ts))
             continue
-        p = factor("B", ts % ctx.r, ts)
+        p = factor("B", ts % r, ts)
         arg = mono_val(slot.arg_scale, w)
         for asum in slot.asums:
             upper = mono_val(asum.upper, w)
-            p = p * factor("S", ctx.d * upper - 1, mono_val(asum.twist, w) % ctx.r, Fraction(arg, upper) * ts)
+            p = p * factor("S", d * upper - 1, mono_val(asum.twist, w) % r, Fraction(arg, upper) * ts)
         products.append(p)
     return functools.reduce(operator.mul, products)
 
@@ -370,13 +377,12 @@ def test_flat_chain_rows_equal_the_slot_by_slot_product(chi, twist):
     # a side is one product over the flat factor chain; an exact product
     # reduced by its content gcd is canonical, so its rows and bound equal
     # those of the slot-by-slot association, here also in Q(zeta_28), phi 12
-    ctx = EvalContext(chi, twist)
-    assert euler_phi(ctx.m) in (4, 12)
+    assert euler_phi(field_conductor(chi, twist)) in (4, 12)
     for name, forms in sorted(FORMS.items()):
         tuples = ((1, 2), (2, 3), (4, 3)) if forms[0].qt.arity == 2 else ((1, 2, 3), (2, 3, 4), (4, 1, 2))
         for form, w in product(forms, tuples):
-            p, _ = side_series(form, w, ctx, 6)
-            assert p._rows() == _slot_by_slot(form, w, ctx, 6)._rows(), (form.form_id, w)
+            p, _ = side_series(form, w, chi, twist, 6)
+            assert p._rows() == _slot_by_slot(form, w, chi, twist, 6)._rows(), (form.form_id, w)
 
 
 def _counting_products(monkeypatch) -> list:
@@ -401,14 +407,13 @@ def test_folded_forms_share_one_product_per_consistency_call(name, monkeypatch, 
     # of one chain: one stored product serves them all, and a second check
     # reads it and multiplies none
     chi, twist = DirichletCharacter(4, (1,)), TwistSpec(5, 1)
-    ctx = EvalContext(chi, twist)
     calls = _counting_products(monkeypatch)
     qt = parse_quotient_type(name)
     assert len(FORMS[name]) > 1
     w = (2, 3) if qt.arity == 2 else (2, 1, 3)
     y = (Fraction(1, 2), Fraction(-1), Fraction(3, 2))[:qt.y_count]
     for call in (1, 2):
-        assert consistency_check(qt, w, y, chi, twist, 6, ctx).passed
+        assert consistency_check(qt, w, y, chi, twist, 6).passed
         assert len(calls) == 1, call
         assert len(_stored_side_products(cold_store)) == 1
 
@@ -416,22 +421,23 @@ def test_folded_forms_share_one_product_per_consistency_call(name, monkeypatch, 
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_mutated_consistency_check_leaves_the_products_clean(kind, monkeypatch, cold_store):
     # a mutated side is multiplied on its own: it reads and fills no side
-    # product, and a clean check after the mutated one, on the same
-    # context, passes with its forms' product multiplied once, as before
+    # product, and a clean check after the mutated one, for the same pair,
+    # passes with its forms' product multiplied once, as before
     chi, twist = DirichletCharacter(4, (1,)), TwistSpec(5, 1)
-    ctx = EvalContext(chi, twist)
     qt, w, y = parse_quotient_type("L23:2"), (2, 1, 3), (Fraction(1, 2),)
     form = FORMS["L23:2"][2]
-    clean = quotients._build_side(form, w, ctx, 4)
+    clean = quotients.side_series(form, w, chi, twist, 4)
     with mutation(kind):
-        assert not consistency_check(qt, w, y, chi, twist, 4, ctx).passed
-        assert quotients._build_side(form, w, ctx, 4)[0] != clean[0]
+        assert not consistency_check(qt, w, y, chi, twist, 4).passed
+        assert quotients.side_series(form, w, chi, twist, 4)[0] != clean[0]
+        assert quotients._stored_side(form, w, chi, twist, 4)[0] != clean[0]
     assert _stored_side_products(cold_store) == []
     calls = _counting_products(monkeypatch)
-    assert consistency_check(qt, w, y, chi, twist, 4, ctx).passed
+    assert consistency_check(qt, w, y, chi, twist, 4).passed
     assert len(calls) == 1
     assert len(_stored_side_products(cold_store)) == 1
-    assert quotients._build_side(form, w, ctx, 4) == clean
+    assert quotients.side_series(form, w, chi, twist, 4) == clean
+    assert quotients._stored_side(form, w, chi, twist, 4) == clean
 
 
 def test_a_warm_check_and_closed_form_multiply_nothing(monkeypatch, cold_store):
@@ -452,10 +458,9 @@ def test_a_warm_check_and_closed_form_multiply_nothing(monkeypatch, cold_store):
     misses = cold_store.cache_info().misses
     for qt in QUOTIENT_TYPES.values():
         w = (2, 1, 3)[: qt.arity]
-        ctx = EvalContext(chi, twist)
         report, series = first[qt.name]
-        assert consistency_check(qt, w, y, chi, twist, 6, ctx) == report, qt.name
-        assert closed_form_series(qt, w, y[: qt.y_count], chi, twist, 8, ctx) == series, qt.name
+        assert consistency_check(qt, w, y, chi, twist, 6) == report, qt.name
+        assert closed_form_series(qt, w, y[: qt.y_count], chi, twist, 8) == series, qt.name
     assert products == []
     assert cold_store.cache_info().misses == misses
 
@@ -467,11 +472,10 @@ def test_an_order_dependent_chain_defect_fails_criterion_5(share, monkeypatch, c
     # disagree: from a cold store and from the warm one it leaves, while
     # equal cores are held once, also when every core has one share key
     chi, twist, order = DirichletCharacter(5, (1,)), TwistSpec(7, 1), 6
-    ctx = EvalContext(chi, twist)
     y = (Fraction(1, 2), Fraction(2), Fraction(3, 5))
 
     def orderings_agree(qt) -> bool:
-        series = [closed_form_series(qt, sigma, y[: qt.y_count], chi, twist, order, ctx)
+        series = [closed_form_series(qt, sigma, y[: qt.y_count], chi, twist, order)
                   for sigma in permutations((1, 2, 3)[: qt.arity])]
         return all(s == series[0] for s in series)
 
@@ -495,10 +499,10 @@ def test_a_forced_share_key_collision_keeps_two_objects(monkeypatch):
     # every series gets one share key here: an unequal series under a held
     # key stays its own object, and only an exactly equal one is merged
     monkeypatch.setattr(quotients, "_share_key", lambda series: ("collision",))
-    one, two = TruncatedSeries.constant(1, 3), TruncatedSeries.constant(2, 3)
+    one, two = series_constant(1, 3), series_constant(2, 3)
     assert quotients._shared(one) is one
     assert quotients._shared(two) is two
-    assert quotients._shared(TruncatedSeries.constant(1, 3)) is one
+    assert quotients._shared(series_constant(1, 3)) is one
     assert quotients._SHARED[("collision",)] is one
 
 
@@ -682,12 +686,11 @@ def test_point_series_is_the_side_itself_at_c_zero():
 
 def consistency_oracle(qt, w, y, chi, twist, n_max):
     """consistency_check's witness (or None) from the y-polynomial spread."""
-    ctx = EvalContext(chi, twist)
-    closed = closed_form_series(qt, w, y, chi, twist, n_max, ctx)
+    closed = closed_form_series(qt, w, y, chi, twist, n_max)
     for form in FORMS[qt.name]:
         weight = form_weight(form, w)
-        for n, poly in enumerate(expansion_polys(form, w, ctx, n_max)):
-            lhs = eval_ypoly(poly, y, ctx.m)
+        for n, poly in enumerate(expansion_polys(form, w, EvalContext(chi, twist), n_max)):
+            lhs = eval_ypoly(poly, y, field_conductor(chi, twist))
             rhs = closed.egf_coefficient(n).scale(weight)
             if lhs != rhs:
                 return {"form": form.form_id, "n": n, "expansion": lhs.to_json(),
@@ -710,14 +713,13 @@ def test_mutated_consistency_matches_spread_oracle(name):
     w = (2, 3) if qt.arity == 2 else (2, 1, 3)
     y = (Fraction(1, 2), Fraction(-1), Fraction(3, 2))[:qt.y_count]
     n_max = 4
-    ctx = EvalContext(chi, twist)
     slots = max(len(f.slots) for f in FORMS[name])
     mutations = [None] + [(kind, slot, 2) for kind in KINDS for slot in range(slots)]
     mismatches = 0
     for mut in mutations:
         # the oracle's forms are mutated too, through `expansion_polys`
         with planted(mut):
-            got = outcome(lambda: consistency_check(qt, w, y, chi, twist, n_max, ctx).to_json())
+            got = outcome(lambda: consistency_check(qt, w, y, chi, twist, n_max).to_json())
             want = outcome(lambda: consistency_oracle(qt, w, y, chi, twist, n_max))
         if isinstance(got, dict):
             assert got.get("witness") == want, mut
@@ -733,16 +735,15 @@ def test_passing_forms_are_decided_without_a_walk(monkeypatch):
     qt = parse_quotient_type("G1")
     chi = DirichletCharacter(5, (1,))
     twist = TwistSpec(3, 1)
-    ctx = EvalContext(chi, twist)
     assert [form_weight(f, (2, 1)) for f in FORMS["G1"]] == [2, 2]
-    assert consistency_check(qt, (2, 1), (Fraction(1, 3),), chi, twist, 5, ctx).passed
+    assert consistency_check(qt, (2, 1), (Fraction(1, 3),), chi, twist, 5).passed
     reads = []
     read = TruncatedSeries.egf_coefficient
     monkeypatch.setattr(TruncatedSeries, "egf_coefficient", lambda s, n: reads.append(n) or read(s, n))
-    assert consistency_check(qt, (2, 1), (Fraction(1, 3),), chi, twist, 5, ctx).passed
+    assert consistency_check(qt, (2, 1), (Fraction(1, 3),), chi, twist, 5).passed
     assert reads == []
     with mutation("binomial", 0, 3):
-        rep = consistency_check(qt, (2, 1), (Fraction(1, 3),), chi, twist, 5, ctx)
+        rep = consistency_check(qt, (2, 1), (Fraction(1, 3),), chi, twist, 5)
     assert rep.mismatch.n == 3 and reads
 
 
@@ -759,11 +760,10 @@ def test_passing_consistency_builds_no_exponential(monkeypatch):
 
     monkeypatch.setattr(quotients, "point_series", no_point_series)
     chi, twist = DirichletCharacter(4, (1,)), TwistSpec(5, 1)
-    ctx = EvalContext(chi, twist)
     for name, qt in sorted(QUOTIENT_TYPES.items()):
         w = (2, 3) if qt.arity == 2 else (2, 1, 3)
         y = (Fraction(1, 2), Fraction(-1), Fraction(3, 2))[:qt.y_count]
-        assert consistency_check(qt, w, y, chi, twist, 6, ctx).passed, name
+        assert consistency_check(qt, w, y, chi, twist, 6).passed, name
     assert not any(exps)
 
 
@@ -773,23 +773,22 @@ def test_side_with_another_rate_fails_like_its_point_series(name, monkeypatch):
     # multiplied by exp((c_form - c_closed)*t) before the comparison, and the
     # witness is the one read from the point series E against the weighted
     # closed form
-    build = quotients._build_side
+    build = quotients._stored_side
 
     def other_rate(*args, **kwargs):
         p, ys = build(*args, **kwargs)
         return p, tuple(c + 1 for c in ys)
 
-    monkeypatch.setattr(quotients, "_build_side", other_rate)
+    monkeypatch.setattr(quotients, "_stored_side", other_rate)
     chi, twist = DirichletCharacter(4, (1,)), TwistSpec(5, 1)
     qt = parse_quotient_type(name)
     w = (2, 3) if qt.arity == 2 else (2, 1, 3)
     y = (Fraction(1, 2), Fraction(2), Fraction(3, 2))[:qt.y_count]
     n_max = 5
-    ctx = EvalContext(chi, twist)
-    closed = closed_form_series(qt, w, y, chi, twist, n_max, ctx)
+    closed = closed_form_series(qt, w, y, chi, twist, n_max)
     want = None
     for form in FORMS[name]:
-        series = point_series(other_rate(form, w, ctx, n_max), y, n_max)
+        series = point_series(other_rate(form, w, chi, twist, n_max), y, n_max)
         for n in range(n_max + 1):
             lhs, rhs = series.egf_coefficient(n), closed.egf_coefficient(n).scale(form_weight(form, w))
             if lhs != rhs:
@@ -799,4 +798,4 @@ def test_side_with_another_rate_fails_like_its_point_series(name, monkeypatch):
         if want:
             break
     assert want is not None
-    assert consistency_check(qt, w, y, chi, twist, n_max, ctx).to_json()["witness"] == want
+    assert consistency_check(qt, w, y, chi, twist, n_max).to_json()["witness"] == want

@@ -21,7 +21,7 @@ from bernsym.dirichlet import DirichletCharacter, enumerate_characters, unit_gro
 from bernsym.exactnum import CyclotomicNumber as Cyc
 from bernsym.exactnum import euler_phi
 from bernsym import quotients
-from bernsym.quotients import FORMS, QUOTIENT_TYPES, EvalContext, closed_form_series, side_series
+from bernsym.quotients import FORMS, QUOTIENT_TYPES, closed_form_series, side_series
 
 from helpers import char_ratio_series, denom_series
 
@@ -110,18 +110,16 @@ def test_galois_maps_closed_forms_and_sides_to_the_conjugate_context(chi, twist)
     # P's coefficients map under sigma_a, and C, the rational y multipliers,
     # stays
     m = _conductor(chi, twist)
-    ctx = EvalContext(chi, twist)
     for a in _units(m):
         chi_a, twist_a = character_power(chi, a), TwistSpec(twist.r, a % twist.r)
-        ctx_a = EvalContext(chi_a, twist_a)
         for name, qt in sorted(QUOTIENT_TYPES.items()):
             w = (1, 2, 4)[:qt.arity]
-            closed = closed_form_series(qt, w, Y_POINT, chi, twist, FORM_ORDER, ctx)
-            closed_a = closed_form_series(qt, w, Y_POINT, chi_a, twist_a, FORM_ORDER, ctx_a)
+            closed = closed_form_series(qt, w, Y_POINT, chi, twist, FORM_ORDER)
+            closed_a = closed_form_series(qt, w, Y_POINT, chi_a, twist_a, FORM_ORDER)
             assert [sigma(a, c) for c in closed.coeffs] == list(closed_a.coeffs), (a, name)
             for form in FORMS[name]:
-                p, ys = side_series(form, w, ctx, FORM_ORDER)
-                p_a, ys_a = side_series(form, w, ctx_a, FORM_ORDER)
+                p, ys = side_series(form, w, chi, twist, FORM_ORDER)
+                p_a, ys_a = side_series(form, w, chi_a, twist_a, FORM_ORDER)
                 assert ys == ys_a and [sigma(a, c) for c in p.coeffs] == list(p_a.coeffs), \
                     (a, form.form_id)
 
@@ -132,13 +130,12 @@ def test_slot_factors_are_the_closed_form_factors_they_integrate(chi, twist):
     # a B slot's Bernoulli series at twist and scale W is (W t) T_W / D_W, and
     # an S slot's character sum over a < dU at twist and scale X is
     # T_X D_(XU) / D_X, summing the classes a = c + d*b, c < d, b < U
-    ctx = EvalContext(chi, twist)
     for scale in (1, 2, 4):
         if chi.d * scale % twist.r == 0:
             continue
-        ratio = char_ratio_series(ctx, scale, N_MAX)
+        ratio = char_ratio_series(chi, twist, scale, N_MAX)
         [bern] = quotients._factors(chi, twist, [("B", scale % twist.r, scale)], N_MAX)
         assert bern == ratio.shift_up(1).truncate(N_MAX).scale(scale), scale
         for upper in (1, 2, 3):
             [psum] = quotients._factors(chi, twist, [("S", chi.d * upper - 1, scale % twist.r, scale)], N_MAX)
-            assert psum == ratio * denom_series(ctx, scale * upper, N_MAX), (scale, upper)
+            assert psum == ratio * denom_series(chi, twist, scale * upper, N_MAX), (scale, upper)

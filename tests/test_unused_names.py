@@ -13,7 +13,11 @@ definition.  Code that only the tests use belongs in the tests
     `getattr`-style lookup (docstrings and `__all__` lists do not count).
 
 A name in perfbench's tables of layers to trace is not a use: a traced
-function that nothing calls reads 0 calls.  Dunder names are left out.
+function that nothing calls reads 0 calls.  Dunder names are left out, so
+an operator that nothing applies is not flagged.  A use is matched by name
+alone, not by the class it belongs to: a method that shares its name with
+a used one of another class passes unused, as `TruncatedSeries.one` and
+`zero` did beside `CyclotomicNumber.one` and `zero`.
 `ALLOWED` names each exception and why it stays; an entry that the scan no
 longer flags, or that no longer exists, fails too, so the list stays exact.
 """
