@@ -64,7 +64,8 @@ check are read from the series store: each form's product by its ordered
 chain, as theorem sides read theirs, and the closed form's product by the
 ordered scales of its two chains, so a check repeated in one process
 multiplies nothing, and the forms of one type that share a chain share one
-product.
+product.  A closed form itself is stored finished (`_closed`), under those
+ordered scales and its rate, so a repeated ordering applies no exponential.
 
 The Lambda_13 forms are not transcribed by hand: they are generated from
 the Lambda_23 descriptors by the substitution recipe (w1,w2,w3 ->
@@ -319,19 +320,20 @@ def parse_quotient_type(text: str) -> QuotientType:
 # The bytes the process-wide series store (`_stored`) may charge to its
 # entries (`_charge`), least recently used first out (`_Store`).  The
 # standard grid with its side records, then criteria 5 and 6 with their
-# stored side products and closed-form cores, in one process, charge 741 MB
-# over 38,327 entries (at 124 MB max RSS, the acceptance tests' module
-# loaded), so the bound holds them 1.45 times over.  A charge over-counts:
-# it is an upper bound of what the entry keeps alive, not a measure of it
+# side products, closed forms and cores, in one process, charge 1,062 MB
+# over 51,683 entries (at 144 MB max RSS, the acceptance tests' module
+# loaded): the bound holds them with 1.1% to spare.  A charge over-counts:
+# it bounds what its entry keeps alive, and a series that several entries
+# hold, as the equal closed forms of w's orderings, is charged to each
 MAX_STORE_BYTES = 1 << 30
 
 # the most bytes a dict takes per entry, its header included (the worst
 # over 1 to 20,000 entries is one entry, 224 bytes), and the most a store
 # entry takes beyond its key's own items and its value: its ordered-dict
 # slot and link, its [value, charge, mark] list and, for a side product or
-# a closed-form core, its weak slot in `_SHARED`.  A key's d, r and j are
-# at most 200 (`dirichlet.MAX_MODULUS`, `bernoulli.MAX_TWIST_ORDER`): small
-# ints that the interpreter holds once
+# a closed form or its core, its weak slot in `_SHARED`.  A key's d, r and j
+# are at most 200 (`dirichlet.MAX_MODULUS`, `bernoulli.MAX_TWIST_ORDER`):
+# small ints that the interpreter holds once
 _SLOT_BYTES = 224
 _ENTRY_BYTES = 1024
 
@@ -432,9 +434,11 @@ def _charge(value) -> int:
 # as `_factors` passes them; for a closed-form chain (`_chain`), its
 # factors' kind, their ordered scales and the order; for a closed form's core
 # (`_core`), the ordered scales of its T_W/D_W chain, those of its D_V chain
-# and the order; for a side's product (`_side_product`), its chain's factor
-# keys in chain order and n_max; for a theorem side's record
-# (`identities._side_record`), its form, w-tuple and n_max.
+# and the order; for a finished closed form (`_closed`), its T_W/D_W
+# monomials, those two ordered scales, its rate and the order; for a side's
+# product (`_side_product`), its chain's factor keys in chain order and
+# n_max; for a theorem side's record (`identities._side_record`), its form,
+# w-tuple and n_max.
 _stored = _Store(MAX_STORE_BYTES)
 
 
@@ -485,9 +489,9 @@ def _side_product(chi: DirichletCharacter, twist: TwistSpec, keys: tuple[tuple, 
     return _shared(EvalContext.sym_product(_factors(chi, twist, keys, n)))
 
 
-# Stored side products and closed-form cores by (conductor, denominator,
-# hash of the rows), held weakly, so an entry lives no longer than the store
-# entries and sides that hold its series
+# Stored side products and closed forms and their cores by (conductor,
+# denominator, hash of the rows), held weakly, so an entry lives no longer
+# than the store entries and sides that hold its series
 _SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -499,10 +503,10 @@ def _share_key(series: TruncatedSeries) -> tuple:
 def _shared(series: TruncatedSeries) -> TruncatedSeries:
     """The series already held under series' key when the two are exactly
     equal, else series itself: the permuted sides of a symmetric theorem,
-    each multiplied from its own ordered chain, and the cores of a closed
-    form's orderings, each from its own ordered scales, then hold one set of
-    rows.  Under a key held by an unequal series, series stays its own
-    object."""
+    each multiplied from its own ordered chain, and the closed forms and
+    cores of a type's orderings, each from its own ordered scales, then hold
+    one set of rows.  Under a key held by an unequal series, series stays
+    its own object."""
     held = _SHARED.setdefault(_share_key(series), series)
     return held if held == series else series
 
@@ -718,8 +722,10 @@ def point_series(side: Side, y: Sequence, n_max: int) -> TruncatedSeries:
 
 
 def _side_rate(ys: Sequence[int], y: Sequence) -> Fraction:
-    """c = C_1*y_1 + .. of a side's exp(c*t) at a rational y-point."""
-    return sum((cv * Fraction(yv) for cv, yv in zip(ys, y)), Fraction(0))
+    """c = C_1*y_1 + .. of a side's exp(c*t) at a y-point of ints or
+    Fractions, summed in ints over the y's common denominator."""
+    den = math.lcm(*(v.denominator for v in y))
+    return Fraction(sum(cv * yv.numerator * (den // yv.denominator) for cv, yv in zip(ys, y)), den)
 
 
 def point_value(side: Side, y: Sequence, n: int) -> CyclotomicNumber:
@@ -748,37 +754,49 @@ def closed_form_series(qt: QuotientType, w: Sequence[int], y: Sequence,
     """The explicit right-hand-side series of the quotient type, exact to
     the requested order: the product of the type's closed form,
         t^shift * prod (T_W/D_W) * prod D_V * exp(c*(y_1+..+y_k)*t),
-    with c the sum of the y-multiplier monomials: the product of the
-    ordered chain of T_W/D_W and the ordered chain of D_V, each multiplied
-    left to right in the type's order, read from the store
-    (`_closed_product`), then shifted by t^shift.  Each T_W/D_W is one
-    stored factor (`_ratio_series`).  `ctx` is not read: the benchmark's
+    with c the sum of the y-multiplier monomials, read finished from the
+    store (`_closed`) under the ordered scales of its two chains, its rate
+    and the order: each ordering of w reads its own entry, and a repeated
+    call applies no exponential.  `ctx` is not read: the benchmark's
     workloads pass their context there, and it goes with them (ROADMAP
     item 15)."""
     require_series_order(order)
     _check_conditions(qt, twist, w)
     y = _y_point(qt, y)
-    product = _closed_product(qt, w, chi, twist, order)
-    return product.mul_exp(_closed_rate(qt, w, y)).shift_up(qt.shift).truncate(order)
+    return _stored(_closed, chi, twist, *_closed_scales(qt, w), _closed_rate(qt, w, y), order)
 
 
-def _closed_product(qt: QuotientType, w: Sequence[int], chi: DirichletCharacter, twist: TwistSpec,
-                    order: int) -> TruncatedSeries:
-    """prod (T_W/D_W) * prod D_V, the closed form without t^shift and its
+def _closed_scales(qt: QuotientType, w: Sequence[int]) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
+    """The T_W/D_W monomials, to name a refused one, and the ordered scales
+    of the chain of T_W/D_W and of the chain of D_V at w."""
+    return qt.chars, tuple(mono_val(m, w) for m in qt.chars), tuple(mono_val(m, w) for m in qt.numer)
+
+
+def _closed(chi: DirichletCharacter, twist: TwistSpec, monos: tuple[Mono, ...], chars: tuple[int, ...],
+            numer: tuple[int, ...], rate: Fraction, order: int) -> TruncatedSeries:
+    """`_closed_product` times exp(rate*t) and t^shift, shift = len(chars) -
+    len(numer), built from its own ordered core and exchanged for an equal
+    one held (`_shared`).  A refused T_W/D_W raises here, unstored."""
+    product = _closed_product(chi, twist, monos, chars, numer, order)
+    return _shared(product.mul_exp(rate).shift_up(len(chars) - len(numer)).truncate(order))
+
+
+def _closed_product(chi: DirichletCharacter, twist: TwistSpec, monos: tuple[Mono, ...], chars: tuple[int, ...],
+                    numer: tuple[int, ...], order: int) -> TruncatedSeries:
+    """prod (T_W/D_W) * prod D_V over the ordered scales `chars` and
+    `numer` (`_closed_scales`), the closed form without t^shift and its
     exponential, truncated to max(order - shift, 0), as the shift pushes
-    the top `shift` coefficients past the order: the type's stored core
-    (`_core`), or its chars chain (`_chain`) when it has no numerator.
-    Both are keyed by ordered scales, so each ordering of w reads its own,
-    while the types of one family share their chains: L13:0..3 and
-    L12:0..1 the chain of (w1, w2, w3), and the D_Q^i of one w serve every
-    ordering.  A T_W/D_W whose D_W has no unit constant term is refused
+    the top `shift` coefficients past the order: the stored core (`_core`),
+    or the chars chain (`_chain`) when there is no numerator.  Both are
+    keyed by ordered scales, so each ordering of w reads its own, while the
+    types of one family share their chains: L13:0..3 and L12:0..1 the
+    chain of (w1, w2, w3), and the D_Q^i of one w serve every ordering.  A
+    T_W/D_W whose D_W has no unit constant term is refused
     (`_require_unit_ratio`) before anything is read."""
-    chars = tuple(mono_val(mono, w) for mono in qt.chars)
-    for mono, scale in zip(qt.chars, chars):
+    for mono, scale in zip(monos, chars):
         _require_unit_ratio(chi, twist, scale, mono)
-    if not qt.numer:
-        return _stored(_chain, chi, twist, _ratio_series, chars, order).truncate(max(order - qt.shift, 0))
-    numer = tuple(mono_val(mono, w) for mono in qt.numer)
+    if not numer:
+        return _stored(_chain, chi, twist, _ratio_series, chars, order).truncate(max(order - len(chars), 0))
     return _stored(_core, chi, twist, chars, numer, order)
 
 
@@ -817,7 +835,7 @@ def _y_point(qt: QuotientType, y: Sequence) -> tuple[Fraction, ...]:
 def _closed_rate(qt: QuotientType, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
     """c(y) of the closed form's exp(c(y)*t): the sum of the y-multiplier
     monomials times y_1 + .. + y_k, y as `_y_point` returns it."""
-    return sum(mono_val(mono, w) for mono in qt.ymul) * sum(y, Fraction(0))
+    return _side_rate((sum(mono_val(mono, w) for mono in qt.ymul),) * len(y), y)
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +905,7 @@ def consistency_check(qt: QuotientType, w: Sequence[int], y: Sequence,
     require_series_order(n_max, "n_max")
     y = _y_point(qt, y)
     _check_conditions(qt, twist, w)
-    core = _closed_product(qt, w, chi, twist, n_max).shift_up(qt.shift).truncate(n_max)
+    core = _closed_product(chi, twist, *_closed_scales(qt, w), n_max).shift_up(qt.shift).truncate(n_max)
     rate = _closed_rate(qt, w, y)
     report = ConsistencyReport(qt.name, tuple(w), y, n_max, [f.form_id for f in FORMS[qt.name]])
     for form in FORMS[qt.name]:

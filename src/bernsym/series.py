@@ -23,7 +23,7 @@ Normalisation happens only at the edges:
     gcd, which leaves the least common denominator of its coefficients;
   * `coeffs`, the public tuple of canonical `CyclotomicNumber`s, is built
     from the rows on its first read and cached; `egf_coefficient` reduces
-    the one coefficient it returns;
+    the one coefficient it returns by one gcd, of den and n! * content;
   * equality cross-multiplies the two sides' rows by the other side's
     denominator (and by any weights) and normalises nothing;
   * `normal_form` gives a series divided by a weight in lowest terms, for
@@ -386,32 +386,11 @@ class TruncatedSeries:
         b = other if other.m == m else TruncatedSeries(m, other.coeffs)
         return a, b, min(a.order, b.order)
 
-    def __add__(self, other):
-        a, b, n = self._common(other)
-        return TruncatedSeries(a.m, [x + y for x, y in zip(a.coeffs[: n + 1], b.coeffs[: n + 1])])
-
-    def __sub__(self, other):
-        a, b, n = self._common(other)
-        return TruncatedSeries(a.m, [x - y for x, y in zip(a.coeffs[: n + 1], b.coeffs[: n + 1])])
-
-    def __neg__(self):
-        return TruncatedSeries(self.m, [-c for c in self.coeffs])
-
     def __mul__(self, other):
         """Cauchy product, truncated to the smaller order (`product`)."""
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            return self.scale(other)
         if not isinstance(other, TruncatedSeries):
             raise TypeError("expected a TruncatedSeries")
         return product((self, other))
-
-    __rmul__ = __mul__
-
-    def scale(self, value) -> "TruncatedSeries":
-        c = _as_cyc(value, self.m) if isinstance(value, CyclotomicNumber) else value
-        if isinstance(c, CyclotomicNumber):
-            return TruncatedSeries(self.m, [x * c for x in self.coeffs])
-        return TruncatedSeries(self.m, [x.scale(c) for x in self.coeffs])
 
     def __truediv__(self, other):
         """Quotient by a series with invertible constant term b_0.
@@ -529,12 +508,15 @@ class TruncatedSeries:
         return TruncatedSeries._from_rows(self.m, _content_reduced(den * b ** order, out))
 
     def egf_coefficient(self, n: int) -> CyclotomicNumber:
-        """n! times the coefficient of t^n, reduced."""
+        """n! times the coefficient of t^n, in lowest terms."""
         if n > self.order:
             raise IndexError(f"index {n} beyond truncation order {self.order}")
         den, rows, _ = self._form
         fact = math.factorial(n)
-        return CyclotomicNumber(self.m, [x * fact for x in rows[n]], den)
+        row = rows[n]
+        # lowest terms by one gcd; a zero row has content 0, so g = den
+        g = math.gcd(fact * math.gcd(*row), den)
+        return CyclotomicNumber(self.m, [x * fact // g for x in row], den // g, _normalized=True)
 
     def vanishes_below(self, k: int) -> bool:
         """Whether c_0..c_(k-1) are all zero."""

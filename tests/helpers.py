@@ -51,6 +51,20 @@ def series_constant(value, order: int, m: int = 1) -> TruncatedSeries:
     return TruncatedSeries(m, [value] + [0] * order)
 
 
+def series_sum(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """a + b coefficient by coefficient, truncated to the smaller order, in
+    Q(zeta_m) for m the lcm of the two conductors."""
+    n = min(a.order, b.order)
+    return TruncatedSeries(math.lcm(a.m, b.m), [x + y for x, y in zip(a.coeffs[: n + 1], b.coeffs[: n + 1])])
+
+
+def series_scaled(series: TruncatedSeries, value) -> TruncatedSeries:
+    """series times the constant `value` (an int, a Fraction or a cyclotomic
+    number), coefficient by coefficient."""
+    m = math.lcm(series.m, value.m) if isinstance(value, CyclotomicNumber) else series.m
+    return TruncatedSeries(m, [c * value for c in series.coeffs])
+
+
 def series_one(order: int, m: int = 1) -> TruncatedSeries:
     return series_constant(1, order, m)
 

@@ -24,7 +24,7 @@ from bernsym.dirichlet import DirichletCharacter, enumerate_characters, trivial_
 from bernsym.exactnum import CyclotomicNumber as Cyc
 from bernsym.series import NonUnitConstantError, TruncatedSeries
 
-from helpers import exp_linear, series_one
+from helpers import exp_linear, series_constant, series_scaled, series_sum
 
 
 CHI1 = trivial_character(1)
@@ -80,7 +80,7 @@ def test_d1_reduces_to_plain_twisted_numbers():
     order = 8
     xi = Cyc.zeta(3)
     t = TruncatedSeries(3, [Cyc.zero(3), Cyc.one(3)] + [Cyc.zero(3)] * (order - 1))
-    plain = t / (exp_linear(1, order, 3).scale(xi) - series_one(order, 3))
+    plain = t / series_sum(series_scaled(exp_linear(1, order, 3), xi), series_constant(-1, order, 3))
     b = gen_bernoulli_numbers(CHI1, Z3, 1, order)
     for n in range(order + 1):
         assert b[n] == plain.egf_coefficient(n)

@@ -443,7 +443,9 @@ def test_a_mutated_consistency_check_leaves_the_products_clean(kind, monkeypatch
 def test_a_warm_check_and_closed_form_multiply_nothing(monkeypatch, cold_store):
     # the second consistency check and closed form of each type, in the
     # same process, read every product from the store: no series is
-    # multiplied, and the report and the series equal the first ones
+    # multiplied, and the report and the series equal the first ones.  A
+    # warm closed form is read finished, so it also applies no exponential
+    # and no shift
     chi, twist = DirichletCharacter(5, (1,)), TwistSpec(7, 1)
     y = (Fraction(1, 2), Fraction(-1), Fraction(3, 2))
     first = {}
@@ -458,11 +460,37 @@ def test_a_warm_check_and_closed_form_multiply_nothing(monkeypatch, cold_store):
     misses = cold_store.cache_info().misses
     for qt in QUOTIENT_TYPES.values():
         w = (2, 1, 3)[: qt.arity]
-        report, series = first[qt.name]
-        assert consistency_check(qt, w, y, chi, twist, 6) == report, qt.name
-        assert closed_form_series(qt, w, y[: qt.y_count], chi, twist, 8) == series, qt.name
-    assert products == []
+        assert consistency_check(qt, w, y, chi, twist, 6) == first[qt.name][0], qt.name
+    exps, shifts = [], []
+    mul_exp, shift_up = TruncatedSeries.mul_exp, TruncatedSeries.shift_up
+    monkeypatch.setattr(TruncatedSeries, "mul_exp", lambda s, c: exps.append(c) or mul_exp(s, c))
+    monkeypatch.setattr(TruncatedSeries, "shift_up", lambda s, k: shifts.append(k) or shift_up(s, k))
+    for qt in QUOTIENT_TYPES.values():
+        w = (2, 1, 3)[: qt.arity]
+        assert closed_form_series(qt, w, y[: qt.y_count], chi, twist, 8) is first[qt.name][1], qt.name
+    assert products == [] and exps == [] and shifts == []
     assert cold_store.cache_info().misses == misses
+
+
+def _orderings_agree(qt, chi, twist, y, order) -> bool:
+    """Whether every ordering of (1, 2, 3) (of (1, 2) for a two-variable
+    type) gives the type one closed form."""
+    series = [closed_form_series(qt, sigma, y[: qt.y_count], chi, twist, order)
+              for sigma in permutations((1, 2, 3)[: qt.arity])]
+    return all(s == series[0] for s in series)
+
+
+def _drop_last_factor(monkeypatch):
+    """Plant the order-dependent chain defect: a chain drops its last factor."""
+    build = quotients._chain
+    monkeypatch.setattr(quotients, "_chain", lambda chi, twist, factor, scales, order:
+                        build(chi, twist, factor, scales[:-1] or scales, order))
+
+
+def _share(monkeypatch, share):
+    """For share "one-key", give every series one share key."""
+    if share == "one-key":
+        monkeypatch.setattr(quotients, "_share_key", lambda series: ("collision",))
 
 
 @pytest.mark.parametrize("share", ("by-rows", "one-key"))
@@ -470,29 +498,86 @@ def test_an_order_dependent_chain_defect_fails_criterion_5(share, monkeypatch, c
     # a chain that drops its last factor depends on the order of its
     # scales, so at a w with distinct scales every type's orderings
     # disagree: from a cold store and from the warm one it leaves, while
-    # equal cores are held once, also when every core has one share key
+    # equal cores and closed forms are held once, also when every series
+    # has one share key
     chi, twist, order = DirichletCharacter(5, (1,)), TwistSpec(7, 1), 6
     y = (Fraction(1, 2), Fraction(2), Fraction(3, 5))
-
-    def orderings_agree(qt) -> bool:
-        series = [closed_form_series(qt, sigma, y[: qt.y_count], chi, twist, order)
-                  for sigma in permutations((1, 2, 3)[: qt.arity])]
-        return all(s == series[0] for s in series)
-
-    assert all(map(orderings_agree, QUOTIENT_TYPES.values()))
+    agree = functools.partial(_orderings_agree, chi=chi, twist=twist, y=y, order=order)
+    assert all(map(agree, QUOTIENT_TYPES.values()))
     cold_store.cache_clear()
-    build = quotients._chain
-    monkeypatch.setattr(quotients, "_chain", lambda chi, twist, factor, scales, order:
-                        build(chi, twist, factor, scales[:-1] or scales, order))
-    if share == "one-key":
-        monkeypatch.setattr(quotients, "_share_key", lambda series: ("collision",))
+    _drop_last_factor(monkeypatch)
+    _share(monkeypatch, share)
     try:
-        assert not any(map(orderings_agree, QUOTIENT_TYPES.values()))
+        assert not any(map(agree, QUOTIENT_TYPES.values()))
         misses = cold_store.cache_info().misses
-        assert not any(map(orderings_agree, QUOTIENT_TYPES.values()))
+        assert not any(map(agree, QUOTIENT_TYPES.values()))
         assert cold_store.cache_info().misses == misses
     finally:
-        cold_store.cache_clear()   # the defect's cores are stored under the true `_core`
+        cold_store.cache_clear()   # the defect's closed forms are stored under the true `_closed`
+
+
+@pytest.mark.parametrize("share", ("by-rows", "one-key"))
+def test_the_chain_defect_fails_criterion_5_from_a_store_of_clean_closed_forms(share, monkeypatch, cold_store):
+    # the store holds the clean closed form of the ordering (1, 2, 3) of
+    # every type, and the test holds them, so they stay shared; with the
+    # defect planted, that ordering still reads its clean entry, every other
+    # ordering builds its own from its own defective chains, and none is
+    # merged with a clean one, also when every series has one share key, so
+    # every type's orderings disagree.  A store keyed by the multiset of w
+    # would hand every ordering the clean entry, and a share by key alone
+    # would hand the first type's orderings the clean rows
+    chi, twist, order = DirichletCharacter(5, (1,)), TwistSpec(7, 1), 6
+    y = (Fraction(1, 2), Fraction(2), Fraction(3, 5))
+    _share(monkeypatch, share)
+    clean = {qt.name: closed_form_series(qt, (1, 2, 3)[: qt.arity], y[: qt.y_count], chi, twist, order)
+             for qt in QUOTIENT_TYPES.values()}
+    _drop_last_factor(monkeypatch)
+    try:
+        for qt in QUOTIENT_TYPES.values():
+            assert not _orderings_agree(qt, chi, twist, y, order), qt.name
+            assert closed_form_series(qt, (1, 2, 3)[: qt.arity], y[: qt.y_count], chi, twist, order) \
+                is clean[qt.name]
+    finally:
+        cold_store.cache_clear()
+
+
+def _stored_closed_forms(store) -> list:
+    """The keys of the finished closed forms the store holds."""
+    return [key for key in store._entries if key[0] is quotients._closed]
+
+
+def test_a_refused_ordering_raises_from_a_warm_store_and_is_never_stored(cold_store):
+    # at d = 3, r = 9 the type's conditions hold at a scale 3, but
+    # xi^(3*3) = 1: with the store warm from the valid orderings, each
+    # ordering with that scale raises on every call and stores no closed form
+    chi, twist = DirichletCharacter(3, (1,)), TwistSpec(9, 1)
+    for name, valid, refused in (("G0", (1, 2), (1, 3)), ("L23:1", (1, 2, 4), (1, 1, 3))):
+        qt = QUOTIENT_TYPES[name]
+        y = (Fraction(1, 2),) * qt.y_count
+        for sigma in permutations(valid):
+            closed_form_series(qt, sigma, y, chi, twist, 6)
+        stored = _stored_closed_forms(cold_store)
+        assert len(stored) == len(set(permutations(valid)))
+        for sigma in set(permutations(refused)):
+            for _ in range(2):
+                with pytest.raises(NonUnitConstantError, match="r=9 divides d"):
+                    closed_form_series(qt, sigma, y, chi, twist, 6)
+        assert _stored_closed_forms(cold_store) == stored
+        cold_store.cache_clear()
+
+
+def test_equal_rates_read_one_closed_form(cold_store):
+    # the closed form is keyed by its rate c(y) = (w1*w2)*(y1 + y2), not by
+    # the y-point: two y-points with one sum read one entry, another sum
+    # reads another
+    chi, twist, qt, w = DirichletCharacter(5, (1,)), TwistSpec(7, 1), QUOTIENT_TYPES["G0"], (2, 3)
+    first = closed_form_series(qt, w, (Fraction(1, 2), 2), chi, twist, 6)
+    assert closed_form_series(qt, w, (2, Fraction(1, 2)), chi, twist, 6) is first
+    assert closed_form_series(qt, w, (Fraction(5, 4), Fraction(5, 4)), chi, twist, 6) is first
+    assert [key[-2] for key in _stored_closed_forms(cold_store)] == [Fraction(15)]
+    other = closed_form_series(qt, w, (1, 1), chi, twist, 6)
+    assert other != first
+    assert [key[-2] for key in _stored_closed_forms(cold_store)] == [Fraction(15), Fraction(12)]
 
 
 def test_a_forced_share_key_collision_keeps_two_objects(monkeypatch):

@@ -23,7 +23,7 @@ from bernsym.exactnum import euler_phi
 from bernsym import quotients
 from bernsym.quotients import FORMS, QUOTIENT_TYPES, closed_form_series, side_series
 
-from helpers import char_ratio_series, denom_series
+from helpers import char_ratio_series, denom_series, series_scaled
 
 N_MAX = 6
 STANDARD_CONTEXTS = [(chi, TwistSpec(r, 1)) for d in (1, 3, 4, 5) for chi in enumerate_characters(d)
@@ -135,7 +135,7 @@ def test_slot_factors_are_the_closed_form_factors_they_integrate(chi, twist):
             continue
         ratio = char_ratio_series(chi, twist, scale, N_MAX)
         [bern] = quotients._factors(chi, twist, [("B", scale % twist.r, scale)], N_MAX)
-        assert bern == ratio.shift_up(1).truncate(N_MAX).scale(scale), scale
+        assert bern == series_scaled(ratio.shift_up(1).truncate(N_MAX), scale), scale
         for upper in (1, 2, 3):
             [psum] = quotients._factors(chi, twist, [("S", chi.d * upper - 1, scale % twist.r, scale)], N_MAX)
             assert psum == ratio * denom_series(chi, twist, scale * upper, N_MAX), (scale, upper)

@@ -16,7 +16,7 @@ from bernsym.quotients import QUOTIENT_TYPES, closed_form_series, mono_val
 from bernsym.series import (KEPT_WIDTH_SLACK, PACKED_WIDTHS, WIDTH_STEP, NonUnitConstantError, TruncatedSeries as TS,
                             product)
 
-from helpers import exp_linear, series_one, series_zero
+from helpers import exp_linear, series_constant, series_one, series_scaled, series_sum, series_zero
 
 
 def test_basic_mul():
@@ -30,7 +30,7 @@ def test_order_is_min_of_operands():
     a = TS(1, [1, 2, 3])
     b = TS(1, [1, 1])
     assert (a * b).order == 1
-    assert (a + b).order == 1
+    assert series_sum(a, b).order == 1
 
 
 def test_egf_coefficient():
@@ -56,7 +56,7 @@ def hand_expansion_t_over_z3_exp_minus_one():
 def test_quotient_example_to_order_one():
     z = Cyc.zeta(3)
     num = TS(3, [0, 1])  # t, order 1
-    den = exp_linear(z, 1).scale(z) - series_one(1, 3)
+    den = series_sum(series_scaled(exp_linear(z, 1), z), series_constant(-1, 1, 3))
     q = num / den
     c0, c1 = hand_expansion_t_over_z3_exp_minus_one()
     assert q.coeffs[0] == c0
@@ -83,7 +83,7 @@ def test_div_is_section_of_mul(data):
     a = data.draw(small_series(3, 4))
     b = data.draw(small_series(3, 4))
     if b.coeffs[0].is_zero():
-        b = b + series_one(4, 3)
+        b = series_sum(b, series_one(4, 3))
     assert (a * b) / b == a
 
 
@@ -123,7 +123,7 @@ def cyc_series(m, order, **bounds):
 
 def invertible(series):
     if series.coeffs[0].is_zero():
-        return series + series_one(series.order, series.m)
+        return series_sum(series, series_one(series.order, series.m))
     return series
 
 
@@ -462,8 +462,8 @@ def test_equality_across_denominators_and_holdings(m, order, factor, data):
         for y in (product, by_coeffs, wider):
             assert x == y
     # a / 1 == (factor * a) / factor, and a / 1 != (factor * a) / 1 unless a = 0
-    assert a.scaled_equal(a.scale(factor), 1, factor)
-    assert a.scaled_equal(a.scale(factor), 1, 1) == (a == series_zero(order, m))
+    assert a.scaled_equal(series_scaled(a, factor), 1, factor)
+    assert a.scaled_equal(series_scaled(a, factor), 1, 1) == (a == series_zero(order, m))
     k = data.draw(st.integers(0, order))
     i = data.draw(st.integers(0, euler_phi(m) - 1))
     changed = bumped(wider, k, i)
@@ -483,26 +483,37 @@ def test_truncated_rows_keep_the_wider_denominator():
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(KERNEL_CONDUCTORS), st.integers(0, 5), st.data())
 def test_egf_coefficients_are_reduced(m, order, data):
+    # one gcd leaves exactly the coordinates and denominator that the
+    # normalising constructor derives from n! times the row: also on zero
+    # rows (denominator 1), at m = 1, and at a mixed conductor lcm(m, 6)
     a = data.draw(cyc_series(m, order))
     b = invertible(data.draw(cyc_series(m, order)))
-    for series in (a * b, a / b, (a * b).shift_up(2).truncate(order), rescaled(a, 6)):
-        for n in range(order + 1):
+    mixed = a * invertible(data.draw(cyc_series(6, order)))
+    for series in (a * b, a / b, (a * b).shift_up(2).truncate(order), rescaled(a, 6), series_zero(order),
+                   series_zero(order, m), TS(1, [0, 3, Fraction(-5, 6)] + [0] * order), mixed,
+                   mixed.shift_up(1).truncate(order)):
+        den, rows, _ = series._form
+        for n in range(series.order + 1):
             value = series.egf_coefficient(n)
             assert value.den > 0 and math.gcd(value.den, *value.num) == 1
             assert value == series.coeffs[n].scale(math.factorial(n))
+            normalised = Cyc(series.m, [x * math.factorial(n) for x in rows[n]], den)
+            assert (value.m, value.num, value.den) == (normalised.m, normalised.num, normalised.den)
 
 
 def test_closed_forms_multiply_every_ordering(monkeypatch, cold_store):
     # criterion 5 compares the closed form over every ordering of w; a cache
     # keyed on the multiset of w would make that comparison vacuous.  So
-    # each ordering reads the one value stored under its own ordered
-    # scales: the core of a type with a numerator (`_core`), else its chain
-    # of T_W/D_W.  Every distinct core is built once, as one product of the
-    # chains of those same ordered scales, and every distinct ordered chain
-    # once, left to right from its stored factors in that order; chains
-    # whose scales differ are distinct objects
+    # each ordering reads the one finished closed form (`_closed`) stored
+    # under its own ordered scales and rate, and that entry's one inner
+    # read is the value stored under those same ordered scales: the core
+    # of a type with a numerator (`_core`), else its chain of T_W/D_W.
+    # Every distinct closed form and core is built once, the core as one
+    # product of the chains of those same ordered scales, and every distinct
+    # ordered chain once, left to right from its stored factors in that
+    # order; chains whose scales differ are distinct objects
     frames = []      # (products, inner reads) of each store read still open
-    reads = []       # (build, key, value) of each value a closed form reads
+    reads = []       # (build, key) of each store read a closed form makes itself
     built = {}       # (build, key) -> (products, inner reads) of each build
     mul = TS.__mul__
 
@@ -514,19 +525,16 @@ def test_closed_forms_multiply_every_ordering(monkeypatch, cold_store):
 
     def recording_store(build, chi, twist, *key):
         misses = cold_store.cache_info().misses
-        if frames:
-            frames[-1][1].append((build, key))
+        (frames[-1][1] if frames else reads).append((build, key))
         frames.append(([], []))
         try:
             out = cold_store(build, chi, twist, *key)
         finally:
             products, inner = frames.pop()
-        if build in (quotients._chain, quotients._core):
-            if not frames:
-                reads.append((build, key, out))
-            if cold_store.cache_info().misses > misses:
-                assert (build, key) not in built, key
-                built[build, key] = (products, inner)
+        kinds = (quotients._closed, quotients._chain, quotients._core)
+        if build in kinds and cold_store.cache_info().misses > misses:
+            assert (build, key) not in built, key
+            built[build, key] = (products, inner)
         return out
 
     monkeypatch.setattr(TS, "__mul__", recording_mul)
@@ -541,16 +549,22 @@ def test_closed_forms_multiply_every_ordering(monkeypatch, cold_store):
                 reads.clear()
                 seen.append(closed_form_series(qt, sigma, y[: qt.y_count], chi, twist, order))
                 chars = tuple(mono_val(mono, sigma) for mono in qt.chars)
+                numer = tuple(mono_val(mono, sigma) for mono in qt.numer)
+                rate = sum(mono_val(mono, sigma) for mono in qt.ymul) * sum(y[: qt.y_count], Fraction(0))
+                closed = (quotients._closed, (qt.chars, chars, numer, rate, order))
                 if qt.numer:
-                    want = (quotients._core, (chars, tuple(mono_val(mono, sigma) for mono in qt.numer), order))
+                    want = (quotients._core, (chars, numer, order))
                 else:
                     want = (quotients._chain, (quotients._ratio_series, chars, order))
-                assert [(build, key) for build, key, _ in reads] == [want], (qt.name, sigma)
+                assert reads == [closed], (qt.name, sigma)
+                assert built[closed] == ([], [want]), (qt.name, sigma)
                 read.add(want)
             assert all(s == seen[0] for s in seen), qt.name
     assert read <= set(built)
     chains = {}
     for (build, key), (products, inner) in built.items():
+        if build is quotients._closed:
+            continue
         if build is quotients._core:
             chars, numer, _ = key
             kept = max(order - len(chars) + len(numer), 0)
@@ -581,7 +595,7 @@ def test_exp_sum_rows_match_summed_exponentials(m, order, data):
                                max_size=5))
     summed = series_zero(order, m)
     for value, s in terms:
-        summed = summed + exp_linear(s, order, m).scale(value)
+        summed = series_sum(summed, series_scaled(exp_linear(s, order, m), value))
     assert TS.exp_sum(terms, order, m)._rows() == TS(m, summed.coeffs)._rows()
 
 
