@@ -289,15 +289,17 @@ class _SideRecord(NamedTuple):
     weight: int
     normal: tuple[int, tuple[int, ...]]
 
-    def held_bytes(self) -> int:
-        """An upper bound of the bytes the record keeps alive, for the series
-        store: its P whole (`TruncatedSeries.held_bytes`), C, its weight,
-        its normal form's slot in the table that shares it
-        (`quotients._shared_normal`), and the normal form, at most P's bound
-        again: one tuple of P's coordinates, each divided by one gcd, over
-        P's denominator times the weight."""
+    def store_charge(self, held: list) -> int:
+        """An upper bound of the bytes the record keeps alive beyond its P,
+        for the series store, which charges P once however many entries
+        hold it and is given it in `held`: C, its weight, its normal form's
+        slot in the table that shares it (`quotients._shared_normal`), and
+        the normal form, at most P's bound (`TruncatedSeries.held_bytes`):
+        one tuple of P's coordinates, each divided by one gcd, over P's
+        denominator times the weight."""
         p, ys = self.side
-        return (2 * p.held_bytes() + sys.getsizeof(self) + sys.getsizeof(self.side) + sys.getsizeof(ys)
+        held.append(p)
+        return (p.held_bytes() + sys.getsizeof(self) + sys.getsizeof(self.side) + sys.getsizeof(ys)
                 + sum(map(sys.getsizeof, ys)) + sys.getsizeof(self.weight) + quotients._SLOT_BYTES)
 
 

@@ -56,16 +56,20 @@ of the closed-form series.  That reconciliation is validated exhaustively
 by `consistency_check`, not assumed.  The y-point enters both sides only
 through a factor exp(c*t), so the check compares each form's y-free
 product P with the closed form without its exponential,
-t^s * prod (T_W/D_W) * prod D_V, cross-multiplied by the weight; P is
-multiplied by exp((c_form - c_closed)*t) only where the two rates differ.
-The point series and the full closed form are built only for a form that
-fails, to report its first mismatching coefficient.  Both sides of the
-check are read from the series store: each form's product by its ordered
-chain, as theorem sides read theirs, and the closed form's product by the
-ordered scales of its two chains, so a check repeated in one process
-multiplies nothing, and the forms of one type that share a chain share one
-product.  A closed form itself is stored finished (`_closed`), under those
+K = t^s * prod (T_W/D_W) * prod D_V, cross-multiplied by the weight; P is
+multiplied by exp((c_form - c_closed)*t) only where the integer offsets
+of the two rates are not all 0.  The point series and the full closed form
+are built only for a form that fails, to report its first mismatching
+coefficient.  The check's y-free inputs, K and per form (P, C), its weight
+and its offsets, are one store entry per (the type's forms, w, n_max)
+(`_stored_inputs`), so a repeated check multiplies nothing and works out no
+chain, while its verdict is worked out anew.  Each form's P in it is the
+product stored by its ordered chain, which theorem sides read too, and K
+comes from the closed form's core, stored by the ordered scales of its two
+chains.  A closed form itself is stored finished (`_closed`), under those
 ordered scales and its rate, so a repeated ordering applies no exponential.
+The store charges each series it holds once, however many entries hold it
+(`_Store`).
 
 The Lambda_13 forms are not transcribed by hand: they are generated from
 the Lambda_23 descriptors by the substitution recipe (w1,w2,w3 ->
@@ -318,51 +322,64 @@ def parse_quotient_type(text: str) -> QuotientType:
 
 
 # The bytes the process-wide series store (`_stored`) may charge to its
-# entries (`_charge`), least recently used first out (`_Store`).  The
-# standard grid with its side records, then criteria 5 and 6 with their
-# side products, closed forms and cores, in one process, charge 1,062 MB
-# over 51,683 entries (at 144 MB max RSS, the acceptance tests' module
-# loaded): the bound holds them with 1.1% to spare.  A charge over-counts:
-# it bounds what its entry keeps alive, and a series that several entries
-# hold, as the equal closed forms of w's orderings, is charged to each
+# entries and the series they hold (`_charge`), least recently used first
+# out (`_Store`).  The standard grid with its side records, then criteria
+# 5 and 6 with their side products, closed forms, cores and check inputs,
+# in one process, charge 566 MB over 53,012 entries holding 20,776
+# distinct series (at 147-149 MB max RSS, the acceptance tests' module
+# loaded): the bound holds them 1.9 times over.  Each charge is an upper
+# bound of what its entry, or one distinct series, keeps alive, and a
+# series that several entries hold, as the equal closed forms of w's
+# orderings, is charged once
 MAX_STORE_BYTES = 1 << 30
 
 # the most bytes a dict takes per entry, its header included (the worst
 # over 1 to 20,000 entries is one entry, 224 bytes), and the most a store
-# entry takes beyond its key's own items and its value: its ordered-dict
-# slot and link, its [value, charge, mark] list and, for a side product or
-# a closed form or its core, its weak slot in `_SHARED`.  A key's d, r and j
-# are at most 200 (`dirichlet.MAX_MODULUS`, `bernoulli.MAX_TWIST_ORDER`):
-# small ints that the interpreter holds once
+# entry takes beyond its key's own items and its value, the series it holds
+# apart: its ordered-dict slot and link, its [value, charge, mark] list
+# and, for a side product or a closed form or its core, its weak slot in
+# `_SHARED`.  A held series takes at most _HOLDER_BYTES beyond its own
+# bound: its slot and count in the store's table of holders.  A key's d,
+# r and j are at most 200 (`dirichlet.MAX_MODULUS`,
+# `bernoulli.MAX_TWIST_ORDER`): small ints that the interpreter holds once
 _SLOT_BYTES = 224
 _ENTRY_BYTES = 1024
+_HOLDER_BYTES = _SLOT_BYTES + 32
 
 
 class StoreInfo(NamedTuple):
-    """The series store's size and counts (`_Store.cache_info`)."""
+    """The series store's size and counts (`_Store.cache_info`): `series`
+    is the number of distinct series its entries hold."""
 
     entries: int
     bytes: int
     hits: int
     misses: int
     evictions: int
+    series: int
 
 
 class _Store:
     """build(chi, twist, *key), built once and kept under (build, chi,
-    twist, *key) while the bytes charged to its entries (`_charge`) stay
-    within `max_bytes`.  The least recently used entries go first, in the
+    twist, *key) while the bytes charged to its entries stay within
+    `max_bytes`.  An entry is charged its own bytes (`_charge`), and each
+    distinct series that it holds, at top level, in a tuple or in a side
+    record, is charged once however many entries hold it: the store counts
+    the holders of each held series and gives its bytes back when the last
+    one goes.  The least recently used entries go first, in the
     second-chance form of LRU: an entry is marked when it is kept and when
     it is read, and one due out that is marked is unmarked and sent to the
-    back instead, so a read hashes its key once.  A value whose charge
-    alone is over `max_bytes` is returned and not kept.  Every entry
-    dropped, and every value not kept, also empties the table of shared
-    normal forms (`_shared_normal`), so that the table holds only tuples
-    that a kept entry holds and has been charged for."""
+    back instead, so a read hashes its key once.  A value whose charge,
+    with the series that no entry holds yet, is over `max_bytes` alone is
+    returned and not kept.  Every entry dropped, and every value not kept,
+    also empties the table of shared normal forms (`_shared_normal`), so
+    that the table holds only tuples that a kept entry holds and has been
+    charged for."""
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
         self._entries: OrderedDict = OrderedDict()   # key -> [value, charge, read since it came up]
+        self._holders: dict[int, int] = {}           # id of a held series -> the entries that hold it
         self._bytes = self._hits = self._misses = self._evictions = 0
 
     def __call__(self, build, chi: DirichletCharacter, twist: TwistSpec, *key):
@@ -378,39 +395,67 @@ class _Store:
             return entry[0]
         self._misses += 1
         value = build(chi, twist, *key)
-        charge = sys.getsizeof(full) + sys.getsizeof(chi.exponents) + _charge(key) + _charge(value) + _ENTRY_BYTES
-        if charge > self.max_bytes:
+        held: list[TruncatedSeries] = []
+        charge = (sys.getsizeof(full) + sys.getsizeof(chi.exponents) + _charge(key, held) + _charge(value, held)
+                  + _ENTRY_BYTES)
+        holders, added = self._holders, charge
+        for series in held:
+            count = holders.get(id(series), 0)
+            holders[id(series)] = count + 1
+            if not count:
+                added += series.held_bytes() + _HOLDER_BYTES
+        if added > self.max_bytes:
+            self._release(held)
             _NORMALS.clear()
             return value
         self._entries[full] = [value, charge, True]
-        self._bytes += charge
+        self._bytes += added
         while self._bytes > self.max_bytes:
             oldest, entry = self._entries.popitem(last=False)
             if entry[2]:
                 entry[2] = False
                 self._entries[oldest] = entry
                 continue
-            self._bytes -= entry[1]
+            # the series the entry holds, found again as its charge found them
+            held = []
+            _charge(oldest[5:], held)
+            _charge(entry[0], held)
+            self._bytes -= entry[1] + self._release(held)
             self._evictions += 1
             _NORMALS.clear()
         return value
 
+    def _release(self, held: list[TruncatedSeries]) -> int:
+        """Take one holder from each of the series an entry held, and
+        return the bytes of those that no entry holds any more."""
+        holders, freed = self._holders, 0
+        for series in held:
+            count = holders.pop(id(series)) - 1
+            if count:
+                holders[id(series)] = count
+            else:
+                freed += series.held_bytes() + _HOLDER_BYTES
+        return freed
+
     def cache_info(self) -> StoreInfo:
-        return StoreInfo(len(self._entries), self._bytes, self._hits, self._misses, self._evictions)
+        return StoreInfo(len(self._entries), self._bytes, self._hits, self._misses, self._evictions,
+                         len(self._holders))
 
     def cache_clear(self) -> None:
         """Empty the store, its counters and the shared normal forms."""
         self._entries.clear()
+        self._holders.clear()
         self._bytes = self._hits = self._misses = self._evictions = 0
         _NORMALS.clear()
 
 
-def _charge(value) -> int:
-    """An upper bound of the bytes a store key or value keeps alive: an
-    int's, a str's or a Fraction's size, a tuple's size and its items', a
-    series' or a side record's own bound (`held_bytes`).  Other objects in
-    a tuple, such as a record key's form, count 0: the program holds them
-    anyway."""
+def _charge(value, held: list) -> int:
+    """An upper bound of the bytes a store key or value keeps alive beyond
+    the series it holds, which go to `held` for the store to charge once
+    (`_Store`): an int's, a str's or a Fraction's size, a tuple's size and
+    its items', and a side record's own bound (`store_charge`).  Other
+    objects in a tuple, such as a record key's form, count 0: the program
+    holds them anyway."""
     kind = type(value)
     if kind is tuple:
         size = sys.getsizeof(value)
@@ -418,15 +463,18 @@ def _charge(value) -> int:
             kind = type(item)
             if kind is int or kind is str:
                 size += sys.getsizeof(item)
-            elif kind is tuple or kind is Fraction:
-                size += _charge(item)
+            elif kind is tuple or kind is Fraction or kind is TruncatedSeries:
+                size += _charge(item, held)
         return size
+    if kind is TruncatedSeries:
+        held.append(value)
+        return 0
     if kind is int or kind is str:
         return sys.getsizeof(value)
     if kind is Fraction:
         return sys.getsizeof(value) + sys.getsizeof(value.numerator) + sys.getsizeof(value.denominator)
-    held = kind.__dict__.get("held_bytes")
-    return 0 if held is None else held(value)
+    own = kind.__dict__.get("store_charge")
+    return 0 if own is None else own(value, held)
 
 
 # The process-wide series store.  `build` is the kind of value, and `key`
@@ -438,7 +486,8 @@ def _charge(value) -> int:
 # monomials, those two ordered scales, its rate and the order; for a side's
 # product (`_side_product`), its chain's factor keys in chain order and
 # n_max; for a theorem side's record (`identities._side_record`), its form,
-# w-tuple and n_max.
+# w-tuple and n_max; for a consistency check's inputs (`_check_inputs`),
+# its type's forms, w-tuple and n_max.
 _stored = _Store(MAX_STORE_BYTES)
 
 
@@ -679,7 +728,8 @@ def _stored_side(form: ExpansionForm, w: Sequence[int], chi: DirichletCharacter,
     """`side_series` for a w-tuple whose conditions hold and n_max >= 0,
     with P read from the process-wide store (`_side_product`), so each
     ordered chain is multiplied once per process: the sides of the theorem
-    records (`identities._side_record`) and of `consistency_check`."""
+    records (`identities._side_record`) and of `consistency_check`'s inputs
+    (`_check_inputs`)."""
     keys, ys = _side_chain(form, w, chi, twist)
     return _stored(_side_product, chi, twist, keys, n_max), ys
 
@@ -826,10 +876,11 @@ def _core(chi: DirichletCharacter, twist: TwistSpec, chars: tuple[int, ...], num
 
 
 def _y_point(qt: QuotientType, y: Sequence) -> tuple[Fraction, ...]:
-    """The y_1, .., y_k of a y-point that the type reads, k = y_count."""
+    """The y_1, .., y_k of a y-point that the type reads, k = y_count, as
+    Fractions: one given as a Fraction is kept as it is."""
     if len(y) < qt.y_count:
         raise ParameterError(f"{qt.name} needs {qt.y_count} y value(s)")
-    return tuple(Fraction(v) for v in y[:qt.y_count])
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in y[:qt.y_count])
 
 
 def _closed_rate(qt: QuotientType, w: Sequence[int], y: Sequence[Fraction]) -> Fraction:
@@ -893,28 +944,34 @@ def consistency_check(qt: QuotientType, w: Sequence[int], y: Sequence,
     form without its exponential.  Multiplying both by the unit
     exp(-c'*t) keeps truncated series equal or unequal, so each form is
     decided by one cross-multiplied row comparison,
-    P * exp((c - c')*t) / weight == K, where the exponential is applied
-    only when the rates differ.  Only a form that fails builds its
-    `point_series` E and the closed form K(t) * exp(c'*t), walked
-    coefficient by coefficient for the first mismatching n.  The forms'
-    products (`_stored_side`) and the closed form's product
-    (`_closed_product`) are read from the process-wide store, so forms with
-    one chain share one product, and a check repeated in the same process
+    P * exp((c - c')*t) / weight == K.  c - c' is sum_v (C_v - M)*y_v,
+    M the sum of the y-multiplier monomials, so where every integer offset
+    C_v - M is 0 the comparison is P / weight == K, with no exponential and
+    no Fraction.  Only a form that fails builds its `point_series` E and
+    the closed form K(t) * exp(c'*t), walked coefficient by coefficient
+    for the first mismatching n.
+
+    The y-free inputs, K and per form its side (P, C), its weight and its
+    offsets, are one store entry per (the type's forms, w, n_max)
+    (`_stored_inputs`), keyed by the forms themselves, so a form changed in
+    `FORMS` never reads another's inputs.  The verdict is worked out anew on
+    every call; a check repeated in the same process reads its inputs and
     multiplies nothing.  `ctx` is not read: the benchmark's workloads pass
     their context there, and it goes with them (ROADMAP item 15)."""
     require_series_order(n_max, "n_max")
     y = _y_point(qt, y)
     _check_conditions(qt, twist, w)
-    core = _closed_product(chi, twist, *_closed_scales(qt, w), n_max).shift_up(qt.shift).truncate(n_max)
-    rate = _closed_rate(qt, w, y)
-    report = ConsistencyReport(qt.name, tuple(w), y, n_max, [f.form_id for f in FORMS[qt.name]])
-    for form in FORMS[qt.name]:
-        weight = form_weight(form, w)
-        side = _stored_side(form, w, chi, twist, n_max)
-        p, ys = side
-        if p.mul_exp(_side_rate(ys, y) - rate).scaled_equal(core, weight, 1):
+    name, w = qt.name, tuple(w)
+    forms = FORMS[name]
+    core, checks = _stored_inputs(forms, w, chi, twist, n_max)
+    report = ConsistencyReport(name, w, y, n_max, [f.form_id for f in forms])
+    for form, (side, weight, offsets) in zip(forms, checks):
+        p = side[0]
+        if any(offsets):
+            p = p.mul_exp(_side_rate(offsets, y))
+        if p.scaled_equal(core, weight, 1):
             continue
-        series, closed = point_series(side, y, n_max), core.mul_exp(rate)
+        series, closed = point_series(side, y, n_max), core.mul_exp(_closed_rate(qt, w, y))
         for n in range(n_max + 1):
             lhs = series.egf_coefficient(n)
             rhs = closed.egf_coefficient(n).scale(weight)
@@ -922,3 +979,39 @@ def consistency_check(qt: QuotientType, w: Sequence[int], y: Sequence,
                 report.mismatch = ConsistencyMismatch(form.form_id, n, lhs, rhs)
                 return report
     return report
+
+
+def _stored_inputs(forms: tuple[ExpansionForm, ...], w: tuple[int, ...], chi: DirichletCharacter,
+                   twist: TwistSpec, n_max: int) -> tuple[TruncatedSeries, tuple]:
+    """`_check_inputs` for a w-tuple whose conditions hold and n_max >= 0,
+    read from the process-wide store under the forms, w and n_max."""
+    return _stored(_check_inputs, chi, twist, forms, w, n_max)
+
+
+def _check_inputs(chi: DirichletCharacter, twist: TwistSpec, forms: tuple[ExpansionForm, ...],
+                  w: tuple[int, ...], n_max: int) -> tuple[TruncatedSeries, tuple]:
+    """The y-free inputs of `consistency_check` for one type's forms at w:
+    the closed form without its exponential (`_check_core`), and each form's
+    inputs (`_form_inputs`).  A refused T_W/D_W or B slot raises here,
+    unstored."""
+    return (_check_core(forms[0].qt, w, chi, twist, n_max),
+            tuple(_form_inputs(form, w, chi, twist, n_max) for form in forms))
+
+
+def _check_core(qt: QuotientType, w: Sequence[int], chi: DirichletCharacter, twist: TwistSpec,
+                n_max: int) -> TruncatedSeries:
+    """K = t^shift * `_closed_product` to order n_max, exchanged for an
+    equal one held (`_shared`), as the orderings of one w have equal K."""
+    return _shared(_closed_product(chi, twist, *_closed_scales(qt, w), n_max).shift_up(qt.shift).truncate(n_max))
+
+
+def _form_inputs(form: ExpansionForm, w: Sequence[int], chi: DirichletCharacter, twist: TwistSpec,
+                 n_max: int) -> tuple[Side, int, tuple[int, ...]]:
+    """(side, weight, offsets) of one form in `consistency_check`: its side
+    (P, C) with P read from the store (`_stored_side`), its weight, and the
+    offsets C_v - M of its rates from the closed form's, M the sum of the
+    y-multiplier monomials, over the type's y variables."""
+    qt = form.qt
+    side = _stored_side(form, w, chi, twist, n_max)
+    rate = sum(mono_val(mono, w) for mono in qt.ymul)
+    return side, form_weight(form, w), tuple(c - rate for c in side[1][:qt.y_count])

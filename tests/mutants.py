@@ -101,9 +101,10 @@ def mutated_side(form: ExpansionForm, w, chi, twist, n_max: int, kind: str, slot
 def mutation(kind: str, slot: int = 0, degree: int = 1):
     """For the length of the block, every theorem instance verified has a
     mutated side 1, and every side of a check or a display is mutated: the
-    forms of `consistency_check` (`quotients._stored_side`) and every
-    `side_series` (`redundancy_check`, `expansion_polys`,
-    `expansion_coefficients`), after its refusals.
+    forms of `consistency_check`, whose inputs (`quotients._stored_inputs`)
+    are then built on their own from mutated sides (`quotients._stored_side`)
+    and never stored, and every `side_series` (`redundancy_check`,
+    `expansion_polys`, `expansion_coefficients`), after its refusals.
 
     Side 1's record (`identities._side_records`) is the mutated side with
     the clean side's weight, built before any other side, so a refused
@@ -121,6 +122,12 @@ def mutation(kind: str, slot: int = 0, degree: int = 1):
     def mutated_stored(form, w, chi, twist, n_max):
         return mutated_side(form, w, chi, twist, n_max, kind, slot, degree)
 
+    def mutated_inputs(forms, w, chi, twist, n_max):
+        # each form's inputs built only when the check reaches it, so a form
+        # after the first mismatch, or one the mutation refuses, is not built
+        return (quotients._check_core(forms[0].qt, w, chi, twist, n_max),
+                (quotients._form_inputs(form, w, chi, twist, n_max) for form in forms))
+
     def mutated_series(form, w, chi, twist, n_max):
         require_series_order(n_max, "n_max")
         _check_conditions(form.qt, twist, w)
@@ -129,6 +136,7 @@ def mutation(kind: str, slot: int = 0, degree: int = 1):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(identities, "_side_records", mutated_records)
         patch.setattr(quotients, "_stored_side", mutated_stored)
+        patch.setattr(quotients, "_stored_inputs", mutated_inputs)
         for module in (quotients, identities):
             patch.setattr(module, "side_series", mutated_series)
         yield

@@ -114,6 +114,9 @@ def test_criterion_03_orbit_structure_and_counterexample(full_grid):
 # the standard grid's answers were first recorded
 GRID_SHA256 = "0ab8ab409fc137da143a7b16c19342c7c20ae5e8907597a55476d65390cb3b33"
 ROWS_SHA256 = "ceb93ef3805de2992986f2f78f943cb30582da70572e3e69695dfbad127ae1fc"
+# the sha256 of the JSON list of criterion 6's reports (`_criterion_06`),
+# recorded before its checks' inputs were stored
+CRITERION_06_SHA256 = "c0fc6a2ca1dec3ea96198650eae4226d7971be1f7f2a8becae13e23e2d99b1b8"
 
 
 def _pinned(rep) -> bool:
@@ -191,7 +194,9 @@ def test_the_default_store_holds_criteria_1_5_and_6(cold_store):
     assert cold_store.max_bytes == quotients.MAX_STORE_BYTES
     rep = grid_verify(GridConfig(n_max=N_MAX))
     assert _pinned(rep)
-    assert _criterion_05()[0] and _criterion_06()[0]
+    assert _criterion_05()[0]
+    ok, _, pin = _criterion_06()
+    assert ok and pin == CRITERION_06_SHA256
     info = cold_store.cache_info()
     assert info.evictions == 0 and info.bytes <= quotients.MAX_STORE_BYTES
     assert info.entries > 26000
@@ -237,9 +242,10 @@ def test_criterion_05_closed_form_permutation_invariance():
     report(5, ok and checked > 0, f"{checked} closed-form evaluations to order 12")
 
 
-def _criterion_06() -> tuple[bool, int]:
-    """(every sampled consistency check passes, instances checked)."""
-    instances = 0
+def _criterion_06() -> tuple[bool, int, str]:
+    """(every sampled consistency check passes, instances checked, the
+    sha256 of the JSON list of their reports)."""
+    reports = []
     ok = True
     stride = {2: 5, 3: 11}
     counter = 0
@@ -254,14 +260,15 @@ def _criterion_06() -> tuple[bool, int]:
                 if counter % stride[qt.arity]:
                     continue
                 rep = consistency_check(qt, w, y, chi, twist, 8)
-                instances += 1
+                reports.append(rep.to_json())
                 ok = ok and rep.passed
-    return ok, instances
+    return ok, len(reports), hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.mark.slow
 def test_criterion_06_weighted_master_consistency():
-    ok, instances = _criterion_06()
+    ok, instances, pin = _criterion_06()
+    assert pin == CRITERION_06_SHA256
     report(6, ok and instances >= 200, f"{instances} sampled instances, every form, n <= 8")
 
 

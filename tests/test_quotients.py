@@ -4,6 +4,7 @@ import functools
 import gc
 import math
 import operator
+import sys
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -15,7 +16,7 @@ from bernsym.bernoulli import (ParameterError, TwistSpec, character_sum_series, 
 from bernsym.dirichlet import DirichletCharacter, trivial_character
 from bernsym.exactnum import CyclotomicNumber as Cyc, euler_phi
 from bernsym import bernoulli, quotients
-from bernsym.identities import TheoremInstance, verify_instance
+from bernsym.identities import TheoremInstance, _SideRecord, verify_instance
 from bernsym.quotients import (
     FORMS,
     QUOTIENT_TYPES,
@@ -401,6 +402,11 @@ def _stored_side_products(store) -> list:
     return [key for key in store._entries if key[0] is quotients._side_product]
 
 
+def _stored_check_inputs(store) -> list:
+    """The keys of the consistency checks' inputs the store holds."""
+    return [key for key in store._entries if key[0] is quotients._check_inputs]
+
+
 @pytest.mark.parametrize("name", ("G1", "L23:1", "L23:2", "L13:1", "L13:2"))
 def test_folded_forms_share_one_product_per_consistency_call(name, monkeypatch, cold_store):
     # every form of these types folds power sums into the Bernoulli argument
@@ -421,8 +427,9 @@ def test_folded_forms_share_one_product_per_consistency_call(name, monkeypatch, 
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_mutated_consistency_check_leaves_the_products_clean(kind, monkeypatch, cold_store):
     # a mutated side is multiplied on its own: it reads and fills no side
-    # product, and a clean check after the mutated one, for the same pair,
-    # passes with its forms' product multiplied once, as before
+    # product and no check's inputs, and a clean check after the mutated
+    # one, for the same pair, passes with its forms' product multiplied
+    # once, as before, and its inputs stored once
     chi, twist = DirichletCharacter(4, (1,)), TwistSpec(5, 1)
     qt, w, y = parse_quotient_type("L23:2"), (2, 1, 3), (Fraction(1, 2),)
     form = FORMS["L23:2"][2]
@@ -432,10 +439,12 @@ def test_a_mutated_consistency_check_leaves_the_products_clean(kind, monkeypatch
         assert quotients.side_series(form, w, chi, twist, 4)[0] != clean[0]
         assert quotients._stored_side(form, w, chi, twist, 4)[0] != clean[0]
     assert _stored_side_products(cold_store) == []
+    assert _stored_check_inputs(cold_store) == []
     calls = _counting_products(monkeypatch)
     assert consistency_check(qt, w, y, chi, twist, 4).passed
     assert len(calls) == 1
     assert len(_stored_side_products(cold_store)) == 1
+    assert len(_stored_check_inputs(cold_store)) == 1
     assert quotients.side_series(form, w, chi, twist, 4) == clean
     assert quotients._stored_side(form, w, chi, twist, 4) == clean
 
@@ -444,8 +453,10 @@ def test_a_warm_check_and_closed_form_multiply_nothing(monkeypatch, cold_store):
     # the second consistency check and closed form of each type, in the
     # same process, read every product from the store: no series is
     # multiplied, and the report and the series equal the first ones.  A
-    # warm closed form is read finished, so it also applies no exponential
-    # and no shift
+    # warm check reads its inputs whole, so it works out no side chain and
+    # no closed-form scales, and, every form's rate being the closed form's,
+    # applies no exponential.  A warm closed form is read finished, so it
+    # also applies no exponential and no shift
     chi, twist = DirichletCharacter(5, (1,)), TwistSpec(7, 1)
     y = (Fraction(1, 2), Fraction(-1), Fraction(3, 2))
     first = {}
@@ -457,13 +468,18 @@ def test_a_warm_check_and_closed_form_multiply_nothing(monkeypatch, cold_store):
     products, mul = [], TruncatedSeries.__mul__
     monkeypatch.setattr(TruncatedSeries, "__mul__", lambda a, b: products.append(1) or mul(a, b))
     monkeypatch.setattr(quotients, "product", lambda factors: products.append(1) or series_product(factors))
+    exps, shifts, reads = [], [], []
+    mul_exp, shift_up = TruncatedSeries.mul_exp, TruncatedSeries.shift_up
+    monkeypatch.setattr(TruncatedSeries, "mul_exp", lambda s, c: exps.append(c) or mul_exp(s, c))
+    for name in ("_side_chain", "_closed_scales"):
+        build = getattr(quotients, name)
+        monkeypatch.setattr(quotients, name, lambda *args, build=build, name=name: reads.append(name)
+                            or build(*args))
     misses = cold_store.cache_info().misses
     for qt in QUOTIENT_TYPES.values():
         w = (2, 1, 3)[: qt.arity]
         assert consistency_check(qt, w, y, chi, twist, 6) == first[qt.name][0], qt.name
-    exps, shifts = [], []
-    mul_exp, shift_up = TruncatedSeries.mul_exp, TruncatedSeries.shift_up
-    monkeypatch.setattr(TruncatedSeries, "mul_exp", lambda s, c: exps.append(c) or mul_exp(s, c))
+    assert exps == [] and reads == []
     monkeypatch.setattr(TruncatedSeries, "shift_up", lambda s, k: shifts.append(k) or shift_up(s, k))
     for qt in QUOTIENT_TYPES.values():
         w = (2, 1, 3)[: qt.arity]
@@ -602,6 +618,122 @@ def test_the_shared_products_live_no_longer_than_the_store(cold_store):
     assert len(quotients._SHARED) == 0
 
 
+def _held_in_three_ways(series):
+    """Store builds that hold `series` at top level, in a tuple and in a
+    side record, and one that holds no series."""
+
+    def top(chi, twist, k):
+        return series
+
+    def inside(chi, twist, k):
+        return (k, (series, (k,)))
+
+    def record(chi, twist, k):
+        return _SideRecord((series, (k,)), k, (1, (k,)))
+
+    def small(chi, twist, k):
+        return k
+
+    return top, inside, record, small
+
+
+def _entry_charge(store, build, k) -> int:
+    """The bytes charged to the entry under (build, CHI1, Z3, k) alone."""
+    return store._entries[(build, CHI1.d, CHI1.exponents, Z3.r, Z3.j, k)][1]
+
+
+def test_entries_that_hold_one_series_charge_it_once():
+    # one series held at top level, inside a tuple and inside a side
+    # record: the first entry pays its bytes, and each further entry only
+    # its own
+    series = TruncatedSeries(1, [k - 3 for k in range(9)])
+    held = series.held_bytes() + quotients._HOLDER_BYTES
+    builds = _held_in_three_ways(series)[:3]
+    together = quotients._Store(1 << 30)
+    for build in builds:
+        together(build, CHI1, Z3, 1)
+    assert together.cache_info().series == 1
+    own = [_entry_charge(together, build, 1) for build in builds]
+    assert together.cache_info().bytes == sum(own) + held
+    for build, charge in zip(builds, own):
+        alone = quotients._Store(1 << 30)
+        alone(build, CHI1, Z3, 1)
+        assert alone.cache_info().bytes == charge + held
+        assert alone.cache_info().series == 1
+
+
+def test_a_held_series_is_charged_until_its_last_holder_goes():
+    # evicting one of two entries that hold a series keeps its bytes
+    # charged; evicting the other gives them back
+    series = TruncatedSeries(1, [k - 3 for k in range(9)])
+    held = series.held_bytes() + quotients._HOLDER_BYTES
+    top, inside, _, small = _held_in_three_ways(series)
+    probe = quotients._Store(1 << 30)
+    probe(small, CHI1, Z3, 1)
+    small_charge = probe.cache_info().bytes
+    store = quotients._Store(1 << 30)
+    store(top, CHI1, Z3, 1)
+    store(inside, CHI1, Z3, 1)
+    full, own_top, own_inside = (store.cache_info().bytes, _entry_charge(store, top, 1),
+                                 _entry_charge(store, inside, 1))
+    # every entry is marked when kept, so each gets its second chance and
+    # the oldest, the top-level holder, goes first
+    store.max_bytes = full - own_top + small_charge
+    store(small, CHI1, Z3, 1)
+    info = store.cache_info()
+    assert (info.entries, info.evictions, info.series) == (2, 1, 1)
+    assert info.bytes == full - own_top + small_charge == own_inside + held + small_charge
+    store.max_bytes = 2 * small_charge
+    store(small, CHI1, Z3, 2)
+    info = store.cache_info()
+    assert (info.entries, info.evictions, info.series) == (2, 2, 0)
+    assert info.bytes == 2 * small_charge
+
+
+def test_a_value_over_the_bound_alone_is_returned_and_not_kept():
+    # its series is not held either, so a later entry pays for it in full
+    series = TruncatedSeries(1, [k - 3 for k in range(9)])
+    top = _held_in_three_ways(series)[0]
+    store = quotients._Store(series.held_bytes())
+    assert store(top, CHI1, Z3, 1) is series
+    info = store.cache_info()
+    assert (info.entries, info.bytes, info.misses, info.series) == (0, 0, 1, 0)
+    assert store._holders == {}
+
+
+def _recount(store) -> tuple[int, int]:
+    """(bytes, distinct held series) of the store, worked out afresh: each
+    entry's own bytes, from its key and value, and each distinct series
+    its entries hold, once."""
+    held, own = [], 0
+    for key, (value, _, _) in store._entries.items():
+        own += (sys.getsizeof(key) + sys.getsizeof(key[2]) + quotients._charge(key[5:], held)
+                + quotients._charge(value, held) + quotients._ENTRY_BYTES)
+    distinct = {id(series): series for series in held}
+    return own + sum(s.held_bytes() + quotients._HOLDER_BYTES for s in distinct.values()), len(distinct)
+
+
+@pytest.mark.parametrize("budget", (None, 1 << 20))
+def test_the_store_charges_what_a_recount_finds(budget, monkeypatch, cold_store):
+    # after theorem records, closed forms of every ordering and consistency
+    # checks, with and without evictions, the store's bytes are its
+    # entries' own bytes plus each distinct held series once, and several
+    # entries hold one series
+    if budget:
+        monkeypatch.setattr(cold_store, "max_bytes", budget)
+    chi, twist = DirichletCharacter(5, (1,)), TwistSpec(7, 1)
+    assert verify_instance(TheoremInstance(4, 5, (1,), 7, 1, (2, 3, 1), 4)).pass_as_stated
+    for qt in QUOTIENT_TYPES.values():
+        y = (Fraction(1, 2), Fraction(2), Fraction(3, 2))[:qt.y_count]
+        for w in permutations((1, 2, 3)[:qt.arity]):
+            closed_form_series(qt, w, y, chi, twist, 6)
+            assert consistency_check(qt, w, y, chi, twist, 6).passed
+    info = cold_store.cache_info()
+    assert (info.bytes, info.series) == _recount(cold_store)
+    assert sum(cold_store._holders.values()) > info.series
+    assert (info.evictions > 0) == bool(budget)
+
+
 @pytest.mark.parametrize("name", sorted(FORMS))
 def test_consistency_every_type(name):
     chi = DirichletCharacter(5, (1,))
@@ -650,36 +782,64 @@ def test_mutation_breaks_consistency():
         assert not rep.passed, mut
 
 
+# the sampled points of the data-mutant tests: three contexts, and every
+# permutation of distinct w components from {2, 3, 5}, at n_max = 4
+_MUTANT_Y = (Fraction(1, 2), Fraction(-1), Fraction(3, 2))
+_MUTANT_CONTEXTS = ((1, (), 7), (4, (1,), 5), (5, (1,), 3))
+
+
+def _mutant_points(qt):
+    """(chi, twist, w) of every sampled point of the type."""
+    for d, label, r in _MUTANT_CONTEXTS:
+        for w in permutations((2, 3, 5), qt.arity):
+            yield DirichletCharacter(d, label), TwistSpec(r, 1), w
+
+
+def _killed(qt) -> bool:
+    """Whether consistency_check fails at one of the type's sampled points;
+    a point that refuses the type or its forms is passed over."""
+    for chi, twist, w in _mutant_points(qt):
+        try:
+            if not consistency_check(qt, w, _MUTANT_Y[:qt.y_count], chi, twist, 4).passed:
+                return True
+        except ParameterError:
+            continue
+    return False
+
+
+def _data_mutant_survivors(monkeypatch) -> list:
+    """Each data mutant that passes at every sampled point, planted as its
+    type's only form."""
+    mutants = list(data_mutants())
+    assert len(mutants) == 496
+    survivors = []
+    for name, mutant in mutants:
+        monkeypatch.setitem(quotients.FORMS, name, (mutant,))
+        if not _killed(mutant.qt):
+            survivors.append((name, mutant.form_no, mutant.slots))
+    return survivors
+
+
 def test_every_single_site_data_mutant_fails_consistency(monkeypatch):
     # each form with one slot monomial's exponent moved by 1 (kept >= 0,
     # an a-sum's upper end and twist included) or one B slot moved to
     # another y variable, planted as its type's only form, fails
-    # consistency_check at a sampled point: three contexts, w a permutation
-    # of distinct components from {2, 3, 5}, n_max = 4; a point that
-    # refuses the type or the mutant is passed over.  The count pins the
-    # generator
-    y = (Fraction(1, 2), Fraction(-1), Fraction(3, 2))
-    contexts = [(DirichletCharacter(d, label), TwistSpec(r, 1)) for d, label, r in ((1, (), 7), (4, (1,), 5),
-                                                                                      (5, (1,), 3))]
+    # consistency_check at a sampled point (`_mutant_points`).  The count
+    # pins the generator
+    assert not _data_mutant_survivors(monkeypatch)
 
-    def killed(qt):
-        for chi, twist in contexts:
-            for w in permutations((2, 3, 5), qt.arity):
-                try:
-                    if not consistency_check(qt, w, y[:qt.y_count], chi, twist, 4).passed:
-                        return True
-                except ParameterError:
-                    continue
-        return False
 
-    mutants = list(data_mutants())
-    survivors = []
-    for name, mutant in mutants:
-        monkeypatch.setitem(quotients.FORMS, name, (mutant,))
-        if not killed(mutant.qt):
-            survivors.append((name, mutant.form_no, mutant.slots))
-    assert len(mutants) == 496
-    assert not survivors
+def test_data_mutants_fail_consistency_from_a_warm_store(monkeypatch, cold_store):
+    # the store first holds the clean checks' inputs at every sampled
+    # point; a mutant planted in FORMS is another forms tuple, so it reads
+    # none of them and still fails
+    for qt in QUOTIENT_TYPES.values():
+        assert not _killed(qt), qt.name
+    misses = cold_store.cache_info().misses
+    for qt in QUOTIENT_TYPES.values():
+        assert not _killed(qt), qt.name
+    assert cold_store.cache_info().misses == misses
+    assert not _data_mutant_survivors(monkeypatch)
 
 
 def test_perm_helpers():
@@ -857,14 +1017,20 @@ def test_side_with_another_rate_fails_like_its_point_series(name, monkeypatch):
     # the same P under another y multiplier C: the rates differ, so P is
     # multiplied by exp((c_form - c_closed)*t) before the comparison, and the
     # witness is the one read from the point series E against the weighted
-    # closed form
-    build = quotients._stored_side
+    # closed form.  The check's inputs are read as stored, each form's C and
+    # rate offsets then moved by 1
+    build, read = quotients._stored_side, quotients._stored_inputs
 
     def other_rate(*args, **kwargs):
         p, ys = build(*args, **kwargs)
         return p, tuple(c + 1 for c in ys)
 
-    monkeypatch.setattr(quotients, "_stored_side", other_rate)
+    def other_rate_inputs(*args):
+        core, checks = read(*args)
+        return core, tuple(((p, tuple(c + 1 for c in ys)), weight, tuple(o + 1 for o in offsets))
+                           for (p, ys), weight, offsets in checks)
+
+    monkeypatch.setattr(quotients, "_stored_inputs", other_rate_inputs)
     chi, twist = DirichletCharacter(4, (1,)), TwistSpec(5, 1)
     qt = parse_quotient_type(name)
     w = (2, 3) if qt.arity == 2 else (2, 1, 3)
